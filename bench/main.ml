@@ -14,7 +14,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig13", "greedy-fusion crossover (Figures 11/13)", Exp_fig13.run);
     ("tab2", "tuning statistics (Table 2)", Exp_tab2.run);
     ("ablation", "design-choice ablations", Exp_ablation.run);
-    ("multistream", "multi-stream headroom (extension)", Exp_multistream.run);
     ("parallel", "multicore segment orchestration speedup", Exp_parallel.run);
     ("native", "interpreter vs native C backend (extension)", Exp_native.run);
     ("serving", "durable plan cache & degradation ladder (extension)", Exp_serving.run);

@@ -202,7 +202,7 @@ let list_cmd =
 
 (* ----------------------- optimize ----------------------- *)
 
-let optimize_action model gpu precision batch small window jobs verbose dot streams inject
+let optimize_action model gpu precision batch small window jobs verbose dot inject
     fault_seed json trace =
   install_faults inject fault_seed;
   (* Info lines must not corrupt the JSON document on stdout. *)
@@ -236,14 +236,7 @@ let optimize_action model gpu precision batch small window jobs verbose dot stre
       (Runtime.Dot_export.plan_to_dot r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan);
     close_out oc;
     say "wrote kernel-cluster DOT to %s\n" path
-  | None -> ());
-  if streams > 1 then begin
-    let a =
-      Runtime.Multistream.analyze r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan ~streams
-    in
-    say "projected onto %d streams: %.2f us (critical path %.2f us)\n" streams
-      a.Runtime.Multistream.makespan_us a.Runtime.Multistream.critical_path_us
-  end
+  | None -> ())
 
 let optimize_cmd =
   Cmd.v
@@ -253,9 +246,6 @@ let optimize_cmd =
       $ window_arg $ jobs_arg $ verbose_arg
       $ Arg.(value & opt (some string) None
              & info [ "dot" ] ~docv:"FILE" ~doc:"Write the plan as a Graphviz DOT file.")
-      $ Arg.(value & opt int 1
-             & info [ "streams" ] ~docv:"N"
-                 ~doc:"Also project the plan onto N concurrent streams.")
       $ inject_arg $ fault_seed_arg $ json_arg $ trace_arg)
 
 (* ----------------------- compare ----------------------- *)

@@ -99,7 +99,7 @@ let lifetimes ?(bytes_per_element = 8) (g : Primgraph.t) (plan : Plan.t) : inter
         | Some iv -> Hashtbl.replace acc key { iv with last = max iv.last s }
         | None ->
           (* Use before any def: the plan reads a tensor no kernel has
-             published yet. Plan_check owns that structural error; for
+             published yet. Runtime.Plan.check owns that structural error; for
              lifetime purposes treat the read as both def and use so the
              audit against the planner still proceeds. *)
           Hashtbl.replace acc key { key; shape = [||]; bytes = 0; first = s; last = s }

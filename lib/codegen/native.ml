@@ -1,10 +1,10 @@
 (** The native backend: plan execution through compiled C kernels.
 
-    Mirrors the interpreter executor's contract exactly — same dynamic
-    convexity and dependency checks, same {!Runtime.Executor.Invalid_plan}
-    messages, same publish discipline — but each kernel is resolved to a
-    shared object via {!Emit} + {!Kernel_cache} and invoked directly on
-    the tensors' flat storage.
+    Registered as {!Runtime.Backend}'s native implementation, so it is
+    only reached through {!Runtime.Executor.run}, which has already
+    checked the plan with {!Runtime.Plan.check}. Each kernel is resolved
+    to a shared object via {!Emit} + {!Kernel_cache} and invoked directly
+    on the tensors' flat storage, publishing exactly its declared outputs.
 
     Degradation ladder (per kernel, never per run):
 
@@ -12,8 +12,9 @@
       natively, its wall-clock recorded into the execution stats;
     + a kernel the emitter cannot express, that the compiler rejects,
       whose verification fails, or whose resolution drew a
-      [codegen_compile] fault, falls back to the interpreter — recorded
-      in [stats.fallbacks] with the reason, and the run proceeds.
+      [codegen_compile] fault, falls back to the interpreter's kernel
+      step ({!Runtime.Executor.eval_kernel}) — recorded in
+      [stats.fallbacks] with the reason, and the run proceeds.
 
     {b Differential verification}: before a compiled kernel's first
     production use, it is executed on deterministic pseudo-random inputs
@@ -25,8 +26,6 @@
 
 open Ir
 open Tensor
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Runtime.Executor.Invalid_plan s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* ULP distance                                                        *)
@@ -57,22 +56,18 @@ let ulp_diff (a : float) (b : float) : int =
 let ulp_tolerance = 1
 
 (* ------------------------------------------------------------------ *)
-(* Kernel-local interpretation (verification oracle and fallback)      *)
+(* Verification oracle                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Evaluate the kernel's members in layout order from concrete external
-   values — the reference semantics a compiled kernel must reproduce. *)
-let interp_kernel (g : Primgraph.t) (lay : Emit.layout) ~(ext_vals : Nd.t array) :
-    Nd.t array =
-  let env : (int, Nd.t) Hashtbl.t = Hashtbl.create 16 in
+(* The interpreter's kernel step on concrete external values — the
+   reference semantics a compiled kernel must reproduce, and exactly what
+   the fallback would compute in its place. *)
+let interp_kernel (g : Primgraph.t) (lay : Emit.layout) (k : Runtime.Plan.kernel)
+    ~(ext_vals : Nd.t array) : Nd.t array =
+  let env : Runtime.Prim_interp.env = Hashtbl.create 16 in
   Array.iteri (fun i id -> Hashtbl.replace env id ext_vals.(i)) lay.Emit.ext_ids;
-  List.iter
-    (fun id ->
-      let nd = Graph.node g id in
-      let args = List.map (fun i -> Hashtbl.find env i) nd.Graph.inputs in
-      Hashtbl.replace env id (Runtime.Prim_interp.eval_prim nd.Graph.op args))
-    lay.Emit.order;
-  Array.map (fun id -> Hashtbl.find env id) lay.Emit.out_ids
+  Runtime.Executor.eval_kernel g ~topo:lay.Emit.order env k;
+  Array.map (Hashtbl.find env) lay.Emit.out_ids
 
 (* Invoke the compiled kernel: fresh zeroed output buffers, flat-array
    views in ABI order. *)
@@ -139,8 +134,8 @@ let compare_outputs (expected : Nd.t array) (got : Nd.t array) : (unit, string) 
 
 (* First production use of a signature triggers the gate; the verdict is
    memoized for the process (both directions). *)
-let verify (g : Primgraph.t) (lay : Emit.layout) (c : Kernel_cache.compiled)
-    ~(signature : string) : (unit, string) result =
+let verify (g : Primgraph.t) (lay : Emit.layout) (k : Runtime.Plan.kernel)
+    (c : Kernel_cache.compiled) ~(signature : string) : (unit, string) result =
   Mutex.lock verdicts_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock verdicts_mutex)
@@ -151,7 +146,7 @@ let verify (g : Primgraph.t) (lay : Emit.layout) (c : Kernel_cache.compiled)
         let v =
           match
             let ext_vals = gen_inputs g lay ~signature in
-            let expected = interp_kernel g lay ~ext_vals in
+            let expected = interp_kernel g lay k ~ext_vals in
             let got = call_native g lay c ~ext_vals in
             compare_outputs expected got
           with
@@ -192,7 +187,7 @@ let prepare (cache : Kernel_cache.t) (g : Primgraph.t) (k : Runtime.Plan.kernel)
     | Error msg -> Error msg
     | Ok compiled -> begin
       let lay = Emit.layout g k in
-      match verify g lay compiled ~signature with
+      match verify g lay k compiled ~signature with
       | Ok () -> Ok { lay; compiled }
       | Error msg -> Error (Printf.sprintf "differential verify: %s" msg)
     end
@@ -204,59 +199,23 @@ let prepare (cache : Kernel_cache.t) (g : Primgraph.t) (k : Runtime.Plan.kernel)
 
 let run_impl ~(stats : Runtime.Backend.exec_stats) (g : Primgraph.t)
     (plan : Runtime.Plan.t) ~(inputs : (string * Nd.t) list) : Nd.t list =
-  let n = Graph.length g in
   let topo = Graph.topo_order g in
   let global = Runtime.Prim_interp.bind_sources g ~inputs in
   let cache = Kernel_cache.default () in
-  let read_global ki i =
-    match Hashtbl.find_opt global i with
-    | Some v -> v
-    | None -> fail "kernel %d reads tensor %d that no prior kernel published" (ki + 1) i
-  in
-  (* The interpreter path for one kernel — the same local-environment
-     discipline as Executor.run_interp without arena reuse. *)
-  let run_kernel_interp ki (k : Runtime.Plan.kernel) (members : Bitset.t) : unit =
-    let local : (int, Nd.t) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun id ->
-        let nd = Graph.node g id in
-        let args =
-          List.map
-            (fun i ->
-              if Bitset.mem members i then
-                match Hashtbl.find_opt local i with
-                | Some v -> v
-                | None ->
-                  fail "kernel %d: internal dependency %d not yet computed" (ki + 1) i
-              else read_global ki i)
-            nd.Graph.inputs
-        in
-        Hashtbl.replace local id (Runtime.Prim_interp.eval_prim nd.Graph.op args))
-      (List.filter (fun id -> Bitset.mem members id) topo);
-    List.iter
-      (fun o ->
-        match Hashtbl.find_opt local o with
-        | Some v -> Hashtbl.replace global o v
-        | None -> fail "kernel %d declares output %d it did not compute" (ki + 1) o)
-      k.Runtime.Plan.outputs
-  in
   List.iteri
     (fun ki (k : Runtime.Plan.kernel) ->
-      let members = Bitset.of_list n k.Runtime.Plan.prims in
-      if not (Graph.is_convex g members) then
-        fail "kernel %d executes a non-convex primitive set" (ki + 1);
       let fallback reason =
         stats.Runtime.Backend.interp_kernels <-
           stats.Runtime.Backend.interp_kernels + 1;
         stats.Runtime.Backend.fallbacks <- (ki, reason) :: stats.Runtime.Backend.fallbacks;
-        run_kernel_interp ki k members
+        Runtime.Executor.eval_kernel g ~topo global k
       in
       match prepare cache g k with
       | exception Faults.Injected { site = _; hit } ->
         fallback (Printf.sprintf "fault injected at codegen_compile (call %d)" hit)
       | Error reason -> fallback reason
       | Ok { lay; compiled } ->
-        let ext_vals = Array.map (fun id -> read_global ki id) lay.Emit.ext_ids in
+        let ext_vals = Array.map (Hashtbl.find global) lay.Emit.ext_ids in
         let t0 = Obs.Clock.now_us () in
         let outs = call_native g lay compiled ~ext_vals in
         let dt = Obs.Clock.now_us () -. t0 in
@@ -267,9 +226,4 @@ let run_impl ~(stats : Runtime.Backend.exec_stats) (g : Primgraph.t)
           (fun oi id -> Hashtbl.replace global id outs.(oi))
           lay.Emit.out_ids)
     plan.Runtime.Plan.kernels;
-  List.map
-    (fun o ->
-      match Hashtbl.find_opt global o with
-      | Some v -> v
-      | None -> fail "plan finished without producing graph output %d" o)
-    g.Graph.outputs
+  List.map (Hashtbl.find global) g.Graph.outputs

@@ -9,12 +9,15 @@
 
 open Ir
 
+(** Guard for {!Exec_state.enumerate_bounded}. *)
+let max_states = 200_000
+
+(** Enumerate all output subsets when the kernel boundary has at most
+    this many nodes; otherwise only the full boundary set is used. *)
+let max_boundary_enum = 2
+
 type config = {
-  max_states : int;
   max_kernel_prims : int;  (** subgraphs larger than this are skipped pre-profiling *)
-  max_boundary_enum : int;
-      (** enumerate all output subsets when the boundary is at most this
-          large; otherwise only the full boundary set is used *)
   prefilter : bool;
       (** drop candidates dominated by their members' singleton kernels
           (the paper's future-work "lightweight cost model" filter, §8) *)
@@ -23,9 +26,7 @@ type config = {
 
 let default_config =
   {
-    max_states = 200_000;
     max_kernel_prims = 10;
-    max_boundary_enum = 2;
     prefilter = true;
     profiler = Gpu.Profiler.default_config;
   }
@@ -79,7 +80,7 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
     ~(cache : Gpu.Profile_cache.t) (g : Primgraph.t) : Candidate.t array * stats =
   Obs.Span.with_ ~name:"identify" ~args:[ ("nodes", Obs.Jsonw.Int (Graph.length g)) ]
   @@ fun () ->
-  let states, states_truncated = Exec_state.enumerate_bounded g ~max_states:cfg.max_states in
+  let states, states_truncated = Exec_state.enumerate_bounded g ~max_states in
   let n_states = List.length states in
   (* Distinct convex subgraphs from pairwise differences. *)
   let subgraphs = Bitset.Table.create 256 in
@@ -102,7 +103,7 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
     (fun members () ->
       let boundary = Graph.boundary_outputs g members in
       let output_sets =
-        if List.length boundary <= cfg.max_boundary_enum then begin
+        if List.length boundary <= max_boundary_enum then begin
           (* Graph outputs inside the kernel must always be publishable by
              someone, but a candidate may legally publish any non-empty
              boundary subset (Definition 3). *)

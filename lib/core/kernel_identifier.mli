@@ -10,12 +10,8 @@
 open Ir
 
 type config = {
-  max_states : int;  (** guard for {!Exec_state.enumerate} *)
   max_kernel_prims : int;
       (** subgraphs larger than this are skipped before profiling (§6.5) *)
-  max_boundary_enum : int;
-      (** enumerate all output subsets when the kernel boundary has at
-          most this many nodes; otherwise only the full boundary is used *)
   prefilter : bool;
       (** drop candidates dominated by their members' singleton kernels —
           the paper's future-work "lightweight cost model" filter (§8) *)
@@ -27,8 +23,8 @@ val default_config : config
 type stats = {
   states : int;
   states_truncated : bool;
-      (** enumeration stopped at [max_states]: the candidate set is valid
-          but incomplete, and callers should surface the truncation *)
+      (** enumeration stopped at the state guard: the candidate set is
+          valid but incomplete, and callers should surface the truncation *)
   distinct_subgraphs : int;
   profiled : int;  (** (subgraph, output-set) pairs sent to the profiler *)
   accepted : int;

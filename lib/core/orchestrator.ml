@@ -112,33 +112,52 @@ type deadline = { at_s : float; total_s : float }
 
 let deadline_in total_s = { at_s = Obs.Clock.now_s () +. total_s; total_s }
 
+(** Candidate-explosion guard: a segment identifying more candidates
+    than this is deterministically pruned to [prune_candidates_to]
+    before the BLP. Parallel same-shape branches (a transformer's q/k/v
+    projections, say) can push the convex-subgraph count past what
+    branch-and-bound tolerates — each node LP carries one column per
+    candidate — while every other segment of the model stays routine.
+    It sits above the worst well-behaved segment in the zoo, so
+    the guard only fires on genuine explosions. *)
+let max_candidates = 768
+
+(** Surviving candidate count when the guard fires: every full
+    singleton (ladder floor and warm start) is kept, then multi-primitive
+    candidates ranked by latency gain over their members' cheapest
+    singletons (gain descending, candidate index ascending — fully
+    deterministic, so pruned plans reproduce). The segment's BLP optimum
+    is then optimal {e over the pruned set}; its tier is still reported
+    as {!tier-Optimal}. It is deliberately aggressive: on the
+    explosion-prone segments the guard exists for, larger survivor sets
+    mostly add symmetric redundant-output variants that slow
+    branch-and-bound and feed the no-good cut loop unschedulable optima
+    without improving the final plan. *)
+let prune_candidates_to = 96
+
+(** Graph expansions per segment transformation search. *)
+let transform_budget = 40
+
+(** Per-segment BLP budget as a branch-and-bound node count — a
+    deterministic measure of solver work, unlike CPU time, so the same
+    segment stops at the same incumbent for every [jobs] value and on
+    every run. A request deadline scales it down ([config.deadline]). *)
+let ilp_node_limit = 1200
+
+(** Relative optimality tolerance of the BLP solve; 0 proves optimality,
+    small values cut solve time sharply. *)
+let ilp_rel_gap = 0.002
+
+(** Absolute BLP tolerance in kernel-launch overheads: strategies
+    within a fraction of one launch are equivalent in practice. *)
+let ilp_abs_gap_launches = 0.4
+
 type config = {
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
   identifier : Kernel_identifier.config;
   partition_max_prims : int;
-  max_candidates : int;
-      (** candidate-explosion guard: a segment whose identified candidate
-          set exceeds this is deterministically pruned down to
-          [prune_candidates_to] before the BLP. Parallel same-shape
-          branches (e.g. a transformer's q/k/v projections) can blow the
-          convex-subgraph count past what branch-and-bound tolerates even
-          though every other segment of the model is routine; pruning
-          bounds the solve without touching well-behaved segments *)
-  prune_candidates_to : int;
-      (** how many candidates survive when the [max_candidates] guard
-          fires: every full singleton (the ladder floor and warm start)
-          plus the multi-primitive candidates with the largest latency
-          gain over their members' singletons, ties broken by candidate
-          index — a deterministic ranking, so pruned plans reproduce *)
   use_transform : bool;
-  transform_budget : int;
-  ilp_node_limit : int;
-      (** per-segment BLP budget as a branch-and-bound node count. Node
-          counts are a deterministic measure of solver work — unlike CPU
-          time, which other worker domains inflate — so the same segment
-          stops at the same incumbent for every [jobs] value and on every
-          run *)
   ilp_time_limit_s : float;
       (** safety net only: CPU-time cap on one BLP solve so a pathological
           segment cannot hang the pipeline. If it ever binds (it should
@@ -146,13 +165,6 @@ type config = {
           stop being reproducible across [jobs] values, because CPU time
           advances faster when several domains run concurrently. Binding
           is surfaced via [outcome.time_limit_hit] *)
-  ilp_rel_gap : float;
-      (** relative optimality tolerance passed to the BLP solver; 0 proves
-          optimality, small values (e.g. 0.002) cut solve time sharply *)
-  ilp_abs_gap_launches : float;
-      (** absolute tolerance in units of kernel-launch overheads: two
-          strategies within a fraction of one launch are equivalent in
-          practice, so proving which is better is wasted solver time *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -197,14 +209,8 @@ let default_config =
     precision = Gpu.Precision.FP32;
     identifier = Kernel_identifier.default_config;
     partition_max_prims = 12;
-    max_candidates = 768;
-    prune_candidates_to = 96;
     use_transform = true;
-    transform_budget = 40;
-    ilp_node_limit = 1200;
     ilp_time_limit_s = 300.0;
-    ilp_rel_gap = 0.002;
-    ilp_abs_gap_launches = 0.4;
     allow_redundancy = true;
     check_invariants = true;
     jobs = 1;
@@ -348,17 +354,17 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
    segment's convex-subgraph count into the thousands, where each
    branch-and-bound node LP (one column per candidate) costs seconds and
    even the node budget cannot bound wall-clock usefully. When the
-   identified set exceeds [cfg.max_candidates], keep every single-member
+   identified set exceeds [max_candidates], keep every single-member
    candidate (the ladder floor / warm-start material) plus the
    multi-primitive candidates with the largest latency gain over their
    members' cheapest full singletons — the same signal greedy fusion
-   ranks by — down to [cfg.prune_candidates_to]. Ranking is (gain desc,
+   ranks by — down to [prune_candidates_to]. Ranking is (gain desc,
    index asc): fully deterministic, so pruned plans reproduce run to
    run. *)
-let prune_candidates (cfg : config) (g : Primgraph.t) (candidates : Candidate.t array) :
+let prune_candidates (g : Primgraph.t) (candidates : Candidate.t array) :
     Candidate.t array * int =
   let total = Array.length candidates in
-  if total <= Stdlib.max cfg.max_candidates cfg.prune_candidates_to then (candidates, 0)
+  if total <= Stdlib.max max_candidates prune_candidates_to then (candidates, 0)
   else begin
     let n = Graph.length g in
     let single = Array.make n Float.infinity in
@@ -391,7 +397,7 @@ let prune_candidates (cfg : config) (g : Primgraph.t) (candidates : Candidate.t 
         (fun (g1, i1) (g2, i2) -> if g1 <> g2 then compare g2 g1 else compare i1 i2)
         !multis
     in
-    let budget = Stdlib.max 0 (cfg.prune_candidates_to - List.length singles) in
+    let budget = Stdlib.max 0 (prune_candidates_to - List.length singles) in
     let kept = ref singles and left = ref budget in
     List.iter
       (fun (_g, i) ->
@@ -553,8 +559,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   in
   let past_deadline = deadline_frac <= 0.0 in
   let node_limit =
-    if deadline_frac >= 1.0 then cfg.ilp_node_limit
-    else Stdlib.max 1 (int_of_float (float_of_int cfg.ilp_node_limit *. deadline_frac))
+    if deadline_frac >= 1.0 then ilp_node_limit
+    else Stdlib.max 1 (int_of_float (float_of_int ilp_node_limit *. deadline_frac))
   in
   if past_deadline then
     note Error.Solve "deadline exceeded before segment solve; taking the unfused floor";
@@ -570,7 +576,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
             Transform.Optimizer.spec = cfg.spec;
             precision = cfg.precision;
             alpha = 1.08;
-            budget = cfg.transform_budget;
+            budget = transform_budget;
             profiler = cfg.identifier.Kernel_identifier.profiler;
           }
         seg.Partition.local
@@ -631,7 +637,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
      && Primgraph.non_source_nodes transformed <> []
   then orch_fail ~segment:seg_index Error.Profile "no candidate kernels for segment";
   (* Candidate-explosion guard (see [prune_candidates]). *)
-  let candidates, pruned_candidates = prune_candidates cfg transformed candidates in
+  let candidates, pruned_candidates = prune_candidates transformed candidates in
   if pruned_candidates > 0 then Obs.Metrics.add m_candidates_pruned pruned_candidates;
   (* Ladder floor material: every primitive gets a singleton candidate. *)
   let candidates, singleton = ensure_singletons cfg ~cache transformed candidates in
@@ -656,8 +662,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       in
       match
         Lp.Ilp.solve ~max_nodes:node_limit ~time_limit_s:cfg.ilp_time_limit_s
-          ~rel_gap:cfg.ilp_rel_gap
-          ~abs_gap:(cfg.ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
+          ~rel_gap:ilp_rel_gap
+          ~abs_gap:(ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
           ~lazy_dependencies:true ~warm_start problem
       with
       | None -> Stdlib.Error "BLP solver timed out without incumbent"

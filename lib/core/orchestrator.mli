@@ -94,36 +94,7 @@ type config = {
   precision : Gpu.Precision.t;  (** FP32 on V100, TF32 on A100 (§6.1) *)
   identifier : Kernel_identifier.config;
   partition_max_prims : int;  (** segment size bound (default 12) *)
-  max_candidates : int;
-      (** candidate-explosion guard (default 768): a segment identifying
-          more candidates than this is deterministically pruned to
-          [prune_candidates_to] before the BLP. Parallel same-shape
-          branches (a transformer's q/k/v projections, say) can push the
-          convex-subgraph count past what branch-and-bound tolerates —
-          each node LP carries one column per candidate — while every
-          other segment of the model stays routine. The default sits
-          above the worst well-behaved segment in the zoo, so the guard
-          only fires on genuine explosions *)
-  prune_candidates_to : int;
-      (** surviving candidate count when the guard fires (default 96):
-          every full singleton (ladder floor and warm start) is kept,
-          then multi-primitive candidates ranked by latency gain over
-          their members' cheapest singletons (gain descending, candidate
-          index ascending — fully deterministic, so pruned plans
-          reproduce). The segment's BLP optimum is then optimal {e over
-          the pruned set}; its tier is still reported as
-          {!tier-Optimal}. The default is deliberately aggressive: on
-          the explosion-prone segments the guard exists for, larger
-          survivor sets mostly add symmetric redundant-output variants
-          that slow branch-and-bound and feed the no-good cut loop
-          unschedulable optima without improving the final plan *)
   use_transform : bool;  (** run the TASO-style optimizer per segment *)
-  transform_budget : int;  (** graph expansions per segment search *)
-  ilp_node_limit : int;
-      (** per-segment BLP budget as a branch-and-bound node count
-          (default 1200) — a deterministic measure of solver work, unlike
-          CPU time, so the same segment stops at the same incumbent for
-          every [jobs] value and on every run *)
   ilp_time_limit_s : float;
       (** safety net only (default 300 s of CPU time): caps one BLP solve
           so a pathological segment cannot hang the pipeline. If it ever
@@ -131,12 +102,6 @@ type config = {
           CPU time advances faster when several domains run concurrently.
           Binding is surfaced via [outcome.time_limit_hit] and counted in
           [result.time_limit_hits] so the CLI can warn *)
-  ilp_rel_gap : float;
-      (** relative optimality tolerance; 0 proves optimality, small values
-          (default 0.002) cut solve time sharply *)
-  ilp_abs_gap_launches : float;
-      (** absolute tolerance in kernel-launch overheads: strategies within
-          a fraction of one launch are equivalent in practice *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -156,7 +121,7 @@ type config = {
           Plans are bit-identical for every [jobs] value: results merge
           in segment order, the sharded profile cache resolves each
           distinct kernel exactly once, and the BLP budget
-          ([ilp_node_limit]) counts branch-and-bound nodes rather than
+          (a fixed 1200-node limit) counts branch-and-bound nodes rather than
           CPU time, so a solver stops at the same incumbent no matter
           how many domains share the machine. (Caveat: the
           [ilp_time_limit_s] safety net, if it ever binds, reintroduces
@@ -178,7 +143,7 @@ type config = {
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). Each segment samples the remaining fraction of the
-          budget when it starts: [ilp_node_limit] is scaled down by that
+          budget when it starts: the BLP node limit is scaled down by that
           fraction, and a segment starting past the deadline skips the
           transformation search and enumeration entirely, taking the
           unfused floor (recorded as a [Solve] fallback reason).
@@ -216,7 +181,7 @@ type segment_result = {
           candidates so the unfused floor is always available *)
   id_stats : Kernel_identifier.stats;
   pruned_candidates : int;
-      (** candidates dropped by the [max_candidates] explosion guard
+      (** candidates dropped by the candidate-explosion guard
           (0 = the guard did not fire on this segment) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;  (** modelled latency of the selected strategy *)
@@ -243,8 +208,9 @@ type result = {
       (** segments whose BLP CPU-time safety net bound — nonzero means
           the plan may not reproduce across [jobs] values *)
   truncated_segments : int list;
-      (** indices of segments whose state enumeration was truncated at
-          [max_states]: their candidate sets are valid but incomplete *)
+      (** indices of segments whose state enumeration was truncated by
+          the identifier's state guard: their candidate sets are valid
+          but incomplete *)
   memory : Runtime.Memplan.stats;
       (** static memory plan of the stitched plan: peak arena bytes,
           no-reuse bytes, slot count and reuse ratio, scaled by the

@@ -46,7 +46,8 @@ type exec_stats = {
 val fresh_exec_stats : unit -> exec_stats
 
 (** The signature the native backend registers: same contract as
-    {!Executor.run} with reuse off — may raise [Executor.Invalid_plan]. *)
+    {!Executor.run} with reuse off. Only {!Executor.run} calls it, on a
+    plan that already passed {!Plan.check}. *)
 type native_impl =
   stats:exec_stats ->
   Primgraph.t ->

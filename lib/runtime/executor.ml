@@ -4,7 +4,8 @@
     runs them against the tensor substrate. Each kernel only reads tensors
     published by earlier kernels (or graph sources) and only publishes its
     declared outputs — exactly the contract the BLP dependency constraints
-    (Eq. 4) guarantee, which this executor re-checks dynamically.
+    (Eq. 4) guarantee, which {!run} re-establishes up front with
+    {!Plan.check} before any tensor is computed.
 
     With [~reuse:true], execution follows the {!Memplan} death schedule:
     tensors are released as soon as their last reader has run, released
@@ -20,8 +21,6 @@ open Ir
 open Tensor
 
 exception Invalid_plan of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Invalid_plan s)) fmt
 
 (** Arena accounting for one [~reuse:true] run. *)
 type run_stats = {
@@ -39,15 +38,37 @@ let fresh_stats () = { evals = 0; into_evals = 0; aliases = 0; fresh_elems = 0; 
    to the free pool only when the last one dies. *)
 type buf = { data : float array; mutable refs : int }
 
-let run_interp ?(reuse = false) ?stats ?exec_stats (g : Primgraph.t) (plan : Plan.t)
-    ~(inputs : (string * Nd.t) list) : Nd.t list =
+let count_interp = function
+  | Some (es : Backend.exec_stats) -> es.Backend.interp_kernels <- es.Backend.interp_kernels + 1
+  | None -> ()
+
+(* The reuse-off step for one kernel of a checked plan: recompute every
+   member in [topo] order from a kernel-local environment fed only by
+   [global], then publish the declared outputs into [global]. *)
+let eval_kernel (g : Primgraph.t) ~(topo : int list) (global : Prim_interp.env)
+    (k : Plan.kernel) : unit =
+  let members = Bitset.of_list (Graph.length g) k.Plan.prims in
+  let local : Prim_interp.env = Hashtbl.create 16 in
+  List.iter
+    (fun id ->
+      if Bitset.mem members id then begin
+        let nd = Graph.node g id in
+        let args =
+          List.map
+            (fun i -> Hashtbl.find (if Bitset.mem members i then local else global) i)
+            nd.Graph.inputs
+        in
+        Hashtbl.replace local id (Prim_interp.eval_prim nd.Graph.op args)
+      end)
+    topo;
+  List.iter (fun o -> Hashtbl.replace global o (Hashtbl.find local o)) k.Plan.outputs
+
+(* Arena-reuse execution of a checked plan along the {!Memplan} death
+   schedule. *)
+let run_arena (st : run_stats) ?exec_stats (g : Primgraph.t) (plan : Plan.t)
+    (global : Prim_interp.env) : unit =
   let n = Graph.length g in
-  (* Hoisted: one topological sort per run, not one per kernel. *)
-  let topo = Graph.topo_order g in
-  (* Global environment: sources first. *)
-  let global : Prim_interp.env = Prim_interp.bind_sources g ~inputs in
-  let st = match stats with Some s -> s | None -> fresh_stats () in
-  let mp = if reuse then Some (Memplan.analyze g plan) else None in
+  let mp = Memplan.analyze g plan in
   (* Arena state: live buffers by instance key, free arrays by exact
      length. Caller-owned source arrays never enter either table. *)
   let bufs : (Memplan.key, buf) Hashtbl.t = Hashtbl.create 64 in
@@ -87,116 +108,101 @@ let run_interp ?(reuse = false) ?stats ?exec_stats (g : Primgraph.t) (plan : Pla
     | None -> ()
   in
   let step = ref 0 in
-  let after_step mp ~local =
+  let after_step ~local =
     List.iter (fun key -> release ~local key) mp.Memplan.deaths.(!step);
     incr step
   in
   List.iteri
     (fun ki (k : Plan.kernel) ->
+      count_interp exec_stats;
       let members = Bitset.of_list n k.Plan.prims in
-      if not (Graph.is_convex g members) then
-        fail "kernel %d executes a non-convex primitive set" (ki + 1);
-      (match exec_stats with
-      | Some (es : Backend.exec_stats) ->
-        es.Backend.interp_kernels <- es.Backend.interp_kernels + 1
-      | None -> ());
-      (* Local environment: the kernel recomputes all its internal prims
-         from externally published tensors only. *)
       let local : Prim_interp.env = Hashtbl.create 16 in
       let outset = Bitset.of_list n k.Plan.outputs in
       let key_of p =
         if Bitset.mem outset p then Memplan.Published p else Memplan.Internal (ki, p)
-      in
-      let ordered =
-        match mp with
-        | Some mp -> mp.Memplan.order.(ki)
-        | None -> List.filter (fun id -> Bitset.mem members id) topo
       in
       List.iter
         (fun id ->
           let nd = Graph.node g id in
           let args =
             List.map
-              (fun i ->
-                if Bitset.mem members i then
-                  match Hashtbl.find_opt local i with
-                  | Some v -> v
-                  | None -> fail "kernel %d: internal dependency %d not yet computed" (ki + 1) i
-                else
-                  match Hashtbl.find_opt global i with
-                  | Some v -> v
-                  | None ->
-                    fail "kernel %d reads tensor %d that no prior kernel published" (ki + 1) i)
+              (fun i -> Hashtbl.find (if Bitset.mem members i then local else global) i)
               nd.Graph.inputs
           in
           st.evals <- st.evals + 1;
           let v =
-            match mp with
-            | None -> Prim_interp.eval_prim nd.Graph.op args
-            | Some _ -> begin
-              match (nd.Graph.op, args, nd.Graph.inputs) with
-              | Primitive.Reshape s, [ x ], [ src ] ->
-                (* Zero-copy alias: same storage, new shape. The alias
-                   holds a reference on the source's buffer (if arena-
-                   managed) so the storage outlives both keys. *)
-                let v = Nd.of_array s x.Nd.data in
-                (match
-                   Hashtbl.find_opt bufs
-                     (if Bitset.mem members src then key_of src else Memplan.Published src)
-                 with
-                | Some b ->
-                  b.refs <- b.refs + 1;
-                  register (key_of id) b
-                | None -> ());
-                st.aliases <- st.aliases + 1;
+            match (nd.Graph.op, args, nd.Graph.inputs) with
+            | Primitive.Reshape s, [ x ], [ src ] ->
+              (* Zero-copy alias: same storage, new shape. The alias holds
+                 a reference on the source's buffer (if arena-managed) so
+                 the storage outlives both keys. *)
+              let v = Nd.of_array s x.Nd.data in
+              (match
+                 Hashtbl.find_opt bufs
+                   (if Bitset.mem members src then key_of src else Memplan.Published src)
+               with
+              | Some b ->
+                b.refs <- b.refs + 1;
+                register (key_of id) b
+              | None -> ());
+              st.aliases <- st.aliases + 1;
+              v
+            | _ ->
+              let adopt v =
+                register (key_of id) { data = v.Nd.data; refs = 1 };
+                st.fresh_elems <- st.fresh_elems + Nd.numel v;
                 v
-              | _ ->
-                let adopt v =
-                  register (key_of id) { data = v.Nd.data; refs = 1 };
-                  st.fresh_elems <- st.fresh_elems + Nd.numel v;
-                  v
-                in
-                if Prim_interp.supports_into nd.Graph.op args then begin
-                  match acquire (Shape.numel nd.Graph.shape) with
-                  | Some dst -> begin
-                    match Prim_interp.eval_prim_into nd.Graph.op args ~dst with
-                    | Some v ->
-                      register (key_of id) { data = dst; refs = 1 };
-                      st.into_evals <- st.into_evals + 1;
-                      v
-                    | None -> adopt (Prim_interp.eval_prim nd.Graph.op args)
-                  end
+              in
+              if Prim_interp.supports_into nd.Graph.op args then begin
+                match acquire (Shape.numel nd.Graph.shape) with
+                | Some dst -> begin
+                  match Prim_interp.eval_prim_into nd.Graph.op args ~dst with
+                  | Some v ->
+                    register (key_of id) { data = dst; refs = 1 };
+                    st.into_evals <- st.into_evals + 1;
+                    v
                   | None -> adopt (Prim_interp.eval_prim nd.Graph.op args)
                 end
-                else adopt (Prim_interp.eval_prim nd.Graph.op args)
-            end
+                | None -> adopt (Prim_interp.eval_prim nd.Graph.op args)
+              end
+              else adopt (Prim_interp.eval_prim nd.Graph.op args)
           in
           Hashtbl.replace local id v;
-          match mp with Some mp -> after_step mp ~local | None -> ())
-        ordered;
-      (* Publish declared outputs. *)
-      List.iter
-        (fun o ->
-          match Hashtbl.find_opt local o with
-          | Some v -> Hashtbl.replace global o v
-          | None -> fail "kernel %d declares output %d it did not compute" (ki + 1) o)
-        k.Plan.outputs;
-      match mp with Some mp -> after_step mp ~local | None -> ())
-    plan.Plan.kernels;
-  List.map
-    (fun o ->
-      match Hashtbl.find_opt global o with
-      | Some v -> v
-      | None -> fail "plan finished without producing graph output %d" o)
-    g.Graph.outputs
+          after_step ~local)
+        mp.Memplan.order.(ki);
+      List.iter (fun o -> Hashtbl.replace global o (Hashtbl.find local o)) k.Plan.outputs;
+      after_step ~local)
+    plan.Plan.kernels
 
-(* Backend dispatch. The arena-reuse mode is an interpreter feature (it
-   recycles OCaml-side buffers along the memplan death schedule), so
-   [~reuse:true] always takes the interpreter path regardless of the
-   requested backend — which also makes reuse-vs-native comparisons a
-   genuine cross-backend differential test. *)
+let run_interp ~reuse ?stats ?exec_stats (g : Primgraph.t) (plan : Plan.t)
+    ~(inputs : (string * Nd.t) list) : Nd.t list =
+  let global = Prim_interp.bind_sources g ~inputs in
+  let st = match stats with Some s -> s | None -> fresh_stats () in
+  if reuse then run_arena st ?exec_stats g plan global
+  else begin
+    (* Hoisted: one topological sort per run, not one per kernel. *)
+    let topo = Graph.topo_order g in
+    List.iter
+      (fun (k : Plan.kernel) ->
+        count_interp exec_stats;
+        st.evals <- st.evals + List.length k.Plan.prims;
+        eval_kernel g ~topo global k)
+      plan.Plan.kernels
+  end;
+  List.map (Hashtbl.find global) g.Graph.outputs
+
+let validate (g : Primgraph.t) (plan : Plan.t) : (unit, string) result =
+  match Plan.check g plan with [] -> Ok () | e :: _ -> Error (Plan.error_to_string e)
+
+(* Backend dispatch, after one structural check of the whole plan. The
+   arena-reuse mode is an interpreter feature (it recycles OCaml-side
+   buffers along the memplan death schedule), so [~reuse:true] always
+   takes the interpreter path regardless of the requested backend — which
+   also makes reuse-vs-native comparisons a genuine cross-backend
+   differential test. *)
 let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : Primgraph.t)
     (plan : Plan.t) ~(inputs : (string * Nd.t) list) : Nd.t list =
+  (match validate g plan with Ok () -> () | Error m -> raise (Invalid_plan m));
   let backend = match backend with Some b -> b | None -> Backend.default () in
   match backend with
   | Backend.Native when not reuse -> begin
@@ -211,43 +217,3 @@ let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : P
       run_interp ~reuse ?stats ?exec_stats g plan ~inputs
   end
   | _ -> run_interp ~reuse ?stats ?exec_stats g plan ~inputs
-
-(** [validate g plan] statically checks the plan: convexity of every
-    kernel, dependency ordering, and output coverage — without executing
-    any tensor computation. Returns [Ok ()] or [Error message]. *)
-let validate (g : Primgraph.t) (plan : Plan.t) : (unit, string) result =
-  let n = Graph.length g in
-  let published = Array.make n false in
-  Array.iter
-    (fun nd -> if Primitive.is_source nd.Graph.op then published.(nd.Graph.id) <- true)
-    g.Graph.nodes;
-  let check () =
-    List.iteri
-      (fun ki (k : Plan.kernel) ->
-        List.iter
-          (fun id ->
-            if id < 0 || id >= n then fail "kernel %d references node %d out of range" (ki + 1) id)
-          (k.Plan.prims @ k.Plan.outputs);
-        let members = Bitset.of_list n k.Plan.prims in
-        if not (Graph.is_convex g members) then
-          fail "kernel %d: non-convex primitive set" (ki + 1);
-        List.iter
-          (fun id ->
-            List.iter
-              (fun i ->
-                if (not (Bitset.mem members i)) && not published.(i) then
-                  fail "kernel %d: unsatisfied dependency on %d" (ki + 1) i)
-              (Graph.inputs g id))
-          k.Plan.prims;
-        List.iter
-          (fun o ->
-            if not (Bitset.mem members o) then
-              fail "kernel %d: output %d not a member" (ki + 1) o;
-            published.(o) <- true)
-          k.Plan.outputs)
-      plan.Plan.kernels;
-    List.iter
-      (fun o -> if not published.(o) then fail "graph output %d never produced" o)
-      g.Graph.outputs
-  in
-  match check () with () -> Ok () | exception Invalid_plan m -> Error m

@@ -4,7 +4,8 @@
     runs them against the tensor substrate. Each kernel recomputes its
     internal primitives from externally published tensors only and
     publishes exactly its declared outputs — the contract the BLP
-    dependency constraints (Eq. 4) guarantee and this module re-checks. *)
+    dependency constraints (Eq. 4) guarantee and {!Plan.check}
+    re-establishes before every run. *)
 
 open Ir
 open Tensor
@@ -43,9 +44,8 @@ val fresh_stats : unit -> run_stats
     the exact scalar functions of the allocating paths. [?stats], when
     supplied, is filled with arena accounting for the run.
 
-    Raises {!Invalid_plan} if a kernel reads a tensor no prior kernel
-    published, a kernel's primitive set is not convex, or the plan ends
-    without publishing every graph output. *)
+    Raises {!Invalid_plan} with the first {!Plan.check} error before
+    computing anything if the plan is structurally invalid. *)
 val run :
   ?backend:Backend.t ->
   ?reuse:bool ->
@@ -56,6 +56,13 @@ val run :
   inputs:(string * Nd.t) list ->
   Nd.t list
 
-(** [validate g plan] — the same checks as {!run} (plus id-range checks),
-    statically, without executing any tensor computation. *)
+(** [validate g plan] — {!Plan.check}, reduced to its first error. *)
 val validate : Primgraph.t -> Plan.t -> (unit, string) result
+
+(** [eval_kernel g ~topo global k] — the reuse-off interpreter step for
+    one kernel of a plan that passed {!Plan.check}: recompute [k]'s
+    members in [topo] order (a topological order of [g]) from a
+    kernel-local environment fed only by [global], then publish [k]'s
+    outputs into [global]. The native backend's per-kernel fallback and
+    the oracle its compiled kernels are verified against. *)
+val eval_kernel : Primgraph.t -> topo:int list -> Prim_interp.env -> Plan.kernel -> unit

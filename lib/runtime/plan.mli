@@ -32,3 +32,29 @@ val executed_prims : t -> int list
 val redundancy : t -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** Where a structural plan error sits: a kernel (by 0-based position)
+    or a declared graph output (by node id). *)
+type location = Kernel of int | Output of int
+
+type error = { loc : location; message : string }
+
+(** ["kernel 3: ..."] / ["output 7: ..."]. *)
+val error_to_string : error -> string
+
+(** [check g p] — structural validity of [p] against primitive graph [g],
+    the single statement of it every consumer calls ({!Executor.run},
+    {!Executor.validate}, the plan cache, the static verifier):
+
+    - every kernel executes at least one primitive, and its ids are in
+      range, executable (non-source) and listed once;
+    - each kernel's member set is a convex subgraph (Definition 1) with
+      [outputs ⊆ prims];
+    - every value a kernel consumes is a graph source or was published
+      by an earlier kernel (the Eq. 4 dependency constraints);
+    - every declared graph output is published by some kernel;
+    - latencies are finite and non-negative.
+
+    Returns every error, in kernel order with graph-output errors last;
+    [[]] means valid. Never raises. *)
+val check : Ir.Primgraph.t -> t -> error list

@@ -237,7 +237,7 @@ let parse_entry (k : key) (doc : string) : entry parsed =
       | Error msg -> failwith ("plan: " ^ msg)
     in
     (* The recovered plan must actually execute against the recovered
-       graph — the same static check the executor would apply. *)
+       graph: the same {!Runtime.Plan.check} every executor run applies. *)
     (match Runtime.Executor.validate graph plan with
     | Ok () -> ()
     | Error msg -> failwith ("plan does not validate against graph: " ^ msg));

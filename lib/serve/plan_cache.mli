@@ -23,7 +23,7 @@
     + {e cross-process exclusion} — a per-entry [.lock] file with an
       advisory [Unix.lockf] write lock serializes concurrent daemons;
     + {e corrupt-entry recovery} — an entry that fails to parse or
-      validate ({!Runtime.Executor.validate} against its own graph) is
+      validate ({!Runtime.Plan.check} against its own graph) is
       deleted and reported as a miss, never an error.
 
     Every disk touch passes the {!Faults.site-Cache_io} injection seam:

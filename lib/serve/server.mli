@@ -22,7 +22,7 @@
 
     The serving contract is the degradation ladder: {e a request never
     dies, it gets a worse plan}. Cached hit → fresh orchestration (with
-    [ilp_node_limit] scaled down as the deadline approaches; segments
+    the BLP node limit scaled down as the deadline approaches; segments
     starting past the deadline take the unfused floor) → the synthetic
     one-kernel-per-primitive floor when orchestration itself blows up.
     Only malformed requests (unknown verb/model, unparsable graph) earn

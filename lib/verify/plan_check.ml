@@ -1,22 +1,17 @@
 (** Static validation of orchestration plans against their primitive graph.
 
-    The BLP (Eqs. 2–4) and the scheduler are *supposed* to guarantee the
-    properties below; this pass re-establishes them independently so a
-    solver, scheduler, or stitching bug surfaces as a diagnostic instead of
-    a wrong answer inside the executor:
+    The structural properties (convex kernels, publish-before-read, output
+    coverage, sane ids and latencies) are {!Runtime.Plan.check}'s — the
+    same function the executor and the plan cache call — and each of its
+    errors becomes an error diagnostic here, so a solver, scheduler, or
+    stitching bug surfaces as a diagnostic instead of a wrong answer
+    inside the executor. This pass adds only what a report needs beyond
+    validity:
 
-    - every kernel's primitive ids are in range, executable (non-source)
-      and listed once;
-    - each kernel's member set is a convex subgraph (Definition 1) with
-      [outputs ⊆ prims];
-    - the kernel order is executable: every value a kernel consumes is
-      published by an earlier kernel or is a graph source;
-    - every declared graph output is published by some kernel;
-    - latencies are finite and non-negative, and the recorded total agrees
-      with their sum;
-    - redundancy statistics (§4.2) are reported as an info finding. *)
-
-open Ir
+    - a warning for a kernel that publishes nothing;
+    - a warning when the recorded total disagrees with the kernel sum;
+    - redundancy statistics (§4.2) as an info finding;
+    - an info finding per degraded segment. *)
 
 type stats = {
   kernels : int;
@@ -49,90 +44,24 @@ let compute_stats (p : Runtime.Plan.t) : stats =
     only in the orchestrator's own summary. The structural checks are
     identical either way — a degraded plan must satisfy exactly the same
     invariants as an optimal one. *)
-let check ?(degraded : (int * string) list = []) (g : Primgraph.t) (p : Runtime.Plan.t) :
+let check ?(degraded : (int * string) list = []) (g : Ir.Primgraph.t) (p : Runtime.Plan.t) :
     Diagnostics.report =
-  let n = Graph.length g in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let in_range i = i >= 0 && i < n in
-  (* Values available before any kernel runs: graph sources. *)
-  let available = Hashtbl.create 64 in
-  Array.iter
-    (fun nd ->
-      if Primitive.is_source nd.Graph.op then Hashtbl.replace available nd.Graph.id ())
-    g.Graph.nodes;
+  List.iter
+    (fun (e : Runtime.Plan.error) ->
+      let loc =
+        match e.Runtime.Plan.loc with
+        | Runtime.Plan.Kernel ki -> Diagnostics.Kernel ki
+        | Runtime.Plan.Output o -> Diagnostics.Output o
+      in
+      emit (Diagnostics.error ~pass ~loc "%s" e.Runtime.Plan.message))
+    (Runtime.Plan.check g p);
   List.iteri
     (fun ki (k : Runtime.Plan.kernel) ->
-      let loc = Diagnostics.Kernel ki in
-      if k.Runtime.Plan.prims = [] then
-        emit (Diagnostics.error ~pass ~loc "kernel executes no primitives");
-      let bad_ids = List.filter (fun i -> not (in_range i)) k.Runtime.Plan.prims in
-      List.iter
-        (fun i -> emit (Diagnostics.error ~pass ~loc "primitive id %d out of range" i))
-        bad_ids;
-      let prims = List.filter in_range k.Runtime.Plan.prims in
-      List.iter
-        (fun i ->
-          if Primitive.is_source (Graph.op g i) then
-            emit
-              (Diagnostics.error ~pass ~loc "kernel executes source node %d (%s)" i
-                 (Primitive.to_string (Graph.op g i))))
-        prims;
-      let dups =
-        List.filter
-          (fun i -> List.length (List.filter (( = ) i) prims) > 1)
-          (List.sort_uniq compare prims)
-      in
-      List.iter
-        (fun i ->
-          emit (Diagnostics.error ~pass ~loc "primitive %d listed more than once in kernel" i))
-        dups;
-      (* Outputs must be published from inside the kernel. *)
       if k.Runtime.Plan.outputs = [] then
-        emit (Diagnostics.warning ~pass ~loc "kernel publishes no outputs");
-      List.iter
-        (fun o ->
-          if not (List.mem o k.Runtime.Plan.prims) then
-            emit
-              (Diagnostics.error ~pass ~loc "published output %d is not a member primitive" o))
-        k.Runtime.Plan.outputs;
-      (* Convexity (Definition 1): a kernel cannot pause mid-flight for
-         another kernel to fill in an intermediate value. *)
-      let members = Bitset.of_list n (List.filter in_range prims) in
-      if (not (Bitset.is_empty members)) && not (Graph.is_convex g members) then
-        emit
-          (Diagnostics.error ~pass ~loc "member set {%s} is not a convex subgraph"
-             (String.concat "," (List.map string_of_int (Bitset.elements members))));
-      (* Executability: all external inputs already published. *)
-      List.iter
-        (fun i ->
-          List.iter
-            (fun v ->
-              if (not (Bitset.mem members v)) && not (Hashtbl.mem available v) then
-                emit
-                  (Diagnostics.error ~pass ~loc
-                     "consumes node %d which no earlier kernel published" v))
-            (Graph.preds g i))
-        (Bitset.elements members);
-      (* Latency sanity. *)
-      if Float.is_nan k.Runtime.Plan.latency_us || k.Runtime.Plan.latency_us = Float.infinity
-      then emit (Diagnostics.error ~pass ~loc "latency is not finite")
-      else if k.Runtime.Plan.latency_us < 0.0 then
-        emit
-          (Diagnostics.error ~pass ~loc "latency %g us is negative" k.Runtime.Plan.latency_us);
-      List.iter
-        (fun o -> if in_range o then Hashtbl.replace available o ())
-        k.Runtime.Plan.outputs)
+        emit (Diagnostics.warning ~pass ~loc:(Kernel ki) "kernel publishes no outputs"))
     p.Runtime.Plan.kernels;
-  (* Coverage: every graph output must be published (or be a source, for
-     degenerate passthrough graphs). *)
-  List.iter
-    (fun o ->
-      if not (Hashtbl.mem available o) then
-        emit
-          (Diagnostics.error ~pass ~loc:(Output o)
-             "graph output %d is not published by any kernel" o))
-    g.Graph.outputs;
   (* Total latency consistency. *)
   let sum =
     List.fold_left (fun a k -> a +. k.Runtime.Plan.latency_us) 0.0 p.Runtime.Plan.kernels

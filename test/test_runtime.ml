@@ -1,21 +1,11 @@
-(* Tests for the runtime layer: plan bookkeeping, executor error handling
-   (failure injection), the multi-stream projection, and DOT export. *)
+(* Tests for the runtime layer: plan bookkeeping, the executor (with the
+   executor rows of the malformed-plan table) and DOT export. *)
 
 open Ir
 open Tensor
 
-let diamond () =
-  let b = Primgraph.B.create () in
-  let x = Primgraph.B.input b "x" [| 4 |] in
-  let f = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
-  let g1 = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ f ] in
-  let g2 = Primgraph.B.add b (Primitive.Unary Primitive.Neg) [ f ] in
-  let k = Primgraph.B.add b (Primitive.Binary Primitive.Add) [ g1; g2 ] in
-  Primgraph.B.set_outputs b [ k ];
-  (Primgraph.B.finish b, f, g1, g2, k)
-
-let kernel ?(latency = 1.0) prims outputs =
-  Runtime.Plan.{ prims; outputs; latency_us = latency; backend = "tvm" }
+let diamond = Malformed_plans.diamond
+let kernel = Malformed_plans.kernel
 
 (* ---------------- plan bookkeeping ---------------- *)
 
@@ -29,7 +19,7 @@ let test_plan_redundancy () =
   let p = Runtime.Plan.make [ kernel [ 1; 2 ] [ 2 ]; kernel [ 1; 3 ] [ 3 ] ] in
   Alcotest.(check int) "prim 1 twice" 1 (Runtime.Plan.redundancy p)
 
-(* ---------------- executor failure injection ---------------- *)
+(* ---------------- executor ---------------- *)
 
 let test_executor_happy_path () =
   let g, f, g1, g2, k = diamond () in
@@ -46,46 +36,6 @@ let test_executor_happy_path () =
   with
   | [ a ], [ b ] -> Alcotest.(check bool) "matches" true (Nd.equal a b)
   | _ -> Alcotest.fail "arity"
-
-let test_executor_missing_dependency () =
-  let g, _, g1, g2, k = diamond () in
-  (* f never published and not recomputed: kernel {g1} reads a missing
-     tensor. *)
-  let plan = Runtime.Plan.make [ kernel [ g1 ] [ g1 ]; kernel [ g2 ] [ g2 ]; kernel [ k ] [ k ] ] in
-  (match Runtime.Executor.validate g plan with
-  | Ok () -> Alcotest.fail "validation should fail"
-  | Error _ -> ());
-  match Runtime.Executor.run g plan ~inputs:[ ("x", Nd.zeros [| 4 |]) ] with
-  | _ -> Alcotest.fail "run should fail"
-  | exception Runtime.Executor.Invalid_plan _ -> ()
-
-let test_executor_missing_output () =
-  let g, f, g1, g2, _ = diamond () in
-  let plan = Runtime.Plan.make [ kernel [ f ] [ f ]; kernel [ g1 ] [ g1 ]; kernel [ g2 ] [ g2 ] ] in
-  match Runtime.Executor.validate g plan with
-  | Ok () -> Alcotest.fail "graph output never produced"
-  | Error m -> Alcotest.(check bool) "mentions output" true (String.length m > 0)
-
-let test_executor_nonconvex_kernel () =
-  let g, f, _, _, k = diamond () in
-  (* {f, k} skips the middle nodes: non-convex. *)
-  let plan = Runtime.Plan.make [ kernel [ f; k ] [ k ] ] in
-  match Runtime.Executor.validate g plan with
-  | Ok () -> Alcotest.fail "non-convex kernel accepted"
-  | Error _ -> ()
-
-let test_executor_output_not_member () =
-  let g, f, g1, _, _ = diamond () in
-  (* g1 is not a member of the kernel, so it cannot be published by it. *)
-  let plan = Runtime.Plan.make [ kernel [ f ] [ f; g1 ] ] in
-  (match Runtime.Executor.validate g plan with
-  | Ok () -> Alcotest.fail "foreign output accepted"
-  | Error _ -> ());
-  (* Out-of-range ids are also rejected, not crashed on. *)
-  let plan = Runtime.Plan.make [ kernel [ f ] [ f; 99 ] ] in
-  match Runtime.Executor.validate g plan with
-  | Ok () -> Alcotest.fail "out-of-range output accepted"
-  | Error _ -> ()
 
 let test_executor_redundant_plan_ok () =
   (* Both branch kernels recompute f internally; f is never published. *)
@@ -104,7 +54,7 @@ let test_executor_redundant_plan_ok () =
   | [ a ], [ b ] -> Alcotest.(check bool) "matches" true (Nd.equal a b)
   | _ -> Alcotest.fail "arity"
 
-(* ---------------- multi-stream projection ---------------- *)
+(* ---------------- DOT export ---------------- *)
 
 let branchy_plan () =
   let g, f, g1, g2, k = diamond () in
@@ -114,44 +64,6 @@ let branchy_plan () =
         kernel ~latency:3.0 [ g2 ] [ g2 ]; kernel ~latency:1.0 [ k ] [ k ] ]
   in
   (g, plan)
-
-let test_multistream_one_stream_is_sequential () =
-  let g, plan = branchy_plan () in
-  let a = Runtime.Multistream.analyze g plan ~streams:1 in
-  Alcotest.(check (float 1e-9)) "1 stream = Eq.2" a.Runtime.Multistream.sequential_us
-    a.Runtime.Multistream.makespan_us
-
-let test_multistream_two_streams_overlap_branches () =
-  let g, plan = branchy_plan () in
-  let a = Runtime.Multistream.analyze g plan ~streams:2 in
-  (* f (2) then g1 || g2 (3) then k (1) = 6 *)
-  Alcotest.(check (float 1e-9)) "branches overlap" 6.0 a.Runtime.Multistream.makespan_us;
-  Alcotest.(check (float 1e-9)) "critical path" 6.0 a.Runtime.Multistream.critical_path_us
-
-let test_multistream_monotone () =
-  let g, plan = branchy_plan () in
-  let prev = ref Float.infinity in
-  List.iter
-    (fun s ->
-      let a = Runtime.Multistream.analyze g plan ~streams:s in
-      Alcotest.(check bool) "more streams never slower" true
-        (a.Runtime.Multistream.makespan_us <= !prev +. 1e-9);
-      Alcotest.(check bool) "never beats critical path" true
-        (a.Runtime.Multistream.makespan_us >= a.Runtime.Multistream.critical_path_us -. 1e-9);
-      prev := a.Runtime.Multistream.makespan_us)
-    [ 1; 2; 3; 4 ]
-
-let test_parallelism_of_chain_is_one () =
-  let b = Primgraph.B.create () in
-  let x = Primgraph.B.input b "x" [| 4 |] in
-  let a = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
-  let c = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ a ] in
-  Primgraph.B.set_outputs b [ c ];
-  let g = Primgraph.B.finish b in
-  let plan = Runtime.Plan.make [ kernel [ a ] [ a ]; kernel [ c ] [ c ] ] in
-  Alcotest.(check (float 1e-9)) "chain parallelism" 1.0 (Runtime.Multistream.parallelism g plan)
-
-(* ---------------- DOT export ---------------- *)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -336,16 +248,10 @@ let () =
           Alcotest.test_case "redundancy" `Quick test_plan_redundancy ] );
       ( "executor",
         [ Alcotest.test_case "happy path" `Quick test_executor_happy_path;
-          Alcotest.test_case "missing dependency" `Quick test_executor_missing_dependency;
-          Alcotest.test_case "missing output" `Quick test_executor_missing_output;
-          Alcotest.test_case "non-convex kernel" `Quick test_executor_nonconvex_kernel;
-          Alcotest.test_case "foreign output" `Quick test_executor_output_not_member;
-          Alcotest.test_case "redundant plan" `Quick test_executor_redundant_plan_ok ] );
-      ( "multistream",
-        [ Alcotest.test_case "1 stream sequential" `Quick test_multistream_one_stream_is_sequential;
-          Alcotest.test_case "2 streams overlap" `Quick test_multistream_two_streams_overlap_branches;
-          Alcotest.test_case "monotone" `Quick test_multistream_monotone;
-          Alcotest.test_case "chain parallelism" `Quick test_parallelism_of_chain_is_one ] );
+          Alcotest.test_case "redundant plan" `Quick test_executor_redundant_plan_ok ]
+        (* The malformed-plan table: each row checked at all five entry
+           points, Executor.run on both backends among them. *)
+        @ Malformed_plans.cases "executor" );
       ( "dot",
         [ Alcotest.test_case "graph" `Quick test_dot_graph;
           Alcotest.test_case "plan clusters" `Quick test_dot_plan_clusters;

@@ -371,6 +371,52 @@ let test_handle_ladder () =
   Alcotest.(check (option string)) "run succeeds" (Some "ok") (member_str "status" ran);
   Alcotest.(check bool) "run returns outputs" true (Onnx.Json.member "outputs" ran <> None)
 
+(* An entry whose first kernel executes the graph's Input node parses
+   but fails Runtime.Plan.check: the lookup must count it corrupt and
+   delete it, and the request re-orchestrates and re-publishes the cold
+   plan instead of serving a plan that cannot run. *)
+let test_handle_source_node_entry () =
+  let t = make_server "source-node-entry" in
+  let cold = handle_server t (request ~model:"candy" "optimize") in
+  let cache = Serve.Server.cache t in
+  let graph =
+    match Models.Registry.find "candy" with
+    | Some e -> Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ())
+    | None -> Alcotest.fail "candy not in the zoo"
+  in
+  let key =
+    Serve.Plan_cache.key ~graph ~gpu:Gpu.Spec.v100.Gpu.Spec.name
+      ~precision:(Gpu.Precision.to_string Gpu.Precision.FP32) ~batch:1
+  in
+  let e =
+    match Serve.Plan_cache.lookup cache key with
+    | Some e -> e
+    | None -> Alcotest.fail "cold optimize did not publish"
+  in
+  let g = e.Serve.Plan_cache.graph in
+  let src =
+    List.find
+      (fun i -> Ir.Primitive.is_source (Ir.Graph.op g i))
+      (List.init (Ir.Graph.length g) Fun.id)
+  in
+  let bad =
+    match e.Serve.Plan_cache.plan.Runtime.Plan.kernels with
+    | k :: rest -> Runtime.Plan.make ({ k with Runtime.Plan.prims = src :: k.Runtime.Plan.prims } :: rest)
+    | [] -> Alcotest.fail "empty plan"
+  in
+  Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final ~graph:g ~plan:bad ~report:"";
+  let corrupt () = (Serve.Plan_cache.stats cache).Serve.Plan_cache.corrupt in
+  let before = corrupt () in
+  let repaired = handle_server t (request ~model:"candy" "optimize") in
+  Alcotest.(check (option string)) "bad entry is a miss" (Some "miss") (member_str "cache" repaired);
+  Alcotest.(check int) "counted as corrupt" (before + 1) (corrupt ());
+  Alcotest.(check bool) "re-orchestrated plan equals the cold plan" true
+    (Option.map Onnx.Json.to_string (Onnx.Json.member "plan" cold)
+    = Option.map Onnx.Json.to_string (Onnx.Json.member "plan" repaired));
+  let warm = handle_server t (request ~model:"candy" "optimize") in
+  Alcotest.(check (option string)) "re-published entry hits" (Some "hit") (member_str "cache" warm);
+  Alcotest.(check int) "no further corruption" (before + 1) (corrupt ())
+
 let test_handle_table () =
   let t = make_server "table-verb" in
   let cold = handle_server t (request ~model:"decode" ~batch_hi:2 "table") in
@@ -582,6 +628,8 @@ let () =
       ( "handler",
         [
           Alcotest.test_case "serving ladder" `Quick test_handle_ladder;
+          Alcotest.test_case "source-node entry re-orchestrated" `Quick
+            test_handle_source_node_entry;
           Alcotest.test_case "table verb" `Quick test_handle_table;
           Alcotest.test_case "table client errors" `Quick test_handle_table_client_errors;
           Alcotest.test_case "client errors" `Quick test_handle_client_errors;

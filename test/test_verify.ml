@@ -28,17 +28,7 @@ let check_error msg sub r =
     Alcotest.failf "%s: expected an error containing %S, got:\n%s" msg sub
       (Diagnostics.to_string r)
 
-(* A well-formed 5-node softmax-style primitive graph:
-   x -> exp -> sum -> broadcast -> div. *)
-let softmax_graph () =
-  let b = Primgraph.B.create () in
-  let x = Primgraph.B.input b "x" [| 4; 4 |] in
-  let e = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ x ] in
-  let s = Primgraph.B.add b (Primitive.Reduce (Primitive.Sum, 1)) [ e ] in
-  let bc = Primgraph.B.add b (Primitive.Broadcast (1, 4)) [ s ] in
-  let d = Primgraph.B.add b (Primitive.Binary Primitive.Div) [ e; bc ] in
-  Primgraph.B.set_outputs b [ d ];
-  (Primgraph.B.finish b, x, e, s, bc, d)
+let softmax_graph = Malformed_plans.softmax_graph
 
 (* Hand-build a node (the builders refuse to construct broken graphs). *)
 let nd id op inputs shape = { Graph.id; op; inputs; shape }
@@ -159,42 +149,6 @@ let test_valid_plan_clean () =
   let r = Verify.plan_check g plan in
   Alcotest.(check bool) "no errors" false (Diagnostics.has_errors r)
 
-let test_plan_skips_output () =
-  let g, _, e, _, _, _ = softmax_graph () in
-  let plan = Runtime.Plan.make [ kernel [ e ] [ e ] ] in
-  check_error "uncovered output" "not published by any kernel" (Verify.plan_check g plan)
-
-let test_plan_non_convex_kernel () =
-  let g, _, e, s, bc, d = softmax_graph () in
-  (* {exp, broadcast} has the path exp -> sum -> broadcast with sum outside. *)
-  let plan =
-    Runtime.Plan.make
-      [ kernel [ e; bc ] [ e; bc ]; kernel [ s ] [ s ]; kernel [ d ] [ d ] ]
-  in
-  check_error "non-convex" "not a convex subgraph" (Verify.plan_check g plan)
-
-let test_plan_output_not_member () =
-  let g, _, e, s, _, _ = softmax_graph () in
-  let plan = Runtime.Plan.make [ kernel [ e ] [ s ] ] in
-  check_error "foreign output" "not a member primitive" (Verify.plan_check g plan)
-
-let test_plan_bad_order () =
-  let g, _, e, s, bc, d = softmax_graph () in
-  (* div runs first, before exp/broadcast are published. *)
-  let plan =
-    Runtime.Plan.make [ kernel [ d ] [ d ]; kernel [ e; s; bc ] [ e; bc ] ]
-  in
-  check_error "premature consume" "no earlier kernel published" (Verify.plan_check g plan)
-
-let test_plan_bad_latency () =
-  let g, _, e, s, bc, d = softmax_graph () in
-  let k1 = { (kernel [ e; s; bc ] [ e; bc ]) with Runtime.Plan.latency_us = -3.0 } in
-  let k2 = { (kernel [ d ] [ d ]) with Runtime.Plan.latency_us = Float.nan } in
-  let plan = Runtime.Plan.make [ k1; k2 ] in
-  let r = Verify.plan_check g plan in
-  check_error "negative latency" "is negative" r;
-  check_error "nan latency" "not finite" r
-
 let test_plan_stats () =
   let g, _, e, s, bc, d = softmax_graph () in
   (* The second kernel redundantly re-executes the whole softmax chain to
@@ -258,12 +212,8 @@ let () =
           Alcotest.test_case "operator graphs" `Quick test_opgraph_check ] );
       ( "plan_check",
         [ Alcotest.test_case "valid plan clean" `Quick test_valid_plan_clean;
-          Alcotest.test_case "skipped output" `Quick test_plan_skips_output;
-          Alcotest.test_case "non-convex kernel" `Quick test_plan_non_convex_kernel;
-          Alcotest.test_case "foreign output" `Quick test_plan_output_not_member;
-          Alcotest.test_case "bad kernel order" `Quick test_plan_bad_order;
-          Alcotest.test_case "bad latency" `Quick test_plan_bad_latency;
-          Alcotest.test_case "redundancy stats" `Quick test_plan_stats ] );
+          Alcotest.test_case "redundancy stats" `Quick test_plan_stats ]
+        @ Malformed_plans.cases "plan_check" );
       ( "rule_check",
         [ Alcotest.test_case "all rules lint clean" `Quick test_rule_linter_clean ] );
       ( "orchestrator",
