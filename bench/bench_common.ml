@@ -39,28 +39,26 @@ let wall_clock () = Obs.Clock.now_s ()
 (* Experiments append one entry per orchestrated (model, platform) pair;
    `--bench-json FILE` writes the korch-bench/1 document bin/bench_gate.exe
    regresses against its committed baseline. *)
-let bench_entries : Obs.Jsonw.t list ref = ref []
+let bench_entries : Korch.Report.bench_entry list ref = ref []
 
 let record_entry ~experiment ~model ((spec, precision) : Gpu.Spec.t * Gpu.Precision.t)
     (r : Korch.Orchestrator.result) ~wall_s =
+  let plan = r.Korch.Orchestrator.plan in
   bench_entries :=
-    Obs.Jsonw.Obj
-      [
-        ("experiment", Obs.Jsonw.Str experiment);
-        ("model", Obs.Jsonw.Str model);
-        ("gpu", Obs.Jsonw.Str spec.Gpu.Spec.name);
-        ("precision", Obs.Jsonw.Str (Gpu.Precision.to_string precision));
-        ("latency_us", Obs.Jsonw.Float r.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us);
-        ("kernels", Obs.Jsonw.Int (Runtime.Plan.kernel_count r.Korch.Orchestrator.plan));
-        ("redundancy", Obs.Jsonw.Int (Runtime.Plan.redundancy r.Korch.Orchestrator.plan));
-        ("candidates", Obs.Jsonw.Int r.Korch.Orchestrator.total_candidates);
-        ("states", Obs.Jsonw.Int r.Korch.Orchestrator.total_states);
-        ( "peak_mem_bytes",
-          Obs.Jsonw.Int r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes );
-        ( "degraded_segments",
-          Obs.Jsonw.Int (List.length r.Korch.Orchestrator.degraded_segments) );
-        ("wall_s", Obs.Jsonw.Float wall_s);
-      ]
+    {
+      Korch.Report.experiment;
+      model;
+      gpu = spec.Gpu.Spec.name;
+      precision = Gpu.Precision.to_string precision;
+      latency_us = plan.Runtime.Plan.total_latency_us;
+      kernels = Runtime.Plan.kernel_count plan;
+      redundancy = Runtime.Plan.redundancy plan;
+      candidates = r.Korch.Orchestrator.total_candidates;
+      states = r.Korch.Orchestrator.total_states;
+      peak_mem_bytes = Some r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
+      degraded_segments = List.length r.Korch.Orchestrator.degraded_segments;
+      wall_s;
+    }
     :: !bench_entries
 
 (* Extra top-level blocks experiments may attach to the document (e.g.
@@ -73,13 +71,9 @@ let record_extra_block name json =
   bench_extra_blocks := (name, json) :: List.remove_assoc name !bench_extra_blocks
 
 let bench_json () =
-  Obs.Jsonw.to_string
-    (Obs.Jsonw.Obj
-       ([
-          ("schema", Obs.Jsonw.Str "korch-bench/1");
-          ("entries", Obs.Jsonw.List (List.rev !bench_entries));
-        ]
-       @ List.rev !bench_extra_blocks))
+  match Onnx.Codec.encode Korch.Report.bench_codec (List.rev !bench_entries) with
+  | Obs.Jsonw.Obj fields -> Obs.Jsonw.to_string (Obs.Jsonw.Obj (fields @ List.rev !bench_extra_blocks))
+  | _ -> assert false
 
 type baseline_row = {
   eager_us : float;

@@ -11,10 +11,9 @@
    A baseline entry without the (newer) "peak_mem_bytes" field skips the
    memory check for that entry with a note telling the operator how to
    refresh — an old-but-valid baseline must not turn into a bare failure.
-   Likewise, korch-report/1 documents now carry an optional "analysis"
-   object (the static-analysis outcome); a bench document or entry that
-   embeds one is noted and ignored — the lint gate is @analyze's job,
-   never this gate's.
+   The document schema is declared once, in Korch.Report.bench_codec,
+   which the bench harness writes with; members it does not declare are
+   ignored, and unknown top-level blocks are noted.
 
    Exit codes: 0 OK, 1 regression or missing entry, 2 usage/parse error. *)
 
@@ -50,23 +49,18 @@ let parse_doc path =
     Printf.eprintf "bench_gate: %s\n" msg;
     exit 2
 
-type entry = {
-  key : string;
-  latency_us : float;
-  kernels : int;
-  peak_mem_bytes : float option;  (* absent in pre-memplan baselines *)
-}
-
-(* An entry's identity: experiment + model + gpu + precision. *)
-let entries_of path (j : Onnx.Json.t) : entry list =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "bench_gate: %s: %s\n" path m; exit 2) fmt in
-  (match Onnx.Json.member "schema" j with
-  | Some (Onnx.Json.Str "korch-bench/1") -> ()
-  | _ -> fail "missing or unsupported \"schema\" (want korch-bench/1)");
+let entries_of path (j : Onnx.Json.t) : Korch.Report.bench_entry list =
+  let entries =
+    match Onnx.Codec.decode Korch.Report.bench_codec j with
+    | Ok l -> l
+    | Error m ->
+      Printf.eprintf "bench_gate: %s: %s\n" path m;
+      exit 2
+  in
   (* Forward compatibility: a korch-bench/1 document may grow top-level
-     blocks this gate predates (e.g. "analysis", "serving"). Anything
-     other than the two fields the gate consumes is noted and ignored —
-     an enriched document must not turn into a bare failure. *)
+     blocks this gate predates (e.g. "serving"). Anything other than the
+     two fields the gate consumes is noted and ignored — an enriched
+     document must not turn into a bare failure. *)
   (match j with
   | Onnx.Json.Obj fields ->
     List.iter
@@ -78,40 +72,12 @@ let entries_of path (j : Onnx.Json.t) : entry list =
             path k)
       fields
   | _ -> ());
-  match Onnx.Json.member "entries" j with
-  | Some (Onnx.Json.List l) ->
-    List.map
-      (fun e ->
-        let str k =
-          match Onnx.Json.member k e with
-          | Some (Onnx.Json.Str s) -> s
-          | _ -> fail "entry missing string field %S" k
-        in
-        let num k =
-          match Onnx.Json.member k e with
-          | Some (Onnx.Json.Num n) -> n
-          | _ -> fail "entry missing numeric field %S" k
-        in
-        let opt_num k =
-          match Onnx.Json.member k e with Some (Onnx.Json.Num n) -> Some n | _ -> None
-        in
-        let key =
-          Printf.sprintf "%s/%s/%s/%s" (str "experiment") (str "model") (str "gpu")
-            (str "precision")
-        in
-        (match Onnx.Json.member "analysis" e with
-        | Some _ ->
-          Printf.printf
-            "note       %-40s embeds an \"analysis\" block — informational, ignored\n" key
-        | None -> ());
-        {
-          key;
-          latency_us = num "latency_us";
-          kernels = int_of_float (num "kernels");
-          peak_mem_bytes = opt_num "peak_mem_bytes";
-        })
-      l
-  | _ -> fail "missing \"entries\" list"
+  entries
+
+(* An entry's identity: experiment + model + gpu + precision. *)
+let key (e : Korch.Report.bench_entry) =
+  Printf.sprintf "%s/%s/%s/%s" e.Korch.Report.experiment e.Korch.Report.model e.Korch.Report.gpu
+    e.Korch.Report.precision
 
 let gate baseline_path current_path tolerance_pct mem_tolerance_pct =
   let baseline = entries_of baseline_path (parse_doc baseline_path) in
@@ -119,10 +85,11 @@ let gate baseline_path current_path tolerance_pct mem_tolerance_pct =
   let failures = ref 0 in
   List.iter
     (fun b ->
-      match List.find_opt (fun c -> c.key = b.key) current with
+      let k = key b in
+      match List.find_opt (fun c -> key c = k) current with
       | None ->
         incr failures;
-        Printf.printf "MISSING    %-40s (in baseline, not in current run)\n" b.key
+        Printf.printf "MISSING    %-40s (in baseline, not in current run)\n" k
       | Some c ->
         let delta_pct =
           if b.latency_us = 0.0 then 0.0
@@ -131,38 +98,39 @@ let gate baseline_path current_path tolerance_pct mem_tolerance_pct =
         if delta_pct > tolerance_pct then begin
           incr failures;
           Printf.printf "REGRESSION %-40s %.2f us -> %.2f us (%+.2f%% > %+.2f%% tolerance)\n"
-            b.key b.latency_us c.latency_us delta_pct tolerance_pct
+            k b.latency_us c.latency_us delta_pct tolerance_pct
         end
         else
-          Printf.printf "ok         %-40s %.2f us -> %.2f us (%+.2f%%, %d kernels)\n" b.key
+          Printf.printf "ok         %-40s %.2f us -> %.2f us (%+.2f%%, %d kernels)\n" k
             b.latency_us c.latency_us delta_pct c.kernels;
         (* Peak-memory gate, when both sides carry the field. *)
-        match (b.peak_mem_bytes, c.peak_mem_bytes) with
+        match (b.Korch.Report.peak_mem_bytes, c.Korch.Report.peak_mem_bytes) with
         | Some bm, Some cm ->
+          let bm = float_of_int bm and cm = float_of_int cm in
           let mem_delta_pct = if bm = 0.0 then 0.0 else (cm -. bm) /. bm *. 100.0 in
           if mem_delta_pct > mem_tolerance_pct then begin
             incr failures;
             Printf.printf
               "REGRESSION %-40s peak mem %.0f B -> %.0f B (%+.2f%% > %+.2f%% tolerance)\n"
-              b.key bm cm mem_delta_pct mem_tolerance_pct
+              k bm cm mem_delta_pct mem_tolerance_pct
           end
           else
-            Printf.printf "ok         %-40s peak mem %.0f B -> %.0f B (%+.2f%%)\n" b.key bm cm
+            Printf.printf "ok         %-40s peak mem %.0f B -> %.0f B (%+.2f%%)\n" k bm cm
               mem_delta_pct
         | None, _ ->
           Printf.printf
             "note       %-40s baseline lacks \"peak_mem_bytes\" — memory gate skipped; %s\n"
-            b.key (refresh_hint baseline_path)
+            k (refresh_hint baseline_path)
         | Some _, None ->
           Printf.printf
             "note       %-40s current run lacks \"peak_mem_bytes\" — memory gate skipped \
              (bench harness predates the memory planner?)\n"
-            b.key)
+            k)
     baseline;
   List.iter
     (fun c ->
-      if not (List.exists (fun b -> b.key = c.key) baseline) then
-        Printf.printf "new        %-40s %.2f us (not in baseline — commit a refresh)\n" c.key
+      if not (List.exists (fun b -> key b = key c) baseline) then
+        Printf.printf "new        %-40s %.2f us (not in baseline — commit a refresh)\n" (key c)
           c.latency_us)
     current;
   if !failures > 0 then begin

@@ -575,7 +575,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
           {
             Transform.Optimizer.spec = cfg.spec;
             precision = cfg.precision;
-            alpha = 1.08;
             budget = transform_budget;
             profiler = cfg.identifier.Kernel_identifier.profiler;
           }

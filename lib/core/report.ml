@@ -217,182 +217,140 @@ let to_json ?(meta : (string * Obs.Jsonw.t) list = [])
 let json_string ?meta ?execution (r : Orchestrator.result) : string =
   Obs.Jsonw.to_string (to_json ?meta ?execution r)
 
-(* ------------------------- plan round-trip ------------------------- *)
+(* ------------------------ round-trip documents ------------------------ *)
 
-(* The serving layer's durable plan cache stores plans as JSON and must
-   read back the exact plan it wrote: [Jsonw] prints floats with 17
-   significant digits and [Onnx.Json] parses them back bit-identically,
+(* The serving layer's durable plan cache stores plans and tables as JSON
+   and must read back exactly what it wrote: [Jsonw] prints floats with
+   17 significant digits and [Onnx.Json] parses them back bit-identically,
    so write → read → write is a fixpoint. *)
 
-let plan_to_json (p : Runtime.Plan.t) : Obs.Jsonw.t =
-  let ints l = Obs.Jsonw.List (List.map (fun i -> Obs.Jsonw.Int i) l) in
-  Obs.Jsonw.Obj
-    [
-      ("total_latency_us", Obs.Jsonw.Float p.Runtime.Plan.total_latency_us);
-      ( "kernels",
-        Obs.Jsonw.List
-          (List.map
-             (fun (k : Runtime.Plan.kernel) ->
-               Obs.Jsonw.Obj
-                 [
-                   ("prims", ints k.Runtime.Plan.prims);
-                   ("outputs", ints k.Runtime.Plan.outputs);
-                   ("latency_us", Obs.Jsonw.Float k.Runtime.Plan.latency_us);
-                   ("backend", Obs.Jsonw.Str k.Runtime.Plan.backend);
-                 ])
-             p.Runtime.Plan.kernels) );
-    ]
+let jsonw_of_json = Onnx.Codec.encode Onnx.Codec.json
 
-let plan_of_json (j : Onnx.Json.t) : (Runtime.Plan.t, string) result =
-  let open Onnx.Json in
-  let field name obj =
-    match member name obj with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "plan_of_json: missing field %S" name)
+let kernel_codec : Runtime.Plan.kernel Onnx.Codec.t =
+  Onnx.Codec.(
+    obj (fun prims outputs latency_us backend ->
+        { Runtime.Plan.prims; outputs; latency_us; backend })
+    |> field "prims" (list int) (fun k -> k.Runtime.Plan.prims)
+    |> field "outputs" (list int) (fun k -> k.Runtime.Plan.outputs)
+    |> field "latency_us" float (fun k -> k.Runtime.Plan.latency_us)
+    |> field "backend" string (fun k -> k.Runtime.Plan.backend)
+    |> finish)
+
+let plan_codec : Runtime.Plan.t Onnx.Codec.t =
+  Onnx.Codec.(
+    obj (fun declared kernels ->
+        let p = Runtime.Plan.make kernels in
+        (* [make] recomputes the total from the kernels; a mismatch with
+           the stored total means the document was hand-edited or torn. *)
+        if
+          Float.abs (declared -. p.Runtime.Plan.total_latency_us)
+          > 1e-6 *. Float.max 1.0 declared
+        then fail "total_latency_us disagrees with kernel latencies";
+        p)
+    |> field "total_latency_us" float (fun p -> p.Runtime.Plan.total_latency_us)
+    |> field "kernels" (list kernel_codec) (fun p -> p.Runtime.Plan.kernels)
+    |> finish)
+
+let plan_to_json = Onnx.Codec.encode plan_codec
+
+let primgraph_codec : Ir.Primgraph.t Onnx.Codec.t =
+  Onnx.Codec.custom
+    ~encode:(fun g -> jsonw_of_json (Onnx.Serialize.of_primgraph g))
+    ~decode:(fun j ->
+      try Onnx.Deserialize.to_graph Onnx.Deserialize.to_primitive ~expect_kind:"primitive" j
+      with Onnx.Deserialize.Format_error m -> Onnx.Codec.fail m)
+
+let range_codec : Plan_table.range Onnx.Codec.t =
+  Onnx.Codec.(
+    obj (fun lo hi probes anchor graph plan signature refined ->
+        { Plan_table.lo; hi; probes; anchor; graph; plan; signature; refined })
+    |> field "lo" int (fun (r : Plan_table.range) -> r.Plan_table.lo)
+    |> field "hi" int (fun (r : Plan_table.range) -> r.Plan_table.hi)
+    |> field "probes" (list int) (fun r -> r.Plan_table.probes)
+    |> field "anchor" int (fun r -> r.Plan_table.anchor)
+    |> field "graph" primgraph_codec (fun r -> r.Plan_table.graph)
+    |> field "plan" plan_codec (fun r -> r.Plan_table.plan)
+    |> field "signature" string (fun r -> r.Plan_table.signature)
+    |> field "refined" bool (fun r -> r.Plan_table.refined)
+    |> finish)
+
+(* The ranges must partition [lo, hi] and agree with the crossover list;
+   a violation means a torn or hand-edited document. *)
+let check_cover (t : Plan_table.t) =
+  let rec go pos = function
+    | [] -> if pos <> t.Plan_table.hi + 1 then Onnx.Codec.fail "ranges do not cover [lo, hi]"
+    | (r : Plan_table.range) :: rest ->
+      if r.Plan_table.lo <> pos then Onnx.Codec.fail "ranges are not contiguous";
+      if r.Plan_table.hi < r.Plan_table.lo then Onnx.Codec.fail "empty range";
+      go (r.Plan_table.hi + 1) rest
   in
-  match
-    let kernels =
-      field "kernels" j |> to_list_exn
-      |> List.map (fun k ->
-             Runtime.Plan.
-               {
-                 prims = List.map to_int_exn (to_list_exn (field "prims" k));
-                 outputs = List.map to_int_exn (to_list_exn (field "outputs" k));
-                 latency_us = to_float_exn (field "latency_us" k);
-                 backend = to_string_exn (field "backend" k);
-               })
-    in
-    let p = Runtime.Plan.make kernels in
-    let declared = to_float_exn (field "total_latency_us" j) in
-    (* [make] recomputes the total from the kernels; a mismatch with the
-       stored total means the document was hand-edited or torn. *)
-    if Float.abs (declared -. p.Runtime.Plan.total_latency_us) > 1e-6 *. Float.max 1.0 declared
-    then failwith "plan_of_json: total_latency_us disagrees with kernel latencies";
-    p
-  with
-  | p -> Ok p
-  | exception Failure msg -> Error msg
-  | exception e -> Error (Printexc.to_string e)
+  match t.Plan_table.ranges with
+  | [] -> Onnx.Codec.fail "no ranges"
+  | _ :: rest ->
+    go t.Plan_table.lo t.Plan_table.ranges;
+    if t.Plan_table.crossovers <> List.map (fun (r : Plan_table.range) -> r.Plan_table.lo) rest
+    then Onnx.Codec.fail "crossovers disagree with range bounds"
 
-let plan_roundtrip_string (p : Runtime.Plan.t) : string =
-  Obs.Jsonw.to_string (plan_to_json p)
-
-(* ---------------------- plan-table round-trip ---------------------- *)
-
-(* [Jsonw] is write-only by design; graphs serialize through [Onnx.Json].
-   To embed a serialized graph inside a plan-table document we convert
-   the parsed value node-for-node. The conversion is value-exact:
-   [Onnx.Json.Num] carries the same float [Jsonw.Float] prints (both
-   sides print integral values without a decimal point and everything
-   else with 17 significant digits), so write → parse → write is still a
-   fixpoint. *)
-let rec jsonw_of_json : Onnx.Json.t -> Obs.Jsonw.t = function
-  | Onnx.Json.Null -> Obs.Jsonw.Null
-  | Onnx.Json.Bool b -> Obs.Jsonw.Bool b
-  | Onnx.Json.Num n -> Obs.Jsonw.Float n
-  | Onnx.Json.Str s -> Obs.Jsonw.Str s
-  | Onnx.Json.List l -> Obs.Jsonw.List (List.map jsonw_of_json l)
-  | Onnx.Json.Obj kvs -> Obs.Jsonw.Obj (List.map (fun (k, v) -> (k, jsonw_of_json v)) kvs)
-
-let plan_table_schema = "korch-plan-table/1"
-
-let range_to_json (r : Plan_table.range) : Obs.Jsonw.t =
-  Obs.Jsonw.Obj
-    [
-      ("lo", Obs.Jsonw.Int r.Plan_table.lo);
-      ("hi", Obs.Jsonw.Int r.Plan_table.hi);
-      ("probes", Obs.Jsonw.List (List.map (fun p -> Obs.Jsonw.Int p) r.Plan_table.probes));
-      ("anchor", Obs.Jsonw.Int r.Plan_table.anchor);
-      ("graph", jsonw_of_json (Onnx.Serialize.of_primgraph r.Plan_table.graph));
-      ("plan", plan_to_json r.Plan_table.plan);
-      ("signature", Obs.Jsonw.Str r.Plan_table.signature);
-      ("refined", Obs.Jsonw.Bool r.Plan_table.refined);
-    ]
-
-let plan_table_to_json (t : Plan_table.t) : Obs.Jsonw.t =
-  Obs.Jsonw.Obj
-    [
-      ("schema", Obs.Jsonw.Str plan_table_schema);
-      ("model", Obs.Jsonw.Str t.Plan_table.model);
-      ("gpu", Obs.Jsonw.Str t.Plan_table.gpu);
-      ("precision", Obs.Jsonw.Str t.Plan_table.precision);
-      ("lo", Obs.Jsonw.Int t.Plan_table.lo);
-      ("hi", Obs.Jsonw.Int t.Plan_table.hi);
-      ("crossovers", Obs.Jsonw.List (List.map (fun c -> Obs.Jsonw.Int c) t.Plan_table.crossovers));
-      ("ranges", Obs.Jsonw.List (List.map range_to_json t.Plan_table.ranges));
-    ]
-
-let plan_table_of_json (j : Onnx.Json.t) : (Plan_table.t, string) result =
-  let open Onnx.Json in
-  let field name obj =
-    match member name obj with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "plan_table_of_json: missing field %S" name)
-  in
-  match
-    (match member "schema" j with
-    | Some (Str s) when s = plan_table_schema -> ()
-    | Some (Str s) ->
-      failwith (Printf.sprintf "plan_table_of_json: unknown schema %S" s)
-    | _ -> failwith "plan_table_of_json: missing schema");
-    let range_of_json rj : Plan_table.range =
-      let graph =
-        Onnx.Deserialize.to_graph Onnx.Deserialize.to_primitive ~expect_kind:"primitive"
-          (field "graph" rj)
-      in
-      let plan =
-        match plan_of_json (field "plan" rj) with
-        | Ok p -> p
-        | Error m -> failwith (Printf.sprintf "plan_table_of_json: %s" m)
-      in
-      {
-        Plan_table.lo = to_int_exn (field "lo" rj);
-        hi = to_int_exn (field "hi" rj);
-        probes = List.map to_int_exn (to_list_exn (field "probes" rj));
-        anchor = to_int_exn (field "anchor" rj);
-        graph;
-        plan;
-        signature = to_string_exn (field "signature" rj);
-        refined =
-          (match field "refined" rj with
-          | Bool b -> b
-          | _ -> failwith "plan_table_of_json: refined must be a boolean");
-      }
-    in
-    let ranges = List.map range_of_json (to_list_exn (field "ranges" j)) in
-    if ranges = [] then failwith "plan_table_of_json: no ranges";
-    let t =
-      {
-        Plan_table.model = to_string_exn (field "model" j);
-        gpu = to_string_exn (field "gpu" j);
-        precision = to_string_exn (field "precision" j);
-        lo = to_int_exn (field "lo" j);
-        hi = to_int_exn (field "hi" j);
-        ranges;
-        crossovers = List.map to_int_exn (to_list_exn (field "crossovers" j));
-      }
-    in
-    (* The ranges must partition [lo, hi] and agree with the crossover
-       list; a violation means a torn or hand-edited document. *)
-    let rec check_cover pos = function
-      | [] -> if pos <> t.Plan_table.hi + 1 then failwith "plan_table_of_json: ranges do not cover [lo, hi]"
-      | (r : Plan_table.range) :: rest ->
-        if r.Plan_table.lo <> pos then failwith "plan_table_of_json: ranges are not contiguous";
-        if r.Plan_table.hi < r.Plan_table.lo then failwith "plan_table_of_json: empty range";
-        check_cover (r.Plan_table.hi + 1) rest
-    in
-    check_cover t.Plan_table.lo t.Plan_table.ranges;
-    if
-      t.Plan_table.crossovers
-      <> List.map (fun (r : Plan_table.range) -> r.Plan_table.lo) (List.tl t.Plan_table.ranges)
-    then failwith "plan_table_of_json: crossovers disagree with range bounds";
-    t
-  with
-  | t -> Ok t
-  | exception Failure msg -> Error msg
-  | exception Onnx.Deserialize.Format_error msg ->
-    Error (Printf.sprintf "plan_table_of_json: bad graph: %s" msg)
-  | exception e -> Error (Printexc.to_string e)
+let plan_table_codec : Plan_table.t Onnx.Codec.t =
+  Onnx.Codec.(
+    obj (fun () model gpu precision lo hi crossovers ranges ->
+        let t = { Plan_table.model; gpu; precision; lo; hi; ranges; crossovers } in
+        check_cover t;
+        t)
+    |> field "schema" (enum [ ("korch-plan-table/1", ()) ]) (fun _ -> ())
+    |> field "model" string (fun t -> t.Plan_table.model)
+    |> field "gpu" string (fun t -> t.Plan_table.gpu)
+    |> field "precision" string (fun t -> t.Plan_table.precision)
+    |> field "lo" int (fun t -> t.Plan_table.lo)
+    |> field "hi" int (fun t -> t.Plan_table.hi)
+    |> field "crossovers" (list int) (fun t -> t.Plan_table.crossovers)
+    |> field "ranges" (list range_codec) (fun t -> t.Plan_table.ranges)
+    |> finish)
 
 let plan_table_json_string (t : Plan_table.t) : string =
-  Obs.Jsonw.to_string (plan_table_to_json t)
+  Obs.Jsonw.to_string (Onnx.Codec.encode plan_table_codec t)
+
+(* ----------------------------- korch-bench/1 ----------------------------- *)
+
+type bench_entry = {
+  experiment : string;
+  model : string;
+  gpu : string;
+  precision : string;
+  latency_us : float;
+  kernels : int;
+  redundancy : int;
+  candidates : int;
+  states : int;
+  peak_mem_bytes : int option;
+  degraded_segments : int;
+  wall_s : float;
+}
+
+let bench_entry_codec : bench_entry Onnx.Codec.t =
+  Onnx.Codec.(
+    obj
+      (fun experiment model gpu precision latency_us kernels redundancy candidates states
+           peak_mem_bytes degraded_segments wall_s ->
+        { experiment; model; gpu; precision; latency_us; kernels; redundancy; candidates;
+          states; peak_mem_bytes; degraded_segments; wall_s })
+    |> field "experiment" string (fun e -> e.experiment)
+    |> field "model" string (fun e -> e.model)
+    |> field "gpu" string (fun e -> e.gpu)
+    |> field "precision" string (fun e -> e.precision)
+    |> field "latency_us" float (fun e -> e.latency_us)
+    |> field "kernels" int (fun e -> e.kernels)
+    |> field "redundancy" int (fun e -> e.redundancy)
+    |> field "candidates" int (fun e -> e.candidates)
+    |> field "states" int (fun e -> e.states)
+    |> opt "peak_mem_bytes" int (fun e -> e.peak_mem_bytes)
+    |> field "degraded_segments" int (fun e -> e.degraded_segments)
+    |> field "wall_s" float (fun e -> e.wall_s)
+    |> finish)
+
+let bench_codec : bench_entry list Onnx.Codec.t =
+  Onnx.Codec.(
+    obj (fun () entries -> entries)
+    |> field "schema" (enum [ ("korch-bench/1", ()) ]) (fun _ -> ())
+    |> field "entries" (list bench_entry_codec) Fun.id
+    |> finish)

@@ -53,42 +53,51 @@ val json_string :
   Orchestrator.result ->
   string
 
-(** [plan_to_json p] — an executable plan as a JSON object
-    ([total_latency_us] plus one object per kernel: [prims], [outputs],
-    [latency_us], [backend]). Floats print with 17 significant digits, so
-    {!plan_of_json} recovers the plan bit-identically — the round-trip
-    the serving layer's durable plan cache depends on. *)
+(** {2 Round-tripped documents}
+
+    Each schema is declared once as an {!Onnx.Codec.t}. Floats print with
+    17 significant digits, so a decode recovers the value bit-identically
+    — the round-trip the serving layer's durable plan cache depends on. *)
+
+(** An executable plan: [total_latency_us] and per kernel [prims],
+    [outputs], [latency_us], [backend]. Decoding rejects a stored total
+    that disagrees with the kernels (a torn or hand-edited document). *)
+val plan_codec : Runtime.Plan.t Onnx.Codec.t
+
 val plan_to_json : Runtime.Plan.t -> Obs.Jsonw.t
 
-(** [plan_of_json j] — parse a plan written by {!plan_to_json}. Validates
-    shape and that the stored total matches the kernels (a mismatch means
-    a torn or hand-edited document); never raises. *)
-val plan_of_json : Onnx.Json.t -> (Runtime.Plan.t, string) result
+(** A stitched primitive graph in the [Onnx.Serialize] form. *)
+val primgraph_codec : Ir.Primgraph.t Onnx.Codec.t
 
-(** [plan_roundtrip_string p] is [plan_to_json] rendered compactly. *)
-val plan_roundtrip_string : Runtime.Plan.t -> string
-
-(** [jsonw_of_json j] — value-exact conversion from a parsed
-    [Onnx.Json] document to the write-only [Obs.Jsonw] AST, used to
-    embed serialized graphs inside larger documents. Both sides print
-    numbers identically, so write → parse → write stays a fixpoint. *)
+(** [jsonw_of_json j] — value-exact conversion of a parsed document to
+    the write-only AST ([Onnx.Codec.json]'s encoder). *)
 val jsonw_of_json : Onnx.Json.t -> Obs.Jsonw.t
 
-(** [plan_table_to_json t] — a batch-parametric plan table as a JSON
-    object, schema [korch-plan-table/1]: model/GPU/precision, the
-    covered batch interval, the crossover batches, and one object per
-    range (bounds, probes, anchor, the anchor's serialized primitive
-    graph and plan, structural signature, refinement flag). Floats print
-    with 17 significant digits so {!plan_table_of_json} recovers the
-    table bit-identically. *)
-val plan_table_to_json : Plan_table.t -> Obs.Jsonw.t
+(** Schema [korch-plan-table/1]: model/GPU/precision, the batch interval,
+    the crossovers and one object per range (bounds, probes, anchor, its
+    graph and plan, signature, refinement flag). Decoding checks that the
+    ranges partition [lo, hi] and agree with the crossovers. *)
+val plan_table_codec : Plan_table.t Onnx.Codec.t
 
-(** [plan_table_of_json j] — parse a table written by
-    {!plan_table_to_json}. Validates the schema string, that the ranges
-    contiguously partition [lo, hi], and that the crossover list agrees
-    with the range bounds; never raises. *)
-val plan_table_of_json : Onnx.Json.t -> (Plan_table.t, string) result
-
-(** [plan_table_json_string t] is [plan_table_to_json] rendered
-    compactly — the on-disk form the serving plan cache stores. *)
+(** [plan_table_codec]'s encoding, rendered compactly. *)
 val plan_table_json_string : Plan_table.t -> string
+
+(** One orchestrated (model, platform) pair of a bench run. *)
+type bench_entry = {
+  experiment : string;
+  model : string;
+  gpu : string;
+  precision : string;
+  latency_us : float;  (** modelled plan latency *)
+  kernels : int;
+  redundancy : int;
+  candidates : int;
+  states : int;
+  peak_mem_bytes : int option;  (** planned peak; absent in pre-memplan baselines *)
+  degraded_segments : int;
+  wall_s : float;  (** orchestration wall-clock *)
+}
+
+(** The [korch-bench/1] document, written by the bench harness and read
+    by the bench gate. *)
+val bench_codec : bench_entry list Onnx.Codec.t

@@ -13,13 +13,13 @@ open Ir
 type config = {
   cost : Cost_model.config;
   max_tvm_prims : int;  (** "too many operators to generate within one kernel" (§6.5) *)
-  max_vendor_companions : int;
-      (** layout/elementwise primitives a vendor kernel can absorb around
-          its linear primitive *)
 }
 
-let default_config =
-  { cost = Cost_model.default_config; max_tvm_prims = 10; max_vendor_companions = 4 }
+let default_config = { cost = Cost_model.default_config; max_tvm_prims = 10 }
+
+(** Layout/elementwise primitives a vendor kernel can absorb around its
+    linear primitive. *)
+let max_vendor_companions = 4
 
 type result = {
   latency_us : float;
@@ -107,7 +107,7 @@ let profile (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t) (g : Prim
           let has_reduction =
             List.mem Primitive.Reduction s.Stats.classes
           in
-          if companions <= cfg.max_vendor_companions && not has_reduction then
+          if companions <= max_vendor_companions && not has_reduction then
             Some Cost_model.Vendor
           else None
         | _ :: _ :: _ -> None (* multiple linear primitives: reject (§6.5) *)

@@ -15,5 +15,6 @@ type t =
     others with 17 significant digits (round-trip exact). *)
 val to_string : t -> string
 
-(** Append the rendering of a value to a buffer. *)
-val print_to : Buffer.t -> t -> unit
+(** [escape_string s] — the body of the JSON string literal for [s]
+    (shared with [Onnx.Json]'s printer). *)
+val escape_string : string -> string

@@ -15,21 +15,6 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printer                                                             *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let rec print_to buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -39,7 +24,7 @@ let rec print_to buf = function
     else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape_string s);
+    Buffer.add_string buf (Obs.Jsonw.escape_string s);
     Buffer.add_char buf '"'
   | List l ->
     Buffer.add_char buf '[';
@@ -245,4 +230,10 @@ let member key = function
 let to_list_exn = function List l -> l | _ -> invalid_arg "Json: expected list"
 let to_string_exn = function Str s -> s | _ -> invalid_arg "Json: expected string"
 let to_float_exn = function Num f -> f | _ -> invalid_arg "Json: expected number"
-let to_int_exn j = int_of_float (to_float_exn j)
+(* Exact ints only: a fraction or a value outside [min_int, max_int] is
+   rejected, never truncated. *)
+let to_int_exn j =
+  let f = to_float_exn j in
+  if Float.is_integer f && f >= Float.of_int min_int && f < -.Float.of_int min_int then
+    int_of_float f
+  else invalid_arg (Printf.sprintf "Json: %s is not an int" (to_string j))

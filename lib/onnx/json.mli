@@ -28,4 +28,7 @@ val member : string -> t -> t option
 val to_list_exn : t -> t list
 val to_string_exn : t -> string
 val to_float_exn : t -> float
+
+(** Raises [Invalid_argument] unless the number is an exact integer in
+    the [int] range (no truncation). *)
 val to_int_exn : t -> int

@@ -5,13 +5,6 @@ type key = { graph_hash : string; gpu : string; precision : string; batch : int 
 
 type status = Final | Incumbent
 
-let status_to_string = function Final -> "final" | Incumbent -> "incumbent"
-
-let status_of_string = function
-  | "final" -> Some Final
-  | "incumbent" -> Some Incumbent
-  | _ -> None
-
 type entry = {
   key : key;
   status : status;
@@ -19,6 +12,16 @@ type entry = {
   plan : Runtime.Plan.t;
   report : Onnx.Json.t option;
 }
+
+type table_key = {
+  t_graph_hash : string;  (** hash of the operator graph at batch [t_lo] *)
+  t_gpu : string;
+  t_precision : string;
+  t_lo : int;
+  t_hi : int;
+}
+
+type doc = Plan of entry | Table of table_key * Korch.Plan_table.t
 
 type stats = {
   hits : int;
@@ -65,22 +68,26 @@ let create ~dir () : t =
     c_io_faults = Atomic.make 0;
   }
 
-let dir t = t.dir
+let graph_hash (graph : Ir.Opgraph.t) =
+  Digest.to_hex (Digest.string (Onnx.Serialize.opgraph_to_string graph))
 
 let key ~(graph : Ir.Opgraph.t) ~gpu ~precision ~batch : key =
-  {
-    graph_hash = Digest.to_hex (Digest.string (Onnx.Serialize.opgraph_to_string graph));
-    gpu;
-    precision;
-    batch;
-  }
+  { graph_hash = graph_hash graph; gpu; precision; batch }
 
-let key_string (k : key) =
-  Printf.sprintf "%s:%s:%s:%d" k.graph_hash k.gpu k.precision k.batch
+let table_key ~(graph : Ir.Opgraph.t) ~gpu ~precision ~lo ~hi : table_key =
+  { t_graph_hash = graph_hash graph; t_gpu = gpu; t_precision = precision; t_lo = lo; t_hi = hi }
+
+(* An entry's file is named by the MD5 of its key's string form. *)
+let file (t : t) ~prefix (key_string : string) : string =
+  Filename.concat t.dir
+    (Printf.sprintf "%s_%s.json" prefix (Digest.to_hex (Digest.string key_string)))
 
 let entry_path (t : t) (k : key) : string =
-  Filename.concat t.dir
-    (Printf.sprintf "plan_%s.json" (Digest.to_hex (Digest.string (key_string k))))
+  file t ~prefix:"plan" (Printf.sprintf "%s:%s:%s:%d" k.graph_hash k.gpu k.precision k.batch)
+
+let table_path (t : t) (k : table_key) : string =
+  file t ~prefix:"table"
+    (Printf.sprintf "table:%s:%s:%s:%d-%d" k.t_graph_hash k.t_gpu k.t_precision k.t_lo k.t_hi)
 
 (* Same advisory-lock shape as [Codegen.Kernel_cache]: a per-entry .lock
    file serializes concurrent daemons' publishes; lock files are never
@@ -138,29 +145,54 @@ let write_durable ~dir ~path (contents : string) : unit =
    degrades to a miss, counted separately from corruption. *)
 let schema = "korch-plan-cache/2"
 
-let key_json (k : key) : Obs.Jsonw.t =
-  Obs.Jsonw.Obj
-    [
-      ("graph_hash", Obs.Jsonw.Str k.graph_hash);
-      ("gpu", Obs.Jsonw.Str k.gpu);
-      ("precision", Obs.Jsonw.Str k.precision);
-      ("batch", Obs.Jsonw.Int k.batch);
-    ]
+let doc_codec : doc Onnx.Codec.t =
+  let key =
+    Onnx.Codec.(
+      obj (fun graph_hash gpu precision batch -> { graph_hash; gpu; precision; batch })
+      |> field "graph_hash" string (fun k -> k.graph_hash)
+      |> field "gpu" string (fun k -> k.gpu)
+      |> field "precision" string (fun k -> k.precision)
+      |> field "batch" int (fun k -> k.batch)
+      |> finish)
+  and table_key =
+    Onnx.Codec.(
+      obj (fun t_graph_hash t_gpu t_precision t_lo t_hi ->
+          { t_graph_hash; t_gpu; t_precision; t_lo; t_hi })
+      |> field "graph_hash" string (fun k -> k.t_graph_hash)
+      |> field "gpu" string (fun k -> k.t_gpu)
+      |> field "precision" string (fun k -> k.t_precision)
+      |> field "lo" int (fun k -> k.t_lo)
+      |> field "hi" int (fun k -> k.t_hi)
+      |> finish)
+  in
+  Onnx.Codec.(
+    obj (fun () doc -> doc)
+    |> field "schema" (enum [ (schema, ()) ]) (fun _ -> ())
+    |> kind "kind"
+         [
+           case "plan"
+             (obj (fun key status graph plan report -> { key; status; graph; plan; report })
+             |> field "key" key (fun e -> e.key)
+             |> field "status" (enum [ ("final", Final); ("incumbent", Incumbent) ]) (fun e ->
+                    e.status)
+             |> field "primgraph" Korch.Report.primgraph_codec (fun e -> e.graph)
+             |> field "plan" Korch.Report.plan_codec (fun e -> e.plan)
+             |> opt "report" json (fun e -> e.report))
+             (fun e -> Plan e)
+             (function Plan e -> Some e | Table _ -> None);
+           case "table"
+             (obj (fun k tab -> (k, tab))
+             |> field "key" table_key fst
+             |> field "table" Korch.Report.plan_table_codec snd)
+             (fun (k, tab) -> Table (k, tab))
+             (function Table (k, tab) -> Some (k, tab) | Plan _ -> None);
+         ]
+         Fun.id
+    |> finish)
 
-(* The entry document is assembled from already-rendered JSON fragments:
-   the primgraph prints through [Onnx.Serialize], the plan through
-   [Korch.Report.plan_to_json] — both round-trip exactly (17-digit
-   floats), which is what makes warm responses bit-identical. *)
-let render_entry (k : key) ~(status : status) ~(graph : Ir.Primgraph.t)
-    ~(plan : Runtime.Plan.t) ~(report : string) : string =
-  Printf.sprintf
-    {|{"schema":%s,"kind":"plan","key":%s,"status":%s,"primgraph":%s,"plan":%s,"report":%s}|}
-    (Obs.Jsonw.to_string (Obs.Jsonw.Str schema))
-    (Obs.Jsonw.to_string (key_json k))
-    (Obs.Jsonw.to_string (Obs.Jsonw.Str (status_to_string status)))
-    (Onnx.Serialize.primgraph_to_string graph)
-    (Korch.Report.plan_roundtrip_string plan)
-    (if report = "" then "null" else report)
+(* Read on its own first, so that a foreign version is told apart from
+   corruption. *)
+let version_codec = Onnx.Codec.(finish (obj Fun.id |> field "schema" string Fun.id))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -171,268 +203,121 @@ let read_file path =
 (* Outcome of reading one entry file: a good entry, a recognizably
    foreign schema version (left on disk, served as a miss), or garbage
    (deleted, served as a miss). *)
-type 'a parsed = Parsed of 'a | Version_miss | Corrupt of string
+type parsed = Parsed of doc | Version_miss | Corrupt
 
-let field name j =
-  match Onnx.Json.member name j with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "missing field %S" name)
+(* A decoded entry must also execute: every plan it carries passes the
+   same {!Runtime.Plan.check} every executor run applies, against the
+   graph stored with it. *)
+let executable = function
+  | Plan e -> Runtime.Executor.validate e.graph e.plan = Ok ()
+  | Table (_, tab) ->
+    List.for_all
+      (fun (r : Korch.Plan_table.range) ->
+        Runtime.Executor.validate r.Korch.Plan_table.graph r.Korch.Plan_table.plan = Ok ())
+      tab.Korch.Plan_table.ranges
 
-(* [`Ok] only for the current schema; a different well-formed schema
-   string is a version miss, anything else is corruption. *)
-let check_schema (j : Onnx.Json.t) =
-  match Onnx.Json.member "schema" j with
-  | Some (Onnx.Json.Str s) when s = schema -> `Current
-  | Some (Onnx.Json.Str _) -> `Foreign
-  | _ -> `Malformed
-
-let check_kind (expect : string) (j : Onnx.Json.t) =
-  match Onnx.Json.member "kind" j with
-  | Some (Onnx.Json.Str s) when s = expect -> ()
-  | Some (Onnx.Json.Str s) -> failwith (Printf.sprintf "kind %S where %S expected" s expect)
-  | _ -> failwith "missing kind"
-
-let with_parsed (doc : string) (body : Onnx.Json.t -> 'a) : 'a parsed =
+let parse (s : string) : parsed =
   match
-    let j = Onnx.Json.of_string doc in
-    match check_schema j with
-    | `Foreign -> Version_miss
-    | `Malformed -> Corrupt "missing schema"
-    | `Current -> Parsed (body j)
+    let j = Onnx.Json.of_string s in
+    match Onnx.Codec.decode version_codec j with
+    | Ok v when v <> schema -> Version_miss
+    | _ -> (
+      match Onnx.Codec.decode doc_codec j with
+      | Ok d when executable d -> Parsed d
+      | _ -> Corrupt)
   with
   | outcome -> outcome
-  | exception Failure msg -> Corrupt msg
-  | exception Onnx.Json.Parse_error (msg, off) ->
-    Corrupt (Printf.sprintf "JSON parse error at byte %d: %s" off msg)
-  | exception Onnx.Deserialize.Format_error msg -> Corrupt ("graph: " ^ msg)
-  | exception e -> Corrupt (Printexc.to_string e)
+  | exception _ -> Corrupt
 
-(* Parse + validate one plan entry file. *)
-let parse_entry (k : key) (doc : string) : entry parsed =
-  let open Onnx.Json in
-  with_parsed doc @@ fun j ->
-    check_kind "plan" j;
-    let kj = field "key" j in
-    let stored_key =
-      {
-        graph_hash = to_string_exn (field "graph_hash" kj);
-        gpu = to_string_exn (field "gpu" kj);
-        precision = to_string_exn (field "precision" kj);
-        batch = to_int_exn (field "batch" kj);
-      }
-    in
-    if stored_key <> k then failwith "key mismatch (hash collision or misfiled entry)";
-    let status =
-      match status_of_string (to_string_exn (field "status" j)) with
-      | Some s -> s
-      | None -> failwith "unknown status"
-    in
-    let graph =
-      Onnx.Deserialize.to_graph Onnx.Deserialize.to_primitive (field "primgraph" j)
-        ~expect_kind:"primitive"
-    in
-    let plan =
-      match Korch.Report.plan_of_json (field "plan" j) with
-      | Ok p -> p
-      | Error msg -> failwith ("plan: " ^ msg)
-    in
-    (* The recovered plan must actually execute against the recovered
-       graph: the same {!Runtime.Plan.check} every executor run applies. *)
-    (match Runtime.Executor.validate graph plan with
-    | Ok () -> ()
-    | Error msg -> failwith ("plan does not validate against graph: " ^ msg));
-    let report = match member "report" j with Some Null | None -> None | Some r -> Some r in
-    { key = k; status; graph; plan; report }
-
-let bump t local global =
+let bump local global =
   Atomic.incr local;
-  Obs.Metrics.incr global;
-  ignore t
+  Obs.Metrics.incr global
 
-let lookup (t : t) (k : key) : entry option =
+(* The one lookup path for both kinds. [select] takes the caller's kind
+   out of a decoded entry and checks it is filed under the caller's key;
+   anything else at that path is corrupt. *)
+let lookup_doc (t : t) (path : string) (select : doc -> 'a option) : 'a option =
+  let corrupt () =
+    (* Corrupt-entry recovery: delete and miss; a later store republishes
+       a good entry. *)
+    (try Sys.remove path with Sys_error _ -> ());
+    bump t.c_corrupt m_corrupt;
+    bump t.c_misses m_misses;
+    None
+  in
   match Faults.check Faults.Cache_io with
   | exception Faults.Injected _ ->
-    bump t t.c_io_faults m_io_faults;
+    bump t.c_io_faults m_io_faults;
+    None
+  | () when not (Sys.file_exists path) ->
+    bump t.c_misses m_misses;
     None
   | () -> (
-    let path = entry_path t k in
-    if not (Sys.file_exists path) then begin
-      bump t t.c_misses m_misses;
+    match read_file path with
+    | exception _ ->
+      bump t.c_io_faults m_io_faults;
       None
-    end
-    else
-      match read_file path with
-      | exception _ ->
-        bump t t.c_io_faults m_io_faults;
+    | s -> (
+      match parse s with
+      | Version_miss ->
+        (* Foreign schema version: leave the file alone (another daemon
+           generation owns it) and degrade to a miss. *)
+        bump t.c_version_misses m_version_miss;
+        bump t.c_misses m_misses;
         None
-      | doc -> (
-        match parse_entry k doc with
-        | Parsed e ->
-          bump t t.c_hits m_hits;
-          Some e
-        | Version_miss ->
-          (* Foreign schema version: leave the file alone (another
-             daemon generation owns it) and degrade to a miss. *)
-          bump t t.c_version_misses m_version_miss;
-          bump t t.c_misses m_misses;
-          None
-        | Corrupt _ ->
-          (* Corrupt-entry recovery: delete and miss; a later store
-             republishes a good entry. *)
-          (try Sys.remove path with Sys_error _ -> ());
-          bump t t.c_corrupt m_corrupt;
-          bump t t.c_misses m_misses;
-          None))
+      | Corrupt -> corrupt ()
+      | Parsed d -> (
+        match select d with
+        | Some x ->
+          bump t.c_hits m_hits;
+          Some x
+        | None -> corrupt ())))
 
-let store (t : t) (k : key) ~(status : status) ~(graph : Ir.Primgraph.t)
-    ~(plan : Runtime.Plan.t) ~(report : string) : unit =
+(* The one store path for both kinds: render and publish [doc ()] unless
+   [pinned ()], asked under the entry's lock, says to keep the file. *)
+let store_doc (t : t) (path : string) ~(pinned : unit -> bool) (doc : unit -> doc) : unit =
   match Faults.check Faults.Cache_io with
-  | exception Faults.Injected _ -> bump t t.c_io_faults m_io_faults
+  | exception Faults.Injected _ -> bump t.c_io_faults m_io_faults
   | () -> (
-    let path = entry_path t k in
     match
       with_file_lock (path ^ ".lock") @@ fun () ->
-      (* Never downgrade: a concurrent (or earlier) final entry beats an
-         incumbent produced under deadline pressure. *)
-      let existing_final =
-        status = Incumbent && Sys.file_exists path
-        &&
-        (* A final entry only protects itself within the current schema
-           version: a foreign-version file is a version miss on read, so
-           letting it pin the slot would starve the cache forever. *)
-        match Onnx.Json.of_string (read_file path) with
-        | j -> (
-          check_schema j = `Current
-          && match Onnx.Json.member "status" j with
-             | Some (Onnx.Json.Str "final") -> true
-             | _ -> false)
-        | exception _ -> false
-      in
-      if not existing_final then begin
-        write_durable ~dir:t.dir ~path (render_entry k ~status ~graph ~plan ~report);
-        bump t t.c_stores m_stores
+      if not (pinned ()) then begin
+        write_durable ~dir:t.dir ~path (Obs.Jsonw.to_string (Onnx.Codec.encode doc_codec (doc ())));
+        bump t.c_stores m_stores
       end
     with
     | () -> ()
-    | exception _ -> bump t t.c_io_faults m_io_faults)
+    | exception _ -> bump t.c_io_faults m_io_faults)
 
-(* --------------------------- table entries -------------------------- *)
-
-type table_key = {
-  t_graph_hash : string;  (** hash of the operator graph at batch [t_lo] *)
-  t_gpu : string;
-  t_precision : string;
-  t_lo : int;
-  t_hi : int;
-}
-
-let table_key ~(graph : Ir.Opgraph.t) ~gpu ~precision ~lo ~hi : table_key =
-  {
-    t_graph_hash = Digest.to_hex (Digest.string (Onnx.Serialize.opgraph_to_string graph));
-    t_gpu = gpu;
-    t_precision = precision;
-    t_lo = lo;
-    t_hi = hi;
-  }
-
-let table_key_string (k : table_key) =
-  Printf.sprintf "table:%s:%s:%s:%d-%d" k.t_graph_hash k.t_gpu k.t_precision k.t_lo k.t_hi
-
-let table_path (t : t) (k : table_key) : string =
-  Filename.concat t.dir
-    (Printf.sprintf "table_%s.json" (Digest.to_hex (Digest.string (table_key_string k))))
-
-let table_key_json (k : table_key) : Obs.Jsonw.t =
-  Obs.Jsonw.Obj
-    [
-      ("graph_hash", Obs.Jsonw.Str k.t_graph_hash);
-      ("gpu", Obs.Jsonw.Str k.t_gpu);
-      ("precision", Obs.Jsonw.Str k.t_precision);
-      ("lo", Obs.Jsonw.Int k.t_lo);
-      ("hi", Obs.Jsonw.Int k.t_hi);
-    ]
-
-let render_table (k : table_key) (table : Korch.Plan_table.t) : string =
-  Printf.sprintf {|{"schema":%s,"kind":"table","key":%s,"table":%s}|}
-    (Obs.Jsonw.to_string (Obs.Jsonw.Str schema))
-    (Obs.Jsonw.to_string (table_key_json k))
-    (Korch.Report.plan_table_json_string table)
-
-let parse_table (k : table_key) (doc : string) : Korch.Plan_table.t parsed =
-  with_parsed doc @@ fun j ->
-    check_kind "table" j;
-    let kj = field "key" j in
-    let stored_key =
-      {
-        t_graph_hash = Onnx.Json.to_string_exn (field "graph_hash" kj);
-        t_gpu = Onnx.Json.to_string_exn (field "gpu" kj);
-        t_precision = Onnx.Json.to_string_exn (field "precision" kj);
-        t_lo = Onnx.Json.to_int_exn (field "lo" kj);
-        t_hi = Onnx.Json.to_int_exn (field "hi" kj);
-      }
-    in
-    if stored_key <> k then failwith "key mismatch (hash collision or misfiled entry)";
-    let table =
-      match Korch.Report.plan_table_of_json (field "table" j) with
-      | Ok tb -> tb
-      | Error msg -> failwith ("table: " ^ msg)
-    in
-    (* Every range's plan must execute against its own graph — the same
-       static check fixed-batch entries get. *)
-    List.iter
-      (fun (r : Korch.Plan_table.range) ->
-        match Runtime.Executor.validate r.Korch.Plan_table.graph r.Korch.Plan_table.plan with
-        | Ok () -> ()
-        | Error msg ->
-          failwith
-            (Printf.sprintf "range [%d..%d]: plan does not validate against graph: %s"
-               r.Korch.Plan_table.lo r.Korch.Plan_table.hi msg))
-      table.Korch.Plan_table.ranges;
-    table
+let lookup (t : t) (k : key) : entry option =
+  lookup_doc t (entry_path t k) (function Plan e when e.key = k -> Some e | _ -> None)
 
 let lookup_table (t : t) (k : table_key) : Korch.Plan_table.t option =
-  match Faults.check Faults.Cache_io with
-  | exception Faults.Injected _ ->
-    bump t t.c_io_faults m_io_faults;
-    None
-  | () -> (
-    let path = table_path t k in
-    if not (Sys.file_exists path) then begin
-      bump t t.c_misses m_misses;
-      None
-    end
-    else
-      match read_file path with
-      | exception _ ->
-        bump t t.c_io_faults m_io_faults;
-        None
-      | doc -> (
-        match parse_table k doc with
-        | Parsed tb ->
-          bump t t.c_hits m_hits;
-          Some tb
-        | Version_miss ->
-          bump t t.c_version_misses m_version_miss;
-          bump t t.c_misses m_misses;
-          None
-        | Corrupt _ ->
-          (try Sys.remove path with Sys_error _ -> ());
-          bump t t.c_corrupt m_corrupt;
-          bump t t.c_misses m_misses;
-          None))
+  lookup_doc t (table_path t k) (function Table (k', tab) when k' = k -> Some tab | _ -> None)
 
+let store (t : t) (k : key) ~(status : status) ~(graph : Ir.Primgraph.t)
+    ~(plan : Runtime.Plan.t) ~(report : string) : unit =
+  let path = entry_path t k in
+  (* Never downgrade: a concurrent (or earlier) final entry beats an
+     incumbent produced under deadline pressure. Only an entry that reads
+     back as a hit pins the slot: a foreign-version or corrupt file would
+     be a miss on read, so letting it pin would starve the cache. *)
+  let pinned () =
+    status = Incumbent
+    && Sys.file_exists path
+    &&
+    match parse (read_file path) with
+    | Parsed (Plan { status = Final; key; _ }) -> key = k
+    | _ | (exception _) -> false
+  in
+  store_doc t path ~pinned (fun () ->
+      let report = if report = "" then None else Some (Onnx.Json.of_string report) in
+      Plan { key = k; status; graph; plan; report })
+
+(* Tables are always the product of a full probe sweep: a store
+   overwrites. *)
 let store_table (t : t) (k : table_key) (table : Korch.Plan_table.t) : unit =
-  match Faults.check Faults.Cache_io with
-  | exception Faults.Injected _ -> bump t t.c_io_faults m_io_faults
-  | () -> (
-    let path = table_path t k in
-    match
-      with_file_lock (path ^ ".lock") @@ fun () ->
-      write_durable ~dir:t.dir ~path (render_table k table);
-      bump t t.c_stores m_stores
-    with
-    | () -> ()
-    | exception _ -> bump t t.c_io_faults m_io_faults)
+  store_doc t (table_path t k) ~pinned:(fun () -> false) (fun () -> Table (k, table))
 
 let stats (t : t) : stats =
   {

@@ -52,6 +52,25 @@ type entry = {
   report : Onnx.Json.t option;  (** the stored korch-report/1 document *)
 }
 
+(** Cache identity of one batch-range (plan-table) request.
+    [t_graph_hash] hashes the canonical operator graph instantiated at
+    batch [t_lo], so a builder change invalidates the table. *)
+type table_key = {
+  t_graph_hash : string;
+  t_gpu : string;
+  t_precision : string;
+  t_lo : int;
+  t_hi : int;
+}
+
+(** The two kinds of entry the one [korch-plan-cache/2] envelope
+    carries. *)
+type doc = Plan of entry | Table of table_key * Korch.Plan_table.t
+
+(** The envelope, declared once: ["schema"], then the ["kind"] tag
+    ("plan" | "table") and that kind's members. *)
+val doc_codec : doc Onnx.Codec.t
+
 (** Cumulative per-instance counters (process lifetime). *)
 type stats = {
   hits : int;
@@ -66,8 +85,6 @@ type stats = {
 
 (** [create ~dir ()] — open (and create) the cache directory. *)
 val create : dir:string -> unit -> t
-
-val dir : t -> string
 
 (** [key ~graph ~gpu ~precision ~batch] — hash the canonical operator
     graph and bind the execution context. Callers canonicalize the graph
@@ -84,9 +101,11 @@ val entry_path : t -> key -> string
 val lookup : t -> key -> entry option
 
 (** [store t k ~status ~graph ~plan ~report] — durably publish an entry.
+    [report] is a rendered korch-report/1 document, or [""] for none.
     A [`Final] entry overwrites anything; an [`Incumbent] never
-    overwrites a [`Final]. Absorbs injected/real I/O failures (the
-    publish is skipped and counted). Never raises. *)
+    overwrites a [`Final] entry for the same key that would read back
+    as a hit. Absorbs injected/real I/O failures (the publish is skipped
+    and counted). Never raises. *)
 val store :
   t ->
   key ->
@@ -95,17 +114,6 @@ val store :
   plan:Runtime.Plan.t ->
   report:string ->
   unit
-
-(** Cache identity of one batch-range (plan-table) request.
-    [t_graph_hash] hashes the canonical operator graph instantiated at
-    batch [t_lo], so a builder change invalidates the table. *)
-type table_key = {
-  t_graph_hash : string;
-  t_gpu : string;
-  t_precision : string;
-  t_lo : int;
-  t_hi : int;
-}
 
 (** [table_key ~graph ~gpu ~precision ~lo ~hi] — key a plan table by the
     operator graph {e at batch [lo]} plus the execution context and the

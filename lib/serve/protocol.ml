@@ -108,59 +108,43 @@ let default_request =
     batch_hi = None;
   }
 
-let request_of_json (j : Onnx.Json.t) : (request, string) result =
-  let open Onnx.Json in
-  let str name = match member name j with Some (Str s) -> Some s | _ -> None in
-  let bool_ name ~default =
-    match member name j with Some (Bool b) -> b | _ -> default
-  in
-  match member "verb" j with
-  | Some (Str verb) -> (
-    match
-      {
-        verb;
-        model = str "model";
-        graph_doc = str "graph";
-        small = bool_ "small" ~default:false;
-        batch =
-          (match member "batch" j with Some (Num _ as n) -> to_int_exn n | _ -> 1);
-        gpu = str "gpu";
-        precision = str "precision";
-        deadline_ms =
-          (match member "deadline_ms" j with
-          | Some (Num _ as n) -> Some (to_float_exn n)
-          | _ -> None);
-        backend = str "backend";
-        no_cache = bool_ "no_cache" ~default:false;
-        batch_lo =
-          (match member "batch_lo" j with
-          | Some (Num _ as n) -> Some (to_int_exn n)
-          | _ -> None);
-        batch_hi =
-          (match member "batch_hi" j with
-          | Some (Num _ as n) -> Some (to_int_exn n)
-          | _ -> None);
-      }
-    with
-    | r -> Ok r
-    | exception Failure msg -> Error msg)
-  | _ -> Error "request is missing the \"verb\" field"
+(* Members at their [default_request] value are omitted on the wire. *)
+let request_codec : request Onnx.Codec.t =
+  let d = default_request in
+  let unless_default default v = if v = default then None else Some v in
+  Onnx.Codec.(
+    obj
+      (fun verb model graph_doc small batch gpu precision deadline_ms backend no_cache
+           batch_lo batch_hi ->
+        {
+          verb;
+          model;
+          graph_doc;
+          small = Option.value small ~default:d.small;
+          batch = Option.value batch ~default:d.batch;
+          gpu;
+          precision;
+          deadline_ms;
+          backend;
+          no_cache = Option.value no_cache ~default:d.no_cache;
+          batch_lo;
+          batch_hi;
+        })
+    |> field "verb" string (fun r -> r.verb)
+    |> opt "model" string (fun r -> r.model)
+    |> opt "graph" string (fun r -> r.graph_doc)
+    |> opt "small" bool (fun r -> unless_default d.small r.small)
+    |> opt "batch" int (fun r -> unless_default d.batch r.batch)
+    |> opt "gpu" string (fun r -> r.gpu)
+    |> opt "precision" string (fun r -> r.precision)
+    |> opt "deadline_ms" float (fun r -> r.deadline_ms)
+    |> opt "backend" string (fun r -> r.backend)
+    |> opt "no_cache" bool (fun r -> unless_default d.no_cache r.no_cache)
+    |> opt "batch_lo" int (fun r -> r.batch_lo)
+    |> opt "batch_hi" int (fun r -> r.batch_hi)
+    |> finish)
 
-let request_to_json (r : request) : Obs.Jsonw.t =
-  let opt name v f = match v with Some x -> [ (name, f x) ] | None -> [] in
-  Obs.Jsonw.Obj
-    ([ ("verb", Obs.Jsonw.Str r.verb) ]
-    @ opt "model" r.model (fun s -> Obs.Jsonw.Str s)
-    @ opt "graph" r.graph_doc (fun s -> Obs.Jsonw.Str s)
-    @ (if r.small then [ ("small", Obs.Jsonw.Bool true) ] else [])
-    @ (if r.batch <> 1 then [ ("batch", Obs.Jsonw.Int r.batch) ] else [])
-    @ opt "gpu" r.gpu (fun s -> Obs.Jsonw.Str s)
-    @ opt "precision" r.precision (fun s -> Obs.Jsonw.Str s)
-    @ opt "deadline_ms" r.deadline_ms (fun f -> Obs.Jsonw.Float f)
-    @ opt "backend" r.backend (fun s -> Obs.Jsonw.Str s)
-    @ (if r.no_cache then [ ("no_cache", Obs.Jsonw.Bool true) ] else [])
-    @ opt "batch_lo" r.batch_lo (fun i -> Obs.Jsonw.Int i)
-    @ opt "batch_hi" r.batch_hi (fun i -> Obs.Jsonw.Int i))
+let request_to_json = Onnx.Codec.encode request_codec
 
 let error_response ~(status : string) (msg : string) : Obs.Jsonw.t =
   Obs.Jsonw.Obj [ ("status", Obs.Jsonw.Str status); ("error", Obs.Jsonw.Str msg) ]

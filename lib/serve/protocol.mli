@@ -52,11 +52,13 @@ type request = {
 
 val default_request : request
 
-(** [request_of_json j] — parse a request object; [Error] names the
-    offending field. Unknown fields are ignored (forward compat). *)
-val request_of_json : Onnx.Json.t -> (request, string) result
+(** The request object. Members at their default ({!default_request})
+    are omitted and default when absent or [null]; a wrong-typed member,
+    e.g. a fractional [batch], is an error naming it. Unknown members are
+    ignored (forward compat). *)
+val request_codec : request Onnx.Codec.t
 
-(** [request_to_json r] — the client-side rendering of a request. *)
+(** [request_codec]'s encoder: the client-side rendering of a request. *)
 val request_to_json : request -> Obs.Jsonw.t
 
 (** [error_response ~status msg] — a uniform [{status; error}] response

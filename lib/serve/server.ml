@@ -487,7 +487,7 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
     Obs.Metrics.observe hist ((Obs.Clock.now_s () -. t0) *. 1e6);
     resp
   in
-  match Protocol.request_of_json j with
+  match Onnx.Codec.decode Protocol.request_codec j with
   | Error msg ->
     Obs.Metrics.incr m_errors;
     finish h_admin (Protocol.error_response ~status:"error" msg)

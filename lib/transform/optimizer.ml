@@ -13,16 +13,17 @@ open Ir
 type config = {
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
-  alpha : float;  (** accept graphs within alpha * best cost *)
   budget : int;  (** maximum number of graph expansions *)
   profiler : Gpu.Profiler.config;
 }
+
+(** Accept graphs within [alpha × best] cost. *)
+let alpha = 1.08
 
 let default_config =
   {
     spec = Gpu.Spec.v100;
     precision = Gpu.Precision.FP32;
-    alpha = 1.08;
     budget = 60;
     profiler = Gpu.Profiler.default_config;
   }
@@ -111,7 +112,7 @@ let optimize ?(config = default_config) (g : Primgraph.t) : Primgraph.t =
               Hashtbl.replace seen fp ();
               let c' = cost_proxy config g' in
               if c' < snd !best then best := (g', c');
-              if c' <= config.alpha *. snd !best then push g' c'
+              if c' <= alpha *. snd !best then push g' c'
             end)
           (try rule g with Invalid_argument _ -> []))
       all_rules

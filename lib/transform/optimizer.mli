@@ -4,7 +4,7 @@
     A priority queue of candidate graphs is ordered by a fast cost proxy
     (the sum of per-primitive single-kernel latencies under the GPU cost
     model). The cheapest graph is expanded by applying every rewrite rule
-    at every site; results within [alpha] of the best cost are kept —
+    at every site; results within 1.08× of the best cost are kept —
     TASO's relaxed acceptance, which lets locally-worse graphs enable
     globally-better ones. Terminates via the expansion [budget]. *)
 
@@ -13,7 +13,6 @@ open Ir
 type config = {
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
-  alpha : float;  (** keep graphs within [alpha × best] cost *)
   budget : int;  (** maximum number of graph expansions *)
   profiler : Gpu.Profiler.config;
 }

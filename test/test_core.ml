@@ -351,15 +351,16 @@ let test_plan_table_anchor_identity () =
       let fixed = Korch.Orchestrator.run orch_cfg (decode_build ~batch:r.Korch.Plan_table.anchor) in
       Alcotest.(check bool) "anchor graph bit-identical" true
         (r.Korch.Plan_table.graph = fixed.Korch.Orchestrator.graph);
+      let plan_string p = Obs.Jsonw.to_string (Korch.Report.plan_to_json p) in
       Alcotest.(check string) "anchor plan bit-identical"
-        (Korch.Report.plan_roundtrip_string fixed.Korch.Orchestrator.plan)
-        (Korch.Report.plan_roundtrip_string r.Korch.Plan_table.plan))
+        (plan_string fixed.Korch.Orchestrator.plan)
+        (plan_string r.Korch.Plan_table.plan))
     tab.Korch.Plan_table.ranges
 
 let test_plan_table_json_roundtrip () =
   let tab = Lazy.force decode_table in
   let s1 = Korch.Report.plan_table_json_string tab in
-  match Korch.Report.plan_table_of_json (Onnx.Json.of_string s1) with
+  match Onnx.Codec.decode Korch.Report.plan_table_codec (Onnx.Json.of_string s1) with
   | Error m -> Alcotest.fail ("plan table failed to parse back: " ^ m)
   | Ok tab' ->
     Alcotest.(check string) "JSON round-trips bit-identically" s1
@@ -376,11 +377,100 @@ let test_plan_table_single_range () =
   Alcotest.(check int) "anchor" 2 r.Korch.Plan_table.anchor;
   Alcotest.(check (list int)) "no crossovers" [] tab.Korch.Plan_table.crossovers;
   let s = Korch.Report.plan_table_json_string tab in
-  match Korch.Report.plan_table_of_json (Onnx.Json.of_string s) with
+  match Onnx.Codec.decode Korch.Report.plan_table_codec (Onnx.Json.of_string s) with
   | Ok tab' ->
     Alcotest.(check string) "degenerate table round-trips" s
       (Korch.Report.plan_table_json_string tab')
   | Error m -> Alcotest.fail ("degenerate table failed to parse back: " ^ m)
+
+(* ------------------------------ codecs ------------------------------ *)
+
+(* One property for every declared document schema: decoding the
+   printed-and-parsed encoding gives back the value itself. Graphs and
+   plans with graphs come from the decode table above; everything else
+   is random. *)
+let roundtrip name codec gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:(name ^ ": decode (encode x) = x") ~count:100 gen (fun x ->
+         let printed = Obs.Jsonw.to_string (Onnx.Codec.encode codec x) in
+         Onnx.Codec.decode codec (Onnx.Json.of_string printed) = Ok x))
+
+let gen_string = QCheck2.Gen.(string_size ~gen:char (int_range 0 12))
+let gen_int = QCheck2.Gen.int_range (-1_000_000_000) 1_000_000_000
+let gen_float = QCheck2.Gen.map (fun f -> if Float.is_finite f then f else 0.5) QCheck2.Gen.float
+
+let gen_table =
+  QCheck2.Gen.(
+    map
+      (fun (model, gpu, precision) ->
+        { (Lazy.force decode_table) with Korch.Plan_table.model; gpu; precision })
+      (triple gen_string gen_string gen_string))
+
+let gen_range =
+  QCheck2.Gen.map2
+    (fun t i ->
+      let ranges = t.Korch.Plan_table.ranges in
+      List.nth ranges (i mod List.length ranges))
+    gen_table QCheck2.Gen.nat
+
+let gen_plan =
+  QCheck2.Gen.(
+    oneof
+      [
+        map
+          (List.map (fun (prims, outputs, latency_us, backend) ->
+               { Runtime.Plan.prims; outputs; latency_us; backend }))
+          (small_list (quad (small_list nat) (small_list nat) (float_range 0.0 1e4) gen_string))
+        |> map Runtime.Plan.make;
+        map (fun r -> r.Korch.Plan_table.plan) gen_range;
+      ])
+
+let gen_cache_doc =
+  let open QCheck2.Gen in
+  let report = option (map2 (fun s x -> Onnx.Json.Obj [ (s, Onnx.Json.Num x) ]) gen_string gen_float) in
+  oneof
+    [
+      map
+        (fun ((graph_hash, gpu, precision, batch), final, report, r) ->
+          Serve.Plan_cache.Plan
+            {
+              Serve.Plan_cache.key = { Serve.Plan_cache.graph_hash; gpu; precision; batch };
+              status = (if final then Serve.Plan_cache.Final else Serve.Plan_cache.Incumbent);
+              graph = r.Korch.Plan_table.graph;
+              plan = r.Korch.Plan_table.plan;
+              report;
+            })
+        (quad (quad gen_string gen_string gen_string gen_int) bool report gen_range);
+      map
+        (fun ((t_graph_hash, t_gpu, t_precision), (t_lo, t_hi), table) ->
+          Serve.Plan_cache.Table
+            ({ Serve.Plan_cache.t_graph_hash; t_gpu; t_precision; t_lo; t_hi }, table))
+        (triple (triple gen_string gen_string gen_string) (pair gen_int gen_int) gen_table);
+    ]
+
+let gen_request =
+  let open QCheck2.Gen in
+  let str = option gen_string and num = option gen_int in
+  map
+    (fun ((verb, model, graph_doc, small), (batch, gpu, precision, deadline_ms),
+          (backend, no_cache, batch_lo, batch_hi)) ->
+      { Serve.Protocol.verb; model; graph_doc; small; batch; gpu; precision; deadline_ms;
+        backend; no_cache; batch_lo; batch_hi })
+    (triple (quad gen_string str str bool) (quad gen_int str str (option gen_float))
+       (quad str bool num num))
+
+let gen_bench =
+  let open QCheck2.Gen in
+  small_list
+    (map
+       (fun ((experiment, model, gpu, precision), (latency_us, kernels, redundancy, candidates),
+             (states, peak_mem_bytes, degraded_segments, wall_s)) ->
+         { Korch.Report.experiment; model; gpu; precision; latency_us; kernels; redundancy;
+           candidates; states; peak_mem_bytes; degraded_segments; wall_s })
+       (triple
+          (quad gen_string gen_string gen_string gen_string)
+          (quad gen_float gen_int gen_int gen_int)
+          (quad gen_int (option gen_int) gen_int gen_float)))
 
 let () =
   Alcotest.run "core"
@@ -416,4 +506,12 @@ let () =
             test_plan_table_anchor_identity;
           Alcotest.test_case "JSON roundtrip" `Quick test_plan_table_json_roundtrip;
           Alcotest.test_case "single-range degenerate" `Quick test_plan_table_single_range ] );
+      ( "codec",
+        [
+          roundtrip "plan" Korch.Report.plan_codec gen_plan;
+          roundtrip "plan table" Korch.Report.plan_table_codec gen_table;
+          roundtrip "plan-cache entry" Serve.Plan_cache.doc_codec gen_cache_doc;
+          roundtrip "request" Serve.Protocol.request_codec gen_request;
+          roundtrip "bench document" Korch.Report.bench_codec gen_bench;
+        ] );
     ]

@@ -130,10 +130,10 @@ let test_vendor_accepts_epilogue () =
   | None -> Alcotest.fail "should accept matmul + small epilogue"
 
 let test_vendor_rejects_big_prologue () =
-  let g = matmul_with_companions ~n_ew:cfg.Gpu.Profiler.max_vendor_companions in
+  let g = matmul_with_companions ~n_ew:Gpu.Profiler.max_vendor_companions in
   (* exactly max companions accepted... *)
   Alcotest.(check bool) "at limit accepted" true (profile_all g <> None);
-  let g = matmul_with_companions ~n_ew:(cfg.Gpu.Profiler.max_vendor_companions + 1) in
+  let g = matmul_with_companions ~n_ew:(Gpu.Profiler.max_vendor_companions + 1) in
   Alcotest.(check bool) "over limit rejected" true (profile_all g = None)
 
 let test_reject_two_matmuls () =

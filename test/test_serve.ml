@@ -51,9 +51,9 @@ let test_cache_roundtrip () =
   | None -> Alcotest.fail "lookup missed after store"
   | Some e ->
     Alcotest.(check bool) "status is final" true (e.Serve.Plan_cache.status = Serve.Plan_cache.Final);
+    let plan_string p = Obs.Jsonw.to_string (Korch.Report.plan_to_json p) in
     Alcotest.(check string) "plan round-trips bit-identically"
-      (Korch.Report.plan_roundtrip_string r.Korch.Orchestrator.plan)
-      (Korch.Report.plan_roundtrip_string e.Serve.Plan_cache.plan);
+      (plan_string r.Korch.Orchestrator.plan) (plan_string e.Serve.Plan_cache.plan);
     Alcotest.(check bool) "report preserved" true (e.Serve.Plan_cache.report <> None));
   let s = Serve.Plan_cache.stats cache in
   Alcotest.(check int) "one hit" 1 s.Serve.Plan_cache.hits;
@@ -87,7 +87,23 @@ let test_cache_corrupt_recovery () =
   Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
     ~graph:r.Korch.Orchestrator.graph ~plan:r.Korch.Orchestrator.plan
     ~report:(report_string r);
-  Alcotest.(check bool) "healed" true (Serve.Plan_cache.lookup cache key <> None)
+  Alcotest.(check bool) "healed" true (Serve.Plan_cache.lookup cache key <> None);
+  (* A fractional prim id is corrupt, not truncated back to a valid id. *)
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  let rec find_from i sub =
+    if String.sub doc i (String.length sub) = sub then i + String.length sub
+    else find_from (i + 1) sub
+  in
+  let first = find_from (find_from 0 {|"plan":|}) {|"prims":[|} in
+  let last = ref first in
+  while doc.[!last] >= '0' && doc.[!last] <= '9' do incr last done;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub doc 0 !last ^ ".25" ^ String.sub doc !last (String.length doc - !last)));
+  Alcotest.(check bool) "fractional prim id reads as a miss" true
+    (Serve.Plan_cache.lookup cache key = None);
+  Alcotest.(check bool) "fractional prim id entry deleted" false (Sys.file_exists path);
+  Alcotest.(check int) "fractional prim id counted corrupt" 2
+    (Serve.Plan_cache.stats cache).Serve.Plan_cache.corrupt
 
 (* A well-formed entry carrying a FOREIGN schema version (e.g. written
    by an older daemon sharing the cache directory) must degrade to a
@@ -245,27 +261,6 @@ let test_protocol_oversize () =
   | _ -> Alcotest.fail "oversize frame accepted");
   Unix.close a;
   Unix.close b
-
-let test_request_roundtrip () =
-  let r =
-    {
-      Serve.Protocol.verb = "run";
-      model = Some "candy";
-      graph_doc = None;
-      small = true;
-      batch = 4;
-      gpu = Some "a100";
-      precision = Some "tf32";
-      deadline_ms = Some 7.5;
-      backend = Some "native";
-      no_cache = true;
-      batch_lo = Some 1;
-      batch_hi = Some 16;
-    }
-  in
-  match Serve.Protocol.request_of_json (jsonw_to_json (Serve.Protocol.request_to_json r)) with
-  | Ok r' -> Alcotest.(check bool) "request round-trips" true (r = r')
-  | Error m -> Alcotest.fail m
 
 (* ------------------------------ retry ------------------------------- *)
 
@@ -459,7 +454,23 @@ let test_handle_client_errors () =
     (member_str "status" bad_verb);
   let no_workload = handle_server t (request "optimize") in
   Alcotest.(check (option string)) "missing workload is an error" (Some "error")
-    (member_str "status" no_workload)
+    (member_str "status" no_workload);
+  (* A wrong-typed member is an error, never its default. *)
+  List.iter
+    (fun member ->
+      let resp =
+        handle_server t
+          (Onnx.Json.of_string
+             (Printf.sprintf {|{"verb":"optimize","model":"candy",%s}|} member))
+      in
+      Alcotest.(check (option string)) (member ^ " is an error") (Some "error")
+        (member_str "status" resp))
+    [
+      {|"small":true,"batch":"8"|};
+      {|"small":true,"batch":2.5|};
+      {|"small":"yes"|};
+      {|"small":true,"deadline_ms":"5"|};
+    ]
 
 let test_handle_deadline_under_faults () =
   let t = make_server "deadline" in
@@ -617,7 +628,6 @@ let () =
           Alcotest.test_case "frame roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "truncated frame" `Quick test_protocol_truncation;
           Alcotest.test_case "oversize frame" `Quick test_protocol_oversize;
-          Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
         ] );
       ( "retry",
         [
