@@ -56,59 +56,19 @@ let zero_eps = 1e-12
    prevents re-exploring ties produced by round-off. *)
 let improve_eps = 1e-9
 
-(* Build the reduced LP where variables in [fixed] (>= 0) are substituted. *)
-let reduced_lp_rows (minimize : float array)
-    (rows : (float array * Simplex.relation * float) list) (fixed : int array) :
-    Simplex.problem * int array * float =
-  let n = Array.length minimize in
-  let free = ref [] in
-  for j = n - 1 downto 0 do
-    if fixed.(j) < 0 then free := j :: !free
-  done;
-  let free = Array.of_list !free in
-  let nf = Array.length free in
-  let reduced_minimize = Array.init nf (fun i -> minimize.(free.(i))) in
-  let fixed_cost = ref 0.0 in
-  for j = 0 to n - 1 do
-    if fixed.(j) = 1 then fixed_cost := !fixed_cost +. minimize.(j)
-  done;
-  let out_rows =
-    List.filter_map
-      (fun (coeffs, rel, b) ->
-        let b' = ref b in
-        for j = 0 to n - 1 do
-          if fixed.(j) = 1 then b' := !b' -. coeffs.(j)
-        done;
-        let row = Array.init nf (fun i -> coeffs.(free.(i))) in
-        let trivially_zero = Array.for_all (fun v -> Float.abs v < zero_eps) row in
-        if trivially_zero then begin
-          let ok =
-            match rel with
-            | Simplex.Ge -> 0.0 >= !b' -. feas_eps
-            | Le -> 0.0 <= !b' +. feas_eps
-            | Eq -> Float.abs !b' <= feas_eps
-          in
-          if ok then None else Some (Array.make nf 0.0, Simplex.Eq, 1.0)
-        end
-        else Some (row, rel, !b'))
-      rows
-  in
-  ({ Simplex.minimize = reduced_minimize; rows = out_rows }, free, !fixed_cost)
-
-(* Convenience wrapper kept for testing/debugging single nodes. *)
-let _reduced_lp (p : problem) (fixed : int array) :
-    Simplex.problem * int array (* free index -> original index *) * float (* fixed cost *) =
-  reduced_lp_rows p.minimize p.rows fixed
+(* One row's check under the single [feas_eps] slack. *)
+let satisfied (rel : Simplex.relation) (lhs : float) (b : float) =
+  match rel with
+  | Simplex.Ge -> lhs >= b -. feas_eps
+  | Le -> lhs <= b +. feas_eps
+  | Eq -> Float.abs (lhs -. b) <= feas_eps
 
 let is_feasible_binary (p : problem) (x : int array) : bool =
   List.for_all
     (fun (coeffs, rel, b) ->
       let lhs = ref 0.0 in
       Array.iteri (fun j c -> lhs := !lhs +. (c *. float_of_int x.(j))) coeffs;
-      match rel with
-      | Simplex.Ge -> !lhs >= b -. feas_eps
-      | Le -> !lhs <= b +. feas_eps
-      | Eq -> Float.abs (!lhs -. b) <= feas_eps)
+      satisfied rel !lhs b)
     p.rows
 
 let objective_of (p : problem) (x : int array) : float =
@@ -152,17 +112,34 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
   @@ fun () ->
   let n = Array.length p.minimize in
   (* Monotonic wall clock, never [Sys.time]: CPU time counts every
-     domain's work, so under the pool it expired the budget jobs× early
-     (the PR 2 bug this safety net's docs recount). *)
+     domain's work, so under the pool it would expire the budget jobs×
+     early. *)
   let start_us = Obs.Clock.now_us () in
+  let all_rows = Array.of_list p.rows in
+  (* Each row's nonzero columns, found once per solve: node LPs,
+     separation and incumbent checks touch only these. A skipped term is
+     [c *. x] with [c = 0], so every sum is the dense one. *)
+  let row_cols = Array.map (fun (coeffs, _, _) -> Simplex.nonzero_cols coeffs) all_rows in
+  let row_satisfied i (x : float array) =
+    let coeffs, rel, b = all_rows.(i) and cols = row_cols.(i) in
+    let lhs = ref 0.0 in
+    for q = 0 to Array.length cols - 1 do
+      let j = cols.(q) in
+      lhs := !lhs +. (coeffs.(j) *. x.(j))
+    done;
+    satisfied rel !lhs b
+  in
+  let feasible (x : float array) =
+    let rec from i = i = Array.length all_rows || (row_satisfied i x && from (i + 1)) in
+    from 0
+  in
   let incumbent = ref None in
   let incumbent_obj = ref Float.infinity in
   (match warm_start with
-  | Some x when Array.length x = n && is_feasible_binary p x ->
+  | Some x when Array.length x = n && feasible (Array.map float_of_int x) ->
     incumbent := Some (Array.copy x);
     incumbent_obj := objective_of p x
   | _ -> ());
-  let all_rows = Array.of_list p.rows in
   let row_active =
     Array.map
       (fun (_, rel, b) ->
@@ -174,54 +151,90 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
   let cached_rows = ref [] in
   let active_rows () =
     if !cached_version <> !pool_version then begin
-      cached_rows :=
-        Array.to_list all_rows
-        |> List.filteri (fun i _ -> row_active.(i));
+      cached_rows := List.filter (fun i -> row_active.(i)) (List.init (Array.length all_rows) Fun.id);
       cached_version := !pool_version
     end;
     !cached_rows
   in
-  (* Inactive rows violated by a (possibly fractional) point. *)
+  (* Inactive rows violated by a (possibly fractional) point. Same
+     [feas_eps] as the incumbent check: a rejected incumbent must always
+     find at least one violated row to activate. *)
   let violated_rows_float (x : float array) =
     let out = ref [] in
-    Array.iteri
-      (fun i (coeffs, rel, b) ->
-        if not row_active.(i) then begin
-          let lhs = ref 0.0 in
-          Array.iteri (fun j c -> lhs := !lhs +. (c *. x.(j))) coeffs;
-          (* Same [feas_eps] as [is_feasible_binary]: a rejected incumbent
-             must always find at least one violated row to activate. *)
-          let ok =
-            match rel with
-            | Simplex.Ge -> !lhs >= b -. feas_eps
-            | Le -> !lhs <= b +. feas_eps
-            | Eq -> Float.abs (!lhs -. b) <= feas_eps
-          in
-          if not ok then out := i :: !out
-        end)
-      all_rows;
+    Array.iteri (fun i active -> if not (active || row_satisfied i x) then out := i :: !out) row_active;
     !out
+  in
+  (* The active rows of a node's LP. [col.(j)] is free variable [j]'s LP
+     column; fixed variables move into the right-hand sides. A row with no
+     free coefficient left is dropped when it holds and becomes the
+     infeasible [0 = 1] otherwise. *)
+  let node_rows (fixed : int array) (col : int array) =
+    List.filter_map
+      (fun i ->
+        let coeffs, rel, b = all_rows.(i) and cols = row_cols.(i) in
+        let rhs = ref b and n_free = ref 0 and trivially_zero = ref true in
+        for q = 0 to Array.length cols - 1 do
+          let j = cols.(q) in
+          if fixed.(j) = 1 then rhs := !rhs -. coeffs.(j)
+          else if fixed.(j) < 0 then begin
+            incr n_free;
+            if not (Float.abs coeffs.(j) < zero_eps) then trivially_zero := false
+          end
+        done;
+        if !trivially_zero then
+          if satisfied rel 0.0 !rhs then None
+          else Some { Simplex.cols = [||]; coeffs = [||]; rel = Eq; rhs = 1.0 }
+        else begin
+          let free_cols = Array.make !n_free 0 and free_coeffs = Array.make !n_free 0.0 in
+          let k = ref 0 in
+          for q = 0 to Array.length cols - 1 do
+            let j = cols.(q) in
+            if fixed.(j) < 0 then begin
+              free_cols.(!k) <- col.(j);
+              free_coeffs.(!k) <- coeffs.(j);
+              incr k
+            end
+          done;
+          Some { Simplex.cols = free_cols; coeffs = free_coeffs; rel; rhs = !rhs }
+        end)
+      (active_rows ())
+    |> Array.of_list
   in
   (* Solve the node LP, separating violated lazy rows against each
      fractional optimum until none remain: the final bound equals the
      full-row LP bound while the active pool stays small. *)
   let solve_node_lp fixed =
+    let col = Array.make n (-1) in
+    let nf = ref 0 in
+    Array.iteri
+      (fun j v ->
+        if v < 0 then begin
+          col.(j) <- !nf;
+          incr nf
+        end)
+      fixed;
+    let free = Array.make !nf 0 in
+    Array.iteri (fun j c -> if c >= 0 then free.(c) <- j) col;
+    let minimize = Array.map (fun j -> p.minimize.(j)) free in
+    let fixed_cost = ref 0.0 in
+    for j = 0 to n - 1 do
+      if fixed.(j) = 1 then fixed_cost := !fixed_cost +. p.minimize.(j)
+    done;
     let rec go rounds =
-      let lp, free, fixed_cost = reduced_lp_rows p.minimize (active_rows ()) fixed in
-      match Simplex.solve lp with
+      match Simplex.solve_sparse ~minimize (node_rows fixed col) with
       | Simplex.Optimal sol when rounds < 50 ->
         let xf = Array.make n 0.0 in
         Array.iteri (fun j v -> if v = 1 then xf.(j) <- 1.0) fixed;
         Array.iteri (fun i v -> xf.(free.(i)) <- v) sol.Simplex.x;
         (match violated_rows_float xf with
-        | [] -> (Simplex.Optimal sol, free, fixed_cost)
+        | [] -> Simplex.Optimal sol
         | viol ->
           List.iter (fun i -> row_active.(i) <- true) viol;
           incr pool_version;
           go (rounds + 1))
-      | outcome -> (outcome, free, fixed_cost)
+      | outcome -> outcome
     in
-    go 0
+    (go 0, free, !fixed_cost)
   in
   let nodes = ref 0 in
   let timed_out = ref false in
@@ -238,7 +251,7 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
       time_hit := true;
       Obs.Metrics.incr m_time_limit_hits
     end
-    else if !nodes > max_nodes then timed_out := true
+    else if !nodes >= max_nodes then timed_out := true
     else begin
       let fixed = Stack.pop stack in
       incr nodes;
@@ -290,7 +303,8 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
             Array.iteri
               (fun i v -> x.(free.(i)) <- (if v > 0.5 then 1 else 0))
               sol.Simplex.x;
-            if is_feasible_binary p x then begin
+            let xf = Array.map float_of_int x in
+            if feasible xf then begin
               let obj = objective_of p x in
               if obj < !incumbent_obj then begin
                 incumbent_obj := obj;
@@ -301,7 +315,7 @@ let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_g
             else begin
               (* Violates rows outside the active pool: activate them and
                  re-solve this node with the richer LP. *)
-              match violated_rows_float (Array.map float_of_int x) with
+              match violated_rows_float xf with
               | [] -> () (* violates an active row: numerically impossible *)
               | viol ->
                 List.iter (fun i -> row_active.(i) <- true) viol;

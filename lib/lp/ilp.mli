@@ -53,9 +53,10 @@ val objective_of : problem -> int array -> float
            process-CPU semantics once shrank this budget jobs× under the
            worker pool. Still a safety net: callers wanting run-to-run
            reproducibility should bound work with [max_nodes]
-    @param max_nodes branch-and-bound node budget (default 200k) — a
-           deterministic work measure: the same problem with the same
-           budget always stops at the same incumbent
+    @param max_nodes branch-and-bound node budget (default 200k): at
+           most this many nodes are explored. A deterministic work
+           measure: the same problem with the same budget always stops at
+           the same incumbent
     @param rel_gap relative optimality tolerance (default 0: exact)
     @param abs_gap absolute optimality tolerance (default 0: exact)
     @param lazy_dependencies treat homogeneous [>= 0] rows as lazy cuts

@@ -1,9 +1,11 @@
 (** Two-phase primal simplex for linear programs in inequality form.
 
     Minimize [c . x] subject to rows [a_i . x (>=|<=|=) b_i] and [x >= 0].
-    Dense tableau implementation with Dantzig pricing and a Bland's-rule
-    anti-cycling fallback. This is the LP-relaxation engine behind the
-    binary-linear-programming solver (the paper uses PuLP/CBC, §5.2). *)
+    Rows come in by their nonzeros; the tableau is dense, but each pivot
+    touches only the nonzero columns of its normalized pivot row. Dantzig
+    pricing with a Bland's-rule anti-cycling fallback. This is the
+    LP-relaxation engine behind the binary-linear-programming solver (the
+    paper uses PuLP/CBC, §5.2). *)
 
 type relation = Ge | Le | Eq
 
@@ -11,6 +13,8 @@ type problem = {
   minimize : float array;  (** objective coefficients, length n *)
   rows : (float array * relation * float) list;  (** constraint rows *)
 }
+
+type sparse_row = { cols : int array; coeffs : float array; rel : relation; rhs : float }
 
 type solution = { x : float array; objective : float }
 
@@ -27,8 +31,8 @@ type outcome = Optimal of solution | Infeasible | Unbounded
 (* Tableau entries with magnitude <= [pivot_eps] are numerical dust left
    by earlier eliminations: they are never used as pivot or ratio-test
    denominators, and row elimination skips them (explicitly zeroing the
-   pivot-column entry) instead of performing a full O(total) row update
-   that would smear the dust back across cleaned entries. *)
+   pivot-column entry) instead of performing a row update that would
+   smear the dust back across cleaned entries. *)
 let pivot_eps = 1e-9
 
 (* A column prices in only when its reduced cost is below [-price_eps];
@@ -57,54 +61,78 @@ let feas_eps = 1e-6
    and safely left with its artificial basic at value 0. *)
 let drive_out_eps = 1e-7
 
+let nonzero_cols (coeffs : float array) : int array =
+  let k = ref 0 in
+  for j = 0 to Array.length coeffs - 1 do
+    if coeffs.(j) <> 0.0 then incr k
+  done;
+  let cols = Array.make !k 0 in
+  k := 0;
+  for j = 0 to Array.length coeffs - 1 do
+    if coeffs.(j) <> 0.0 then begin
+      cols.(!k) <- j;
+      incr k
+    end
+  done;
+  cols
+
 (* The tableau holds [m] constraint rows in equality form over columns
    [0 .. total_cols-1] plus the RHS column; [basis.(r)] is the column basic
-   in row [r]. Row operations keep RHS nonnegative. *)
+   in row [r]. Row operations keep RHS nonnegative. [z] is the current
+   phase's reduced-cost row; [z.(total)] = -objective. *)
 type tableau = {
   m : int;
   total : int;
   a : float array array;  (* m rows, total+1 cols (last = rhs) *)
   basis : int array;
-  cost : float array;  (* length total: current phase objective *)
+  z : float array;
 }
 
-let pivot (t : tableau) ~(row : int) ~(col : int) =
+(* Pivot on [a.(row).(col)] and return the nonzero columns of the
+   normalized pivot row. Only those columns of the other rows change:
+   every other column of the pivot row is zero, and [x -. f *. 0.0] is
+   [x]. The returned array is small and dies young; a buffer sized to the
+   tableau and kept for the whole solve raised the peak heap instead. The
+   update loop is the solver's hot spot and skips bounds checks: every
+   [nz.(q)] is a column below [total + 1], the length of every tableau
+   row. *)
+let pivot (t : tableau) ~(row : int) ~(col : int) : int array =
   let arow = t.a.(row) in
   let p = arow.(col) in
-  for j = 0 to t.total do
+  let nz = nonzero_cols arow in
+  for q = 0 to Array.length nz - 1 do
+    let j = nz.(q) in
     arow.(j) <- arow.(j) /. p
   done;
   for i = 0 to t.m - 1 do
     if i <> row then begin
-      let f = t.a.(i).(col) in
-      if Float.abs f > pivot_eps then begin
-        let ai = t.a.(i) in
-        for j = 0 to t.total do
-          ai.(j) <- ai.(j) -. (f *. arow.(j))
+      let ai = t.a.(i) in
+      let f = ai.(col) in
+      if Float.abs f > pivot_eps then
+        for q = 0 to Array.length nz - 1 do
+          let j = Array.unsafe_get nz q in
+          Array.unsafe_set ai j (Array.unsafe_get ai j -. (f *. Array.unsafe_get arow j))
         done
-      end
       else if f <> 0.0 then
-        (* Dust: skip the full row update, but restore the unit-column
+        (* Dust: skip the row update, but restore the unit-column
            invariant so the dust cannot re-contaminate later pivots. *)
-        t.a.(i).(col) <- 0.0
+        ai.(col) <- 0.0
     end
   done;
-  t.basis.(row) <- col
+  t.basis.(row) <- col;
+  nz
 
-(* Reduced cost of column j given current basis: c_j - c_B . B^-1 A_j,
-   maintained explicitly in [z] below instead; we recompute reduced costs
-   per iteration from the cost row which we carry as a dense vector. *)
+(* Optimize the phase objective the caller has put in [t.z]. *)
 let run_phase (t : tableau) : [ `Optimal | `Unbounded ] =
-  (* Maintain the objective row [z]: reduced costs; z.(total) = -objective. *)
-  let z = Array.make (t.total + 1) 0.0 in
-  Array.blit t.cost 0 z 0 t.total;
+  let z = t.z in
   (* Make reduced costs of basic columns zero. *)
   for r = 0 to t.m - 1 do
     let cb = z.(t.basis.(r)) in
     if Float.abs cb > pivot_eps then begin
       let ar = t.a.(r) in
       for j = 0 to t.total do
-        z.(j) <- z.(j) -. (cb *. ar.(j))
+        let v = ar.(j) in
+        if v <> 0.0 then z.(j) <- z.(j) -. (cb *. v)
       done
     end
     else if cb <> 0.0 then
@@ -162,9 +190,10 @@ let run_phase (t : tableau) : [ `Optimal | `Unbounded ] =
         (* Update the z row alongside the pivot: after the pivot the row is
            normalized (pivot element 1), so z := z - z.(col) * new_row. *)
         let zc = z.(col) in
-        pivot t ~row ~col;
+        let nz = pivot t ~row ~col in
         let ar = t.a.(row) in
-        for j = 0 to t.total do
+        for q = 0 to Array.length nz - 1 do
+          let j = nz.(q) in
           z.(j) <- z.(j) -. (zc *. ar.(j))
         done
       end
@@ -172,20 +201,21 @@ let run_phase (t : tableau) : [ `Optimal | `Unbounded ] =
   done;
   match !result with Some r -> r | None -> assert false
 
-let solve (p : problem) : outcome =
-  let n = Array.length p.minimize in
-  let rows = Array.of_list p.rows in
+let solve_sparse ~(minimize : float array) (rows : sparse_row array) : outcome =
+  let n = Array.length minimize in
   let m = Array.length rows in
   (* Normalize rows to equality form with nonnegative RHS. Column layout:
      [0..n-1] structural, [n..n+m-1] slack/surplus (0 coeff for Eq rows),
      then one artificial column per row that needs one (Eq rows and Ge rows
      with positive RHS after sign normalization). *)
-  let needs_artificial (coeffs, rel, b) =
-    let sign_neg = b < 0.0 in
-    let rel = if sign_neg then (match rel with Ge -> Le | Le -> Ge | Eq -> Eq) else rel in
-    let rhs = Float.abs b in
-    ignore coeffs;
-    match rel with Le -> false | Eq -> true | Ge -> rhs > rhs_eps
+  let normalized r =
+    if r.rhs < 0.0 then (-1.0, match r.rel with Ge -> Le | Le -> Ge | Eq -> Eq) else (1.0, r.rel)
+  in
+  let needs_artificial r =
+    match normalized r with
+    | _, Le -> false
+    | _, Eq -> true
+    | sign, Ge -> sign *. r.rhs > rhs_eps
   in
   let n_artificial = Array.fold_left (fun acc r -> if needs_artificial r then acc + 1 else acc) 0 rows in
   let total = n + m + n_artificial in
@@ -194,43 +224,41 @@ let solve (p : problem) : outcome =
   let artificial_used = ref [] in
   let next_artificial = ref (n + m) in
   Array.iteri
-    (fun i (coeffs, rel, b) ->
-      if Array.length coeffs <> n then invalid_arg "Simplex.solve: row width mismatch";
-      let sign = if b < 0.0 then -1.0 else 1.0 in
-      for j = 0 to n - 1 do
-        a.(i).(j) <- sign *. coeffs.(j)
+    (fun i r ->
+      let sign, rel = normalized r in
+      let rhs = sign *. r.rhs in
+      (* A [>=] row with zero RHS is negated so its surplus coefficient
+         turns positive and can be basic at value 0 instead of spending an
+         artificial. *)
+      let negate = rel = Ge && rhs <= rhs_eps in
+      let sign = if negate then -.sign else sign in
+      let ai = a.(i) in
+      for q = 0 to Array.length r.cols - 1 do
+        ai.(r.cols.(q)) <- sign *. r.coeffs.(q)
       done;
-      a.(i).(total) <- sign *. b;
-      let rel = if sign < 0.0 then (match rel with Ge -> Le | Le -> Ge | Eq -> Eq) else rel in
-      (match rel with
-      | Le -> a.(i).(n + i) <- 1.0
-      | Ge -> a.(i).(n + i) <- -1.0
-      | Eq -> ());
+      ai.(total) <- (if negate then -.rhs else rhs);
       (* Choose initial basis: slack if it can be basic with value >= 0. *)
       match rel with
-      | Le -> basis.(i) <- n + i
-      | Ge when a.(i).(total) <= rhs_eps ->
-        (* Negating the row turns the surplus coefficient positive so it
-           can be basic at value 0. *)
-        let r = a.(i) in
-        for j = 0 to total do
-          r.(j) <- -.r.(j)
-        done;
+      | Le ->
+        ai.(n + i) <- 1.0;
+        basis.(i) <- n + i
+      | Ge when negate ->
+        ai.(n + i) <- 1.0;
         basis.(i) <- n + i
       | Ge | Eq ->
+        if rel = Ge then ai.(n + i) <- -1.0;
         let art = !next_artificial in
         incr next_artificial;
-        a.(i).(art) <- 1.0;
+        ai.(art) <- 1.0;
         basis.(i) <- art;
         artificial_used := art :: !artificial_used)
     rows;
-  let t = { m; total; a; basis; cost = Array.make total 0.0 } in
+  let t = { m; total; a; basis; z = Array.make (total + 1) 0.0 } in
   (* Phase 1: minimize the sum of artificials, when any exist. *)
   let feasible =
     if !artificial_used = [] then true
     else begin
-      Array.fill t.cost 0 total 0.0;
-      List.iter (fun j -> t.cost.(j) <- 1.0) !artificial_used;
+      List.iter (fun j -> t.z.(j) <- 1.0) !artificial_used;
       match run_phase t with
       | `Unbounded -> false (* cannot happen: phase-1 objective bounded below by 0 *)
       | `Optimal ->
@@ -260,7 +288,7 @@ let solve (p : problem) : outcome =
             let found = ref false in
             for j = 0 to n + m - 1 do
               if (not !found) && Float.abs t.a.(i).(j) > drive_out_eps then begin
-                pivot t ~row:i ~col:j;
+                ignore (pivot t ~row:i ~col:j);
                 found := true
               end
             done
@@ -275,8 +303,8 @@ let solve (p : problem) : outcome =
         done)
       !artificial_used;
     (* Phase 2: original objective. *)
-    Array.fill t.cost 0 total 0.0;
-    Array.blit p.minimize 0 t.cost 0 n;
+    Array.fill t.z 0 (total + 1) 0.0;
+    Array.blit minimize 0 t.z 0 n;
     match run_phase t with
     | `Unbounded -> Unbounded
     | `Optimal ->
@@ -286,7 +314,16 @@ let solve (p : problem) : outcome =
       done;
       let objective = ref 0.0 in
       for j = 0 to n - 1 do
-        objective := !objective +. (p.minimize.(j) *. x.(j))
+        objective := !objective +. (minimize.(j) *. x.(j))
       done;
       Optimal { x; objective = !objective }
   end
+
+let solve (p : problem) : outcome =
+  let n = Array.length p.minimize in
+  let sparse (coeffs, rel, rhs) =
+    if Array.length coeffs <> n then invalid_arg "Simplex.solve: row width mismatch";
+    let cols = nonzero_cols coeffs in
+    { cols; coeffs = Array.map (fun j -> coeffs.(j)) cols; rel; rhs }
+  in
+  solve_sparse ~minimize:p.minimize (Array.of_list (List.map sparse p.rows))

@@ -120,6 +120,38 @@ let test_ilp_warm_start_used () =
   | Some s -> Alcotest.(check (float 1e-9)) "warm obj" 2.0 s.Lp.Ilp.objective
   | None -> Alcotest.fail "no solution"
 
+let test_ilp_node_budget () =
+  (* Three disjoint 5-cycle covers: each has LP optimum 2.5 at x = 0.5
+     and integral optimum 3, so the tree branches on every cycle. A budget
+     of [k] nodes must explore exactly [k] and return the warm-start
+     incumbent. *)
+  let cycles = 3 and len = 5 in
+  let n = cycles * len in
+  let p =
+    {
+      Lp.Ilp.minimize = Array.make n 1.0;
+      rows =
+        List.init n (fun v ->
+            let row = Array.make n 0.0 in
+            row.(v) <- 1.0;
+            row.((v / len * len) + ((v + 1) mod len)) <- 1.0;
+            (row, Lp.Simplex.Ge, 1.0));
+    }
+  in
+  let warm_start = Array.make n 1 in
+  let k = 5 in
+  (match Lp.Ilp.solve ~warm_start p with
+  | Some s ->
+    Alcotest.(check (float 1e-9)) "optimum" 9.0 s.Lp.Ilp.objective;
+    Alcotest.(check bool) "the full search needs more than k nodes" true (s.Lp.Ilp.nodes_explored > k)
+  | None -> Alcotest.fail "no solution");
+  match Lp.Ilp.solve ~max_nodes:k ~warm_start p with
+  | Some s ->
+    Alcotest.(check bool) "budget hit" true (s.Lp.Ilp.status = Lp.Ilp.TimeLimit);
+    Alcotest.(check int) "nodes explored" k s.Lp.Ilp.nodes_explored;
+    Alcotest.(check bool) "not the time limit" false s.Lp.Ilp.time_limit_hit
+  | None -> Alcotest.fail "no solution"
+
 let test_exhaustive_matches_known () =
   let p =
     {
@@ -135,7 +167,11 @@ let test_exhaustive_matches_known () =
 
 (* Random covering+dependency instances shaped like the orchestration BLP:
    n variables, covering rows over random subsets, dependency rows
-   (sum of publishers - u_k >= 0). *)
+   (sum of publishers - u_k >= 0) and the orchestrator's no-good cuts
+   (sum over S of u_k <= |S| - 1). Fixing variables to 1 moves their
+   coefficients into the right-hand sides: a dependency row's turns
+   negative, which the simplex normalizes by negating the row, and a cut
+   whose members are all fixed becomes the infeasible row 0 = 1. *)
 let random_instance =
   let open QCheck2.Gen in
   let* n = int_range 2 8 in
@@ -145,6 +181,7 @@ let random_instance =
   let subset = list_size (return n) (int_range 0 1) in
   let* covers = list_size (return n_cover) subset in
   let* deps = list_size (return n_dep) (pair subset (int_range 0 (n - 1))) in
+  let* cuts = list_size (int_range 0 2) subset in
   let rows =
     List.map
       (fun s ->
@@ -157,20 +194,31 @@ let random_instance =
           row.(k) <- row.(k) -. 1.0;
           (row, Lp.Simplex.Ge, 0.0))
         deps
+    @ List.filter_map
+        (fun s ->
+          let size = List.fold_left ( + ) 0 s in
+          if size = 0 then None
+          else
+            Some (Array.of_list (List.map float_of_int s), Lp.Simplex.Le, float_of_int (size - 1)))
+        cuts
   in
   return { Lp.Ilp.minimize = Array.of_list costs; rows }
 
+(* Both row pools: every row from the start, and the lazy dependency rows
+   the orchestrator always asks for. *)
 let prop_ilp_matches_exhaustive =
   QCheck2.Test.make ~name:"branch-and-bound matches exhaustive" ~count:150 random_instance
     (fun p ->
-      let bb = Lp.Ilp.solve ~time_limit_s:10.0 p in
       let ex = Lp.Exhaustive.solve p in
-      match (bb, ex) with
-      | Some s, Some (_, obj) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
-        Float.abs (s.Lp.Ilp.objective -. obj) <= 1e-6
-      | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible
-      | Some _, Some _ -> false (* timed out on a tiny instance *)
-      | None, _ -> false)
+      List.for_all
+        (fun lazy_dependencies ->
+          match (Lp.Ilp.solve ~time_limit_s:10.0 ~lazy_dependencies p, ex) with
+          | Some s, Some (_, obj) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
+            Float.abs (s.Lp.Ilp.objective -. obj) <= 1e-6
+          | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible
+          | Some _, Some _ -> false (* timed out on a tiny instance *)
+          | None, _ -> false)
+        [ false; true ])
 
 let prop_lp_lower_bounds_ilp =
   QCheck2.Test.make ~name:"LP relaxation lower-bounds the ILP" ~count:100 random_instance
@@ -241,6 +289,7 @@ let () =
         [ Alcotest.test_case "odd cycle" `Quick test_ilp_odd_cycle;
           Alcotest.test_case "infeasible" `Quick test_ilp_infeasible;
           Alcotest.test_case "warm start" `Quick test_ilp_warm_start_used;
+          Alcotest.test_case "node budget" `Quick test_ilp_node_budget;
           Alcotest.test_case "exhaustive known" `Quick test_exhaustive_matches_known ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
