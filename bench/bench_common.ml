@@ -37,12 +37,13 @@ let wall_clock () = Obs.Clock.now_s ()
 (* ----------------------- bench-JSON accumulator ----------------------- *)
 
 (* Experiments append one entry per orchestrated (model, platform) pair;
-   `--bench-json FILE` writes the korch-bench/1 document bin/bench_gate.exe
-   regresses against its committed baseline. *)
+   `--bench-json FILE` writes them as the korch-bench/1 document, which
+   `dune runtest` diffs against bench/baselines/BENCH_smoke.json for the
+   smoke run. *)
 let bench_entries : Korch.Report.bench_entry list ref = ref []
 
 let record_entry ~experiment ~model ((spec, precision) : Gpu.Spec.t * Gpu.Precision.t)
-    (r : Korch.Orchestrator.result) ~wall_s =
+    (r : Korch.Orchestrator.result) =
   let plan = r.Korch.Orchestrator.plan in
   bench_entries :=
     {
@@ -55,25 +56,13 @@ let record_entry ~experiment ~model ((spec, precision) : Gpu.Spec.t * Gpu.Precis
       redundancy = Runtime.Plan.redundancy plan;
       candidates = r.Korch.Orchestrator.total_candidates;
       states = r.Korch.Orchestrator.total_states;
-      peak_mem_bytes = Some r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
+      peak_mem_bytes = r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
       degraded_segments = List.length r.Korch.Orchestrator.degraded_segments;
-      wall_s;
     }
     :: !bench_entries
 
-(* Extra top-level blocks experiments may attach to the document (e.g.
-   exp_serving's "serving" summary). bin/bench_gate.exe notes and ignores
-   any top-level field it does not consume, so these enrich the artifact
-   without touching the gate. *)
-let bench_extra_blocks : (string * Obs.Jsonw.t) list ref = ref []
-
-let record_extra_block name json =
-  bench_extra_blocks := (name, json) :: List.remove_assoc name !bench_extra_blocks
-
 let bench_json () =
-  match Onnx.Codec.encode Korch.Report.bench_codec (List.rev !bench_entries) with
-  | Obs.Jsonw.Obj fields -> Obs.Jsonw.to_string (Obs.Jsonw.Obj (fields @ List.rev !bench_extra_blocks))
-  | _ -> assert false
+  Obs.Jsonw.to_string (Onnx.Codec.encode Korch.Report.bench_codec (List.rev !bench_entries))
 
 type baseline_row = {
   eager_us : float;

@@ -7,9 +7,7 @@
    unfused baselines. At every anchor the table plan must be
    bit-identical to the fixed-batch plan — the table stores the verbatim
    orchestration output, so a mismatch is a determinism bug, reported
-   loudly. Also records fixed-batch korch-bench entries at the sweep's
-   endpoints (batch 1 and 256) so the regression gate can watch the
-   decode workload drift. *)
+   loudly. *)
 
 let lo = 1
 let hi = 256
@@ -46,12 +44,10 @@ let run () =
   Printf.printf "\n  %-7s %-12s %-12s %-12s %-12s %s\n" "batch" "table-plan" "fixed-orch"
     "greedy-tvm" "unfused" "anchor-identical";
   let identical = ref true in
-  let endpoint_results = ref [] in
   List.iter
     (fun b ->
       let g = build ~batch:b in
       let fixed = Korch.Orchestrator.run cfg g in
-      if b = lo || b = hi then endpoint_results := (b, fixed) :: !endpoint_results;
       let range =
         match Korch.Plan_table.range_for_probe tab b with
         | Some r -> r
@@ -72,39 +68,4 @@ let run () =
         (if is_anchor then (if bit_identical then "yes" else "MISMATCH") else "-"))
     (Korch.Plan_table.probe_batches ~lo ~hi);
   if not !identical then
-    failwith "exp_decode: table anchor plan differs from fixed-batch orchestration";
-  (* Regression-gate entries at the sweep endpoints. korch-bench/1 keys
-     have no batch field, so the batch is folded into the model name. *)
-  List.iter
-    (fun (b, r) ->
-      Bench_common.record_entry ~experiment:"decode"
-        ~model:(Printf.sprintf "decode-b%d" b) Bench_common.v100_fp32 r ~wall_s:sweep_s)
-    (List.rev !endpoint_results);
-  Bench_common.record_extra_block "decode_table"
-    (Obs.Jsonw.Obj
-       [
-         ("model", Obs.Jsonw.Str "decode");
-         ("lo", Obs.Jsonw.Int lo);
-         ("hi", Obs.Jsonw.Int hi);
-         ( "crossovers",
-           Obs.Jsonw.List
-             (List.map (fun b -> Obs.Jsonw.Int b) tab.Korch.Plan_table.crossovers) );
-         ( "ranges",
-           Obs.Jsonw.List
-             (List.map
-                (fun (r : Korch.Plan_table.range) ->
-                  Obs.Jsonw.Obj
-                    [
-                      ("lo", Obs.Jsonw.Int r.Korch.Plan_table.lo);
-                      ("hi", Obs.Jsonw.Int r.Korch.Plan_table.hi);
-                      ("anchor", Obs.Jsonw.Int r.Korch.Plan_table.anchor);
-                      ( "kernels",
-                        Obs.Jsonw.Int (Runtime.Plan.kernel_count r.Korch.Plan_table.plan) );
-                      ( "latency_us",
-                        Obs.Jsonw.Float
-                          r.Korch.Plan_table.plan.Runtime.Plan.total_latency_us );
-                      ("refined", Obs.Jsonw.Bool r.Korch.Plan_table.refined);
-                    ])
-                tab.Korch.Plan_table.ranges) );
-         ("sweep_wall_s", Obs.Jsonw.Float sweep_s);
-       ])
+    failwith "exp_decode: table anchor plan differs from fixed-batch orchestration"

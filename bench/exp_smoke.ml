@@ -1,16 +1,17 @@
-(* Smoke benchmark — the CI bench gate's workload.
+(* Smoke benchmark — the workload behind the exact plan gate.
 
-   Orchestrates the two fastest zoo models end to end at paper scale on
-   V100/FP32 and records one korch-bench/1 entry each. Plan latencies are
-   fully deterministic (simulated profiling, node-count solver budget), so
-   any drift past the gate's tolerance is a real behaviour change in the
-   pipeline, not measurement noise. Keep this fast: it runs on every pull
-   request (`dune build @bench-smoke`). *)
+   Orchestrates candy, segformer and decode end to end at paper scale on
+   V100/FP32 and records one korch-bench/1 entry each. Every recorded
+   member is deterministic (simulated profiling, a node-count solver
+   budget, plans identical for every -j), so `dune runtest` diffs the
+   document against bench/baselines/BENCH_smoke.json byte for byte; a
+   deliberate plan change is accepted with `dune promote`. The printed
+   wall-clock is informational; perfbench measures time. *)
 
 let models = [ "candy"; "segformer"; "decode" ]
 
 let run () =
-  Bench_common.section "bench smoke (CI regression gate workload)";
+  Bench_common.section "bench smoke (exact plan gate workload)";
   List.iter
     (fun name ->
       let entry =
@@ -27,44 +28,5 @@ let run () =
         (Runtime.Plan.kernel_count r.Korch.Orchestrator.plan)
         (List.length r.Korch.Orchestrator.segments)
         wall_s;
-      Bench_common.record_entry ~experiment:"smoke" ~model:name Bench_common.v100_fp32 r
-        ~wall_s)
-    models;
-  (* Native-backend calibration pass: execute each model's test-scale
-     build on the C backend and fold the measured kernel wall-clocks into
-     the profile database, keyed by the same canonical signatures the
-     simulated profiles use. The korch-bench entries above are recorded
-     before this runs, so the CI gate's numbers are unaffected; without a
-     C compiler the pass just notes the skip. *)
-  if not (Codegen.Kernel_cache.available ()) then
-    print_endline "  native calibration: skipped (no C compiler on PATH)"
-  else
-    List.iter
-      (fun name ->
-        let entry = Option.get (Models.Registry.find name) in
-        let g = entry.Models.Registry.build_small () in
-        let r = Bench_common.run_korch Bench_common.v100_fp32 g in
-        let inputs =
-          Array.to_list g.Ir.Graph.nodes
-          |> List.filter_map (fun nd ->
-                 match nd.Ir.Graph.op with
-                 | Ir.Optype.Input n ->
-                   Some (n, Tensor.Nd.randn (Tensor.Rng.create 3) nd.Ir.Graph.shape)
-                 | _ -> None)
-        in
-        let stats = Runtime.Backend.fresh_exec_stats () in
-        let (_ : Tensor.Nd.t list) =
-          Runtime.Executor.run ~backend:Runtime.Backend.Native ~exec_stats:stats
-            r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan ~inputs
-        in
-        let recorded =
-          Korch.Calibrate.record ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32
-            r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan stats
-        in
-        Printf.printf
-          "  native calibration: %-12s %d kernel(s) measured, %d fallback(s), %d timings \
-           recorded in the profile cache\n"
-          name stats.Runtime.Backend.native_kernels
-          (List.length stats.Runtime.Backend.fallbacks)
-          recorded)
-      models
+      Bench_common.record_entry ~experiment:"smoke" ~model:name Bench_common.v100_fp32 r)
+    models

@@ -16,10 +16,13 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablation", "design-choice ablations", Exp_ablation.run);
     ("parallel", "multicore segment orchestration speedup", Exp_parallel.run);
     ("native", "interpreter vs native C backend (extension)", Exp_native.run);
-    ("serving", "durable plan cache & degradation ladder (extension)", Exp_serving.run);
     ("decode", "transformer-decode plan tables over batch 1..256 (extension)", Exp_decode.run);
     ("micro", "bechamel microbenchmarks", Microbench.run);
-    ("smoke", "CI bench-gate workload (fastest models)", Exp_smoke.run) ]
+    ("smoke", "exact plan gate workload (candy, segformer, decode)", Exp_smoke.run) ]
+
+let usage () =
+  prerr_endline "usage: main.exe [--list] [--only ID,...] [-j N] [--bench-json FILE] [--trace FILE]";
+  exit 2
 
 let () =
   let only = ref None in
@@ -36,7 +39,9 @@ let () =
     | ("-j" | "--jobs") :: v :: rest ->
       (match int_of_string_opt v with
       | Some n when n >= 1 -> Bench_common.jobs := n
-      | _ -> Printf.eprintf "-j expects a positive integer, got %s\n" v);
+      | _ ->
+        Printf.eprintf "-j expects a positive integer, got %s\n" v;
+        usage ());
       parse rest
     | "--bench-json" :: v :: rest ->
       bench_json := Some v;
@@ -44,18 +49,23 @@ let () =
     | "--trace" :: v :: rest ->
       trace := Some v;
       parse rest
-    | x :: rest ->
-      Printf.eprintf
-        "unknown argument %s (try --list / --only ids / -j N / --bench-json FILE / --trace \
-         FILE)\n"
-        x;
-      parse rest
+    | x :: _ ->
+      Printf.eprintf "unknown argument %s\n" x;
+      usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   let selected =
     match !only with
     | None -> experiments
-    | Some ids -> List.filter (fun (id, _, _) -> List.mem id ids) experiments
+    | Some ids ->
+      List.iter
+        (fun id ->
+          if not (List.exists (fun (e, _, _) -> e = id) experiments) then begin
+            Printf.eprintf "unknown experiment %s (see --list)\n" id;
+            usage ()
+          end)
+        ids;
+      List.filter (fun (id, _, _) -> List.mem id ids) experiments
   in
   Printf.printf "Korch benchmark harness — %d experiment(s)\n" (List.length selected);
   if !trace <> None then Obs.Trace.start ();

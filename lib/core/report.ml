@@ -322,18 +322,17 @@ type bench_entry = {
   redundancy : int;
   candidates : int;
   states : int;
-  peak_mem_bytes : int option;
+  peak_mem_bytes : int;
   degraded_segments : int;
-  wall_s : float;
 }
 
 let bench_entry_codec : bench_entry Onnx.Codec.t =
   Onnx.Codec.(
     obj
       (fun experiment model gpu precision latency_us kernels redundancy candidates states
-           peak_mem_bytes degraded_segments wall_s ->
+           peak_mem_bytes degraded_segments ->
         { experiment; model; gpu; precision; latency_us; kernels; redundancy; candidates;
-          states; peak_mem_bytes; degraded_segments; wall_s })
+          states; peak_mem_bytes; degraded_segments })
     |> field "experiment" string (fun e -> e.experiment)
     |> field "model" string (fun e -> e.model)
     |> field "gpu" string (fun e -> e.gpu)
@@ -343,9 +342,8 @@ let bench_entry_codec : bench_entry Onnx.Codec.t =
     |> field "redundancy" int (fun e -> e.redundancy)
     |> field "candidates" int (fun e -> e.candidates)
     |> field "states" int (fun e -> e.states)
-    |> opt "peak_mem_bytes" int (fun e -> e.peak_mem_bytes)
+    |> field "peak_mem_bytes" int (fun e -> e.peak_mem_bytes)
     |> field "degraded_segments" int (fun e -> e.degraded_segments)
-    |> field "wall_s" float (fun e -> e.wall_s)
     |> finish)
 
 let bench_codec : bench_entry list Onnx.Codec.t =

@@ -93,11 +93,11 @@ type bench_entry = {
   redundancy : int;
   candidates : int;
   states : int;
-  peak_mem_bytes : int option;  (** planned peak; absent in pre-memplan baselines *)
+  peak_mem_bytes : int;  (** planned peak *)
   degraded_segments : int;
-  wall_s : float;  (** orchestration wall-clock *)
 }
 
-(** The [korch-bench/1] document, written by the bench harness and read
-    by the bench gate. *)
+(** The [korch-bench/1] document, written by the bench harness. Every
+    member is deterministic, so [dune runtest] diffs the smoke run's
+    document against [bench/baselines/BENCH_smoke.json] byte for byte. *)
 val bench_codec : bench_entry list Onnx.Codec.t

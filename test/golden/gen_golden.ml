@@ -99,8 +99,7 @@ let () =
               redundancy = Runtime.Plan.redundancy plan;
               candidates = r.Korch.Orchestrator.total_candidates;
               states = r.Korch.Orchestrator.total_states;
-              peak_mem_bytes = Some r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
+              peak_mem_bytes = r.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
               degraded_segments = List.length r.Korch.Orchestrator.degraded_segments;
-              wall_s = 1.25;
             };
           ]))

@@ -301,6 +301,21 @@ let test_orchestrator_partitioned_equivalence () =
         (Nd.allclose ~rtol:1e-4 ~atol:1e-6 e a))
     expected got
 
+(* Calibrate.record folds hand-built native timings into the measured
+   store: best-of-N per kernel signature, out-of-range indices skipped. *)
+let test_calibrate_record () =
+  Gpu.Profile_cache.reset_measured ();
+  let r = Korch.Orchestrator.run orch_cfg (attention_graph ()) in
+  let g = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+  let n = Runtime.Plan.kernel_count plan in
+  let stats = Runtime.Backend.fresh_exec_stats () in
+  stats.Runtime.Backend.kernel_times_us <- [ (0, 5.0); (n, 1.0); (0, 3.0); (-1, 0.5); (0, 4.0) ];
+  Alcotest.(check int) "out-of-range samples skipped" 3 (Korch.Calibrate.record g plan stats);
+  let key = Korch.Calibrate.kernel_key g (List.hd plan.Runtime.Plan.kernels) in
+  Alcotest.(check (option (float 0.0))) "best sample kept" (Some 3.0)
+    (Gpu.Profile_cache.measured_us key);
+  Alcotest.(check int) "every sample counted" 3 (Gpu.Profile_cache.measured_count key)
+
 (* ------------------------- plan tables ------------------------- *)
 
 let decode_build ~batch =
@@ -464,13 +479,13 @@ let gen_bench =
   small_list
     (map
        (fun ((experiment, model, gpu, precision), (latency_us, kernels, redundancy, candidates),
-             (states, peak_mem_bytes, degraded_segments, wall_s)) ->
+             (states, peak_mem_bytes, degraded_segments)) ->
          { Korch.Report.experiment; model; gpu; precision; latency_us; kernels; redundancy;
-           candidates; states; peak_mem_bytes; degraded_segments; wall_s })
+           candidates; states; peak_mem_bytes; degraded_segments })
        (triple
           (quad gen_string gen_string gen_string gen_string)
           (quad gen_float gen_int gen_int gen_int)
-          (quad gen_int (option gen_int) gen_int gen_float)))
+          (triple gen_int gen_int gen_int)))
 
 let () =
   Alcotest.run "core"
@@ -500,6 +515,8 @@ let () =
           Alcotest.test_case "softmax split" `Quick test_orchestrator_softmax_fissioned_into_multiple_kernels;
           Alcotest.test_case "redundancy valid" `Quick test_orchestrator_redundancy_nonnegative;
           Alcotest.test_case "partitioned equivalence" `Quick test_orchestrator_partitioned_equivalence ] );
+      ( "calibrate",
+        [ Alcotest.test_case "record folds measured timings" `Quick test_calibrate_record ] );
       ( "plan table",
         [ Alcotest.test_case "ranges partition the sweep" `Quick test_plan_table_partition;
           Alcotest.test_case "anchors bit-identical to fixed orchestration" `Quick
