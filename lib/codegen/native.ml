@@ -1,20 +1,21 @@
-(** The native backend: plan execution through compiled C kernels.
+(** The native backend: kernel execution through compiled C code.
 
-    Registered as {!Runtime.Backend}'s native implementation, so it is
-    only reached through {!Runtime.Executor.run}, which has already
+    Registered as {!Runtime.Backend}'s per-kernel resolver, so it is only
+    reached from {!Runtime.Executor.run}'s plan walk, which has already
     checked the plan with {!Runtime.Plan.check}. Each kernel is resolved
     to a shared object via {!Emit} + {!Kernel_cache} and invoked directly
-    on the tensors' flat storage, publishing exactly its declared outputs.
+    on the tensors' flat storage; the walker publishes exactly its
+    declared outputs.
 
     Degradation ladder (per kernel, never per run):
 
     + a kernel whose signature was already {e verified} this process runs
-      natively, its wall-clock recorded into the execution stats;
+      natively, and its call reports its wall-clock;
     + a kernel the emitter cannot express, that the compiler rejects,
       whose verification fails, or whose resolution drew a
-      [codegen_compile] fault, falls back to the interpreter's kernel
-      step ({!Runtime.Executor.eval_kernel}) — recorded in
-      [stats.fallbacks] with the reason, and the run proceeds.
+      [codegen_compile] fault, resolves to the reason instead. The walker
+      records it in the execution stats' [fallbacks], runs the kernel
+      through the interpreter's member loop, and the run proceeds.
 
     {b Differential verification}: before a compiled kernel's first
     production use, it is executed on deterministic pseudo-random inputs
@@ -66,7 +67,7 @@ let interp_kernel (g : Primgraph.t) (lay : Emit.layout) (k : Runtime.Plan.kernel
     ~(ext_vals : Nd.t array) : Nd.t array =
   let env : Runtime.Prim_interp.env = Hashtbl.create 16 in
   Array.iteri (fun i id -> Hashtbl.replace env id ext_vals.(i)) lay.Emit.ext_ids;
-  Runtime.Executor.eval_kernel g ~topo:lay.Emit.order env k;
+  Runtime.Executor.eval_kernel g ~order:lay.Emit.order env k;
   Array.map (Hashtbl.find env) lay.Emit.out_ids
 
 (* Invoke the compiled kernel: fresh zeroed output buffers, flat-array
@@ -172,58 +173,35 @@ let reset_verdicts () =
 (* Kernel resolution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type resolved = { lay : Emit.layout; compiled : Kernel_cache.compiled }
-
-(* Signature -> compiled+verified kernel, or the reason this kernel runs
-   on the interpreter instead. Faults.Injected from the codegen_compile
-   site propagates to the caller (it must not be memoized: a later run
-   without the fault policy recovers). *)
-let prepare (cache : Kernel_cache.t) (g : Primgraph.t) (k : Runtime.Plan.kernel) :
-    (resolved, string) result =
+(* A kernel's compiled and verified code, or the reason it runs on the
+   interpreter instead. A [codegen_compile] fault becomes a reason here
+   and is not memoized: a later run without the fault policy recovers. *)
+let resolve (g : Primgraph.t) (k : Runtime.Plan.kernel) :
+    (Runtime.Backend.native_kernel, string) result =
   match Emit.signature g k with
   | exception Emit.Unsupported_kernel msg -> Error (Printf.sprintf "unsupported: %s" msg)
   | signature -> begin
-    match Kernel_cache.resolve cache ~signature ~source:(fun () -> Emit.source g k) with
+    match
+      Kernel_cache.resolve (Kernel_cache.default ()) ~signature ~source:(fun () ->
+          Emit.source g k)
+    with
+    | exception Faults.Injected { site = _; hit } ->
+      Error (Printf.sprintf "fault injected at codegen_compile (call %d)" hit)
     | Error msg -> Error msg
     | Ok compiled -> begin
       let lay = Emit.layout g k in
       match verify g lay k compiled ~signature with
-      | Ok () -> Ok { lay; compiled }
       | Error msg -> Error (Printf.sprintf "differential verify: %s" msg)
+      | Ok () ->
+        Ok
+          {
+            Runtime.Backend.ext_ids = lay.Emit.ext_ids;
+            out_ids = lay.Emit.out_ids;
+            call =
+              (fun ext_vals ->
+                let t0 = Obs.Clock.now_us () in
+                let outs = call_native g lay compiled ~ext_vals in
+                (outs, Obs.Clock.now_us () -. t0));
+          }
     end
   end
-
-(* ------------------------------------------------------------------ *)
-(* Plan execution                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_impl ~(stats : Runtime.Backend.exec_stats) (g : Primgraph.t)
-    (plan : Runtime.Plan.t) ~(inputs : (string * Nd.t) list) : Nd.t list =
-  let topo = Graph.topo_order g in
-  let global = Runtime.Prim_interp.bind_sources g ~inputs in
-  let cache = Kernel_cache.default () in
-  List.iteri
-    (fun ki (k : Runtime.Plan.kernel) ->
-      let fallback reason =
-        stats.Runtime.Backend.interp_kernels <-
-          stats.Runtime.Backend.interp_kernels + 1;
-        stats.Runtime.Backend.fallbacks <- (ki, reason) :: stats.Runtime.Backend.fallbacks;
-        Runtime.Executor.eval_kernel g ~topo global k
-      in
-      match prepare cache g k with
-      | exception Faults.Injected { site = _; hit } ->
-        fallback (Printf.sprintf "fault injected at codegen_compile (call %d)" hit)
-      | Error reason -> fallback reason
-      | Ok { lay; compiled } ->
-        let ext_vals = Array.map (Hashtbl.find global) lay.Emit.ext_ids in
-        let t0 = Obs.Clock.now_us () in
-        let outs = call_native g lay compiled ~ext_vals in
-        let dt = Obs.Clock.now_us () -. t0 in
-        stats.Runtime.Backend.native_kernels <- stats.Runtime.Backend.native_kernels + 1;
-        stats.Runtime.Backend.kernel_times_us <-
-          (ki, dt) :: stats.Runtime.Backend.kernel_times_us;
-        Array.iteri
-          (fun oi id -> Hashtbl.replace global id outs.(oi))
-          lay.Emit.out_ids)
-    plan.Runtime.Plan.kernels;
-  List.map (Hashtbl.find global) g.Graph.outputs

@@ -6,4 +6,4 @@
     no call-site changes required. Executables that omit the library
     degrade to the interpreter with a one-time warning. *)
 
-let () = Runtime.Backend.register_native Native.run_impl
+let () = Runtime.Backend.register_native Native.resolve

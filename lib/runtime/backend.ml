@@ -54,27 +54,16 @@ type exec_stats = {
 let fresh_exec_stats () =
   { native_kernels = 0; interp_kernels = 0; fallbacks = []; kernel_times_us = [] }
 
-type native_impl =
-  stats:exec_stats ->
-  Primgraph.t ->
-  Plan.t ->
-  inputs:(string * Nd.t) list ->
-  Nd.t list
+type native_kernel = {
+  ext_ids : int array;
+  out_ids : int array;
+  call : Nd.t array -> Nd.t array * float;
+}
+
+type native_impl = Primgraph.t -> Plan.kernel -> (native_kernel, string) result
 
 let impl : native_impl option ref = ref None
 
 let register_native f = impl := Some f
 
 let native_impl () = !impl
-
-let native_available () = !impl <> None
-
-let warned_missing = ref false
-
-let warn_native_missing () =
-  if not !warned_missing then begin
-    warned_missing := true;
-    Printf.eprintf
-      "korch: native backend requested but no implementation is linked (lib/codegen); \
-       falling back to the interpreter\n%!"
-  end

@@ -1,13 +1,13 @@
 (** Executor backend selection.
 
-    The executor can run a stitched plan two ways: through the reference
-    primitive interpreter ({!Prim_interp}), or through compiled native
-    kernels (the C code generator in [lib/codegen]). This module names the
-    two backends, reads the process-wide default from the [KORCH_BACKEND]
-    environment variable, and holds the registration hook the native
-    implementation installs at link time — [lib/codegen] sits above
-    [lib/runtime], so the executor can only reach it through this
-    inversion. *)
+    The executor runs each kernel of a stitched plan one of two ways:
+    through the reference primitive interpreter ({!Prim_interp}), or as a
+    compiled native kernel (the C code generator in [lib/codegen]). This
+    module names the two backends, reads the process-wide default from
+    the [KORCH_BACKEND] environment variable, and holds the per-kernel
+    resolver the native implementation installs at link time —
+    [lib/codegen] sits above [lib/runtime], so the executor can only
+    reach it through this inversion. *)
 
 open Ir
 open Tensor
@@ -45,24 +45,22 @@ type exec_stats = {
 
 val fresh_exec_stats : unit -> exec_stats
 
-(** The signature the native backend registers: same contract as
-    {!Executor.run} with reuse off. Only {!Executor.run} calls it, on a
-    plan that already passed {!Plan.check}. *)
-type native_impl =
-  stats:exec_stats ->
-  Primgraph.t ->
-  Plan.t ->
-  inputs:(string * Nd.t) list ->
-  Nd.t list
+(** One kernel the native backend resolved to compiled code: the graph
+    ids of its external inputs and of its outputs, and the call that
+    computes the outputs' values from the inputs' values, in those
+    orders, and also returns its own wall-clock in µs. *)
+type native_kernel = {
+  ext_ids : int array;
+  out_ids : int array;
+  call : Nd.t array -> Nd.t array * float;
+}
+
+(** The hook the native backend registers: resolve one kernel of a plan
+    that passed {!Plan.check} to compiled code, or give the reason it
+    runs on the interpreter instead. Only {!Executor.run} calls it. *)
+type native_impl = Primgraph.t -> Plan.kernel -> (native_kernel, string) result
 
 (** Called by the codegen library's initializer; last registration wins. *)
 val register_native : native_impl -> unit
 
 val native_impl : unit -> native_impl option
-
-(** Is a native implementation linked into this process? *)
-val native_available : unit -> bool
-
-(** Warn once on stderr that {!Native} was requested without an
-    implementation linked. *)
-val warn_native_missing : unit -> unit

@@ -1,11 +1,10 @@
 (** The executable generator / plan executor (§5.3).
 
-    Stitches selected kernels together respecting data dependencies and
-    runs them against the tensor substrate. Each kernel recomputes its
-    internal primitives from externally published tensors only and
-    publishes exactly its declared outputs — the contract the BLP
-    dependency constraints (Eq. 4) guarantee and {!Plan.check}
-    re-establishes before every run. *)
+    Walks the selected kernels in plan order and runs them against the
+    tensor substrate. Each kernel recomputes its internal primitives from
+    externally published tensors only and publishes exactly its declared
+    outputs — the contract the BLP dependency constraints (Eq. 4)
+    guarantee and {!Plan.check} re-establishes before every run. *)
 
 open Ir
 open Tensor
@@ -13,8 +12,8 @@ open Tensor
 exception Invalid_plan of string
 
 (** Arena accounting for one [~reuse:true] run. All zero when reuse is
-    off (except [evals], which still counts primitive evaluations if a
-    record is supplied). *)
+    off, except [evals], which counts the primitives the interpreter
+    evaluated whatever the mode. *)
 type run_stats = {
   mutable evals : int;  (** primitive evaluations performed *)
   mutable into_evals : int;  (** evaluations written into a recycled buffer *)
@@ -26,23 +25,27 @@ type run_stats = {
 val fresh_stats : unit -> run_stats
 
 (** [run g plan ~inputs] executes [plan] over primitive graph [g] and
-    returns the graph outputs in declaration order.
+    returns the graph outputs in declaration order. It is the only walk
+    over a plan's kernels: each one either runs as a native kernel or
+    through the interpreter's member loop ({!eval_kernel}).
 
     [?backend] selects the execution backend (default
     {!Backend.default}, i.e. [KORCH_BACKEND] or the interpreter). With
-    {!Backend.Native} and a linked native implementation, kernels run as
-    compiled C functions with per-kernel fallback to the interpreter;
-    [?exec_stats] receives the per-kernel accounting. [~reuse:true]
-    always takes the interpreter path — arena reuse is an
-    interpreter-side feature.
+    {!Backend.Native} and a linked native implementation, each kernel is
+    resolved to compiled code and falls back to the interpreter on its
+    own if it cannot be; [?exec_stats] receives the per-kernel
+    accounting. [~reuse:true] runs every kernel on the interpreter —
+    arena reuse is an interpreter-side feature.
 
     With [~reuse:true] the executor follows the {!Memplan} death
     schedule: tensors are released at their last use, elementwise and
     transpose/slice primitives evaluate into recycled buffers, and
     reshape aliases its argument zero-copy under reference counting.
-    Outputs are bit-identical to [~reuse:false] — the recycled paths use
-    the exact scalar functions of the allocating paths. [?stats], when
-    supplied, is filled with arena accounting for the run.
+    Outputs are bit-identical to [~reuse:false] — {!Prim_interp.eval_prim}
+    computes the same floats with and without a destination. [?stats],
+    when supplied, is filled with arena accounting for the run; its
+    [evals] counts the primitives the interpreter evaluated, in every
+    mode.
 
     Raises {!Invalid_plan} with the first {!Plan.check} error before
     computing anything if the plan is structurally invalid. *)
@@ -59,10 +62,10 @@ val run :
 (** [validate g plan] — {!Plan.check}, reduced to its first error. *)
 val validate : Primgraph.t -> Plan.t -> (unit, string) result
 
-(** [eval_kernel g ~topo global k] — the reuse-off interpreter step for
-    one kernel of a plan that passed {!Plan.check}: recompute [k]'s
-    members in [topo] order (a topological order of [g]) from a
-    kernel-local environment fed only by [global], then publish [k]'s
-    outputs into [global]. The native backend's per-kernel fallback and
-    the oracle its compiled kernels are verified against. *)
-val eval_kernel : Primgraph.t -> topo:int list -> Prim_interp.env -> Plan.kernel -> unit
+(** [eval_kernel g ~order global k] — {!run}'s interpreter member loop
+    with reuse off, for one kernel of a plan that passed {!Plan.check}:
+    recompute [k]'s members in [order] (a topological order of [g];
+    non-members are skipped) from a kernel-local environment fed only by
+    [global], then publish [k]'s outputs into [global]. The oracle the
+    native backend's compiled kernels are verified against. *)
+val eval_kernel : Primgraph.t -> order:int list -> Prim_interp.env -> Plan.kernel -> unit

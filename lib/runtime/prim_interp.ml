@@ -10,74 +10,9 @@ open Tensor
 
 exception Unsupported of string
 
-(** [eval_prim p args] applies primitive [p] to concrete input tensors. *)
-let eval_prim (p : Primitive.t) (args : Nd.t list) : Nd.t =
-  let one () = match args with [ x ] -> x | _ -> invalid_arg "prim arity" in
-  let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
-  match p with
-  | Primitive.Input name -> raise (Unsupported ("unbound input " ^ name))
-  | Constant c -> Const.materialize c
-  | Unary u -> begin
-    let x = one () in
-    match u with
-    | Exp -> Ops_elementwise.exp x
-    | Log -> Ops_elementwise.log x
-    | Sqrt -> Ops_elementwise.sqrt x
-    | Rsqrt -> Ops_elementwise.reciprocal (Ops_elementwise.sqrt x)
-    | Neg -> Ops_elementwise.neg x
-    | Abs -> Ops_elementwise.abs x
-    | Square -> Ops_elementwise.square x
-    | Reciprocal -> Ops_elementwise.reciprocal x
-    | Relu -> Ops_elementwise.relu x
-    | LeakyRelu a -> Ops_elementwise.leaky_relu ~alpha:a x
-    | Sigmoid -> Ops_elementwise.sigmoid x
-    | Silu -> Ops_elementwise.silu x
-    | Mish -> Ops_elementwise.mish x
-    | Tanh -> Ops_elementwise.tanh x
-    | Erf -> Ops_elementwise.erf x
-    | Gelu -> Ops_elementwise.gelu x
-    | AddConst c -> Ops_elementwise.add_scalar c x
-    | MulConst c -> Ops_elementwise.mul_scalar c x
-    | PowConst c -> Ops_elementwise.map (fun v -> v ** c) x
-    | Clip (lo, hi) -> Ops_elementwise.clip ~lo ~hi x
-  end
-  | Binary bop -> begin
-    let x, y = two () in
-    match bop with
-    | Add -> Ops_elementwise.add x y
-    | Sub -> Ops_elementwise.sub x y
-    | Mul -> Ops_elementwise.mul x y
-    | Div -> Ops_elementwise.div x y
-    | Max -> Ops_elementwise.maximum x y
-    | Min -> Ops_elementwise.minimum x y
-    | Pow -> Ops_elementwise.pow x y
-  end
-  | Reduce (agg, axis) -> Ops_reduce.reduce agg ~axis ~keepdims:false (one ())
-  | Broadcast (axis, size) -> Ops_reduce.broadcast_axis (one ()) ~axis ~size
-  | Pool { agg; kernel; stride; padding } ->
-    Ops_reduce.pool2d agg (one ()) ~kernel ~stride ~padding
-  | Transpose perm -> Ops_layout.transpose (one ()) perm
-  | Reshape s -> Nd.reshape (one ()) s
-  | Pad { before; after; value } -> Ops_layout.pad (one ()) ~before ~after ~value
-  | Slice { starts; stops } -> Ops_layout.slice (one ()) ~starts ~stops
-  | Concat axis -> Ops_layout.concat args ~axis
-  | Matmul ->
-    let x, y = two () in
-    Ops_linear.batch_matmul x y
-  | Conv { stride; padding } ->
-    let x, w = two () in
-    Ops_linear.conv2d x w ~stride ~padding ()
-  | Upsample scale -> Ops_linear.upsample_nearest2d (one ()) ~scale
-  | Opaque name -> raise (Unsupported ("opaque primitive " ^ name))
-
-(* ------------------------------------------------------------------ *)
-(* Destination-passing evaluation (buffer reuse)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The scalar function a unary primitive applies. These are the exact
-   {!Ops_elementwise.Scalar} closures the allocating path in [eval_prim]
-   uses, so evaluating into a recycled buffer is bit-identical by
-   construction. *)
+(* The scalar function a unary primitive applies: the exact
+   {!Ops_elementwise.Scalar} closures behind [Ops_elementwise.exp] and the
+   rest, so lifting them with [map] or [map_into] gives the same floats. *)
 let unary_scalar : Primitive.unary -> float -> float =
   let module S = Ops_elementwise.Scalar in
   function
@@ -113,16 +48,6 @@ let binary_scalar : Primitive.binary -> float -> float -> float =
   | Min -> S.minimum
   | Pow -> S.pow
 
-(** [supports_into p args] — can [eval_prim_into] evaluate [p] on [args]
-    into a caller-supplied buffer? True for unary elementwise, binary
-    elementwise without broadcasting, transpose and slice. *)
-let supports_into (p : Primitive.t) (args : Nd.t list) : bool =
-  match (p, args) with
-  | Primitive.Unary _, [ _ ] -> true
-  | Primitive.Binary _, [ x; y ] -> Shape.equal (Nd.shape x) (Nd.shape y)
-  | Primitive.Transpose _, [ _ ] | Primitive.Slice _, [ _ ] -> true
-  | _ -> false
-
 (* Materialize a strided view into [dst] in row-major order — a pure
    element copy, so the result equals the dense Ops_layout path bit for
    bit. *)
@@ -134,48 +59,58 @@ let view_into (v : View.t) ~(dst : float array) : Nd.t =
   done;
   Nd.of_array (View.shape v) dst
 
-(** [eval_prim_into p args ~dst] evaluates [p] into the recycled buffer
-    [dst] (which becomes the result's storage) when {!supports_into}
-    holds, producing exactly the floats [eval_prim] would. Returns [None]
-    for primitives without a destination-passing path — the caller falls
-    back to [eval_prim]. *)
-let eval_prim_into (p : Primitive.t) (args : Nd.t list) ~(dst : float array) : Nd.t option =
-  match (p, args) with
-  | Primitive.Unary u, [ x ] -> Some (Ops_elementwise.map_into (unary_scalar u) x ~dst)
-  | Primitive.Binary b, [ x; y ] when Shape.equal (Nd.shape x) (Nd.shape y) ->
-    Some (Ops_elementwise.map2_into (binary_scalar b) x y ~dst)
-  | Primitive.Transpose perm, [ x ] ->
-    Some (view_into (View.transpose (View.of_nd x) perm) ~dst)
-  | Primitive.Slice { starts; stops }, [ x ] ->
-    Some (view_into (View.slice (View.of_nd x) ~starts ~stops) ~dst)
-  | _ -> None
+(** [eval_prim ?dst p args] applies primitive [p] to concrete input
+    tensors. Where the result is written densely — unary, same-shape
+    binary, transpose and slice — it is written into [dst] (whose length
+    must be the result's element count), which becomes its storage;
+    every other primitive ignores [dst] and allocates. Both ways produce
+    the same floats; [v.Nd.data == dst] tells which one was taken. *)
+let eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
+  let one () = match args with [ x ] -> x | _ -> invalid_arg "prim arity" in
+  let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
+  match p with
+  | Primitive.Input name -> raise (Unsupported ("unbound input " ^ name))
+  | Constant c -> Const.materialize c
+  | Unary u -> begin
+    let f = unary_scalar u and x = one () in
+    match dst with
+    | Some dst -> Ops_elementwise.map_into f x ~dst
+    | None -> Ops_elementwise.map f x
+  end
+  | Binary b -> begin
+    let f = binary_scalar b and x, y = two () in
+    match dst with
+    | Some dst when Shape.equal (Nd.shape x) (Nd.shape y) ->
+      Ops_elementwise.map2_into f x y ~dst
+    | _ -> Ops_elementwise.map2 f x y
+  end
+  | Reduce (agg, axis) -> Ops_reduce.reduce agg ~axis ~keepdims:false (one ())
+  | Broadcast (axis, size) -> Ops_reduce.broadcast_axis (one ()) ~axis ~size
+  | Pool { agg; kernel; stride; padding } ->
+    Ops_reduce.pool2d agg (one ()) ~kernel ~stride ~padding
+  | Transpose perm -> begin
+    match dst with
+    | Some dst -> view_into (View.transpose (View.of_nd (one ())) perm) ~dst
+    | None -> Ops_layout.transpose (one ()) perm
+  end
+  | Reshape s -> Nd.reshape (one ()) s
+  | Pad { before; after; value } -> Ops_layout.pad (one ()) ~before ~after ~value
+  | Slice { starts; stops } -> begin
+    match dst with
+    | Some dst -> view_into (View.slice (View.of_nd (one ())) ~starts ~stops) ~dst
+    | None -> Ops_layout.slice (one ()) ~starts ~stops
+  end
+  | Concat axis -> Ops_layout.concat args ~axis
+  | Matmul ->
+    let x, y = two () in
+    Ops_linear.batch_matmul x y
+  | Conv { stride; padding } ->
+    let x, w = two () in
+    Ops_linear.conv2d x w ~stride ~padding ()
+  | Upsample scale -> Ops_linear.upsample_nearest2d (one ()) ~scale
+  | Opaque name -> raise (Unsupported ("opaque primitive " ^ name))
 
 type env = (int, Nd.t) Hashtbl.t
-
-(** [eval_node g env id] computes node [id] from its inputs in [env],
-    asserting the inferred shape, and stores the result in [env]. *)
-let eval_node (g : Primgraph.t) (env : env) (id : int) : Nd.t =
-  match Hashtbl.find_opt env id with
-  | Some v -> v
-  | None ->
-    let nd = Graph.node g id in
-    let args =
-      List.map
-        (fun i ->
-          match Hashtbl.find_opt env i with
-          | Some v -> v
-          | None -> invalid_arg (Printf.sprintf "prim_interp: input %d not computed" i))
-        nd.Graph.inputs
-    in
-    let v = eval_prim nd.Graph.op args in
-    if not (Shape.equal (Nd.shape v) nd.Graph.shape) then
-      invalid_arg
-        (Printf.sprintf "prim_interp: node %d (%s) produced %s, declared %s" id
-           (Primitive.to_string nd.Graph.op)
-           (Shape.to_string (Nd.shape v))
-           (Shape.to_string nd.Graph.shape));
-    Hashtbl.replace env id v;
-    v
 
 (** [bind_sources g ~inputs] initializes an environment with named graph
     inputs and materialized constants. *)
@@ -200,9 +135,23 @@ let bind_sources (g : Primgraph.t) ~(inputs : (string * Nd.t) list) : env =
     g.Graph.nodes;
   env
 
-(** [run g ~inputs] evaluates the whole graph and returns the output
-    tensors in declaration order. *)
+(** [run g ~inputs] evaluates the whole graph in topological order,
+    asserting every inferred shape, and returns the output tensors in
+    declaration order. *)
 let run (g : Primgraph.t) ~(inputs : (string * Nd.t) list) : Nd.t list =
   let env = bind_sources g ~inputs in
-  List.iter (fun id -> ignore (eval_node g env id)) (Graph.topo_order g);
-  List.map (fun id -> Hashtbl.find env id) g.Graph.outputs
+  List.iter
+    (fun id ->
+      if not (Hashtbl.mem env id) then begin
+        let nd = Graph.node g id in
+        let v = eval_prim nd.Graph.op (List.map (Hashtbl.find env) nd.Graph.inputs) in
+        if not (Shape.equal (Nd.shape v) nd.Graph.shape) then
+          invalid_arg
+            (Printf.sprintf "prim_interp: node %d (%s) produced %s, declared %s" id
+               (Primitive.to_string nd.Graph.op)
+               (Shape.to_string (Nd.shape v))
+               (Shape.to_string nd.Graph.shape));
+        Hashtbl.replace env id v
+      end)
+    (Graph.topo_order g);
+  List.map (Hashtbl.find env) g.Graph.outputs

@@ -362,12 +362,12 @@ let checksum (nd : Tensor.Nd.t) : float =
 
 let execute_plan (r : Protocol.request) (sp : served_plan) : Obs.Jsonw.t list =
   let backend =
-    match r.Protocol.backend with
-    | None -> None
-    | Some name -> (
-      match Runtime.Backend.of_string name with
-      | Some b -> Some b
-      | None -> client_fail "unknown backend %S" name)
+    Option.map
+      (fun name ->
+        match Runtime.Backend.of_string name with
+        | Some b -> b
+        | None -> client_fail "unknown backend %S" name)
+      r.Protocol.backend
   in
   let inputs =
     Array.to_list sp.sp_graph.Graph.nodes
@@ -377,11 +377,7 @@ let execute_plan (r : Protocol.request) (sp : served_plan) : Obs.Jsonw.t list =
              Some (name, Tensor.Nd.randn (Tensor.Rng.create 7) nd.Graph.shape)
            | _ -> None)
   in
-  let outs =
-    match backend with
-    | None -> Runtime.Executor.run sp.sp_graph sp.sp_plan ~inputs
-    | Some b -> Runtime.Executor.run ~backend:b sp.sp_graph sp.sp_plan ~inputs
-  in
+  let outs = Runtime.Executor.run ?backend sp.sp_graph sp.sp_plan ~inputs in
   List.map
     (fun nd ->
       Obs.Jsonw.Obj

@@ -230,7 +230,137 @@ let test_cache_failure_memoized () =
   Alcotest.(check int) "failure counted once" 1
     (Codegen.Kernel_cache.stats c).Codegen.Kernel_cache.failures
 
-(* The executor dispatch: unknown KORCH_BACKEND values and reuse mode. *)
+(* ---------------- executor modes ---------------- *)
+
+let bits_equal (a : Nd.t) (b : Nd.t) =
+  Shape.equal (Nd.shape a) (Nd.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.Nd.data b.Nd.data
+
+(* One plan walker serves every backend and reuse mode. On a test-scale
+   candy plan, interp and native, each with reuse off and on, and native
+   with every compile faulted agree bit for bit; every kernel is
+   accounted to exactly one backend; reuse keeps every kernel on the
+   interpreter; and [evals] counts exactly the primitives the
+   interpreter evaluated. The native row needs a C compiler. *)
+let test_executor_modes () =
+  let g =
+    Fission.Canonicalize.fold_batch_norms (Models.Registry.candy.Models.Registry.build_small ())
+  in
+  let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+  let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+  let inputs =
+    Array.to_list g.Graph.nodes
+    |> List.filter_map (fun nd ->
+           match nd.Graph.op with
+           | Optype.Input name -> Some (name, Nd.randn (Rng.create 17) nd.Graph.shape)
+           | _ -> None)
+  in
+  let kernels = Runtime.Plan.kernel_count plan in
+  let prims = List.length (Runtime.Plan.executed_prims plan) in
+  let run ?(faults = []) backend ~reuse =
+    let st = Runtime.Executor.fresh_stats () and es = Runtime.Backend.fresh_exec_stats () in
+    let outs =
+      Faults.with_policy faults (fun () ->
+          Runtime.Executor.run ~backend ~reuse ~stats:st ~exec_stats:es pg plan ~inputs)
+    in
+    let label =
+      Printf.sprintf "%s%s%s" (Runtime.Backend.to_string backend)
+        (if reuse then "+reuse" else "")
+        (if faults = [] then "" else "+fault")
+    in
+    Alcotest.(check int)
+      (label ^ ": every kernel ran once")
+      kernels
+      (es.Runtime.Backend.native_kernels + es.Runtime.Backend.interp_kernels);
+    (label, outs, st, es)
+  in
+  let ((_, reference, _, _) as interp) = run Runtime.Backend.Interp ~reuse:false in
+  let interp_reuse = run Runtime.Backend.Interp ~reuse:true in
+  let ((_, _, _, es_nr) as native_reuse) = run Runtime.Backend.Native ~reuse:true in
+  (* Every kernel falls back when compilation faults, and the fallbacks'
+     evaluations are counted. *)
+  let ((_, _, _, es_nf) as native_faulted) =
+    run ~faults:[ (Faults.Codegen_compile, Faults.Always) ] Runtime.Backend.Native ~reuse:false
+  in
+  let native =
+    if Codegen.Kernel_cache.available () then begin
+      let ((_, _, _, es) as row) = run Runtime.Backend.Native ~reuse:false in
+      Alcotest.(check bool) "native: kernels ran natively" true (es.Runtime.Backend.native_kernels > 0);
+      [ row ]
+    end
+    else []
+  in
+  Alcotest.(check int) "native+reuse: no native kernel" 0 es_nr.Runtime.Backend.native_kernels;
+  Alcotest.(check int) "native+fault: every kernel fell back" kernels
+    (List.length es_nf.Runtime.Backend.fallbacks);
+  List.iter
+    (fun (label, outs, _, _) ->
+      List.iteri
+        (fun i (a, b) ->
+          if not (bits_equal a b) then Alcotest.failf "%s: output %d differs from interp" label i)
+        (List.combine reference outs))
+    (interp_reuse :: native_reuse :: native_faulted :: native);
+  List.iter
+    (fun (label, _, st, _) ->
+      Alcotest.(check int) (label ^ ": evals") prims st.Runtime.Executor.evals)
+    [ interp; interp_reuse; native_reuse; native_faulted ]
+
+(* ---------------- destination-passing evaluation ---------------- *)
+
+(* Special values (signed zeros, infinities, NaN) among uniform draws. *)
+let operand ~seed shape =
+  let rng = Rng.create seed in
+  Nd.create shape (fun i ->
+      match i mod 9 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | 2 -> infinity
+      | 3 -> neg_infinity
+      | 4 -> Float.nan
+      | _ -> Rng.uniform rng ~lo:(-3.0) ~hi:3.0)
+
+(* [p] evaluated into a NaN-filled destination equals the allocating
+   evaluation bit for bit, and its storage is that destination. *)
+let check_into label p args =
+  let expected = Runtime.Prim_interp.eval_prim p args in
+  let dst = Array.make (Nd.numel expected) Float.nan in
+  let v = Runtime.Prim_interp.eval_prim ~dst p args in
+  Alcotest.(check bool) (label ^ ": bit-equal") true (bits_equal expected v);
+  Alcotest.(check bool) (label ^ ": storage is dst") true (v.Nd.data == dst)
+
+(* [p] has no dense destination-passing path: the result is still
+   correct, and [dst] is left untouched. *)
+let check_allocates label p args =
+  let expected = Runtime.Prim_interp.eval_prim p args in
+  let dst = Array.make (Nd.numel expected) Float.nan in
+  let v = Runtime.Prim_interp.eval_prim ~dst p args in
+  Alcotest.(check bool) (label ^ ": bit-equal") true (bits_equal expected v);
+  Alcotest.(check bool) (label ^ ": storage is fresh") false (v.Nd.data == dst);
+  Alcotest.(check bool) (label ^ ": dst untouched") true (Array.for_all Float.is_nan dst)
+
+let test_eval_prim_dst () =
+  let shape = [| 3; 6 |] in
+  let x = operand ~seed:5 shape and y = operand ~seed:6 shape in
+  List.iter
+    (fun u -> check_into (Primitive.to_string (Primitive.Unary u)) (Primitive.Unary u) [ x ])
+    Primitive.
+      [
+        Exp; Log; Sqrt; Rsqrt; Neg; Abs; Square; Reciprocal; Relu; LeakyRelu 0.1; Sigmoid; Silu;
+        Mish; Tanh; Erf; Gelu; AddConst 0.5; MulConst (-1.3); PowConst 3.7; PowConst 2.0;
+        Clip (-0.5, 0.5);
+      ];
+  List.iter
+    (fun b -> check_into (Primitive.to_string (Primitive.Binary b)) (Primitive.Binary b) [ x; y ])
+    Primitive.[ Add; Sub; Mul; Div; Max; Min; Pow ];
+  let t = operand ~seed:7 [| 2; 3; 4 |] in
+  check_into "transpose" (Primitive.Transpose [| 2; 0; 1 |]) [ t ];
+  check_into "slice" (Primitive.Slice { starts = [| 0; 1; 1 |]; stops = [| 2; 3; 4 |] }) [ t ];
+  check_allocates "broadcast add" (Primitive.Binary Primitive.Add) [ x; operand ~seed:8 [| 6 |] ];
+  check_allocates "reduce" (Primitive.Reduce (Primitive.Sum, 1)) [ x ]
+
+(* The executor dispatch: backend names. *)
 let test_backend_of_string () =
   Alcotest.(check bool) "native" true
     (Runtime.Backend.of_string "native" = Some Runtime.Backend.Native);
@@ -251,7 +381,9 @@ let () =
           Alcotest.test_case "redundant plan" `Quick test_executor_redundant_plan_ok ]
         (* The malformed-plan table: each row checked at all five entry
            points, Executor.run on both backends among them. *)
-        @ Malformed_plans.cases "executor" );
+        @ Malformed_plans.cases "executor"
+        @ [ Alcotest.test_case "modes" `Quick test_executor_modes;
+            Alcotest.test_case "eval_prim into dst" `Quick test_eval_prim_dst ] );
       ( "dot",
         [ Alcotest.test_case "graph" `Quick test_dot_graph;
           Alcotest.test_case "plan clusters" `Quick test_dot_plan_clusters;
