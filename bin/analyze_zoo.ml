@@ -1,10 +1,10 @@
 (* Zoo lint runner, driven by the dune [@analyze] alias (a dependency of
    [@runtest]). Runs the abstract-interpretation analyses end to end on
    the executable zoo models — value ranges and dead code on each
-   fissioned primitive graph, then the memory-planner hazard cross-check
-   on an orchestrated plan — writes every finding to a JSON artifact
-   (one korch-lint/1 document per model), and fails the build if any
-   model produces a finding above warning. *)
+   fissioned primitive graph, then the orchestrator's memory-planner
+   hazard cross-check of its plan — writes every finding to a JSON
+   artifact (one korch-lint/1 document per model), and fails the build
+   if any model produces an error or the cross-check did not run. *)
 
 let models = [ "candy"; "yolox"; "yolov4"; "segformer" ]
 
@@ -33,23 +33,24 @@ let () =
           Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ())
         in
         let pg, _ = Fission.Engine.run g in
-        let report = Analysis.graph_report pg in
-        (* Orchestrate (its own invariant checks included — a hazard at
-           this stage is a bug worth a loud exception) and audit the
-           plan's arena packing a second time from here, so the lint
-           artifact records the cross-check even when all is well. *)
+        (* Orchestrate under check_invariants (the default): the
+           orchestrator runs the memory-planner hazard cross-check on the
+           stitched plan and records its findings, which the artifact
+           carries. A cross-check that did not run fails the gate. *)
         let cfg =
           { Korch.Orchestrator.default_config with
             Korch.Orchestrator.partition_max_prims = 12 }
         in
         let r = Korch.Orchestrator.run_primgraph cfg pg in
-        let mp =
-          Runtime.Memplan.analyze r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan
+        let hazard =
+          match r.Korch.Orchestrator.analysis with
+          | Korch.Orchestrator.Analysis_checked rep -> rep
+          | o ->
+            [ Verify.Diagnostics.error ~pass:Analysis.Hazard.pass ~loc:Verify.Diagnostics.Whole
+                "hazard cross-check did not run (%s)"
+                (Korch.Orchestrator.analysis_outcome_to_string o) ]
         in
-        let report =
-          report
-          @ Analysis.plan_report r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan mp
-        in
+        let report = Analysis.graph_report pg @ hazard in
         let e, w, i = Verify.Diagnostics.count_severity report in
         Printf.printf "%-10s %d error(s), %d warning(s), %d info\n" name e w i;
         List.iter
@@ -57,7 +58,7 @@ let () =
             if !verbose || d.Verify.Diagnostics.severity <> Verify.Diagnostics.Info then
               Format.printf "  %a@." Verify.Diagnostics.pp_diag d)
           report;
-        if Analysis.Lint.exceeds_warning report then failed := true;
+        if Verify.Diagnostics.has_errors report then failed := true;
         ( name,
           Analysis.Lint.to_json
             ~meta:[ ("source", Obs.Jsonw.Str name); ("variant", Obs.Jsonw.Str "small") ]
@@ -75,7 +76,7 @@ let () =
     Printf.printf "wrote findings document to %s\n" !out
   end;
   if !failed then begin
-    print_endline "analyze: FAILED (findings above warning)";
+    print_endline "analyze: FAILED (error findings)";
     exit 1
   end
   else print_endline "analyze: OK"

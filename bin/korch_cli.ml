@@ -175,6 +175,24 @@ let build_graph entry ~small ~batch =
   in
   Fission.Canonicalize.fold_batch_norms g
 
+(* The graph a verb works on: zoo model [-m MODEL] or the ONNX-JSON
+   document FILE, with a source name for reports. Exits 1 when FILE does
+   not parse and 2 unless exactly one of the two is given. *)
+let load_graph ~verb ~small ~batch model file =
+  match (model, file) with
+  | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
+  | None, Some f -> begin
+    match Onnx.Deserialize.opgraph_of_string (In_channel.with_open_bin f In_channel.input_all) with
+    | g -> (g, Filename.basename f)
+    | exception Onnx.Deserialize.Format_error msg ->
+      Printf.eprintf "%s: %s\n%!" f msg;
+      Printf.printf "%s: FAILED\n" verb;
+      exit 1
+  end
+  | _ ->
+    Printf.eprintf "%s: specify exactly one of -m MODEL or a FILE argument\n" verb;
+    exit 2
+
 let config ~spec ~precision ~window ~jobs =
   { Korch.Orchestrator.default_config with
     Korch.Orchestrator.spec; precision; partition_max_prims = window; jobs }
@@ -310,25 +328,7 @@ let print_report ~verbose title report =
   List.iter (fun d -> Format.printf "  %a@." Verify.Diagnostics.pp_diag d) shown
 
 let check_action model file gpu precision batch small window jobs rules lint_seed verbose =
-  let g =
-    match (model, file) with
-    | Some m, None -> build_graph (find_model m) ~small ~batch
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> g
-      | exception e ->
-        Printf.printf "%s does not parse as a korch-onnx-json graph: %s\ncheck: FAILED\n" f
-          (Printexc.to_string e);
-        exit 1
-    end
-    | _ ->
-      prerr_endline "check: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, _ = load_graph ~verb:"check" ~small ~batch model file in
   let failed = ref false in
   (* Stop at the first stage with errors: downstream stages run on its
      output and would only cascade. *)
@@ -394,27 +394,10 @@ let check_cmd =
 
 let analyze_action model file gpu precision batch small window jobs with_plan json output
     verbose =
-  let g, source =
-    match (model, file) with
-    | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> (g, Filename.basename f)
-      | exception Onnx.Deserialize.Format_error m ->
-        Printf.eprintf "%s: %s\n" f m;
-        exit 1
-    end
-    | _ ->
-      prerr_endline "analyze: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, source = load_graph ~verb:"analyze" ~small ~batch model file in
   let pg, _ = Fission.Engine.run g in
   let bytes_per_element = Gpu.Precision.bytes_per_element precision in
-  let report = Analysis.graph_report ~bytes_per_element pg in
+  let report = Analysis.graph_report pg in
   let report =
     if not with_plan then report
     else begin
@@ -430,7 +413,7 @@ let analyze_action model file gpu precision batch small window jobs with_plan js
           r.Korch.Orchestrator.plan
       in
       report
-      @ Analysis.plan_report ~bytes_per_element r.Korch.Orchestrator.graph
+      @ Analysis.Hazard.check ~bytes_per_element r.Korch.Orchestrator.graph
           r.Korch.Orchestrator.plan mp
     end
   in
@@ -466,7 +449,7 @@ let analyze_action model file gpu precision batch small window jobs with_plan js
     let e, w, i = Verify.Diagnostics.count_severity report in
     Printf.printf "analyze %s: %d error(s), %d warning(s), %d info\n" source e w i
   end;
-  if Analysis.Lint.exceeds_warning report then exit 1
+  if Verify.Diagnostics.has_errors report then exit 1
 
 let analyze_cmd =
   let model =
@@ -507,24 +490,7 @@ let run_action file model gpu precision batch small window jobs verbose inject f
     trace assert_det mem_report backend =
   install_faults inject fault_seed;
   let backend = match backend with Some b -> b | None -> Runtime.Backend.default () in
-  let g, source =
-    match (model, file) with
-    | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
-    | None, Some f -> begin
-      let ic = open_in f in
-      let len = in_channel_length ic in
-      let doc = really_input_string ic len in
-      close_in ic;
-      match Onnx.Deserialize.opgraph_of_string doc with
-      | g -> (g, Filename.basename f)
-      | exception Onnx.Deserialize.Format_error m ->
-        Printf.eprintf "%s: %s\n" f m;
-        exit 1
-    end
-    | _ ->
-      prerr_endline "run: specify exactly one of -m MODEL or a FILE argument";
-      exit 2
-  in
+  let g, source = load_graph ~verb:"run" ~small ~batch model file in
   let cfg = config ~spec:gpu ~precision ~window ~jobs in
   let r = with_trace trace (fun () -> Korch.Orchestrator.run cfg g) in
   (* [--assert-deterministic]: re-orchestrate at a different worker count

@@ -1,27 +1,18 @@
 (** Static analysis over primitive graphs and stitched plans.
 
-    A generic monotone dataflow framework ({!Dataflow}) plus three
-    instantiations: value ranges ({!Vrange}), dead-code liveness
-    ({!Liveness}) and the memory-planner hazard cross-check
-    ({!Hazard}). {!Lint} serializes findings as [korch-lint/1] JSON.
+    Two passes: value ranges ({!Vrange}) and the memory-planner hazard
+    cross-check ({!Hazard}). {!Lint} serializes findings as
+    [korch-lint/1] JSON. Dead code is {!Verify.Graph_check}'s finding.
 
-    Entry points: {!graph_report} lints a graph before orchestration,
-    {!plan_report} audits one orchestrated plan's arena assignment.
-    Both return {!Verify.Diagnostics} reports and never raise. *)
+    {!graph_report} lints a graph before orchestration; {!Hazard.check}
+    audits one orchestrated plan's arena assignment. Both return
+    {!Verify.Diagnostics} reports and never raise. *)
 
-module Dataflow = Dataflow
 module Vrange = Vrange
-module Liveness = Liveness
 module Hazard = Hazard
 module Lint = Lint
 
-(** [graph_report ?bytes_per_element g] — value-range and liveness
-    findings for a primitive graph. *)
-let graph_report ?bytes_per_element (g : Ir.Primgraph.t) : Verify.Diagnostics.report =
-  Vrange.check g @ Liveness.check ?bytes_per_element g
-
-(** [plan_report ?bytes_per_element g plan mp] — the hazard cross-check
-    of one plan's memory planner output. *)
-let plan_report ?bytes_per_element (g : Ir.Primgraph.t) (plan : Runtime.Plan.t)
-    (mp : Runtime.Memplan.t) : Verify.Diagnostics.report =
-  Hazard.check ?bytes_per_element g plan mp
+(** [graph_report g] — value-range findings, then the graph verifier's
+    (dead code, and structural errors in a malformed graph). *)
+let graph_report (g : Ir.Primgraph.t) : Verify.Diagnostics.report =
+  Vrange.check g @ Verify.graph_check g

@@ -28,10 +28,6 @@ let max_severity (r : D.report) : D.severity option =
       | _ -> Some D.Info)
     None r
 
-(** [exceeds_warning r] — does any finding outrank [Warning]? This is
-    the CI gate predicate. *)
-let exceeds_warning (r : D.report) = max_severity r = Some D.Error
-
 let diag_to_json (d : D.diag) : J.t =
   J.Obj
     [

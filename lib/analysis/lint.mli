@@ -6,14 +6,6 @@ module J = Obs.Jsonw
 (** The schema tag, ["korch-lint/1"]. *)
 val schema : string
 
-(** Highest severity present, [None] for an empty report. *)
-val max_severity : Verify.Diagnostics.report -> Verify.Diagnostics.severity option
-
-(** CI gate predicate: does any finding outrank [Warning]? *)
-val exceeds_warning : Verify.Diagnostics.report -> bool
-
-val diag_to_json : Verify.Diagnostics.diag -> J.t
-
 (** [to_json ?meta r] — the [korch-lint/1] document; [meta] lands
     verbatim under the ["meta"] member. *)
 val to_json : ?meta:(string * J.t) list -> Verify.Diagnostics.report -> J.t

@@ -1,14 +1,14 @@
 (** Value-range analysis over primitive graphs.
 
-    A forward abstract interpretation in the {!Dataflow} framework whose
-    domain is an interval × zero-exclusion × finiteness × NaN-exclusion
-    product: each tensor is abstracted by one fact describing every
-    element it may contain. Graph inputs are assumed to hold arbitrary
-    {e finite} reals (the executor feeds materialized tensors);
-    constants contribute their exact fill ranges; every primitive has a
-    sound transfer function on intervals.
+    A forward abstract interpretation whose domain is an interval ×
+    zero-exclusion × finiteness × NaN-exclusion product: each tensor is
+    abstracted by one fact describing every element it may contain.
+    Graph inputs are assumed to hold arbitrary {e finite} reals (the
+    executor feeds materialized tensors); constants contribute their
+    exact fill ranges; every primitive has a sound transfer function on
+    intervals.
 
-    {!check} then inspects the fixpoint for numeric hazards:
+    {!check} then inspects the facts for numeric hazards:
 
     - {b error} — a defect guaranteed for every input: division by an
       always-zero tensor, [log]/[sqrt] of an always-negative range,
@@ -63,38 +63,19 @@ let fact_to_string x =
       (if x.finite then " finite" else "")
       (if x.nonnan then "" else " nan?")
 
-module Dom : Dataflow.DOMAIN with type t = v = struct
-  type t = v
-
-  let bottom = bottom
-  let equal (a : t) (b : t) = a = b
-
-  let join a b =
-    if is_empty a then b
-    else if is_empty b then a
-    else
-      {
-        lo = Float.min a.lo b.lo;
-        hi = Float.max a.hi b.hi;
-        nonzero = a.nonzero && b.nonzero;
-        finite = a.finite && b.finite;
-        nonnan = a.nonnan && b.nonnan;
-      }
-
-  (* Widen growing bounds straight to ±inf: the interval lattice has
-     infinite ascending chains, the flags do not. *)
-  let widen a b =
-    let j = join a b in
-    if is_empty a then j
-    else
-      {
-        j with
-        lo = (if j.lo < a.lo then neg_infinity else j.lo);
-        hi = (if j.hi > a.hi then infinity else j.hi);
-      }
-
-  let to_string = fact_to_string
-end
+(* Least upper bound of two facts: the interval hull, keeping only the
+   exclusions both sides prove. *)
+let join a b =
+  if is_empty a then b
+  else if is_empty b then a
+  else
+    {
+      lo = Float.min a.lo b.lo;
+      hi = Float.max a.hi b.hi;
+      nonzero = a.nonzero && b.nonzero;
+      finite = a.finite && b.finite;
+      nonnan = a.nonnan && b.nonnan;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Interval arithmetic on bounds                                       *)
@@ -245,7 +226,7 @@ let of_const (c : Const.t) : v =
   | Const.Value x -> point x
   | Const.Randn _ | Const.Randn_scaled _ -> input_fact
   | Const.Data nd ->
-    Array.fold_left (fun acc x -> Dom.join acc (point x)) bottom nd.Nd.data
+    Array.fold_left (fun acc x -> join acc (point x)) bottom nd.Nd.data
 
 (* ------------------------------------------------------------------ *)
 (* Transfer functions                                                  *)
@@ -262,7 +243,7 @@ let unary_v (u : Primitive.unary) (x : v) : v =
   | Primitive.Square -> square_v x
   | Primitive.Reciprocal -> div_v (mk ~nonzero:true 1.0 1.0) x
   | Primitive.Relu -> { (max_v x (mk 0.0 0.0)) with nonzero = x.nonzero && x.lo >= 0.0 }
-  | Primitive.LeakyRelu a -> Dom.join (max_v x (mk 0.0 0.0)) (mul_v x (mk a a))
+  | Primitive.LeakyRelu a -> join (max_v x (mk 0.0 0.0)) (mul_v x (mk a a))
   | Primitive.Sigmoid ->
     (* monotone into (0,1); underflows to 0 below about -745 *)
     mk ~nonzero:(x.lo > exp_underflow && x.nonnan) ~nonnan:x.nonnan
@@ -336,7 +317,7 @@ let reduce_v (agg : Primitive.agg) ~(k : int) (x : v) : v =
    element. *)
 let dot_v ~(k : int) ?(pad = false) (x : v) (y : v) : v =
   let p = mul_v x y in
-  let p = if pad then Dom.join p (mk 0.0 0.0) else p in
+  let p = if pad then join p (mk 0.0 0.0) else p in
   sum_of k { p with nonzero = false }
 
 let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
@@ -356,14 +337,14 @@ let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
     let r = reduce_v agg ~k:(kh * kw) x in
     (* Windows overlapping the border aggregate fewer real elements;
        Sum/Mean windows therefore approach 0 contributions. *)
-    if padded && (agg = Primitive.Sum || agg = Primitive.Mean) then Dom.join r (mk 0.0 0.0)
+    if padded && (agg = Primitive.Sum || agg = Primitive.Mean) then join r (mk 0.0 0.0)
     else r
   | (Primitive.Broadcast _ | Primitive.Upsample _), [ x ] -> x
   | (Primitive.Transpose _ | Primitive.Reshape _ | Primitive.Slice _), [ x ] -> x
   | Primitive.Pad { before; after; value }, [ x ] ->
     let pads = Array.exists (fun d -> d > 0) before || Array.exists (fun d -> d > 0) after in
-    if pads then Dom.join x (mk ~nonzero:(value <> 0.0) value value) else x
-  | Primitive.Concat _, xs -> List.fold_left Dom.join bottom xs
+    if pads then join x (mk ~nonzero:(value <> 0.0) value value) else x
+  | Primitive.Concat _, xs -> List.fold_left join bottom xs
   | Primitive.Matmul, [ x; y ] ->
     let s = shape_of_input 0 in
     let k = if Array.length s = 0 then 1 else s.(Array.length s - 1) in
@@ -382,10 +363,15 @@ let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
 (* Solving and findings                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Solver = Dataflow.Forward (Dom)
-
-(** [solve g] — the value-range fact of every node. *)
-let solve (g : Primgraph.t) : v array = Solver.solve g ~transfer
+(** [solve g] — the value-range fact of every node: one forward pass in
+    dependency order, each node's fact computed from its inputs' final
+    facts (primitive graphs are acyclic, so this is the fixpoint). *)
+let solve (g : Primgraph.t) : v array =
+  let facts = Array.make (Graph.length g) bottom in
+  List.iter
+    (fun i -> facts.(i) <- transfer g i (List.map (fun p -> facts.(p)) (Graph.inputs g i)))
+    (Graph.topo_order g);
+  facts
 
 (* Hazard inspection of one node given its input facts. *)
 let inspect (g : Primgraph.t) (i : int) (facts : v array) : D.report =

@@ -21,9 +21,6 @@ type v = {
   nonnan : bool;  (** NaN excluded *)
 }
 
-(** The {!Dataflow.DOMAIN} instance (exposed for tests and reuse). *)
-module Dom : Dataflow.DOMAIN with type t = v
-
 val bottom : v
 val top : v
 
@@ -58,19 +55,8 @@ val dot_v : k:int -> ?pad:bool -> v -> v -> v
     (argument order). Exposed for per-primitive unit tests. *)
 val transfer : Primgraph.t -> int -> v list -> v
 
-(** The forward solver instance; [Solver.sweeps ()] reports the
-    iterations the last solve needed (1 on a DAG). *)
-module Solver : sig
-  val solve :
-    ?widen_after:int ->
-    Primgraph.t ->
-    transfer:(Primgraph.t -> int -> v list -> v) ->
-    v array
-
-  val sweeps : unit -> int
-end
-
-(** [solve g] — the fixpoint fact of every node. *)
+(** [solve g] — the fact of every node, from one forward pass in
+    dependency order. *)
 val solve : Primgraph.t -> v array
 
 (** Pass name used in findings (["vrange"]). *)

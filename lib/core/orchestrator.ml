@@ -881,21 +881,13 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
         (fun r -> if tier_is_degraded r.outcome.tier then Some r.seg_index else None)
         results
     in
-    let degraded_info =
-      List.filter_map
-        (fun r ->
-          if tier_is_degraded r.outcome.tier then
-            Some (r.seg_index, tier_to_string r.outcome.tier)
-          else None)
-        results
-    in
     let analysis, verify_us =
       if not cfg.check_invariants then (Analysis_off, 0.0)
       else
         Obs.Clock.timed_us @@ fun () ->
         Obs.Span.with_ ~name:"verify" @@ fun () ->
         enforce ~what:"stitched graph" (Verify.graph_check graph);
-        enforce ~what:"stitched plan" (Verify.plan_check ~degraded:degraded_info graph plan);
+        enforce ~what:"stitched plan" (Verify.plan_check graph plan);
         (* Independent hazard cross-check of the planner's arena packing
            (second implementation, lib/analysis). An analyzer crash — or
            an injected [Analysis] fault — degrades to "skipped": the

@@ -9,8 +9,8 @@
 val pp_result : Format.formatter -> Orchestrator.result -> unit
 
 (** [pp_segments ppf r] prints the per-segment outcome table: index,
-    ladder tier, selected kernel count, worker retries and fallback
-    notes. *)
+    ladder tier, selected kernel count, worker retries and notes
+    (fallback reason, truncation, pruned candidates). *)
 val pp_segments : Format.formatter -> Orchestrator.result -> unit
 
 (** [summary r] is [pp_result] rendered to a string. *)
@@ -35,9 +35,9 @@ val execution_to_json :
     ["analysis"] object with the hazard cross-check outcome
     (status checked/skipped/off plus finding counts — also optional),
     per-phase wall-clock timings, one object per segment (tier,
-    kernel/candidate counts, enumeration stats, retries, fallback reason,
-    phase timings) and a {!Obs.Metrics} snapshot under ["metrics"]. [meta] adds a
-    caller-supplied ["meta"] object (model name, GPU, precision, jobs…);
+    kernel/candidate/pruned-candidate counts, enumeration stats, retries,
+    fallback reason, phase timings) and a {!Obs.Metrics} snapshot under
+    ["metrics"]. [meta] adds a caller-supplied ["meta"] object (model name, GPU, precision, jobs…);
     [execution] adds the optional ["execution"] block (see
     {!execution_to_json}). The output parses back with [Onnx.Json]. *)
 val to_json :

@@ -43,9 +43,10 @@ let succs g : int list array =
 (** [preds g i] are the deduplicated producers of node [i]. *)
 let preds g i = List.sort_uniq compare (inputs g i)
 
-(** [validate g] checks ids are positional, inputs reference earlier-defined
-    nodes only if acyclic (checked via topological sort), and outputs are in
-    range. Raises [Invalid_argument] on violation. *)
+(** [validate g] checks that ids are positional, that every input and
+    output id is in range, and that the graph is acyclic (Kahn's
+    algorithm). It does not require inputs to precede their consumer in
+    id order. Raises [Invalid_argument] on violation. *)
 let validate g =
   let n = length g in
   Array.iteri

@@ -17,7 +17,8 @@
     - source nodes ([Input]/[Constant]) have no predecessors;
     - declared outputs exist and are not duplicated;
     - every stored shape agrees with a re-run of {!Ir.Shape_infer};
-    - dead (unreachable-from-outputs) nodes are reported as warnings. *)
+    - dead (unreachable-from-outputs) nodes are reported: computing ones
+      as warnings with their element count, unused sources as infos. *)
 
 open Ir
 open Tensor
@@ -184,7 +185,8 @@ let check (spec : 'op spec) (g : 'op Graph.t) : Diagnostics.report =
         else
           emit
             (Diagnostics.warning ~pass ~loc:(Node i)
-               "dead node %s (not reachable from any output)" (spec.describe nd.Graph.op)))
+               "dead node %s (not reachable from any output; %d elements wasted)"
+               (spec.describe nd.Graph.op) (Shape.numel nd.Graph.shape)))
     g.Graph.nodes;
   List.rev !diags
 

@@ -10,8 +10,7 @@
 
     - a warning for a kernel that publishes nothing;
     - a warning when the recorded total disagrees with the kernel sum;
-    - redundancy statistics (§4.2) as an info finding;
-    - an info finding per degraded segment. *)
+    - redundancy statistics (§4.2) as an info finding. *)
 
 type stats = {
   kernels : int;
@@ -36,16 +35,10 @@ let compute_stats (p : Runtime.Plan.t) : stats =
       List.fold_left (fun a k -> a + List.length k.Runtime.Plan.outputs) 0 p.Runtime.Plan.kernels;
   }
 
-(** [check ?degraded g p] — validate plan [p] against primitive graph [g];
-    returns all findings, never raises. [degraded] lists
-    [(segment index, ladder tier)] pairs for segments whose plan came from
-    a fallback strategy (see {!Orchestrator}); each is reported as an info
-    finding so degraded runs are visible in every verification report, not
-    only in the orchestrator's own summary. The structural checks are
-    identical either way — a degraded plan must satisfy exactly the same
-    invariants as an optimal one. *)
-let check ?(degraded : (int * string) list = []) (g : Ir.Primgraph.t) (p : Runtime.Plan.t) :
-    Diagnostics.report =
+(** [check g p] — validate plan [p] against primitive graph [g]; returns
+    all findings, never raises. A degraded segment's plan must satisfy
+    exactly the same invariants as an optimal one. *)
+let check (g : Ir.Primgraph.t) (p : Runtime.Plan.t) : Diagnostics.report =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   List.iter
@@ -76,11 +69,4 @@ let check ?(degraded : (int * string) list = []) (g : Ir.Primgraph.t) (p : Runti
     (Diagnostics.info ~pass ~loc:Whole
        "%d kernels, %d primitive executions (%d distinct, %d redundant), %d tensors published"
        s.kernels s.executed s.distinct s.redundancy s.published);
-  List.iter
-    (fun (seg, tier) ->
-      emit
-        (Diagnostics.info ~pass ~loc:Whole
-           "segment %d plan is degraded (tier: %s); structural invariants verified as usual" seg
-           tier))
-    degraded;
   List.rev !diags

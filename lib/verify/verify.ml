@@ -28,9 +28,7 @@ let graph_check = Graph_check.check_prim
 (** [opgraph_check g] — verify an operator graph (see {!Graph_check.check_op}). *)
 let opgraph_check = Graph_check.check_op
 
-(** [plan_check ?degraded g p] — validate a plan against its primitive
-    graph. [degraded] labels fallback-tier segments (see
-    {!Plan_check.check}). *)
+(** [plan_check g p] — validate a plan against its primitive graph. *)
 let plan_check = Plan_check.check
 
 (** [lint_rules ?seed ?count ()] — run the full rewrite-rule lint. *)

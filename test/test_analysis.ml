@@ -1,14 +1,13 @@
-(* Tests for lib/analysis: the dataflow framework, per-primitive-class
-   value-range transfer functions, seeded broken graphs that must be
-   flagged, backward liveness / dead-code detection, the memory-planner
-   hazard cross-check (clean pass + injected corruptions rejected), the
-   korch-lint/1 serializer, and the orchestrator integration (clean zoo
-   models, analysis fault degradation). *)
+(* Tests for lib/analysis: per-primitive-class value-range transfer
+   functions, seeded broken graphs that must be flagged, dead-code
+   findings of the graph report, the memory-planner hazard cross-check
+   (clean pass + injected corruptions rejected), the korch-lint/1
+   serializer, and the orchestrator integration (clean zoo models,
+   analysis fault degradation). *)
 
 open Ir
 module V = Analysis.Vrange
 module D = Verify.Diagnostics
-module Liveness = Analysis.Liveness
 module Hazard = Analysis.Hazard
 module Lint = Analysis.Lint
 
@@ -60,20 +59,6 @@ let chain_graph (us : Primitive.unary list) =
   in
   Primgraph.B.set_outputs b [ last ];
   Primgraph.B.finish b
-
-(* ---------------- dataflow framework ---------------- *)
-
-let test_forward_one_sweep () =
-  let g = softmax_graph () in
-  let _ = V.solve g in
-  (* A DAG seeded in topological order converges in a single sweep. *)
-  Alcotest.(check int) "sweeps" 1 (V.Solver.sweeps ())
-
-let test_backward_liveness_matches_reachability () =
-  let g = softmax_graph () in
-  let live = Liveness.solve g in
-  Array.iteri (fun i l -> Alcotest.(check bool) (Printf.sprintf "node %d live" i) true l)
-    [| live.(0); live.(1); live.(2); live.(3); live.(4) |]
 
 (* ---------------- value-range transfer functions ---------------- *)
 
@@ -204,19 +189,27 @@ let test_softmax_is_clean () =
 let test_dead_subgraph_flagged () =
   let b = Primgraph.B.create () in
   let x = Primgraph.B.input b "x" [| 2; 2 |] in
+  let _unused = Primgraph.B.input b "unused" [| 3 |] in
   let live = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
   (* A two-node dead branch. *)
   let d1 = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ x ] in
   let _d2 = Primgraph.B.add b (Primitive.Unary Primitive.Neg) [ d1 ] in
   Primgraph.B.set_outputs b [ live ];
-  let g = Primgraph.B.finish b in
-  let r = Liveness.check g in
-  Alcotest.(check int) "two dead primitives" 2
-    (List.length (List.filter (fun (d : D.diag) -> d.D.severity = D.Warning) r));
-  Alcotest.(check bool) "wasted bytes reported" true (find_sev D.Warning "wasted bytes" r);
-  let live_facts = Liveness.solve g in
-  Alcotest.(check bool) "branch dead" false live_facts.(3);
-  Alcotest.(check bool) "output live" true live_facts.(1)
+  let r = Analysis.graph_report (Primgraph.B.finish b) in
+  let at sev i =
+    List.filter_map
+      (fun (d : D.diag) ->
+        if d.D.severity = sev && d.D.loc = D.Node i then Some d.D.message else None)
+      r
+  in
+  Alcotest.(check (list string)) "dead exp"
+    [ "dead node exp (not reachable from any output; 4 elements wasted)" ] (at D.Warning 3);
+  Alcotest.(check (list string)) "dead neg"
+    [ "dead node neg (not reachable from any output; 4 elements wasted)" ] (at D.Warning 4);
+  Alcotest.(check int) "no other warnings" 2 (List.length (D.warnings r));
+  Alcotest.(check (list string)) "unused input is an info" [ "unused source input(unused)" ]
+    (at D.Info 1);
+  Alcotest.(check (list string)) "live nodes not flagged" [] (at D.Warning 2 @ at D.Info 2)
 
 (* ---------------- hazard cross-check ---------------- *)
 
@@ -341,11 +334,11 @@ let test_lint_json () =
   let report =
     [
       D.error ~pass:"vrange" ~loc:(D.Node 3) "boom";
-      D.info ~pass:"liveness" ~loc:D.Whole "fine";
+      D.info ~pass:"graph" ~loc:D.Whole "fine";
     ]
   in
-  Alcotest.(check bool) "exceeds warning" true (Lint.exceeds_warning report);
-  Alcotest.(check bool) "clean list does not" false (Lint.exceeds_warning []);
+  Alcotest.(check bool) "gate fails on an error" true (D.has_errors report);
+  Alcotest.(check bool) "clean list passes" false (D.has_errors []);
   let doc = Lint.json_string ~meta:[ ("source", Obs.Jsonw.Str "unit") ] report in
   let j = Onnx.Json.of_string doc in
   let mem k o = Option.get (Onnx.Json.member k o) in
@@ -420,10 +413,6 @@ let test_analysis_off_when_invariants_off () =
 let () =
   Alcotest.run "analysis"
     [
-      ( "dataflow",
-        [ Alcotest.test_case "forward one sweep on DAG" `Quick test_forward_one_sweep;
-          Alcotest.test_case "backward liveness" `Quick
-            test_backward_liveness_matches_reachability ] );
       ( "vrange",
         [ Alcotest.test_case "constants" `Quick test_const_facts;
           Alcotest.test_case "elementwise" `Quick test_elementwise_transfers;

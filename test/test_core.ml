@@ -301,6 +301,34 @@ let test_orchestrator_partitioned_equivalence () =
         (Nd.allclose ~rtol:1e-4 ~atol:1e-6 e a))
     expected got
 
+(* A segment that lost candidates to the explosion guard says so in both
+   report forms, whatever its tier. *)
+let test_report_pruned_candidates () =
+  let r = Korch.Orchestrator.run orch_cfg (Models.Registry.candy.Models.Registry.build_small ()) in
+  let r =
+    { r with
+      Korch.Orchestrator.segments =
+        List.mapi
+          (fun i s -> if i = 0 then { s with Korch.Orchestrator.pruned_candidates = 7 } else s)
+          r.Korch.Orchestrator.segments }
+  in
+  let j = Onnx.Json.of_string (Korch.Report.json_string r) in
+  let mem k o = Option.get (Onnx.Json.member k o) in
+  let pruned =
+    List.map
+      (fun s -> Onnx.Json.to_int_exn (mem "pruned_candidates" s))
+      (Onnx.Json.to_list_exn (mem "per_segment" j))
+  in
+  Alcotest.(check int) "first segment carries 7" 7 (List.hd pruned);
+  Alcotest.(check bool) "others carry 0" true (List.for_all (( = ) 0) (List.tl pruned));
+  let table = Korch.Report.segment_table r in
+  let has sub =
+    let n = String.length table and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub table i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "segment table notes the pruning" true (has "pruned 7 candidates")
+
 (* Calibrate.record folds hand-built native timings into the measured
    store: best-of-N per kernel signature, out-of-range indices skipped. *)
 let test_calibrate_record () =
@@ -514,7 +542,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_orchestrator_stats_populated;
           Alcotest.test_case "softmax split" `Quick test_orchestrator_softmax_fissioned_into_multiple_kernels;
           Alcotest.test_case "redundancy valid" `Quick test_orchestrator_redundancy_nonnegative;
-          Alcotest.test_case "partitioned equivalence" `Quick test_orchestrator_partitioned_equivalence ] );
+          Alcotest.test_case "partitioned equivalence" `Quick test_orchestrator_partitioned_equivalence;
+          Alcotest.test_case "pruned candidates reported" `Quick test_report_pruned_candidates ] );
       ( "calibrate",
         [ Alcotest.test_case "record folds measured timings" `Quick test_calibrate_record ] );
       ( "plan table",

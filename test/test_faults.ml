@@ -104,14 +104,7 @@ let run_checked ~label ?(jobs = 1) ?(fault_seed = 1) ~faults (e : Models.Registr
       Alcotest.failf "%s: orchestration died instead of degrading: %s" label
         (Printexc.to_string exn)
   in
-  let report =
-    Verify.plan_check
-      ~degraded:
-        (List.map
-           (fun i -> (i, "injected"))
-           r.Korch.Orchestrator.degraded_segments)
-      r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan
-  in
+  let report = Verify.plan_check r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan in
   if Verify.Diagnostics.has_errors report then
     Alcotest.failf "%s: degraded plan fails Plan_check: %s" label
       (Verify.Diagnostics.error_summary report);
