@@ -142,31 +142,31 @@ let ancestors g i : Bitset.t =
 let is_execution_state g (s : Bitset.t) =
   Bitset.fold (fun i ok -> ok && List.for_all (fun p -> Bitset.mem s p) (preds g i)) s true
 
+(** [is_convex_with sc s] is {!is_convex} over a precomputed successor
+    table [sc = succs g], for callers that test many sets of one graph. *)
+let is_convex_with (sc : int list array) (s : Bitset.t) =
+  (* Walk the outside nodes reachable from [s] via paths whose
+     intermediate nodes all lie outside [s]; if any of them feeds back
+     into [s], a path leaves and re-enters [s], violating convexity. (A
+     path that re-enters and exits again is already caught at its first
+     re-entry.) [visit w] is true when such a walk from the outside node
+     [w] re-enters [s]; a node is walked at most once. *)
+  let seen = Array.make (Array.length sc) false in
+  let rec visit w =
+    (not seen.(w))
+    && begin
+         seen.(w) <- true;
+         List.exists (fun x -> Bitset.mem s x || visit x) sc.(w)
+       end
+  in
+  not
+    (Bitset.fold
+       (fun v bad -> bad || List.exists (fun w -> (not (Bitset.mem s w)) && visit w) sc.(v))
+       s false)
+
 (** [is_convex g s] tests Definition 1 directly: no path leaves [s] and
     re-enters it. O(|s| * |E|); used as the test oracle for Theorem 1. *)
-let is_convex g (s : Bitset.t) =
-  let n = length g in
-  let sc = succs g in
-  (* Mark outside nodes reachable from [s] via paths whose intermediate
-     nodes all lie outside [s]; if any marked node feeds back into [s], a
-     path leaves and re-enters [s], violating convexity. (A path that
-     re-enters and exits again is already caught at its first re-entry.) *)
-  let outside_reach = Array.make n false in
-  let rec mark_outside v =
-    if not outside_reach.(v) then begin
-      outside_reach.(v) <- true;
-      List.iter (fun w -> if not (Bitset.mem s w) then mark_outside w) sc.(v)
-    end
-  in
-  Bitset.iter
-    (fun v -> List.iter (fun w -> if not (Bitset.mem s w) then mark_outside w) sc.(v))
-    s;
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    if outside_reach.(v) then
-      List.iter (fun w -> if Bitset.mem s w then ok := false) sc.(v)
-  done;
-  !ok
+let is_convex g (s : Bitset.t) = is_convex_with (succs g) s
 
 (** [map_ops f g] rewrites every node operator in place-preserving order. *)
 let map_ops f g = { g with nodes = Array.map (fun nd -> { nd with op = f nd.op }) g.nodes }

@@ -70,6 +70,7 @@ let check (g : Ir.Primgraph.t) (p : t) : error list =
   let in_range i = i >= 0 && i < n in
   (* Values available before any kernel runs: graph sources. *)
   let available = Array.init n (fun i -> Primitive.is_source (Graph.op g i)) in
+  let succs = lazy (Graph.succs g) in
   List.iteri
     (fun ki k ->
       let err fmt = err (Kernel ki) fmt in
@@ -94,7 +95,8 @@ let check (g : Ir.Primgraph.t) (p : t) : error list =
         k.outputs;
       (* Convexity (Definition 1): a kernel cannot pause mid-flight for
          another kernel to fill in an intermediate value. *)
-      if (not (Bitset.is_empty members)) && not (Graph.is_convex g members) then
+      if (not (Bitset.is_empty members)) && not (Graph.is_convex_with (Lazy.force succs) members)
+      then
         err "member set {%s} is not a convex subgraph"
           (String.concat "," (List.map string_of_int (Bitset.elements members)));
       Bitset.iter

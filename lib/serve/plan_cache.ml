@@ -1,6 +1,47 @@
 (** Durable content-addressed plan cache (see the interface for the
     contract and the atomicity discipline). *)
 
+(* A bounded, mutex-protected LRU map (see the interface). *)
+module Memo = struct
+  type ('k, 'v) t = {
+    capacity : int;
+    lock : Mutex.t;
+    table : ('k, 'v * int ref) Hashtbl.t;  (** value and its last-use tick *)
+    mutable clock : int;
+  }
+
+  let create capacity =
+    { capacity; lock = Mutex.create (); table = Hashtbl.create capacity; clock = 0 }
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let find t k =
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.table k with
+        | Some (v, used) ->
+          used := tick t;
+          Some v
+        | None -> None)
+
+  (* Eviction scans the whole table; capacities are a few dozen. *)
+  let replace t k v =
+    Mutex.protect t.lock (fun () ->
+        if (not (Hashtbl.mem t.table k)) && Hashtbl.length t.table >= t.capacity then begin
+          let oldest =
+            Hashtbl.fold
+              (fun k (_, used) acc ->
+                match acc with Some (_, u) when u <= !used -> acc | _ -> Some (k, !used))
+              t.table None
+          in
+          Option.iter (fun (k, _) -> Hashtbl.remove t.table k) oldest
+        end;
+        Hashtbl.replace t.table k (v, ref (tick t)))
+
+  let remove t k = Mutex.protect t.lock (fun () -> Hashtbl.remove t.table k)
+end
+
 type key = { graph_hash : string; gpu : string; precision : string; batch : int }
 
 type status = Final | Incumbent
@@ -30,6 +71,7 @@ type stats = {
   corrupt : int;
   version_misses : int;
   io_faults : int;
+  validations : int;
 }
 
 type t = {
@@ -40,6 +82,10 @@ type t = {
   c_corrupt : int Atomic.t;
   c_version_misses : int Atomic.t;
   c_io_faults : int Atomic.t;
+  c_validations : int Atomic.t;
+  checked : (string, string * doc) Memo.t;
+      (** per entry path: the bytes last read there, and the entry they
+          decoded to and that passed the check *)
 }
 
 (* Process-wide census, next to the other serving metrics. *)
@@ -49,6 +95,10 @@ let m_stores = Obs.Metrics.counter "serve.plan_cache.stores"
 let m_corrupt = Obs.Metrics.counter "serve.plan_cache.corrupt"
 let m_version_miss = Obs.Metrics.counter "serve.plan_cache.version_miss"
 let m_io_faults = Obs.Metrics.counter "serve.plan_cache.io_faults"
+let m_validations = Obs.Metrics.counter "serve.plan_cache.validations"
+
+(* Entry files whose checked bytes are remembered, per cache. *)
+let checked_capacity = 64
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -66,6 +116,8 @@ let create ~dir () : t =
     c_corrupt = Atomic.make 0;
     c_version_misses = Atomic.make 0;
     c_io_faults = Atomic.make 0;
+    c_validations = Atomic.make 0;
+    checked = Memo.create checked_capacity;
   }
 
 let graph_hash (graph : Ir.Opgraph.t) =
@@ -233,6 +285,20 @@ let bump local global =
   Atomic.incr local;
   Obs.Metrics.incr global
 
+(* [parse] is a pure function of the bytes, so bytes equal to those last
+   checked at [path] decode to the same entry and pass the same check:
+   reuse it. Anything else is parsed and checked in full. *)
+let parse_at (t : t) (path : string) (s : string) : parsed =
+  match Memo.find t.checked path with
+  | Some (s', d) when String.equal s s' -> Parsed d
+  | _ ->
+    bump t.c_validations m_validations;
+    let p = parse s in
+    (match p with
+    | Parsed d -> Memo.replace t.checked path (s, d)
+    | Version_miss | Corrupt -> Memo.remove t.checked path);
+    p
+
 (* The one lookup path for both kinds. [select] takes the caller's kind
    out of a decoded entry and checks it is filed under the caller's key;
    anything else at that path is corrupt. *)
@@ -241,24 +307,28 @@ let lookup_doc (t : t) (path : string) (select : doc -> 'a option) : 'a option =
     (* Corrupt-entry recovery: delete and miss; a later store republishes
        a good entry. *)
     (try Sys.remove path with Sys_error _ -> ());
+    Memo.remove t.checked path;
     bump t.c_corrupt m_corrupt;
     bump t.c_misses m_misses;
     None
   in
   match Faults.check Faults.Cache_io with
   | exception Faults.Injected _ ->
+    Memo.remove t.checked path;
     bump t.c_io_faults m_io_faults;
     None
   | () when not (Sys.file_exists path) ->
+    Memo.remove t.checked path;
     bump t.c_misses m_misses;
     None
   | () -> (
     match read_file path with
     | exception _ ->
+      Memo.remove t.checked path;
       bump t.c_io_faults m_io_faults;
       None
     | s -> (
-      match parse s with
+      match parse_at t path s with
       | Version_miss ->
         (* Foreign schema version: leave the file alone (another daemon
            generation owns it) and degrade to a miss. *)
@@ -306,7 +376,7 @@ let store (t : t) (k : key) ~(status : status) ~(graph : Ir.Primgraph.t)
     status = Incumbent
     && Sys.file_exists path
     &&
-    match parse (read_file path) with
+    match parse_at t path (read_file path) with
     | Parsed (Plan { status = Final; key; _ }) -> key = k
     | _ | (exception _) -> false
   in
@@ -327,6 +397,7 @@ let stats (t : t) : stats =
     corrupt = Atomic.get t.c_corrupt;
     version_misses = Atomic.get t.c_version_misses;
     io_faults = Atomic.get t.c_io_faults;
+    validations = Atomic.get t.c_validations;
   }
 
 let hit_rate (t : t) : float =
@@ -343,5 +414,6 @@ let stats_to_json (t : t) : Obs.Jsonw.t =
       ("corrupt", Obs.Jsonw.Int s.corrupt);
       ("version_misses", Obs.Jsonw.Int s.version_misses);
       ("io_faults", Obs.Jsonw.Int s.io_faults);
+      ("validations", Obs.Jsonw.Int s.validations);
       ("hit_rate", Obs.Jsonw.Float (hit_rate t));
     ]

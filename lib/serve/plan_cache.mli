@@ -26,6 +26,18 @@
       validate ({!Runtime.Plan.check} against its own graph) is
       deleted and reported as a miss, never an error.
 
+    Every lookup reads the entry file, but a given file content is
+    parsed and checked once per [t]: each [t] remembers, for up to 64
+    entry paths, the bytes it last read there and the entry they
+    decoded to. A lookup whose bytes equal the remembered ones reuses
+    that entry; this is exact, since parsing and checking are pure
+    functions of the bytes. Any other content — a rewritten, truncated
+    or foreign-version file — is parsed and checked in full, and only
+    content that passes is remembered. The key check (the entry is
+    filed under the caller's key) runs on every hit. A hit returns the
+    remembered entry itself, shared between hits: callers must not
+    mutate it.
+
     Every disk touch passes the {!Faults.site-Cache_io} injection seam:
     an injected fault turns a lookup into a miss and skips a publish —
     the cache degrades, the request does not.
@@ -35,6 +47,29 @@
     deadline pressure (wall-clock dependent, possibly degraded) and may
     be overwritten by a later final plan — a final entry is never
     downgraded to an incumbent. *)
+
+(** A bounded map shared by the daemon's worker domains: a cache keeps
+    its checked entries in one, and the daemon its graph hashes.
+
+    It holds at most [capacity] bindings; adding one more evicts the
+    least recently used. Every operation takes the map's mutex for a
+    table access only, so callers compute the values they store outside
+    the lock. *)
+module Memo : sig
+  type ('k, 'v) t
+
+  (** [create capacity] — an empty map ([capacity >= 1]). *)
+  val create : int -> ('k, 'v) t
+
+  (** [find t k] — the value bound to [k], marking it most recently used. *)
+  val find : ('k, 'v) t -> 'k -> 'v option
+
+  (** [replace t k v] — bind [k] to [v], evicting the least recently used
+      binding when [k] is new and the map is full. *)
+  val replace : ('k, 'v) t -> 'k -> 'v -> unit
+
+  val remove : ('k, 'v) t -> 'k -> unit
+end
 
 type t
 
@@ -81,6 +116,9 @@ type stats = {
       (** entries skipped (not deleted) for carrying a foreign schema
           version; each also counts as a miss *)
   io_faults : int;  (** injected or real I/O failures absorbed *)
+  validations : int;
+      (** entry contents parsed and checked in full; a repeat hit on an
+          unchanged file adds none *)
 }
 
 (** [create ~dir ()] — open (and create) the cache directory. *)

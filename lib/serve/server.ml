@@ -35,7 +35,12 @@ type t = {
   draining : bool Atomic.t;
   in_flight : int Atomic.t;  (** heavy (optimize/run) requests being handled *)
   peak_in_flight : int Atomic.t;
+  graph_hashes : (string * bool * int, string) Plan_cache.Memo.t;
+      (** (model, small, batch) of a named zoo request -> its graph hash *)
 }
+
+(* Zoo requests whose graph hash is remembered. *)
+let graph_hash_capacity = 64
 
 (* ------------------------------ metrics ------------------------------- *)
 
@@ -71,6 +76,7 @@ let create (cfg : config) : t =
     draining = Atomic.make false;
     in_flight = Atomic.make 0;
     peak_in_flight = Atomic.make 0;
+    graph_hashes = Plan_cache.Memo.create graph_hash_capacity;
   }
 
 let cache t = t.cache
@@ -161,10 +167,28 @@ type served_plan = {
 let plan_for t (r : Protocol.request) : served_plan =
   let spec = spec_of_request t r in
   let precision = precision_of_request t r in
-  let graph, _label = resolve_workload r in
+  let gpu = spec.Gpu.Spec.name and precision_name = Gpu.Precision.to_string precision in
+  let batch = r.Protocol.batch in
+  (* Built only when the request needs the graph itself: to key a request
+     the memo cannot, to orchestrate, or to fall back to the floor. *)
+  let graph = lazy (fst (resolve_workload r)) in
+  let fresh_key () =
+    Plan_cache.key ~graph:(Lazy.force graph) ~gpu ~precision:precision_name ~batch
+  in
   let key =
-    Plan_cache.key ~graph ~gpu:spec.Gpu.Spec.name
-      ~precision:(Gpu.Precision.to_string precision) ~batch:r.Protocol.batch
+    match r.Protocol.model with
+    | None -> fresh_key ()
+    | Some name -> (
+      (* Zoo builds are deterministic (warm restarts rely on it too), so
+         a named model's graph hash is a function of the request; a
+         failed build raises before anything is remembered. *)
+      let k = (name, r.Protocol.small, batch) in
+      match Plan_cache.Memo.find t.graph_hashes k with
+      | Some graph_hash -> { Plan_cache.graph_hash; gpu; precision = precision_name; batch }
+      | None ->
+        let key = fresh_key () in
+        Plan_cache.Memo.replace t.graph_hashes k key.Plan_cache.graph_hash;
+        key)
   in
   let cached = if r.Protocol.no_cache then None else Plan_cache.lookup t.cache key in
   let serve_cached (e : Plan_cache.entry) =
@@ -193,6 +217,7 @@ let plan_for t (r : Protocol.request) : served_plan =
             r.Protocol.deadline_ms;
       }
     in
+    let graph = Lazy.force graph in
     match Korch.Orchestrator.run ocfg graph with
     | res ->
       let degraded = res.Korch.Orchestrator.degraded_segments <> [] in
@@ -207,9 +232,9 @@ let plan_for t (r : Protocol.request) : served_plan =
         Korch.Report.json_string
           ~meta:
             [
-              ("gpu", Obs.Jsonw.Str spec.Gpu.Spec.name);
-              ("precision", Obs.Jsonw.Str (Gpu.Precision.to_string precision));
-              ("batch", Obs.Jsonw.Int r.Protocol.batch);
+              ("gpu", Obs.Jsonw.Str gpu);
+              ("precision", Obs.Jsonw.Str precision_name);
+              ("batch", Obs.Jsonw.Int batch);
             ]
           res
       in

@@ -6,7 +6,10 @@
     + [optimize] — resolve the workload (zoo model or inline graph
       document), consult the durable {!Plan_cache}, orchestrate on a miss
       (honouring a per-request deadline), publish the result, and return
-      the executable plan;
+      the executable plan. A named zoo model's graph hash is remembered
+      per (model, small, batch) — zoo builds are deterministic — so a
+      repeat request builds no graph unless it must orchestrate; an
+      inline document is hashed on every request;
     + [run] — [optimize] then execute the plan on deterministic inputs,
       returning per-output checksums;
     + [table] — build (or serve from cache) a {!Korch.Plan_table}: one

@@ -217,6 +217,130 @@ let test_cache_io_fault_seam () =
   Alcotest.(check bool) "io faults counted" true
     ((Serve.Plan_cache.stats cache).Serve.Plan_cache.io_faults >= 2)
 
+(* A repeat lookup of unchanged entry bytes reuses the entry checked the
+   first time; any other content at the path gets the full check. *)
+
+let write_file path contents = Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let stored_cache name =
+  let g, r = Lazy.force workload in
+  let cache = Serve.Plan_cache.create ~dir:(fresh_dir name) () in
+  let key = Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1 in
+  let store () =
+    Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
+      ~graph:r.Korch.Orchestrator.graph ~plan:r.Korch.Orchestrator.plan
+      ~report:(report_string r)
+  in
+  store ();
+  (cache, key, store)
+
+let validations cache = (Serve.Plan_cache.stats cache).Serve.Plan_cache.validations
+
+(* Store, then hit once so the entry's bytes are remembered. *)
+let memoized_hit cache key store =
+  store ();
+  Alcotest.(check bool) "memoized hit" true (Serve.Plan_cache.lookup cache key <> None)
+
+let test_cache_memo_validates_once () =
+  let cache, key, _ = stored_cache "memo-once" in
+  for _ = 1 to 10 do
+    Alcotest.(check bool) "hit" true (Serve.Plan_cache.lookup cache key <> None)
+  done;
+  Alcotest.(check int) "ten hits, one validation" 1 (validations cache);
+  Alcotest.(check int) "ten hits counted" 10 (Serve.Plan_cache.stats cache).Serve.Plan_cache.hits;
+  let stats = jsonw_to_json (Serve.Plan_cache.stats_to_json cache) in
+  Alcotest.(check bool) "validations in stats_to_json" true
+    (Onnx.Json.member "validations" stats = Some (Onnx.Json.Num 1.0))
+
+let test_cache_memo_rechecks_changed_bytes () =
+  let cache, key, store = stored_cache "memo-changed" in
+  let path = Serve.Plan_cache.entry_path cache key in
+  let stats () = Serve.Plan_cache.stats cache in
+  (* Garbage over a memoized entry: deleted and counted corrupt. *)
+  memoized_hit cache key store;
+  write_file path "{\"schema\":\"korch-plan-cache/2\", \"trunc";
+  Alcotest.(check bool) "garbage is a miss" true (Serve.Plan_cache.lookup cache key = None);
+  Alcotest.(check bool) "garbage deleted" false (Sys.file_exists path);
+  Alcotest.(check int) "garbage counted corrupt" 1 (stats ()).Serve.Plan_cache.corrupt;
+  (* A different valid entry over a memoized one is served. *)
+  memoized_hit cache key store;
+  let _, r = Lazy.force workload in
+  let g = r.Korch.Orchestrator.graph in
+  let unfused =
+    Runtime.Plan.make
+      (List.map
+         (fun id ->
+           { Runtime.Plan.prims = [ id ]; outputs = [ id ]; latency_us = 1.0; backend = "unfused" })
+         (Ir.Primgraph.non_source_nodes g))
+  in
+  Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final ~graph:g ~plan:unfused ~report:"";
+  (match Serve.Plan_cache.lookup cache key with
+  | Some e ->
+    Alcotest.(check int) "the new plan is served" (Runtime.Plan.kernel_count unfused)
+      (Runtime.Plan.kernel_count e.Serve.Plan_cache.plan)
+  | None -> Alcotest.fail "the new valid entry missed");
+  (* A foreign schema version over a memoized entry: a kept version miss. *)
+  memoized_hit cache key store;
+  write_file path {|{"schema":"korch-plan-cache/1","status":"final"}|};
+  Alcotest.(check bool) "foreign version is a miss" true (Serve.Plan_cache.lookup cache key = None);
+  Alcotest.(check bool) "foreign version kept" true (Sys.file_exists path);
+  Alcotest.(check int) "version miss counted" 1 (stats ()).Serve.Plan_cache.version_misses;
+  (* An injected fault is still a miss over a memoized entry. *)
+  memoized_hit cache key store;
+  let faults = (stats ()).Serve.Plan_cache.io_faults in
+  Faults.with_policy ~seed:1 [ (Faults.Cache_io, Faults.Always) ] (fun () ->
+      Alcotest.(check bool) "faulted lookup is a miss" true
+        (Serve.Plan_cache.lookup cache key = None));
+  Alcotest.(check int) "fault counted" (faults + 1) (stats ()).Serve.Plan_cache.io_faults;
+  Alcotest.(check bool) "served again once the fault clears" true
+    (Serve.Plan_cache.lookup cache key <> None)
+
+(* Every malformed-plans row written over a memoized entry is rejected on
+   its first lookup. *)
+let test_cache_memo_rejects_malformed () =
+  let cache, key, store = stored_cache "memo-malformed" in
+  let path = Serve.Plan_cache.entry_path cache key in
+  List.iteri
+    (fun i (row : Malformed_plans.row) ->
+      memoized_hit cache key store;
+      Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
+        ~graph:row.Malformed_plans.graph ~plan:row.Malformed_plans.plan ~report:"";
+      Alcotest.(check bool) (row.Malformed_plans.name ^ ": a miss") true
+        (Serve.Plan_cache.lookup cache key = None);
+      Alcotest.(check bool) (row.Malformed_plans.name ^ ": deleted") false (Sys.file_exists path);
+      Alcotest.(check int) (row.Malformed_plans.name ^ ": counted corrupt") (i + 1)
+        (Serve.Plan_cache.stats cache).Serve.Plan_cache.corrupt)
+    (Lazy.force Malformed_plans.rows)
+
+(* Hits share the remembered entry, so running one must not change what
+   the next hit runs. *)
+let test_cache_memo_entry_not_mutated () =
+  let cache, key, _ = stored_cache "memo-shared" in
+  let run_hit ~reuse =
+    match Serve.Plan_cache.lookup cache key with
+    | None -> Alcotest.fail "hit expected"
+    | Some e ->
+      let g = e.Serve.Plan_cache.graph in
+      let inputs =
+        Array.to_list g.Ir.Graph.nodes
+        |> List.filter_map (fun (nd : _ Ir.Graph.node) ->
+               match nd.Ir.Graph.op with
+               | Ir.Primitive.Input name ->
+                 Some (name, Tensor.Nd.randn (Tensor.Rng.create 7) nd.Ir.Graph.shape)
+               | _ -> None)
+      in
+      Runtime.Executor.run ~reuse g e.Serve.Plan_cache.plan ~inputs
+      |> List.map (fun nd ->
+             List.init (Tensor.Nd.numel nd) (fun i ->
+                 Int64.bits_of_float (Tensor.Nd.get_linear nd i)))
+  in
+  let first = run_hit ~reuse:true in
+  let second = run_hit ~reuse:false in
+  let third = run_hit ~reuse:true in
+  Alcotest.(check int) "one validation" 1 (validations cache);
+  Alcotest.(check bool) "second hit's outputs bit-identical" true (first = second);
+  Alcotest.(check bool) "third hit's outputs bit-identical" true (first = third)
+
 (* ----------------------------- protocol ----------------------------- *)
 
 let test_protocol_roundtrip () =
@@ -513,8 +637,96 @@ let test_stats_shape () =
       [ "queue"; "depth" ];
       [ "queue"; "limit" ];
       [ "cache"; "hit_rate" ];
+      [ "cache"; "validations" ];
       [ "tiers"; "cached" ];
     ]
+
+(* The server remembers each named zoo request's graph hash; it must be the
+   hash a fresh build gives. Each request's fresh key gets its own entry
+   (the workload plan with a distinct kernel latency), so serving that
+   entry on both the first request (hash computed) and the second (hash
+   remembered) proves both keys equal the fresh one. Every zoo model at
+   test scale, and paper-scale decode (built and hashed, never
+   orchestrated), whose graph changes with the batch. *)
+let test_handle_memo_key_matches () =
+  let _, r = Lazy.force workload in
+  let t = make_server "memo-key" in
+  let cases =
+    List.concat_map
+      (fun (e : Models.Registry.entry) ->
+        List.map
+          (fun (small, batch) -> (e, small, batch))
+          (if e.Models.Registry.name = "decode" then
+             [ (true, 1); (true, 2); (false, 1); (false, 2) ]
+           else [ (true, 1); (true, 2) ]))
+      Models.Registry.all
+  in
+  let requests =
+    List.mapi
+      (fun i ((e : Models.Registry.entry), small, batch) ->
+        let graph =
+          if small then e.Models.Registry.build_small () else e.Models.Registry.build ~batch ()
+        in
+        let key =
+          Serve.Plan_cache.key ~graph:(Fission.Canonicalize.fold_batch_norms graph)
+            ~gpu:Gpu.Spec.v100.Gpu.Spec.name
+            ~precision:(Gpu.Precision.to_string Gpu.Precision.FP32) ~batch
+        in
+        let plan =
+          Runtime.Plan.make
+            (List.map
+               (fun k -> { k with Runtime.Plan.latency_us = float_of_int (i + 1) })
+               r.Korch.Orchestrator.plan.Runtime.Plan.kernels)
+        in
+        Serve.Plan_cache.store (Serve.Server.cache t) key ~status:Serve.Plan_cache.Final
+          ~graph:r.Korch.Orchestrator.graph ~plan ~report:"";
+        ( Printf.sprintf "%s%s b%d" e.Models.Registry.name (if small then " small" else "") batch,
+          plan.Runtime.Plan.total_latency_us,
+          jsonw_to_json
+            (Serve.Protocol.request_to_json
+               { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
+                 model = Some e.Models.Registry.name; small; batch }) ))
+      cases
+  in
+  List.iter
+    (fun which ->
+      List.iter
+        (fun (label, latency, req) ->
+          let resp = handle_server t req in
+          Alcotest.(check (option string)) (label ^ ", " ^ which ^ " request hits") (Some "hit")
+            (member_str "cache" resp);
+          Alcotest.(check bool) (label ^ ", " ^ which ^ " request serves its own entry") true
+            (Onnx.Json.member "plan_latency_us" resp = Some (Onnx.Json.Num latency)))
+        requests)
+    [ "first"; "second" ]
+
+let test_handle_unknown_model_twice () =
+  let t = make_server "memo-unknown" in
+  for i = 1 to 2 do
+    Alcotest.(check (option string))
+      (Printf.sprintf "unknown model request %d is an error" i)
+      (Some "error")
+      (member_str "status" (handle_server t (request ~model:"no-such-model" "optimize")))
+  done
+
+(* Inline graph documents are hashed on every request: two different
+   documents get two keys. *)
+let test_handle_graph_docs_keyed () =
+  let t = make_server "memo-graph-doc" in
+  let doc tokens =
+    jsonw_to_json
+      (Serve.Protocol.request_to_json
+         { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
+           graph_doc =
+             Some
+               (Onnx.Serialize.opgraph_to_string
+                  (Models.Segformer.attention_subgraph ~batch:1 ~tokens ~channels:8 ())) })
+  in
+  let cache_state tokens = member_str "cache" (handle_server t (doc tokens)) in
+  Alcotest.(check (option string)) "first document misses" (Some "miss") (cache_state 16);
+  Alcotest.(check (option string)) "second document misses" (Some "miss") (cache_state 8);
+  Alcotest.(check (option string)) "first document hits" (Some "hit") (cache_state 16);
+  Alcotest.(check (option string)) "second document hits" (Some "hit") (cache_state 8)
 
 (* --------------------------- daemon, forked --------------------------- *)
 
@@ -622,6 +834,14 @@ let () =
             test_cache_table_roundtrip;
           Alcotest.test_case "final never downgraded" `Quick test_cache_final_never_downgraded;
           Alcotest.test_case "cache_io fault seam" `Quick test_cache_io_fault_seam;
+          Alcotest.test_case "unchanged entry validated once" `Quick
+            test_cache_memo_validates_once;
+          Alcotest.test_case "changed bytes over a memoized entry are re-checked" `Quick
+            test_cache_memo_rechecks_changed_bytes;
+          Alcotest.test_case "malformed plans over a memoized entry rejected" `Quick
+            test_cache_memo_rejects_malformed;
+          Alcotest.test_case "shared entry not mutated by runs" `Quick
+            test_cache_memo_entry_not_mutated;
         ] );
       ( "protocol",
         [
@@ -645,6 +865,11 @@ let () =
           Alcotest.test_case "client errors" `Quick test_handle_client_errors;
           Alcotest.test_case "deadline under faults" `Quick test_handle_deadline_under_faults;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
+          Alcotest.test_case "remembered graph hash equals a fresh key" `Quick
+            test_handle_memo_key_matches;
+          Alcotest.test_case "unknown model errors every time" `Quick
+            test_handle_unknown_model_twice;
+          Alcotest.test_case "graph documents keyed apart" `Quick test_handle_graph_docs_keyed;
         ] );
       ( "daemon",
         [ Alcotest.test_case "kill -9, restart, warm hit" `Quick test_daemon_kill9_warm_restart ] );
