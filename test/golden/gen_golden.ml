@@ -38,7 +38,70 @@ let ilp_search (model, g) =
   in
   List.mapi segment (Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims)
 
+(* One operator graph and one primitive graph holding every constructor,
+   every unary, binary and aggregator and every constant fill, one node
+   each over a single input; shapes are not inferred. Zoo round trips
+   cannot catch a mistyped tag, because a codec reads what it writes. *)
+let graph_docs () =
+  let open Ir in
+  let s = [| 2; 2 |] in
+  let consts =
+    Const.
+      [ zeros s; ones s; value s 0.25; randn s 7; randn_scaled s 11 0.125;
+        of_nd (Tensor.Nd.of_array s [| 1.5; -2.25; 0.0; 1e-7 |]) ]
+  in
+  let graph input constant ops =
+    let b = Graph.Builder.create () in
+    let x = Graph.Builder.add b input [] [| 1; 4 |] in
+    let cs = List.map (fun c -> Graph.Builder.add b (constant c) [] c.Const.shape) consts in
+    let os = List.map (fun op -> Graph.Builder.add b op [ x ] [| 1; 4 |]) ops in
+    Graph.Builder.set_outputs b (cs @ os);
+    Graph.Builder.finish b
+  in
+  let pool = ((3, 3), (2, 2), (1, 0)) in
+  let opgraph : Opgraph.t =
+    let kernel, stride, padding = pool in
+    graph (Optype.Input "x") (fun c -> Optype.Constant c)
+      Optype.
+        [ Relu; LeakyRelu 0.1; Sigmoid; Silu; Mish; Tanh; Gelu; Erf; Exp; Log; Sqrt; Neg; Square;
+          Add; Sub; Mul; Div; Pow; Softmax (-1); InstanceNorm 1e-5; LayerNorm 1e-6;
+          BatchNormInference 1e-3; ReduceSum { axis = 1; keepdims = true };
+          ReduceMean { axis = 0; keepdims = false }; ReduceMax { axis = -1; keepdims = true };
+          MaxPool { kernel; stride; padding }; AvgPool { kernel; stride; padding }; GlobalAvgPool;
+          Transpose [| 1; 0 |]; Reshape [| 4; 1 |];
+          Pad { before = [| 0; 1 |]; after = [| 2; 0 |]; value = -0.5 };
+          Slice { starts = [| 0; 1 |]; stops = [| 1; 3 |] }; Concat 1; MatMul;
+          Conv { stride = (1, 2); padding = (0, 1); bias = true };
+          Conv { stride = (1, 1); padding = (0, 0); bias = false }; Upsample 2; TopK 3 ]
+  in
+  let primgraph : Primgraph.t =
+    let kernel, stride, padding = pool in
+    let unaries =
+      Primitive.
+        [ Exp; Log; Sqrt; Rsqrt; Neg; Abs; Square; Reciprocal; Relu; LeakyRelu 0.2; Sigmoid; Silu;
+          Mish; Tanh; Erf; Gelu; AddConst 1.5; MulConst (-3.0); PowConst 0.5; Clip (-1.0, 6.0) ]
+    in
+    let aggs = Primitive.[ Sum; Mean; Max; Min; Prod ] in
+    graph (Primitive.Input "x") (fun c -> Primitive.Constant c)
+      (List.map (fun u -> Primitive.Unary u) unaries
+      @ List.map (fun b -> Primitive.Binary b) Primitive.[ Add; Sub; Mul; Div; Max; Min; Pow ]
+      @ List.map (fun a -> Primitive.Reduce (a, 1)) aggs
+      @ List.map (fun agg -> Primitive.Pool { agg; kernel; stride; padding }) aggs
+      @ Primitive.
+          [ Broadcast (2, 3); Transpose [| 1; 0 |]; Reshape [| 4; 1 |];
+            Pad { before = [| 0; 1 |]; after = [| 2; 0 |]; value = 0.75 };
+            Slice { starts = [| 0; 1 |]; stops = [| 1; 3 |] }; Concat 0; Matmul;
+            Conv { stride = (2, 1); padding = (1, 0) }; Upsample 3; Opaque "TopK" ])
+  in
+  (* Each line is a document read back and written again, so the file
+     pins the reader as well as the writer. *)
+  [ Onnx.Serialize.opgraph_to_string
+      (Onnx.Deserialize.opgraph_of_string (Onnx.Serialize.opgraph_to_string opgraph));
+    Onnx.Serialize.primgraph_to_string
+      (Onnx.Deserialize.primgraph_of_string (Onnx.Serialize.primgraph_to_string primgraph)) ]
+
 let () =
+  write "graph_docs.out" (String.concat "\n" (graph_docs ()));
   let candy = small Models.Registry.candy ~batch:1 in
   let r = Korch.Orchestrator.run cfg candy in
   let plan = r.Korch.Orchestrator.plan in
