@@ -182,9 +182,9 @@ let load_graph ~verb ~small ~batch model file =
   match (model, file) with
   | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
   | None, Some f -> begin
-    match Onnx.Deserialize.opgraph_of_string (In_channel.with_open_bin f In_channel.input_all) with
+    match Onnx.Graph_doc.opgraph_of_string (In_channel.with_open_bin f In_channel.input_all) with
     | g -> (g, Filename.basename f)
-    | exception Onnx.Deserialize.Format_error msg ->
+    | exception Onnx.Graph_doc.Format_error msg ->
       Printf.eprintf "%s: %s\n%!" f msg;
       Printf.printf "%s: FAILED\n" verb;
       exit 1
@@ -298,7 +298,7 @@ let compare_cmd =
 let export_action model batch small output =
   let entry = find_model model in
   let g = build_graph entry ~small ~batch in
-  let doc = Onnx.Serialize.opgraph_to_string g in
+  let doc = Onnx.Graph_doc.opgraph_to_string g in
   let oc = open_out output in
   output_string oc doc;
   close_out oc;

@@ -257,13 +257,6 @@ let plan_codec : Runtime.Plan.t Onnx.Codec.t =
 
 let plan_to_json = Onnx.Codec.encode plan_codec
 
-let primgraph_codec : Ir.Primgraph.t Onnx.Codec.t =
-  Onnx.Codec.custom
-    ~encode:(fun g -> jsonw_of_json (Onnx.Serialize.of_primgraph g))
-    ~decode:(fun j ->
-      try Onnx.Deserialize.to_graph Onnx.Deserialize.to_primitive ~expect_kind:"primitive" j
-      with Onnx.Deserialize.Format_error m -> Onnx.Codec.fail m)
-
 let range_codec : Plan_table.range Onnx.Codec.t =
   Onnx.Codec.(
     obj (fun lo hi probes anchor graph plan signature refined ->
@@ -272,7 +265,7 @@ let range_codec : Plan_table.range Onnx.Codec.t =
     |> field "hi" int (fun (r : Plan_table.range) -> r.Plan_table.hi)
     |> field "probes" (list int) (fun r -> r.Plan_table.probes)
     |> field "anchor" int (fun r -> r.Plan_table.anchor)
-    |> field "graph" primgraph_codec (fun r -> r.Plan_table.graph)
+    |> field "graph" Onnx.Graph_doc.primgraph (fun r -> r.Plan_table.graph)
     |> field "plan" plan_codec (fun r -> r.Plan_table.plan)
     |> field "signature" string (fun r -> r.Plan_table.signature)
     |> field "refined" bool (fun r -> r.Plan_table.refined)

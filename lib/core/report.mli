@@ -66,9 +66,6 @@ val plan_codec : Runtime.Plan.t Onnx.Codec.t
 
 val plan_to_json : Runtime.Plan.t -> Obs.Jsonw.t
 
-(** A stitched primitive graph in the [Onnx.Serialize] form. *)
-val primgraph_codec : Ir.Primgraph.t Onnx.Codec.t
-
 (** [jsonw_of_json j] — value-exact conversion of a parsed document to
     the write-only AST ([Onnx.Codec.json]'s encoder). *)
 val jsonw_of_json : Onnx.Json.t -> Obs.Jsonw.t

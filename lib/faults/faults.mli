@@ -25,7 +25,7 @@ type site =
   | Enumerate  (** {!Korch.Exec_state} execution-state enumeration *)
   | Transform  (** per-segment transformation search *)
   | Worker  (** a {!Parallel.Domain_pool} worker executing a task *)
-  | Onnx_parse  (** {!Onnx.Deserialize} document parsing *)
+  | Onnx_parse  (** {!Onnx.Graph_doc} document parsing *)
   | Analysis  (** the static-analysis cross-check of an orchestrated plan *)
   | Codegen_compile
       (** the native backend resolving one kernel to a compiled [.so];

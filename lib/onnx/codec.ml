@@ -25,6 +25,7 @@ let decode c j =
   | exception Error (path, msg) -> Error (path ^ ": " ^ msg)
 
 let custom ~encode ~decode = { enc = encode; dec = decode }
+let map of_a to_a c = { enc = (fun b -> c.enc (to_a b)); dec = (fun j -> of_a (c.dec j)) }
 let int = custom ~encode:(fun i -> Obs.Jsonw.Int i) ~decode:Json.to_int_exn
 let float = custom ~encode:(fun f -> Obs.Jsonw.Float f) ~decode:Json.to_float_exn
 let string = custom ~encode:(fun s -> Obs.Jsonw.Str s) ~decode:Json.to_string_exn

@@ -34,6 +34,10 @@ val json : Json.t t
 (** A leaf codec over an existing writer and reader. *)
 val custom : encode:('a -> Obs.Jsonw.t) -> decode:(Json.t -> 'a) -> 'a t
 
+(** [map of_a to_a c] — [c]'s document for another type, e.g. an array
+    as a list; [of_a] may {!fail}. *)
+val map : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
+
 (** {2 Objects}
 
     Built member by member from a constructor that takes the decoded

@@ -121,7 +121,7 @@ let create ~dir () : t =
   }
 
 let graph_hash (graph : Ir.Opgraph.t) =
-  Digest.to_hex (Digest.string (Onnx.Serialize.opgraph_to_string graph))
+  Digest.to_hex (Digest.string (Onnx.Graph_doc.opgraph_to_string graph))
 
 let key ~(graph : Ir.Opgraph.t) ~gpu ~precision ~batch : key =
   { graph_hash = graph_hash graph; gpu; precision; batch }
@@ -227,7 +227,7 @@ let doc_codec : doc Onnx.Codec.t =
              |> field "key" key (fun e -> e.key)
              |> field "status" (enum [ ("final", Final); ("incumbent", Incumbent) ]) (fun e ->
                     e.status)
-             |> field "primgraph" Korch.Report.primgraph_codec (fun e -> e.graph)
+             |> field "primgraph" Onnx.Graph_doc.primgraph (fun e -> e.graph)
              |> field "plan" Korch.Report.plan_codec (fun e -> e.plan)
              |> opt "report" json (fun e -> e.report))
              (fun e -> Plan e)

@@ -111,9 +111,9 @@ let resolve_workload (r : Protocol.request) : Opgraph.t * string =
            else e.Models.Registry.build ~batch:r.Protocol.batch ()),
           name ))
     | None, Some doc -> (
-      match Onnx.Deserialize.opgraph_of_string doc with
+      match Onnx.Graph_doc.opgraph_of_string doc with
       | g -> (g, "inline")
-      | exception Onnx.Deserialize.Format_error msg ->
+      | exception Onnx.Graph_doc.Format_error msg ->
         client_fail "unparsable graph document: %s" msg)
     | None, None -> client_fail "request names neither \"model\" nor \"graph\""
   in

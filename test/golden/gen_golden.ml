@@ -95,10 +95,10 @@ let graph_docs () =
   in
   (* Each line is a document read back and written again, so the file
      pins the reader as well as the writer. *)
-  [ Onnx.Serialize.opgraph_to_string
-      (Onnx.Deserialize.opgraph_of_string (Onnx.Serialize.opgraph_to_string opgraph));
-    Onnx.Serialize.primgraph_to_string
-      (Onnx.Deserialize.primgraph_of_string (Onnx.Serialize.primgraph_to_string primgraph)) ]
+  [ Onnx.Graph_doc.opgraph_to_string
+      (Onnx.Graph_doc.opgraph_of_string (Onnx.Graph_doc.opgraph_to_string opgraph));
+    Onnx.Graph_doc.primgraph_to_string
+      (Onnx.Graph_doc.primgraph_of_string (Onnx.Graph_doc.primgraph_to_string primgraph)) ]
 
 let () =
   write "graph_docs.out" (String.concat "\n" (graph_docs ()));

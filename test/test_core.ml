@@ -515,6 +515,81 @@ let gen_bench =
           (quad gen_float gen_int gen_int gen_int)
           (triple gen_int gen_int gen_int)))
 
+(* Graph documents compare as bytes, since NaN <> NaN: a document read
+   back prints the same text. The graphs are the test-scale zoo and
+   generated chains whose float attributes and constants may be
+   non-finite. *)
+let bytes_roundtrip name codec gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:(name ^ ": encode (decode (encode g)) = encode g") ~count:100 gen
+       (fun g ->
+         let print g = Obs.Jsonw.to_string (Onnx.Codec.encode codec g) in
+         let s = print g in
+         match Onnx.Codec.decode codec (Onnx.Json.of_string s) with
+         | Ok g' -> print g' = s
+         | Error m -> QCheck2.Test.fail_report m))
+
+let zoo_opgraphs = lazy (List.map (fun e -> e.Models.Registry.build_small ()) Models.Registry.all)
+let zoo_primgraphs = lazy (List.map (fun g -> fst (Fission.Engine.run g)) (Lazy.force zoo_opgraphs))
+
+let gen_graph_float =
+  QCheck2.Gen.(oneof [ float; oneofl [ Float.infinity; Float.neg_infinity; Float.nan; -0.0 ] ])
+
+let gen_const =
+  let open QCheck2.Gen in
+  let s = [| 2; 2 |] in
+  oneof
+    [
+      map (Const.value s) gen_graph_float;
+      map2 (Const.randn_scaled s) nat gen_graph_float;
+      map (fun a -> Const.of_nd (Nd.of_array s a)) (array_size (return 4) gen_graph_float);
+    ]
+
+let gen_graph zoo input constant op =
+  let open QCheck2.Gen in
+  let chain (consts, ops) =
+    let b = Graph.Builder.create () in
+    let x = Graph.Builder.add b input [] [| 1; 4 |] in
+    let last = List.fold_left (fun prev o -> Graph.Builder.add b o [ prev ] [| 1; 4 |]) x ops in
+    let cs = List.map (fun c -> Graph.Builder.add b (constant c) [] c.Const.shape) consts in
+    Graph.Builder.set_outputs b (last :: cs);
+    Graph.Builder.finish b
+  in
+  oneof
+    [
+      map (fun i -> List.nth (Lazy.force zoo) i) (int_bound (List.length Models.Registry.all - 1));
+      map chain (pair (small_list gen_const) (small_list (op gen_graph_float)));
+    ]
+
+let gen_doc_opgraph =
+  let op f =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun a -> Optype.LeakyRelu a) f;
+          map (fun e -> Optype.InstanceNorm e) f;
+          map (fun e -> Optype.LayerNorm e) f;
+          map (fun e -> Optype.BatchNormInference e) f;
+          map (fun value -> Optype.Pad { before = [| 0; 1 |]; after = [| 1; 0 |]; value }) f;
+        ])
+  in
+  gen_graph zoo_opgraphs (Optype.Input "x") (fun c -> Optype.Constant c) op
+
+let gen_doc_primgraph =
+  let op f =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun a -> Primitive.Unary (Primitive.LeakyRelu a)) f;
+          map (fun c -> Primitive.Unary (Primitive.AddConst c)) f;
+          map (fun c -> Primitive.Unary (Primitive.MulConst c)) f;
+          map (fun c -> Primitive.Unary (Primitive.PowConst c)) f;
+          map2 (fun lo hi -> Primitive.Unary (Primitive.Clip (lo, hi))) f f;
+          map (fun value -> Primitive.Pad { before = [| 1 |]; after = [| 0 |]; value }) f;
+        ])
+  in
+  gen_graph zoo_primgraphs (Primitive.Input "x") (fun c -> Primitive.Constant c) op
+
 let () =
   Alcotest.run "core"
     [
@@ -559,5 +634,7 @@ let () =
           roundtrip "plan-cache entry" Serve.Plan_cache.doc_codec gen_cache_doc;
           roundtrip "request" Serve.Protocol.request_codec gen_request;
           roundtrip "bench document" Korch.Report.bench_codec gen_bench;
+          bytes_roundtrip "operator graph" Onnx.Graph_doc.opgraph gen_doc_opgraph;
+          bytes_roundtrip "primitive graph" Onnx.Graph_doc.primgraph gen_doc_primgraph;
         ] );
     ]

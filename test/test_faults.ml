@@ -220,14 +220,14 @@ let contains ~needle haystack =
 
 let test_inject_onnx_parse () =
   let e = Models.Registry.candy in
-  let doc = Onnx.Serialize.opgraph_to_string (build_model e) in
+  let doc = Onnx.Graph_doc.opgraph_to_string (build_model e) in
   Faults.with_policy [ (Faults.Onnx_parse, Faults.Always) ] (fun () ->
-      match Onnx.Deserialize.opgraph_of_string doc with
+      match Onnx.Graph_doc.opgraph_of_string doc with
       | _ -> Alcotest.fail "expected Format_error from injected parse fault"
-      | exception Onnx.Deserialize.Format_error m ->
+      | exception Onnx.Graph_doc.Format_error m ->
         Alcotest.(check bool) "names the injection" true (contains ~needle:"injected fault" m));
   (* Without the policy the same document parses. *)
-  match Onnx.Deserialize.opgraph_of_string doc with
+  match Onnx.Graph_doc.opgraph_of_string doc with
   | _ -> ()
   | exception exn -> Alcotest.failf "clean parse failed: %s" (Printexc.to_string exn)
 

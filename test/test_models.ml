@@ -173,8 +173,8 @@ let test_decode_interp_runs () =
   | _ -> Alcotest.fail "decode must publish exactly three outputs"
 
 let test_determinism () =
-  let a = Onnx.Serialize.opgraph_to_string (Models.Registry.candy.Models.Registry.build ()) in
-  let b = Onnx.Serialize.opgraph_to_string (Models.Registry.candy.Models.Registry.build ()) in
+  let a = Onnx.Graph_doc.opgraph_to_string (Models.Registry.candy.Models.Registry.build ()) in
+  let b = Onnx.Graph_doc.opgraph_to_string (Models.Registry.candy.Models.Registry.build ()) in
   Alcotest.(check bool) "identical rebuilds" true (a = b)
 
 (* ---------------- architecture fingerprints ---------------- *)

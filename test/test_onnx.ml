@@ -77,27 +77,27 @@ let test_opgraph_roundtrip_models () =
   List.iter
     (fun e ->
       let g = e.Models.Registry.build_small () in
-      let s = Onnx.Serialize.opgraph_to_string g in
-      let g' = Onnx.Deserialize.opgraph_of_string s in
+      let s = Onnx.Graph_doc.opgraph_to_string g in
+      let g' = Onnx.Graph_doc.opgraph_of_string s in
       (* Structural equality up to Const payloads (Data consts compare by
          tensor equality inside Optype equality via (=)? use serialized
          form instead). *)
-      let s' = Onnx.Serialize.opgraph_to_string g' in
+      let s' = Onnx.Graph_doc.opgraph_to_string g' in
       Alcotest.(check bool) (e.Models.Registry.name ^ " roundtrip") true (s = s'))
     Models.Registry.all
 
 let test_primgraph_roundtrip () =
   let g = Models.Registry.segformer.Models.Registry.build_small () in
   let pg, _ = Fission.Engine.run g in
-  let s = Onnx.Serialize.primgraph_to_string pg in
-  let pg' = Onnx.Deserialize.primgraph_of_string s in
+  let s = Onnx.Graph_doc.primgraph_to_string pg in
+  let pg' = Onnx.Graph_doc.primgraph_of_string s in
   Alcotest.(check bool) "structural roundtrip" true (graph_equal pg pg');
   Alcotest.(check int) "same node count" (Graph.length pg) (Graph.length pg')
 
 let test_roundtrip_preserves_semantics () =
   let open Tensor in
   let g = Models.Registry.candy.Models.Registry.build_small () in
-  let g' = Onnx.Deserialize.opgraph_of_string (Onnx.Serialize.opgraph_to_string g) in
+  let g' = Onnx.Graph_doc.opgraph_of_string (Onnx.Graph_doc.opgraph_to_string g) in
   let inputs = [ ("input", Nd.randn (Rng.create 9) [| 1; 3; 32; 32 |]) ] in
   let a = Runtime.Interp.run g ~inputs and b = Runtime.Interp.run g' ~inputs in
   List.iter2
@@ -106,18 +106,18 @@ let test_roundtrip_preserves_semantics () =
 
 let test_kind_mismatch_rejected () =
   let g = Models.Registry.candy.Models.Registry.build_small () in
-  let s = Onnx.Serialize.opgraph_to_string g in
-  match Onnx.Deserialize.primgraph_of_string s with
+  let s = Onnx.Graph_doc.opgraph_to_string g in
+  match Onnx.Graph_doc.primgraph_of_string s with
   | _ -> Alcotest.fail "expected kind mismatch"
-  | exception Onnx.Deserialize.Format_error _ -> ()
+  | exception Onnx.Graph_doc.Format_error _ -> ()
 
 let test_garbage_rejected () =
-  (match Onnx.Deserialize.opgraph_of_string "{}" with
+  (match Onnx.Graph_doc.opgraph_of_string "{}" with
   | _ -> Alcotest.fail "expected format error"
-  | exception Onnx.Deserialize.Format_error _ -> ());
-  match Onnx.Deserialize.opgraph_of_string "[1, 2]" with
+  | exception Onnx.Graph_doc.Format_error _ -> ());
+  match Onnx.Graph_doc.opgraph_of_string "[1, 2]" with
   | _ -> Alcotest.fail "expected format error"
-  | exception Onnx.Deserialize.Format_error _ -> ()
+  | exception Onnx.Graph_doc.Format_error _ -> ()
 
 (* ------------- malformed-document hardening ------------- *)
 
@@ -128,9 +128,9 @@ let contains ~needle haystack =
 
 (* Expect a [Format_error] whose message names the offending node/field. *)
 let expect_format_error ~doc ~needles label =
-  match Onnx.Deserialize.opgraph_of_string doc with
+  match Onnx.Graph_doc.opgraph_of_string doc with
   | _ -> Alcotest.failf "%s: expected Format_error" label
-  | exception Onnx.Deserialize.Format_error m ->
+  | exception Onnx.Graph_doc.Format_error m ->
     List.iter
       (fun needle ->
         if not (contains ~needle m) then
@@ -147,7 +147,7 @@ let valid_doc_with ~op_kind ~inputs ~shape =
 
 let test_truncated_json () =
   let g = Models.Registry.candy.Models.Registry.build_small () in
-  let s = Onnx.Serialize.opgraph_to_string g in
+  let s = Onnx.Graph_doc.opgraph_to_string g in
   let doc = String.sub s 0 (String.length s / 2) in
   expect_format_error ~doc ~needles:[ "malformed JSON at byte" ] "truncated";
   (* Truncation that ends exactly at end-of-input also mentions the hint. *)
@@ -157,7 +157,7 @@ let test_truncated_json () =
 let test_unknown_op () =
   expect_format_error
     ~doc:(valid_doc_with ~op_kind:{|{"kind":"Frobnicate"}|} ~inputs:"[0]" ~shape:"[1,4]")
-    ~needles:[ "node 1"; "Frobnicate" ] "unknown op"
+    ~needles:[ "nodes[1]"; "Frobnicate" ] "unknown op"
 
 let test_bad_shape () =
   expect_format_error
@@ -187,11 +187,43 @@ let test_const_payload_roundtrip () =
   let id = Graph.Builder.add b (Primitive.Constant c) [] c.Const.shape in
   Graph.Builder.set_outputs b [ id ];
   let g : Primgraph.t = Graph.Builder.finish b in
-  let g' = Onnx.Deserialize.primgraph_of_string (Onnx.Serialize.primgraph_to_string g) in
+  let g' = Onnx.Graph_doc.primgraph_of_string (Onnx.Graph_doc.primgraph_to_string g) in
   match Graph.op g' 0 with
   | Primitive.Constant c' ->
     Alcotest.(check bool) "payload" true (Nd.equal (Const.materialize c) (Const.materialize c'))
   | _ -> Alcotest.fail "lost constant"
+
+(* JSON has no infinities or NaN: the document writes them as strings and
+   reads them back bit for bit, in an attribute and in a constant fill. *)
+let test_non_finite_roundtrip () =
+  let specials = [ Float.infinity; Float.neg_infinity; Float.nan ] in
+  let b = Opgraph.B.create () in
+  let x = Opgraph.B.input b "x" [| 1; 4 |] in
+  let ids =
+    List.concat_map
+      (fun v ->
+        [ Opgraph.B.add b (Optype.LeakyRelu v) [ x ];
+          Opgraph.B.const b (Const.value [| 1; 4 |] v) ])
+      specials
+  in
+  Opgraph.B.set_outputs b ids;
+  let g = Opgraph.B.finish b in
+  let g' = Onnx.Graph_doc.opgraph_of_string (Onnx.Graph_doc.opgraph_to_string g) in
+  let bits id =
+    match Graph.op g' id with
+    | Optype.LeakyRelu v | Optype.Constant { Const.fill = Const.Value v; _ } ->
+      Int64.bits_of_float v
+    | op -> Alcotest.failf "node %d read back as %s" id (Optype.to_string op)
+  in
+  List.iteri
+    (fun i v ->
+      List.iter
+        (fun id ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%g at node %d" v id)
+            (Int64.bits_of_float v) (bits id))
+        [ List.nth ids (2 * i); List.nth ids ((2 * i) + 1) ])
+    specials
 
 let () =
   Alcotest.run "onnx"
@@ -210,5 +242,6 @@ let () =
           Alcotest.test_case "unknown op" `Quick test_unknown_op;
           Alcotest.test_case "bad shape" `Quick test_bad_shape;
           Alcotest.test_case "dangling edge" `Quick test_dangling_edge;
-          Alcotest.test_case "const payload" `Quick test_const_payload_roundtrip ] );
+          Alcotest.test_case "const payload" `Quick test_const_payload_roundtrip;
+          Alcotest.test_case "non-finite numbers" `Quick test_non_finite_roundtrip ] );
     ]

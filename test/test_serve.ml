@@ -719,7 +719,7 @@ let test_handle_graph_docs_keyed () =
          { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
            graph_doc =
              Some
-               (Onnx.Serialize.opgraph_to_string
+               (Onnx.Graph_doc.opgraph_to_string
                   (Models.Segformer.attention_subgraph ~batch:1 ~tokens ~channels:8 ())) })
   in
   let cache_state tokens = member_str "cache" (handle_server t (doc tokens)) in
@@ -727,6 +727,53 @@ let test_handle_graph_docs_keyed () =
   Alcotest.(check (option string)) "second document misses" (Some "miss") (cache_state 8);
   Alcotest.(check (option string)) "first document hits" (Some "hit") (cache_state 16);
   Alcotest.(check (option string)) "second document hits" (Some "hit") (cache_state 8)
+
+(* A document holding an infinity ("alpha":1e999 parses to +inf) is
+   stored with it and served from the cache on the next request. *)
+let test_handle_non_finite_graph_hits () =
+  let t = make_server "non-finite" in
+  let req =
+    jsonw_to_json
+      (Serve.Protocol.request_to_json
+         { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
+           graph_doc =
+             Some
+               {|{"format":"korch-onnx-json","kind":"operator","nodes":[
+                  {"op":{"kind":"Input","name":"input"},"inputs":[],"shape":[1,4]},
+                  {"op":{"kind":"LeakyRelu","alpha":1e999},"inputs":[0],"shape":[1,4]}],
+                  "outputs":[1]}|} })
+  in
+  Alcotest.(check (option string)) "first request misses" (Some "miss")
+    (member_str "cache" (handle_server t req));
+  Alcotest.(check (option string)) "second request hits" (Some "hit")
+    (member_str "cache" (handle_server t req));
+  Alcotest.(check int) "no entry read as corrupt" 0
+    (Serve.Plan_cache.stats (Serve.Server.cache t)).Serve.Plan_cache.corrupt
+
+(* Conv + BatchNorm whose variance folds (var + eps = 0, or < 0) to
+   infinite or NaN weights: the two graphs must not share a key. *)
+let test_folded_non_finite_keys () =
+  let key var =
+    let b = Ir.Opgraph.B.create () in
+    let x = Ir.Opgraph.B.input b "input" [| 1; 2; 4; 4 |] in
+    let const c = Ir.Opgraph.B.const b c in
+    let w = const (Ir.Const.randn [| 2; 2; 3; 3 |] 5) in
+    let conv =
+      Ir.Opgraph.B.add b
+        (Ir.Optype.Conv { stride = (1, 1); padding = (1, 1); bias = false })
+        [ x; w ]
+    in
+    let s = [| 2 |] in
+    let bn =
+      Ir.Opgraph.B.add b (Ir.Optype.BatchNormInference 1e-5)
+        [ conv; const (Ir.Const.ones s); const (Ir.Const.zeros s); const (Ir.Const.zeros s);
+          const (Ir.Const.value s var) ]
+    in
+    Ir.Opgraph.B.set_outputs b [ bn ];
+    let g = Fission.Canonicalize.fold_batch_norms (Ir.Opgraph.B.finish b) in
+    Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1
+  in
+  Alcotest.(check bool) "inf and NaN weights keyed apart" false (key (-1e-5) = key (-1.0))
 
 (* --------------------------- daemon, forked --------------------------- *)
 
@@ -870,6 +917,10 @@ let () =
           Alcotest.test_case "unknown model errors every time" `Quick
             test_handle_unknown_model_twice;
           Alcotest.test_case "graph documents keyed apart" `Quick test_handle_graph_docs_keyed;
+          Alcotest.test_case "non-finite graph document hits" `Quick
+            test_handle_non_finite_graph_hits;
+          Alcotest.test_case "folded inf and NaN weights keyed apart" `Quick
+            test_folded_non_finite_keys;
         ] );
       ( "daemon",
         [ Alcotest.test_case "kill -9, restart, warm hit" `Quick test_daemon_kill9_warm_restart ] );
