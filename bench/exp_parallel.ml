@@ -1,7 +1,7 @@
 (* Multicore segment orchestration: wall-clock optimization time with 1
    worker domain vs several, and a structural-equality check that the
    parallel plans are identical to the sequential ones. Per-segment work
-   (transform search -> kernel identification -> profiling -> BLP) is
+   (transform search -> kernel identification -> profiling -> solve) is
    embarrassingly parallel, so on a j-core machine the speedup should
    approach min(j, segments) for segment-balanced models. *)
 

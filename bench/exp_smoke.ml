@@ -1,14 +1,15 @@
 (* Smoke benchmark — the workload behind the exact plan gate.
 
-   Orchestrates candy, segformer and decode end to end at paper scale on
-   V100/FP32 and records one korch-bench/1 entry each. Every recorded
-   member is deterministic (simulated profiling, a node-count solver
-   budget, plans identical for every -j), so `dune runtest` diffs the
-   document against bench/baselines/BENCH_smoke.json byte for byte; a
-   deliberate plan change is accepted with `dune promote`. The printed
+   Orchestrates every zoo model end to end at paper scale on V100/FP32
+   and records one korch-bench/1 entry each. Every recorded member is
+   deterministic (simulated profiling, an exact segment solver with a
+   settled-state budget, plans identical for every -j), so `dune
+   runtest` diffs the document against bench/baselines/BENCH_smoke.json
+   byte for byte; a deliberate plan change is accepted with `dune
+   promote`. The printed
    wall-clock is informational; perfbench measures time. *)
 
-let models = [ "candy"; "segformer"; "decode" ]
+let models = [ "candy"; "segformer"; "decode"; "yolov4"; "yolox"; "efficientvit" ]
 
 let run () =
   Bench_common.section "bench smoke (exact plan gate workload)";

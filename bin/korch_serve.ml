@@ -158,7 +158,7 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
-          "Per-request orchestration deadline: the solver's node budget shrinks as it \
+          "Per-request orchestration deadline: the solver's settled-state budget shrinks as it \
            approaches; segments starting past it take the unfused floor. The response \
            records the tier the request landed on.")
 

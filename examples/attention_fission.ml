@@ -1,7 +1,7 @@
 (* Attention + operator fission walkthrough (the paper's Figures 2-4).
 
    Shows the softmax fission rule, the primitive-graph transformations that
-   turn its reduce into a MatMul, and how the BLP maps softmax primitives
+   turn its reduce into a MatMul, and how orchestration maps softmax primitives
    into several kernels fused with their neighbours.
 
    Run with: dune exec examples/attention_fission.exe *)

@@ -20,7 +20,7 @@ let () =
   Format.printf "computation graph:@.%a@." Opgraph.pp graph;
 
   (* 2. Orchestrate: fission -> transformations -> kernel identification ->
-     profiling -> BLP -> executable plan. *)
+     profiling -> exact segment solve -> executable plan. *)
   let result = Korch.Orchestrator.run Korch.Orchestrator.default_config graph in
   print_string (Korch.Report.summary result);
   Format.printf "@.%a@." Runtime.Plan.pp result.Korch.Orchestrator.plan;

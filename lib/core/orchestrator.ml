@@ -2,18 +2,20 @@
 
     computation graph -> operator fission -> partition -> per-segment
     {primitive-graph transformations -> kernel identification -> kernel
-    profiling -> BLP -> schedule} -> stitched executable plan.
+    profiling -> exact segment solve} -> stitched executable plan.
 
-    If a BLP solution cannot be scheduled (mutually dependent kernels,
-    which Eq. 4 does not exclude), a no-good cut is added and the BLP is
-    re-solved — a small cutting-plane loop around the solver.
+    Each segment is solved exactly by {!Segment_solver}: the cheapest path
+    over sets of published primitives, which is the optimum of §4.2's
+    Eqs. 2–4 over the selections that also admit a deadlock-free order.
+    A path is a schedule, so no cut loop is needed.
 
     Robustness: no single segment may kill an orchestration. Each segment
-    walks a degradation ladder — full BLP ([Optimal]) → node-limited
-    incumbent ([Incumbent]) → greedy fusion from a warm start ([Greedy])
-    → one kernel per primitive ([Unfused]) — so a profiler crash, solver
-    blow-up or worker-domain death degrades that one segment instead of
-    aborting the run. The unfused strategy is always constructible and
+    walks a degradation ladder — the exact path ([Optimal]) → greedy
+    fusion from the all-singletons start ([Greedy]) → one kernel per
+    primitive ([Unfused]) — so a profiler crash, a solver that exhausts
+    its settled-state budget or a worker-domain death degrades that one
+    segment instead of aborting the run. ([Incumbent] is no longer
+    produced.) The unfused strategy is always constructible and
     always schedulable (each kernel waits only on graph predecessors), so
     the ladder has a guaranteed floor. [fail_fast] restores the old
     behaviour of raising at the first per-segment failure. *)
@@ -69,9 +71,9 @@ let orch_fail ?segment (site : Error.site) fmt =
 
 (** Degradation-ladder tier a segment's final plan came from. *)
 type tier =
-  | Optimal  (** BLP solved to proven optimality (up to the gaps) *)
-  | Incumbent  (** BLP budget hit; best incumbent used — routine, not degraded *)
-  | Greedy  (** BLP unusable; greedy fusion from the all-singletons start *)
+  | Optimal  (** the segment solver's exact cheapest path *)
+  | Incumbent  (** no longer produced: the old node-limited BLP's incumbent *)
+  | Greedy  (** solver failed; greedy fusion from the all-singletons start *)
   | Unfused  (** ladder floor: one kernel per primitive *)
 
 let tier_to_string = function
@@ -90,7 +92,7 @@ type outcome = {
   retries : int;  (** worker-domain failures retried on the main domain *)
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
-  time_limit_hit : bool;  (** BLP CPU-time safety net bound (see config) *)
+  time_limit_hit : bool;  (** always [false]: no solver reads a clock any more *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -114,43 +116,32 @@ let deadline_in total_s = { at_s = Obs.Clock.now_s () +. total_s; total_s }
 
 (** Candidate-explosion guard: a segment identifying more candidates
     than this is deterministically pruned to [prune_candidates_to]
-    before the BLP. Parallel same-shape branches (a transformer's q/k/v
-    projections, say) can push the convex-subgraph count past what
-    branch-and-bound tolerates — each node LP carries one column per
-    candidate — while every other segment of the model stays routine.
-    It sits above the worst well-behaved segment in the zoo, so
-    the guard only fires on genuine explosions. *)
+    before the solve. Parallel same-shape branches (a transformer's q/k/v
+    projections, say) can push the convex-subgraph count past what the
+    branch-and-bound BLP this guard was built for tolerated. The path
+    solver does not need it and it only costs plan quality; it stays
+    until its removal is measured on its own. *)
 let max_candidates = 768
 
 (** Surviving candidate count when the guard fires: every full
-    singleton (ladder floor and warm start) is kept, then multi-primitive
+    singleton (the ladder floor) is kept, then multi-primitive
     candidates ranked by latency gain over their members' cheapest
     singletons (gain descending, candidate index ascending — fully
-    deterministic, so pruned plans reproduce). The segment's BLP optimum
-    is then optimal {e over the pruned set}; its tier is still reported
-    as {!tier-Optimal}. It is deliberately aggressive: on the
-    explosion-prone segments the guard exists for, larger survivor sets
-    mostly add symmetric redundant-output variants that slow
-    branch-and-bound and feed the no-good cut loop unschedulable optima
-    without improving the final plan. *)
+    deterministic, so pruned plans reproduce). The segment's optimum is
+    then optimal {e over the pruned set}; its tier is still reported as
+    {!tier-Optimal}. *)
 let prune_candidates_to = 96
 
 (** Graph expansions per segment transformation search. *)
 let transform_budget = 40
 
-(** Per-segment BLP budget as a branch-and-bound node count — a
-    deterministic measure of solver work, unlike CPU time, so the same
-    segment stops at the same incumbent for every [jobs] value and on
-    every run. A request deadline scales it down ([config.deadline]). *)
-let ilp_node_limit = 1200
-
-(** Relative optimality tolerance of the BLP solve; 0 proves optimality,
-    small values cut solve time sharply. *)
-let ilp_rel_gap = 0.002
-
-(** Absolute BLP tolerance in kernel-launch overheads: strategies
-    within a fraction of one launch are equivalent in practice. *)
-let ilp_abs_gap_launches = 0.4
+(** Per-segment solver budget as a count of settled search states — a
+    deterministic measure of solver work, unlike CPU time, so a segment
+    that exhausts it does so for every [jobs] value and on every run. It
+    sits far above what the default 12-primitive window needs (at most
+    1,025 states on a paper-scale zoo segment at batch 1, 2,145 without
+    redundancy). A request deadline scales it down ([config.deadline]). *)
+let settled_state_limit = 100_000
 
 type config = {
   spec : Gpu.Spec.t;
@@ -158,13 +149,6 @@ type config = {
   identifier : Kernel_identifier.config;
   partition_max_prims : int;
   use_transform : bool;
-  ilp_time_limit_s : float;
-      (** safety net only: CPU-time cap on one BLP solve so a pathological
-          segment cannot hang the pipeline. If it ever binds (it should
-          not — [ilp_node_limit] is the intended budget), the plan may
-          stop being reproducible across [jobs] values, because CPU time
-          advances faster when several domains run concurrently. Binding
-          is surfaced via [outcome.time_limit_hit] *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -177,11 +161,13 @@ type config = {
   jobs : int;
       (** worker domains used to solve independent partition segments
           concurrently (transform search → kernel identification →
-          profiling → BLP per segment). [1] (the default) is fully
+          profiling → segment solve). [1] (the default) is fully
           sequential and spawns no domains; any value produces plans
           bit-identical to [jobs = 1] because segment results are merged
-          in segment order and the profile cache resolves each distinct
-          kernel exactly once. CLI and bench entry points default to
+          in segment order, the profile cache resolves each distinct
+          kernel exactly once, and the segment solver is a pure function
+          of its candidates with a budget counted in settled states. CLI
+          and bench entry points default to
           {!Parallel.Domain_pool.default_jobs} instead *)
   fail_fast : bool;
       (** raise {!Orchestration_failed} at the first per-segment failure
@@ -195,7 +181,7 @@ type config = {
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). As the deadline approaches, each segment scales
-          [ilp_node_limit] down by the fraction of budget remaining; a
+          [settled_state_limit] down by the fraction of budget remaining; a
           segment starting past the deadline skips search entirely and
           takes the unfused floor. Deadline-pressured plans depend on
           wall-clock, so they are {e not} reproducible across runs — the
@@ -210,7 +196,6 @@ let default_config =
     identifier = Kernel_identifier.default_config;
     partition_max_prims = 12;
     use_transform = true;
-    ilp_time_limit_s = 300.0;
     allow_redundancy = true;
     check_invariants = true;
     jobs = 1;
@@ -250,7 +235,8 @@ type segment_result = {
           (0 = the guard did not fire) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;
-  cuts_added : int;
+  settled_states : int;  (** states the segment solver settled (0 when it did not run) *)
+  cuts_added : int;  (** always 0: the path solver adds no cuts *)
   outcome : outcome;
   phase_us : (string * float) list;
       (** wall-clock per pipeline phase: [transform], [identify], [solve] *)
@@ -266,7 +252,7 @@ type result = {
   tuning_time_s : float;  (** simulated profiling cost (Table 2) *)
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
-  time_limit_hits : int;  (** segments whose BLP CPU-time safety net bound *)
+  time_limit_hits : int;  (** always 0: no solver reads a clock any more *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated *)
   memory : Runtime.Memplan.stats;
@@ -294,7 +280,7 @@ let enforce ?segment ~what (report : Verify.Diagnostics.report) =
    cost model prices it as an opaque framework call — mirroring the
    baselines' "the framework always has *some* kernel for one primitive".
    Existing candidate indices are preserved (synthesized ones are
-   appended), so BLP/schedule results computed before the call stay valid.
+   appended), so solver/schedule results computed before the call stay valid.
    Returns the extended array plus [singleton.(id)] = index of the
    cheapest full singleton for primitive [id] (-1 on source nodes). *)
 let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgraph.t)
@@ -350,12 +336,9 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
     (Primgraph.non_source_nodes g);
   (Array.append candidates (Array.of_list (List.rev !extra)), singleton)
 
-(* Candidate-explosion guard. Parallel same-shape branches can push a
-   segment's convex-subgraph count into the thousands, where each
-   branch-and-bound node LP (one column per candidate) costs seconds and
-   even the node budget cannot bound wall-clock usefully. When the
+(* Candidate-explosion guard (see [max_candidates]). When the
    identified set exceeds [max_candidates], keep every single-member
-   candidate (the ladder floor / warm-start material) plus the
+   candidate (the ladder floor) plus the
    multi-primitive candidates with the largest latency gain over their
    members' cheapest full singletons — the same signal greedy fusion
    ranks by — down to [prune_candidates_to]. Ranking is (gain desc,
@@ -524,8 +507,8 @@ let tier_counter = function
   | Greedy -> m_tier_greedy
   | Unfused -> m_tier_unfused
 
-(* Solve one segment: BLP + schedule with no-good cut loop, walking the
-   degradation ladder on failure unless [fail_fast]. *)
+(* Solve one segment: the exact cheapest path, walking the degradation
+   ladder on failure unless [fail_fast]. *)
 let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     (seg : Partition.segment) : segment_result =
   Obs.Span.with_ ~name:"segment"
@@ -558,9 +541,9 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       else Float.max 0.0 (Float.min 1.0 ((d.at_s -. Obs.Clock.now_s ()) /. d.total_s))
   in
   let past_deadline = deadline_frac <= 0.0 in
-  let node_limit =
-    if deadline_frac >= 1.0 then ilp_node_limit
-    else Stdlib.max 1 (int_of_float (float_of_int ilp_node_limit *. deadline_frac))
+  let settled_budget =
+    if deadline_frac >= 1.0 then settled_state_limit
+    else Stdlib.max 1 (int_of_float (float_of_int settled_state_limit *. deadline_frac))
   in
   if past_deadline then
     note Error.Solve "deadline exceeded before segment solve; taking the unfused floor";
@@ -640,74 +623,35 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   if pruned_candidates > 0 then Obs.Metrics.add m_candidates_pruned pruned_candidates;
   (* Ladder floor material: every primitive gets a singleton candidate. *)
   let candidates, singleton = ensure_singletons cfg ~cache transformed candidates in
-  (* Warm start: the all-singletons strategy (one kernel per primitive,
-     every output published) is always feasible and gives the solver a
-     strong initial incumbent. *)
-  let warm_start =
-    let x = Array.make (Array.length candidates) 0 in
-    List.iter
-      (fun id -> if singleton.(id) >= 0 then x.(singleton.(id)) <- 1)
-      (Primgraph.non_source_nodes transformed);
-    x
-  in
-  (* BLP + no-good cut loop. Returns [Error reason] instead of raising so
-     the caller can step down the ladder. *)
-  let rec solve_with_cuts cuts attempts =
-    if attempts > 20 then Stdlib.Error "cut loop did not converge after 20 attempts"
-    else begin
-      let problem =
-        Blp_formulation.build ~disjoint:(not cfg.allow_redundancy) transformed candidates
-          ~extra_cuts:cuts
-      in
-      match
-        Lp.Ilp.solve ~max_nodes:node_limit ~time_limit_s:cfg.ilp_time_limit_s
-          ~rel_gap:ilp_rel_gap
-          ~abs_gap:(ilp_abs_gap_launches *. cfg.spec.Gpu.Spec.launch_overhead_us)
-          ~lazy_dependencies:true ~warm_start problem
-      with
-      | None -> Stdlib.Error "BLP solver timed out without incumbent"
-      | Some sol when sol.Lp.Ilp.status = Lp.Ilp.Infeasible -> Stdlib.Error "BLP infeasible"
-      | Some sol -> begin
-        let selected =
-          List.filter (fun i -> sol.Lp.Ilp.x.(i) = 1) (List.init (Array.length candidates) Fun.id)
-        in
-        match Scheduler.schedule transformed candidates ~selected with
-        | Ok order ->
-          Stdlib.Ok
-            ( order,
-              sol.Lp.Ilp.objective,
-              List.length cuts,
-              sol.Lp.Ilp.time_limit_hit,
-              sol.Lp.Ilp.status = Lp.Ilp.Optimal )
-        | Error stuck -> solve_with_cuts (stuck :: cuts) (attempts + 1)
-      end
-      | exception Faults.Injected { site; hit } ->
-        Stdlib.Error
-          (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit)
-    end
-  in
-  let (selected, latency_us, cuts_added, tier, time_limit_hit), solve_us =
+  let (selected, latency_us, tier, settled_states), solve_us =
     Obs.Clock.timed_us @@ fun () ->
     Obs.Span.with_ ~name:"solve" @@ fun () ->
-    if Primgraph.non_source_nodes transformed = [] then ([], 0.0, 0, Optimal, false)
+    if Primgraph.non_source_nodes transformed = [] then ([], 0.0, Optimal, 0)
     else if past_deadline then begin
       (* Ladder entry for an exceeded deadline: the unfused floor is the
          cheapest schedulable plan and costs no solver time at all. *)
       let order, obj = unfused_plan ~segment:seg_index transformed candidates singleton in
-      (order, obj, 0, Unfused, false)
+      (order, obj, Unfused, 0)
     end
     else begin
-      match solve_with_cuts [] 0 with
-      | Ok (order, obj, cuts, time_hit, proven) ->
-        (order, obj, cuts, (if proven then Optimal else Incumbent), time_hit)
-      | Error reason ->
+      let failed reason settled =
         note Error.Solve "%s" reason;
         (* Ladder: greedy fusion, then the unfused floor. *)
-        (match greedy_plan transformed candidates singleton with
-        | Some (order, obj) -> (order, obj, 0, Greedy, false)
+        match greedy_plan transformed candidates singleton with
+        | Some (order, obj) -> (order, obj, Greedy, settled)
         | None ->
           let order, obj = unfused_plan ~segment:seg_index transformed candidates singleton in
-          (order, obj, 0, Unfused, false))
+          (order, obj, Unfused, settled)
+      in
+      match
+        Segment_solver.solve ~disjoint:(not cfg.allow_redundancy) ~budget:settled_budget
+          transformed candidates
+      with
+      | Ok s -> (s.Segment_solver.order, s.Segment_solver.cost, Optimal, s.Segment_solver.settled)
+      | Error (Segment_solver.Budget_exhausted k | Segment_solver.Unreachable k as f) ->
+        failed (Segment_solver.failure_to_string f) k
+      | exception Faults.Injected { site; hit } ->
+        failed (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit) 0
     end
   in
   let outcome =
@@ -715,7 +659,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       tier;
       retries = 0;
       fallback_reason = !fallback_reason;
-      time_limit_hit;
+      time_limit_hit = false;
       transform_degraded;
     }
   in
@@ -728,7 +672,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     pruned_candidates;
     selected;
     latency_us;
-    cuts_added;
+    settled_states;
+    cuts_added = 0;
     outcome;
     phase_us =
       [ ("transform", transform_us); ("identify", identify_us); ("solve", solve_us) ];

@@ -2,17 +2,18 @@
 
     computation graph → operator fission → partition → per-segment
     (primitive-graph transformations → kernel identification → kernel
-    profiling → BLP → schedule) → stitched executable plan.
+    profiling → exact segment solve) → stitched executable plan.
 
-    If a BLP optimum cannot be scheduled (mutually dependent kernels), a
-    no-good cut is added and the BLP re-solved — a small cutting-plane
-    loop around the solver.
+    Each segment is solved exactly by {!Segment_solver}: the cheapest path
+    over sets of published primitives, which is §4.2's optimum (Eqs.
+    2–4) over the selections that also admit a deadlock-free order. A
+    path is a schedule, so no cut loop is needed.
 
     Robustness contract: {e no single segment may kill an orchestration}.
     Each segment walks a degradation ladder — {!tier-Optimal} →
-    {!tier-Incumbent} → {!tier-Greedy} → {!tier-Unfused} — so a profiler
-    crash, solver blow-up or worker-domain death degrades that one
-    segment instead of aborting the run. The unfused floor (one kernel
+    {!tier-Greedy} → {!tier-Unfused} — so a profiler crash, a solver that
+    exhausts its settled-state budget or a worker-domain death degrades
+    that one segment instead of aborting the run. The unfused floor (one kernel
     per primitive) is always constructible and always schedulable.
     [fail_fast] restores the old raise-at-first-failure behaviour. *)
 
@@ -25,7 +26,7 @@ module Error : sig
     | Transform  (** transformation search on a segment *)
     | Enumerate  (** execution-state enumeration / kernel identification *)
     | Profile  (** candidate profiling *)
-    | Solve  (** BLP solve or cut loop *)
+    | Solve  (** the segment solver *)
     | Schedule  (** sequencing selected kernels *)
     | Worker  (** a worker domain died solving a segment *)
     | Stitch  (** re-assembling per-segment graphs *)
@@ -46,13 +47,16 @@ exception Orchestration_failed of Error.t
 
 (** Degradation-ladder tier a segment's final plan came from. *)
 type tier =
-  | Optimal  (** BLP solved to proven optimality (up to the gaps) *)
+  | Optimal
+      (** the {!Segment_solver}'s cheapest path: exact over the
+          segment's candidates, with no gap *)
   | Incumbent
-      (** BLP node budget hit; best incumbent used — routine, not
-          degraded (the budget exists precisely to stop here) *)
+      (** no longer produced. It was the node-limited BLP's incumbent;
+          the tier stays until the report schema drops it *)
   | Greedy
-      (** BLP unusable (no incumbent, infeasible, divergent cut loop, or
-          injected fault); greedy fusion from the all-singletons start *)
+      (** the segment solver failed (settled-state budget exhausted, no
+          path, or an injected fault); greedy fusion from the
+          all-singletons start *)
   | Unfused  (** ladder floor: one kernel per primitive *)
 
 val tier_to_string : tier -> string
@@ -70,8 +74,8 @@ type outcome = {
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
   time_limit_hit : bool;
-      (** the BLP CPU-time safety net bound — the plan may not reproduce
-          across [jobs] values (see [ilp_time_limit_s]) *)
+      (** always [false]: the segment solver's budget counts settled
+          states, not time *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -95,13 +99,6 @@ type config = {
   identifier : Kernel_identifier.config;
   partition_max_prims : int;  (** segment size bound (default 12) *)
   use_transform : bool;  (** run the TASO-style optimizer per segment *)
-  ilp_time_limit_s : float;
-      (** safety net only (default 300 s of CPU time): caps one BLP solve
-          so a pathological segment cannot hang the pipeline. If it ever
-          binds, plans may stop being reproducible across [jobs] values —
-          CPU time advances faster when several domains run concurrently.
-          Binding is surfaced via [outcome.time_limit_hit] and counted in
-          [result.time_limit_hits] so the CLI can warn *)
   allow_redundancy : bool;
       (** §4.2's relaxation: primitives may execute in several kernels.
           Disable for the ablation (prior-work-style disjoint partitions) *)
@@ -120,12 +117,11 @@ type config = {
           {!Parallel.Domain_pool.default_jobs} via their [-j] flags.
           Plans are bit-identical for every [jobs] value: results merge
           in segment order, the sharded profile cache resolves each
-          distinct kernel exactly once, and the BLP budget
-          (a fixed 1200-node limit) counts branch-and-bound nodes rather than
-          CPU time, so a solver stops at the same incumbent no matter
-          how many domains share the machine. (Caveat: the
-          [ilp_time_limit_s] safety net, if it ever binds, reintroduces
-          timing sensitivity.) *)
+          distinct kernel exactly once, and the segment solver is a
+          pure function of its candidates: its ties break on the
+          candidate-index sequence and its budget counts settled states
+          rather than time, so it returns the same path however many
+          domains share the machine *)
   fail_fast : bool;
       (** raise {!Orchestration_failed} at the first per-segment failure
           instead of walking the degradation ladder (the pre-ladder
@@ -143,8 +139,9 @@ type config = {
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). Each segment samples the remaining fraction of the
-          budget when it starts: the BLP node limit is scaled down by that
-          fraction, and a segment starting past the deadline skips the
+          budget when it starts: the segment solver's settled-state
+          budget is scaled down by that fraction (a binding budget takes
+          the [Greedy] tier), and a segment starting past the deadline skips the
           transformation search and enumeration entirely, taking the
           unfused floor (recorded as a [Solve] fallback reason).
           Deadline-pressured plans depend on wall-clock and are therefore
@@ -185,12 +182,16 @@ type segment_result = {
           (0 = the guard did not fire on this segment) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;  (** modelled latency of the selected strategy *)
-  cuts_added : int;  (** no-good cuts needed before a schedulable optimum *)
+  settled_states : int;
+      (** states the {!Segment_solver} search settled on this segment
+          (0 when it did not run: an empty segment, a segment past the
+          deadline, or an injected solver fault) *)
+  cuts_added : int;  (** always 0: the path solver needs no no-good cuts *)
   outcome : outcome;  (** where on the degradation ladder this segment landed *)
   phase_us : (string * float) list;
       (** wall-clock spent per pipeline phase of this segment, in
           microseconds: [transform], [identify] (enumeration + profiling),
-          [solve] (BLP + cut loop + ladder). Observational only — never
+          [solve] (segment solver + ladder). Observational only — never
           feeds back into optimization decisions *)
 }
 
@@ -205,7 +206,8 @@ type result = {
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
   time_limit_hits : int;
-      (** segments whose BLP CPU-time safety net bound — nonzero means
+      (** always 0 (kept for readers of the old safety net): it counted
+          segments whose BLP CPU-time safety net bound — nonzero meant
           the plan may not reproduce across [jobs] values *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated by

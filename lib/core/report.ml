@@ -42,7 +42,7 @@ let pp_result ppf (r : Orchestrator.result) =
   Format.fprintf ppf "  segment tiers   : %d optimal, %d incumbent, %d greedy, %d unfused@."
     optimal incumbent greedy unfused;
   if r.Orchestrator.degraded_segments <> [] then
-    Format.fprintf ppf "  DEGRADED        : segment%s %s fell back below the BLP@."
+    Format.fprintf ppf "  DEGRADED        : segment%s %s fell back below the segment solver@."
       (if List.length r.Orchestrator.degraded_segments > 1 then "s" else "")
       (String.concat ", " (List.map string_of_int r.Orchestrator.degraded_segments));
   if r.Orchestrator.truncated_segments <> [] then
@@ -108,6 +108,7 @@ let segment_to_json (s : Orchestrator.segment_result) : Obs.Jsonw.t =
       ("profiled", Obs.Jsonw.Int st.Kernel_identifier.profiled);
       ("prefiltered", Obs.Jsonw.Int st.Kernel_identifier.prefiltered);
       ("latency_us", Obs.Jsonw.Float s.Orchestrator.latency_us);
+      ("settled_states", Obs.Jsonw.Int s.Orchestrator.settled_states);
       ("cuts_added", Obs.Jsonw.Int s.Orchestrator.cuts_added);
       ("retries", Obs.Jsonw.Int o.Orchestrator.retries);
       ("time_limit_hit", Obs.Jsonw.Bool o.Orchestrator.time_limit_hit);

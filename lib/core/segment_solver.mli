@@ -1,0 +1,51 @@
+(** Exact per-segment kernel orchestration: a shortest path over
+    published sets.
+
+    The execution-state view of §4.1 turned into a graph search. A state
+    is the set of primitives published so far. A candidate can run from a
+    state once the state holds all of its non-source external inputs;
+    running it adds its outputs to the state and costs its latency. The
+    goal is any state that holds the segment's non-source outputs.
+
+    A path is a schedule, so the cheapest path is the optimum of §4.2's
+    objective (Eq. 2) over the selections that satisfy Eqs. 3–4 {e and}
+    admit a deadlock-free order — the question the BLP alone leaves open
+    (see {!Scheduler}). No relaxation is solved.
+
+    The search is Dijkstra's, keyed by (cost, candidate-index sequence):
+    among equally cheap paths the lexicographically smallest sequence
+    wins, so the result is a pure function of the segment and its
+    candidates, identical for every [-j]. States are {!Ir.Bitset.t}, so the
+    segment size is not capped by a machine word. *)
+
+open Ir
+
+type solution = {
+  order : int list;  (** candidate indices in execution order *)
+  cost : float;  (** summed latency of [order], in order *)
+  settled : int;  (** states settled by the search, the goal included *)
+}
+
+type failure =
+  | Budget_exhausted of int  (** the settled-state budget bound first *)
+  | Unreachable of int
+      (** no path publishes the outputs; the payload is the settled count *)
+
+val failure_to_string : failure -> string
+
+(** [solve ?disjoint ~budget g candidates] — the cheapest path, settling at
+    most [budget] states.
+
+    With [disjoint] (the ablation of §4.2's redundancy relaxation) a
+    state also records which primitives have executed, and a candidate
+    may not re-execute any of them: every primitive executes at most
+    once.
+
+    Carries the {!Faults.site-Ilp_solve} fault-injection site: an
+    installed policy can make this call raise {!Faults.Injected}. *)
+val solve :
+  ?disjoint:bool ->
+  budget:int ->
+  Primgraph.t ->
+  Candidate.t array ->
+  (solution, failure) result

@@ -10,7 +10,7 @@
     hot paths.
 
     Policies are process-global (sites live deep inside [lib/gpu],
-    [lib/lp], [lib/parallel] and [lib/onnx], far from any configuration
+    [lib/core], [lib/parallel] and [lib/onnx], far from any configuration
     record) and domain-safe: call counters are atomics, so concurrent
     worker domains draw distinct call numbers. Determinism holds exactly
     for [Always] and for any policy under a sequential run; under
@@ -21,7 +21,7 @@
 (** Named injection seams of the pipeline. *)
 type site =
   | Profiler  (** {!Gpu.Profiler.profile} — one candidate measurement *)
-  | Ilp_solve  (** {!Lp.Ilp.solve} — one per-segment BLP solve *)
+  | Ilp_solve  (** {!Korch.Segment_solver.solve} — one per-segment solve *)
   | Enumerate  (** {!Korch.Exec_state} execution-state enumeration *)
   | Transform  (** per-segment transformation search *)
   | Worker  (** a {!Parallel.Domain_pool} worker executing a task *)

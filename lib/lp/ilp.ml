@@ -101,7 +101,6 @@ let m_time_limit_hits = Obs.Metrics.counter "ilp.time_limit_hits"
 let solve ?(time_limit_s = 60.0) ?(max_nodes = 200_000) ?(rel_gap = 0.0) ?(abs_gap = 0.0)
     ?(lazy_dependencies = false) ?(warm_start : int array option) (p : problem) :
     solution option =
-  Faults.check Faults.Ilp_solve;
   Obs.Metrics.incr m_solves;
   Obs.Span.with_ ~name:"ilp.solve"
     ~args:

@@ -64,10 +64,7 @@ val objective_of : problem -> int array -> float
            (silently ignored when infeasible or of the wrong width)
 
     Returns [None] only when the budget expires before {e any} incumbent
-    or infeasibility proof is found.
-
-    Carries the {!Faults.site-Ilp_solve} fault-injection site: an
-    installed policy can make this call raise {!Faults.Injected}. *)
+    or infeasibility proof is found. *)
 val solve :
   ?time_limit_s:float ->
   ?max_nodes:int ->

@@ -191,11 +191,15 @@ let write_durable ~dir ~path (contents : string) : unit =
      "table" embeds a korch-plan-table/1 document under a batch-range
      key. The version was bumped so a v1 reader can never mis-parse (or
      mis-serve) a batch-range entry as a fixed-batch plan.
+   - korch-plan-cache/3 — same layout; plans come from the exact segment
+     solver. A /2 entry's plan came from the node-limited BLP, labelled
+     final although up to 5.5% above the per-segment optimum, so it must
+     never be served as final again.
    An entry whose schema is a well-formed string other than the current
    one is a {e version miss}: the file is left in place (a newer or
    older daemon sharing the directory still owns it) and the lookup
    degrades to a miss, counted separately from corruption. *)
-let schema = "korch-plan-cache/2"
+let schema = "korch-plan-cache/3"
 
 let doc_codec : doc Onnx.Codec.t =
   let key =

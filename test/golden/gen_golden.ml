@@ -13,16 +13,14 @@ let small (e : Models.Registry.entry) ~batch =
   Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ~batch ())
 
 (* Replays [Orchestrator.run_primgraph] at one job, segment by segment,
-   and renders one JSON line per segment: what its BLP selected and the
-   branch-and-bound work that took, as [ilp.nodes] and [ilp.solves]
-   counter deltas. Any change to the search (pivot rules, tolerances, node
-   order) shows here even when the plan survives it. *)
-let ilp_search (model, g) =
+   and renders one JSON line per segment: the path the segment solver
+   chose, its cost and the states it settled. Any change to the search
+   (its state space, tie-breaking or pruning) shows here even when the
+   plan survives it. *)
+let path_search (model, g) =
   let pg, _ = Fission.Engine.run g in
   let cache = Gpu.Profile_cache.create () in
-  let nodes = Obs.Metrics.counter "ilp.nodes" and solves = Obs.Metrics.counter "ilp.solves" in
   let segment i seg =
-    let nodes0 = Obs.Metrics.count nodes and solves0 = Obs.Metrics.count solves in
     let r = Korch.Orchestrator.solve_segment cfg ~cache ~seg_index:i seg in
     Obs.Jsonw.to_string
       (Obs.Jsonw.Obj
@@ -32,8 +30,7 @@ let ilp_search (model, g) =
            ( "selected",
              Obs.Jsonw.List (List.map (fun c -> Obs.Jsonw.Int c) r.Korch.Orchestrator.selected) );
            ("latency_us", Obs.Jsonw.Str (Printf.sprintf "%h" r.Korch.Orchestrator.latency_us));
-           ("ilp_nodes", Obs.Jsonw.Int (Obs.Metrics.count nodes - nodes0));
-           ("ilp_solves", Obs.Jsonw.Int (Obs.Metrics.count solves - solves0));
+           ("settled", Obs.Jsonw.Int r.Korch.Orchestrator.settled_states);
          ])
   in
   List.mapi segment (Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims)
@@ -127,9 +124,9 @@ let () =
   write "cache_table_entry.out" (read (Serve.Plan_cache.table_path cache tkey));
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir;
-  write "ilp_search.out"
+  write "path_search.out"
     (String.concat "\n"
-       (List.concat_map ilp_search
+       (List.concat_map path_search
           [ ("candy", candy); ("decode", small Models.Registry.decode ~batch:1) ]));
   write "request.out"
     (Obs.Jsonw.to_string

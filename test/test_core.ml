@@ -1,6 +1,6 @@
 (* Tests for the kernel orchestration core: execution-state enumeration
    counts, kernel identification validity, the BLP formulation, the
-   scheduler's deadlock handling, partitioning, and end-to-end
+   scheduler's deadlock handling, the exact segment solver, partitioning, and end-to-end
    orchestration equivalence. *)
 
 open Ir
@@ -186,6 +186,119 @@ let test_scheduler_detects_deadlock () =
   match Korch.Scheduler.schedule g [| k1; k2 |] ~selected:[ 0; 1 ] with
   | Ok _ -> Alcotest.fail "deadlocked pair scheduled"
   | Error stuck -> Alcotest.(check (list int)) "both stuck" [ 0; 1 ] (List.sort compare stuck)
+
+(* ---------------- segment solver ---------------- *)
+
+(* The deadlock pair above, priced so that the BLP optimum is exactly
+   that pair (cost 2) — Eqs. 3–4 hold, but neither kernel can run first.
+   The cheapest path breaks the cycle with one singleton: a singleton,
+   then the pair, cost 7. Two paths tie at 7; the smaller index sequence
+   wins. The disjoint ablation may not re-execute the singleton's
+   primitive, so it pays for a second singleton instead. *)
+let test_solver_breaks_cycle () =
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 2 |] in
+  let a = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
+  let b2 = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ a ] in
+  let c = Primgraph.B.add b (Primitive.Unary Primitive.Neg) [ x ] in
+  let d = Primgraph.B.add b (Primitive.Unary Primitive.Tanh) [ c ] in
+  Primgraph.B.set_outputs b [ b2; d ];
+  let g = Primgraph.B.finish b in
+  let n = Graph.length g in
+  let cand members latency_us =
+    let set = Bitset.of_list n members in
+    Korch.Candidate.
+      { members = set; outputs = members; ext_inputs = Graph.external_inputs g set; latency_us;
+        backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+  in
+  let cands =
+    [| cand [ a; d ] 1.0; cand [ b2; c ] 1.0; cand [ a ] 5.0; cand [ b2 ] 5.0; cand [ c ] 5.0;
+       cand [ d ] 5.0 |]
+  in
+  let blp = Korch.Blp_formulation.build g cands ~extra_cuts:[] in
+  (match Lp.Exhaustive.solve blp with
+  | Some (x, obj) ->
+    Alcotest.(check (float 0.0)) "BLP optimum is the pair" 2.0 obj;
+    Alcotest.(check bool) "and does not schedule" true
+      (Result.is_error
+         (Korch.Scheduler.schedule g cands
+            ~selected:(List.filter (fun i -> x.(i) = 1) (List.init (Array.length cands) Fun.id))))
+  | None -> Alcotest.fail "BLP infeasible");
+  let solve disjoint =
+    match Korch.Segment_solver.solve ~disjoint ~budget:1000 g cands with
+    | Ok s -> (s.Korch.Segment_solver.order, s.Korch.Segment_solver.cost)
+    | Error f -> Alcotest.fail (Korch.Segment_solver.failure_to_string f)
+  in
+  Alcotest.(check (pair (list int) (float 0.0))) "singleton, then the pair" ([ 2; 1; 0 ], 7.0)
+    (solve false);
+  Alcotest.(check (pair (list int) (float 0.0))) "disjoint: two singletons around one kernel"
+    ([ 2; 1; 5 ], 11.0) (solve true);
+  match Korch.Segment_solver.solve ~budget:2 g cands with
+  | Error (Korch.Segment_solver.Budget_exhausted 2) -> ()
+  | _ -> Alcotest.fail "a budget of two settled states must bind"
+
+(* On every test-scale zoo segment, the path over the orchestrator's
+   candidates costs no more than the node-limited BLP with the gap
+   tolerances it used to run with, whenever that BLP's selection
+   schedules. *)
+let test_solver_never_above_ilp () =
+  let cfg = Korch.Orchestrator.default_config in
+  let compared = ref 0 in
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let pg, _ = Fission.Engine.run (e.Models.Registry.build_small ()) in
+      let cache = Gpu.Profile_cache.create () in
+      List.iteri
+        (fun i seg ->
+          let r = Korch.Orchestrator.solve_segment cfg ~cache ~seg_index:i seg in
+          let g = r.Korch.Orchestrator.transformed and cands = r.Korch.Orchestrator.candidates in
+          if r.Korch.Orchestrator.selected <> [] then begin
+            let warm_start =
+              Array.map
+                (fun (c : Korch.Candidate.t) ->
+                  match Bitset.elements c.Korch.Candidate.members with
+                  | [ id ] when c.Korch.Candidate.outputs = [ id ] -> 1
+                  | _ -> 0)
+                cands
+            in
+            match
+              Lp.Ilp.solve ~max_nodes:1200 ~rel_gap:0.002
+                ~abs_gap:(0.4 *. cfg.Korch.Orchestrator.spec.Gpu.Spec.launch_overhead_us)
+                ~lazy_dependencies:true ~warm_start
+                (Korch.Blp_formulation.build g cands ~extra_cuts:[])
+            with
+            | Some sol when sol.Lp.Ilp.status <> Lp.Ilp.Infeasible ->
+              let selected =
+                List.filter (fun k -> sol.Lp.Ilp.x.(k) = 1) (List.init (Array.length cands) Fun.id)
+              in
+              if Result.is_ok (Korch.Scheduler.schedule g cands ~selected) then begin
+                incr compared;
+                let path = r.Korch.Orchestrator.latency_us and ilp = sol.Lp.Ilp.objective in
+                if path > ilp +. (1e-9 *. Float.max 1.0 ilp) then
+                  Alcotest.failf "%s segment %d: path %.17g above the BLP's %.17g"
+                    e.Models.Registry.name i path ilp
+              end
+            | _ -> ()
+          end)
+        (Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims))
+    Models.Registry.all;
+  Alcotest.(check bool) (Printf.sprintf "segments compared (%d)" !compared) true (!compared > 50)
+
+(* The exact smoke models' plans reproduce at -j 4 bit for bit. *)
+let test_paper_scale_jobs_identity () =
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let g = e.Models.Registry.build ~batch:1 () in
+      let run jobs = Korch.Orchestrator.run { Korch.Orchestrator.default_config with jobs } g in
+      let a = run 1 and b = run 4 in
+      Alcotest.(check bool) (e.Models.Registry.name ^ ": every segment optimal") true
+        (List.for_all
+           (fun s -> s.Korch.Orchestrator.outcome.Korch.Orchestrator.tier = Korch.Orchestrator.Optimal)
+           a.Korch.Orchestrator.segments);
+      Alcotest.(check bool) (e.Models.Registry.name ^ ": -j 1 and -j 4 plans identical") true
+        (a.Korch.Orchestrator.plan = b.Korch.Orchestrator.plan
+        && a.Korch.Orchestrator.graph = b.Korch.Orchestrator.graph))
+    [ Models.Registry.candy; Models.Registry.decode ]
 
 (* ---------------- partition + stitch ---------------- *)
 
@@ -607,6 +720,12 @@ let () =
       ( "scheduler",
         [ Alcotest.test_case "orders" `Quick test_scheduler_orders_dependencies;
           Alcotest.test_case "deadlock" `Quick test_scheduler_detects_deadlock ] );
+      ( "segment solver",
+        [ Alcotest.test_case "breaks a dependency cycle" `Quick test_solver_breaks_cycle;
+          Alcotest.test_case "never above the BLP on the test-scale zoo" `Quick
+            test_solver_never_above_ilp;
+          Alcotest.test_case "paper-scale plans identical at -j 1 and -j 4" `Quick
+            test_paper_scale_jobs_identity ] );
       ( "partition",
         [ Alcotest.test_case "covers once" `Quick test_partition_covers_once;
           Alcotest.test_case "size bound" `Quick test_partition_size_bound;

@@ -156,15 +156,15 @@ let test_inject_ilp_solve () =
     (fun e ->
       let label = "ilp_solve/" ^ e.Models.Registry.name in
       let r = run_checked ~label ~faults:[ (Faults.Ilp_solve, Faults.Always) ] e in
-      (* The BLP never ran: every non-trivial segment must land on the
-         greedy or unfused tier and say why. *)
+      (* The segment solver never ran: every non-trivial segment must land
+         on the greedy or unfused tier and say why. *)
       Alcotest.(check bool) (label ^ ": degraded") true
         (r.Korch.Orchestrator.degraded_segments <> []);
       List.iter
         (fun (s : Korch.Orchestrator.segment_result) ->
           if s.Korch.Orchestrator.selected <> [] then begin
             let o = s.Korch.Orchestrator.outcome in
-            Alcotest.(check bool) (label ^ ": tier below BLP") true
+            Alcotest.(check bool) (label ^ ": tier below the solver") true
               (Korch.Orchestrator.tier_is_degraded o.Korch.Orchestrator.tier);
             Alcotest.(check bool) (label ^ ": reason recorded") true
               (o.Korch.Orchestrator.fallback_reason <> None)

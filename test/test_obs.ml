@@ -274,23 +274,50 @@ let test_tracing_does_not_change_plan () =
   Alcotest.(check bool) "plans bit-identical with tracing on and off" true
     (a.Korch.Orchestrator.plan = b.Korch.Orchestrator.plan)
 
-(* The ilp_time_limit_s safety net now reads the monotonic wall clock: at
-   an (effectively) zero budget every solve stops at its warm-start
-   incumbent immediately — and still yields a valid plan — instead of
-   depending on how fast CPU time accrues across domains. *)
-let test_time_limit_is_wall_clock () =
+(* The segment solver's budget counts settled states, not time, and a
+   deadline scales it by the fraction of the request's budget left. A
+   deadline 1,000 s away that is a billionth of its budget leaves every
+   segment a budget of one state: the search binds on each segment that
+   needs a kernel, which takes greedy fusion with the reason recorded and
+   still yields a checked plan, the same one at any -j. With the whole
+   budget left the same deadline keeps every segment optimal. *)
+let test_settled_budget_binds_to_greedy () =
   let entry = Option.get (Models.Registry.find "candy") in
   let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
-  let cfg =
-    { Korch.Orchestrator.default_config with Korch.Orchestrator.ilp_time_limit_s = 0.0 }
+  let run ~jobs total_s =
+    let deadline = Some { Korch.Orchestrator.at_s = Obs.Clock.now_s () +. 1000.0; total_s } in
+    Korch.Orchestrator.run { Korch.Orchestrator.default_config with jobs; deadline } g
   in
-  let r = Korch.Orchestrator.run cfg g in
-  Alcotest.(check bool) "safety net binds on every solved segment" true
-    (r.Korch.Orchestrator.time_limit_hits > 0);
-  Alcotest.(check bool) "binding is not a degradation" true
-    (r.Korch.Orchestrator.degraded_segments = []);
-  Alcotest.(check bool) "plan still produced" true
-    (Runtime.Plan.kernel_count r.Korch.Orchestrator.plan > 0)
+  let tight = run ~jobs:1 1e12 in
+  let solved =
+    List.filter (fun s -> s.Korch.Orchestrator.selected <> []) tight.Korch.Orchestrator.segments
+  in
+  Alcotest.(check bool) "segments to solve" true (solved <> []);
+  List.iter
+    (fun (s : Korch.Orchestrator.segment_result) ->
+      let o = s.Korch.Orchestrator.outcome in
+      Alcotest.(check string) "greedy tier" "greedy"
+        (Korch.Orchestrator.tier_to_string o.Korch.Orchestrator.tier);
+      Alcotest.(check int) "one state settled" 1 s.Korch.Orchestrator.settled_states;
+      match o.Korch.Orchestrator.fallback_reason with
+      | Some r ->
+        Alcotest.(check bool) ("budget named in " ^ r) true
+          (String.starts_with ~prefix:"solve: settled-state budget" r)
+      | None -> Alcotest.fail "greedy segment without a fallback reason")
+    solved;
+  Alcotest.(check int) "every solved segment degraded" (List.length solved)
+    (List.length tight.Korch.Orchestrator.degraded_segments);
+  Alcotest.(check bool) "plan passes the plan check" false
+    (Verify.Diagnostics.has_errors
+       (Verify.plan_check tight.Korch.Orchestrator.graph tight.Korch.Orchestrator.plan));
+  Alcotest.(check bool) "same plan at -j 4" true
+    ((run ~jobs:4 1e12).Korch.Orchestrator.plan = tight.Korch.Orchestrator.plan);
+  let relaxed = run ~jobs:1 1000.0 in
+  Alcotest.(check (list int)) "whole budget: nothing degraded" []
+    relaxed.Korch.Orchestrator.degraded_segments;
+  Alcotest.(check bool) "whole budget: a cheaper plan" true
+    (relaxed.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us
+    < tight.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us)
 
 let () =
   Alcotest.run "obs"
@@ -324,6 +351,7 @@ let () =
           Alcotest.test_case "yolox JSON roundtrip" `Quick (test_report_json_roundtrip "yolox");
           Alcotest.test_case "tracing does not change the plan" `Quick
             test_tracing_does_not_change_plan;
-          Alcotest.test_case "time limit is wall-clock" `Quick test_time_limit_is_wall_clock;
+          Alcotest.test_case "settled-state budget binds to greedy" `Quick
+            test_settled_budget_binds_to_greedy;
         ] );
     ]

@@ -4,6 +4,9 @@
      instances shaped like the orchestration problems (covering rows plus
      homogeneous dependency rows, <= 18 variables): returned incumbents
      are feasible and within the configured optimality gaps;
+   - Korch.Segment_solver vs a brute-force oracle (every candidate subset
+     that satisfies Eqs. 3–4 and schedules) on random small segments,
+     cyclic-dependency instances included, in both redundancy modes;
    - Ir.Bitset vs a naive bool-array reference model, including the
      63/64/65-bit word-boundary widths;
    - broadcast/shape algebra and Tensor.View strided views vs the dense
@@ -507,6 +510,167 @@ let prop_native_backend_differential =
         true
       end)
 
+(* ------------------------------------------------------------------ *)
+(* Segment solver: the cheapest path vs a brute-force oracle.          *)
+(* ------------------------------------------------------------------ *)
+
+(* A random segment: a DAG of [k] executable primitives over one input,
+   and a few candidates whose member sets need not be convex, so mutually
+   dependent kernels — selections that satisfy Eqs. 3–4 but have no
+   deadlock-free order — are common. The full singletons are usually
+   present, as the orchestrator guarantees; without them some instances
+   have no plan at all. At most 12 candidates keep the 2^m oracle small. *)
+type segment_case = {
+  preds : int list list;  (** inputs of executable node [i + 1], ids <= i *)
+  extra_outputs : bool list;
+  kernels : (bool list * bool list * float) list;  (** members, outputs, latency *)
+  singletons : float list option;
+}
+
+let gen_segment_case =
+  let open QCheck2.Gen in
+  let* k = int_range 2 5 in
+  let* preds = flatten_l (List.init k (fun i -> list_size (int_range 1 2) (int_range 0 i))) in
+  let* extra_outputs = list_size (return k) bool in
+  let mask = list_size (return k) bool in
+  let* kernels = list_size (int_range 1 7) (triple mask mask (float_range 0.5 10.0)) in
+  let* singletons = opt ~ratio:0.8 (list_size (return k) (float_range 2.0 12.0)) in
+  return { preds; extra_outputs; kernels; singletons }
+
+let build_segment (c : segment_case) : Ir.Primgraph.t * Korch.Candidate.t array =
+  let open Ir in
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 4 |] in
+  let ids = ref [| x |] in
+  List.iter
+    (fun inputs ->
+      let inputs = List.map (fun i -> !ids.(i)) inputs in
+      let op =
+        match inputs with
+        | [ _ ] -> Primitive.Unary Primitive.Relu
+        | _ -> Primitive.Binary Primitive.Add
+      in
+      ids := Array.append !ids [| Primgraph.B.add b op inputs |])
+    c.preds;
+  let k = List.length c.preds in
+  let node i = !ids.(i + 1) in
+  let pick mask = List.filteri (fun i _ -> List.nth mask i) (List.init k node) in
+  Primgraph.B.set_outputs b (List.sort_uniq compare (node (k - 1) :: pick c.extra_outputs));
+  let g = Primgraph.B.finish b in
+  let n = Graph.length g in
+  let cand members outputs latency_us =
+    let members = Bitset.of_list n members in
+    Korch.Candidate.
+      { members; outputs; ext_inputs = Graph.external_inputs g members; latency_us;
+        backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+  in
+  let kernels =
+    List.map
+      (fun (members, outputs, latency) ->
+        let members = match pick members with [] -> [ node (k - 1) ] | l -> l in
+        let outputs =
+          match List.filter (fun o -> List.mem o members) (pick outputs) with
+          | [] -> [ List.hd (List.rev members) ]
+          | l -> l
+        in
+        cand members outputs latency)
+      c.kernels
+  in
+  let singletons =
+    match c.singletons with
+    | None -> []
+    | Some costs -> List.mapi (fun i l -> cand [ node i ] [ node i ] l) costs
+  in
+  (g, Array.of_list (kernels @ singletons))
+
+let print_segment_case (c : segment_case) =
+  let g, cands = build_segment c in
+  Format.asprintf "%a@.%s" Ir.Primgraph.pp g
+    (String.concat "\n"
+       (Array.to_list (Array.mapi (fun i cd -> Format.asprintf "%d: %a" i Korch.Candidate.pp cd) cands)))
+
+(* The oracle: every subset of the candidates, kept when it satisfies the
+   BLP's rows (Eqs. 3–4, plus disjointness in the ablation) and
+   [Scheduler.schedule] orders it. Also returns the BLP optimum without
+   the schedule check, to tell cyclic instances apart. *)
+let oracle ~disjoint g (cands : Korch.Candidate.t array) =
+  let m = Array.length cands in
+  let blp = Korch.Blp_formulation.build ~disjoint g cands ~extra_cuts:[] in
+  let best_blp = ref None and best = ref None in
+  let better r c = match !r with Some b when b <= c -> () | _ -> r := Some c in
+  for mask = 0 to (1 lsl m) - 1 do
+    let x = Array.init m (fun i -> (mask lsr i) land 1) in
+    if Lp.Ilp.is_feasible_binary blp x then begin
+      let cost = Lp.Ilp.objective_of blp x in
+      better best_blp cost;
+      let selected = List.filter (fun i -> x.(i) = 1) (List.init m Fun.id) in
+      if Result.is_ok (Korch.Scheduler.schedule g cands ~selected) then better best cost
+    end
+  done;
+  (!best_blp, !best)
+
+(* Replays a returned path: each kernel runs only once its non-source
+   inputs are published, never re-executes a primitive in the ablation,
+   and the path ends with the outputs published at its stated cost. *)
+let path_is_valid ~disjoint g (cands : Korch.Candidate.t array) (s : Korch.Segment_solver.solution) =
+  let open Ir in
+  let pub = Hashtbl.create 8 and ran = Hashtbl.create 8 in
+  let available j = Primitive.is_source (Graph.op g j) || Hashtbl.mem pub j in
+  let ok =
+    List.for_all
+      (fun i ->
+        let c = cands.(i) in
+        let members = Bitset.elements c.Korch.Candidate.members in
+        let ready =
+          List.for_all available c.Korch.Candidate.ext_inputs
+          && ((not disjoint) || not (List.exists (Hashtbl.mem ran) members))
+        in
+        List.iter (fun j -> Hashtbl.replace ran j ()) members;
+        List.iter (fun j -> Hashtbl.replace pub j ()) c.Korch.Candidate.outputs;
+        ready)
+      s.Korch.Segment_solver.order
+  in
+  ok
+  && List.for_all available g.Graph.outputs
+  && s.Korch.Segment_solver.cost
+     = List.fold_left (fun a i -> a +. cands.(i).Korch.Candidate.latency_us) 0.0
+         s.Korch.Segment_solver.order
+
+let test_segment_solver_oracle ~disjoint () =
+  let cyclic = ref 0 and infeasible = ref 0 in
+  let prop =
+    QCheck2.Test.make
+      ~name:(Printf.sprintf "cheapest path = brute-force schedulable optimum (disjoint=%b)" disjoint)
+      ~count:400 ~print:print_segment_case gen_segment_case (fun c ->
+        let g, cands = build_segment c in
+        let best_blp, best = oracle ~disjoint g cands in
+        (match (best_blp, best) with
+        | Some b, Some s when b < s -. 1e-9 -> incr cyclic
+        | Some _, None -> incr cyclic
+        | None, _ -> incr infeasible
+        | _ -> ());
+        match (Korch.Segment_solver.solve ~disjoint ~budget:1_000_000 g cands, best) with
+        | Ok s, Some cost ->
+          if not (path_is_valid ~disjoint g cands s) then
+            QCheck2.Test.fail_reportf "invalid path [%s]"
+              (String.concat ";" (List.map string_of_int s.Korch.Segment_solver.order));
+          Float.abs (s.Korch.Segment_solver.cost -. cost) <= 1e-9 *. Float.max 1.0 cost
+        | Error (Korch.Segment_solver.Unreachable _), None -> true
+        | Ok s, None ->
+          QCheck2.Test.fail_reportf "path of cost %g where the oracle has none"
+            s.Korch.Segment_solver.cost
+        | Error f, _ ->
+          QCheck2.Test.fail_reportf "%s; the oracle has %s" (Korch.Segment_solver.failure_to_string f)
+            (match best with Some c -> string_of_float c | None -> "no plan"))
+  in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| qcheck_seed |]) prop;
+  Alcotest.(check bool)
+    (Printf.sprintf "cyclic instances exercised (%d)" !cyclic)
+    true (!cyclic > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "instances without a plan exercised (%d)" !infeasible)
+    true (!infeasible > 0)
+
 let () =
   Alcotest.run "props"
     [
@@ -518,6 +682,9 @@ let () =
         List.map to_alcotest
           [ prop_broadcast_commutative; prop_broadcast_scalar_identity; prop_view_transpose;
             prop_view_transpose_reshape; prop_view_slice ] );
+      ( Printf.sprintf "segment solver oracle (seed %#x)" qcheck_seed,
+        [ Alcotest.test_case "redundancy allowed" `Quick (test_segment_solver_oracle ~disjoint:false);
+          Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
       ( Printf.sprintf "codegen differential (seed %#x)" qcheck_seed,
         List.map to_alcotest [ prop_native_backend_differential ] );
     ]
