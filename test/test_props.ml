@@ -682,7 +682,7 @@ let () =
         List.map to_alcotest
           [ prop_broadcast_commutative; prop_broadcast_scalar_identity; prop_view_transpose;
             prop_view_transpose_reshape; prop_view_slice ] );
-      ( Printf.sprintf "segment solver oracle (seed %#x)" qcheck_seed,
+      ( Printf.sprintf "segment oracle (seed %#x)" qcheck_seed,
         [ Alcotest.test_case "redundancy allowed" `Quick (test_segment_solver_oracle ~disjoint:false);
           Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
       ( Printf.sprintf "codegen differential (seed %#x)" qcheck_seed,
