@@ -1,6 +1,6 @@
 (* Bechamel microbenchmarks of Korch's own machinery (the optimizer runs
    offline, but its throughput determines tuning time): execution-state
-   enumeration, kernel identification, BLP solving, simplex, fission and
+   enumeration, kernel identification, the segment solve, fission and
    the transformation engine. One Test.make per component. *)
 
 open Bechamel
@@ -42,25 +42,12 @@ let test_identify =
               ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache
               (Lazy.force prepared_primgraph))))
 
-let test_blp =
-  Test.make ~name:"BLP solve"
+let test_segment_solve =
+  Test.make ~name:"segment solve"
     (Staged.stage (fun () ->
          let pg, cands = Lazy.force prepared_candidates in
-         let p = Korch.Blp_formulation.build pg cands ~extra_cuts:[] in
-         ignore (Lp.Ilp.solve ~time_limit_s:5.0 ~rel_gap:0.002 ~abs_gap:2.0 ~lazy_dependencies:true p)))
-
-let test_simplex =
-  let p =
-    Lp.Simplex.
-      {
-        minimize = Array.init 40 (fun i -> 1.0 +. float_of_int (i mod 7));
-        rows =
-          List.init 30 (fun r ->
-              (Array.init 40 (fun j -> if (j + r) mod 5 = 0 then 1.0 else 0.0), Ge, 1.0));
-      }
-  in
-  Test.make ~name:"simplex (40 vars, 30 rows)"
-    (Staged.stage (fun () -> ignore (Lp.Simplex.solve p)))
+         ignore
+           (Korch.Segment_solver.solve ~budget:Korch.Orchestrator.settled_state_limit pg cands)))
 
 let test_transform =
   Test.make ~name:"transformation search"
@@ -69,7 +56,7 @@ let test_transform =
 
 let all_tests =
   Test.make_grouped ~name:"korch" ~fmt:"%s/%s"
-    [ test_fission; test_exec_states; test_identify; test_blp; test_simplex; test_transform ]
+    [ test_fission; test_exec_states; test_identify; test_segment_solve; test_transform ]
 
 let run () =
   Bench_common.section "Microbenchmarks of the optimizer machinery (bechamel)";

@@ -14,11 +14,11 @@
     fusion from the all-singletons start ([Greedy]) → one kernel per
     primitive ([Unfused]) — so a profiler crash, a solver that exhausts
     its settled-state budget or a worker-domain death degrades that one
-    segment instead of aborting the run. ([Incumbent] is no longer
-    produced.) The unfused strategy is always constructible and
-    always schedulable (each kernel waits only on graph predecessors), so
-    the ladder has a guaranteed floor. [fail_fast] restores the old
-    behaviour of raising at the first per-segment failure. *)
+    segment instead of aborting the run. The unfused strategy is always
+    constructible and always schedulable (each kernel waits only on graph
+    predecessors), so the ladder has a guaranteed floor. [fail_fast]
+    restores the old behaviour of raising at the first per-segment
+    failure. *)
 
 open Ir
 
@@ -72,27 +72,21 @@ let orch_fail ?segment (site : Error.site) fmt =
 (** Degradation-ladder tier a segment's final plan came from. *)
 type tier =
   | Optimal  (** the segment solver's exact cheapest path *)
-  | Incumbent  (** no longer produced: the old node-limited BLP's incumbent *)
   | Greedy  (** solver failed; greedy fusion from the all-singletons start *)
   | Unfused  (** ladder floor: one kernel per primitive *)
 
 let tier_to_string = function
   | Optimal -> "optimal"
-  | Incumbent -> "incumbent"
   | Greedy -> "greedy"
   | Unfused -> "unfused"
 
-(** Lower is better; [Greedy] and up count as degraded. *)
-let tier_rank = function Optimal -> 0 | Incumbent -> 1 | Greedy -> 2 | Unfused -> 3
-
-let tier_is_degraded t = tier_rank t >= tier_rank Greedy
+let tier_is_degraded t = t <> Optimal
 
 type outcome = {
   tier : tier;
   retries : int;  (** worker-domain failures retried on the main domain *)
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
-  time_limit_hit : bool;  (** always [false]: no solver reads a clock any more *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -102,7 +96,6 @@ let ok_outcome = {
   tier = Optimal;
   retries = 0;
   fallback_reason = None;
-  time_limit_hit = false;
   transform_degraded = false;
 }
 
@@ -116,11 +109,13 @@ let deadline_in total_s = { at_s = Obs.Clock.now_s () +. total_s; total_s }
 
 (** Candidate-explosion guard: a segment identifying more candidates
     than this is deterministically pruned to [prune_candidates_to]
-    before the solve. Parallel same-shape branches (a transformer's q/k/v
-    projections, say) can push the convex-subgraph count past what the
-    branch-and-bound BLP this guard was built for tolerated. The path
-    solver does not need it and it only costs plan quality; it stays
-    until its removal is measured on its own. *)
+    before the solve. It bounds solve time on such segments: parallel
+    same-shape branches (a transformer's q/k/v projections, say) push the
+    convex-subgraph count past this, and the search then settles more
+    states and scans every candidate at each. In the zoo only decode's
+    segment 1 hits it (1,113 → 96 candidates, paper and test scale).
+    Unpruned, that solve took 74–88 ms instead of about 1 ms on a 2-vCPU
+    Xeon. *)
 let max_candidates = 768
 
 (** Surviving candidate count when the guard fires: every full
@@ -236,7 +231,6 @@ type segment_result = {
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;
   settled_states : int;  (** states the segment solver settled (0 when it did not run) *)
-  cuts_added : int;  (** always 0: the path solver adds no cuts *)
   outcome : outcome;
   phase_us : (string * float) list;
       (** wall-clock per pipeline phase: [transform], [identify], [solve] *)
@@ -252,7 +246,9 @@ type result = {
   tuning_time_s : float;  (** simulated profiling cost (Table 2) *)
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
-  time_limit_hits : int;  (** always 0: no solver reads a clock any more *)
+  time_limit_hits : int;
+      (** always 0: no solver reads a clock. Kept until the benchmark
+          that reads it changes *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated *)
   memory : Runtime.Memplan.stats;
@@ -482,7 +478,6 @@ let greedy_plan (g : Primgraph.t) (candidates : Candidate.t array) (singleton : 
 
 (* Degradation-tier census across every segment of every run. *)
 let m_tier_optimal = Obs.Metrics.counter "orchestrator.tier.optimal"
-let m_tier_incumbent = Obs.Metrics.counter "orchestrator.tier.incumbent"
 let m_tier_greedy = Obs.Metrics.counter "orchestrator.tier.greedy"
 let m_tier_unfused = Obs.Metrics.counter "orchestrator.tier.unfused"
 let m_worker_retries = Obs.Metrics.counter "orchestrator.worker_retries"
@@ -503,7 +498,6 @@ let m_analysis_skipped = Obs.Metrics.counter "analysis.skipped"
 
 let tier_counter = function
   | Optimal -> m_tier_optimal
-  | Incumbent -> m_tier_incumbent
   | Greedy -> m_tier_greedy
   | Unfused -> m_tier_unfused
 
@@ -659,7 +653,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       tier;
       retries = 0;
       fallback_reason = !fallback_reason;
-      time_limit_hit = false;
       transform_degraded;
     }
   in
@@ -673,7 +666,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     selected;
     latency_us;
     settled_states;
-    cuts_added = 0;
     outcome;
     phase_us =
       [ ("transform", transform_us); ("identify", identify_us); ("solve", solve_us) ];
@@ -875,8 +867,7 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
           0 results;
       tuning_time_s = Gpu.Profile_cache.tuning_time_s cache;
       degraded_segments;
-      time_limit_hits =
-        List.length (List.filter (fun r -> r.outcome.time_limit_hit) results);
+      time_limit_hits = 0;
       truncated_segments =
         List.filter_map
           (fun r ->

@@ -50,9 +50,6 @@ type tier =
   | Optimal
       (** the {!Segment_solver}'s cheapest path: exact over the
           segment's candidates, with no gap *)
-  | Incumbent
-      (** no longer produced. It was the node-limited BLP's incumbent;
-          the tier stays until the report schema drops it *)
   | Greedy
       (** the segment solver failed (settled-state budget exhausted, no
           path, or an injected fault); greedy fusion from the
@@ -61,10 +58,7 @@ type tier =
 
 val tier_to_string : tier -> string
 
-(** Ladder position; lower is better ([Optimal] = 0 … [Unfused] = 3). *)
-val tier_rank : tier -> int
-
-(** [Greedy] and [Unfused] count as degraded; [Incumbent] does not. *)
+(** [Greedy] and [Unfused] count as degraded. *)
 val tier_is_degraded : tier -> bool
 
 (** How one segment fared on the ladder. *)
@@ -73,9 +67,6 @@ type outcome = {
   retries : int;  (** worker-domain failures retried on the main domain *)
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
-  time_limit_hit : bool;
-      (** always [false]: the segment solver's budget counts settled
-          states, not time *)
   transform_degraded : bool;
       (** transformation search failed; plain CSE (or the raw segment)
           was used instead *)
@@ -92,6 +83,11 @@ type deadline = { at_s : float; total_s : float }
 
 (** [deadline_in total_s] — a deadline [total_s] seconds from now. *)
 val deadline_in : float -> deadline
+
+(** The segment solver's settled-state budget per segment (100,000): a
+    deterministic measure of solver work, so a segment that exhausts it
+    does so for every [jobs] value. [config.deadline] scales it down. *)
+val settled_state_limit : int
 
 type config = {
   spec : Gpu.Spec.t;  (** target GPU datasheet *)
@@ -178,7 +174,8 @@ type segment_result = {
           candidates so the unfused floor is always available *)
   id_stats : Kernel_identifier.stats;
   pruned_candidates : int;
-      (** candidates dropped by the candidate-explosion guard
+      (** candidates dropped by the candidate-explosion guard, which
+          bounds solve time on segments with over 768 candidates
           (0 = the guard did not fire on this segment) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;  (** modelled latency of the selected strategy *)
@@ -186,7 +183,6 @@ type segment_result = {
       (** states the {!Segment_solver} search settled on this segment
           (0 when it did not run: an empty segment, a segment past the
           deadline, or an injected solver fault) *)
-  cuts_added : int;  (** always 0: the path solver needs no no-good cuts *)
   outcome : outcome;  (** where on the degradation ladder this segment landed *)
   phase_us : (string * float) list;
       (** wall-clock spent per pipeline phase of this segment, in
@@ -206,9 +202,9 @@ type result = {
   degraded_segments : int list;
       (** indices of segments that fell to [Greedy] or [Unfused] *)
   time_limit_hits : int;
-      (** always 0 (kept for readers of the old safety net): it counted
-          segments whose BLP CPU-time safety net bound — nonzero meant
-          the plan may not reproduce across [jobs] values *)
+      (** always 0: no solver reads a clock, so no segment's plan
+          depends on a time limit. Kept until the benchmark that reads
+          it changes *)
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated by
           the identifier's state guard: their candidate sets are valid

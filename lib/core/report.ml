@@ -35,12 +35,8 @@ let pp_result ppf (r : Orchestrator.result) =
     List.length
       (List.filter (fun s -> s.Orchestrator.outcome.Orchestrator.tier = t) r.Orchestrator.segments)
   in
-  let optimal = count Orchestrator.Optimal
-  and incumbent = count Orchestrator.Incumbent
-  and greedy = count Orchestrator.Greedy
-  and unfused = count Orchestrator.Unfused in
-  Format.fprintf ppf "  segment tiers   : %d optimal, %d incumbent, %d greedy, %d unfused@."
-    optimal incumbent greedy unfused;
+  Format.fprintf ppf "  segment tiers   : %d optimal, %d greedy, %d unfused@."
+    (count Orchestrator.Optimal) (count Orchestrator.Greedy) (count Orchestrator.Unfused);
   if r.Orchestrator.degraded_segments <> [] then
     Format.fprintf ppf "  DEGRADED        : segment%s %s fell back below the segment solver@."
       (if List.length r.Orchestrator.degraded_segments > 1 then "s" else "")
@@ -49,12 +45,7 @@ let pp_result ppf (r : Orchestrator.result) =
     Format.fprintf ppf
       "  TRUNCATED       : segment%s %s stopped state enumeration at the bound@."
       (if List.length r.Orchestrator.truncated_segments > 1 then "s" else "")
-      (String.concat ", " (List.map string_of_int r.Orchestrator.truncated_segments));
-  if r.Orchestrator.time_limit_hits > 0 then
-    Format.fprintf ppf
-      "  WARNING         : %d segment(s) hit the BLP CPU-time safety net — the plan may not \
-       reproduce across --jobs values@."
-      r.Orchestrator.time_limit_hits
+      (String.concat ", " (List.map string_of_int r.Orchestrator.truncated_segments))
 
 (** Per-segment outcome table: one line per segment with its ladder tier,
     retries, and the failure that pushed it down (if any). *)
@@ -68,7 +59,6 @@ let pp_segments ppf (r : Orchestrator.result) =
           [
             o.Orchestrator.fallback_reason;
             (if o.Orchestrator.transform_degraded then Some "transform degraded" else None);
-            (if o.Orchestrator.time_limit_hit then Some "time limit hit" else None);
             (if s.Orchestrator.id_stats.Kernel_identifier.states_truncated then
                Some "states truncated"
              else None);
@@ -109,9 +99,7 @@ let segment_to_json (s : Orchestrator.segment_result) : Obs.Jsonw.t =
       ("prefiltered", Obs.Jsonw.Int st.Kernel_identifier.prefiltered);
       ("latency_us", Obs.Jsonw.Float s.Orchestrator.latency_us);
       ("settled_states", Obs.Jsonw.Int s.Orchestrator.settled_states);
-      ("cuts_added", Obs.Jsonw.Int s.Orchestrator.cuts_added);
       ("retries", Obs.Jsonw.Int o.Orchestrator.retries);
-      ("time_limit_hit", Obs.Jsonw.Bool o.Orchestrator.time_limit_hit);
       ("transform_degraded", Obs.Jsonw.Bool o.Orchestrator.transform_degraded);
       ( "fallback_reason",
         match o.Orchestrator.fallback_reason with
@@ -175,7 +163,6 @@ let to_json ?(meta : (string * Obs.Jsonw.t) list = [])
           Obs.Jsonw.Obj
             [
               ("optimal", Obs.Jsonw.Int (count Orchestrator.Optimal));
-              ("incumbent", Obs.Jsonw.Int (count Orchestrator.Incumbent));
               ("greedy", Obs.Jsonw.Int (count Orchestrator.Greedy));
               ("unfused", Obs.Jsonw.Int (count Orchestrator.Unfused));
             ] );

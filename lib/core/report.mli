@@ -4,8 +4,7 @@
     count, redundancy, estimated latency, simulated tuning time and the
     static memory plan (tensors, slots, peak vs. no-reuse bytes, reuse
     ratio), followed by the degradation-ladder summary: segments per
-    tier, any degraded or enumeration-truncated segments, and a
-    determinism warning when the BLP CPU-time safety net bound. *)
+    tier and any degraded or enumeration-truncated segments. *)
 val pp_result : Format.formatter -> Orchestrator.result -> unit
 
 (** [pp_segments ppf r] prints the per-segment outcome table: index,

@@ -4,7 +4,7 @@
     deadlock-free order exists (two selected kernels may feed each other).
     The greedy list scheduler below runs any kernel whose external inputs
     are available; if it gets stuck, the remaining kernel set is returned
-    so the orchestrator can add a no-good cut and re-solve. *)
+    so greedy fusion can reject the merge that caused it. *)
 
 open Ir
 

@@ -4,7 +4,7 @@
     deadlock-free order exists: two selected kernels may feed each other
     (expressible in Eq. 4, not executable). The greedy list scheduler runs
     any kernel whose external inputs are available; a stuck remainder is
-    returned so the orchestrator can add a no-good cut and re-solve. *)
+    returned, which greedy fusion uses to reject a merge. *)
 
 open Ir
 

@@ -25,7 +25,8 @@
 
     The serving contract is the degradation ladder: {e a request never
     dies, it gets a worse plan}. Cached hit → fresh orchestration (with
-    the BLP node limit scaled down as the deadline approaches; segments
+    the solver's settled-state budget scaled down as the deadline
+    approaches; segments
     starting past the deadline take the unfused floor) → the synthetic
     one-kernel-per-primitive floor when orchestration itself blows up.
     Only malformed requests (unknown verb/model, unparsable graph) earn

@@ -102,14 +102,14 @@ let test_identifier_singletons_present () =
       Alcotest.(check bool) (Printf.sprintf "singleton %d" id) true found)
     (Primgraph.non_source_nodes g)
 
-(* ---------------- BLP formulation ---------------- *)
+(* ---------------- BLP oracle (test-side §4.2 formulation) ---------------- *)
 
 let test_blp_rows () =
   let g = chain_graph 2 in
   let cands, _ = identify g in
-  let p = Korch.Blp_formulation.build g cands ~extra_cuts:[] in
+  let p = Blp_oracle.build g cands in
   Alcotest.(check int) "one variable per candidate" (Array.length cands)
-    (Array.length p.Lp.Ilp.minimize);
+    (Array.length p.Blp_oracle.minimize);
   (* output rows: 1 graph output; dependency rows: one per (kernel,
      non-source ext input). *)
   let expected_dep =
@@ -120,19 +120,21 @@ let test_blp_rows () =
              c.Korch.Candidate.ext_inputs)
     |> List.length
   in
-  Alcotest.(check int) "row count" (1 + expected_dep) (List.length p.Lp.Ilp.rows)
+  Alcotest.(check int) "row count" (1 + expected_dep) (List.length p.Blp_oracle.rows)
 
-let test_blp_cut_rows () =
-  let g = chain_graph 2 in
-  let cands, _ = identify g in
-  let p = Korch.Blp_formulation.build g cands ~extra_cuts:[ [ 0; 1 ] ] in
-  let le_rows =
-    List.filter (fun (_, rel, _) -> rel = Lp.Simplex.Le) p.Lp.Ilp.rows
+(* An odd cycle of three covering rows over unit costs: two variables. *)
+let test_blp_exhaustive_known () =
+  let p =
+    Blp_oracle.
+      {
+        minimize = [| 1.; 1.; 1. |];
+        rows =
+          [ At_least ([| 1; 1; 0 |], 1); At_least ([| 0; 1; 1 |], 1); At_least ([| 1; 0; 1 |], 1) ];
+      }
   in
-  Alcotest.(check int) "one cut row" 1 (List.length le_rows);
-  match le_rows with
-  | [ (_, _, b) ] -> Alcotest.(check (float 1e-9)) "cut rhs" 1.0 b
-  | _ -> assert false
+  match Blp_oracle.solve p with
+  | Some (_, obj) -> Alcotest.(check (float 1e-9)) "exhaustive" 2.0 obj
+  | None -> Alcotest.fail "exhaustive found nothing"
 
 (* ---------------- scheduler ---------------- *)
 
@@ -215,8 +217,7 @@ let test_solver_breaks_cycle () =
     [| cand [ a; d ] 1.0; cand [ b2; c ] 1.0; cand [ a ] 5.0; cand [ b2 ] 5.0; cand [ c ] 5.0;
        cand [ d ] 5.0 |]
   in
-  let blp = Korch.Blp_formulation.build g cands ~extra_cuts:[] in
-  (match Lp.Exhaustive.solve blp with
+  (match Blp_oracle.solve (Blp_oracle.build g cands) with
   | Some (x, obj) ->
     Alcotest.(check (float 0.0)) "BLP optimum is the pair" 2.0 obj;
     Alcotest.(check bool) "and does not schedule" true
@@ -237,12 +238,13 @@ let test_solver_breaks_cycle () =
   | Error (Korch.Segment_solver.Budget_exhausted 2) -> ()
   | _ -> Alcotest.fail "a budget of two settled states must bind"
 
-(* On every test-scale zoo segment, the path over the orchestrator's
-   candidates costs no more than the node-limited BLP with the gap
-   tolerances it used to run with, whenever that BLP's selection
-   schedules. *)
-let test_solver_never_above_ilp () =
+(* On every test-scale zoo segment, over the orchestrator's own
+   candidates: the path with redundancy costs no more than the disjoint
+   ablation's, and that costs no more than the unfused floor (every
+   primitive's cheapest full singleton). *)
+let test_solver_ordering_on_zoo () =
   let cfg = Korch.Orchestrator.default_config in
+  let above a b = a > b +. (1e-9 *. Float.max 1.0 b) in
   let compared = ref 0 in
   List.iter
     (fun (e : Models.Registry.entry) ->
@@ -252,33 +254,35 @@ let test_solver_never_above_ilp () =
         (fun i seg ->
           let r = Korch.Orchestrator.solve_segment cfg ~cache ~seg_index:i seg in
           let g = r.Korch.Orchestrator.transformed and cands = r.Korch.Orchestrator.candidates in
-          if r.Korch.Orchestrator.selected <> [] then begin
-            let warm_start =
-              Array.map
-                (fun (c : Korch.Candidate.t) ->
-                  match Bitset.elements c.Korch.Candidate.members with
-                  | [ id ] when c.Korch.Candidate.outputs = [ id ] -> 1
-                  | _ -> 0)
-                cands
+          let prims = Primgraph.non_source_nodes g in
+          if prims <> [] then begin
+            incr compared;
+            let name = Printf.sprintf "%s segment %d" e.Models.Registry.name i in
+            if r.Korch.Orchestrator.outcome.Korch.Orchestrator.tier <> Korch.Orchestrator.Optimal
+            then Alcotest.failf "%s: not solved exactly" name;
+            let path = r.Korch.Orchestrator.latency_us in
+            let disjoint =
+              match
+                Korch.Segment_solver.solve ~disjoint:true
+                  ~budget:Korch.Orchestrator.settled_state_limit g cands
+              with
+              | Ok s -> s.Korch.Segment_solver.cost
+              | Error f ->
+                Alcotest.failf "%s, disjoint: %s" name (Korch.Segment_solver.failure_to_string f)
             in
-            match
-              Lp.Ilp.solve ~max_nodes:1200 ~rel_gap:0.002
-                ~abs_gap:(0.4 *. cfg.Korch.Orchestrator.spec.Gpu.Spec.launch_overhead_us)
-                ~lazy_dependencies:true ~warm_start
-                (Korch.Blp_formulation.build g cands ~extra_cuts:[])
-            with
-            | Some sol when sol.Lp.Ilp.status <> Lp.Ilp.Infeasible ->
-              let selected =
-                List.filter (fun k -> sol.Lp.Ilp.x.(k) = 1) (List.init (Array.length cands) Fun.id)
-              in
-              if Result.is_ok (Korch.Scheduler.schedule g cands ~selected) then begin
-                incr compared;
-                let path = r.Korch.Orchestrator.latency_us and ilp = sol.Lp.Ilp.objective in
-                if path > ilp +. (1e-9 *. Float.max 1.0 ilp) then
-                  Alcotest.failf "%s segment %d: path %.17g above the BLP's %.17g"
-                    e.Models.Registry.name i path ilp
-              end
-            | _ -> ()
+            let single = Array.make (Graph.length g) Float.infinity in
+            Array.iter
+              (fun (c : Korch.Candidate.t) ->
+                match Bitset.elements c.Korch.Candidate.members with
+                | [ id ] when c.Korch.Candidate.outputs = [ id ] ->
+                  single.(id) <- Float.min single.(id) c.Korch.Candidate.latency_us
+                | _ -> ())
+              cands;
+            let unfused = List.fold_left (fun a id -> a +. single.(id)) 0.0 prims in
+            if above path disjoint then
+              Alcotest.failf "%s: path %.17g above the disjoint path's %.17g" name path disjoint;
+            if above disjoint unfused then
+              Alcotest.failf "%s: disjoint path %.17g above unfused %.17g" name disjoint unfused
           end)
         (Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims))
     Models.Registry.all;
@@ -434,6 +438,16 @@ let test_report_pruned_candidates () =
   in
   Alcotest.(check int) "first segment carries 7" 7 (List.hd pruned);
   Alcotest.(check bool) "others carry 0" true (List.for_all (( = ) 0) (List.tl pruned));
+  let keys = function Onnx.Json.Obj kvs -> List.map fst kvs | _ -> [] in
+  Alcotest.(check (list string)) "three tiers" [ "optimal"; "greedy"; "unfused" ]
+    (keys (mem "tiers" j));
+  List.iter
+    (fun s ->
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("no segment carries " ^ k) false (List.mem k (keys s)))
+        [ "cuts_added"; "time_limit_hit" ])
+    (Onnx.Json.to_list_exn (mem "per_segment" j));
   let table = Korch.Report.segment_table r in
   let has sub =
     let n = String.length table and m = String.length sub in
@@ -716,14 +730,14 @@ let () =
           Alcotest.test_case "singletons present" `Quick test_identifier_singletons_present ] );
       ( "blp",
         [ Alcotest.test_case "rows" `Quick test_blp_rows;
-          Alcotest.test_case "cut rows" `Quick test_blp_cut_rows ] );
+          Alcotest.test_case "exhaustive known" `Quick test_blp_exhaustive_known ] );
       ( "scheduler",
         [ Alcotest.test_case "orders" `Quick test_scheduler_orders_dependencies;
           Alcotest.test_case "deadlock" `Quick test_scheduler_detects_deadlock ] );
       ( "segment solver",
         [ Alcotest.test_case "breaks a dependency cycle" `Quick test_solver_breaks_cycle;
-          Alcotest.test_case "never above the BLP on the test-scale zoo" `Quick
-            test_solver_never_above_ilp;
+          Alcotest.test_case "redundancy <= disjoint <= unfused on the test zoo" `Quick
+            test_solver_ordering_on_zoo;
           Alcotest.test_case "paper-scale plans identical at -j 1 and -j 4" `Quick
             test_paper_scale_jobs_identity ] );
       ( "partition",

@@ -161,9 +161,10 @@ let test_cache_concurrent_equals_sequential () =
 
 (* ------------------------ plan determinism ------------------------ *)
 
+(* The settled-state count pins the solver's work, not just its answer. *)
 let seg_fingerprint (r : Korch.Orchestrator.segment_result) =
   (r.Korch.Orchestrator.selected, r.Korch.Orchestrator.latency_us,
-   r.Korch.Orchestrator.cuts_added)
+   r.Korch.Orchestrator.settled_states)
 
 let check_jobs_determinism (e : Models.Registry.entry) () =
   let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
@@ -235,9 +236,9 @@ let () =
             (check_jobs_determinism Models.Registry.candy);
           Alcotest.test_case "yolox: jobs=4 = jobs=1" `Quick
             (check_jobs_determinism Models.Registry.yolox);
-          (* yolov4 once diverged here: a heavy segment's BLP hit the old
-             CPU-time budget earlier under concurrent domains and returned
-             a different incumbent. The node-count budget keeps it. *)
+          (* yolov4 once diverged here: a heavy segment's solver hit a
+             CPU-time budget earlier under concurrent domains. The
+             budget now counts settled states. *)
           Alcotest.test_case "yolov4: jobs=4 = jobs=1" `Quick
             (check_jobs_determinism Models.Registry.yolov4);
           Alcotest.test_case "worker failures propagate" `Quick

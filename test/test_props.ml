@@ -1,12 +1,9 @@
 (* Property-based test layer (qcheck):
 
-   - Lp.Ilp.solve vs the Lp.Exhaustive oracle on seeded random BLP
-     instances shaped like the orchestration problems (covering rows plus
-     homogeneous dependency rows, <= 18 variables): returned incumbents
-     are feasible and within the configured optimality gaps;
    - Korch.Segment_solver vs a brute-force oracle (every candidate subset
-     that satisfies Eqs. 3–4 and schedules) on random small segments,
-     cyclic-dependency instances included, in both redundancy modes;
+     that satisfies Blp_oracle's Eqs. 3–4 and schedules) on random small
+     segments, cyclic-dependency instances included, in both redundancy
+     modes;
    - Ir.Bitset vs a naive bool-array reference model, including the
      63/64/65-bit word-boundary widths;
    - broadcast/shape algebra and Tensor.View strided views vs the dense
@@ -22,83 +19,6 @@ let qcheck_seed = 0x5EED5
 
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
-
-(* ------------------------------------------------------------------ *)
-(* BLP: branch-and-bound vs exhaustive oracle, with gap tolerances.    *)
-(* ------------------------------------------------------------------ *)
-
-(* Instances shaped like Blp_formulation's output: n binary variables,
-   covering rows (sum over a subset >= 1) and dependency rows
-   (sum of publishers - u_k >= 0). Sizes are skewed small so the 2^n
-   oracle stays fast, with a tail up to the 18-variable bound. *)
-let random_blp =
-  let open QCheck2.Gen in
-  let* n = frequency [ (8, int_range 2 10); (3, int_range 11 15); (1, int_range 16 18) ] in
-  let* n_cover = int_range 1 6 in
-  let* n_dep = int_range 0 6 in
-  let* costs = list_size (return n) (float_range 0.5 10.0) in
-  let subset = list_size (return n) (int_range 0 1) in
-  let* covers = list_size (return n_cover) subset in
-  let* deps = list_size (return n_dep) (pair subset (int_range 0 (n - 1))) in
-  let rows =
-    List.map
-      (fun s -> (Array.of_list (List.map float_of_int s), Lp.Simplex.Ge, 1.0))
-      covers
-    @ List.map
-        (fun (s, k) ->
-          let row = Array.of_list (List.map float_of_int s) in
-          row.(k) <- row.(k) -. 1.0;
-          (row, Lp.Simplex.Ge, 0.0))
-        deps
-  in
-  return { Lp.Ilp.minimize = Array.of_list costs; rows }
-
-let print_blp (p : Lp.Ilp.problem) =
-  Printf.sprintf "n=%d rows=[%s]"
-    (Array.length p.Lp.Ilp.minimize)
-    (String.concat "; "
-       (List.map
-          (fun (row, _, b) ->
-            Printf.sprintf "%s >= %g"
-              (String.concat "+" (List.map string_of_float (Array.to_list row)))
-              b)
-          p.Lp.Ilp.rows))
-
-let rel_gap = 0.01
-let abs_gap = 0.05
-
-let prop_ilp_within_gaps =
-  QCheck2.Test.make ~name:"Ilp.solve is feasible and within the configured gaps" ~count:200
-    ~print:print_blp random_blp (fun p ->
-      let bb = Lp.Ilp.solve ~time_limit_s:30.0 ~rel_gap ~abs_gap p in
-      let ex = Lp.Exhaustive.solve p in
-      match (bb, ex) with
-      | Some s, Some (_, opt) when s.Lp.Ilp.status <> Lp.Ilp.Infeasible ->
-        Lp.Ilp.is_feasible_binary p s.Lp.Ilp.x
-        && Float.abs (Lp.Ilp.objective_of p s.Lp.Ilp.x -. s.Lp.Ilp.objective) <= 1e-6
-        && s.Lp.Ilp.objective >= opt -. 1e-6
-        && (s.Lp.Ilp.status <> Lp.Ilp.Optimal
-           || s.Lp.Ilp.objective <= opt +. abs_gap +. (rel_gap *. Float.abs opt) +. 1e-6)
-      | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible
-      | Some _, Some _ -> false (* solver claims infeasible, oracle disagrees *)
-      | None, _ -> false)
-
-let prop_ilp_lazy_warm_exact =
-  (* The orchestrator's configuration: lazy dependency separation and a
-     warm start. With zero gaps an Optimal status must match the oracle
-     exactly. *)
-  QCheck2.Test.make ~name:"Ilp.solve (lazy deps + warm start) matches the oracle exactly"
-    ~count:200 ~print:print_blp random_blp (fun p ->
-      let ex = Lp.Exhaustive.solve p in
-      let warm_start = Option.map fst ex in
-      let bb = Lp.Ilp.solve ~time_limit_s:30.0 ~lazy_dependencies:true ?warm_start p in
-      match (bb, ex) with
-      | Some s, Some (_, opt) when s.Lp.Ilp.status = Lp.Ilp.Optimal ->
-        Lp.Ilp.is_feasible_binary p s.Lp.Ilp.x
-        && Float.abs (s.Lp.Ilp.objective -. opt) <= 1e-6
-      | Some s, Some _ -> s.Lp.Ilp.status = Lp.Ilp.TimeLimit (* budget, not a wrong answer *)
-      | Some s, None -> s.Lp.Ilp.status = Lp.Ilp.Infeasible
-      | None, _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset vs bool-array reference model.                               *)
@@ -595,13 +515,13 @@ let print_segment_case (c : segment_case) =
    the schedule check, to tell cyclic instances apart. *)
 let oracle ~disjoint g (cands : Korch.Candidate.t array) =
   let m = Array.length cands in
-  let blp = Korch.Blp_formulation.build ~disjoint g cands ~extra_cuts:[] in
+  let blp = Blp_oracle.build ~disjoint g cands in
   let best_blp = ref None and best = ref None in
   let better r c = match !r with Some b when b <= c -> () | _ -> r := Some c in
   for mask = 0 to (1 lsl m) - 1 do
     let x = Array.init m (fun i -> (mask lsr i) land 1) in
-    if Lp.Ilp.is_feasible_binary blp x then begin
-      let cost = Lp.Ilp.objective_of blp x in
+    if Blp_oracle.feasible blp x then begin
+      let cost = Blp_oracle.objective blp x in
       better best_blp cost;
       let selected = List.filter (fun i -> x.(i) = 1) (List.init m Fun.id) in
       if Result.is_ok (Korch.Scheduler.schedule g cands ~selected) then better best cost
@@ -674,8 +594,6 @@ let test_segment_solver_oracle ~disjoint () =
 let () =
   Alcotest.run "props"
     [
-      ( Printf.sprintf "blp oracle (seed %#x)" qcheck_seed,
-        List.map to_alcotest [ prop_ilp_within_gaps; prop_ilp_lazy_warm_exact ] );
       ( Printf.sprintf "bitset model (seed %#x)" qcheck_seed,
         List.map to_alcotest [ prop_bitset_model; prop_bitset_persistence ] );
       ( Printf.sprintf "shape & views (seed %#x)" qcheck_seed,
