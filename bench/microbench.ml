@@ -14,15 +14,23 @@ let prepared_primgraph =
      let pg, _ = Fission.Engine.run g in
      pg)
 
+(* Paper-scale decode's segment 1, the widest zoo segment (over a
+   thousand candidates from its parallel same-shape projections): the
+   solver's worst zoo case, with the orchestrator's own candidates. *)
 let prepared_candidates =
   lazy
-    (let pg = Lazy.force prepared_primgraph in
-     let cache = Gpu.Profile_cache.create () in
-     let cands, _ =
-       Korch.Kernel_identifier.identify Korch.Kernel_identifier.default_config
-         ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache pg
+    (let cfg = Korch.Orchestrator.default_config in
+     let g =
+       Fission.Canonicalize.fold_batch_norms
+         (Models.Registry.decode.Models.Registry.build ~batch:1 ())
      in
-     (pg, cands))
+     let pg, _ = Fission.Engine.run g in
+     let segs = Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims in
+     let r =
+       Korch.Orchestrator.solve_segment cfg ~cache:(Gpu.Profile_cache.create ()) ~seg_index:1
+         (List.nth segs 1)
+     in
+     (r.Korch.Orchestrator.transformed, r.Korch.Orchestrator.candidates))
 
 let test_fission =
   Test.make ~name:"fission(attention)"
@@ -43,7 +51,7 @@ let test_identify =
               (Lazy.force prepared_primgraph))))
 
 let test_segment_solve =
-  Test.make ~name:"segment solve"
+  Test.make ~name:"segment solve(decode seg 1)"
     (Staged.stage (fun () ->
          let pg, cands = Lazy.force prepared_candidates in
          ignore

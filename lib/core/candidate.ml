@@ -2,8 +2,9 @@
 
     A candidate is a convex primitive subgraph together with one possible
     output set (Definition 3) and the latency/backend the profiler
-    assigned. The BLP selects a subset of candidates; several candidates
-    may share the same member set but publish different outputs. *)
+    assigned. The segment solver selects a subset of candidates; several
+    candidates may share the same member set but publish different
+    outputs. *)
 
 open Ir
 

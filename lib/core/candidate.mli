@@ -2,9 +2,9 @@
 
     A candidate is a convex primitive subgraph together with one possible
     output set (Definition 3) and the latency/backend the profiler
-    assigned. The BLP selects a subset of candidates; several candidates
-    may share a member set but publish different output subsets — the
-    mechanism behind redundant execution (§4.2). *)
+    assigned. The segment solver selects a subset of candidates; several
+    candidates may share a member set but publish different output
+    subsets — the mechanism behind redundant execution (§4.2). *)
 
 open Ir
 

@@ -107,26 +107,6 @@ type deadline = { at_s : float; total_s : float }
 
 let deadline_in total_s = { at_s = Obs.Clock.now_s () +. total_s; total_s }
 
-(** Candidate-explosion guard: a segment identifying more candidates
-    than this is deterministically pruned to [prune_candidates_to]
-    before the solve. It bounds solve time on such segments: parallel
-    same-shape branches (a transformer's q/k/v projections, say) push the
-    convex-subgraph count past this, and the search then settles more
-    states and scans every candidate at each. In the zoo only decode's
-    segment 1 hits it (1,113 → 96 candidates, paper and test scale).
-    Unpruned, that solve took 74–88 ms instead of about 1 ms on a 2-vCPU
-    Xeon. *)
-let max_candidates = 768
-
-(** Surviving candidate count when the guard fires: every full
-    singleton (the ladder floor) is kept, then multi-primitive
-    candidates ranked by latency gain over their members' cheapest
-    singletons (gain descending, candidate index ascending — fully
-    deterministic, so pruned plans reproduce). The segment's optimum is
-    then optimal {e over the pruned set}; its tier is still reported as
-    {!tier-Optimal}. *)
-let prune_candidates_to = 96
-
 (** Graph expansions per segment transformation search. *)
 let transform_budget = 40
 
@@ -134,7 +114,7 @@ let transform_budget = 40
     deterministic measure of solver work, unlike CPU time, so a segment
     that exhausts it does so for every [jobs] value and on every run. It
     sits far above what the default 12-primitive window needs (at most
-    1,025 states on a paper-scale zoo segment at batch 1, 2,145 without
+    430 states on a paper-scale zoo segment at batch 1, 873 without
     redundancy). A request deadline scales it down ([config.deadline]). *)
 let settled_state_limit = 100_000
 
@@ -225,9 +205,6 @@ type segment_result = {
   transformed : Primgraph.t;
   candidates : Candidate.t array;
   id_stats : Kernel_identifier.stats;
-  pruned_candidates : int;
-      (** candidates dropped by the [max_candidates] explosion guard
-          (0 = the guard did not fire) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;
   settled_states : int;  (** states the segment solver settled (0 when it did not run) *)
@@ -332,64 +309,6 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
     (Primgraph.non_source_nodes g);
   (Array.append candidates (Array.of_list (List.rev !extra)), singleton)
 
-(* Candidate-explosion guard (see [max_candidates]). When the
-   identified set exceeds [max_candidates], keep every single-member
-   candidate (the ladder floor) plus the
-   multi-primitive candidates with the largest latency gain over their
-   members' cheapest full singletons — the same signal greedy fusion
-   ranks by — down to [prune_candidates_to]. Ranking is (gain desc,
-   index asc): fully deterministic, so pruned plans reproduce run to
-   run. *)
-let prune_candidates (g : Primgraph.t) (candidates : Candidate.t array) :
-    Candidate.t array * int =
-  let total = Array.length candidates in
-  if total <= Stdlib.max max_candidates prune_candidates_to then (candidates, 0)
-  else begin
-    let n = Graph.length g in
-    let single = Array.make n Float.infinity in
-    Array.iter
-      (fun (c : Candidate.t) ->
-        match Bitset.elements c.Candidate.members with
-        | [ id ] when c.Candidate.outputs = [ id ] ->
-          if c.Candidate.latency_us < single.(id) then single.(id) <- c.Candidate.latency_us
-        | _ -> ())
-      candidates;
-    (* A candidate touching a node with no profiled singleton gets an
-       infinite gain and ranks first — it may be the only cover for that
-       node, so dropping it risks infeasibility. *)
-    let gain (c : Candidate.t) =
-      let cover =
-        List.fold_left (fun a id -> a +. single.(id)) 0.0 (Bitset.elements c.Candidate.members)
-      in
-      cover -. c.Candidate.latency_us
-    in
-    let singles = ref [] and multis = ref [] in
-    Array.iteri
-      (fun i (c : Candidate.t) ->
-        match Bitset.elements c.Candidate.members with
-        | [ _ ] -> singles := i :: !singles
-        | _ -> multis := (gain c, i) :: !multis)
-      candidates;
-    let singles = List.rev !singles in
-    let ranked =
-      List.sort
-        (fun (g1, i1) (g2, i2) -> if g1 <> g2 then compare g2 g1 else compare i1 i2)
-        !multis
-    in
-    let budget = Stdlib.max 0 (prune_candidates_to - List.length singles) in
-    let kept = ref singles and left = ref budget in
-    List.iter
-      (fun (_g, i) ->
-        if !left > 0 then begin
-          kept := i :: !kept;
-          decr left
-        end)
-      ranked;
-    let keep = List.sort compare !kept in
-    let pruned = Array.of_list (List.map (fun i -> candidates.(i)) keep) in
-    (pruned, total - Array.length pruned)
-  end
-
 (* The unfused strategy: one kernel per primitive, in schedulable order.
    Always feasible on a DAG — each singleton waits only on its graph
    predecessors — so this is the ladder's guaranteed floor. *)
@@ -481,7 +400,6 @@ let m_tier_optimal = Obs.Metrics.counter "orchestrator.tier.optimal"
 let m_tier_greedy = Obs.Metrics.counter "orchestrator.tier.greedy"
 let m_tier_unfused = Obs.Metrics.counter "orchestrator.tier.unfused"
 let m_worker_retries = Obs.Metrics.counter "orchestrator.worker_retries"
-let m_candidates_pruned = Obs.Metrics.counter "orchestrator.candidates_pruned"
 
 (* Memory-planner gauges: set once per orchestration from the stitched
    plan's {!Runtime.Memplan} analysis, next to the latency metrics. *)
@@ -612,9 +530,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   if cfg.fail_fast && Array.length candidates = 0
      && Primgraph.non_source_nodes transformed <> []
   then orch_fail ~segment:seg_index Error.Profile "no candidate kernels for segment";
-  (* Candidate-explosion guard (see [prune_candidates]). *)
-  let candidates, pruned_candidates = prune_candidates transformed candidates in
-  if pruned_candidates > 0 then Obs.Metrics.add m_candidates_pruned pruned_candidates;
   (* Ladder floor material: every primitive gets a singleton candidate. *)
   let candidates, singleton = ensure_singletons cfg ~cache transformed candidates in
   let (selected, latency_us, tier, settled_states), solve_us =
@@ -662,7 +577,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     transformed;
     candidates;
     id_stats;
-    pruned_candidates;
     selected;
     latency_us;
     settled_states;

@@ -173,10 +173,6 @@ type segment_result = {
       (** identified candidates, extended with synthesized singleton
           candidates so the unfused floor is always available *)
   id_stats : Kernel_identifier.stats;
-  pruned_candidates : int;
-      (** candidates dropped by the candidate-explosion guard, which
-          bounds solve time on segments with over 768 candidates
-          (0 = the guard did not fire on this segment) *)
   selected : int list;  (** scheduled order of candidate indices *)
   latency_us : float;  (** modelled latency of the selected strategy *)
   settled_states : int;

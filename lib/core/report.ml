@@ -62,9 +62,6 @@ let pp_segments ppf (r : Orchestrator.result) =
             (if s.Orchestrator.id_stats.Kernel_identifier.states_truncated then
                Some "states truncated"
              else None);
-            (if s.Orchestrator.pruned_candidates > 0 then
-               Some (Printf.sprintf "pruned %d candidates" s.Orchestrator.pruned_candidates)
-             else None);
           ]
       in
       Format.fprintf ppf "  %3d  %-9s  %7d  %7d  %s@." s.Orchestrator.seg_index
@@ -92,7 +89,6 @@ let segment_to_json (s : Orchestrator.segment_result) : Obs.Jsonw.t =
       ("tier", Obs.Jsonw.Str (Orchestrator.tier_to_string o.Orchestrator.tier));
       ("kernels", Obs.Jsonw.Int (List.length s.Orchestrator.selected));
       ("candidates", Obs.Jsonw.Int (Array.length s.Orchestrator.candidates));
-      ("pruned_candidates", Obs.Jsonw.Int s.Orchestrator.pruned_candidates);
       ("states", Obs.Jsonw.Int st.Kernel_identifier.states);
       ("states_truncated", Obs.Jsonw.Bool st.Kernel_identifier.states_truncated);
       ("profiled", Obs.Jsonw.Int st.Kernel_identifier.profiled);

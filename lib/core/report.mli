@@ -9,7 +9,7 @@ val pp_result : Format.formatter -> Orchestrator.result -> unit
 
 (** [pp_segments ppf r] prints the per-segment outcome table: index,
     ladder tier, selected kernel count, worker retries and notes
-    (fallback reason, truncation, pruned candidates). *)
+    (fallback reason, transform degradation, state truncation). *)
 val pp_segments : Format.formatter -> Orchestrator.result -> unit
 
 (** [summary r] is [pp_result] rendered to a string. *)
@@ -34,7 +34,7 @@ val execution_to_json :
     ["analysis"] object with the hazard cross-check outcome
     (status checked/skipped/off plus finding counts — also optional),
     per-phase wall-clock timings, one object per segment (tier,
-    kernel/candidate/pruned-candidate counts, enumeration stats, retries,
+    kernel/candidate counts, enumeration stats, settled states, retries,
     fallback reason, phase timings) and a {!Obs.Metrics} snapshot under
     ["metrics"]. [meta] adds a caller-supplied ["meta"] object (model name, GPU, precision, jobs…);
     [execution] adds the optional ["execution"] block (see

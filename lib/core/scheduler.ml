@@ -1,6 +1,6 @@
 (** Sequencing selected kernels (executable generation, §5.3).
 
-    The BLP guarantees every needed tensor has a publisher but not that a
+    §4.2's Eq. 4 guarantees every needed tensor has a publisher but not that a
     deadlock-free order exists (two selected kernels may feed each other).
     The greedy list scheduler below runs any kernel whose external inputs
     are available; if it gets stuck, the remaining kernel set is returned

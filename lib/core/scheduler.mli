@@ -1,6 +1,6 @@
 (** Sequencing selected kernels (executable generation, §5.3).
 
-    The BLP guarantees every needed tensor a publisher but not that a
+    §4.2's Eq. 4 guarantees every needed tensor a publisher but not that a
     deadlock-free order exists: two selected kernels may feed each other
     (expressible in Eq. 4, not executable). The greedy list scheduler runs
     any kernel whose external inputs are available; a stuck remainder is

@@ -1,4 +1,4 @@
-(** Exact per-segment kernel orchestration: Dijkstra over published sets
+(** Exact per-segment kernel orchestration: A* over published sets
     (§4.1's execution states, §4.2's objective). *)
 
 open Ir
@@ -13,23 +13,30 @@ let failure_to_string = function
 let m_solves = Obs.Metrics.counter "segment_solver.solves"
 let m_settled = Obs.Metrics.counter "segment_solver.settled"
 
-(* A queued path: its cost, its candidate indices latest first (shared
-   tails), and the state it reaches. The path determines the state, so
-   (cost, sequence) orders queued paths totally. Sequences are compared
-   first to last, which only happens on equal costs. *)
-let compare_key (c1, p1) (c2, p2) =
-  match Float.compare c1 c2 with
-  | 0 -> List.compare Int.compare (List.rev p1) (List.rev p2)
+(* A queued path: its priority (cost plus the state's bound), its cost,
+   its candidate indices latest first (shared tails), and the state it
+   reaches. The path determines the state, so (priority, cost, sequence)
+   orders queued paths totally. Cost breaks priority ties, so where
+   rounding makes two priorities equal a state is still settled by the
+   path Dijkstra's order would pick; between two paths to one state the
+   order is that of (cost, sequence). Sequences are compared first to
+   last, which only happens on equal costs. *)
+let compare_key (f1, c1, p1) (f2, c2, p2) =
+  match Float.compare f1 f2 with
+  | 0 -> (
+    match Float.compare c1 c2 with
+    | 0 -> List.compare Int.compare (List.rev p1) (List.rev p2)
+    | c -> c)
   | c -> c
 
 module Queue = Set.Make (struct
-  type t = (float * int list) * Bitset.t
+  type t = (float * float * int list) * Bitset.t
 
   let compare (k1, _) (k2, _) = compare_key k1 k2
 end)
 
 (* What the search knows of a reached state. *)
-type mark = Settled | Queued of (float * int list)
+type mark = Settled | Queued of (float * float * int list)
 
 let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.t array) =
   Faults.check Faults.Ilp_solve;
@@ -58,6 +65,21 @@ let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.
       candidates
   in
   let adds = Array.mapi (fun i o -> Bitset.union o runs.(i)) outs in
+  (* The A* bound: the largest, over goal outputs a state has not
+     published, of the cheapest latency of a candidate publishing it. *)
+  let cheapest =
+    List.map
+      (fun b ->
+        let l = ref Float.infinity in
+        Array.iteri
+          (fun i o -> if Bitset.mem o b then l := Float.min !l candidates.(i).Candidate.latency_us)
+          outs;
+        (b, !l))
+      (Bitset.elements goal)
+  in
+  let bound state =
+    List.fold_left (fun h (b, l) -> if Bitset.mem state b then h else Float.max h l) 0.0 cheapest
+  in
   (* Every reached state. A cheaper path to a queued state replaces its
      entry instead of queueing a duplicate. *)
   let seen = Bitset.Table.create 256 in
@@ -65,7 +87,7 @@ let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.
   let rec loop queue settled =
     match Queue.min_elt_opt queue with
     | None -> Error (Unreachable settled)
-    | Some (((cost, path), state) as entry) ->
+    | Some (((_, cost, path), state) as entry) ->
       let queue = Queue.remove entry queue in
       let settled = settled + 1 in
       Bitset.Table.replace seen state Settled;
@@ -81,7 +103,8 @@ let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.
               && Bitset.is_empty (Bitset.inter runs.(i) state)
             then begin
               let next = Bitset.union state adds.(i) in
-              let key = (cost +. c.Candidate.latency_us, i :: path) in
+              let cost = cost +. c.Candidate.latency_us in
+              let key = (cost +. bound next, cost, i :: path) in
               match Bitset.Table.find_opt seen next with
               | Some Settled -> ()
               | Some (Queued old) when compare_key old key <= 0 -> ()
@@ -96,7 +119,7 @@ let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.
         loop !queue settled
       end
   in
-  let r = loop (Queue.singleton ((0.0, []), start)) 0 in
+  let r = loop (Queue.singleton ((bound start, 0.0, []), start)) 0 in
   Obs.Metrics.add m_settled
     (match r with Ok s -> s.settled | Error (Budget_exhausted k | Unreachable k) -> k);
   r

@@ -9,14 +9,24 @@
 
     A path is a schedule, so the cheapest path is the optimum of §4.2's
     objective (Eq. 2) over the selections that satisfy Eqs. 3–4 {e and}
-    admit a deadlock-free order — the question the BLP alone leaves open
+    admit a deadlock-free order — the question Eq. 4 alone leaves open
     (see {!Scheduler}). No relaxation is solved.
 
-    The search is Dijkstra's, keyed by (cost, candidate-index sequence):
-    among equally cheap paths the lexicographically smallest sequence
-    wins, so the result is a pure function of the segment and its
-    candidates, identical for every [-j]. States are {!Ir.Bitset.t}, so the
-    segment size is not capped by a machine word. *)
+    The search is A*. Its bound at a state is the largest, over the
+    segment outputs the state has not published, of the cheapest latency
+    of any candidate that publishes that output. Every path to the goal
+    still runs a publisher of each such output, so the bound never
+    overestimates; a step of latency [l] either publishes the output
+    that set the bound, which then was at most [l], or leaves it
+    unpublished and the bound no lower — so the bound is consistent and a
+    settled state's path is its cheapest. The queue is keyed by (cost +
+    bound, cost, candidate-index sequence), and the cost is summed along
+    the path in order: among equally cheap paths the lexicographically
+    smallest sequence wins, exactly as under Dijkstra's order, so the
+    result is a pure function of the segment and its candidates,
+    identical for every [-j]; only fewer states are settled. States are
+    {!Ir.Bitset.t}, so the segment size is not capped by a machine
+    word. *)
 
 open Ir
 

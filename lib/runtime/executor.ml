@@ -1,7 +1,7 @@
 (** The executable generator / plan executor (§5.3).
 
-    {!run} is the one walk over a plan. After one {!Plan.check} — the
-    BLP dependency constraints (Eq. 4) guarantee each kernel only reads
+    {!run} is the one walk over a plan. After one {!Plan.check} — §4.2's
+    dependency constraints (Eq. 4) guarantee each kernel only reads
     published tensors and publishes only its declared outputs — every
     kernel either runs as a native kernel or through the interpreter's
     member loop; backends and reuse modes differ only there.

@@ -3,7 +3,7 @@
     Walks the selected kernels in plan order and runs them against the
     tensor substrate. Each kernel recomputes its internal primitives from
     externally published tensors only and publishes exactly its declared
-    outputs — the contract the BLP dependency constraints (Eq. 4)
+    outputs — the contract §4.2's dependency constraints (Eq. 4)
     guarantee and {!Plan.check} re-establishes before every run. *)
 
 open Ir

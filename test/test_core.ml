@@ -288,6 +288,50 @@ let test_solver_ordering_on_zoo () =
     Models.Registry.all;
   Alcotest.(check bool) (Printf.sprintf "segments compared (%d)" !compared) true (!compared > 50)
 
+(* Test-scale decode's segment 1 is the widest zoo segment: parallel
+   same-shape projections give it over a thousand candidates. It is
+   solved over all of them, the synthesized singletons included, and
+   beats the optimum over the 96 a candidate cap once kept
+   (0x1.402cf508ff8a5p+4 us). *)
+let test_solver_keeps_every_candidate () =
+  let cfg = Korch.Orchestrator.default_config in
+  let g =
+    Fission.Canonicalize.fold_batch_norms
+      (Models.Registry.decode.Models.Registry.build_small ~batch:1 ())
+  in
+  let pg, _ = Fission.Engine.run g in
+  let segs = Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims in
+  let r =
+    Korch.Orchestrator.solve_segment cfg ~cache:(Gpu.Profile_cache.create ()) ~seg_index:1
+      (List.nth segs 1)
+  in
+  let cands = r.Korch.Orchestrator.candidates in
+  let identified, _ =
+    Korch.Kernel_identifier.identify cfg.Korch.Orchestrator.identifier
+      ~spec:cfg.Korch.Orchestrator.spec ~precision:cfg.Korch.Orchestrator.precision
+      ~cache:(Gpu.Profile_cache.create ()) r.Korch.Orchestrator.transformed
+  in
+  let k = Array.length identified in
+  let shape (c : Korch.Candidate.t) =
+    (Bitset.elements c.Korch.Candidate.members, c.Korch.Candidate.outputs)
+  in
+  Alcotest.(check bool) (Printf.sprintf "over 1,000 candidates (%d)" (Array.length cands)) true
+    (Array.length cands > 1000);
+  Alcotest.(check bool) "every identified candidate, in order" true
+    (Array.length cands >= k && Array.map shape (Array.sub cands 0 k) = Array.map shape identified);
+  Array.iter
+    (fun (c : Korch.Candidate.t) ->
+      match shape c with
+      | [ id ], [ o ] when id = o -> ()
+      | _ -> Alcotest.fail "an appended candidate is not a singleton")
+    (Array.sub cands k (Array.length cands - k));
+  Alcotest.(check bool) "optimal" true
+    (r.Korch.Orchestrator.outcome.Korch.Orchestrator.tier = Korch.Orchestrator.Optimal);
+  Alcotest.(check bool)
+    (Printf.sprintf "cost %h below the capped optimum" r.Korch.Orchestrator.latency_us)
+    true
+    (r.Korch.Orchestrator.latency_us < 0x1.402cf508ff8a5p+4)
+
 (* The exact smoke models' plans reproduce at -j 4 bit for bit. *)
 let test_paper_scale_jobs_identity () =
   List.iter
@@ -417,44 +461,6 @@ let test_orchestrator_partitioned_equivalence () =
       Alcotest.(check bool) "partitioned plan matches" true
         (Nd.allclose ~rtol:1e-4 ~atol:1e-6 e a))
     expected got
-
-(* A segment that lost candidates to the explosion guard says so in both
-   report forms, whatever its tier. *)
-let test_report_pruned_candidates () =
-  let r = Korch.Orchestrator.run orch_cfg (Models.Registry.candy.Models.Registry.build_small ()) in
-  let r =
-    { r with
-      Korch.Orchestrator.segments =
-        List.mapi
-          (fun i s -> if i = 0 then { s with Korch.Orchestrator.pruned_candidates = 7 } else s)
-          r.Korch.Orchestrator.segments }
-  in
-  let j = Onnx.Json.of_string (Korch.Report.json_string r) in
-  let mem k o = Option.get (Onnx.Json.member k o) in
-  let pruned =
-    List.map
-      (fun s -> Onnx.Json.to_int_exn (mem "pruned_candidates" s))
-      (Onnx.Json.to_list_exn (mem "per_segment" j))
-  in
-  Alcotest.(check int) "first segment carries 7" 7 (List.hd pruned);
-  Alcotest.(check bool) "others carry 0" true (List.for_all (( = ) 0) (List.tl pruned));
-  let keys = function Onnx.Json.Obj kvs -> List.map fst kvs | _ -> [] in
-  Alcotest.(check (list string)) "three tiers" [ "optimal"; "greedy"; "unfused" ]
-    (keys (mem "tiers" j));
-  List.iter
-    (fun s ->
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) ("no segment carries " ^ k) false (List.mem k (keys s)))
-        [ "cuts_added"; "time_limit_hit" ])
-    (Onnx.Json.to_list_exn (mem "per_segment" j));
-  let table = Korch.Report.segment_table r in
-  let has sub =
-    let n = String.length table and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub table i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "segment table notes the pruning" true (has "pruned 7 candidates")
 
 (* Calibrate.record folds hand-built native timings into the measured
    store: best-of-N per kernel signature, out-of-range indices skipped. *)
@@ -738,6 +744,8 @@ let () =
         [ Alcotest.test_case "breaks a dependency cycle" `Quick test_solver_breaks_cycle;
           Alcotest.test_case "redundancy <= disjoint <= unfused on the test zoo" `Quick
             test_solver_ordering_on_zoo;
+          Alcotest.test_case "decode segment 1 keeps every candidate" `Quick
+            test_solver_keeps_every_candidate;
           Alcotest.test_case "paper-scale plans identical at -j 1 and -j 4" `Quick
             test_paper_scale_jobs_identity ] );
       ( "partition",
@@ -750,8 +758,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_orchestrator_stats_populated;
           Alcotest.test_case "softmax split" `Quick test_orchestrator_softmax_fissioned_into_multiple_kernels;
           Alcotest.test_case "redundancy valid" `Quick test_orchestrator_redundancy_nonnegative;
-          Alcotest.test_case "partitioned equivalence" `Quick test_orchestrator_partitioned_equivalence;
-          Alcotest.test_case "pruned candidates reported" `Quick test_report_pruned_candidates ] );
+          Alcotest.test_case "partitioned equivalence" `Quick test_orchestrator_partitioned_equivalence ] );
       ( "calibrate",
         [ Alcotest.test_case "record folds measured timings" `Quick test_calibrate_record ] );
       ( "plan table",

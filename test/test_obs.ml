@@ -257,10 +257,19 @@ let test_report_json_roundtrip name () =
     Alcotest.(check bool) "total phase time positive" true (total > 0.0);
     Alcotest.(check bool) "metrics snapshot embedded" true
       (Onnx.Json.member "counters" (get "metrics") <> None);
-    (* Every per-segment object carries its own phase timings and tier. *)
+    let keys = function Onnx.Json.Obj kvs -> List.map fst kvs | _ -> [] in
+    Alcotest.(check (list string)) "three tiers" [ "optimal"; "greedy"; "unfused" ]
+      (keys (get "tiers"));
+    (* Every per-segment object carries exactly these members, its phase
+       timings and tier among them; the members of the retired BLP (cut
+       count, time-limit flag) and candidate cap are gone. *)
     List.iter
       (fun seg ->
-        Alcotest.(check bool) "segment has tier" true (Onnx.Json.member "tier" seg <> None);
+        Alcotest.(check (list string)) "segment members"
+          [ "seg"; "tier"; "kernels"; "candidates"; "states"; "states_truncated"; "profiled";
+            "prefiltered"; "latency_us"; "settled_states"; "retries"; "transform_degraded";
+            "fallback_reason"; "phase_us" ]
+          (keys seg);
         let p = Option.get (Onnx.Json.member "phase_us" seg) in
         List.iter
           (fun k -> Alcotest.(check bool) ("segment phase " ^ k) true (Onnx.Json.member k p <> None))
