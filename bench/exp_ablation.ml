@@ -1,9 +1,6 @@
 (* Ablations of Korch's design choices (DESIGN.md):
    1. redundancy (§4.2's relaxation) on/off;
-   2. primitive-graph transformations on/off;
-   3. the dominated-candidate prefilter (§8 future work) on/off —
-      checking it never changes the chosen plan cost, only the
-      candidate count. *)
+   2. primitive-graph transformations on/off. *)
 
 let latency (r : Korch.Orchestrator.result) =
   r.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us
@@ -42,8 +39,8 @@ let run () =
       ("shared-transpose", Bench_common.a100_tf32, shared_transpose_graph ())
     ]
   in
-  Printf.printf "%-18s %10s %14s %14s %16s\n" "subgraph" "full (us)" "no redundancy"
-    "no transforms" "no prefilter";
+  Printf.printf "%-18s %10s %14s %14s %8s\n" "subgraph" "full (us)" "no redundancy"
+    "no transforms" "cands";
   List.iter
     (fun (name, platform, g) ->
       let cfg = Bench_common.korch_config ~partition_max_prims:16 platform in
@@ -55,20 +52,10 @@ let run () =
       let no_tf =
         Korch.Orchestrator.run { cfg with Korch.Orchestrator.use_transform = false } g
       in
-      let no_pf =
-        Korch.Orchestrator.run
-          { cfg with
-            Korch.Orchestrator.identifier =
-              { cfg.Korch.Orchestrator.identifier with Korch.Kernel_identifier.prefilter = false }
-          }
-          g
-      in
-      Printf.printf "%-18s %10.1f %13.1f %14.1f %11.1f (%d vs %d cands)\n" name (latency full)
-        (latency no_red) (latency no_tf) (latency no_pf)
-        full.Korch.Orchestrator.total_candidates no_pf.Korch.Orchestrator.total_candidates)
+      Printf.printf "%-18s %10.1f %13.1f %14.1f %8d\n" name (latency full) (latency no_red)
+        (latency no_tf) full.Korch.Orchestrator.total_candidates)
     cases;
   Printf.printf
-    "shape check: no ablated variant beats full Korch beyond solver tolerance; the\n\
-     redundancy relaxation is the decisive ingredient on the shared-transpose\n\
-     pattern (recompute-vs-materialize, Figure 5's argument); the prefilter never\n\
-     changes the chosen plan cost\n"
+    "shape check: no ablated variant beats full Korch; the redundancy relaxation\n\
+     is the decisive ingredient on the shared-transpose pattern\n\
+     (recompute-vs-materialize, Figure 5's argument)\n"

@@ -16,7 +16,8 @@ let strategy_a ~spec ~precision (g : Opgraph.t) : float =
     Bitset.of_list (Graph.length pg) (Primgraph.non_source_nodes pg)
   in
   Gpu.Cost_model.latency_us Gpu.Cost_model.default_config ~spec ~precision
-    ~backend:Gpu.Cost_model.Tvm pg members ~outputs:pg.Graph.outputs
+    ~backend:Gpu.Cost_model.Tvm pg
+    (Gpu.Stats.kernel_stats pg members ~outputs:pg.Graph.outputs)
 
 let run () =
   Bench_common.section "Figure 13: greedy fusion vs Korch on a Segformer subgraph (V100)";
@@ -29,9 +30,7 @@ let run () =
     let base = Bench_common.korch_config ~partition_max_prims:20 Bench_common.v100_fp32 in
     { base with
       Korch.Orchestrator.identifier =
-        { base.Korch.Orchestrator.identifier with
-          Korch.Kernel_identifier.max_kernel_prims = 20;
-          profiler =
+        { Korch.Kernel_identifier.profiler =
             { Gpu.Profiler.default_config with Gpu.Profiler.max_tvm_prims = 20 } } }
   in
   List.iter

@@ -135,7 +135,8 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
               (r.Gpu.Profiler.latency_us, Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)
             | None ->
               ( Gpu.Cost_model.latency_us cfg.Gpu.Profiler.cost ~spec ~precision
-                  ~backend:Gpu.Cost_model.OpaqueExec g mset ~outputs,
+                  ~backend:Gpu.Cost_model.OpaqueExec g
+                  (Gpu.Stats.kernel_stats g mset ~outputs),
                 "framework" )
           in
           kernels := Runtime.Plan.{ prims = group; outputs; latency_us; backend } :: !kernels

@@ -120,6 +120,8 @@ let inject_arg =
      ($(b,always), $(b,nth=K) for the K-th call, or $(b,p=P) for seeded probability P). \
      Repeatable. The orchestrator degrades the affected segment down its fallback ladder \
      instead of failing; the per-segment outcome table shows where each landed. \
+     $(b,profiler) fires once per measured candidate: only candidates that pass the \
+     static backend rules are measured, and a profile-cache hit measures nothing. \
      $(b,codegen_compile) fires in the native backend's kernel compiler: the affected \
      kernel degrades to the interpreter, never the run."
   in

@@ -91,8 +91,8 @@ let rec cost_group (env : env) (ops : int list) : Runtime.Plan.kernel =
          library kernel — never rejected, but it pays the full
          category-mixing cost. *)
       ( Gpu.Cost_model.latency_us env.profiler.Gpu.Profiler.cost ~spec:env.spec
-          ~precision:env.precision ~backend:Gpu.Cost_model.OpaqueExec env.primgraph members
-          ~outputs,
+          ~precision:env.precision ~backend:Gpu.Cost_model.OpaqueExec env.primgraph
+          (Gpu.Stats.kernel_stats env.primgraph members ~outputs),
         "framework" )
     | None ->
       (* Unsupported multi-operator fusion pattern: the framework falls

@@ -15,15 +15,11 @@ type t = {
       (** producers outside [members] feeding it, including source nodes *)
   latency_us : float;
   backend : Gpu.Cost_model.backend_kind;
-  workspace_bytes : int;
-      (** modelled peak bytes of kernel-internal intermediates
-          ({!Gpu.Cost_model.workspace_bytes}) *)
 }
 
 let pp ppf (c : t) =
-  Format.fprintf ppf "{%s -> {%s} %.3fus %s %dB}"
+  Format.fprintf ppf "{%s -> {%s} %.3fus %s}"
     (Bitset.to_string c.members)
     (String.concat "," (List.map string_of_int c.outputs))
     c.latency_us
     (Gpu.Cost_model.backend_to_string c.backend)
-    c.workspace_bytes

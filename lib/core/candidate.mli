@@ -15,9 +15,6 @@ type t = {
       (** producers outside [members] feeding it, including source nodes *)
   latency_us : float;  (** profiled latency, microseconds *)
   backend : Gpu.Cost_model.backend_kind;  (** who generated the kernel *)
-  workspace_bytes : int;
-      (** modelled peak bytes of kernel-internal intermediates
-          ({!Gpu.Cost_model.workspace_bytes}) *)
 }
 
 val pp : Format.formatter -> t -> unit

@@ -16,20 +16,9 @@ let max_states = 200_000
     this many nodes; otherwise only the full boundary set is used. *)
 let max_boundary_enum = 2
 
-type config = {
-  max_kernel_prims : int;  (** subgraphs larger than this are skipped pre-profiling *)
-  prefilter : bool;
-      (** drop candidates dominated by their members' singleton kernels
-          (the paper's future-work "lightweight cost model" filter, §8) *)
-  profiler : Gpu.Profiler.config;
-}
+type config = { profiler : Gpu.Profiler.config }
 
-let default_config =
-  {
-    max_kernel_prims = 10;
-    prefilter = true;
-    profiler = Gpu.Profiler.default_config;
-  }
+let default_config = { profiler = Gpu.Profiler.default_config }
 
 type stats = {
   states : int;
@@ -40,7 +29,6 @@ type stats = {
   profiled : int;  (** candidate (subgraph, output-set) pairs profiled *)
   accepted : int;
   rejected : int;
-  prefiltered : int;
   profile_failures : int;
       (** profiler calls that {e raised} (injected faults / crashed
           measurements), counted within [rejected] — per-candidate
@@ -55,7 +43,6 @@ let empty_stats =
     profiled = 0;
     accepted = 0;
     rejected = 0;
-    prefiltered = 0;
     profile_failures = 0;
   }
 
@@ -72,7 +59,6 @@ let nonempty_subsets (l : int list) : int list list =
 let m_states = Obs.Metrics.counter "identifier.states"
 let m_truncated = Obs.Metrics.counter "identifier.states_truncated"
 let m_accepted = Obs.Metrics.counter "identifier.candidates_accepted"
-let m_prefiltered = Obs.Metrics.counter "identifier.candidates_prefiltered"
 
 (** [identify cfg ~spec ~precision ~cache g] — all accepted candidate
     kernels of [g], plus enumeration statistics. *)
@@ -82,6 +68,14 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
   @@ fun () ->
   let states, states_truncated = Exec_state.enumerate_bounded g ~max_states in
   let n_states = List.length states in
+  (* Execution states hold every source node, so a state difference holds
+     only executable primitives and its cardinality is the kernel's
+     primitive count. Nothing larger than the profiler's biggest
+     acceptable kernel (a generated one, or a vendor primitive with its
+     companions) is worth keeping. *)
+  let max_prims =
+    Int.max cfg.profiler.Gpu.Profiler.max_tvm_prims (1 + Gpu.Profiler.max_vendor_companions)
+  in
   (* Distinct convex subgraphs from pairwise differences. *)
   let subgraphs = Bitset.Table.create 256 in
   List.iter
@@ -91,17 +85,19 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
           if (not (Bitset.equal d1 d2)) && Bitset.subset d1 d2 then begin
             let p' = Bitset.diff d2 d1 in
             let size = Bitset.cardinal p' in
-            if size > 0 && size <= cfg.max_kernel_prims then
+            if size > 0 && size <= max_prims then
               if not (Bitset.Table.mem subgraphs p') then
                 Bitset.Table.replace subgraphs p' ()
           end)
         states)
     states;
+  let facts = Gpu.Profiler.facts g in
   let profiled = ref 0 and accepted = ref [] and rejected = ref 0 in
   let profile_failures = ref 0 in
   Bitset.Table.iter
     (fun members () ->
-      let boundary = Graph.boundary_outputs g members in
+      let boundary = Graph.boundary_outputs ~succs:facts.Gpu.Profiler.succs g members in
+      let ext_inputs = Graph.external_inputs g members in
       let output_sets =
         if List.length boundary <= max_boundary_enum then begin
           (* Graph outputs inside the kernel must always be publishable by
@@ -115,7 +111,8 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
         (fun outputs ->
           incr profiled;
           match
-            Gpu.Profile_cache.profile cache cfg.profiler ~spec ~precision g members ~outputs
+            Gpu.Profile_cache.profile ~facts ~ext_inputs cache cfg.profiler ~spec ~precision g
+              members ~outputs
           with
           | Some r ->
             let c =
@@ -123,11 +120,9 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
                 {
                   members;
                   outputs;
-                  ext_inputs = Graph.external_inputs g members;
+                  ext_inputs;
                   latency_us = r.Gpu.Profiler.latency_us;
                   backend = r.Gpu.Profiler.backend;
-                  workspace_bytes =
-                    Gpu.Cost_model.workspace_bytes ~precision g members ~outputs;
                 }
             in
             accepted := c :: !accepted
@@ -140,57 +135,16 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
         output_sets)
     subgraphs;
   let candidates = Array.of_list (List.rev !accepted) in
-  (* Dominated-candidate prefilter: a multi-primitive candidate can never
-     be selected by an optimal solution if executing each member as its own
-     full-boundary singleton kernel is cheaper — the singletons publish a
-     superset of its outputs. *)
-  let candidates, prefiltered =
-    if not cfg.prefilter then (candidates, 0)
-    else begin
-      let singleton_cost = Hashtbl.create 64 in
-      Array.iter
-        (fun (c : Candidate.t) ->
-          if Bitset.cardinal c.Candidate.members = 1 then
-            let id = List.hd (Bitset.elements c.Candidate.members) in
-            let prev = Hashtbl.find_opt singleton_cost id in
-            (* Only singletons that publish their node count. *)
-            if c.Candidate.outputs = [ id ] then
-              match prev with
-              | Some p when p <= c.Candidate.latency_us -> ()
-              | _ -> Hashtbl.replace singleton_cost id c.Candidate.latency_us)
-        candidates;
-      let kept =
-        Array.to_list candidates
-        |> List.filter (fun (c : Candidate.t) ->
-               if Bitset.cardinal c.Candidate.members <= 1 then true
-               else
-                 let cover =
-                   Bitset.fold
-                     (fun id acc ->
-                       match (acc, Hashtbl.find_opt singleton_cost id) with
-                       | Some s, Some v -> Some (s +. v)
-                       | _ -> None)
-                     c.Candidate.members (Some 0.0)
-                 in
-                 match cover with
-                 | Some total -> c.Candidate.latency_us < total
-                 | None -> true)
-      in
-      (Array.of_list kept, Array.length candidates - List.length kept)
-    end
-  in
   Obs.Metrics.add m_states n_states;
   if states_truncated then Obs.Metrics.incr m_truncated;
   Obs.Metrics.add m_accepted (Array.length candidates);
-  Obs.Metrics.add m_prefiltered prefiltered;
   ( candidates,
     {
       states = n_states;
       states_truncated;
       distinct_subgraphs = Bitset.Table.length subgraphs;
       profiled = !profiled;
-      accepted = Array.length candidates + prefiltered;
+      accepted = Array.length candidates;
       rejected = !rejected;
-      prefiltered;
       profile_failures = !profile_failures;
     } )

@@ -9,13 +9,16 @@
 
 open Ir
 
+(** Output-set limit: a subgraph whose boundary has at most this many
+    nodes (2) is offered every non-empty subset of it as an output set;
+    a larger boundary only as a whole (Definition 3). *)
+val max_boundary_enum : int
+
 type config = {
-  max_kernel_prims : int;
-      (** subgraphs larger than this are skipped before profiling (§6.5) *)
-  prefilter : bool;
-      (** drop candidates dominated by their members' singleton kernels —
-          the paper's future-work "lightweight cost model" filter (§8) *)
   profiler : Gpu.Profiler.config;
+      (** also caps enumerated subgraphs at the largest kernel it can
+          accept: [max_tvm_prims], or a vendor primitive with its
+          companions (§6.5) *)
 }
 
 val default_config : config
@@ -26,10 +29,11 @@ type stats = {
       (** enumeration stopped at the state guard: the candidate set is
           valid but incomplete, and callers should surface the truncation *)
   distinct_subgraphs : int;
-  profiled : int;  (** (subgraph, output-set) pairs sent to the profiler *)
+  profiled : int;
+      (** (subgraph, output-set) pairs sent to the profiler, statically
+          rejected ones included: [profiled = accepted + rejected] *)
   accepted : int;
   rejected : int;
-  prefiltered : int;  (** accepted candidates later dropped as dominated *)
   profile_failures : int;
       (** profiler calls that raised (injected faults / crashed
           measurements); counted within [rejected] *)

@@ -279,7 +279,7 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
         let fallback_price () =
           ( Gpu.Cost_model.latency_us cfg.identifier.Kernel_identifier.profiler.Gpu.Profiler.cost
               ~spec:cfg.spec ~precision:cfg.precision ~backend:Gpu.Cost_model.OpaqueExec g
-              members ~outputs,
+              (Gpu.Stats.kernel_stats g members ~outputs),
             Gpu.Cost_model.OpaqueExec )
         in
         let latency_us, backend =
@@ -299,8 +299,6 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
               ext_inputs = Graph.external_inputs g members;
               latency_us;
               backend;
-              workspace_bytes =
-                Gpu.Cost_model.workspace_bytes ~precision:cfg.precision g members ~outputs;
             }
           :: !extra;
         singleton.(id) <- !next;

@@ -138,8 +138,8 @@ let reprice_plan (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
       | Some backend ->
         let members = Ir.Bitset.of_list n k.Runtime.Plan.prims in
         let us =
-          Gpu.Cost_model.latency_us cost ~spec ~precision ~backend g members
-            ~outputs:k.Runtime.Plan.outputs
+          Gpu.Cost_model.latency_us cost ~spec ~precision ~backend g
+            (Gpu.Stats.kernel_stats g members ~outputs:k.Runtime.Plan.outputs)
         in
         go (acc +. us) rest)
   in

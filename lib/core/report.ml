@@ -92,7 +92,6 @@ let segment_to_json (s : Orchestrator.segment_result) : Obs.Jsonw.t =
       ("states", Obs.Jsonw.Int st.Kernel_identifier.states);
       ("states_truncated", Obs.Jsonw.Bool st.Kernel_identifier.states_truncated);
       ("profiled", Obs.Jsonw.Int st.Kernel_identifier.profiled);
-      ("prefiltered", Obs.Jsonw.Int st.Kernel_identifier.prefiltered);
       ("latency_us", Obs.Jsonw.Float s.Orchestrator.latency_us);
       ("settled_states", Obs.Jsonw.Int s.Orchestrator.settled_states);
       ("retries", Obs.Jsonw.Int o.Orchestrator.retries);

@@ -20,7 +20,11 @@
 
 (** Named injection seams of the pipeline. *)
 type site =
-  | Profiler  (** {!Gpu.Profiler.profile} — one candidate measurement *)
+  | Profiler
+      (** {!Gpu.Profiler.profile} — one candidate measurement. Only
+          candidates that pass the static backend rules are measured (a
+          real tuner never measures the others), and a profile-cache hit
+          measures nothing *)
   | Ilp_solve  (** {!Korch.Segment_solver.solve} — one per-segment solve *)
   | Enumerate  (** {!Korch.Exec_state} execution-state enumeration *)
   | Transform  (** per-segment transformation search *)

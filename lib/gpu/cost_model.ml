@@ -104,13 +104,10 @@ let memory_efficiency (cfg : config) ~(spec : Spec.t) ~(backend : backend_kind)
   in
   base /. (1.0 +. (cfg.class_mix_penalty *. mix) +. size_decay)
 
-(** [latency_us cfg ~spec ~precision ~backend g members ~outputs] — modelled
-    latency in microseconds of running the primitive set [members] as one
-    kernel. *)
+(** [latency_us cfg ~spec ~precision ~backend g s] — modelled latency in
+    microseconds of the kernel of [g] whose {!Stats.kernel_stats} are [s]. *)
 let latency_us (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t)
-    ~(backend : backend_kind) (g : Ir.Primgraph.t) (members : Ir.Bitset.t)
-    ~(outputs : int list) : float =
-  let s = Stats.kernel_stats g members ~outputs in
+    ~(backend : backend_kind) (g : Ir.Primgraph.t) (s : Stats.kernel_stats) : float =
   let bytes_per = float_of_int (Precision.bytes_per_element precision) in
   let traffic_bytes =
     (s.Stats.read_elems +. s.Stats.extra_read_elems +. s.Stats.write_elems) *. bytes_per
@@ -199,47 +196,3 @@ module Batch_affine = struct
     Printf.sprintf "%.3f + %.3f*b us (max residual %.3f us)" t.intercept_us
       t.slope_us_per_batch t.max_residual_us
 end
-
-(** [workspace_bytes ~precision g members ~outputs] — modelled scratch
-    footprint of running [members] as one kernel publishing [outputs]:
-    the peak bytes of kernel-internal intermediates simultaneously live
-    during a last-use sweep over the kernel's topological order.
-    Published outputs are global memory traffic (already priced by
-    {!latency_us}), not workspace, so they are excluded. Real codegen
-    keeps many intermediates in registers/shared memory; this is a
-    deliberate materialize-everything upper bound, comparable across
-    candidates. *)
-let workspace_bytes ~(precision : Precision.t) (g : Ir.Primgraph.t)
-    (members : Ir.Bitset.t) ~(outputs : int list) : int =
-  let bytes_per = Precision.bytes_per_element precision in
-  let order = List.filter (fun id -> Ir.Bitset.mem members id) (Ir.Graph.topo_order g) in
-  let steps = List.length order in
-  let outset = Ir.Bitset.of_list (Ir.Graph.length g) outputs in
-  let idx = Hashtbl.create 16 in
-  List.iteri (fun i id -> Hashtbl.replace idx id i) order;
-  (* Last in-kernel consumer of each member (at least its own step). *)
-  let last = Hashtbl.create 16 in
-  List.iteri
-    (fun i id ->
-      if not (Hashtbl.mem last id) then Hashtbl.replace last id i;
-      List.iter
-        (fun src -> if Ir.Bitset.mem members src then Hashtbl.replace last src i)
-        (Ir.Graph.inputs g id))
-    order;
-  let delta = Array.make (steps + 1) 0 in
-  List.iteri
-    (fun i id ->
-      if not (Ir.Bitset.mem outset id) then begin
-        let b = Tensor.Shape.numel (Ir.Graph.shape g id) * bytes_per in
-        delta.(i) <- delta.(i) + b;
-        let d = Hashtbl.find last id in
-        if d + 1 <= steps then delta.(d + 1) <- delta.(d + 1) - b
-      end)
-    order;
-  let live = ref 0 and peak = ref 0 in
-  Array.iter
-    (fun d ->
-      live := !live + d;
-      if !live > !peak then peak := !live)
-    delta;
-  !peak

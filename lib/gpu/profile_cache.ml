@@ -16,7 +16,7 @@
 open Ir
 
 type shard = {
-  table : (string, Profiler.result option) Hashtbl.t;
+  table : (string, Profiler.result) Hashtbl.t;
   lock : Mutex.t;
   mutable tuning_time_s : float;
   mutable hits : int;
@@ -48,33 +48,35 @@ let create ?(shards = default_shards) () : t =
 let shard_of (cache : t) (key : string) : shard =
   cache.shards.(Hashtbl.hash key mod Array.length cache.shards)
 
-(** [profile cache cfg ~spec ~precision g members ~outputs] — cached
-    version of {!Profiler.profile}. Safe to call from several domains. *)
-let profile (cache : t) (cfg : Profiler.config) ~(spec : Spec.t)
+(** [profile ?facts ?ext_inputs cache cfg ~spec ~precision g members
+    ~outputs] — {!Profiler.profile} with this table as its memo: a
+    statically rejected candidate is neither signed nor looked up, and a
+    miss prices the candidate under its shard lock. Safe to call from
+    several domains. *)
+let profile ?facts ?ext_inputs (cache : t) (cfg : Profiler.config) ~(spec : Spec.t)
     ~(precision : Precision.t) (g : Primgraph.t) (members : Bitset.t)
     ~(outputs : int list) : Profiler.result option =
-  let key = Profiler.signature g members ~outputs ~spec ~precision in
-  let sh = shard_of cache key in
-  Mutex.lock sh.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sh.lock)
-    (fun () ->
-      match Hashtbl.find_opt sh.table key with
-      | Some r ->
-        sh.hits <- sh.hits + 1;
-        Obs.Metrics.incr m_hits;
-        r
-      | None ->
-        sh.misses <- sh.misses + 1;
-        Obs.Metrics.incr m_misses;
-        let r = Profiler.profile cfg ~spec ~precision g members ~outputs in
-        (match r with
+  let memo key measure =
+    let sh = shard_of cache key in
+    Mutex.lock sh.lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock sh.lock)
+      (fun () ->
+        match Hashtbl.find_opt sh.table key with
         | Some r ->
+          sh.hits <- sh.hits + 1;
+          Obs.Metrics.incr m_hits;
+          r
+        | None ->
+          sh.misses <- sh.misses + 1;
+          Obs.Metrics.incr m_misses;
+          let r = measure () in
           sh.tuning_time_s <- sh.tuning_time_s +. r.Profiler.tuning_time_s;
-          Obs.Metrics.observe h_tuning r.Profiler.tuning_time_s
-        | None -> ());
-        Hashtbl.replace sh.table key r;
-        r)
+          Obs.Metrics.observe h_tuning r.Profiler.tuning_time_s;
+          Hashtbl.replace sh.table key r;
+          r)
+  in
+  Profiler.profile ?facts ?ext_inputs ~memo cfg ~spec ~precision g members ~outputs
 
 let sum_int (cache : t) f = Array.fold_left (fun a sh -> a + f sh) 0 cache.shards
 
@@ -89,8 +91,8 @@ let hits (cache : t) = sum_int cache (fun sh -> sh.hits)
 (** [misses cache] — lookups that had to profile. *)
 let misses (cache : t) = sum_int cache (fun sh -> sh.misses)
 
-(** [distinct_kernels cache] — number of distinct candidate kernels
-    profiled (cache entries). *)
+(** [distinct_kernels cache] — number of distinct accepted candidate
+    kernels profiled (cache entries). *)
 let distinct_kernels (cache : t) = sum_int cache (fun sh -> Hashtbl.length sh.table)
 
 (* ------------------------- measured timings -------------------------- *)

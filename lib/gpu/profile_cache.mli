@@ -15,9 +15,13 @@ type t
     64, clamped to at least 1) independently locked hash tables. *)
 val create : ?shards:int -> unit -> t
 
-(** Cached version of {!Profiler.profile}: a miss profiles and charges its
-    tuning time; a hit is free. Safe to call from several domains. *)
+(** {!Profiler.profile} with this table as its memo: a statically rejected
+    candidate is neither signed nor looked up (and adds no entry); a miss
+    prices the candidate and charges its tuning time; a hit is free. Safe
+    to call from several domains. *)
 val profile :
+  ?facts:Profiler.facts ->
+  ?ext_inputs:int list ->
   t ->
   Profiler.config ->
   spec:Spec.t ->
@@ -30,13 +34,13 @@ val profile :
 (** Accumulated simulated tuning time (each distinct kernel charged once). *)
 val tuning_time_s : t -> float
 
-(** Lookups answered from the table. *)
+(** Lookups answered from the table (statically accepted candidates only). *)
 val hits : t -> int
 
 (** Lookups that had to profile. *)
 val misses : t -> int
 
-(** Number of distinct candidate kernels profiled so far. *)
+(** Number of distinct accepted candidate kernels profiled so far. *)
 val distinct_kernels : t -> int
 
 (** {1 Measured timings}

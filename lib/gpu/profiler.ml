@@ -27,34 +27,62 @@ type result = {
   tuning_time_s : float;  (** simulated auto-tuning wall-clock cost *)
 }
 
-(** [signature g members ~outputs ~spec ~precision] — canonical structural
-    key of a candidate kernel, used by {!Profile_cache} to avoid re-tuning
-    identical kernels (the paper's "TVM database"). Member nodes are
-    renumbered by position so that structurally identical subgraphs from
-    different graph regions share one entry. *)
-let signature (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list)
+(* How the signature spells a node as a kernel member (its op and shape)
+   and as an external input (only its shape matters). *)
+let member_token (g : Primgraph.t) id =
+  let nd = Graph.node g id in
+  Primitive.to_string nd.Graph.op ^ Tensor.Shape.to_string nd.Graph.shape
+
+let ext_token (g : Primgraph.t) id = "ext" ^ Tensor.Shape.to_string (Graph.shape g id)
+
+type facts = {
+  succs : int list array;
+  member_tokens : string array;
+  ext_tokens : string array;
+}
+
+let facts (g : Primgraph.t) : facts =
+  let n = Graph.length g in
+  {
+    succs = Graph.succs g;
+    member_tokens = Array.init n (member_token g);
+    ext_tokens = Array.init n (ext_token g);
+  }
+
+(** [signature ?facts g members ~outputs ~spec ~precision] — canonical
+    structural key of a candidate kernel, used by {!Profile_cache} to avoid
+    re-tuning identical kernels (the paper's "TVM database"). Member nodes
+    are renumbered by position so that structurally identical subgraphs
+    from different graph regions share one entry. *)
+let signature ?facts (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list)
     ~(spec : Spec.t) ~(precision : Precision.t) : string =
+  let member_token, ext_token =
+    match facts with
+    | Some f -> (Array.get f.member_tokens, Array.get f.ext_tokens)
+    | None -> (member_token g, ext_token g)
+  in
   let ids = Bitset.elements members in
-  let local = Hashtbl.create 16 in
-  List.iteri (fun i id -> Hashtbl.replace local id i) ids;
+  let rec local k i = function
+    | [] -> -1
+    | id :: rest -> if id = i then k else local (k + 1) i rest
+  in
   let buf = Buffer.create 256 in
   Buffer.add_string buf spec.Spec.name;
   Buffer.add_char buf '/';
   Buffer.add_string buf (Precision.to_string precision);
   List.iter
     (fun id ->
-      let nd = Graph.node g id in
       Buffer.add_char buf '|';
-      Buffer.add_string buf (Primitive.to_string nd.Graph.op);
-      Buffer.add_string buf (Tensor.Shape.to_string nd.Graph.shape);
+      Buffer.add_string buf (member_token id);
       List.iter
         (fun i ->
-          match Hashtbl.find_opt local i with
-          | Some l -> Buffer.add_string buf (Printf.sprintf "@%d" l)
-          | None ->
-            (* External input: only its shape matters. *)
-            Buffer.add_string buf ("ext" ^ Tensor.Shape.to_string (Graph.shape g i)))
-        nd.Graph.inputs;
+          let l = local 0 i ids in
+          if l >= 0 then begin
+            Buffer.add_char buf '@';
+            Buffer.add_string buf (string_of_int l)
+          end
+          else Buffer.add_string buf (ext_token i))
+        (Graph.inputs g id);
       if List.mem id outputs then Buffer.add_string buf "!out")
     ids;
   Buffer.contents buf
@@ -72,52 +100,53 @@ let simulated_tuning_time ~(backend : Cost_model.backend_kind) (sig_ : string)
     let base = 6.0 +. (2.5 *. float_of_int n_prims) +. float_of_int (h mod 25) in
     if h mod 311 = 0 then base *. 60.0 else base
 
-(** [profile cfg ~spec ~precision g members ~outputs] — generate-and-profile
-    one candidate kernel. [None] means the candidate is rejected (the
-    paper's "Profiling returns infinity"). *)
-(* Accept/reject census of raw (uncached) profiler calls. *)
+(* Census of the profiling path: static rejections on every call,
+   measurements on every price actually paid (a miss, under a cache). *)
 let m_accepted = Obs.Metrics.counter "profiler.accepted"
 let m_rejected = Obs.Metrics.counter "profiler.rejected"
 
-let profile (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t) (g : Primgraph.t)
-    (members : Bitset.t) ~(outputs : int list) : result option =
-  (* A real measurement can crash or hang the tuner; the injection site
-     lets tests force exactly that for any chosen candidate. *)
-  Faults.check Faults.Profiler;
-  let counted r =
-    Obs.Metrics.incr (if r = None then m_rejected else m_accepted);
-    r
-  in
-  counted
-  @@
-  let s = Stats.kernel_stats g members ~outputs in
+(* Who would generate a kernel with statistics [s]; [None] is a static
+   rejection. *)
+let backend (cfg : config) (s : Stats.kernel_stats) : Cost_model.backend_kind option =
   if s.Stats.n_prims = 0 then None
+  else if s.Stats.has_opaque then
+    if s.Stats.n_prims = 1 then Some Cost_model.OpaqueExec else None
   else
-    let backend =
-      if s.Stats.has_opaque then
-        if s.Stats.n_prims = 1 then Some Cost_model.OpaqueExec else None
-      else
-        match s.Stats.linear_prims with
-        | [] -> if s.Stats.n_prims <= cfg.max_tvm_prims then Some Cost_model.Tvm else None
-        | [ _ ] ->
-          (* Vendor kernels absorb a few layout/elementwise/broadcast
-             companions (transposed operands, bias/activation epilogues)
-             but cannot host reductions or large generated prologues. *)
-          let companions = s.Stats.n_prims - 1 in
-          let has_reduction =
-            List.mem Primitive.Reduction s.Stats.classes
-          in
-          if companions <= max_vendor_companions && not has_reduction then
-            Some Cost_model.Vendor
-          else None
-        | _ :: _ :: _ -> None (* multiple linear primitives: reject (§6.5) *)
-    in
-    match backend with
-    | None -> None
-    | Some backend ->
-      let latency_us =
-        Cost_model.latency_us cfg.cost ~spec ~precision ~backend g members ~outputs
-      in
-      let sig_ = signature g members ~outputs ~spec ~precision in
-      let tuning_time_s = simulated_tuning_time ~backend sig_ s.Stats.n_prims in
-      Some { latency_us; backend; tuning_time_s }
+    match s.Stats.linear_prims with
+    | [] -> if s.Stats.n_prims <= cfg.max_tvm_prims then Some Cost_model.Tvm else None
+    | [ _ ] ->
+      (* Vendor kernels absorb a few layout/elementwise/broadcast
+         companions (transposed operands, bias/activation epilogues)
+         but cannot host reductions or large generated prologues. *)
+      let companions = s.Stats.n_prims - 1 in
+      let has_reduction = List.mem Primitive.Reduction s.Stats.classes in
+      if companions <= max_vendor_companions && not has_reduction then
+        Some Cost_model.Vendor
+      else None
+    | _ :: _ :: _ -> None (* multiple linear primitives: reject (§6.5) *)
+
+(** [profile ?facts ?ext_inputs ?memo cfg ~spec ~precision g members
+    ~outputs] — stats, backend, then signature and price for an accepted
+    candidate only. [None] means rejected. *)
+let profile ?facts ?ext_inputs ?(memo = fun _ measure -> measure ()) (cfg : config)
+    ~(spec : Spec.t) ~(precision : Precision.t) (g : Primgraph.t) (members : Bitset.t)
+    ~(outputs : int list) : result option =
+  let succs = Option.map (fun f -> f.succs) facts in
+  let s = Stats.kernel_stats ?succs ?ext_inputs g members ~outputs in
+  match backend cfg s with
+  | None ->
+    Obs.Metrics.incr m_rejected;
+    None
+  | Some backend ->
+    let sig_ = signature ?facts g members ~outputs ~spec ~precision in
+    Some
+      (memo sig_ (fun () ->
+           (* A real measurement can crash or hang the tuner; the injection
+              site lets tests force exactly that for any chosen candidate. *)
+           Faults.check Faults.Profiler;
+           Obs.Metrics.incr m_accepted;
+           {
+             latency_us = Cost_model.latency_us cfg.cost ~spec ~precision ~backend g s;
+             backend;
+             tuning_time_s = simulated_tuning_time ~backend sig_ s.Stats.n_prims;
+           }))

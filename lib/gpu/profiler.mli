@@ -30,12 +30,24 @@ type result = {
   tuning_time_s : float;  (** simulated auto-tuning wall-clock cost *)
 }
 
-(** [signature g members ~outputs ~spec ~precision] — canonical structural
-    key of a candidate kernel: member nodes renumbered by position,
-    external inputs reduced to their shapes. Structurally identical
-    subgraphs from different graph regions share one key, which is what
-    lets {!Profile_cache} count each distinct kernel's tuning once. *)
+(** What every candidate of one graph reads: computed once per graph by
+    {!facts}, and passed to {!signature} and {!profile}. *)
+type facts = {
+  succs : int list array;  (** {!Ir.Graph.succs} *)
+  member_tokens : string array;  (** each node spelled as a member: op and shape *)
+  ext_tokens : string array;  (** each node spelled as an external input: shape *)
+}
+
+val facts : Primgraph.t -> facts
+
+(** [signature ?facts g members ~outputs ~spec ~precision] — canonical
+    structural key of a candidate kernel: member nodes renumbered by
+    position, external inputs reduced to their shapes. Structurally
+    identical subgraphs from different graph regions share one key, which
+    is what lets {!Profile_cache} count each distinct kernel's tuning once.
+    [facts] must be [facts g]; it never changes the key. *)
 val signature :
+  ?facts:facts ->
   Primgraph.t ->
   Bitset.t ->
   outputs:int list ->
@@ -43,12 +55,23 @@ val signature :
   precision:Precision.t ->
   string
 
-(** [profile cfg ~spec ~precision g members ~outputs] — generate-and-
-    profile one candidate kernel; [None] means rejected. Carries the
-    {!Faults.site-Profiler} injection site: an installed policy can make
-    any call raise {!Faults.Injected} (callers treat that like a failed
-    measurement and reject the candidate). *)
+(** [profile ?facts ?ext_inputs ?memo cfg ~spec ~precision g members
+    ~outputs] — generate and profile one candidate kernel; [None] means
+    rejected. The one profiling path: {!Stats.kernel_stats} once, the
+    static backend rules on them, and only for a candidate they accept
+    the {!signature} once and the price from the same stats. [facts] and
+    [ext_inputs] (must be [Graph.external_inputs g members]) save
+    recomputing them. [memo key measure] decides whether the measurement
+    runs for signature [key] (default: always); {!Profile_cache} passes
+    its table lookup.
+
+    The measurement carries the {!Faults.site-Profiler} injection site: an
+    installed policy can make it raise {!Faults.Injected} (callers treat
+    that like a failed measurement and reject the candidate). *)
 val profile :
+  ?facts:facts ->
+  ?ext_inputs:int list ->
+  ?memo:(string -> (unit -> result) -> result) ->
   config ->
   spec:Spec.t ->
   precision:Precision.t ->

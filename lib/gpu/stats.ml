@@ -92,20 +92,24 @@ type kernel_stats = {
           full extra pass; a second-stage reduction over already-reduced
           data pays almost nothing) *)
   linear_prims : int list;  (** ids of linear-transformation members *)
-  layout_prims : int list;
   has_opaque : bool;
 }
 
-(** [kernel_stats g members ~outputs] computes the statistics of executing
-    the primitive set [members] as one kernel publishing [outputs]. *)
-let kernel_stats (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list) : kernel_stats
-    =
+(** [kernel_stats ?succs ?ext_inputs g members ~outputs] computes the
+    statistics of executing the primitive set [members] as one kernel
+    publishing [outputs]. [succs] ({!Graph.succs} of [g]) and
+    [ext_inputs] ({!Graph.external_inputs} of [members]) are computed
+    when absent; callers that price many kernels of one graph pass them
+    in. *)
+let kernel_stats ?succs ?ext_inputs (g : Primgraph.t) (members : Bitset.t)
+    ~(outputs : int list) : kernel_stats =
   let flops = ref 0.0 and n_prims = ref 0 in
   let classes = ref [] and reduce_passes = ref 0 in
   let extra_read_elems = ref 0.0 in
-  let linear_prims = ref [] and layout_prims = ref [] in
+  let linear_prims = ref [] in
   let has_opaque = ref false in
-  let sc = Graph.succs g in
+  (* Only in-kernel reductions read successors. *)
+  let sc = match succs with Some sc -> lazy sc | None -> lazy (Graph.succs g) in
   (* Largest tensor reachable from [id] through in-kernel successors. *)
   let max_downstream_numel id =
     let best = ref 0 in
@@ -114,10 +118,10 @@ let kernel_stats (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list) : 
       if not (Hashtbl.mem seen v) then begin
         Hashtbl.replace seen v ();
         best := Stdlib.max !best (Shape.numel (Graph.shape g v));
-        List.iter (fun s -> if Bitset.mem members s then go s) sc.(v)
+        List.iter (fun s -> if Bitset.mem members s then go s) (Lazy.force sc).(v)
       end
     in
-    List.iter (fun s -> if Bitset.mem members s then go s) sc.(id);
+    List.iter (fun s -> if Bitset.mem members s then go s) (Lazy.force sc).(id);
     !best
   in
   Bitset.iter
@@ -130,7 +134,7 @@ let kernel_stats (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list) : 
         if not (List.mem cat !classes) then classes := cat :: !classes;
         (match cat with
         | Primitive.Reduction ->
-          if List.exists (fun s -> Bitset.mem members s) sc.(id) then begin
+          if List.exists (fun s -> Bitset.mem members s) (Lazy.force sc).(id) then begin
             incr reduce_passes;
             let own_input =
               match Graph.inputs g id with
@@ -142,16 +146,15 @@ let kernel_stats (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list) : 
               +. float_of_int (Stdlib.min own_input (max_downstream_numel id))
           end
         | Linear -> linear_prims := id :: !linear_prims
-        | Layout -> layout_prims := id :: !layout_prims
         | Unknown -> has_opaque := true
-        | Elementwise | Broadcasting | Source -> ())
+        | Elementwise | Broadcasting | Layout | Source -> ())
       end)
     members;
   let read_elems =
     List.fold_left
       (fun acc i -> acc +. float_of_int (Shape.numel (Graph.shape g i)))
       0.0
-      (Graph.external_inputs g members)
+      (match ext_inputs with Some l -> l | None -> Graph.external_inputs g members)
   in
   let write_elems =
     List.fold_left (fun acc o -> acc +. float_of_int (Shape.numel (Graph.shape g o))) 0.0 outputs
@@ -165,6 +168,5 @@ let kernel_stats (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list) : 
     reduce_passes = !reduce_passes;
     extra_read_elems = !extra_read_elems;
     linear_prims = !linear_prims;
-    layout_prims = !layout_prims;
     has_opaque = !has_opaque;
   }

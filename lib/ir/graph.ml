@@ -171,11 +171,12 @@ let is_convex g (s : Bitset.t) = is_convex_with (succs g) s
 (** [map_ops f g] rewrites every node operator in place-preserving order. *)
 let map_ops f g = { g with nodes = Array.map (fun nd -> { nd with op = f nd.op }) g.nodes }
 
-(** [boundary_outputs g s] lists members of [s] whose output is consumed
-    outside [s] or is a graph output — the canonical "possible output set"
-    of Definition 3 plus graph outputs. *)
-let boundary_outputs g (s : Bitset.t) : int list =
-  let sc = succs g in
+(** [boundary_outputs ?succs g s] lists members of [s] whose output is
+    consumed outside [s] or is a graph output — the canonical "possible
+    output set" of Definition 3 plus graph outputs. [succs] is
+    {!succs}[ g], computed when absent. *)
+let boundary_outputs ?succs:sc g (s : Bitset.t) : int list =
+  let sc = match sc with Some sc -> sc | None -> succs g in
   Bitset.fold
     (fun i acc ->
       let escapes = List.exists (fun w -> not (Bitset.mem s w)) sc.(i) in

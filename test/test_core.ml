@@ -64,7 +64,7 @@ let identify g =
     ~precision:Gpu.Precision.FP32 ~cache:(Gpu.Profile_cache.create ()) g
 
 let test_identifier_chain_counts () =
-  (* A chain of n <= max_kernel_prims primitives has n(n+1)/2 contiguous
+  (* A chain of n <= max_tvm_prims primitives has n(n+1)/2 contiguous
      convex subgraphs. *)
   let g = chain_graph 5 in
   let _, stats = identify g in
@@ -150,7 +150,6 @@ let test_scheduler_orders_dependencies () =
         ext_inputs = Graph.external_inputs g (Bitset.of_list n [ id ]);
         latency_us = 1.0;
         backend = Gpu.Cost_model.Tvm;
-        workspace_bytes = 0;
       }
   in
   let cands = Array.of_list (List.map cand (List.rev prims)) in
@@ -177,13 +176,13 @@ let test_scheduler_detects_deadlock () =
     Korch.Candidate.
       { members = Bitset.of_list n [ a; d ]; outputs = [ a; d ];
         ext_inputs = Graph.external_inputs g (Bitset.of_list n [ a; d ]);
-        latency_us = 1.0; backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+        latency_us = 1.0; backend = Gpu.Cost_model.Tvm }
   in
   let k2 =
     Korch.Candidate.
       { members = Bitset.of_list n [ b2; c ]; outputs = [ b2; c ];
         ext_inputs = Graph.external_inputs g (Bitset.of_list n [ b2; c ]);
-        latency_us = 1.0; backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+        latency_us = 1.0; backend = Gpu.Cost_model.Tvm }
   in
   match Korch.Scheduler.schedule g [| k1; k2 |] ~selected:[ 0; 1 ] with
   | Ok _ -> Alcotest.fail "deadlocked pair scheduled"
@@ -211,7 +210,7 @@ let test_solver_breaks_cycle () =
     let set = Bitset.of_list n members in
     Korch.Candidate.
       { members = set; outputs = members; ext_inputs = Graph.external_inputs g set; latency_us;
-        backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+        backend = Gpu.Cost_model.Tvm }
   in
   let cands =
     [| cand [ a; d ] 1.0; cand [ b2; c ] 1.0; cand [ a ] 5.0; cand [ b2 ] 5.0; cand [ c ] 5.0;

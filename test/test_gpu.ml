@@ -136,7 +136,7 @@ let test_vendor_rejects_big_prologue () =
   let g = matmul_with_companions ~n_ew:(Gpu.Profiler.max_vendor_companions + 1) in
   Alcotest.(check bool) "over limit rejected" true (profile_all g = None)
 
-let test_reject_two_matmuls () =
+let two_matmuls () =
   let b = Primgraph.B.create () in
   let x = Primgraph.B.input b "x" [| 8; 8 |] in
   let w1 = Primgraph.B.const b (Const.randn [| 8; 8 |] 1) in
@@ -144,8 +144,11 @@ let test_reject_two_matmuls () =
   let m1 = Primgraph.B.add b Primitive.Matmul [ x; w1 ] in
   let m2 = Primgraph.B.add b Primitive.Matmul [ m1; w2 ] in
   Primgraph.B.set_outputs b [ m2 ];
-  let g = Primgraph.B.finish b in
-  Alcotest.(check bool) "two linear primitives rejected (§6.5)" true (profile_all g = None)
+  Primgraph.B.finish b
+
+let test_reject_two_matmuls () =
+  Alcotest.(check bool) "two linear primitives rejected (§6.5)" true
+    (profile_all (two_matmuls ()) = None)
 
 let test_reject_vendor_with_reduction () =
   let b = Primgraph.B.create () in
@@ -221,6 +224,32 @@ let test_cache_counts_tuning_once () =
   Alcotest.(check int) "one distinct kernel" 1 (Gpu.Profile_cache.distinct_kernels cache);
   Alcotest.(check int) "hit counted" 1 (Gpu.Profile_cache.hits cache);
   Alcotest.(check int) "miss counted" 1 (Gpu.Profile_cache.misses cache)
+
+(* A statically rejected candidate is neither signed, looked up nor
+   measured: the cache stays empty and the profiler's fault site (set to
+   fail every measurement) is never reached. Its first matmul alone passes
+   the static rules, so it does reach the site. *)
+let test_static_reject_skips_cache_and_measurement () =
+  let g = two_matmuls () in
+  let cache = Gpu.Profile_cache.create () in
+  let profile members =
+    Gpu.Profile_cache.profile cache cfg ~spec ~precision g
+      (Bitset.of_list (Graph.length g) members)
+      ~outputs:[ List.hd (List.rev members) ]
+  in
+  let first, second =
+    match Primgraph.non_source_nodes g with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  Faults.with_policy [ (Faults.Profiler, Faults.Always) ] (fun () ->
+      Alcotest.(check bool) "rejected" true (profile [ first; second ] = None);
+      Alcotest.(check int) "no measurement" 0 (Faults.calls Faults.Profiler);
+      Alcotest.(check int) "no cache entry" 0 (Gpu.Profile_cache.distinct_kernels cache);
+      Alcotest.(check int) "no lookup" 0
+        (Gpu.Profile_cache.hits cache + Gpu.Profile_cache.misses cache);
+      match profile [ first ] with
+      | _ -> Alcotest.fail "a lone matmul must reach the measurement"
+      | exception Faults.Injected _ ->
+        Alcotest.(check int) "one measurement" 1 (Faults.calls Faults.Profiler))
 
 let test_signature_structural () =
   (* Structurally identical subgraphs in different graph regions share a
@@ -312,6 +341,8 @@ let () =
           Alcotest.test_case "prim flops" `Quick test_prim_flops ] );
       ( "cache",
         [ Alcotest.test_case "tuning counted once" `Quick test_cache_counts_tuning_once;
+          Alcotest.test_case "static reject skips cache and measurement" `Quick
+            test_static_reject_skips_cache_and_measurement;
           Alcotest.test_case "structural signature" `Quick test_signature_structural ] );
       ("properties", gpu_properties);
     ]

@@ -262,13 +262,13 @@ let test_report_json_roundtrip name () =
       (keys (get "tiers"));
     (* Every per-segment object carries exactly these members, its phase
        timings and tier among them; the members of the retired BLP (cut
-       count, time-limit flag) and candidate cap are gone. *)
+       count, time-limit flag), candidate cap and prefilter are gone. *)
     List.iter
       (fun seg ->
         Alcotest.(check (list string)) "segment members"
           [ "seg"; "tier"; "kernels"; "candidates"; "states"; "states_truncated"; "profiled";
-            "prefiltered"; "latency_us"; "settled_states"; "retries"; "transform_degraded";
-            "fallback_reason"; "phase_us" ]
+            "latency_us"; "settled_states"; "retries"; "transform_degraded"; "fallback_reason";
+            "phase_us" ]
           (keys seg);
         let p = Option.get (Onnx.Json.member "phase_us" seg) in
         List.iter

@@ -207,8 +207,7 @@ let test_failure_propagates_from_workers () =
       jobs = 4;
       fail_fast = true;
       identifier =
-        { Korch.Kernel_identifier.default_config with
-          Korch.Kernel_identifier.profiler =
+        { Korch.Kernel_identifier.profiler =
             { Gpu.Profiler.default_config with Gpu.Profiler.max_tvm_prims = 0 } };
     }
   in

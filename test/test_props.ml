@@ -1,5 +1,8 @@
 (* Property-based test layer (qcheck):
 
+   - Korch.Kernel_identifier vs a fresh, uncached profile of every
+     (subgraph, output set) pair, on test-scale zoo segments and random
+     primitive graphs;
    - Korch.Segment_solver vs a brute-force oracle (every candidate subset
      that satisfies Blp_oracle's Eqs. 3–4 and schedules) on random small
      segments, cyclic-dependency instances included, in both redundancy
@@ -431,6 +434,115 @@ let prop_native_backend_differential =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel identification vs a fresh profile of every candidate.        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference profiles every (convex subgraph, output set) pair, with
+   no size cut, by a fresh uncached [Gpu.Profiler.profile]. [identify] must
+   accept exactly the same candidates with the same external inputs,
+   backend and latency bits, and its cache must charge exactly the tuning
+   time of the distinct accepted signatures. The graphs share one cache,
+   so hits across graphs are exercised too.
+
+   With [~fresh_prices:false] a candidate's latency is compared with that
+   of the first candidate, in [identify]'s profiling order, with its
+   signature: the profile database's contract. The two differ only where
+   structurally different kernels share a signature. The signature spells
+   an external input by its shape alone, so a kernel reading one tensor
+   twice collides with one reading two same-shaped tensors, which reads
+   twice the bytes. No test-scale zoo segment has such a pair; random
+   graphs do. Returns a mismatch description. *)
+let identify_matches_reference ~fresh_prices (graphs : Primgraph.t list) : string option =
+  let open Ir in
+  let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
+  let icfg = Korch.Kernel_identifier.default_config in
+  let cache = Gpu.Profile_cache.create () in
+  (* Signature -> fresh profile of its first accepted candidate. *)
+  let first = Hashtbl.create 256 in
+  let check g =
+    let got, _ = Korch.Kernel_identifier.identify icfg ~spec ~precision ~cache g in
+    let want = Hashtbl.create 64 in
+    let states, _ = Korch.Exec_state.enumerate_bounded g ~max_states:max_int in
+    List.iter
+      (fun d1 ->
+        List.iter
+          (fun d2 ->
+            if Bitset.subset d1 d2 && not (Bitset.equal d1 d2) then begin
+              let members = Bitset.diff d2 d1 in
+              let boundary = Graph.boundary_outputs g members in
+              List.iter
+                (fun outputs ->
+                  Gpu.Profiler.profile icfg.Korch.Kernel_identifier.profiler ~spec ~precision g
+                    members ~outputs
+                  |> Option.iter (Hashtbl.replace want (Bitset.elements members, outputs)))
+                (if List.length boundary > Korch.Kernel_identifier.max_boundary_enum then
+                   [ boundary ]
+                 else
+                   List.fold_left
+                     (fun subs x -> subs @ List.map (fun s -> s @ [ x ]) ([] :: subs))
+                     [] boundary)
+            end)
+          states)
+      states;
+    if Array.length got <> Hashtbl.length want then
+      Some
+        (Printf.sprintf "identify accepted %d candidates, the reference %d" (Array.length got)
+           (Hashtbl.length want))
+    else
+      Array.to_list got
+      |> List.find_map (fun (c : Korch.Candidate.t) ->
+             let members = c.Korch.Candidate.members and outputs = c.Korch.Candidate.outputs in
+             match Hashtbl.find_opt want (Bitset.elements members, outputs) with
+             | None -> Some (Format.asprintf "the reference rejects %a" Korch.Candidate.pp c)
+             | Some r ->
+               let sig_ = Gpu.Profiler.signature g members ~outputs ~spec ~precision in
+               if not (Hashtbl.mem first sig_) then Hashtbl.replace first sig_ r;
+               let price = if fresh_prices then r else Hashtbl.find first sig_ in
+               if
+                 c.Korch.Candidate.ext_inputs = Graph.external_inputs g members
+                 && c.Korch.Candidate.backend = r.Gpu.Profiler.backend
+                 && Int64.equal
+                      (Int64.bits_of_float c.Korch.Candidate.latency_us)
+                      (Int64.bits_of_float price.Gpu.Profiler.latency_us)
+               then None
+               else
+                 Some
+                   (Format.asprintf "%a ext=[%s] %h; the reference prices it %h %s"
+                      Korch.Candidate.pp c
+                      (String.concat "," (List.map string_of_int c.Korch.Candidate.ext_inputs))
+                      c.Korch.Candidate.latency_us price.Gpu.Profiler.latency_us
+                      (Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)))
+  in
+  match List.find_map check graphs with
+  | Some _ as mismatch -> mismatch
+  | None ->
+    (* Tuning times are multiples of 0.5 s, so any summation order is exact. *)
+    let want = Hashtbl.fold (fun _ r acc -> acc +. r.Gpu.Profiler.tuning_time_s) first 0.0 in
+    let got = Gpu.Profile_cache.tuning_time_s cache in
+    if got = want then None
+    else Some (Printf.sprintf "tuning time %g s, distinct accepted signatures sum to %g s" got want)
+
+let test_identify_zoo_segments () =
+  let max_prims = Korch.Orchestrator.default_config.Korch.Orchestrator.partition_max_prims in
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let pg, _ =
+        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
+      in
+      let segs = List.map (fun s -> s.Korch.Partition.local) (Korch.Partition.split pg ~max_prims) in
+      match identify_matches_reference ~fresh_prices:true segs with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" e.Models.Registry.name m)
+    Models.Registry.all
+
+let prop_identify_random_graphs =
+  QCheck2.Test.make ~name:"identify = fresh profile of every candidate on random graphs"
+    ~count:200 ~print:print_fuzz_case gen_fuzz_case (fun c ->
+      match identify_matches_reference ~fresh_prices:false [ build_fuzz_graph c.steps ] with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
+(* ------------------------------------------------------------------ *)
 (* Segment solver: the cheapest path vs a brute-force oracle.          *)
 (* ------------------------------------------------------------------ *)
 
@@ -482,7 +594,7 @@ let build_segment (c : segment_case) : Ir.Primgraph.t * Korch.Candidate.t array 
     let members = Bitset.of_list n members in
     Korch.Candidate.
       { members; outputs; ext_inputs = Graph.external_inputs g members; latency_us;
-        backend = Gpu.Cost_model.Tvm; workspace_bytes = 0 }
+        backend = Gpu.Cost_model.Tvm }
   in
   let kernels =
     List.map
@@ -605,4 +717,7 @@ let () =
           Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
       ( Printf.sprintf "codegen differential (seed %#x)" qcheck_seed,
         List.map to_alcotest [ prop_native_backend_differential ] );
+      ( Printf.sprintf "identify differential (seed %#x)" qcheck_seed,
+        Alcotest.test_case "test-scale zoo segments" `Quick test_identify_zoo_segments
+        :: List.map to_alcotest [ prop_identify_random_graphs ] );
     ]
