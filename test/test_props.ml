@@ -717,7 +717,7 @@ let () =
           Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
       ( Printf.sprintf "codegen differential (seed %#x)" qcheck_seed,
         List.map to_alcotest [ prop_native_backend_differential ] );
-      ( Printf.sprintf "identify differential (seed %#x)" qcheck_seed,
+      ( Printf.sprintf "identify diff (seed %#x)" qcheck_seed,
         Alcotest.test_case "test-scale zoo segments" `Quick test_identify_zoo_segments
         :: List.map to_alcotest [ prop_identify_random_graphs ] );
     ]
