@@ -39,7 +39,9 @@ let test_fission =
 let test_exec_states =
   Test.make ~name:"exec-state DFS"
     (Staged.stage (fun () ->
-         ignore (Korch.Exec_state.enumerate (Lazy.force prepared_primgraph) ~max_states:100_000)))
+         ignore
+           (Korch.Exec_state.enumerate_bounded (Lazy.force prepared_primgraph)
+              ~max_states:100_000)))
 
 let test_identify =
   Test.make ~name:"kernel identification"

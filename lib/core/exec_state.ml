@@ -9,8 +9,6 @@
 
 open Ir
 
-exception Too_many_states of int
-
 (** [enumerate_bounded g ~max_states] — execution states of [g] up to the
     bound, each including every source node, plus a truncation flag. When
     the bound binds, the states found so far are returned with
@@ -50,14 +48,6 @@ let enumerate_bounded (g : Primgraph.t) ~(max_states : int) : Bitset.t list * bo
   in
   dfs sources;
   (Bitset.Table.fold (fun s () acc -> s :: acc) db [], !truncated)
-
-(** [enumerate g ~max_states] — all execution states of [g], each
-    including every source node. Raises {!Too_many_states} when the bound
-    is exceeded. *)
-let enumerate (g : Primgraph.t) ~(max_states : int) : Bitset.t list =
-  let states, truncated = enumerate_bounded g ~max_states in
-  if truncated then raise (Too_many_states (List.length states + 1));
-  states
 
 (** [theorem1_check g s] — test oracle for Theorem 1: [s] (a set of
     non-source nodes) is a convex subgraph iff it is the difference of two

@@ -7,23 +7,15 @@
 
 open Ir
 
-(** Raised when the state count exceeds the caller's bound. The count
-    grows linearly with graph depth but exponentially with width (§4);
-    callers partition wide graphs first. *)
-exception Too_many_states of int
-
-(** [enumerate_bounded g ~max_states] — execution states of [g] up to the
-    bound, plus a flag saying whether enumeration was truncated there.
-    Truncation degrades gracefully: differences of the returned states are
+(** [enumerate_bounded g ~max_states] — execution states of [g], each
+    including all source nodes (inputs and constants are always
+    "computed"), up to the bound, plus a flag saying whether enumeration
+    was truncated there. The count grows linearly with graph depth but
+    exponentially with width (§4), so callers partition wide graphs
+    first. Truncation degrades gracefully: differences of the returned states are
     still valid convex subgraphs, just not all of them. Carries the
     {!Faults.site-Enumerate} fault-injection site. *)
 val enumerate_bounded : Primgraph.t -> max_states:int -> Bitset.t list * bool
-
-(** [enumerate g ~max_states] — every execution state of [g], each
-    including all source nodes (inputs/constants are always "computed").
-
-    Raises {!Too_many_states} when the bound is exceeded. *)
-val enumerate : Primgraph.t -> max_states:int -> Bitset.t list
 
 (** [is_difference_of_states states s] — test oracle for Theorem 1: does
     [s] equal [d2 \ d1] for some pair of states with [d1 ⊆ d2]? Quadratic;

@@ -20,6 +20,9 @@ type config = { profiler : Gpu.Profiler.config }
 
 let default_config = { profiler = Gpu.Profiler.default_config }
 
+let kernel_cap (cfg : config) =
+  Int.max cfg.profiler.Gpu.Profiler.max_tvm_prims (1 + Gpu.Profiler.max_vendor_companions)
+
 type stats = {
   states : int;
   states_truncated : bool;
@@ -73,9 +76,7 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
      primitive count. Nothing larger than the profiler's biggest
      acceptable kernel (a generated one, or a vendor primitive with its
      companions) is worth keeping. *)
-  let max_prims =
-    Int.max cfg.profiler.Gpu.Profiler.max_tvm_prims (1 + Gpu.Profiler.max_vendor_companions)
-  in
+  let max_prims = kernel_cap cfg in
   (* Distinct convex subgraphs from pairwise differences. *)
   let subgraphs = Bitset.Table.create 256 in
   List.iter

@@ -14,6 +14,10 @@ open Ir
     a larger boundary only as a whole (Definition 3). *)
 val max_boundary_enum : int
 
+(** State guard: {!Exec_state.enumerate_bounded} stops a segment's
+    enumeration at this many execution states (200,000). *)
+val max_states : int
+
 type config = {
   profiler : Gpu.Profiler.config;
       (** also caps enumerated subgraphs at the largest kernel it can
@@ -22,6 +26,10 @@ type config = {
 }
 
 val default_config : config
+
+(** [kernel_cap cfg] — the largest kernel, in primitives, that
+    enumeration keeps: the largest the profiler can accept. *)
+val kernel_cap : config -> int
 
 type stats = {
   states : int;

@@ -213,6 +213,16 @@ type segment_result = {
       (** wall-clock per pipeline phase: [transform], [identify], [solve] *)
 }
 
+(** The fixed cuts that shape the candidate set an [Optimal] segment is
+    exact over. *)
+type candidate_space = {
+  window : int;
+  kernel_cap : int;
+  output_subset_limit : int;
+  state_guard : int;
+  settled_budget : int;
+}
+
 type result = {
   graph : Primgraph.t;  (** stitched post-transformation primitive graph *)
   plan : Runtime.Plan.t;  (** kernels reference [graph] node ids *)
@@ -226,6 +236,7 @@ type result = {
   time_limit_hits : int;
       (** always 0: no solver reads a clock. Kept until the benchmark
           that reads it changes *)
+  candidate_space : candidate_space;
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated *)
   memory : Runtime.Memplan.stats;
@@ -519,9 +530,6 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     | exception Faults.Injected { site; hit } ->
       note Error.Enumerate "injected fault at %s (call %d)" (Faults.site_to_string site) hit;
       ([||], Kernel_identifier.empty_stats)
-    | exception Exec_state.Too_many_states n ->
-      note Error.Enumerate "state enumeration exceeded %d states" n;
-      ([||], Kernel_identifier.empty_stats)
   in
   (* Under [fail_fast], no identified candidates for a non-trivial segment
      is fatal — the ladder would otherwise synthesize the unfused floor. *)
@@ -780,6 +788,14 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
       tuning_time_s = Gpu.Profile_cache.tuning_time_s cache;
       degraded_segments;
       time_limit_hits = 0;
+      candidate_space =
+        {
+          window = cfg.partition_max_prims;
+          kernel_cap = Kernel_identifier.kernel_cap cfg.identifier;
+          output_subset_limit = Kernel_identifier.max_boundary_enum;
+          state_guard = Kernel_identifier.max_states;
+          settled_budget = settled_state_limit;
+        };
       truncated_segments =
         List.filter_map
           (fun r ->

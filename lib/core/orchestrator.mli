@@ -187,6 +187,20 @@ type segment_result = {
           feeds back into optimization decisions *)
 }
 
+(** What a segment's [Optimal] is exact over: the candidates that
+    identification produced under these cuts. *)
+type candidate_space = {
+  window : int;  (** [partition_max_prims]: primitives per segment *)
+  kernel_cap : int;  (** {!Kernel_identifier.kernel_cap}: primitives per kernel *)
+  output_subset_limit : int;
+      (** {!Kernel_identifier.max_boundary_enum}: a larger boundary is
+          offered only whole as an output set *)
+  state_guard : int;  (** {!Kernel_identifier.max_states} per segment *)
+  settled_budget : int;
+      (** {!settled_state_limit}: the solver's budget per segment before a
+          deadline scales it *)
+}
+
 type result = {
   graph : Primgraph.t;  (** stitched post-transformation primitive graph *)
   plan : Runtime.Plan.t;  (** kernels reference [graph] node ids *)
@@ -201,6 +215,7 @@ type result = {
       (** always 0: no solver reads a clock, so no segment's plan
           depends on a time limit. Kept until the benchmark that reads
           it changes *)
+  candidate_space : candidate_space;
   truncated_segments : int list;
       (** indices of segments whose state enumeration was truncated by
           the identifier's state guard: their candidate sets are valid

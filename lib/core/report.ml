@@ -193,6 +193,17 @@ let to_json ?(meta : (string * Obs.Jsonw.t) list = [])
                 ("infos", Obs.Jsonw.Int i);
               ] );
         ("time_limit_hits", Obs.Jsonw.Int r.Orchestrator.time_limit_hits);
+        (* New in this revision; optional for korch-report/1 readers. *)
+        ( "candidate_space",
+          let c = r.Orchestrator.candidate_space in
+          Obs.Jsonw.Obj
+            [
+              ("window", Obs.Jsonw.Int c.Orchestrator.window);
+              ("kernel_cap", Obs.Jsonw.Int c.Orchestrator.kernel_cap);
+              ("output_subset_limit", Obs.Jsonw.Int c.Orchestrator.output_subset_limit);
+              ("state_guard", Obs.Jsonw.Int c.Orchestrator.state_guard);
+              ("settled_budget", Obs.Jsonw.Int c.Orchestrator.settled_budget);
+            ] );
         ("phase_us", phase_obj r.Orchestrator.phase_us);
         ( "per_segment",
           Obs.Jsonw.List (List.map segment_to_json r.Orchestrator.segments) );

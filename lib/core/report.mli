@@ -32,7 +32,10 @@ val execution_to_json :
     object with the {!Runtime.Memplan} stats of the stitched plan (an
     optional field — pre-memplan readers of the schema ignore it), an
     ["analysis"] object with the hazard cross-check outcome
-    (status checked/skipped/off plus finding counts — also optional),
+    (status checked/skipped/off plus finding counts — also optional), a
+    ["candidate_space"] object naming the cuts an [Optimal] segment is
+    exact over (window, kernel cap, output-subset limit, state guard,
+    settled-state budget — also optional),
     per-phase wall-clock timings, one object per segment (tier,
     kernel/candidate counts, enumeration stats, settled states, retries,
     fallback reason, phase timings) and a {!Obs.Metrics} snapshot under

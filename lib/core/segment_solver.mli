@@ -26,7 +26,22 @@
     result is a pure function of the segment and its candidates,
     identical for every [-j]; only fewer states are settled. States are
     {!Ir.Bitset.t}, so the segment size is not capped by a machine
-    word. *)
+    word.
+
+    A settled state pays only for the candidates it can run. Exact
+    duplicates are dropped once per solve: in index order a candidate is
+    kept only if its latency is strictly below that of every earlier
+    candidate with the same inputs and the same effect (outputs, and in
+    the disjoint mode executed primitives). Such an earlier candidate
+    runs wherever the later one does and reaches the same state; float
+    addition is monotone, so its key is never above the later one's, and
+    on an equal sum its lower index wins the tie-break. (Keeping only the
+    cheapest duplicate would not be exact: a cheaper later one can round
+    to the same sum and must then lose.) The kept candidates are grouped
+    by their inputs, so a settled state tests each distinct input set
+    once, and a successor is looked up among the settled states before it
+    is priced. The result — order, cost bits and settled count — is that
+    of testing every candidate at every settled state. *)
 
 open Ir
 
@@ -52,7 +67,11 @@ val failure_to_string : failure -> string
     once.
 
     Carries the {!Faults.site-Ilp_solve} fault-injection site: an
-    installed policy can make this call raise {!Faults.Injected}. *)
+    installed policy can make this call raise {!Faults.Injected}. The
+    search runs in a [segment_solver] span with args [candidates],
+    [kept] (after dropping duplicates) and [groups] (distinct input
+    sets); the counter [segment_solver.expanded] counts successors
+    built. *)
 val solve :
   ?disjoint:bool ->
   budget:int ->

@@ -53,7 +53,9 @@ let facts (g : Primgraph.t) : facts =
     structural key of a candidate kernel, used by {!Profile_cache} to avoid
     re-tuning identical kernels (the paper's "TVM database"). Member nodes
     are renumbered by position so that structurally identical subgraphs
-    from different graph regions share one entry. *)
+    from different graph regions share one entry. An external input is
+    spelled by its shape at its first occurrence and as [ext#k], a
+    back-reference to the [k]-th distinct external input, after that. *)
 let signature ?facts (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list)
     ~(spec : Spec.t) ~(precision : Precision.t) : string =
   let member_token, ext_token =
@@ -66,6 +68,10 @@ let signature ?facts (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list
     | [] -> -1
     | id :: rest -> if id = i then k else local (k + 1) i rest
   in
+  (* External producers in order of first occurrence; a repeated one is
+     spelled as a back-reference to that occurrence, so a kernel reading
+     one tensor twice and one reading two same-shaped tensors differ. *)
+  let exts = ref [] and n_exts = ref 0 in
   let buf = Buffer.create 256 in
   Buffer.add_string buf spec.Spec.name;
   Buffer.add_char buf '/';
@@ -81,7 +87,15 @@ let signature ?facts (g : Primgraph.t) (members : Bitset.t) ~(outputs : int list
             Buffer.add_char buf '@';
             Buffer.add_string buf (string_of_int l)
           end
-          else Buffer.add_string buf (ext_token i))
+          else
+            match List.assoc_opt i !exts with
+            | Some k ->
+              Buffer.add_string buf "ext#";
+              Buffer.add_string buf (string_of_int k)
+            | None ->
+              exts := (i, !n_exts) :: !exts;
+              incr n_exts;
+              Buffer.add_string buf (ext_token i))
         (Graph.inputs g id);
       if List.mem id outputs then Buffer.add_string buf "!out")
     ids;

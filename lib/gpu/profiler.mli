@@ -42,7 +42,8 @@ val facts : Primgraph.t -> facts
 
 (** [signature ?facts g members ~outputs ~spec ~precision] — canonical
     structural key of a candidate kernel: member nodes renumbered by
-    position, external inputs reduced to their shapes. Structurally
+    position, external inputs reduced to their shapes, a repeated one to
+    a back-reference to its first occurrence. Structurally
     identical subgraphs from different graph regions share one key, which
     is what lets {!Profile_cache} count each distinct kernel's tuning once.
     [facts] must be [facts g]; it never changes the key. *)

@@ -35,27 +35,29 @@ let test_states_chain () =
   List.iter
     (fun n ->
       let g = chain_graph n in
-      let states = Korch.Exec_state.enumerate g ~max_states:10_000 in
+      let states, truncated = Korch.Exec_state.enumerate_bounded g ~max_states:10_000 in
+      Alcotest.(check bool) "not truncated" false truncated;
       Alcotest.(check int) (Printf.sprintf "chain %d" n) (n + 1) (List.length states))
     [ 1; 3; 7 ]
 
 let test_states_diamond () =
   (* Diamond: {}, {f}, {f,g1}, {f,g2}, {f,g1,g2}, all = 6 states. *)
   let g = diamond_graph () in
-  let states = Korch.Exec_state.enumerate g ~max_states:10_000 in
+  let states, truncated = Korch.Exec_state.enumerate_bounded g ~max_states:10_000 in
+  Alcotest.(check bool) "not truncated" false truncated;
   Alcotest.(check int) "diamond states" 6 (List.length states)
 
 let test_states_width_explosion_guard () =
   (* A wide graph of 18 independent primitives has 2^18 states: the guard
-     must fire. *)
+     must bind, keeping exactly as many states as it allows. *)
   let b = Primgraph.B.create () in
   let x = Primgraph.B.input b "x" [| 2 |] in
   let outs = List.init 18 (fun _ -> Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ]) in
   Primgraph.B.set_outputs b outs;
   let g = Primgraph.B.finish b in
-  match Korch.Exec_state.enumerate g ~max_states:1000 with
-  | _ -> Alcotest.fail "expected Too_many_states"
-  | exception Korch.Exec_state.Too_many_states _ -> ()
+  let states, truncated = Korch.Exec_state.enumerate_bounded g ~max_states:1000 in
+  Alcotest.(check bool) "truncated" true truncated;
+  Alcotest.(check int) "states kept" 1000 (List.length states)
 
 (* ---------------- kernel identification ---------------- *)
 

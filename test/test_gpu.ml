@@ -267,6 +267,24 @@ let test_signature_structural () =
   in
   Alcotest.(check string) "same structure same signature" (sig_of r2) (sig_of r3)
 
+(* A kernel that reads one tensor twice and one that reads two
+   same-shaped tensors differ in traffic, so they must not share a
+   profile-cache key; the repeat is spelled as a back-reference. *)
+let test_signature_repeated_input () =
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 32 |] and y = Primgraph.B.input b "y" [| 32 |] in
+  let sq = Primgraph.B.add b (Primitive.Binary Primitive.Mul) [ x; x ] in
+  let xy = Primgraph.B.add b (Primitive.Binary Primitive.Mul) [ x; y ] in
+  Primgraph.B.set_outputs b [ sq; xy ];
+  let g = Primgraph.B.finish b in
+  let sig_of id =
+    Gpu.Profiler.signature g (Bitset.of_list (Graph.length g) [ id ]) ~outputs:[ id ] ~spec
+      ~precision
+  in
+  Alcotest.(check bool) "x*x and x*y differ" true (sig_of sq <> sig_of xy);
+  Alcotest.(check bool) "the repeat is a back-reference" true
+    (String.ends_with ~suffix:"ext#0!out" (sig_of sq))
+
 (* ---------------- qcheck properties ---------------- *)
 
 (* Latency grows monotonically with tensor size for a fixed kernel shape. *)
@@ -343,6 +361,7 @@ let () =
         [ Alcotest.test_case "tuning counted once" `Quick test_cache_counts_tuning_once;
           Alcotest.test_case "static reject skips cache and measurement" `Quick
             test_static_reject_skips_cache_and_measurement;
-          Alcotest.test_case "structural signature" `Quick test_signature_structural ] );
+          Alcotest.test_case "structural signature" `Quick test_signature_structural;
+          Alcotest.test_case "repeated external input" `Quick test_signature_repeated_input ] );
       ("properties", gpu_properties);
     ]

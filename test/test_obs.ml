@@ -154,6 +154,16 @@ let test_disabled_span_is_cheap () =
   let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
   Alcotest.(check bool)
     (Printf.sprintf "allocation-free when disabled (%.4f words/call)" per_call)
+    true (per_call < 1.0);
+  (* The segment solver's successor counter is one atomic add per solve. *)
+  let expanded = Obs.Metrics.counter "segment_solver.expanded" in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Obs.Metrics.add expanded 0
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "segment_solver.expanded allocation-free (%.4f words/call)" per_call)
     true (per_call < 1.0)
 
 let test_span_nesting () =
@@ -260,6 +270,12 @@ let test_report_json_roundtrip name () =
     let keys = function Onnx.Json.Obj kvs -> List.map fst kvs | _ -> [] in
     Alcotest.(check (list string)) "three tiers" [ "optimal"; "greedy"; "unfused" ]
       (keys (get "tiers"));
+    let space = get "candidate_space" in
+    Alcotest.(check (list string)) "candidate space"
+      [ "window"; "kernel_cap"; "output_subset_limit"; "state_guard"; "settled_budget" ]
+      (keys space);
+    Alcotest.(check (list int)) "default cuts" [ 12; 10; 2; 200_000; 100_000 ]
+      (List.map (fun k -> Onnx.Json.to_int_exn (Option.get (Onnx.Json.member k space))) (keys space));
     (* Every per-segment object carries exactly these members, its phase
        timings and tier among them; the members of the retired BLP (cut
        count, time-limit flag), candidate cap and prefilter are gone. *)
@@ -276,6 +292,41 @@ let test_report_json_roundtrip name () =
           [ "transform"; "identify"; "solve" ])
       (Onnx.Json.to_list_exn (get "per_segment"))
   | _ -> Alcotest.fail "report is not a JSON object"
+
+(* The candidate space names the run's window, as [--window] sets it. *)
+let test_candidate_space_window () =
+  let entry = Option.get (Models.Registry.find "candy") in
+  let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
+  let r =
+    Korch.Orchestrator.run
+      { Korch.Orchestrator.default_config with Korch.Orchestrator.partition_max_prims = 16 }
+      g
+  in
+  match Onnx.Json.of_string (Korch.Report.json_string r) with
+  | Onnx.Json.Obj fields ->
+    let space = List.assoc "candidate_space" fields in
+    let int k = Onnx.Json.to_int_exn (Option.get (Onnx.Json.member k space)) in
+    Alcotest.(check int) "window" 16 (int "window");
+    Alcotest.(check int) "kernel cap unchanged" 10 (int "kernel_cap")
+  | _ -> Alcotest.fail "report is not a JSON object"
+
+(* The segment solver's span carries its candidate count, the candidates
+   left after exact duplicates are dropped, and their distinct input
+   sets. *)
+let test_solver_span_args () =
+  ignore (Obs.Trace.with_tracing (fun () -> small_run "decode"));
+  let spans = List.filter (fun e -> e.Obs.Trace.name = "segment_solver") (Obs.Trace.events ()) in
+  Alcotest.(check bool) "segment_solver spans" true (spans <> []);
+  List.iter
+    (fun e ->
+      let int k =
+        match List.assoc_opt k e.Obs.Trace.args with
+        | Some (Obs.Jsonw.Int v) -> v
+        | _ -> Alcotest.failf "segment_solver span without %s" k
+      in
+      Alcotest.(check bool) "0 < groups <= kept <= candidates" true
+        (0 < int "groups" && int "groups" <= int "kept" && int "kept" <= int "candidates"))
+    spans
 
 let test_tracing_does_not_change_plan () =
   let a = small_run "candy" in
@@ -358,6 +409,9 @@ let () =
         [
           Alcotest.test_case "candy JSON roundtrip" `Quick (test_report_json_roundtrip "candy");
           Alcotest.test_case "yolox JSON roundtrip" `Quick (test_report_json_roundtrip "yolox");
+          Alcotest.test_case "candidate space follows the window" `Quick
+            test_candidate_space_window;
+          Alcotest.test_case "segment solver span args" `Quick test_solver_span_args;
           Alcotest.test_case "tracing does not change the plan" `Quick
             test_tracing_does_not_change_plan;
           Alcotest.test_case "settled-state budget binds to greedy" `Quick

@@ -83,6 +83,40 @@ let prop_bitset_persistence =
       && Ir.Bitset.mem (Ir.Bitset.add a i) i
       && not (Ir.Bitset.mem (Ir.Bitset.remove a i) i))
 
+(* The same algebra against sorted duplicate-free lists, on widths 1–200
+   (up to four words), with [hash] modelled too: the words a list sets,
+   hashed as an int array. The hash fixes [Bitset.Table]'s iteration
+   order, and with it the kernel identifier's candidate order. *)
+let bitset_wide_case =
+  let open QCheck2.Gen in
+  let* width = int_range 1 200 in
+  let idx = int_range 0 (width - 1) in
+  let* a = list_size (int_range 0 (2 * width)) idx in
+  let* b = list_size (int_range 0 (2 * width)) idx in
+  (* A second spelling of [a], so [equal] and [hash] also see equal sets. *)
+  let* a' = shuffle_l a in
+  let* b = oneofl [ b; a'; List.filteri (fun i _ -> i mod 2 = 0) a ] in
+  return (width, a, b)
+
+let prop_bitset_list_model =
+  QCheck2.Test.make ~name:"Bitset agrees with a sorted-list model on widths 1-200, hash included"
+    ~count:500 ~print:print_bitset_case bitset_wide_case (fun (width, la, lb) ->
+      let a = Ir.Bitset.of_list width la and b = Ir.Bitset.of_list width lb in
+      let la = List.sort_uniq compare la and lb = List.sort_uniq compare lb in
+      let hash l =
+        let words = Array.make ((width + 62) / 63) 0 in
+        List.iter (fun i -> words.(i / 63) <- words.(i / 63) lor (1 lsl (i mod 63))) l;
+        Hashtbl.hash words
+      in
+      Ir.Bitset.elements (Ir.Bitset.union a b) = List.sort_uniq compare (la @ lb)
+      && Ir.Bitset.elements (Ir.Bitset.inter a b) = List.filter (fun i -> List.mem i lb) la
+      && Ir.Bitset.elements (Ir.Bitset.diff a b) = List.filter (fun i -> not (List.mem i lb)) la
+      && Ir.Bitset.subset a b = List.for_all (fun i -> List.mem i lb) la
+      && Ir.Bitset.subset b a = List.for_all (fun i -> List.mem i la) lb
+      && Ir.Bitset.equal a b = (la = lb)
+      && Ir.Bitset.hash a = hash la
+      && Ir.Bitset.hash b = hash lb)
+
 (* ------------------------------------------------------------------ *)
 (* Shape broadcasting and strided views.                               *)
 (* ------------------------------------------------------------------ *)
@@ -442,17 +476,12 @@ let prop_native_backend_differential =
    accept exactly the same candidates with the same external inputs,
    backend and latency bits, and its cache must charge exactly the tuning
    time of the distinct accepted signatures. The graphs share one cache,
-   so hits across graphs are exercised too.
-
-   With [~fresh_prices:false] a candidate's latency is compared with that
-   of the first candidate, in [identify]'s profiling order, with its
-   signature: the profile database's contract. The two differ only where
-   structurally different kernels share a signature. The signature spells
-   an external input by its shape alone, so a kernel reading one tensor
-   twice collides with one reading two same-shaped tensors, which reads
-   twice the bytes. No test-scale zoo segment has such a pair; random
-   graphs do. Returns a mismatch description. *)
-let identify_matches_reference ~fresh_prices (graphs : Primgraph.t list) : string option =
+   so hits across graphs are exercised too. A cached price equals the
+   fresh one only if structurally different kernels never share a
+   signature; random graphs have kernels that read one tensor twice next
+   to kernels that read two same-shaped tensors, which the signature must
+   tell apart. Returns a mismatch description. *)
+let identify_matches_reference (graphs : Primgraph.t list) : string option =
   let open Ir in
   let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
   let icfg = Korch.Kernel_identifier.default_config in
@@ -497,20 +526,19 @@ let identify_matches_reference ~fresh_prices (graphs : Primgraph.t list) : strin
              | Some r ->
                let sig_ = Gpu.Profiler.signature g members ~outputs ~spec ~precision in
                if not (Hashtbl.mem first sig_) then Hashtbl.replace first sig_ r;
-               let price = if fresh_prices then r else Hashtbl.find first sig_ in
                if
                  c.Korch.Candidate.ext_inputs = Graph.external_inputs g members
                  && c.Korch.Candidate.backend = r.Gpu.Profiler.backend
                  && Int64.equal
                       (Int64.bits_of_float c.Korch.Candidate.latency_us)
-                      (Int64.bits_of_float price.Gpu.Profiler.latency_us)
+                      (Int64.bits_of_float r.Gpu.Profiler.latency_us)
                then None
                else
                  Some
                    (Format.asprintf "%a ext=[%s] %h; the reference prices it %h %s"
                       Korch.Candidate.pp c
                       (String.concat "," (List.map string_of_int c.Korch.Candidate.ext_inputs))
-                      c.Korch.Candidate.latency_us price.Gpu.Profiler.latency_us
+                      c.Korch.Candidate.latency_us r.Gpu.Profiler.latency_us
                       (Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)))
   in
   match List.find_map check graphs with
@@ -530,7 +558,7 @@ let test_identify_zoo_segments () =
         Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
       in
       let segs = List.map (fun s -> s.Korch.Partition.local) (Korch.Partition.split pg ~max_prims) in
-      match identify_matches_reference ~fresh_prices:true segs with
+      match identify_matches_reference segs with
       | None -> ()
       | Some m -> Alcotest.failf "%s: %s" e.Models.Registry.name m)
     Models.Registry.all
@@ -538,7 +566,7 @@ let test_identify_zoo_segments () =
 let prop_identify_random_graphs =
   QCheck2.Test.make ~name:"identify = fresh profile of every candidate on random graphs"
     ~count:200 ~print:print_fuzz_case gen_fuzz_case (fun c ->
-      match identify_matches_reference ~fresh_prices:false [ build_fuzz_graph c.steps ] with
+      match identify_matches_reference [ build_fuzz_graph c.steps ] with
       | None -> true
       | Some m -> QCheck2.Test.fail_report m)
 
@@ -703,11 +731,125 @@ let test_segment_solver_oracle ~disjoint () =
     (Printf.sprintf "instances without a plan exercised (%d)" !infeasible)
     true (!infeasible > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Segment solver: the indexed search vs the full scan.               *)
+(* ------------------------------------------------------------------ *)
+
+(* The library solver drops exact duplicates and scans candidates by what
+   they wait for; [Scan_solver] tests every candidate at every settled
+   state. They must agree exactly: the same order, the same cost bits,
+   the same settled count, the same failure. *)
+let same_solve ~disjoint ?(budget = 1_000_000) g cands : string option =
+  let show = function
+    | Ok (s : Korch.Segment_solver.solution) ->
+      Printf.sprintf "[%s] %h settled %d"
+        (String.concat ";" (List.map string_of_int s.Korch.Segment_solver.order))
+        s.Korch.Segment_solver.cost s.Korch.Segment_solver.settled
+    | Error f -> Korch.Segment_solver.failure_to_string f
+  in
+  let got = show (Korch.Segment_solver.solve ~disjoint ~budget g cands)
+  and want = show (Scan_solver.solve ~disjoint ~budget g cands) in
+  if got = want then None
+  else Some (Printf.sprintf "disjoint=%b: indexed %s, full scan %s" disjoint got want)
+
+let test_solver_matches_scan_on_zoo () =
+  let cfg = Korch.Orchestrator.default_config in
+  let compared = ref 0 in
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let pg, _ =
+        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
+      in
+      let cache = Gpu.Profile_cache.create () in
+      List.iteri
+        (fun i seg ->
+          let r = Korch.Orchestrator.solve_segment cfg ~cache ~seg_index:i seg in
+          let g = r.Korch.Orchestrator.transformed and cands = r.Korch.Orchestrator.candidates in
+          List.iter
+            (fun disjoint ->
+              incr compared;
+              match same_solve ~disjoint g cands with
+              | None -> ()
+              | Some m -> Alcotest.failf "%s segment %d: %s" e.Models.Registry.name i m)
+            [ false; true ])
+        (Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims))
+    Models.Registry.all;
+  Alcotest.(check bool) (Printf.sprintf "solves compared (%d)" !compared) true (!compared > 100)
+
+let prop_solver_matches_scan_on_segments =
+  QCheck2.Test.make ~name:"random segments: indexed solve = full scan, both modes" ~count:400
+    ~print:print_segment_case gen_segment_case (fun c ->
+      let g, cands = build_segment c in
+      (* Append a copy of every candidate at half, equal or double its
+         latency in turn, so the duplicate rule sees later copies that
+         are cheaper, tied and dearer. *)
+      let cands =
+        Array.append cands
+          (Array.mapi
+             (fun i (cd : Korch.Candidate.t) ->
+               { cd with
+                 Korch.Candidate.latency_us =
+                   cd.Korch.Candidate.latency_us *. [| 0.5; 1.0; 2.0 |].(i mod 3) })
+             cands)
+      in
+      match List.find_map (fun disjoint -> same_solve ~disjoint g cands) [ false; true ] with
+      | None -> (
+        (* A budget that binds must bind at the same count. *)
+        match same_solve ~disjoint:false ~budget:2 g cands with
+        | None -> true
+        | Some m -> QCheck2.Test.fail_report m)
+      | Some m -> QCheck2.Test.fail_report m)
+
+let prop_solver_matches_scan_on_graphs =
+  QCheck2.Test.make ~name:"random graphs: indexed solve = full scan over identified candidates"
+    ~count:100 ~print:print_fuzz_case gen_fuzz_case (fun c ->
+      let g = build_fuzz_graph c.steps in
+      let cands, _ =
+        Korch.Kernel_identifier.identify Korch.Kernel_identifier.default_config
+          ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache:(Gpu.Profile_cache.create ()) g
+      in
+      match List.find_map (fun disjoint -> same_solve ~disjoint g cands) [ false; true ] with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
+(* Two exact duplicates (same inputs, same outputs) after a prefix of
+   cost 2^53, where one ulp is 2: the earlier costs 1.5, the later 1.25,
+   and both sums round to 2^53 + 2. The later is strictly cheaper, so it
+   is kept, but the tie on the path cost must still go to the lower
+   index. Keeping only the cheapest duplicate would return [0; 2]. *)
+let test_solver_duplicate_rounding_tie () =
+  let open Ir in
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 2 |] in
+  let a = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
+  let o = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ a ] in
+  Primgraph.B.set_outputs b [ o ];
+  let g = Primgraph.B.finish b in
+  let n = Graph.length g in
+  let cand members latency_us =
+    let set = Bitset.of_list n members in
+    Korch.Candidate.
+      { members = set; outputs = members; ext_inputs = Graph.external_inputs g set; latency_us;
+        backend = Gpu.Cost_model.Tvm }
+  in
+  let prefix = 0x1p53 in
+  let cands = [| cand [ a ] prefix; cand [ o ] 1.5; cand [ o ] 1.25 |] in
+  Alcotest.(check bool) "the two sums round alike" true (prefix +. 1.5 = prefix +. 1.25);
+  List.iter
+    (fun disjoint ->
+      match Korch.Segment_solver.solve ~disjoint ~budget:100 g cands with
+      | Ok s ->
+        Alcotest.(check (list int)) "the lower index wins" [ 0; 1 ] s.Korch.Segment_solver.order;
+        Alcotest.(check bool) "and agrees with the full scan" true
+          (same_solve ~disjoint g cands = None)
+      | Error f -> Alcotest.fail (Korch.Segment_solver.failure_to_string f))
+    [ false; true ]
+
 let () =
   Alcotest.run "props"
     [
       ( Printf.sprintf "bitset model (seed %#x)" qcheck_seed,
-        List.map to_alcotest [ prop_bitset_model; prop_bitset_persistence ] );
+        List.map to_alcotest [ prop_bitset_model; prop_bitset_persistence; prop_bitset_list_model ] );
       ( Printf.sprintf "shape & views (seed %#x)" qcheck_seed,
         List.map to_alcotest
           [ prop_broadcast_commutative; prop_broadcast_scalar_identity; prop_view_transpose;
@@ -715,6 +857,11 @@ let () =
       ( Printf.sprintf "segment oracle (seed %#x)" qcheck_seed,
         [ Alcotest.test_case "redundancy allowed" `Quick (test_segment_solver_oracle ~disjoint:false);
           Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
+      ( Printf.sprintf "solver index (seed %#x)" qcheck_seed,
+        Alcotest.test_case "test-scale zoo segments" `Quick test_solver_matches_scan_on_zoo
+        :: Alcotest.test_case "duplicates tied by rounding" `Quick test_solver_duplicate_rounding_tie
+        :: List.map to_alcotest
+             [ prop_solver_matches_scan_on_segments; prop_solver_matches_scan_on_graphs ] );
       ( Printf.sprintf "codegen differential (seed %#x)" qcheck_seed,
         List.map to_alcotest [ prop_native_backend_differential ] );
       ( Printf.sprintf "identify diff (seed %#x)" qcheck_seed,
