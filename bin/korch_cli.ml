@@ -6,8 +6,7 @@
      korch compare -m MODEL [...]       Korch vs all fusion baselines
      korch export -m MODEL -o FILE      write the model as ONNX-JSON
      korch run FILE                     optimize + execute an ONNX-JSON graph
-     korch check [-m MODEL | FILE]      static verification of every pipeline stage
-     korch analyze [-m MODEL | FILE]    abstract-interpretation lint (korch-lint/1)
+     korch check [-m MODEL | FILE]      static checks of every pipeline stage (korch-lint/1)
      korch table -m MODEL --lo A --hi B batch-parametric plan table with crossovers *)
 
 open Cmdliner
@@ -179,8 +178,9 @@ let build_graph entry ~small ~batch =
 
 (* The graph a verb works on: zoo model [-m MODEL] or the ONNX-JSON
    document FILE, with a source name for reports. Exits 1 when FILE does
-   not parse and 2 unless exactly one of the two is given. *)
-let load_graph ~verb ~small ~batch model file =
+   not parse and 2 unless exactly one of the two is given. Under [--json]
+   the failure line goes to stderr: stdout carries only documents. *)
+let load_graph ~verb ~json ~small ~batch model file =
   match (model, file) with
   | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
   | None, Some f -> begin
@@ -188,7 +188,7 @@ let load_graph ~verb ~small ~batch model file =
     | g -> (g, Filename.basename f)
     | exception Onnx.Graph_doc.Format_error msg ->
       Printf.eprintf "%s: %s\n%!" f msg;
-      Printf.printf "%s: FAILED\n" verb;
+      Printf.fprintf (if json then stderr else stdout) "%s: FAILED\n" verb;
       exit 1
   end
   | _ ->
@@ -329,21 +329,35 @@ let print_report ~verbose title report =
   Printf.printf "%-22s %d error(s), %d warning(s), %d info\n" title e w i;
   List.iter (fun d -> Format.printf "  %a@." Verify.Diagnostics.pp_diag d) shown
 
-let check_action model file gpu precision batch small window jobs rules lint_seed verbose =
-  let g, _ = load_graph ~verb:"check" ~small ~batch model file in
-  let failed = ref false in
+let check_action model file gpu precision batch small window jobs rules lint_seed json verbose
+    =
+  let g, source = load_graph ~verb:"check" ~json ~small ~batch model file in
+  (* Every stage's findings so far, newest first, for [--json]. *)
+  let findings = ref [] in
+  let finish ~ok =
+    if json then
+      print_endline
+        (Verify.Diagnostics.json_string
+           ~meta:
+             [
+               ("source", Obs.Jsonw.Str source);
+               ("precision", Obs.Jsonw.Str (Gpu.Precision.to_string precision));
+               ("batch", Obs.Jsonw.Int batch);
+             ]
+           (List.concat (List.rev !findings)))
+    else print_endline (if ok then "check: OK" else "check: FAILED");
+    if not ok then exit 1
+  in
   (* Stop at the first stage with errors: downstream stages run on its
      output and would only cascade. *)
   let stage title report =
-    print_report ~verbose title report;
-    if Verify.Diagnostics.has_errors report then begin
-      print_endline "check: FAILED";
-      exit 1
-    end
+    findings := report :: !findings;
+    if not json then print_report ~verbose title report;
+    if Verify.Diagnostics.has_errors report then finish ~ok:false
   in
   stage "operator graph" (Verify.opgraph_check g);
   let pg, _ = Fission.Engine.run g in
-  stage "fissioned graph" (Verify.graph_check pg);
+  stage "fissioned graph" (Verify.graph_check pg @ Verify.Vrange.check pg);
   (* The orchestrator's own invariant checking is off here so a broken
      stage surfaces as a printed report rather than an exception. *)
   let cfg =
@@ -352,18 +366,19 @@ let check_action model file gpu precision batch small window jobs rules lint_see
   in
   (match Korch.Orchestrator.run_primgraph cfg pg with
   | r ->
-    stage "stitched graph" (Verify.graph_check r.Korch.Orchestrator.graph);
+    let graph = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+    stage "stitched graph" (Verify.graph_check graph);
+    let bytes_per_element = Gpu.Precision.bytes_per_element precision in
     stage "kernel plan"
-      (Verify.plan_check r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan)
+      (Verify.plan_check graph plan
+      @ Verify.Hazard.check ~bytes_per_element graph plan
+          (Runtime.Memplan.analyze ~bytes_per_element graph plan))
   | exception Korch.Orchestrator.Orchestration_failed e ->
-    failed := true;
-    Printf.printf "orchestration failed: %s\n" (Korch.Orchestrator.Error.to_string e));
+    stage "orchestration"
+      [ Verify.Diagnostics.error ~pass:"orchestrate" ~loc:Verify.Diagnostics.Whole "%s"
+          (Korch.Orchestrator.Error.to_string e) ]);
   if rules then stage "rewrite rules" (Verify.lint_rules ~seed:lint_seed ());
-  if !failed then begin
-    print_endline "check: FAILED";
-    exit 1
-  end
-  else print_endline "check: OK"
+  finish ~ok:true
 
 let check_cmd =
   let model =
@@ -384,107 +399,20 @@ let check_cmd =
                  $(b,--rules)). CI rotates this so successive runs exercise fresh \
                  instances.")
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:"Statically verify a model end to end: operator graph, fissioned \
-             primitive graph, stitched graph and kernel plan")
-    Term.(
-      const check_action $ model $ file $ gpu_arg $ precision_arg $ batch_arg $ small_arg
-      $ window_arg $ jobs_arg $ rules $ lint_seed $ verbose_arg)
-
-(* ------------------------ analyze ----------------------- *)
-
-let analyze_action model file gpu precision batch small window jobs with_plan json output
-    verbose =
-  let g, source = load_graph ~verb:"analyze" ~small ~batch model file in
-  let pg, _ = Fission.Engine.run g in
-  let bytes_per_element = Gpu.Precision.bytes_per_element precision in
-  let report = Analysis.graph_report pg in
-  let report =
-    if not with_plan then report
-    else begin
-      (* Orchestrate with the built-in invariant checks off so a hazard
-         surfaces as a printed finding rather than an exception. *)
-      let cfg =
-        { (config ~spec:gpu ~precision ~window ~jobs) with
-          Korch.Orchestrator.check_invariants = false }
-      in
-      let r = Korch.Orchestrator.run_primgraph cfg pg in
-      let mp =
-        Runtime.Memplan.analyze ~bytes_per_element r.Korch.Orchestrator.graph
-          r.Korch.Orchestrator.plan
-      in
-      report
-      @ Analysis.Hazard.check ~bytes_per_element r.Korch.Orchestrator.graph
-          r.Korch.Orchestrator.plan mp
-    end
-  in
-  let doc =
-    Analysis.Lint.json_string
-      ~meta:
-        [
-          ("source", Obs.Jsonw.Str source);
-          ("precision", Obs.Jsonw.Str (Gpu.Precision.to_string precision));
-          ("batch", Obs.Jsonw.Int batch);
-          ("plan_checked", Obs.Jsonw.Bool with_plan);
-        ]
-      report
-  in
-  (match output with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc doc;
-    close_out oc;
-    Printf.eprintf "wrote findings to %s\n%!" path
-  | None -> ());
-  if json then print_endline doc
-  else begin
-    let shown =
-      if verbose then report
-      else
-        List.filter
-          (fun (d : Verify.Diagnostics.diag) ->
-            d.Verify.Diagnostics.severity <> Verify.Diagnostics.Info)
-          report
-    in
-    List.iter (fun d -> Format.printf "  %a@." Verify.Diagnostics.pp_diag d) shown;
-    let e, w, i = Verify.Diagnostics.count_severity report in
-    Printf.printf "analyze %s: %d error(s), %d warning(s), %d info\n" source e w i
-  end;
-  if Verify.Diagnostics.has_errors report then exit 1
-
-let analyze_cmd =
-  let model =
-    Arg.(value & opt (some string) None & info [ "m"; "model" ] ~docv:"MODEL"
-           ~doc:"Zoo model to analyze (see `korch list').")
-  in
-  let file =
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
-           ~doc:"ONNX-JSON operator graph to analyze instead of a zoo model.")
-  in
-  let with_plan =
-    Arg.(value & flag & info [ "plan" ]
-           ~doc:"Also orchestrate the model and run the memory-planner hazard \
-                 cross-check on the resulting plan.")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Also write the korch-lint/1 JSON findings document to FILE.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Print the korch-lint/1 JSON findings document on stdout instead of \
-                 the text listing.")
+           ~doc:"Print one korch-lint/1 JSON document of every finding from the stages \
+                 that ran on stdout instead of the per-stage text listing.")
   in
   Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Lint a model with the abstract-interpretation analyses: value ranges \
-             (div-by-zero, log/sqrt domain, exp overflow), dead code, and optionally \
-             the memory-planner hazard cross-check. Exits 1 on any finding above \
-             warning.")
+    (Cmd.info "check"
+       ~doc:"Statically check a model end to end: operator graph, fissioned primitive \
+             graph with value ranges (div-by-zero, log/sqrt domain, exp overflow), \
+             stitched graph, and kernel plan with the memory-planner hazard \
+             cross-check. Exits 1 on any error finding.")
     Term.(
-      const analyze_action $ model $ file $ gpu_arg $ precision_arg $ batch_arg $ small_arg
-      $ window_arg $ jobs_arg $ with_plan $ json $ output $ verbose_arg)
+      const check_action $ model $ file $ gpu_arg $ precision_arg $ batch_arg $ small_arg
+      $ window_arg $ jobs_arg $ rules $ lint_seed $ json $ verbose_arg)
 
 (* -------------------------- run ------------------------- *)
 
@@ -492,7 +420,7 @@ let run_action file model gpu precision batch small window jobs verbose inject f
     trace assert_det mem_report backend =
   install_faults inject fault_seed;
   let backend = match backend with Some b -> b | None -> Runtime.Backend.default () in
-  let g, source = load_graph ~verb:"run" ~small ~batch model file in
+  let g, source = load_graph ~verb:"run" ~json ~small ~batch model file in
   let cfg = config ~spec:gpu ~precision ~window ~jobs in
   let r = with_trace trace (fun () -> Korch.Orchestrator.run cfg g) in
   (* [--assert-deterministic]: re-orchestrate at a different worker count
@@ -675,6 +603,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; optimize_cmd; compare_cmd; export_cmd; run_cmd; check_cmd; analyze_cmd;
-            table_cmd;
+            list_cmd; optimize_cmd; compare_cmd; export_cmd; run_cmd; check_cmd; table_cmd;
           ]))

@@ -746,13 +746,13 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
         enforce ~what:"stitched graph" (Verify.graph_check graph);
         enforce ~what:"stitched plan" (Verify.plan_check graph plan);
         (* Independent hazard cross-check of the planner's arena packing
-           (second implementation, lib/analysis). An analyzer crash — or
+           (second implementation, Verify.Hazard). An analyzer crash — or
            an injected [Analysis] fault — degrades to "skipped": the
            cross-check is an auditor, not a load-bearing stage. A
            genuine finding still raises via [enforce]. *)
         match
           Faults.check Faults.Analysis;
-          Analysis.Hazard.check ~bytes_per_element graph plan memplan
+          Verify.Hazard.check ~bytes_per_element graph plan memplan
         with
         | report ->
           let e, w, _ = Verify.Diagnostics.count_severity report in

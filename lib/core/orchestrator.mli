@@ -148,7 +148,7 @@ type config = {
 val default_config : config
 
 (** How the static-analysis hazard cross-check of the stitched plan's
-    memory planning fared ({!Analysis.Hazard}). An analyzer {e crash}
+    memory planning fared ({!Verify.Hazard}). An analyzer {e crash}
     (or an injected [Faults.Analysis] fault) degrades to
     [Analysis_skipped] with the reason recorded — the analysis is an
     auditor, not a load-bearing stage — while a genuine {e finding}

@@ -62,7 +62,7 @@ val stats : t -> stats
 val slot_of : t -> key -> int option
 
 (** [slot_assignment t] — the full key → slot map, in birth order.
-    Exposed so external checkers (the {!Analysis}-side hazard
+    Exposed so external checkers (the static-check library's hazard
     cross-check) can audit the packing without reaching into
     [instances]. *)
 val slot_assignment : t -> (key * int) list

@@ -87,3 +87,49 @@ let error_summary (r : report) : string =
       (List.map
          (fun d -> Printf.sprintf "%s: %s: %s" d.pass (location_to_string d.loc) d.message)
          errs)
+
+(** [to_json ?meta r] — the [korch-lint/1] document for a report, the
+    machine-readable form [korch_cli check --json] prints:
+
+    {[
+      { "schema": "korch-lint/1",
+        "meta": { ... },                     // [meta], verbatim
+        "summary": { "errors": E, "warnings": W, "infos": I,
+                     "max_severity": "error" | "warning" | "info" | null },
+        "findings": [
+          { "severity": "error", "pass": "vrange",
+            "loc": "node 12", "message": "..." }, ... ] }
+    ]} *)
+let to_json ?(meta : (string * Obs.Jsonw.t) list = []) (r : report) : Obs.Jsonw.t =
+  let module J = Obs.Jsonw in
+  let e, w, i = count_severity r in
+  let max_severity =
+    match (e, w, i) with
+    | 0, 0, 0 -> J.Null
+    | 0, 0, _ -> J.Str (severity_to_string Info)
+    | 0, _, _ -> J.Str (severity_to_string Warning)
+    | _ -> J.Str (severity_to_string Error)
+  in
+  J.Obj
+    [
+      ("schema", J.Str "korch-lint/1");
+      ("meta", J.Obj meta);
+      ( "summary",
+        J.Obj
+          [ ("errors", J.Int e); ("warnings", J.Int w); ("infos", J.Int i);
+            ("max_severity", max_severity) ] );
+      ( "findings",
+        J.List
+          (List.map
+             (fun d ->
+               J.Obj
+                 [
+                   ("severity", J.Str (severity_to_string d.severity));
+                   ("pass", J.Str d.pass);
+                   ("loc", J.Str (location_to_string d.loc));
+                   ("message", J.Str d.message);
+                 ])
+             r) );
+    ]
+
+let json_string ?meta (r : report) : string = Obs.Jsonw.to_string (to_json ?meta r)

@@ -7,8 +7,8 @@
     scratch — by replaying the executor's step stream as an explicit
     def/use event log, a deliberately different mechanism from the
     planner's incremental min/max tables — and then audits the planner's
-    output against it, the same differential discipline {!Verify}'s rule
-    linter applies to rewrite rules:
+    output against it, the same differential discipline {!Rule_check}
+    applies to rewrite rules:
 
     - the planner must have planned exactly the instances the event log
       implies, with identical birth and death steps, shapes and sizes;
@@ -26,7 +26,7 @@
 open Ir
 open Tensor
 open Runtime
-module D = Verify.Diagnostics
+module D = Diagnostics
 
 let pass = "hazard"
 

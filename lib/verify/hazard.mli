@@ -32,4 +32,4 @@ val pass : string
     out-of-range or overflowing slots, aliasing tenants, same-step
     read/write hazards, death-schedule omissions. Never raises. *)
 val check :
-  ?bytes_per_element:int -> Primgraph.t -> Plan.t -> Memplan.t -> Verify.Diagnostics.report
+  ?bytes_per_element:int -> Primgraph.t -> Plan.t -> Memplan.t -> Diagnostics.report

@@ -31,7 +31,7 @@
 
 open Ir
 open Tensor
-module D = Verify.Diagnostics
+module D = Diagnostics
 
 let pass = "vrange"
 

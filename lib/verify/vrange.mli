@@ -63,4 +63,4 @@ val solve : Primgraph.t -> v array
 val pass : string
 
 (** [check g] — solve, then report numeric hazards. Never raises. *)
-val check : Primgraph.t -> Verify.Diagnostics.report
+val check : Primgraph.t -> Diagnostics.report

@@ -1,15 +1,14 @@
-(* Tests for lib/analysis: per-primitive-class value-range transfer
-   functions, seeded broken graphs that must be flagged, dead-code
-   findings of the graph report, the memory-planner hazard cross-check
-   (clean pass + injected corruptions rejected), the korch-lint/1
-   serializer, and the orchestrator integration (clean zoo models,
-   analysis fault degradation). *)
+(* Tests for the semantic passes of lib/verify: per-primitive-class
+   value-range transfer functions, seeded broken graphs that must be
+   flagged, dead-code findings of the fissioned-graph checks, the
+   memory-planner hazard cross-check (clean pass + injected corruptions
+   rejected), the korch-lint/1 serializer, and the orchestrator
+   integration (clean zoo models, analysis fault degradation). *)
 
 open Ir
-module V = Analysis.Vrange
+module V = Verify.Vrange
 module D = Verify.Diagnostics
-module Hazard = Analysis.Hazard
-module Lint = Analysis.Lint
+module Hazard = Verify.Hazard
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -168,7 +167,28 @@ let test_log_of_negative_flagged () =
   let c = Primgraph.B.const b (Const.value [| 2 |] (-2.0)) in
   let s = Primgraph.B.add b (Primitive.Unary Primitive.Sqrt) [ c ] in
   Primgraph.B.set_outputs b [ s ];
-  check_error "sqrt of negative const" "always-negative" (V.check (Primgraph.B.finish b))
+  check_error "sqrt of negative const" "always-negative" (V.check (Primgraph.B.finish b));
+  (* A graph input holds arbitrary finite data, so the bad region lies
+     strictly inside its range: exactly one warning, at the op's node. *)
+  let input_fed msg sub build =
+    let b = Primgraph.B.create () in
+    let x = Primgraph.B.input b "x" [| 2 |] in
+    let y = build b x in
+    Primgraph.B.set_outputs b [ y ];
+    let r = V.check (Primgraph.B.finish b) in
+    check_no_errors msg r;
+    match D.warnings r with
+    | [ w ] when w.D.loc = D.Node y && contains w.D.message sub -> ()
+    | ws ->
+      Alcotest.failf "%s: expected one warning containing %S at node %d, got:\n%s" msg sub y
+        (D.to_string ws)
+  in
+  let unary u b x = Primgraph.B.add b (Primitive.Unary u) [ x ] in
+  input_fed "log of an input" "log argument may be negative" (unary Primitive.Log);
+  input_fed "sqrt of an input" "sqrt argument may be negative" (unary Primitive.Sqrt);
+  input_fed "div by an input" "denominator range" (fun b x ->
+      let one = Primgraph.B.const b (Const.value [| 2 |] 1.0) in
+      Primgraph.B.add b (Primitive.Binary Primitive.Div) [ one; x ])
 
 let test_exp_overflow_flagged () =
   let b = Primgraph.B.create () in
@@ -195,7 +215,8 @@ let test_dead_subgraph_flagged () =
   let d1 = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ x ] in
   let _d2 = Primgraph.B.add b (Primitive.Unary Primitive.Neg) [ d1 ] in
   Primgraph.B.set_outputs b [ live ];
-  let r = Analysis.graph_report (Primgraph.B.finish b) in
+  let g = Primgraph.B.finish b in
+  let r = V.check g @ Verify.graph_check g in
   let at sev i =
     List.filter_map
       (fun (d : D.diag) ->
@@ -339,7 +360,7 @@ let test_lint_json () =
   in
   Alcotest.(check bool) "gate fails on an error" true (D.has_errors report);
   Alcotest.(check bool) "clean list passes" false (D.has_errors []);
-  let doc = Lint.json_string ~meta:[ ("source", Obs.Jsonw.Str "unit") ] report in
+  let doc = D.json_string ~meta:[ ("source", Obs.Jsonw.Str "unit") ] report in
   let j = Onnx.Json.of_string doc in
   let mem k o = Option.get (Onnx.Json.member k o) in
   Alcotest.(check string) "schema" "korch-lint/1" (Onnx.Json.to_string_exn (mem "schema" j));
@@ -355,7 +376,7 @@ let test_lint_json () =
 
 (* ---------------- orchestrator integration ---------------- *)
 
-let zoo_models = [ "candy"; "yolox"; "yolov4"; "segformer" ]
+let zoo_models = [ "candy"; "yolox"; "yolov4"; "segformer"; "efficientvit"; "decode" ]
 
 let build_zoo name =
   match Models.Registry.find name with
@@ -367,8 +388,8 @@ let test_zoo_clean_pass () =
     (fun name ->
       let g = build_zoo name in
       let pg, _ = Fission.Engine.run g in
-      let report = Analysis.graph_report pg in
-      check_no_errors (name ^ " graph report") report;
+      check_no_errors (name ^ " value ranges") (V.check pg);
+      check_no_errors (name ^ " fissioned graph") (Verify.graph_check pg);
       (* End to end: orchestrate under check_invariants (the default) —
          the hazard cross-check runs inside and must find nothing. *)
       let cfg =
