@@ -15,8 +15,7 @@ let strategy_a ~spec ~precision (g : Opgraph.t) : float =
   let members =
     Bitset.of_list (Graph.length pg) (Primgraph.non_source_nodes pg)
   in
-  Gpu.Cost_model.latency_us Gpu.Cost_model.default_config ~spec ~precision
-    ~backend:Gpu.Cost_model.Tvm pg
+  Gpu.Cost_model.latency_us ~spec ~precision ~backend:Gpu.Cost_model.Tvm pg
     (Gpu.Stats.kernel_stats pg members ~outputs:pg.Graph.outputs)
 
 let run () =
@@ -28,10 +27,7 @@ let run () =
      point is that the ILP picks it at batch 1 and rejects it at 16. *)
   let cfg =
     let base = Bench_common.korch_config ~partition_max_prims:20 Bench_common.v100_fp32 in
-    { base with
-      Korch.Orchestrator.identifier =
-        { Korch.Kernel_identifier.profiler =
-            { Gpu.Profiler.default_config with Gpu.Profiler.max_tvm_prims = 20 } } }
+    { base with Korch.Orchestrator.max_tvm_prims = 20 }
   in
   List.iter
     (fun batch ->

@@ -16,7 +16,7 @@ open Ir
    groups are capped at the generated-kernel size limit. Greedy and
    rule-based — no ILP, no redundancy. *)
 let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
-  let cfg = Gpu.Profiler.default_config in
+  let max_tvm_prims = Gpu.Profiler.max_tvm_prims in
   let succs = Graph.succs g in
   let n = Graph.length g in
   let group_of = Hashtbl.create 64 in
@@ -41,7 +41,7 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
               let ok =
                 match cat with
                 | Primitive.Elementwise | Broadcasting | Layout ->
-                  (not has_linear || size < 4) && size < cfg.Gpu.Profiler.max_tvm_prims
+                  (not has_linear || size < 4) && size < max_tvm_prims
                 | Reduction -> (not has_reduce) && (not has_linear) && size < 8
                 | Linear | Unknown | Source -> false
               in
@@ -94,10 +94,10 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
               let union = members @ tm in
               let mset = Bitset.of_list n union in
               let acceptable =
-                List.length union <= cfg.Gpu.Profiler.max_tvm_prims
+                List.length union <= max_tvm_prims
                 && (not (sl && tl))
                 && Graph.is_convex g mset
-                && Gpu.Profiler.profile cfg ~spec ~precision g mset
+                && Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g mset
                      ~outputs:(Graph.boundary_outputs g mset)
                    <> None
               in
@@ -130,11 +130,11 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
           let mset = Bitset.of_list n group in
           let outputs = Graph.boundary_outputs g mset in
           let latency_us, backend =
-            match Gpu.Profiler.profile cfg ~spec ~precision g mset ~outputs with
+            match Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g mset ~outputs with
             | Some r ->
               (r.Gpu.Profiler.latency_us, Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)
             | None ->
-              ( Gpu.Cost_model.latency_us cfg.Gpu.Profiler.cost ~spec ~precision
+              ( Gpu.Cost_model.latency_us ~spec ~precision
                   ~backend:Gpu.Cost_model.OpaqueExec g
                   (Gpu.Stats.kernel_stats g mset ~outputs),
                 "framework" )

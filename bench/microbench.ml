@@ -48,7 +48,7 @@ let test_identify =
     (Staged.stage (fun () ->
          let cache = Gpu.Profile_cache.create () in
          ignore
-           (Korch.Kernel_identifier.identify Korch.Kernel_identifier.default_config
+           (Korch.Kernel_identifier.identify ~max_tvm_prims:Gpu.Profiler.max_tvm_prims
               ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache
               (Lazy.force prepared_primgraph))))
 
@@ -62,7 +62,9 @@ let test_segment_solve =
 let test_transform =
   Test.make ~name:"transformation search"
     (Staged.stage (fun () ->
-         ignore (Transform.Optimizer.optimize (Lazy.force prepared_primgraph))))
+         ignore
+           (Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32
+              (Lazy.force prepared_primgraph))))
 
 let all_tests =
   Test.make_grouped ~name:"korch" ~fmt:"%s/%s"

@@ -51,13 +51,11 @@ let daemon_action socket cache_dir jobs queue_limit gpu precision inject fault_s
   if inject <> [] then Faults.install ~seed:fault_seed inject;
   Serve.Server.run
     {
-      Serve.Server.default_config with
       Serve.Server.socket_path = socket;
       cache_dir;
       jobs;
       queue_limit;
-      gpu;
-      precision;
+      orch = { Korch.Orchestrator.default_config with spec = gpu; precision };
       metrics_out;
       verbose;
     }

@@ -22,7 +22,9 @@ let () =
 
   (* Primitive-graph transformations (Figure 2b): the reduce can become a
      MatMul against a ones vector, the div can swap with the next MatMul. *)
-  let optimized = Transform.Optimizer.optimize pg in
+  let optimized =
+    Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 pg
+  in
   Format.printf "@.after transformations (%d primitives):@.%a@."
     (List.length (Primgraph.non_source_nodes optimized))
     Primgraph.pp optimized;

@@ -43,13 +43,11 @@ type env = {
   ranges : (int * int) array;  (** op id -> fission primitive id range *)
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
-  profiler : Gpu.Profiler.config;
 }
 
-let make_env ~spec ~precision ?(profiler = Gpu.Profiler.default_config) (g : Opgraph.t) : env
-    =
+let make_env ~spec ~precision (g : Opgraph.t) : env =
   let primgraph, mapping, ranges = Fission.Engine.run_detailed g in
-  { opgraph = g; primgraph; mapping; ranges; spec; precision; profiler }
+  { opgraph = g; primgraph; mapping; ranges; spec; precision }
 
 (* Primitive members of a group of operators (sources excluded). *)
 let group_members (env : env) (ops : int list) : Bitset.t =
@@ -81,8 +79,8 @@ let rec cost_group (env : env) (ops : int list) : Runtime.Plan.kernel =
   in
   let latency_us, backend =
     match
-      Gpu.Profiler.profile env.profiler ~spec:env.spec ~precision:env.precision env.primgraph
-        members ~outputs
+      Gpu.Profiler.profile ~max_tvm_prims:Gpu.Profiler.max_tvm_prims ~spec:env.spec
+        ~precision:env.precision env.primgraph members ~outputs
     with
     | Some r -> (r.Gpu.Profiler.latency_us, Gpu.Cost_model.backend_to_string r.Gpu.Profiler.backend)
     | None when List.length ops = 1 ->
@@ -90,7 +88,7 @@ let rec cost_group (env : env) (ops : int list) : Runtime.Plan.kernel =
          monolithic InstanceNorm): the framework dispatches a handwritten
          library kernel — never rejected, but it pays the full
          category-mixing cost. *)
-      ( Gpu.Cost_model.latency_us env.profiler.Gpu.Profiler.cost ~spec:env.spec
+      ( Gpu.Cost_model.latency_us ~spec:env.spec
           ~precision:env.precision ~backend:Gpu.Cost_model.OpaqueExec env.primgraph
           (Gpu.Stats.kernel_stats env.primgraph members ~outputs),
         "framework" )

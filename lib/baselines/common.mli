@@ -32,15 +32,9 @@ type env = {
   ranges : (int * int) array;  (** op id → fission primitive id range *)
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
-  profiler : Gpu.Profiler.config;
 }
 
-val make_env :
-  spec:Gpu.Spec.t ->
-  precision:Gpu.Precision.t ->
-  ?profiler:Gpu.Profiler.config ->
-  Opgraph.t ->
-  env
+val make_env : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Opgraph.t -> env
 
 (** Primitive members of an operator group (sources excluded). *)
 val group_members : env -> int list -> Bitset.t

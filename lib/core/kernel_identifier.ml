@@ -16,12 +16,7 @@ let max_states = 200_000
     this many nodes; otherwise only the full boundary set is used. *)
 let max_boundary_enum = 2
 
-type config = { profiler : Gpu.Profiler.config }
-
-let default_config = { profiler = Gpu.Profiler.default_config }
-
-let kernel_cap (cfg : config) =
-  Int.max cfg.profiler.Gpu.Profiler.max_tvm_prims (1 + Gpu.Profiler.max_vendor_companions)
+let kernel_cap ~max_tvm_prims = Int.max max_tvm_prims (1 + Gpu.Profiler.max_vendor_companions)
 
 type stats = {
   states : int;
@@ -63,9 +58,9 @@ let m_states = Obs.Metrics.counter "identifier.states"
 let m_truncated = Obs.Metrics.counter "identifier.states_truncated"
 let m_accepted = Obs.Metrics.counter "identifier.candidates_accepted"
 
-(** [identify cfg ~spec ~precision ~cache g] — all accepted candidate
-    kernels of [g], plus enumeration statistics. *)
-let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
+(** [identify ~max_tvm_prims ~spec ~precision ~cache g] — all accepted
+    candidate kernels of [g], plus enumeration statistics. *)
+let identify ~max_tvm_prims ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
     ~(cache : Gpu.Profile_cache.t) (g : Primgraph.t) : Candidate.t array * stats =
   Obs.Span.with_ ~name:"identify" ~args:[ ("nodes", Obs.Jsonw.Int (Graph.length g)) ]
   @@ fun () ->
@@ -76,7 +71,7 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
      primitive count. Nothing larger than the profiler's biggest
      acceptable kernel (a generated one, or a vendor primitive with its
      companions) is worth keeping. *)
-  let max_prims = kernel_cap cfg in
+  let max_prims = kernel_cap ~max_tvm_prims in
   (* Distinct convex subgraphs from pairwise differences. *)
   let subgraphs = Bitset.Table.create 256 in
   List.iter
@@ -112,7 +107,7 @@ let identify (cfg : config) ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t)
         (fun outputs ->
           incr profiled;
           match
-            Gpu.Profile_cache.profile ~facts ~ext_inputs cache cfg.profiler ~spec ~precision g
+            Gpu.Profile_cache.profile ~facts ~ext_inputs cache ~max_tvm_prims ~spec ~precision g
               members ~outputs
           with
           | Some r ->

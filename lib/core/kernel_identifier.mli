@@ -18,18 +18,11 @@ val max_boundary_enum : int
     enumeration at this many execution states (200,000). *)
 val max_states : int
 
-type config = {
-  profiler : Gpu.Profiler.config;
-      (** also caps enumerated subgraphs at the largest kernel it can
-          accept: [max_tvm_prims], or a vendor primitive with its
-          companions (§6.5) *)
-}
-
-val default_config : config
-
-(** [kernel_cap cfg] — the largest kernel, in primitives, that
-    enumeration keeps: the largest the profiler can accept. *)
-val kernel_cap : config -> int
+(** [kernel_cap ~max_tvm_prims] — the largest kernel, in primitives, that
+    enumeration keeps: the largest the profiler can accept under that
+    cap, a generated kernel of [max_tvm_prims] or a vendor primitive with
+    its companions (§6.5). *)
+val kernel_cap : max_tvm_prims:int -> int
 
 type stats = {
   states : int;
@@ -51,11 +44,13 @@ type stats = {
     was skipped or failed entirely. *)
 val empty_stats : stats
 
-(** [identify cfg ~spec ~precision ~cache g] — all accepted candidate
-    kernels of [g] plus enumeration statistics. Structurally identical
-    candidates are profiled once via [cache] (the paper's TVM database). *)
+(** [identify ~max_tvm_prims ~spec ~precision ~cache g] — all accepted
+    candidate kernels of [g] plus enumeration statistics, profiled under
+    the generated-kernel cap [max_tvm_prims] ({!Gpu.Profiler.profile}).
+    Structurally identical candidates are profiled once via [cache] (the
+    paper's TVM database). *)
 val identify :
-  config ->
+  max_tvm_prims:int ->
   spec:Gpu.Spec.t ->
   precision:Gpu.Precision.t ->
   cache:Gpu.Profile_cache.t ->

@@ -16,9 +16,7 @@
     its settled-state budget or a worker-domain death degrades that one
     segment instead of aborting the run. The unfused strategy is always
     constructible and always schedulable (each kernel waits only on graph
-    predecessors), so the ladder has a guaranteed floor. [fail_fast]
-    restores the old behaviour of raising at the first per-segment
-    failure. *)
+    predecessors), so the ladder has a guaranteed floor. *)
 
 open Ir
 
@@ -28,20 +26,16 @@ module Error = struct
   type site =
     | Transform
     | Enumerate
-    | Profile
     | Solve
     | Schedule
-    | Worker
     | Stitch
     | Verify
 
   let site_to_string = function
     | Transform -> "transform"
     | Enumerate -> "enumerate"
-    | Profile -> "profile"
     | Solve -> "solve"
     | Schedule -> "schedule"
-    | Worker -> "worker"
     | Stitch -> "stitch"
     | Verify -> "verify"
 
@@ -107,9 +101,6 @@ type deadline = { at_s : float; total_s : float }
 
 let deadline_in total_s = { at_s = Obs.Clock.now_s () +. total_s; total_s }
 
-(** Graph expansions per segment transformation search. *)
-let transform_budget = 40
-
 (** Per-segment solver budget as a count of settled search states — a
     deterministic measure of solver work, unlike CPU time, so a segment
     that exhausts it does so for every [jobs] value and on every run. It
@@ -121,7 +112,7 @@ let settled_state_limit = 100_000
 type config = {
   spec : Gpu.Spec.t;
   precision : Gpu.Precision.t;
-  identifier : Kernel_identifier.config;
+  max_tvm_prims : int;  (** kernel cap: primitives per generated kernel *)
   partition_max_prims : int;
   use_transform : bool;
   allow_redundancy : bool;
@@ -144,15 +135,6 @@ type config = {
           of its candidates with a budget counted in settled states. CLI
           and bench entry points default to
           {!Parallel.Domain_pool.default_jobs} instead *)
-  fail_fast : bool;
-      (** raise {!Orchestration_failed} at the first per-segment failure
-          instead of walking the degradation ladder (the pre-ladder
-          behaviour). Stitch and final-verification failures always
-          raise — there is no sound plan to degrade to at that point *)
-  faults : (Faults.site * Faults.spec) list;
-      (** fault-injection policy installed (with [fault_seed]) for the
-          duration of the run; [[]] (default) leaves injection untouched *)
-  fault_seed : int;  (** seed for probabilistic fault rules *)
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). As the deadline approaches, each segment scales
@@ -168,15 +150,12 @@ let default_config =
   {
     spec = Gpu.Spec.v100;
     precision = Gpu.Precision.FP32;
-    identifier = Kernel_identifier.default_config;
+    max_tvm_prims = Gpu.Profiler.max_tvm_prims;
     partition_max_prims = 12;
     use_transform = true;
     allow_redundancy = true;
     check_invariants = true;
     jobs = 1;
-    fail_fast = false;
-    faults = [];
-    fault_seed = 1;
     deadline = None;
   }
 
@@ -288,15 +267,15 @@ let ensure_singletons (cfg : config) ~(cache : Gpu.Profile_cache.t) (g : Primgra
         let members = Bitset.add (Bitset.empty n) id in
         let outputs = [ id ] in
         let fallback_price () =
-          ( Gpu.Cost_model.latency_us cfg.identifier.Kernel_identifier.profiler.Gpu.Profiler.cost
-              ~spec:cfg.spec ~precision:cfg.precision ~backend:Gpu.Cost_model.OpaqueExec g
+          ( Gpu.Cost_model.latency_us ~spec:cfg.spec ~precision:cfg.precision
+              ~backend:Gpu.Cost_model.OpaqueExec g
               (Gpu.Stats.kernel_stats g members ~outputs),
             Gpu.Cost_model.OpaqueExec )
         in
         let latency_us, backend =
           match
-            Gpu.Profile_cache.profile cache cfg.identifier.Kernel_identifier.profiler
-              ~spec:cfg.spec ~precision:cfg.precision g members ~outputs
+            Gpu.Profile_cache.profile cache ~max_tvm_prims:cfg.max_tvm_prims ~spec:cfg.spec
+              ~precision:cfg.precision g members ~outputs
           with
           | Some r -> (r.Gpu.Profiler.latency_us, r.Gpu.Profiler.backend)
           | None -> fallback_price ()
@@ -429,7 +408,7 @@ let tier_counter = function
   | Unfused -> m_tier_unfused
 
 (* Solve one segment: the exact cheapest path, walking the degradation
-   ladder on failure unless [fail_fast]. *)
+   ladder on failure. *)
 let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     (seg : Partition.segment) : segment_result =
   Obs.Span.with_ ~name:"segment"
@@ -444,9 +423,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   let note site fmt =
     Printf.ksprintf
       (fun detail ->
-        if cfg.fail_fast then
-          raise (Orchestration_failed { Error.segment = Some seg_index; site; detail })
-        else if !fallback_reason = None then
+        if !fallback_reason = None then
           fallback_reason := Some (Printf.sprintf "%s: %s" (Error.site_to_string site) detail))
       fmt
   in
@@ -474,15 +451,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   let transform_attempt () =
     if past_deadline then Transform.Cse.run seg.Partition.local
     else if cfg.use_transform then
-      Transform.Optimizer.optimize
-        ~config:
-          {
-            Transform.Optimizer.spec = cfg.spec;
-            precision = cfg.precision;
-            budget = transform_budget;
-            profiler = cfg.identifier.Kernel_identifier.profiler;
-          }
-        seg.Partition.local
+      Transform.Optimizer.optimize ~spec:cfg.spec ~precision:cfg.precision seg.Partition.local
     else Transform.Cse.run seg.Partition.local
   in
   let (transformed, transform_degraded), transform_us =
@@ -493,7 +462,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       if cfg.check_invariants then begin
         match enforce ~segment:seg_index ~what:"transformed segment" (Verify.graph_check t) with
         | () -> (t, false)
-        | exception Orchestration_failed e when not cfg.fail_fast ->
+        | exception Orchestration_failed e ->
           (* A transformation produced a graph the analyses reject — fall
              back to the untransformed segment rather than execute it. *)
           if !fallback_reason = None then fallback_reason := Some (Error.to_string e);
@@ -523,19 +492,14 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     if past_deadline then ([||], Kernel_identifier.empty_stats)
     else
       match
-        Kernel_identifier.identify cfg.identifier ~spec:cfg.spec ~precision:cfg.precision
-          ~cache transformed
+        Kernel_identifier.identify ~max_tvm_prims:cfg.max_tvm_prims ~spec:cfg.spec
+          ~precision:cfg.precision ~cache transformed
       with
     | r -> r
     | exception Faults.Injected { site; hit } ->
       note Error.Enumerate "injected fault at %s (call %d)" (Faults.site_to_string site) hit;
       ([||], Kernel_identifier.empty_stats)
   in
-  (* Under [fail_fast], no identified candidates for a non-trivial segment
-     is fatal — the ladder would otherwise synthesize the unfused floor. *)
-  if cfg.fail_fast && Array.length candidates = 0
-     && Primgraph.non_source_nodes transformed <> []
-  then orch_fail ~segment:seg_index Error.Profile "no candidate kernels for segment";
   (* Ladder floor material: every primitive gets a singleton candidate. *)
   let candidates, singleton = ensure_singletons cfg ~cache transformed candidates in
   let (selected, latency_us, tier, settled_states), solve_us =
@@ -693,31 +657,28 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
              (fun (i, s) outcome ->
                match outcome with
                | Stdlib.Ok r -> r
-               | Stdlib.Error (e, bt) ->
-                 if cfg.fail_fast then Printexc.raise_with_backtrace e bt
-                 else begin
-                   (* The worker domain died mid-segment (injected fault or
-                      real crash): retry the whole segment sequentially on
-                      the main domain before degrading further. A failure
-                      of the retry itself is genuinely fatal. *)
-                   let r = solve_segment cfg ~cache ~seg_index:i s in
-                   let reason =
-                     Printf.sprintf "worker: retried on main domain after %s"
-                       (Printexc.to_string e)
-                   in
-                   {
-                     r with
-                     outcome =
-                       {
-                         r.outcome with
-                         retries = r.outcome.retries + 1;
-                         fallback_reason =
-                           (match r.outcome.fallback_reason with
-                           | Some existing -> Some (reason ^ "; " ^ existing)
-                           | None -> Some reason);
-                       };
-                   }
-                 end)
+               | Stdlib.Error (e, _) ->
+                 (* The worker domain died mid-segment (injected fault or
+                    real crash): retry the whole segment sequentially on
+                    the main domain before degrading further. A failure
+                    of the retry itself is genuinely fatal. *)
+                 let r = solve_segment cfg ~cache ~seg_index:i s in
+                 let reason =
+                   Printf.sprintf "worker: retried on main domain after %s"
+                     (Printexc.to_string e)
+                 in
+                 {
+                   r with
+                   outcome =
+                     {
+                       r.outcome with
+                       retries = r.outcome.retries + 1;
+                       fallback_reason =
+                         (match r.outcome.fallback_reason with
+                         | Some existing -> Some (reason ^ "; " ^ existing)
+                         | None -> Some reason);
+                     };
+                 })
              indexed
     in
     let (graph, kernels), stitch_us =
@@ -791,7 +752,7 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
       candidate_space =
         {
           window = cfg.partition_max_prims;
-          kernel_cap = Kernel_identifier.kernel_cap cfg.identifier;
+          kernel_cap = Kernel_identifier.kernel_cap ~max_tvm_prims:cfg.max_tvm_prims;
           output_subset_limit = Kernel_identifier.max_boundary_enum;
           state_guard = Kernel_identifier.max_states;
           settled_budget = settled_state_limit;
@@ -812,12 +773,8 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
         ];
     }
   in
-  let timed_body () =
-    let r, total_us = Obs.Clock.timed_us body in
-    { r with phase_us = r.phase_us @ [ ("total", total_us) ] }
-  in
-  if cfg.faults = [] then timed_body ()
-  else Faults.with_policy ~seed:cfg.fault_seed cfg.faults timed_body
+  let r, total_us = Obs.Clock.timed_us body in
+  { r with phase_us = r.phase_us @ [ ("total", total_us) ] }
 
 (** [run cfg g] — orchestrate an operator-level computation graph: apply
     operator fission, then {!run_primgraph}. *)

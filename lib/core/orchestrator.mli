@@ -14,8 +14,13 @@
     {!tier-Greedy} → {!tier-Unfused} — so a profiler crash, a solver that
     exhausts its settled-state budget or a worker-domain death degrades
     that one segment instead of aborting the run. The unfused floor (one kernel
-    per primitive) is always constructible and always schedulable.
-    [fail_fast] restores the old raise-at-first-failure behaviour. *)
+    per primitive) is always constructible and always schedulable. A
+    stitch or final-verification failure still raises
+    {!Orchestration_failed}: there is no sound plan to degrade to at that
+    point.
+
+    Fault injection is not configured here: tests and tools install a
+    policy around a run with {!Faults.with_policy} or {!Faults.install}. *)
 
 open Ir
 
@@ -25,10 +30,8 @@ module Error : sig
   type site =
     | Transform  (** transformation search on a segment *)
     | Enumerate  (** execution-state enumeration / kernel identification *)
-    | Profile  (** candidate profiling *)
     | Solve  (** the segment solver *)
     | Schedule  (** sequencing selected kernels *)
-    | Worker  (** a worker domain died solving a segment *)
     | Stitch  (** re-assembling per-segment graphs *)
     | Verify  (** a static-analysis boundary check *)
 
@@ -92,7 +95,11 @@ val settled_state_limit : int
 type config = {
   spec : Gpu.Spec.t;  (** target GPU datasheet *)
   precision : Gpu.Precision.t;  (** FP32 on V100, TF32 on A100 (§6.1) *)
-  identifier : Kernel_identifier.config;
+  max_tvm_prims : int;
+      (** the kernel cap: the most primitives one generated kernel may
+          hold ({!Gpu.Profiler.max_tvm_prims}, 10, by default). The
+          profiler rejects a larger one and enumeration keeps nothing
+          larger than {!Kernel_identifier.kernel_cap} of it *)
   partition_max_prims : int;  (** segment size bound (default 12) *)
   use_transform : bool;  (** run the TASO-style optimizer per segment *)
   allow_redundancy : bool;
@@ -118,20 +125,6 @@ type config = {
           candidate-index sequence and its budget counts settled states
           rather than time, so it returns the same path however many
           domains share the machine *)
-  fail_fast : bool;
-      (** raise {!Orchestration_failed} at the first per-segment failure
-          instead of walking the degradation ladder (the pre-ladder
-          behaviour). Off by default. Stitch and final-verification
-          failures always raise — there is no sound plan to degrade to
-          at that point *)
-  faults : (Faults.site * Faults.spec) list;
-      (** fault-injection policy installed (with [fault_seed]) for the
-          duration of the run via {!Faults.with_policy}; [[]] (default)
-          leaves whatever policy is already installed untouched *)
-  fault_seed : int;
-      (** seed for probabilistic fault rules (default 1). The same seed
-          and policy reproduce the same injections — and therefore the
-          same degraded plan — on every run *)
   deadline : deadline option;
       (** per-request wall-clock deadline ([None] = unconstrained, the
           default). Each segment samples the remaining fraction of the
@@ -238,16 +231,13 @@ type result = {
 
 (** [solve_segment cfg ~cache ?seg_index seg] — transform, identify,
     profile and solve one partition segment, walking the degradation
-    ladder on failure (or raising under [fail_fast]). Exposed for
-    diagnostics and benches. *)
+    ladder on failure. Exposed for diagnostics and benches. *)
 val solve_segment :
   config -> cache:Gpu.Profile_cache.t -> ?seg_index:int -> Partition.segment -> segment_result
 
 (** [run_primgraph cfg g] — orchestrate a primitive graph. The returned
     plan executes against [result.graph] (not [g]: transformations may
-    have rewritten it) via {!Runtime.Executor.run}. Installs the
-    [cfg.faults] injection policy for the duration of the call when it is
-    non-empty. *)
+    have rewritten it) via {!Runtime.Executor.run}. *)
 val run_primgraph : config -> Primgraph.t -> result
 
 (** [run cfg g] — apply operator fission to a computation graph, then

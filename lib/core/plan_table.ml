@@ -126,7 +126,7 @@ let node_shapes (g : Ir.Primgraph.t) : Tensor.Shape.t array =
 (** Re-price every kernel of [plan] on [g] with the cost model —
     [None] when any kernel's backend is not a cost-model backend (the
     unfused floor's pseudo-backend, or a forward-incompatible string). *)
-let reprice_plan (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
+let reprice_plan ~(spec : Gpu.Spec.t)
     ~(precision : Gpu.Precision.t) (g : Ir.Primgraph.t) (plan : Runtime.Plan.t) :
     float option =
   let n = Ir.Graph.length g in
@@ -138,7 +138,7 @@ let reprice_plan (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
       | Some backend ->
         let members = Ir.Bitset.of_list n k.Runtime.Plan.prims in
         let us =
-          Gpu.Cost_model.latency_us cost ~spec ~precision ~backend g
+          Gpu.Cost_model.latency_us ~spec ~precision ~backend g
             (Gpu.Stats.kernel_stats g members ~outputs:k.Runtime.Plan.outputs)
         in
         go (acc +. us) rest)
@@ -156,7 +156,7 @@ type probe_solution = {
     fit evaluated at [b] into the anchor graph. [None] when the run has
     fewer than two probes (nothing to fit), the fit is non-affine, or a
     kernel backend cannot be repriced. *)
-let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
+let run_cost_at ~(spec : Gpu.Spec.t)
     ~(precision : Gpu.Precision.t) (run : probe_solution list) (b : int) : float option =
   match run with
   | [] | [ _ ] -> None
@@ -170,7 +170,7 @@ let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
     | Error _ -> None
     | Ok fit ->
       let g = Gpu.Cost_model.substitute_shapes last.ps_graph (Ir.Batch_sym.shapes_at fit b) in
-      reprice_plan cost ~spec ~precision g last.ps_plan)
+      reprice_plan ~spec ~precision g last.ps_plan)
 
 (** Crossover batch between adjacent runs [a] (cheaper at its anchor) and
     [b] (cheaper at its first probe): the last batch in
@@ -179,15 +179,15 @@ let run_cost_at (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
     anchor boundary) whenever either run cannot be repriced or the
     repricing disagrees with orchestration at the endpoints — the
     symbolic layer refines, it never overrules. *)
-let refine_crossover (cost : Gpu.Cost_model.config) ~(spec : Gpu.Spec.t)
+let refine_crossover ~(spec : Gpu.Spec.t)
     ~(precision : Gpu.Precision.t) (a : probe_solution list) (b : probe_solution list) :
     int option =
   let a_anchor = (List.nth a (List.length a - 1)).ps_batch in
   let b_first = (List.hd b).ps_batch in
   if b_first - a_anchor <= 1 then None
   else
-    let cost_a x = run_cost_at cost ~spec ~precision a x in
-    let cost_b x = run_cost_at cost ~spec ~precision b x in
+    let cost_a x = run_cost_at ~spec ~precision a x in
+    let cost_b x = run_cost_at ~spec ~precision b x in
     match (cost_a a_anchor, cost_b a_anchor, cost_a b_first, cost_b b_first) with
     | Some caa, Some cba, Some cab, Some cbb when caa <= cba && cbb <= cab ->
       (* Walk up from the anchor; stop at the last batch where plan A is
@@ -232,7 +232,6 @@ let build (cfg : Orchestrator.config) ~(model : string)
       probes
   in
   let runs = group_runs sols in
-  let cost = cfg.Orchestrator.identifier.Kernel_identifier.profiler.Gpu.Profiler.cost in
   let spec = cfg.Orchestrator.spec and precision = cfg.Orchestrator.precision in
   (* Upper boundary of each non-final run: refined crossover when the
      symbolic layer can price both sides, the run's anchor otherwise. *)
@@ -240,7 +239,7 @@ let build (cfg : Orchestrator.config) ~(model : string)
     | [] | [ _ ] -> []
     | a :: (b :: _ as rest) ->
       let bound =
-        match refine_crossover cost ~spec ~precision a b with
+        match refine_crossover ~spec ~precision a b with
         | Some c -> (c, true)
         | None -> ((List.nth a (List.length a - 1)).ps_batch, false)
       in

@@ -222,7 +222,7 @@ let json_string ?meta ?execution (r : Orchestrator.result) : string =
    17 significant digits and [Onnx.Json] parses them back bit-identically,
    so write → read → write is a fixpoint. *)
 
-let jsonw_of_json = Onnx.Codec.encode Onnx.Codec.json
+let jsonw_of_json = Onnx.Json.to_jsonw
 
 let kernel_codec : Runtime.Plan.kernel Onnx.Codec.t =
   Onnx.Codec.(

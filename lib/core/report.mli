@@ -69,7 +69,7 @@ val plan_codec : Runtime.Plan.t Onnx.Codec.t
 val plan_to_json : Runtime.Plan.t -> Obs.Jsonw.t
 
 (** [jsonw_of_json j] — value-exact conversion of a parsed document to
-    the write-only AST ([Onnx.Codec.json]'s encoder). *)
+    the write-only AST ({!Onnx.Json.to_jsonw}). *)
 val jsonw_of_json : Onnx.Json.t -> Obs.Jsonw.t
 
 (** Schema [korch-plan-table/1]: model/GPU/precision, the batch interval,

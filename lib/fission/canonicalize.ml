@@ -88,6 +88,19 @@ let fold_batch_norms (g : Opgraph.t) : Opgraph.t =
         | [] -> ())
       | None -> ())
     g.Graph.nodes;
+  (* A constant is emitted only if a kept node reads it: a folded BN's
+     parameters and its conv's weights and bias would otherwise stay
+     behind as dead sources. *)
+  let read = Array.make (Graph.length g) false in
+  List.iter (fun o -> read.(o) <- true) g.Graph.outputs;
+  Array.iter
+    (fun nd ->
+      let id = nd.Graph.id in
+      match Hashtbl.find_opt plans id with
+      | Some plan -> read.(plan.x) <- true
+      | None ->
+        if not folded_conv.(id) then List.iter (fun i -> read.(i) <- true) nd.Graph.inputs)
+    g.Graph.nodes;
   List.iter
     (fun id ->
       let nd = Graph.node g id in
@@ -106,7 +119,7 @@ let fold_batch_norms (g : Opgraph.t) : Opgraph.t =
           remap.(id) <-
             (match nd.Graph.op with
             | Optype.Input name -> Opgraph.B.input b name nd.Graph.shape
-            | Optype.Constant c -> Opgraph.B.const b c
+            | Optype.Constant c -> if read.(id) then Opgraph.B.const b c else -1
             | op -> Opgraph.B.add b op inputs))
     (Graph.topo_order g);
   Opgraph.B.set_outputs b (List.map (fun i -> remap.(i)) g.Graph.outputs);

@@ -9,5 +9,7 @@ open Ir
     [Conv (const weights) → BatchNormInference (const parameters)] pair
     (where the Conv feeds only the BN) into a single biased Conv with
     recomputed constant weights. Semantics-preserving; other nodes are
-    copied unchanged. *)
+    copied unchanged, except a constant that no kept node reads (a
+    folded BN's parameters, the pre-fold conv weights), which is
+    dropped. *)
 val fold_batch_norms : Opgraph.t -> Opgraph.t

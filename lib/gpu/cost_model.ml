@@ -18,37 +18,24 @@
     extreme-aspect-ratio penalty that makes layout-folded MatMuls several
     times faster (Figure 8, ~3.5x). *)
 
-type config = {
-  tvm_base_eff : float;  (** achieved/peak bandwidth of a clean generated kernel *)
-  vendor_base_eff : float;  (** bandwidth efficiency of vendor library kernels *)
-  class_mix_penalty : float;  (** per extra primitive category in one kernel *)
-  codegen_decay : float;
-      (** coefficient of generated-code quality decay beyond
-          [codegen_free_prims] primitives *)
-  codegen_decay_exp : float;
-      (** superlinear exponent of the decay: auto-schedulers degrade
-          gracefully on mid-size fusions but fall off a cliff on very
-          large ones (the Figure 13 effect) *)
-  codegen_free_prims : int;
-  gemm_base_eff : float;  (** vendor GEMM efficiency at friendly shapes *)
-  gemm_tile : float;  (** dimension below which GEMM tiles are underfilled *)
-  ew_compute_eff : float;  (** CUDA-core efficiency of elementwise math *)
-  opaque_eff : float;
-}
+(* The model's coefficients. None is tuned per target: the GPU datasheet
+   ({!Spec}) carries everything that differs between targets. *)
 
-let default_config =
-  {
-    tvm_base_eff = 0.82;
-    vendor_base_eff = 0.90;
-    class_mix_penalty = 0.28;
-    codegen_decay = 0.05;
-    codegen_decay_exp = 1.7;
-    codegen_free_prims = 5;
-    gemm_base_eff = 0.88;
-    gemm_tile = 64.0;
-    ew_compute_eff = 0.70;
-    opaque_eff = 0.50;
-  }
+let tvm_base_eff = 0.82 (* achieved/peak bandwidth of a clean generated kernel *)
+let vendor_base_eff = 0.90 (* bandwidth efficiency of vendor library kernels *)
+let class_mix_penalty = 0.28 (* per extra primitive category in one kernel *)
+
+(* Generated-code quality decays beyond [codegen_free_prims] primitives,
+   superlinearly: auto-schedulers degrade gracefully on mid-size fusions
+   but fall off a cliff on very large ones (the Figure 13 effect). *)
+let codegen_decay = 0.05
+let codegen_decay_exp = 1.7
+let codegen_free_prims = 5
+
+let gemm_base_eff = 0.88 (* vendor GEMM efficiency at friendly shapes *)
+let gemm_tile = 64.0 (* dimension below which GEMM tiles are underfilled *)
+let ew_compute_eff = 0.70 (* CUDA-core efficiency of elementwise math *)
+let opaque_eff = 0.50
 
 type backend_kind = Tvm | Vendor | OpaqueExec
 
@@ -63,24 +50,24 @@ let backend_of_string = function
   | "opaque" -> Some OpaqueExec
   | _ -> None
 
-(** [gemm_efficiency cfg (m, n, k)] — fraction of peak matrix throughput a
+(** [gemm_efficiency (m, n, k)] — fraction of peak matrix throughput a
     vendor GEMM achieves. Thin matrices underfill tiles: efficiency decays
     linearly below [gemm_tile] in any dimension. *)
-let gemm_efficiency (cfg : config) ((m, n, k) : int * int * int) : float =
-  let dim_eff d = Float.min 1.0 (float_of_int d /. cfg.gemm_tile) in
-  cfg.gemm_base_eff *. dim_eff m *. dim_eff n *. Float.min 1.0 (dim_eff k *. 2.0)
+let gemm_efficiency ((m, n, k) : int * int * int) : float =
+  let dim_eff d = Float.min 1.0 (float_of_int d /. gemm_tile) in
+  gemm_base_eff *. dim_eff m *. dim_eff n *. Float.min 1.0 (dim_eff k *. 2.0)
 
-(** [memory_efficiency cfg ~spec ~backend stats] — achieved fraction of
+(** [memory_efficiency ~spec ~backend stats] — achieved fraction of
     peak bandwidth for this kernel. Generated (TVM) kernels additionally
     scale with the architecture's [tvm_maturity] (§6.2: TVM lags TensorRT
     on A100). *)
-let memory_efficiency (cfg : config) ~(spec : Spec.t) ~(backend : backend_kind)
+let memory_efficiency ~(spec : Spec.t) ~(backend : backend_kind)
     (s : Stats.kernel_stats) : float =
   let base =
     match backend with
-    | Tvm -> cfg.tvm_base_eff *. spec.Spec.tvm_maturity
-    | Vendor -> cfg.vendor_base_eff
-    | OpaqueExec -> cfg.opaque_eff
+    | Tvm -> tvm_base_eff *. spec.Spec.tvm_maturity
+    | Vendor -> vendor_base_eff
+    | OpaqueExec -> opaque_eff
   in
   (* Parallelism classes, not categories: elementwise, broadcast and
      layout primitives are all injective maps with identical parallelism,
@@ -98,34 +85,34 @@ let memory_efficiency (cfg : config) ~(spec : Spec.t) ~(backend : backend_kind)
   in
   let mix = Float.max 0.0 (float_of_int (List.length exec_classes - 1)) in
   let size_decay =
-    cfg.codegen_decay
-    *. (float_of_int (Stdlib.max 0 (s.Stats.n_prims - cfg.codegen_free_prims))
-       ** cfg.codegen_decay_exp)
+    codegen_decay
+    *. (float_of_int (Stdlib.max 0 (s.Stats.n_prims - codegen_free_prims))
+       ** codegen_decay_exp)
   in
-  base /. (1.0 +. (cfg.class_mix_penalty *. mix) +. size_decay)
+  base /. (1.0 +. (class_mix_penalty *. mix) +. size_decay)
 
-(** [latency_us cfg ~spec ~precision ~backend g s] — modelled latency in
+(** [latency_us ~spec ~precision ~backend g s] — modelled latency in
     microseconds of the kernel of [g] whose {!Stats.kernel_stats} are [s]. *)
-let latency_us (cfg : config) ~(spec : Spec.t) ~(precision : Precision.t)
+let latency_us ~(spec : Spec.t) ~(precision : Precision.t)
     ~(backend : backend_kind) (g : Ir.Primgraph.t) (s : Stats.kernel_stats) : float =
   let bytes_per = float_of_int (Precision.bytes_per_element precision) in
   let traffic_bytes =
     (s.Stats.read_elems +. s.Stats.extra_read_elems +. s.Stats.write_elems) *. bytes_per
   in
-  let mem_eff = memory_efficiency cfg ~spec ~backend s in
+  let mem_eff = memory_efficiency ~spec ~backend s in
   let mem_time_s = traffic_bytes /. (spec.Spec.mem_bw_gb_s *. 1e9 *. mem_eff) in
   let compute_time_s =
     match s.Stats.linear_prims with
     | [] ->
       let peak = Precision.vector_tflops spec precision *. 1e12 in
-      s.Stats.flops /. (peak *. cfg.ew_compute_eff)
+      s.Stats.flops /. (peak *. ew_compute_eff)
     | lins ->
       let peak = Precision.peak_tflops spec precision *. 1e12 in
       let eff =
         List.fold_left
           (fun acc id ->
             match Stats.linear_dims g id with
-            | Some dims -> Float.min acc (gemm_efficiency cfg dims)
+            | Some dims -> Float.min acc (gemm_efficiency dims)
             | None -> acc)
           1.0 lins
       in

@@ -48,12 +48,12 @@ let create ?(shards = default_shards) () : t =
 let shard_of (cache : t) (key : string) : shard =
   cache.shards.(Hashtbl.hash key mod Array.length cache.shards)
 
-(** [profile ?facts ?ext_inputs cache cfg ~spec ~precision g members
-    ~outputs] — {!Profiler.profile} with this table as its memo: a
+(** [profile ?facts ?ext_inputs cache ~max_tvm_prims ~spec ~precision g
+    members ~outputs] — {!Profiler.profile} with this table as its memo: a
     statically rejected candidate is neither signed nor looked up, and a
     miss prices the candidate under its shard lock. Safe to call from
     several domains. *)
-let profile ?facts ?ext_inputs (cache : t) (cfg : Profiler.config) ~(spec : Spec.t)
+let profile ?facts ?ext_inputs (cache : t) ~max_tvm_prims ~(spec : Spec.t)
     ~(precision : Precision.t) (g : Primgraph.t) (members : Bitset.t)
     ~(outputs : int list) : Profiler.result option =
   let memo key measure =
@@ -76,7 +76,7 @@ let profile ?facts ?ext_inputs (cache : t) (cfg : Profiler.config) ~(spec : Spec
           Hashtbl.replace sh.table key r;
           r)
   in
-  Profiler.profile ?facts ?ext_inputs ~memo cfg ~spec ~precision g members ~outputs
+  Profiler.profile ?facts ?ext_inputs ~memo ~max_tvm_prims ~spec ~precision g members ~outputs
 
 let sum_int (cache : t) f = Array.fold_left (fun a sh -> a + f sh) 0 cache.shards
 

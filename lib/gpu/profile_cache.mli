@@ -23,7 +23,7 @@ val profile :
   ?facts:Profiler.facts ->
   ?ext_inputs:int list ->
   t ->
-  Profiler.config ->
+  max_tvm_prims:int ->
   spec:Spec.t ->
   precision:Precision.t ->
   Primgraph.t ->

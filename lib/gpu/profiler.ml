@@ -10,12 +10,9 @@
 
 open Ir
 
-type config = {
-  cost : Cost_model.config;
-  max_tvm_prims : int;  (** "too many operators to generate within one kernel" (§6.5) *)
-}
-
-let default_config = { cost = Cost_model.default_config; max_tvm_prims = 10 }
+(** Default cap on a generated kernel's primitives: "too many operators
+    to generate within one kernel" (§6.5). *)
+let max_tvm_prims = 10
 
 (** Layout/elementwise primitives a vendor kernel can absorb around its
     linear primitive. *)
@@ -121,13 +118,13 @@ let m_rejected = Obs.Metrics.counter "profiler.rejected"
 
 (* Who would generate a kernel with statistics [s]; [None] is a static
    rejection. *)
-let backend (cfg : config) (s : Stats.kernel_stats) : Cost_model.backend_kind option =
+let backend ~max_tvm_prims (s : Stats.kernel_stats) : Cost_model.backend_kind option =
   if s.Stats.n_prims = 0 then None
   else if s.Stats.has_opaque then
     if s.Stats.n_prims = 1 then Some Cost_model.OpaqueExec else None
   else
     match s.Stats.linear_prims with
-    | [] -> if s.Stats.n_prims <= cfg.max_tvm_prims then Some Cost_model.Tvm else None
+    | [] -> if s.Stats.n_prims <= max_tvm_prims then Some Cost_model.Tvm else None
     | [ _ ] ->
       (* Vendor kernels absorb a few layout/elementwise/broadcast
          companions (transposed operands, bias/activation epilogues)
@@ -139,15 +136,15 @@ let backend (cfg : config) (s : Stats.kernel_stats) : Cost_model.backend_kind op
       else None
     | _ :: _ :: _ -> None (* multiple linear primitives: reject (§6.5) *)
 
-(** [profile ?facts ?ext_inputs ?memo cfg ~spec ~precision g members
-    ~outputs] — stats, backend, then signature and price for an accepted
-    candidate only. [None] means rejected. *)
-let profile ?facts ?ext_inputs ?(memo = fun _ measure -> measure ()) (cfg : config)
+(** [profile ?facts ?ext_inputs ?memo ~max_tvm_prims ~spec ~precision g
+    members ~outputs] — stats, backend, then signature and price for an
+    accepted candidate only. [None] means rejected. *)
+let profile ?facts ?ext_inputs ?(memo = fun _ measure -> measure ()) ~max_tvm_prims
     ~(spec : Spec.t) ~(precision : Precision.t) (g : Primgraph.t) (members : Bitset.t)
     ~(outputs : int list) : result option =
   let succs = Option.map (fun f -> f.succs) facts in
   let s = Stats.kernel_stats ?succs ?ext_inputs g members ~outputs in
-  match backend cfg s with
+  match backend ~max_tvm_prims s with
   | None ->
     Obs.Metrics.incr m_rejected;
     None
@@ -160,7 +157,7 @@ let profile ?facts ?ext_inputs ?(memo = fun _ measure -> measure ()) (cfg : conf
            Faults.check Faults.Profiler;
            Obs.Metrics.incr m_accepted;
            {
-             latency_us = Cost_model.latency_us cfg.cost ~spec ~precision ~backend g s;
+             latency_us = Cost_model.latency_us ~spec ~precision ~backend g s;
              backend;
              tuning_time_s = simulated_tuning_time ~backend sig_ s.Stats.n_prims;
            }))

@@ -11,13 +11,10 @@
 
 open Ir
 
-type config = {
-  cost : Cost_model.config;
-  max_tvm_prims : int;
-      (** "too many operators to generate within one kernel" (§6.5) *)
-}
-
-val default_config : config
+(** The default cap on a generated (TVM) kernel's primitives: "too many
+    operators to generate within one kernel" (§6.5): 10. Callers pass
+    the cap to {!profile} as [~max_tvm_prims]. *)
+val max_tvm_prims : int
 
 (** Layout/elementwise primitives a vendor kernel absorbs around its
     linear primitive (transposed operands, bias/activation epilogues):
@@ -56,15 +53,16 @@ val signature :
   precision:Precision.t ->
   string
 
-(** [profile ?facts ?ext_inputs ?memo cfg ~spec ~precision g members
-    ~outputs] — generate and profile one candidate kernel; [None] means
-    rejected. The one profiling path: {!Stats.kernel_stats} once, the
-    static backend rules on them, and only for a candidate they accept
-    the {!signature} once and the price from the same stats. [facts] and
-    [ext_inputs] (must be [Graph.external_inputs g members]) save
-    recomputing them. [memo key measure] decides whether the measurement
-    runs for signature [key] (default: always); {!Profile_cache} passes
-    its table lookup.
+(** [profile ?facts ?ext_inputs ?memo ~max_tvm_prims ~spec ~precision g
+    members ~outputs] — generate and profile one candidate kernel; [None]
+    means rejected, among others a generated kernel of more than
+    [max_tvm_prims] primitives. The one profiling path:
+    {!Stats.kernel_stats} once, the static backend rules on them, and only
+    for a candidate they accept the {!signature} once and the price from
+    the same stats. [facts] and [ext_inputs] (must be
+    [Graph.external_inputs g members]) save recomputing them. [memo key
+    measure] decides whether the measurement runs for signature [key]
+    (default: always); {!Profile_cache} passes its table lookup.
 
     The measurement carries the {!Faults.site-Profiler} injection site: an
     installed policy can make it raise {!Faults.Injected} (callers treat
@@ -73,7 +71,7 @@ val profile :
   ?facts:facts ->
   ?ext_inputs:int list ->
   ?memo:(string -> (unit -> result) -> result) ->
-  config ->
+  max_tvm_prims:int ->
   spec:Spec.t ->
   precision:Precision.t ->
   Primgraph.t ->

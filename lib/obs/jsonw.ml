@@ -1,7 +1,6 @@
 (** Minimal JSON writer (no parser — reports and traces are write-only
-    from this side; tests parse them back with [Onnx.Json]). Same house
-    style as [lib/onnx]: a small value type and a buffer printer, no
-    dependencies. *)
+    from this side; [Onnx.Json] parses them back). The one JSON printer:
+    [Onnx.Json.to_string] converts and prints through it. *)
 
 type t =
   | Null

@@ -1,5 +1,6 @@
 (** Minimal JSON writer for reports and traces (write-only; [Onnx.Json]
-    parses the output back in tests). *)
+    parses the output back, and prints its own documents through
+    {!to_string}). *)
 
 type t =
   | Null
@@ -14,7 +15,3 @@ type t =
     always parses; integer-valued floats print without a decimal point,
     others with 17 significant digits (round-trip exact). *)
 val to_string : t -> string
-
-(** [escape_string s] — the body of the JSON string literal for [s]
-    (shared with [Onnx.Json]'s printer). *)
-val escape_string : string -> string

@@ -52,15 +52,7 @@ let enum cases =
       | Some v -> v
       | None -> fail (Printf.sprintf "unknown value %S" s))
 
-let rec jsonw_of_json : Json.t -> Obs.Jsonw.t = function
-  | Json.Null -> Obs.Jsonw.Null
-  | Json.Bool b -> Obs.Jsonw.Bool b
-  | Json.Num n -> Obs.Jsonw.Float n
-  | Json.Str s -> Obs.Jsonw.Str s
-  | Json.List l -> Obs.Jsonw.List (List.map jsonw_of_json l)
-  | Json.Obj kvs -> Obs.Jsonw.Obj (List.map (fun (k, v) -> (k, jsonw_of_json v)) kvs)
-
-let json = custom ~encode:jsonw_of_json ~decode:Fun.id
+let json = custom ~encode:Json.to_jsonw ~decode:Fun.id
 
 (* ------------------------------ objects ------------------------------ *)
 

@@ -15,41 +15,18 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printer                                                             *)
 
-let rec print_to buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (Obs.Jsonw.escape_string s);
-    Buffer.add_char buf '"'
-  | List l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        print_to buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        print_to buf (Str k);
-        Buffer.add_char buf ':';
-        print_to buf v)
-      fields;
-    Buffer.add_char buf '}'
+(** [to_jsonw j] — the same document in the write-only AST, value for
+    value. *)
+let rec to_jsonw : t -> Obs.Jsonw.t = function
+  | Null -> Obs.Jsonw.Null
+  | Bool b -> Obs.Jsonw.Bool b
+  | Num n -> Obs.Jsonw.Float n
+  | Str s -> Obs.Jsonw.Str s
+  | List l -> Obs.Jsonw.List (List.map to_jsonw l)
+  | Obj kvs -> Obs.Jsonw.Obj (List.map (fun (k, v) -> (k, to_jsonw v)) kvs)
 
-(** [to_string j] — compact JSON text. *)
-let to_string (j : t) : string =
-  let buf = Buffer.create 1024 in
-  print_to buf j;
-  Buffer.contents buf
+(** [to_string j] — compact JSON text, printed by {!Obs.Jsonw}. *)
+let to_string (j : t) : string = Obs.Jsonw.to_string (to_jsonw j)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)

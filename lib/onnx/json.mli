@@ -11,8 +11,14 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Compact (whitespace-free) rendering; integers print without a decimal
-    point, other numbers with 17 significant digits (round-trip exact). *)
+(** [to_jsonw j] — value-exact conversion to the write-only AST of
+    {!Obs.Jsonw}, which prints every document of the system. *)
+val to_jsonw : t -> Obs.Jsonw.t
+
+(** Compact (whitespace-free) rendering through {!Obs.Jsonw.to_string}:
+    integers print without a decimal point, other finite numbers with 17
+    significant digits (round-trip exact), and a non-finite number as
+    [null]. *)
 val to_string : t -> string
 
 (** Raised by {!of_string} with a message and the byte offset. *)

@@ -7,8 +7,6 @@ type config = {
   cache_dir : string;
   jobs : int;
   queue_limit : int;
-  gpu : Gpu.Spec.t;
-  precision : Gpu.Precision.t;
   orch : Korch.Orchestrator.config;
   metrics_out : string option;
   verbose : bool;
@@ -21,8 +19,6 @@ let default_config =
     cache_dir = Filename.concat tmp "korch-plan-cache";
     jobs = 2;
     queue_limit = 16;
-    gpu = Gpu.Spec.v100;
-    precision = Gpu.Precision.FP32;
     orch = Korch.Orchestrator.default_config;
     metrics_out = None;
     verbose = false;
@@ -121,7 +117,7 @@ let resolve_workload (r : Protocol.request) : Opgraph.t * string =
 
 let spec_of_request t (r : Protocol.request) : Gpu.Spec.t =
   match r.Protocol.gpu with
-  | None -> t.cfg.gpu
+  | None -> t.cfg.orch.Korch.Orchestrator.spec
   | Some name -> (
     match Gpu.Spec.by_name name with
     | Some s -> s
@@ -129,7 +125,7 @@ let spec_of_request t (r : Protocol.request) : Gpu.Spec.t =
 
 let precision_of_request t (r : Protocol.request) : Gpu.Precision.t =
   match r.Protocol.precision with
-  | None -> t.cfg.precision
+  | None -> t.cfg.orch.Korch.Orchestrator.precision
   | Some name -> (
     match Gpu.Precision.of_string name with
     | Some p -> p

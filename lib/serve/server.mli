@@ -47,11 +47,10 @@ type config = {
   cache_dir : string;  (** durable plan-cache directory *)
   jobs : int;  (** request-handling worker domains ([<= 1] = inline) *)
   queue_limit : int;  (** max in-flight heavy requests before shedding *)
-  gpu : Gpu.Spec.t;  (** default target (requests may override) *)
-  precision : Gpu.Precision.t;  (** default precision *)
   orch : Korch.Orchestrator.config;
-      (** base orchestration config; per-request deadline/spec/precision
-          are layered on top *)
+      (** base orchestration config. Its [spec] and [precision] are the
+          defaults a request without [gpu]/[precision] gets; a request's
+          deadline, spec and precision are layered on top *)
   metrics_out : string option;
       (** when set, the full metrics snapshot is re-published (atomic
           rename) to this path after every request — so the file is

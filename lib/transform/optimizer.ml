@@ -10,23 +10,11 @@
 
 open Ir
 
-type config = {
-  spec : Gpu.Spec.t;
-  precision : Gpu.Precision.t;
-  budget : int;  (** maximum number of graph expansions *)
-  profiler : Gpu.Profiler.config;
-}
-
 (** Accept graphs within [alpha × best] cost. *)
 let alpha = 1.08
 
-let default_config =
-  {
-    spec = Gpu.Spec.v100;
-    precision = Gpu.Precision.FP32;
-    budget = 60;
-    profiler = Gpu.Profiler.default_config;
-  }
+(** Graph expansions per search. *)
+let budget = 40
 
 let all_rules : (string * (Primgraph.t -> Primgraph.t list)) list =
   [
@@ -38,10 +26,10 @@ let all_rules : (string * (Primgraph.t -> Primgraph.t list)) list =
     ("layout_cancel", Rules_layout_cancel.apply);
   ]
 
-(** [cost_proxy cfg g] — sum of single-primitive kernel latencies: a fast,
-    fusion-agnostic stand-in for the orchestrated cost used only to rank
-    graphs during search. *)
-let cost_proxy (cfg : config) (g : Primgraph.t) : float =
+(** [cost_proxy ~spec ~precision g] — sum of single-primitive kernel
+    latencies: a fast, fusion-agnostic stand-in for the orchestrated cost
+    used only to rank graphs during search. *)
+let cost_proxy ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Primgraph.t) : float =
   let n = Graph.length g in
   Array.fold_left
     (fun acc nd ->
@@ -49,13 +37,13 @@ let cost_proxy (cfg : config) (g : Primgraph.t) : float =
       else
         let members = Bitset.add (Bitset.empty n) nd.Graph.id in
         match
-          Gpu.Profiler.profile cfg.profiler ~spec:cfg.spec ~precision:cfg.precision g members
-            ~outputs:[ nd.Graph.id ]
+          Gpu.Profiler.profile ~max_tvm_prims:Gpu.Profiler.max_tvm_prims ~spec ~precision g
+            members ~outputs:[ nd.Graph.id ]
         with
         | Some r -> acc +. r.Gpu.Profiler.latency_us
         | None ->
           (* Opaque or unsupported alone: charge a conservative default. *)
-          acc +. (2.0 *. cfg.spec.Gpu.Spec.launch_overhead_us))
+          acc +. (2.0 *. spec.Gpu.Spec.launch_overhead_us))
     0.0 g.Graph.nodes
 
 let graph_fingerprint (g : Primgraph.t) : string =
@@ -76,10 +64,11 @@ module Pq = Map.Make (struct
   let compare = compare
 end)
 
-(** [optimize ?config g] — search for a cheaper equivalent primitive graph.
-    Returns the best graph found (possibly [g] itself). CSE and constant
-    folding run on every candidate. *)
-let optimize ?(config = default_config) (g : Primgraph.t) : Primgraph.t =
+(** [optimize ~spec ~precision g] — search for a cheaper equivalent
+    primitive graph. Returns the best graph found (possibly [g] itself).
+    CSE and constant folding run on every candidate. *)
+let optimize ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Primgraph.t) :
+    Primgraph.t =
   (* A transformation search can blow up on an adversarial graph; the
      injection site lets tests force that and exercise the orchestrator's
      fallback to plain CSE. *)
@@ -88,7 +77,7 @@ let optimize ?(config = default_config) (g : Primgraph.t) : Primgraph.t =
   let g0 = clean g in
   let seen = Hashtbl.create 64 in
   Hashtbl.replace seen (graph_fingerprint g0) ();
-  let c0 = cost_proxy config g0 in
+  let c0 = cost_proxy ~spec ~precision g0 in
   let best = ref (g0, c0) in
   let queue = ref Pq.empty in
   let counter = ref 0 in
@@ -98,7 +87,7 @@ let optimize ?(config = default_config) (g : Primgraph.t) : Primgraph.t =
   in
   push g0 c0;
   let expansions = ref 0 in
-  while (not (Pq.is_empty !queue)) && !expansions < config.budget do
+  while (not (Pq.is_empty !queue)) && !expansions < budget do
     let key, g = Pq.min_binding !queue in
     queue := Pq.remove key !queue;
     incr expansions;
@@ -110,7 +99,7 @@ let optimize ?(config = default_config) (g : Primgraph.t) : Primgraph.t =
             let fp = graph_fingerprint g' in
             if not (Hashtbl.mem seen fp) then begin
               Hashtbl.replace seen fp ();
-              let c' = cost_proxy config g' in
+              let c' = cost_proxy ~spec ~precision g' in
               if c' < snd !best then best := (g', c');
               if c' <= alpha *. snd !best then push g' c'
             end)

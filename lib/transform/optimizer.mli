@@ -6,18 +6,10 @@
     model). The cheapest graph is expanded by applying every rewrite rule
     at every site; results within 1.08× of the best cost are kept —
     TASO's relaxed acceptance, which lets locally-worse graphs enable
-    globally-better ones. Terminates via the expansion [budget]. *)
+    globally-better ones. Terminates after a fixed budget of 40 graph
+    expansions. *)
 
 open Ir
-
-type config = {
-  spec : Gpu.Spec.t;
-  precision : Gpu.Precision.t;
-  budget : int;  (** maximum number of graph expansions *)
-  profiler : Gpu.Profiler.config;
-}
-
-val default_config : config
 
 (** The rewrite rule registry: reduce→MatMul (Figure 2b), Div⋄MatMul swap,
     shared-operand MatMul merging (Figure 9), transpose movement,
@@ -26,14 +18,16 @@ val default_config : config
     (property-tested). *)
 val all_rules : (string * (Primgraph.t -> Primgraph.t list)) list
 
-(** [cost_proxy cfg g] — the search heuristic: fusion-agnostic sum of
-    single-primitive kernel latencies. *)
-val cost_proxy : config -> Primgraph.t -> float
+(** [cost_proxy ~spec ~precision g] — the search heuristic:
+    fusion-agnostic sum of single-primitive kernel latencies, each priced
+    under the default {!Gpu.Profiler.max_tvm_prims}. *)
+val cost_proxy : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> float
 
 (** [graph_fingerprint g] — structural hash used to deduplicate the search
     frontier. *)
 val graph_fingerprint : Primgraph.t -> string
 
-(** [optimize ?config g] — search for a cheaper equivalent graph; returns
-    the best found (possibly [g] itself, CSE/constant-folded). *)
-val optimize : ?config:config -> Primgraph.t -> Primgraph.t
+(** [optimize ~spec ~precision g] — search for a cheaper equivalent graph
+    for [spec] at [precision]; returns the best found (possibly [g]
+    itself, CSE/constant-folded). *)
+val optimize : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> Primgraph.t

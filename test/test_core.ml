@@ -62,8 +62,8 @@ let test_states_width_explosion_guard () =
 (* ---------------- kernel identification ---------------- *)
 
 let identify g =
-  Korch.Kernel_identifier.identify Korch.Kernel_identifier.default_config ~spec:Gpu.Spec.v100
-    ~precision:Gpu.Precision.FP32 ~cache:(Gpu.Profile_cache.create ()) g
+  Korch.Kernel_identifier.identify ~max_tvm_prims:Gpu.Profiler.max_tvm_prims
+    ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache:(Gpu.Profile_cache.create ()) g
 
 let test_identifier_chain_counts () =
   (* A chain of n <= max_tvm_prims primitives has n(n+1)/2 contiguous
@@ -308,7 +308,7 @@ let test_solver_keeps_every_candidate () =
   in
   let cands = r.Korch.Orchestrator.candidates in
   let identified, _ =
-    Korch.Kernel_identifier.identify cfg.Korch.Orchestrator.identifier
+    Korch.Kernel_identifier.identify ~max_tvm_prims:cfg.Korch.Orchestrator.max_tvm_prims
       ~spec:cfg.Korch.Orchestrator.spec ~precision:cfg.Korch.Orchestrator.precision
       ~cache:(Gpu.Profile_cache.create ()) r.Korch.Orchestrator.transformed
   in

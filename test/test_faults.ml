@@ -96,9 +96,9 @@ let build_model (e : Models.Registry.entry) =
 let run_checked ~label ?(jobs = 1) ?(fault_seed = 1) ~faults (e : Models.Registry.entry) :
     Korch.Orchestrator.result =
   let g = build_model e in
-  let cfg = { Korch.Orchestrator.default_config with jobs; faults; fault_seed } in
+  let cfg = { Korch.Orchestrator.default_config with jobs } in
   let r =
-    match Korch.Orchestrator.run cfg g with
+    match Faults.with_policy ~seed:fault_seed faults (fun () -> Korch.Orchestrator.run cfg g) with
     | r -> r
     | exception exn ->
       Alcotest.failf "%s: orchestration died instead of degrading: %s" label
@@ -248,21 +248,6 @@ let test_same_seed_same_degraded_plan () =
   Alcotest.(check bool) "same seed, same degraded plan" true
     (plan_fingerprint a = plan_fingerprint b)
 
-let test_fail_fast_raises_structured () =
-  let g = build_model Models.Registry.candy in
-  let cfg =
-    { Korch.Orchestrator.default_config with
-      fail_fast = true;
-      faults = [ (Faults.Ilp_solve, Faults.Always) ];
-    }
-  in
-  match Korch.Orchestrator.run cfg g with
-  | _ -> Alcotest.fail "expected Orchestration_failed under fail_fast"
-  | exception Korch.Orchestrator.Orchestration_failed err ->
-    Alcotest.(check bool) "solve site" true (err.Korch.Orchestrator.Error.site = Korch.Orchestrator.Error.Solve);
-    Alcotest.(check bool) "segment attributed" true
-      (err.Korch.Orchestrator.Error.segment <> None)
-
 let () =
   Alcotest.run "faults"
     [
@@ -282,7 +267,5 @@ let () =
           Alcotest.test_case "onnx_parse" `Quick test_inject_onnx_parse ] );
       ( "determinism",
         [ Alcotest.test_case "same fault seed, same plan" `Slow
-            test_same_seed_same_degraded_plan;
-          Alcotest.test_case "fail_fast raises structured" `Quick
-            test_fail_fast_raises_structured ] );
+            test_same_seed_same_degraded_plan ] );
     ]

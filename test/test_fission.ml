@@ -184,6 +184,22 @@ let test_bn_fold () =
     Alcotest.(check bool) "fold preserves semantics" true (Nd.allclose ~rtol:1e-6 ~atol:1e-7 e a)
   | _ -> Alcotest.fail "arity"
 
+(* Folding drops the BN parameters and pre-fold weights it replaced:
+   every constant left in a folded zoo model has a consumer. *)
+let test_bn_fold_no_dead_constants () =
+  List.iter
+    (fun e ->
+      let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+      let succs = Graph.succs g in
+      Array.iter
+        (fun nd ->
+          match nd.Graph.op with
+          | Optype.Constant _ when succs.(nd.Graph.id) = [] ->
+            Alcotest.failf "%s: constant %d has no consumer" e.Models.Registry.name nd.Graph.id
+          | _ -> ())
+        g.Graph.nodes)
+    Models.Registry.all
+
 (* Whole-model equivalence on the small registry variants. *)
 let test_models_equivalent () =
   List.iter
@@ -224,7 +240,9 @@ let () =
       ( "structure",
         [ Alcotest.test_case "granularity" `Quick test_fission_granularity;
           Alcotest.test_case "opaque topk" `Quick test_opaque_topk;
-          Alcotest.test_case "bn fold" `Quick test_bn_fold ] );
+          Alcotest.test_case "bn fold" `Quick test_bn_fold;
+          Alcotest.test_case "bn fold leaves no dead constants" `Quick
+            test_bn_fold_no_dead_constants ] );
       ( "models",
         [ Alcotest.test_case "small models equivalent" `Slow test_models_equivalent ] );
     ]

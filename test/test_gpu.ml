@@ -6,7 +6,7 @@ open Ir
 
 let spec = Gpu.Spec.v100
 let precision = Gpu.Precision.FP32
-let cfg = Gpu.Profiler.default_config
+let max_tvm_prims = Gpu.Profiler.max_tvm_prims
 
 (* Small primitive graphs to profile. *)
 
@@ -36,7 +36,7 @@ let all_members g =
 let profile_all g =
   let members = all_members g in
   let outputs = g.Graph.outputs in
-  Gpu.Profiler.profile cfg ~spec ~precision g members ~outputs
+  Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g members ~outputs
 
 (* ---------------- Figure 5 trends ---------------- *)
 
@@ -71,7 +71,8 @@ let test_fusion_beats_separate_kernels () =
     List.map
       (fun id ->
         let members = Bitset.of_list (Graph.length g) [ id ] in
-        (Option.get (Gpu.Profiler.profile cfg ~spec ~precision g members ~outputs:[ id ]))
+        (Option.get
+           (Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g members ~outputs:[ id ]))
           .Gpu.Profiler.latency_us)
       (Primgraph.non_source_nodes g)
   in
@@ -98,8 +99,8 @@ let test_memory_scales_with_size () =
 
 let test_gemm_aspect_ratio_penalty () =
   (* A thin GEMM runs at a small fraction of peak (Figure 8's 3.5x). *)
-  let fat = Gpu.Cost_model.gemm_efficiency Gpu.Cost_model.default_config (512, 512, 512) in
-  let thin = Gpu.Cost_model.gemm_efficiency Gpu.Cost_model.default_config (4096, 8, 512) in
+  let fat = Gpu.Cost_model.gemm_efficiency (512, 512, 512) in
+  let thin = Gpu.Cost_model.gemm_efficiency (4096, 8, 512) in
   Alcotest.(check bool) "thin gemm inefficient" true (thin < fat /. 3.0);
   Alcotest.(check bool) "fat gemm near base" true (fat > 0.8)
 
@@ -161,9 +162,9 @@ let test_reject_vendor_with_reduction () =
   Alcotest.(check bool) "matmul + reduce rejected" true (profile_all g = None)
 
 let test_reject_oversized_tvm_kernel () =
-  let g, _ = ew_chain (cfg.Gpu.Profiler.max_tvm_prims + 1) 64 in
+  let g, _ = ew_chain (max_tvm_prims + 1) 64 in
   Alcotest.(check bool) "too many primitives rejected" true (profile_all g = None);
-  let g, _ = ew_chain cfg.Gpu.Profiler.max_tvm_prims 64 in
+  let g, _ = ew_chain max_tvm_prims 64 in
   Alcotest.(check bool) "at limit accepted" true (profile_all g <> None)
 
 let test_opaque_alone_only () =
@@ -214,7 +215,9 @@ let test_cache_counts_tuning_once () =
   let cache = Gpu.Profile_cache.create () in
   let g, out = ew_chain 2 1024 in
   let members = all_members g in
-  let p () = Gpu.Profile_cache.profile cache cfg ~spec ~precision g members ~outputs:[ out ] in
+  let p () =
+    Gpu.Profile_cache.profile cache ~max_tvm_prims ~spec ~precision g members ~outputs:[ out ]
+  in
   let r1 = Option.get (p ()) in
   let t1 = Gpu.Profile_cache.tuning_time_s cache in
   let r2 = Option.get (p ()) in
@@ -233,7 +236,7 @@ let test_static_reject_skips_cache_and_measurement () =
   let g = two_matmuls () in
   let cache = Gpu.Profile_cache.create () in
   let profile members =
-    Gpu.Profile_cache.profile cache cfg ~spec ~precision g
+    Gpu.Profile_cache.profile cache ~max_tvm_prims ~spec ~precision g
       (Bitset.of_list (Graph.length g) members)
       ~outputs:[ List.hd (List.rev members) ]
   in
@@ -310,7 +313,8 @@ let prop_fusion_never_loses =
           (fun acc id ->
             let members = Bitset.of_list (Graph.length g) [ id ] in
             acc
-            +. (Option.get (Gpu.Profiler.profile cfg ~spec ~precision g members ~outputs:[ id ]))
+            +. (Option.get
+                  (Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g members ~outputs:[ id ]))
                  .Gpu.Profiler.latency_us)
           0.0
           (Primgraph.non_source_nodes g)
@@ -322,13 +326,12 @@ let prop_gemm_efficiency_monotone =
   QCheck2.Test.make ~name:"gemm efficiency monotone and bounded" ~count:200
     QCheck2.Gen.(triple (int_range 1 512) (int_range 1 512) (int_range 1 512))
     (fun (m, n, k) ->
-      let c = Gpu.Cost_model.default_config in
-      let e = Gpu.Cost_model.gemm_efficiency c (m, n, k) in
+      let e = Gpu.Cost_model.gemm_efficiency (m, n, k) in
       e > 0.0
-      && e <= c.Gpu.Cost_model.gemm_base_eff +. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m + 64, n, k) >= e -. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m, n + 64, k) >= e -. 1e-9
-      && Gpu.Cost_model.gemm_efficiency c (m, n, k + 64) >= e -. 1e-9)
+      && e <= Gpu.Cost_model.gemm_base_eff +. 1e-9
+      && Gpu.Cost_model.gemm_efficiency (m + 64, n, k) >= e -. 1e-9
+      && Gpu.Cost_model.gemm_efficiency (m, n + 64, k) >= e -. 1e-9
+      && Gpu.Cost_model.gemm_efficiency (m, n, k + 64) >= e -. 1e-9)
 
 let gpu_properties =
   List.map QCheck_alcotest.to_alcotest

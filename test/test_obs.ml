@@ -297,18 +297,38 @@ let test_report_json_roundtrip name () =
 let test_candidate_space_window () =
   let entry = Option.get (Models.Registry.find "candy") in
   let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
-  let r =
-    Korch.Orchestrator.run
-      { Korch.Orchestrator.default_config with Korch.Orchestrator.partition_max_prims = 16 }
-      g
+  let space (cfg : Korch.Orchestrator.config) =
+    let r = Korch.Orchestrator.run cfg g in
+    match Onnx.Json.of_string (Korch.Report.json_string r) with
+    | Onnx.Json.Obj fields ->
+      let space = List.assoc "candidate_space" fields in
+      let int k = Onnx.Json.to_int_exn (Option.get (Onnx.Json.member k space)) in
+      (int "window", int "kernel_cap", r)
+    | _ -> Alcotest.fail "report is not a JSON object"
   in
-  match Onnx.Json.of_string (Korch.Report.json_string r) with
-  | Onnx.Json.Obj fields ->
-    let space = List.assoc "candidate_space" fields in
-    let int k = Onnx.Json.to_int_exn (Option.get (Onnx.Json.member k space)) in
-    Alcotest.(check int) "window" 16 (int "window");
-    Alcotest.(check int) "kernel cap unchanged" 10 (int "kernel_cap")
-  | _ -> Alcotest.fail "report is not a JSON object"
+  let window, cap, _ =
+    space { Korch.Orchestrator.default_config with Korch.Orchestrator.partition_max_prims = 16 }
+  in
+  Alcotest.(check int) "window" 16 window;
+  Alcotest.(check int) "kernel cap unchanged" 10 cap;
+  (* The cap reaches identification, not only the report. *)
+  let window, cap, r =
+    space { Korch.Orchestrator.default_config with Korch.Orchestrator.max_tvm_prims = 12 }
+  in
+  Alcotest.(check int) "window unchanged" 12 window;
+  Alcotest.(check int) "kernel cap" 12 cap;
+  let largest =
+    List.fold_left
+      (fun acc (s : Korch.Orchestrator.segment_result) ->
+        Array.fold_left
+          (fun acc (c : Korch.Candidate.t) ->
+            max acc (Ir.Bitset.cardinal c.Korch.Candidate.members))
+          acc s.Korch.Orchestrator.candidates)
+      0 r.Korch.Orchestrator.segments
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a candidate above the default cap (largest %d)" largest)
+    true (largest > 10)
 
 (* The segment solver's span carries its candidate count, the candidates
    left after exact duplicates are dropped, and their distinct input

@@ -37,6 +37,7 @@ let rec gen_json depth : Onnx.Json.t QCheck2.Gen.t =
       [ return Onnx.Json.Null;
         map (fun b -> Onnx.Json.Bool b) bool;
         map (fun f -> Onnx.Json.Num (Float.round (f *. 1e6) /. 1e6)) (float_range (-1e6) 1e6);
+        map (fun f -> Onnx.Json.Num f) (oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
         map (fun s -> Onnx.Json.Str s) (string_size ~gen:printable (int_range 0 10)) ]
   in
   if depth = 0 then leaf
@@ -52,6 +53,7 @@ let rec gen_json depth : Onnx.Json.t QCheck2.Gen.t =
 let rec json_equal (a : Onnx.Json.t) (b : Onnx.Json.t) =
   match (a, b) with
   | Onnx.Json.Num x, Onnx.Json.Num y -> Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x)
+  | Onnx.Json.Num x, Onnx.Json.Null -> not (Float.is_finite x)  (* printed as null *)
   | List x, List y -> List.length x = List.length y && List.for_all2 json_equal x y
   | Obj x, Obj y ->
     List.length x = List.length y

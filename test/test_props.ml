@@ -484,12 +484,12 @@ let prop_native_backend_differential =
 let identify_matches_reference (graphs : Primgraph.t list) : string option =
   let open Ir in
   let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
-  let icfg = Korch.Kernel_identifier.default_config in
+  let max_tvm_prims = Gpu.Profiler.max_tvm_prims in
   let cache = Gpu.Profile_cache.create () in
   (* Signature -> fresh profile of its first accepted candidate. *)
   let first = Hashtbl.create 256 in
   let check g =
-    let got, _ = Korch.Kernel_identifier.identify icfg ~spec ~precision ~cache g in
+    let got, _ = Korch.Kernel_identifier.identify ~max_tvm_prims ~spec ~precision ~cache g in
     let want = Hashtbl.create 64 in
     let states, _ = Korch.Exec_state.enumerate_bounded g ~max_states:max_int in
     List.iter
@@ -501,8 +501,7 @@ let identify_matches_reference (graphs : Primgraph.t list) : string option =
               let boundary = Graph.boundary_outputs g members in
               List.iter
                 (fun outputs ->
-                  Gpu.Profiler.profile icfg.Korch.Kernel_identifier.profiler ~spec ~precision g
-                    members ~outputs
+                  Gpu.Profiler.profile ~max_tvm_prims ~spec ~precision g members ~outputs
                   |> Option.iter (Hashtbl.replace want (Bitset.elements members, outputs)))
                 (if List.length boundary > Korch.Kernel_identifier.max_boundary_enum then
                    [ boundary ]
@@ -805,7 +804,7 @@ let prop_solver_matches_scan_on_graphs =
     ~count:100 ~print:print_fuzz_case gen_fuzz_case (fun c ->
       let g = build_fuzz_graph c.steps in
       let cands, _ =
-        Korch.Kernel_identifier.identify Korch.Kernel_identifier.default_config
+        Korch.Kernel_identifier.identify ~max_tvm_prims:Gpu.Profiler.max_tvm_prims
           ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 ~cache:(Gpu.Profile_cache.create ()) g
       in
       match List.find_map (fun disjoint -> same_solve ~disjoint g cands) [ false; true ] with

@@ -318,11 +318,11 @@ let test_edit_shape_guard () =
 
 let test_optimizer_preserves_and_improves () =
   let g = softmax_matmul_graph () in
-  let cfg = Transform.Optimizer.default_config in
-  let g' = Transform.Optimizer.optimize ~config:cfg g in
+  let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
+  let g' = Transform.Optimizer.optimize ~spec ~precision g in
   Alcotest.(check bool) "semantics preserved" true (equivalent g g');
-  let c = Transform.Optimizer.cost_proxy cfg g in
-  let c' = Transform.Optimizer.cost_proxy cfg g' in
+  let c = Transform.Optimizer.cost_proxy ~spec ~precision g in
+  let c' = Transform.Optimizer.cost_proxy ~spec ~precision g' in
   Alcotest.(check bool) "cost not worse" true (c' <= c +. 1e-9)
 
 let test_optimizer_idempotent_on_plain_graph () =
@@ -332,7 +332,7 @@ let test_optimizer_idempotent_on_plain_graph () =
   let r = Primgraph.B.add b (Primitive.Unary Primitive.Relu) [ x ] in
   Primgraph.B.set_outputs b [ r ];
   let g = Primgraph.B.finish b in
-  let g' = Transform.Optimizer.optimize g in
+  let g' = Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 g in
   Alcotest.(check int) "unchanged" (Graph.length g) (Graph.length g')
 
 (* qcheck: rules preserve semantics on random shapes *)
