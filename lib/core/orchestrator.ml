@@ -82,8 +82,9 @@ type outcome = {
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
   transform_degraded : bool;
-      (** transformation search failed; plain CSE (or the raw segment)
-          was used instead *)
+      (** transformation search failed; its starting point
+          ({!Transform.Optimizer.start}), or the raw segment, was used
+          instead *)
 }
 
 let ok_outcome = {
@@ -445,9 +446,9 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
   in
   if past_deadline then
     note Error.Solve "deadline exceeded before segment solve; taking the unfused floor";
-  (* Transformation search, degrading to plain CSE then the raw segment.
-     Past the deadline the search is skipped outright — CSE is the only
-     (cheap, deterministic) cleanup still worth paying for. *)
+  (* Transformation search, degrading to its starting point then the raw
+     segment. Past the deadline the search is skipped outright — CSE is
+     the only (cheap, deterministic) cleanup still worth paying for. *)
   let transform_attempt () =
     if past_deadline then Transform.Cse.run seg.Partition.local
     else if cfg.use_transform then
@@ -469,19 +470,17 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
           (seg.Partition.local, true)
       end
       else (t, false)
-    | exception Faults.Injected { site; hit } ->
-      note Error.Transform "injected fault at %s (call %d)" (Faults.site_to_string site) hit;
+    | exception ((Orchestration_failed _ | Stack_overflow | Out_of_memory) as e) -> raise e
+    | exception e ->
+      (match e with
+      | Faults.Injected { site; hit } ->
+        note Error.Transform "injected fault at %s (call %d)" (Faults.site_to_string site) hit
+      | e -> note Error.Transform "transformation search failed: %s" (Printexc.to_string e));
       (* CSE + constant folding is the search's own starting point: cheap,
          deterministic, semantics-preserving — and folding matters, since
          an unfolded segment can be exponentially wider to enumerate. If
          even that fails the raw segment is used untouched. *)
-      (match Transform.Constfold.run (Transform.Cse.run seg.Partition.local) with
-      | t -> (t, true)
-      | exception _ -> (seg.Partition.local, true))
-    | exception ((Orchestration_failed _ | Stack_overflow | Out_of_memory) as e) -> raise e
-    | exception e ->
-      note Error.Transform "transformation search failed: %s" (Printexc.to_string e);
-      (match Transform.Constfold.run (Transform.Cse.run seg.Partition.local) with
+      (match Transform.Optimizer.start seg.Partition.local with
       | t -> (t, true)
       | exception _ -> (seg.Partition.local, true))
   in

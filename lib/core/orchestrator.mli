@@ -71,8 +71,9 @@ type outcome = {
   fallback_reason : string option;
       (** first failure that pushed the segment down the ladder *)
   transform_degraded : bool;
-      (** transformation search failed; plain CSE (or the raw segment)
-          was used instead *)
+      (** transformation search failed; its starting point
+          ({!Transform.Optimizer.start}), or the raw segment, was used
+          instead *)
 }
 
 (** The outcome of an untroubled segment: [Optimal], no retries, no

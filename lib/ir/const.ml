@@ -3,7 +3,12 @@
     Model weights and transformation-introduced constants (e.g. the
     all-ones vector that turns ReduceSum into a MatMul, §3/Figure 2) are
     described symbolically so that cost-model-only pipelines never allocate
-    paper-scale tensors; the executor materializes them on demand. *)
+    paper-scale tensors; the executor materializes them on demand.
+
+    Constant folding inside the transformation search leaves its results
+    as [Folded] references into a table owned by that search; they are
+    evaluated once, for the graph the search returns, and every graph
+    outside it carries [Data] instead. *)
 
 open Tensor
 
@@ -15,6 +20,9 @@ type fill =
   | Randn_scaled of int * float
       (** deterministic normal data scaled by a factor (e.g. 1/sqrt fan-in) *)
   | Data of Nd.t  (** explicit payload *)
+  | Folded of int
+      (** entry [i] of one constant-folding table ({!Transform.Constfold}),
+          not yet evaluated *)
 
 type t = { shape : Shape.t; fill : fill }
 
@@ -36,6 +44,7 @@ let materialize (c : t) : Nd.t =
     let rng = Rng.create seed in
     Nd.create c.shape (fun _ -> scale *. Rng.normal rng)
   | Data nd -> nd
+  | Folded i -> invalid_arg (Printf.sprintf "Const.materialize: unresolved fold #%d" i)
 
 let equal (a : t) (b : t) =
   Shape.equal a.shape b.shape
@@ -46,6 +55,7 @@ let equal (a : t) (b : t) =
   | Randn x, Randn y -> x = y
   | Randn_scaled (x, s), Randn_scaled (y, t) -> x = y && s = t
   | Data x, Data y -> Nd.equal x y
+  | Folded x, Folded y -> x = y
   | _ -> false
 
 let to_string (c : t) =
@@ -56,6 +66,6 @@ let to_string (c : t) =
     | Value v -> Printf.sprintf "%g" v
     | Randn s -> Printf.sprintf "randn#%d" s
     | Randn_scaled (s, f) -> Printf.sprintf "randn#%d*%g" s f
-    | Data _ -> "data"
+    | Data _ | Folded _ -> "data"
   in
   Printf.sprintf "const%s(%s)" (Shape.to_string c.shape) fill

@@ -27,7 +27,13 @@ val cost_proxy : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> 
     frontier. *)
 val graph_fingerprint : Primgraph.t -> string
 
+(** [start g] — where the search starts: [g] after CSE and constant
+    folding, its folds materialized. The orchestrator falls back to it
+    when the search fails. *)
+val start : Primgraph.t -> Primgraph.t
+
 (** [optimize ~spec ~precision g] — search for a cheaper equivalent graph
-    for [spec] at [precision]; returns the best found (possibly [g]
-    itself, CSE/constant-folded). *)
+    for [spec] at [precision]; returns the best found (possibly {!start}
+    [g]). Folds made during the search stay unevaluated; only the
+    returned graph's are materialized. *)
 val optimize : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> Primgraph.t

@@ -224,7 +224,7 @@ let of_const (c : Const.t) : v =
   | Const.Zeros -> point 0.0
   | Const.Ones -> point 1.0
   | Const.Value x -> point x
-  | Const.Randn _ | Const.Randn_scaled _ -> input_fact
+  | Const.Randn _ | Const.Randn_scaled _ | Const.Folded _ -> input_fact
   | Const.Data nd ->
     Array.fold_left (fun acc x -> join acc (point x)) bottom nd.Nd.data
 

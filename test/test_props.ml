@@ -272,13 +272,19 @@ let fuzz_binaries =
   |]
 
 (* Build the graph from the step list. Tracks computed (non-source) node
-   ids and which of them are consumed, so sinks become graph outputs. *)
-let build_fuzz_graph (steps : (int * int * int) list) : Primgraph.t =
+   ids and which of them are consumed, so sinks become graph outputs.
+   With [consts], x1 and x2 are seeded constants, a constant 0.5 joins
+   the sources and matmul weights are constants, so whole subgraphs fold. *)
+let build_fuzz_graph ?(consts = false) (steps : (int * int * int) list) : Primgraph.t =
   let b = Primgraph.B.create () in
   let x0 = Primgraph.B.input b "x0" [| 2; 3 |] in
-  let x1 = Primgraph.B.input b "x1" [| 2; 3 |] in
-  let x2 = Primgraph.B.input b "x2" [| 3; 2 |] in
-  let nodes = ref [ x2; x1; x0 ] in
+  let source name shape c =
+    if consts then Primgraph.B.const b c else Primgraph.B.input b name shape
+  in
+  let x1 = source "x1" [| 2; 3 |] (Const.randn_scaled [| 2; 3 |] 1 0.5) in
+  let x2 = source "x2" [| 3; 2 |] (Const.randn [| 3; 2 |] 2) in
+  let half = if consts then [ Primgraph.B.const b (Const.value [| 2; 3 |] 0.5) ] else [] in
+  let nodes = ref (half @ [ x2; x1; x0 ]) in
   let consumed = Hashtbl.create 16 in
   let computed = ref [] in
   let pick sel = List.nth !nodes (sel mod List.length !nodes) in
@@ -327,7 +333,10 @@ let build_fuzz_graph (steps : (int * int * int) list) : Primgraph.t =
            without searching) *)
         if r1 = 2 then begin
           let k = s1.(1) in
-          let w = Primgraph.B.input b (Printf.sprintf "w%d" (List.length !nodes)) [| k; 2 |] in
+          let w =
+            if consts then Primgraph.B.const b (Const.randn_scaled [| k; 2 |] (List.length !nodes) 0.5)
+            else Primgraph.B.input b (Printf.sprintf "w%d" (List.length !nodes)) [| k; 2 |]
+          in
           nodes := w :: !nodes;
           emit Primitive.Matmul [ n1; w ]
         end
@@ -568,6 +577,97 @@ let prop_identify_random_graphs =
       match identify_matches_reference [ build_fuzz_graph c.steps ] with
       | None -> true
       | Some m -> QCheck2.Test.fail_report m)
+
+(* ------------------------------------------------------------------ *)
+(* Constant folding by shape vs the eager folder.                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The first difference between two graphs: a node's op, inputs or
+   shape, a constant payload's bits, or the outputs. An unresolved fold
+   on either side is a difference. *)
+let graph_diff (a : Primgraph.t) (b : Primgraph.t) : string option =
+  let bits (t : Nd.t) = Array.map Int64.bits_of_float t.Nd.data in
+  let same_op (x : Primitive.t) (y : Primitive.t) =
+    match (x, y) with
+    | Primitive.Constant { Const.fill = Const.Data p; _ }, Primitive.Constant { Const.fill = Const.Data q; _ }
+      ->
+      Shape.equal p.Nd.shape q.Nd.shape && bits p = bits q
+    | Primitive.Constant { Const.fill = Const.Data _ | Const.Folded _; _ }, _
+    | _, Primitive.Constant { Const.fill = Const.Data _ | Const.Folded _; _ } ->
+      false
+    | _ -> x = y
+  in
+  let show (nd : Primitive.t Graph.node) =
+    let op =
+      match nd.Graph.op with
+      | Primitive.Constant { Const.fill = Const.Folded j; _ } -> Printf.sprintf "unresolved fold #%d" j
+      | op -> Primitive.to_string op
+    in
+    Printf.sprintf "%s%s (%s)" op (Shape.to_string nd.Graph.shape)
+      (String.concat "," (List.map string_of_int nd.Graph.inputs))
+  in
+  let node_diff i =
+    let x = Graph.node a i and y = Graph.node b i in
+    if same_op x.Graph.op y.Graph.op && x.Graph.inputs = y.Graph.inputs
+       && Shape.equal x.Graph.shape y.Graph.shape
+    then None
+    else Some (Printf.sprintf "node %d: %s vs %s" i (show x) (show y))
+  in
+  if Graph.length a <> Graph.length b then
+    Some (Printf.sprintf "%d nodes vs %d" (Graph.length a) (Graph.length b))
+  else
+    match List.find_map node_diff (List.init (Graph.length a) Fun.id) with
+    | Some _ as d -> d
+    | None -> if a.Graph.outputs = b.Graph.outputs then None else Some "outputs differ"
+
+let folded_payloads (g : Primgraph.t) =
+  Array.fold_left
+    (fun n nd ->
+      match nd.Graph.op with Primitive.Constant { Const.fill = Const.Data _; _ } -> n + 1 | _ -> n)
+    0 g.Graph.nodes
+
+(* [Constfold.run] and [Optimizer.optimize] against the eager folder and
+   the search built on it; adds the payloads the eager side folded to
+   [folds]. *)
+let constfold_matches_eager ~folds (g : Primgraph.t) : string option =
+  let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
+  let check what got want =
+    folds := !folds + folded_payloads want - folded_payloads g;
+    Option.map (Printf.sprintf "%s: %s" what) (graph_diff got want)
+  in
+  match check "Constfold.run" (Transform.Constfold.run g) (Eager_constfold.run g) with
+  | Some _ as d -> d
+  | None ->
+    check "Optimizer.optimize"
+      (Transform.Optimizer.optimize ~spec ~precision g)
+      (Eager_constfold.optimize ~spec ~precision g)
+
+let test_constfold_zoo_segments () =
+  let max_prims = Korch.Orchestrator.default_config.Korch.Orchestrator.partition_max_prims in
+  let folds = ref 0 in
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let pg, _ =
+        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
+      in
+      List.iteri
+        (fun i seg ->
+          match constfold_matches_eager ~folds seg.Korch.Partition.local with
+          | None -> ()
+          | Some m -> Alcotest.failf "%s segment %d: %s" e.Models.Registry.name i m)
+        (Korch.Partition.split pg ~max_prims))
+    Models.Registry.all;
+  Alcotest.(check bool) (Printf.sprintf "folds compared (%d)" !folds) true (!folds > 0)
+
+let test_constfold_random_graphs () =
+  let folds = ref 0 in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| qcheck_seed |])
+    (QCheck2.Test.make ~name:"fold by shape = eager fold on random graphs with constants"
+       ~count:200 ~print:print_fuzz_case gen_fuzz_case (fun c ->
+         match constfold_matches_eager ~folds (build_fuzz_graph ~consts:true c.steps) with
+         | None -> true
+         | Some m -> QCheck2.Test.fail_report m));
+  Alcotest.(check bool) (Printf.sprintf "folds compared (%d)" !folds) true (!folds > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Segment solver: the cheapest path vs a brute-force oracle.          *)
@@ -866,4 +966,7 @@ let () =
       ( Printf.sprintf "identify diff (seed %#x)" qcheck_seed,
         Alcotest.test_case "test-scale zoo segments" `Quick test_identify_zoo_segments
         :: List.map to_alcotest [ prop_identify_random_graphs ] );
+      ( Printf.sprintf "constfold diff (seed %#x)" qcheck_seed,
+        [ Alcotest.test_case "test-scale zoo segments" `Quick test_constfold_zoo_segments;
+          Alcotest.test_case "random graphs with constants" `Quick test_constfold_random_graphs ] );
     ]

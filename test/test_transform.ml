@@ -287,6 +287,49 @@ let test_constfold () =
   in
   Alcotest.(check int) "constant add folded away" 0 adds
 
+(* [Constfold.fold_shape] against the evaluator: one case per primitive,
+   plus every parameter that shape inference accepts but evaluation
+   rejects. A fold is decided by shape, so the two must agree on whether
+   evaluation raises and on the shape it returns. *)
+let test_fold_shape_matches_eval () =
+  let open Primitive in
+  let cases =
+    [ (Unary Exp, [ [| 2; 3 |] ]);
+      (Binary Add, [ [| 2; 3 |]; [| 1; 3 |] ]);
+      (Reduce (Sum, 1), [ [| 2; 3 |] ]);
+      (Broadcast (1, 4), [ [| 2; 3 |] ]);
+      (Broadcast (1, -1), [ [| 2; 3 |] ]);
+      (Pool { agg = Max; kernel = (2, 2); stride = (1, 1); padding = (0, 0) }, [ [| 1; 1; 3; 3 |] ]);
+      (Transpose [| 1; 0 |], [ [| 2; 3 |] ]);
+      (Reshape [| 3; 2 |], [ [| 2; 3 |] ]);
+      (Reshape [| -3; -2 |], [ [| 2; 3 |] ]);
+      (Pad { before = [| 1; 0 |]; after = [| 0; 2 |]; value = 0.5 }, [ [| 2; 3 |] ]);
+      (Pad { before = [| 1; 0; 0 |]; after = [| 0; 2 |]; value = 0.5 }, [ [| 2; 3 |] ]);
+      (Pad { before = [| 1; 0 |]; after = [| 0; 2; 1 |]; value = 0.5 }, [ [| 2; 3 |] ]);
+      (Pad { before = [| -1; 0 |]; after = [| 0; 0 |]; value = 0.5 }, [ [| 2; 3 |] ]);
+      (Slice { starts = [| 0; 1 |]; stops = [| 2; 3 |] }, [ [| 2; 3 |] ]);
+      (Slice { starts = [| 0; 1 |]; stops = [| 2; 3; 1 |] }, [ [| 2; 3 |] ]);
+      (Concat 1, [ [| 2; 3 |]; [| 2; 1 |] ]);
+      (Matmul, [ [| 2; 3 |]; [| 3; 4 |] ]);
+      (Matmul, [ [| 2; 2; 3 |]; [| 3; 4 |] ]);
+      (Conv { stride = (1, 1); padding = (1, 1) }, [ [| 1; 2; 3; 3 |]; [| 4; 2; 3; 3 |] ]);
+      (Upsample 2, [ [| 1; 1; 2; 2 |] ]);
+      (Upsample (-1), [ [| 1; 1; 2; 2 |] ]);
+      (Opaque "topk", [ [| 2; 3 |] ]) ]
+  in
+  List.iter
+    (fun (op, shapes) ->
+      let args = List.mapi (fun i s -> Const.materialize (Const.randn s (i + 1))) shapes in
+      let evaluated =
+        match Runtime.Prim_interp.eval_prim op args with
+        | v -> Some (Nd.shape v)
+        | exception _ -> None
+      in
+      Alcotest.(check (option (array int)))
+        (Primitive.to_string op ^ " folds by shape as it evaluates")
+        evaluated (Transform.Constfold.fold_shape op shapes))
+    cases
+
 (* ---------------- Edit machinery ---------------- *)
 
 let test_edit_gc () =
@@ -334,6 +377,66 @@ let test_optimizer_idempotent_on_plain_graph () =
   let g = Primgraph.B.finish b in
   let g' = Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 g in
   Alcotest.(check int) "unchanged" (Graph.length g) (Graph.length g')
+
+(* ---------------- folds materialized once ---------------- *)
+
+let unresolved_folds (g : Primgraph.t) =
+  Array.fold_left
+    (fun n nd ->
+      match nd.Graph.op with
+      | Primitive.Constant { Const.fill = Const.Folded _; _ } -> n + 1
+      | _ -> n)
+    0 g.Graph.nodes
+
+(* Distinct payloads of [g] that [input] does not hold: its folds. *)
+let folded_payloads ~(input : Primgraph.t) (g : Primgraph.t) =
+  let payloads (g : Primgraph.t) =
+    Array.fold_left
+      (fun acc nd ->
+        match nd.Graph.op with
+        | Primitive.Constant { Const.fill = Const.Data t; _ } when not (List.memq t acc) -> t :: acc
+        | _ -> acc)
+      [] g.Graph.nodes
+  in
+  let given = payloads input in
+  List.length (List.filter (fun t -> not (List.memq t given)) (payloads g))
+
+let m_materialized = Obs.Metrics.counter "constfold.materialized"
+
+(* Every paper-scale orchestration, searched and through the transform
+   fallback, leaves no fold unresolved; and the search materializes the
+   folds of the graph it returns, not every fold it tries. *)
+let test_folds_materialized_once () =
+  let cfg = Korch.Orchestrator.default_config in
+  let orchestrate (e : Models.Registry.entry) = Korch.Orchestrator.run cfg (e.Models.Registry.build ()) in
+  List.iter
+    (fun (policy, rules) ->
+      List.iter
+        (fun (e : Models.Registry.entry) ->
+          let before = Obs.Metrics.count m_materialized in
+          let r = Faults.with_policy rules (fun () -> orchestrate e) in
+          let materialized = Obs.Metrics.count m_materialized - before in
+          let where = Printf.sprintf "%s (%s)" e.Models.Registry.name policy in
+          Alcotest.(check int) (where ^ ": no unresolved fold in the stitched graph") 0
+            (unresolved_folds r.Korch.Orchestrator.graph);
+          let folds =
+            List.fold_left
+              (fun n (s : Korch.Orchestrator.segment_result) ->
+                let t = s.Korch.Orchestrator.transformed in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s segment %d: transform fallback" where s.Korch.Orchestrator.seg_index)
+                  (rules <> []) s.Korch.Orchestrator.outcome.Korch.Orchestrator.transform_degraded;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s segment %d: no unresolved fold" where s.Korch.Orchestrator.seg_index)
+                  0 (unresolved_folds t);
+                n + folded_payloads ~input:s.Korch.Orchestrator.seg.Korch.Partition.local t)
+              0 r.Korch.Orchestrator.segments
+          in
+          Alcotest.(check int) (where ^ ": folds materialized = folds returned") folds materialized;
+          if e.Models.Registry.name = "segformer" && rules = [] then
+            Alcotest.(check bool) (Printf.sprintf "segformer folds (%d)" folds) true (folds > 0))
+        Models.Registry.all)
+    [ ("searched", []); ("transform fallback", [ (Faults.Transform, Faults.Always) ]) ]
 
 (* qcheck: rules preserve semantics on random shapes *)
 let prop_merge_preserves =
@@ -384,13 +487,15 @@ let () =
       ( "cleanup",
         [ Alcotest.test_case "cse merges" `Quick test_cse_merges_duplicates;
           Alcotest.test_case "cse slice regression" `Quick test_cse_distinguishes_slices;
-          Alcotest.test_case "constfold" `Quick test_constfold ] );
+          Alcotest.test_case "constfold" `Quick test_constfold;
+          Alcotest.test_case "fold by shape = evaluation" `Quick test_fold_shape_matches_eval ] );
       ( "edit",
         [ Alcotest.test_case "gc" `Quick test_edit_gc;
           Alcotest.test_case "shape guard" `Quick test_edit_shape_guard ] );
       ( "optimizer",
         [ Alcotest.test_case "preserves and improves" `Quick test_optimizer_preserves_and_improves;
-          Alcotest.test_case "idempotent" `Quick test_optimizer_idempotent_on_plain_graph ] );
+          Alcotest.test_case "idempotent" `Quick test_optimizer_idempotent_on_plain_graph;
+          Alcotest.test_case "folds materialized once" `Quick test_folds_materialized_once ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_merge_preserves; prop_reduce_matmul_preserves ] );
     ]
