@@ -1,7 +1,7 @@
 /* dlopen/dlsym/call stubs for the native kernel backend.
 
    A compiled kernel exports
-       void korch_kernel(const double **ins, double **outs);
+       void korch_kernel_<md5>(const double **ins, double **outs);
    Inputs and outputs are OCaml flat float arrays; since OCaml 4's boxed
    float array representation stores raw doubles in the block, the data
    pointer is just the value pointer. The kernel call makes no OCaml

@@ -1,8 +1,10 @@
 (** C code generation for stitched kernels (see the interface).
 
-    One C translation unit per kernel:
-    [void korch_kernel(const double **ins, double **outs)]. Inputs are
-    the kernel's distinct external tensors in first-use order; outputs
+    One C function per kernel,
+    [void korch_kernel_<md5>(const double **ins, double **outs)], named
+    by the digest of its {!signature}; {!translation_unit} puts the
+    shared prelude once in front of any number of them. Inputs are the
+    kernel's distinct external tensors in first-use order; outputs
     follow the kernel's declared output list. Internal temporaries are
     packed into one malloc'd arena with exact-size slot reuse along the
     member evaluation order — the same lifetime discipline the
@@ -31,9 +33,14 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported_kernel s)) fm
 (* Bump when emitted code changes in any way: the version participates in
    the cache signature, so stale .so entries are never reused across
    generator revisions. *)
-let version = "korch-cg/1"
+let version = "korch-cg/2"
 
-let kernel_symbol = "korch_kernel"
+(** [hash signature] — the hex digest that names a kernel's cache entry
+    and its C function. *)
+let hash (signature : string) : string = Digest.to_hex (Digest.string signature)
+
+(** [symbol signature] — the exported name of the kernel's C function. *)
+let symbol (signature : string) : string = "korch_kernel_" ^ hash signature
 
 (* ------------------------------------------------------------------ *)
 (* Kernel layout: canonical member order, externals, outputs           *)
@@ -561,11 +568,12 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
 (* Whole-kernel source                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** [source g k] — the full C translation unit for kernel [k]. Raises
+(** [source g k ~symbol] — kernel [k] as one C function named [symbol],
+    without the prelude ({!translation_unit} adds it). Raises
     {!Unsupported_kernel} when the kernel cannot be compiled (opaque or
     source members, malformed structure); the native executor falls back
     to the interpreter for that kernel. *)
-let source (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
+let source (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(symbol : string) : string =
   let lay = layout g k in
   let numel id = Shape.numel (Graph.node g id).Graph.shape in
   (* First output position of each output member (duplicates are copied
@@ -631,9 +639,7 @@ let source (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
   done;
   (* Emission. *)
   let buf = Buffer.create 8192 in
-  bpf buf "/* generated by korch (%s) — do not edit */\n" version;
-  Buffer.add_string buf prelude;
-  bpf buf "void %s(const double **ins, double **outs)\n{\n" kernel_symbol;
+  bpf buf "\nvoid %s(const double **ins, double **outs)\n{\n" symbol;
   Array.iteri (fun i _ -> bpf buf "  const double *e%d = ins[%d];\n" i i) lay.ext_ids;
   if !total > 0 then begin
     bpf buf "  double *arena = (double *)malloc(%d * sizeof(double));\n" !total;
@@ -662,3 +668,9 @@ let source (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
   if !total > 0 then bpf buf "  free(arena);\n";
   bpf buf "}\n";
   Buffer.contents buf
+
+(** [translation_unit fns] — one C file: the prelude once, then the
+    kernel functions [fns] (each from {!source}). *)
+let translation_unit (fns : string list) : string =
+  String.concat ""
+    (Printf.sprintf "/* generated by korch (%s) — do not edit */\n" version :: prelude :: fns)

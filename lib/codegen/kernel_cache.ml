@@ -1,20 +1,31 @@
 (** Signature-keyed cache of compiled kernel shared objects.
 
-    Each kernel's canonical {!Emit.signature} hashes to a pair of files in
-    the cache directory — [korch_<md5>.c] (the generated source, kept for
-    debugging and CI artifacts) and [korch_<md5>.so] — plus an in-memory
-    table of loaded handles. The resolution ladder for a signature is:
+    Each kernel's canonical {!Emit.signature} hashes ({!Emit.hash}) to a
+    shared object [korch_<md5>.so] in the cache directory, exporting the
+    kernel as [korch_kernel_<md5>] ({!Emit.symbol}), plus an in-memory
+    table of loaded handles. {!resolve} takes a whole batch (the native
+    backend passes one plan) and resolves each distinct signature by the
+    first rung that applies:
 
-    + in-memory hit (compiled and loaded earlier this process);
+    + in-memory hit (resolved earlier this process);
     + disk hit — an existing [.so] is dlopen'd without recompiling;
-    + compile — the source is written atomically, [cc] produces the
-      shared object, and the result is loaded.
+    + compile — every signature the first two rungs miss goes into one C
+      translation unit ([korch_batch_<md5>.c], the prelude once and one
+      function per kernel), built by one [cc] run into a [.so.tmp] that
+      is published under each member's [korch_<md5>.so] by hard link
+      plus rename. glibc's [dlopen] maps hard links to one file once, so
+      the batch is loaded once and each member is a [dlsym] into it.
 
-    A [.so] that fails to load (truncated, corrupted, wrong arch) is
-    deleted and recompiled once rather than crashing the run. Genuine
-    compile failures are memoized as [Failed] so a broken kernel doesn't
-    re-invoke the compiler every execution; the native executor degrades
-    that kernel to the interpreter.
+    If the batch does not compile, each member is compiled alone
+    (source [korch_<md5>.c]), so a broken kernel fails only itself. A
+    [.so] that fails to load (truncated, corrupted, wrong arch) is
+    deleted and recompiled. Compile failures are memoized as [Failed]
+    so a broken kernel doesn't re-invoke the compiler every execution;
+    the native executor degrades that kernel to the interpreter.
+
+    Two processes sharing a directory take the batch's per-signature
+    file locks in sorted order (so they cannot deadlock) and probe the
+    disk again under them: the loser turns its compile into disk hits.
 
     Because the {!Emit.version} string participates in the signature (and
     therefore the hash), bumping the code generator invalidates every
@@ -34,16 +45,16 @@ external dl_call : nativeint -> float array array -> float array array -> unit
   = "korch_cg_call"
 
 type compiled = {
-  fn : nativeint;  (** resolved [korch_kernel] symbol *)
+  fn : nativeint;  (** resolved [korch_kernel_<md5>] symbol *)
   handle : nativeint;  (** dlopen handle (kept for the process lifetime) *)
   so_path : string;
-  c_path : string;
 }
 
 type entry = Loaded of compiled | Failed of string
 
 type stats = {
-  mutable compiles : int;  (** cc invocations that succeeded *)
+  mutable compiles : int;  (** kernels compiled successfully *)
+  mutable cc_runs : int;  (** compiler processes started *)
   mutable disk_hits : int;  (** .so reused from disk without compiling *)
   mutable mem_hits : int;  (** signatures already resolved this process *)
   mutable corrupt_recompiles : int;  (** unloadable .so deleted and rebuilt *)
@@ -57,14 +68,24 @@ type t = {
   stats : stats;
 }
 
+type request = { signature : string; source : symbol:string -> string }
+
 let m_compiles = Obs.Metrics.counter "codegen.compiles"
+let m_cc_runs = Obs.Metrics.counter "codegen.cc_runs"
 let m_disk_hits = Obs.Metrics.counter "codegen.cache.disk_hits"
 let m_mem_hits = Obs.Metrics.counter "codegen.cache.mem_hits"
 let m_corrupt = Obs.Metrics.counter "codegen.cache.corrupt_recompiles"
 let m_failures = Obs.Metrics.counter "codegen.compile_failures"
 
 let fresh_stats () =
-  { compiles = 0; disk_hits = 0; mem_hits = 0; corrupt_recompiles = 0; failures = 0 }
+  {
+    compiles = 0;
+    cc_runs = 0;
+    disk_hits = 0;
+    mem_hits = 0;
+    corrupt_recompiles = 0;
+    failures = 0;
+  }
 
 let env_dir_var = "KORCH_KERNEL_CACHE"
 let env_cc_var = "KORCH_CC"
@@ -124,10 +145,8 @@ let default () : t =
 
 let stats (t : t) = t.stats
 
-let paths (t : t) ~(signature : string) : string * string =
-  let hash = Digest.to_hex (Digest.string signature) in
-  ( Filename.concat t.dir (Printf.sprintf "korch_%s.c" hash),
-    Filename.concat t.dir (Printf.sprintf "korch_%s.so" hash) )
+let so_path (t : t) ~(signature : string) : string =
+  Filename.concat t.dir (Printf.sprintf "korch_%s.so" (Emit.hash signature))
 
 (* Atomic publish: write to a unique temp file in the same directory,
    then rename over the target (rename within a filesystem is atomic, so
@@ -158,108 +177,179 @@ let with_file_lock (lock_path : string) (f : unit -> 'a) : 'a =
         Unix.close fd)
       f
 
-let load_so ~c_path (so_path : string) : (compiled, string) result =
+(* Every lock of a batch, taken in sorted order so two processes whose
+   batches overlap cannot deadlock. *)
+let with_file_locks (lock_paths : string list) (f : unit -> 'a) : 'a =
+  List.fold_right
+    (fun p k () -> with_file_lock p k)
+    (List.sort_uniq String.compare lock_paths)
+    f ()
+
+let load_so ~(symbol : string) (so_path : string) : (compiled, string) result =
   match dl_open so_path with
   | handle -> begin
-    match dl_sym handle Emit.kernel_symbol with
-    | fn -> Ok { fn; handle; so_path; c_path }
+    match dl_sym handle symbol with
+    | fn -> Ok { fn; handle; so_path }
     | exception Failure msg ->
       dl_close handle;
       Error (Printf.sprintf "dlsym: %s" msg)
   end
   | exception Failure msg -> Error (Printf.sprintf "dlopen: %s" msg)
 
-(* Run cc, capturing stderr into a log file next to the object. Returns
-   the compiler diagnostics on failure. *)
-let run_cc ~(c_path : string) ~(so_path : string) : (unit, string) result =
-  let log = so_path ^ ".log" in
-  let tmp_so = so_path ^ ".tmp" in
-  let cmd =
-    Printf.sprintf "%s %s -fPIC -shared -o %s %s -lm 2> %s" (cc ()) (cflags ())
-      (Filename.quote tmp_so) (Filename.quote c_path) (Filename.quote log)
-  in
-  let rc = Sys.command cmd in
-  if rc = 0 then begin
-    Sys.rename tmp_so so_path;
-    (try Sys.remove log with Sys_error _ -> ());
-    Ok ()
-  end
-  else begin
-    let diag =
-      try
-        let ic = open_in_bin log in
-        let n = min (in_channel_length ic) 2000 in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with _ -> ""
-    in
-    (try Sys.remove tmp_so with Sys_error _ -> ());
-    Error (Printf.sprintf "cc exited with %d: %s" rc (String.trim diag))
-  end
+let read_file ?(limit = max_int) (path : string) : string =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (min (in_channel_length ic) limit))
 
-(* Resolve a signature to a loaded kernel, compiling at most once (plus
-   one recovery recompile when a cached .so turns out to be unloadable).
-   Must be called with the source thunk so cache hits skip emission. *)
-let resolve (t : t) ~(signature : string) ~(source : unit -> string) :
-    (compiled, string) result =
-  Faults.check Faults.Codegen_compile;
+(* A signature [resolve] must load from disk or compile: its symbol and
+   its [.so]. *)
+type pending = { req : request; symbol : string; so : string }
+
+(* Publish [obj] under [so]: hard-link it to a staging name, then
+   rename over the target (a copy where the filesystem has no hard
+   links). *)
+let publish ~(obj : string) (so : string) : unit =
+  let staged = so ^ ".tmp" in
+  (try Sys.remove staged with Sys_error _ -> ());
+  match Unix.link obj staged with
+  | () -> Sys.rename staged so
+  | exception Unix.Unix_error _ ->
+    write_atomic ~dir:(Filename.dirname so) ~path:so (read_file obj)
+
+(* Compile [members] (each with its emitted C function) as one
+   translation unit [name.c] with one cc run, stderr captured in
+   [name.log], and publish the object under every member's [.so].
+   Returns the compiler diagnostics on failure. *)
+let compile_unit (t : t) ~(name : string) (members : (pending * string) list) :
+    (unit, string) result =
+  let c_path = Filename.concat t.dir (name ^ ".c") in
+  let log = Filename.concat t.dir (name ^ ".log") in
+  write_atomic ~dir:t.dir ~path:c_path
+    (Emit.translation_unit (List.map snd members));
+  let obj = Filename.temp_file ~temp_dir:t.dir name ".so.tmp" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove obj with Sys_error _ -> ())
+    (fun () ->
+      let cmd =
+        Printf.sprintf "%s %s -fPIC -shared -o %s %s -lm 2> %s" (cc ()) (cflags ())
+          (Filename.quote obj) (Filename.quote c_path) (Filename.quote log)
+      in
+      t.stats.cc_runs <- t.stats.cc_runs + 1;
+      Obs.Metrics.incr m_cc_runs;
+      match Sys.command cmd with
+      | 0 ->
+        List.iter (fun (m, _) -> publish ~obj m.so) members;
+        (try Sys.remove log with Sys_error _ -> ());
+        let n = List.length members in
+        t.stats.compiles <- t.stats.compiles + n;
+        Obs.Metrics.add m_compiles n;
+        Ok ()
+      | rc ->
+        let diag = try read_file ~limit:2000 log with Sys_error _ -> "" in
+        Error (Printf.sprintf "cc exited with %d: %s" rc (String.trim diag)))
+
+(* Resolve [missing] (distinct signatures absent from the table) under
+   their file locks and memoize each outcome in the table. *)
+let resolve_missing (t : t) (missing : pending list) : unit =
+  let memo (m : pending) = function
+    | Ok c -> Hashtbl.replace t.table m.req.signature (Loaded c)
+    | Error msg ->
+      t.stats.failures <- t.stats.failures + 1;
+      Obs.Metrics.incr m_failures;
+      Hashtbl.replace t.table m.req.signature (Failed msg)
+  in
+  with_file_locks (List.map (fun m -> m.so ^ ".lock") missing) @@ fun () ->
+  (* The disk probe runs under the locks: if another process is
+     mid-compile we block until its rename lands and take the disk hit. *)
+  let on_disk m =
+    Sys.file_exists m.so
+    &&
+    match load_so ~symbol:m.symbol m.so with
+    | Ok c ->
+      t.stats.disk_hits <- t.stats.disk_hits + 1;
+      Obs.Metrics.incr m_disk_hits;
+      memo m (Ok c);
+      true
+    | Error _ ->
+      (* Corrupted or stale-arch cache entry: delete, rebuild. *)
+      (try Sys.remove m.so with Sys_error _ -> ());
+      t.stats.corrupt_recompiles <- t.stats.corrupt_recompiles + 1;
+      Obs.Metrics.incr m_corrupt;
+      false
+  in
+  let to_compile =
+    List.filter_map
+      (fun m ->
+        if on_disk m then None
+        else
+          match m.req.source ~symbol:m.symbol with
+          | src -> Some (m, src)
+          | exception e ->
+            memo m (Error (Printf.sprintf "emit: %s" (Printexc.to_string e)));
+            None)
+      missing
+  in
+  let load m =
+    memo m
+      (match load_so ~symbol:m.symbol m.so with
+      | Ok c -> Ok c
+      | Error msg -> Error (Printf.sprintf "freshly compiled object unloadable: %s" msg))
+  in
+  let alone ((m, _) as member) =
+    match compile_unit t ~name:("korch_" ^ Emit.hash m.req.signature) [ member ] with
+    | Ok () -> load m
+    | Error msg -> memo m (Error msg)
+  in
+  match to_compile with
+  | [] -> ()
+  | [ member ] -> alone member
+  | batch -> (
+    let name =
+      "korch_batch_" ^ Emit.hash (String.concat "|" (List.map (fun (m, _) -> m.symbol) batch))
+    in
+    match compile_unit t ~name batch with
+    | Ok () -> List.iter (fun (m, _) -> load m) batch
+    | Error _ -> List.iter alone batch)
+
+(** [resolve t reqs] — one result per request, in order: the loaded
+    kernel, or why it has none. Every distinct signature missing from
+    memory is probed on disk and the rest compiled together (see the
+    header); [source ~symbol] is called only for signatures that
+    compile, so cache hits skip emission. *)
+let resolve (t : t) (reqs : request list) : (compiled, string) result list =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      match Hashtbl.find_opt t.table signature with
-      | Some (Loaded c) ->
-        t.stats.mem_hits <- t.stats.mem_hits + 1;
-        Obs.Metrics.incr m_mem_hits;
-        Ok c
-      | Some (Failed msg) -> Error msg
-      | None ->
-        if not (available ()) then Error "no C compiler available"
-        else begin
-          let c_path, so_path = paths t ~signature in
-          let compile () =
-            let src = source () in
-            write_atomic ~dir:t.dir ~path:c_path src;
-            match run_cc ~c_path ~so_path with
-            | Ok () -> begin
-              t.stats.compiles <- t.stats.compiles + 1;
-              Obs.Metrics.incr m_compiles;
-              match load_so ~c_path so_path with
-              | Ok c -> Ok c
-              | Error msg ->
-                Error (Printf.sprintf "freshly compiled object unloadable: %s" msg)
-            end
-            | Error msg -> Error msg
-          in
-          (* The disk probe runs under the per-signature file lock too:
-             if another process is mid-compile we block until its rename
-             lands and then take the disk hit instead of recompiling. *)
-          let result =
-            with_file_lock (so_path ^ ".lock") @@ fun () ->
-            if Sys.file_exists so_path then begin
-              match load_so ~c_path so_path with
-              | Ok c ->
-                t.stats.disk_hits <- t.stats.disk_hits + 1;
-                Obs.Metrics.incr m_disk_hits;
-                Ok c
-              | Error _ ->
-                (* Corrupted or stale-arch cache entry: delete, rebuild. *)
-                (try Sys.remove so_path with Sys_error _ -> ());
-                t.stats.corrupt_recompiles <- t.stats.corrupt_recompiles + 1;
-                Obs.Metrics.incr m_corrupt;
-                compile ()
-            end
-            else compile ()
-          in
-          (match result with
-          | Ok c -> Hashtbl.replace t.table signature (Loaded c)
-          | Error msg ->
-            t.stats.failures <- t.stats.failures + 1;
-            Obs.Metrics.incr m_failures;
-            Hashtbl.replace t.table signature (Failed msg));
-          result
-        end)
+      let fresh = Hashtbl.create 16 in
+      let missing =
+        List.filter_map
+          (fun (r : request) ->
+            if Hashtbl.mem t.table r.signature || Hashtbl.mem fresh r.signature then None
+            else begin
+              Hashtbl.replace fresh r.signature ();
+              Some
+                { req = r; symbol = Emit.symbol r.signature; so = so_path t ~signature:r.signature }
+            end)
+          reqs
+      in
+      if missing <> [] && available () then resolve_missing t missing;
+      (* The first request of a signature resolved by this call is not a
+         memory hit; every later one is. *)
+      List.map
+        (fun (r : request) ->
+          match Hashtbl.find_opt t.table r.signature with
+          | None -> Error "no C compiler available"
+          | Some (Failed msg) -> Error msg
+          | Some (Loaded c) ->
+            if Hashtbl.mem fresh r.signature then Hashtbl.remove fresh r.signature
+            else begin
+              t.stats.mem_hits <- t.stats.mem_hits + 1;
+              Obs.Metrics.incr m_mem_hits
+            end;
+            Ok c)
+        reqs)
 
 (** [call c ~ins ~outs] invokes the compiled kernel on flat float-array
     views of the input and output tensors. *)

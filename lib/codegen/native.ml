@@ -1,11 +1,12 @@
 (** The native backend: kernel execution through compiled C code.
 
-    Registered as {!Runtime.Backend}'s per-kernel resolver, so it is only
-    reached from {!Runtime.Executor.run}'s plan walk, which has already
-    checked the plan with {!Runtime.Plan.check}. Each kernel is resolved
-    to a shared object via {!Emit} + {!Kernel_cache} and invoked directly
-    on the tensors' flat storage; the walker publishes exactly its
-    declared outputs.
+    Registered as {!Runtime.Backend}'s plan resolver, so it is only
+    reached from {!Runtime.Executor.run}, once per run before the plan
+    walk, on a plan already checked with {!Runtime.Plan.check}. The
+    plan's kernels are resolved to shared objects via {!Emit} +
+    {!Kernel_cache} in one batch (one [cc] run for every kernel missing
+    from memory and disk) and invoked directly on the tensors' flat
+    storage; the walker publishes exactly their declared outputs.
 
     Degradation ladder (per kernel, never per run):
 
@@ -174,34 +175,58 @@ let reset_verdicts () =
 (* ------------------------------------------------------------------ *)
 
 (* A kernel's compiled and verified code, or the reason it runs on the
-   interpreter instead. A [codegen_compile] fault becomes a reason here
-   and is not memoized: a later run without the fault policy recovers. *)
-let resolve (g : Primgraph.t) (k : Runtime.Plan.kernel) :
-    (Runtime.Backend.native_kernel, string) result =
-  match Emit.signature g k with
-  | exception Emit.Unsupported_kernel msg -> Error (Printf.sprintf "unsupported: %s" msg)
-  | signature -> begin
-    match
-      Kernel_cache.resolve (Kernel_cache.default ()) ~signature ~source:(fun () ->
-          Emit.source g k)
-    with
-    | exception Faults.Injected { site = _; hit } ->
-      Error (Printf.sprintf "fault injected at codegen_compile (call %d)" hit)
-    | Error msg -> Error msg
-    | Ok compiled -> begin
-      let lay = Emit.layout g k in
-      match verify g lay k compiled ~signature with
-      | Error msg -> Error (Printf.sprintf "differential verify: %s" msg)
-      | Ok () ->
-        Ok
-          {
-            Runtime.Backend.ext_ids = lay.Emit.ext_ids;
-            out_ids = lay.Emit.out_ids;
-            call =
-              (fun ext_vals ->
-                let t0 = Obs.Clock.now_us () in
-                let outs = call_native g lay compiled ~ext_vals in
-                (outs, Obs.Clock.now_us () -. t0));
-          }
-    end
-  end
+   interpreter instead. *)
+let native_kernel (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(signature : string)
+    (compiled : Kernel_cache.compiled) : (Runtime.Backend.native_kernel, string) result =
+  let lay = Emit.layout g k in
+  match verify g lay k compiled ~signature with
+  | Error msg -> Error (Printf.sprintf "differential verify: %s" msg)
+  | Ok () ->
+    Ok
+      {
+        Runtime.Backend.ext_ids = lay.Emit.ext_ids;
+        out_ids = lay.Emit.out_ids;
+        call =
+          (fun ext_vals ->
+            let t0 = Obs.Clock.now_us () in
+            let outs = call_native g lay compiled ~ext_vals in
+            (outs, Obs.Clock.now_us () -. t0));
+      }
+
+(* Every kernel of [plan], in plan order: its signature, then one
+   [codegen_compile] fault check. A faulted kernel is not looked up; the
+   fault becomes its reason and is not memoized, so a later run without
+   the fault policy recovers. The rest resolve through the kernel cache
+   in one batch, so the plan's missing kernels compile in one cc run. *)
+let resolve (g : Primgraph.t) (plan : Runtime.Plan.t) :
+    (Runtime.Backend.native_kernel, string) result list =
+  let prepared =
+    List.map
+      (fun k ->
+        match Emit.signature g k with
+        | exception Emit.Unsupported_kernel msg -> Error (Printf.sprintf "unsupported: %s" msg)
+        | signature -> (
+          match Faults.check Faults.Codegen_compile with
+          | () -> Ok (k, signature)
+          | exception Faults.Injected { site = _; hit } ->
+            Error (Printf.sprintf "fault injected at codegen_compile (call %d)" hit)))
+      plan.Runtime.Plan.kernels
+  in
+  let compiled =
+    Kernel_cache.resolve (Kernel_cache.default ())
+      (List.filter_map
+         (function
+           | Ok (k, signature) ->
+             Some { Kernel_cache.signature; source = (fun ~symbol -> Emit.source g k ~symbol) }
+           | Error _ -> None)
+         prepared)
+  in
+  let rec zip prepared compiled =
+    match (prepared, compiled) with
+    | Error reason :: ps, cs -> Error reason :: zip ps cs
+    | Ok (k, signature) :: ps, c :: cs ->
+      Result.bind c (native_kernel g k ~signature) :: zip ps cs
+    | [], _ -> []
+    | Ok _ :: _, [] -> assert false (* one result per request *)
+  in
+  zip prepared compiled

@@ -4,7 +4,7 @@
     through the reference primitive interpreter ({!Prim_interp}), or as a
     compiled native kernel (the C code generator in [lib/codegen]). This
     module names the two backends, reads the process-wide default from
-    the [KORCH_BACKEND] environment variable, and holds the per-kernel
+    the [KORCH_BACKEND] environment variable, and holds the plan
     resolver the native implementation installs at link time —
     [lib/codegen] sits above [lib/runtime], so the executor can only
     reach it through this inversion. *)
@@ -55,10 +55,11 @@ type native_kernel = {
   call : Nd.t array -> Nd.t array * float;
 }
 
-(** The hook the native backend registers: resolve one kernel of a plan
-    that passed {!Plan.check} to compiled code, or give the reason it
-    runs on the interpreter instead. Only {!Executor.run} calls it. *)
-type native_impl = Primgraph.t -> Plan.kernel -> (native_kernel, string) result
+(** The hook the native backend registers: resolve every kernel of a
+    plan that passed {!Plan.check} to compiled code, or give the reason
+    it runs on the interpreter instead — one result per kernel, in plan
+    order. {!Executor.run} calls it once per run, before the walk. *)
+type native_impl = Primgraph.t -> Plan.t -> (native_kernel, string) result list
 
 (** Called by the codegen library's initializer; last registration wins. *)
 val register_native : native_impl -> unit

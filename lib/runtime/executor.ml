@@ -176,11 +176,11 @@ let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : P
   (match validate g plan with Ok () -> () | Error m -> raise (Invalid_plan m));
   let backend = match backend with Some b -> b | None -> Backend.default () in
   let native =
-    match backend with
-    | Backend.Native when not reuse ->
-      let impl = Backend.native_impl () in
-      if Option.is_none impl then warn_native_missing ();
-      impl
+    match (backend, Backend.native_impl ()) with
+    | Backend.Native, Some resolve when not reuse -> Some (Array.of_list (resolve g plan))
+    | Backend.Native, None when not reuse ->
+      warn_native_missing ();
+      None
     | _ -> None
   in
   let st = match stats with Some s -> s | None -> fresh_stats () in
@@ -205,7 +205,7 @@ let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : P
   in
   List.iteri
     (fun ki (k : Plan.kernel) ->
-      match Option.map (fun resolve -> resolve g k) native with
+      match Option.map (fun resolved -> resolved.(ki)) native with
       | None -> interpret ki k
       | Some (Error reason) ->
         es.Backend.fallbacks <- (ki, reason) :: es.Backend.fallbacks;

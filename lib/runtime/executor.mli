@@ -31,11 +31,12 @@ val fresh_stats : unit -> run_stats
 
     [?backend] selects the execution backend (default
     {!Backend.default}, i.e. [KORCH_BACKEND] or the interpreter). With
-    {!Backend.Native} and a linked native implementation, each kernel is
-    resolved to compiled code and falls back to the interpreter on its
-    own if it cannot be; [?exec_stats] receives the per-kernel
-    accounting. [~reuse:true] runs every kernel on the interpreter —
-    arena reuse is an interpreter-side feature.
+    {!Backend.Native} and a linked native implementation, the whole plan
+    is resolved to compiled code once, before the walk, and each kernel
+    falls back to the interpreter on its own if it cannot be;
+    [?exec_stats] receives the per-kernel accounting. [~reuse:true]
+    runs every kernel on the interpreter — arena reuse is an
+    interpreter-side feature.
 
     With [~reuse:true] the executor follows the {!Memplan} death
     schedule: tensors are released at their last use, elementwise and

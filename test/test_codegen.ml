@@ -371,9 +371,23 @@ let test_multi_kernel_plan () =
   let inputs = [ mixed_input "x" [| 4; 4 |] ] in
   let expected = Runtime.Executor.run ~backend:Runtime.Backend.Interp g plan ~inputs in
   let es = Runtime.Backend.fresh_exec_stats () in
+  (* Over a fresh kernel cache, the plan's two kernels compile in one cc
+     run. *)
+  let dir = Filename.temp_file "korch-kcache" "" in
+  Sys.remove dir;
+  at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)));
+  let kc = Codegen.Kernel_cache.create ~dir () in
+  let saved = !Codegen.Kernel_cache.default_instance in
+  Codegen.Kernel_cache.default_instance := Some kc;
   let got =
-    Runtime.Executor.run ~backend:Runtime.Backend.Native ~exec_stats:es g plan ~inputs
+    Fun.protect
+      ~finally:(fun () -> Codegen.Kernel_cache.default_instance := saved)
+      (fun () ->
+        Runtime.Executor.run ~backend:Runtime.Backend.Native ~exec_stats:es g plan ~inputs)
   in
+  let st = Codegen.Kernel_cache.stats kc in
+  Alcotest.(check (pair int int)) "one cc run compiles both kernels" (1, 2)
+    (st.Codegen.Kernel_cache.cc_runs, st.Codegen.Kernel_cache.compiles);
   Alcotest.(check int) "both kernels native" 2 es.Runtime.Backend.native_kernels;
   Alcotest.(check int) "timings recorded" 2
     (List.length es.Runtime.Backend.kernel_times_us);
@@ -418,7 +432,8 @@ let test_signature_deterministic () =
   let k = List.hd plan.Runtime.Plan.kernels in
   Alcotest.(check string)
     "signature stable" (Codegen.Emit.signature g k) (Codegen.Emit.signature g k);
-  Alcotest.(check string) "source stable" (Codegen.Emit.source g k) (Codegen.Emit.source g k)
+  Alcotest.(check string) "source stable" (Codegen.Emit.source g k ~symbol:"k")
+    (Codegen.Emit.source g k ~symbol:"k")
 
 let test_signature_distinguishes_outputs () =
   let b = Primgraph.B.create () in

@@ -119,63 +119,162 @@ let test_dot_redundant_copies () =
   Alcotest.(check bool) "copy in k1" true (contains ~needle:(Printf.sprintf "k1n%d" f) dot)
 
 (* ------------------------------------------------------------------ *)
-(* Native kernel cache: hits, staleness, corruption recovery           *)
+(* Native kernel cache: batches, hits, staleness, corruption recovery  *)
 (* ------------------------------------------------------------------ *)
+
+module KC = Codegen.Kernel_cache
 
 let scratch_cache_dir () =
   let d = Filename.temp_file "korch-kcache" "" in
   Sys.remove d;
+  at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)));
   d
 
-let trivial_kernel_src =
-  "void korch_kernel(const double **ins, double **outs) { outs[0][0] = ins[0][0] + 1.0; }\n"
+(* A one-element kernel computing [body] from [ins[0][0]], under the
+   symbol name the cache gives it. *)
+let trivial ?(body = "ins[0][0] + 1.0") signature =
+  {
+    KC.signature;
+    source =
+      (fun ~symbol ->
+        Printf.sprintf "void %s(const double **ins, double **outs) { outs[0][0] = %s; }\n"
+          symbol body);
+  }
 
 let run_trivial k =
   let outs = [| [| 0.0 |] |] in
-  Codegen.Kernel_cache.call k ~ins:[| [| 2.0 |] |] ~outs;
+  KC.call k ~ins:[| [| 2.0 |] |] ~outs;
   outs.(0).(0)
 
-let resolve_ok c ~signature ~source =
-  match Codegen.Kernel_cache.resolve c ~signature ~source with
-  | Ok k -> k
-  | Error m -> Alcotest.failf "resolve failed: %s" m
+let resolve_ok c reqs =
+  List.map
+    (function Ok k -> k | Error m -> Alcotest.failf "resolve failed: %s" m)
+    (KC.resolve c reqs)
+
+let resolve1 c req = List.hd (resolve_ok c [ req ])
+
+(* Three kernels computing 3, 4 and -1 from 2. *)
+let batch3 =
+  [
+    trivial "unit-v1|b+1";
+    trivial ~body:"ins[0][0] * 2.0" "unit-v1|b*2";
+    trivial ~body:"ins[0][0] - 3.0" "unit-v1|b-3";
+  ]
+
+let check_batch3 label ks =
+  Alcotest.(check (list (float 0.0))) label [ 3.0; 4.0; -1.0 ] (List.map run_trivial ks)
+
+let tmp_files dir =
+  List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir))
 
 let test_cache_compile_then_hits () =
-  if not (Codegen.Kernel_cache.available ()) then Alcotest.skip ();
+  if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
-  let source () = trivial_kernel_src in
-  let c1 = Codegen.Kernel_cache.create ~dir () in
-  let k = resolve_ok c1 ~signature:"unit-v1|add1" ~source in
+  let c1 = KC.create ~dir () in
+  let k = resolve1 c1 (trivial "unit-v1|add1") in
   Alcotest.(check (float 0.0)) "kernel computes" 3.0 (run_trivial k);
-  Alcotest.(check int) "compiled once" 1 (Codegen.Kernel_cache.stats c1).Codegen.Kernel_cache.compiles;
+  Alcotest.(check int) "compiled once" 1 (KC.stats c1).KC.compiles;
   (* Same signature, same process: served from memory. *)
-  let k' = resolve_ok c1 ~signature:"unit-v1|add1" ~source in
+  let k' = resolve1 c1 (trivial "unit-v1|add1") in
   Alcotest.(check (float 0.0)) "memory hit works" 3.0 (run_trivial k');
-  Alcotest.(check int) "memory hit" 1 (Codegen.Kernel_cache.stats c1).Codegen.Kernel_cache.mem_hits;
-  Alcotest.(check int) "no second compile" 1
-    (Codegen.Kernel_cache.stats c1).Codegen.Kernel_cache.compiles;
+  Alcotest.(check int) "memory hit" 1 (KC.stats c1).KC.mem_hits;
+  Alcotest.(check int) "no second compile" 1 (KC.stats c1).KC.compiles;
   (* Fresh instance over the same directory (a new process): the .so is
      reused from disk without invoking cc. *)
-  let c2 = Codegen.Kernel_cache.create ~dir () in
-  let k2 = resolve_ok c2 ~signature:"unit-v1|add1" ~source in
+  let c2 = KC.create ~dir () in
+  let k2 = resolve1 c2 (trivial "unit-v1|add1") in
   Alcotest.(check (float 0.0)) "disk hit works" 3.0 (run_trivial k2);
-  Alcotest.(check int) "disk hit" 1 (Codegen.Kernel_cache.stats c2).Codegen.Kernel_cache.disk_hits;
-  Alcotest.(check int) "disk hit does not compile" 0
-    (Codegen.Kernel_cache.stats c2).Codegen.Kernel_cache.compiles
+  Alcotest.(check int) "disk hit" 1 (KC.stats c2).KC.disk_hits;
+  Alcotest.(check int) "disk hit does not compile" 0 (KC.stats c2).KC.compiles
+
+(* A batch compiles with one cc run and publishes every member, so a
+   fresh instance over the same directory (a new process) loads all of
+   them from disk; a repeated signature is a memory hit, not a second
+   member; nothing half-published is left behind. *)
+let test_cache_batch () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let dir = scratch_cache_dir () in
+  let c1 = KC.create ~dir () in
+  let ks = resolve_ok c1 (batch3 @ [ List.hd batch3 ]) in
+  check_batch3 "batch computes" (List.filteri (fun i _ -> i < 3) ks);
+  Alcotest.(check int) "one cc run" 1 (KC.stats c1).KC.cc_runs;
+  Alcotest.(check int) "three kernels compiled" 3 (KC.stats c1).KC.compiles;
+  Alcotest.(check int) "repeat is a memory hit" 1 (KC.stats c1).KC.mem_hits;
+  Alcotest.(check (list string)) "no .tmp left" [] (tmp_files dir);
+  let c2 = KC.create ~dir () in
+  check_batch3 "disk hits compute" (resolve_ok c2 batch3);
+  Alcotest.(check int) "three disk hits" 3 (KC.stats c2).KC.disk_hits;
+  Alcotest.(check int) "no cc run" 0 (KC.stats c2).KC.cc_runs
+
+(* A batch that does not compile falls back to one cc run per member:
+   the good kernels load and only the broken one is memoized as failed. *)
+let test_cache_batch_isolates_failure () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let dir = scratch_cache_dir () in
+  let c = KC.create ~dir () in
+  let emissions = ref 0 in
+  let bad =
+    {
+      KC.signature = "unit-v1|garbage";
+      source =
+        (fun ~symbol:_ ->
+          incr emissions;
+          "this is not a C program");
+    }
+  in
+  let good1 = trivial "unit-v1|good1" and good2 = trivial ~body:"ins[0][0] * 2.0" "unit-v1|good2" in
+  let resolve () =
+    match KC.resolve c [ good1; bad; good2 ] with
+    | [ Ok k1; Error _; Ok k2 ] -> (k1, k2)
+    | _ -> Alcotest.fail "expected the two good kernels to load and the garbage one to fail"
+  in
+  let k1, k2 = resolve () in
+  Alcotest.(check (list (float 0.0))) "good kernels compute" [ 3.0; 4.0 ]
+    [ run_trivial k1; run_trivial k2 ];
+  Alcotest.(check int) "batch, then each member alone" 4 (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "two compiled" 2 (KC.stats c).KC.compiles;
+  Alcotest.(check int) "one failure" 1 (KC.stats c).KC.failures;
+  let _ = resolve () in
+  Alcotest.(check int) "failure memoized: emitted once" 1 !emissions;
+  Alcotest.(check int) "no further cc run" 4 (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "failure counted once" 1 (KC.stats c).KC.failures
+
+(* A corrupted member is recompiled alone; its batch-mates stay disk
+   hits. The batch is copied to a second directory first: glibc returns
+   the existing mapping for a pathname this process already dlopen'd,
+   which would mask the corruption. *)
+let test_cache_corrupt_member_alone () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let dir = scratch_cache_dir () in
+  let c1 = KC.create ~dir () in
+  let _ = resolve_ok c1 batch3 in
+  let c = KC.create ~dir:(scratch_cache_dir ()) () in
+  List.iteri
+    (fun i (r : KC.request) ->
+      let src = KC.so_path c1 ~signature:r.KC.signature in
+      let oc = open_out_bin (KC.so_path c ~signature:r.KC.signature) in
+      output_string oc
+        (if i = 1 then "not an ELF object"
+         else In_channel.with_open_bin src In_channel.input_all);
+      close_out oc)
+    batch3;
+  check_batch3 "batch computes" (resolve_ok c batch3);
+  Alcotest.(check int) "batch-mates are disk hits" 2 (KC.stats c).KC.disk_hits;
+  Alcotest.(check int) "corruption detected" 1 (KC.stats c).KC.corrupt_recompiles;
+  Alcotest.(check int) "recompiled alone" 1 (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "one kernel compiled" 1 (KC.stats c).KC.compiles
 
 let test_cache_stale_on_version_change () =
-  if not (Codegen.Kernel_cache.available ()) then Alcotest.skip ();
+  if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
-  let c = Codegen.Kernel_cache.create ~dir () in
-  let _ = resolve_ok c ~signature:"unit-v1|k" ~source:(fun () -> trivial_kernel_src) in
+  let c = KC.create ~dir () in
+  let _ = resolve1 c (trivial "unit-v1|k") in
   (* A codegen version bump changes every signature (the version string
      is a prefix of Emit.signature), so the old object is simply never
      addressed: the new signature compiles fresh. *)
-  let src2 = "void korch_kernel(const double **ins, double **outs) { outs[0][0] = ins[0][0] * 2.0; }\n" in
-  let k2 = resolve_ok c ~signature:"unit-v2|k" ~source:(fun () -> src2) in
+  let k2 = resolve1 c (trivial ~body:"ins[0][0] * 2.0" "unit-v2|k") in
   Alcotest.(check (float 0.0)) "new version's code runs" 4.0 (run_trivial k2);
-  Alcotest.(check int) "both versions compiled" 2
-    (Codegen.Kernel_cache.stats c).Codegen.Kernel_cache.compiles;
+  Alcotest.(check int) "both versions compiled" 2 (KC.stats c).KC.compiles;
   (* And the real emitter does embed its version in the signature. *)
   let b = Ir.Primgraph.B.create () in
   let x = Ir.Primgraph.B.input b "x" [| 2 |] in
@@ -189,46 +288,45 @@ let test_cache_stale_on_version_change () =
        = Codegen.Emit.version)
 
 let test_cache_corrupt_entry_recompiles () =
-  if not (Codegen.Kernel_cache.available ()) then Alcotest.skip ();
+  if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
   let signature = "unit-v1|corrupt" in
-  let source () = trivial_kernel_src in
-  let c1 = Codegen.Kernel_cache.create ~dir () in
+  let c = KC.create ~dir () in
   (* Plant garbage where the disk cache expects the object, before the
      path is ever dlopen'd in this process (glibc returns the existing
      mapping for an already-loaded pathname, which would mask the
      corruption).  This is what a fresh process sees after a truncated
      write or disk corruption. *)
-  let _, so_path = Codegen.Kernel_cache.paths c1 ~signature in
-  let oc = open_out_bin so_path in
+  let oc = open_out_bin (KC.so_path c ~signature) in
   output_string oc "not an ELF object";
   close_out oc;
-  let c2 = c1 in
-  let k = resolve_ok c2 ~signature ~source in
+  let k = resolve1 c (trivial signature) in
   Alcotest.(check (float 0.0)) "recompiled kernel works" 3.0 (run_trivial k);
-  Alcotest.(check int) "corruption detected" 1
-    (Codegen.Kernel_cache.stats c2).Codegen.Kernel_cache.corrupt_recompiles;
-  Alcotest.(check int) "recompiled" 1
-    (Codegen.Kernel_cache.stats c2).Codegen.Kernel_cache.compiles
+  Alcotest.(check int) "corruption detected" 1 (KC.stats c).KC.corrupt_recompiles;
+  Alcotest.(check int) "recompiled" 1 (KC.stats c).KC.compiles
 
 let test_cache_failure_memoized () =
-  if not (Codegen.Kernel_cache.available ()) then Alcotest.skip ();
+  if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
-  let c = Codegen.Kernel_cache.create ~dir () in
+  let c = KC.create ~dir () in
   let emissions = ref 0 in
-  let source () =
-    incr emissions;
-    "this is not a C program"
+  let bad =
+    {
+      KC.signature = "unit-v1|bad";
+      source =
+        (fun ~symbol:_ ->
+          incr emissions;
+          "this is not a C program");
+    }
   in
-  (match Codegen.Kernel_cache.resolve c ~signature:"unit-v1|bad" ~source with
-  | Ok _ -> Alcotest.fail "garbage source compiled?"
-  | Error _ -> ());
-  (match Codegen.Kernel_cache.resolve c ~signature:"unit-v1|bad" ~source with
-  | Ok _ -> Alcotest.fail "garbage source compiled on retry?"
-  | Error _ -> ());
+  (match KC.resolve c [ bad ] with
+  | [ Error _ ] -> ()
+  | _ -> Alcotest.fail "garbage source compiled?");
+  (match KC.resolve c [ bad ] with
+  | [ Error _ ] -> ()
+  | _ -> Alcotest.fail "garbage source compiled on retry?");
   Alcotest.(check int) "failure memoized: emitted once" 1 !emissions;
-  Alcotest.(check int) "failure counted once" 1
-    (Codegen.Kernel_cache.stats c).Codegen.Kernel_cache.failures
+  Alcotest.(check int) "failure counted once" 1 (KC.stats c).KC.failures
 
 (* ---------------- executor modes ---------------- *)
 
@@ -394,5 +492,9 @@ let () =
           Alcotest.test_case "stale on version change" `Quick test_cache_stale_on_version_change;
           Alcotest.test_case "corrupt entry recompiles" `Quick test_cache_corrupt_entry_recompiles;
           Alcotest.test_case "failure memoized" `Quick test_cache_failure_memoized;
+          Alcotest.test_case "batch of three" `Quick test_cache_batch;
+          Alcotest.test_case "batch isolates a failure" `Quick test_cache_batch_isolates_failure;
+          Alcotest.test_case "corrupt member recompiled alone" `Quick
+            test_cache_corrupt_member_alone;
           Alcotest.test_case "backend parsing" `Quick test_backend_of_string ] );
     ]
