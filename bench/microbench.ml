@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of Korch's own machinery (the optimizer runs
    offline, but its throughput determines tuning time): execution-state
    enumeration, kernel identification, the segment solve, fission and
-   the transformation engine. One Test.make per component. *)
+   the transformation engine, and beside them one interpreter pass over
+   an orchestrated plan. One Test.make per component. *)
 
 open Bechamel
 open Toolkit
@@ -31,6 +32,21 @@ let prepared_candidates =
          (List.nth segs 1)
      in
      (r.Korch.Orchestrator.transformed, r.Korch.Orchestrator.candidates))
+
+(* Test-scale yolov4's plan (convolution-heavy) with seeded inputs. *)
+let prepared_yolov4_plan =
+  lazy
+    (let g = Models.Registry.yolov4.Models.Registry.build_small () in
+     let r = Bench_common.run_korch Bench_common.v100_fp32 g in
+     let inputs =
+       Array.to_list g.Ir.Graph.nodes
+       |> List.filter_map (fun nd ->
+              match nd.Ir.Graph.op with
+              | Ir.Optype.Input name ->
+                Some (name, Tensor.Nd.randn (Tensor.Rng.create 11) nd.Ir.Graph.shape)
+              | _ -> None)
+     in
+     (r.Korch.Orchestrator.graph, r.Korch.Orchestrator.plan, inputs))
 
 let test_fission =
   Test.make ~name:"fission(attention)"
@@ -66,12 +82,19 @@ let test_transform =
            (Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32
               (Lazy.force prepared_primgraph))))
 
+let test_interp =
+  Test.make ~name:"interp pass(yolov4 small)"
+    (Staged.stage (fun () ->
+         let pg, plan, inputs = Lazy.force prepared_yolov4_plan in
+         ignore (Runtime.Executor.run ~backend:Runtime.Backend.Interp pg plan ~inputs)))
+
 let all_tests =
   Test.make_grouped ~name:"korch" ~fmt:"%s/%s"
-    [ test_fission; test_exec_states; test_identify; test_segment_solve; test_transform ]
+    [ test_fission; test_exec_states; test_identify; test_segment_solve; test_transform;
+      test_interp ]
 
 let run () =
-  Bench_common.section "Microbenchmarks of the optimizer machinery (bechamel)";
+  Bench_common.section "Microbenchmarks of the optimizer machinery and the interpreter (bechamel)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

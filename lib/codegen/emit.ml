@@ -526,11 +526,10 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
     let c = sx.(1) and h = sx.(2) and w = sx.(3) in
     let oc = swt.(0) and kh = swt.(2) and kw = swt.(3) in
     let so = Shape.strides out_shape in
-    (* Direct form of the interpreter's im2col + GEMM: the contraction
-       runs over (ci, ki, kj) ascending — the GEMM's p order — and skips
-       av == 0.0 exactly like the GEMM's zero guard (padding cells are
-       exact zeros in the im2col matrix, so skipping out-of-bounds taps
-       is the identical arithmetic). *)
+    (* The interpreter's direct convolution ([Ops_linear.conv2d]) per
+       output element: from +0.0, over (ci, ki, kj) ascending, skipping
+       out-of-bounds taps and av == 0.0, so every element gets the same
+       additions in the same order. *)
     with_loops buf out_shape (fun names ->
         let bi, oci, oi, oj =
           match names with

@@ -95,8 +95,8 @@ let end_step a ~(global : Prim_interp.env) ~(local : Prim_interp.env) =
 (* Evaluate member [nd] of kernel [k] through the arena. A reshape
    aliases its argument's storage, holding a reference on the source's
    buffer (if arena-managed) so the storage outlives both keys. Anything
-   else is offered a recycled buffer of its result's length; a primitive
-   that allocates instead hands it back untouched. *)
+   else is offered a recycled buffer of its result's length; a constant,
+   which is materialized instead, hands it back untouched. *)
 let arena_eval a (k : Plan.kernel) ~members (nd : Primitive.t Graph.node) (args : Nd.t list) : Nd.t =
   let key_of p =
     if List.mem p k.Plan.outputs then Memplan.Published p else Memplan.Internal (a.ki, p)

@@ -39,9 +39,10 @@ val fresh_stats : unit -> run_stats
     interpreter-side feature.
 
     With [~reuse:true] the executor follows the {!Memplan} death
-    schedule: tensors are released at their last use, elementwise and
-    transpose/slice primitives evaluate into recycled buffers, and
-    reshape aliases its argument zero-copy under reference counting.
+    schedule: tensors are released at their last use, every computing
+    primitive evaluates into a recycled buffer of its result's length
+    when one is free, and reshape aliases its argument zero-copy under
+    reference counting.
     Outputs are bit-identical to [~reuse:false] — {!Prim_interp.eval_prim}
     computes the same floats with and without a destination. [?stats],
     when supplied, is filled with arena accounting for the run; its

@@ -12,7 +12,7 @@ exception Unsupported of string
 
 (* The scalar function a unary primitive applies: the exact
    {!Ops_elementwise.Scalar} closures behind [Ops_elementwise.exp] and the
-   rest, so lifting them with [map] or [map_into] gives the same floats. *)
+   rest. *)
 let unary_scalar : Primitive.unary -> float -> float =
   let module S = Ops_elementwise.Scalar in
   function
@@ -48,66 +48,38 @@ let binary_scalar : Primitive.binary -> float -> float -> float =
   | Min -> S.minimum
   | Pow -> S.pow
 
-(* Materialize a strided view into [dst] in row-major order — a pure
-   element copy, so the result equals the dense Ops_layout path bit for
-   bit. *)
-let view_into (v : View.t) ~(dst : float array) : Nd.t =
-  let n = View.numel v in
-  if Array.length dst <> n then invalid_arg "prim_interp: view_into length mismatch";
-  for k = 0 to n - 1 do
-    dst.(k) <- View.get_linear v k
-  done;
-  Nd.of_array (View.shape v) dst
-
 (** [eval_prim ?dst p args] applies primitive [p] to concrete input
-    tensors. Where the result is written densely — unary, same-shape
-    binary, transpose and slice — it is written into [dst] (whose length
-    must be the result's element count), which becomes its storage;
-    every other primitive ignores [dst] and allocates. Both ways produce
-    the same floats; [v.Nd.data == dst] tells which one was taken. *)
+    tensors. Every primitive that computes a fresh tensor — all but
+    [Input], [Constant] and [Opaque] — writes it into [dst] when given
+    (its length must be the result's element count), which becomes its
+    storage; a constant is materialized as always. Both ways produce the
+    same floats; [v.Nd.data == dst] tells which one was taken. *)
 let eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
   let one () = match args with [ x ] -> x | _ -> invalid_arg "prim arity" in
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
   match p with
   | Primitive.Input name -> raise (Unsupported ("unbound input " ^ name))
   | Constant c -> Const.materialize c
-  | Unary u -> begin
-    let f = unary_scalar u and x = one () in
-    match dst with
-    | Some dst -> Ops_elementwise.map_into f x ~dst
-    | None -> Ops_elementwise.map f x
-  end
-  | Binary b -> begin
-    let f = binary_scalar b and x, y = two () in
-    match dst with
-    | Some dst when Shape.equal (Nd.shape x) (Nd.shape y) ->
-      Ops_elementwise.map2_into f x y ~dst
-    | _ -> Ops_elementwise.map2 f x y
-  end
-  | Reduce (agg, axis) -> Ops_reduce.reduce agg ~axis ~keepdims:false (one ())
-  | Broadcast (axis, size) -> Ops_reduce.broadcast_axis (one ()) ~axis ~size
+  | Unary u -> Ops_elementwise.map ?dst (unary_scalar u) (one ())
+  | Binary b ->
+    let x, y = two () in
+    Ops_elementwise.map2 ?dst (binary_scalar b) x y
+  | Reduce (agg, axis) -> Ops_reduce.reduce ?dst agg ~axis ~keepdims:false (one ())
+  | Broadcast (axis, size) -> Ops_reduce.broadcast_axis ?dst (one ()) ~axis ~size
   | Pool { agg; kernel; stride; padding } ->
-    Ops_reduce.pool2d agg (one ()) ~kernel ~stride ~padding
-  | Transpose perm -> begin
-    match dst with
-    | Some dst -> view_into (View.transpose (View.of_nd (one ())) perm) ~dst
-    | None -> Ops_layout.transpose (one ()) perm
-  end
-  | Reshape s -> Nd.reshape (one ()) s
-  | Pad { before; after; value } -> Ops_layout.pad (one ()) ~before ~after ~value
-  | Slice { starts; stops } -> begin
-    match dst with
-    | Some dst -> view_into (View.slice (View.of_nd (one ())) ~starts ~stops) ~dst
-    | None -> Ops_layout.slice (one ()) ~starts ~stops
-  end
-  | Concat axis -> Ops_layout.concat args ~axis
+    Ops_reduce.pool2d ?dst agg (one ()) ~kernel ~stride ~padding
+  | Transpose perm -> Ops_layout.transpose ?dst (one ()) perm
+  | Reshape s -> Nd.reshape ?dst (one ()) s
+  | Pad { before; after; value } -> Ops_layout.pad ?dst (one ()) ~before ~after ~value
+  | Slice { starts; stops } -> Ops_layout.slice ?dst (one ()) ~starts ~stops
+  | Concat axis -> Ops_layout.concat ?dst args ~axis
   | Matmul ->
     let x, y = two () in
-    Ops_linear.batch_matmul x y
+    Ops_linear.batch_matmul ?dst x y
   | Conv { stride; padding } ->
     let x, w = two () in
-    Ops_linear.conv2d x w ~stride ~padding ()
-  | Upsample scale -> Ops_linear.upsample_nearest2d (one ()) ~scale
+    Ops_linear.conv2d ?dst x w ~stride ~padding ()
+  | Upsample scale -> Ops_linear.upsample_nearest2d ?dst (one ()) ~scale
   | Opaque name -> raise (Unsupported ("opaque primitive " ^ name))
 
 type env = (int, Nd.t) Hashtbl.t

@@ -69,15 +69,36 @@ let rand (rng : Rng.t) (shape : Shape.t) : t =
 (** [randn rng shape] fills a tensor with standard normal samples. *)
 let randn (rng : Rng.t) (shape : Shape.t) : t = create shape (fun _ -> Rng.normal rng)
 
-(** [reshape t shape'] reinterprets the data with a new shape of equal
-    element count. O(1) data sharing is deliberately avoided: a fresh copy
-    keeps the value-semantics simple. *)
-let reshape (t : t) (shape' : Shape.t) : t =
+(** [dest ?dst shape] is the tensor an operation writes its result of
+    [shape] into, for the operations that take a [?dst]: given, [dst]
+    becomes the result's storage (its length must be the element count);
+    omitted, fresh storage is allocated. Either way the contents are unspecified
+    until the operation writes them, so an operation that accumulates
+    zero-fills first. *)
+let dest ?dst (shape : Shape.t) : t =
+  Shape.validate shape;
+  let n = Shape.numel shape in
+  match dst with
+  | None -> { shape; data = Array.create_float n }
+  | Some d ->
+    if Array.length d <> n then
+      invalid_arg
+        (Printf.sprintf "Nd.dest: %d-element destination for shape %s" (Array.length d)
+           (Shape.to_string shape));
+    { shape; data = d }
+
+(** [reshape ?dst t shape'] reinterprets the data with a new shape of
+    equal element count (the only check [shape'] gets). O(1) data
+    sharing is deliberately avoided: a copy keeps the value-semantics
+    simple. *)
+let reshape ?dst (t : t) (shape' : Shape.t) : t =
   if Shape.numel shape' <> numel t then
     invalid_arg
       (Printf.sprintf "Nd.reshape: %s -> %s changes element count"
          (Shape.to_string t.shape) (Shape.to_string shape'));
-  { shape = shape'; data = Array.copy t.data }
+  let out = dest ?dst [| numel t |] in
+  Array.blit t.data 0 out.data 0 (numel t);
+  { out with shape = shape' }
 
 (** [equal ?eps a b] is true when shapes match and all elements differ by at
     most [eps] (default [1e-9]) in absolute value, treating NaNs as equal to

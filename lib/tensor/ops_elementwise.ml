@@ -5,10 +5,10 @@
     input elements at position [x] (after broadcasting).
 
     Every operation is defined by a named scalar function in {!Scalar} and
-    lifted with {!map} / {!map2}. The destination-passing variants
-    {!map_into} / {!map2_into} reuse the very same scalar functions, which
-    makes the executor's buffer-recycling mode bit-identical to the
-    allocating path by construction. *)
+    lifted with {!map} / {!map2}, each one loop that writes into [?dst]
+    (see {!Nd.dest}) or into fresh storage, so the executor's
+    buffer-recycling mode is bit-identical to the allocating path by
+    construction. *)
 
 (** The scalar kernels. Single source of truth shared by the allocating
     and the destination-passing evaluation paths. *)
@@ -60,67 +60,36 @@ module Scalar = struct
   let minimum = Float.min
 end
 
-(** [map f t] applies [f] to every element. *)
-let map (f : float -> float) (t : Nd.t) : Nd.t =
-  Nd.of_array (Nd.shape t) (Array.map f t.Nd.data)
-
-(** [map_into f t ~dst] is [map f t] evaluated into the caller-supplied
-    buffer [dst] (length must equal [Nd.numel t]); [dst] becomes the
-    result's storage. Element-for-element identical to {!map}. *)
-let map_into (f : float -> float) (t : Nd.t) ~(dst : float array) : Nd.t =
-  let n = Nd.numel t in
-  if Array.length dst <> n then invalid_arg "Ops_elementwise.map_into: length mismatch";
-  for i = 0 to n - 1 do
-    dst.(i) <- f t.Nd.data.(i)
+(** [map ?dst f t] applies [f] to every element. *)
+let map ?dst (f : float -> float) (t : Nd.t) : Nd.t =
+  let out = Nd.dest ?dst (Nd.shape t) in
+  let x = t.Nd.data and d = out.Nd.data in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- f x.(i)
   done;
-  Nd.of_array (Nd.shape t) dst
+  out
 
-(* Fold a broadcast index of the output into the linear offset of an input
-   whose shape was right-aligned against the output shape. *)
-let broadcast_offset ~(out_shape : Shape.t) ~(in_shape : Shape.t) (out_idx : int array) : int =
-  let ro = Shape.rank out_shape and ri = Shape.rank in_shape in
-  let st = Shape.strides in_shape in
-  let off = ref 0 in
-  for i = 0 to ri - 1 do
-    let oi = out_idx.(i + (ro - ri)) in
-    let d = in_shape.(i) in
-    let pos = if d = 1 then 0 else oi in
-    off := !off + (pos * st.(i))
-  done;
-  !off
-
-(** [map2 f a b] applies [f] pointwise after broadcasting [a] and [b] to a
-    common shape. *)
-let map2 (f : float -> float -> float) (a : Nd.t) (b : Nd.t) : Nd.t =
+(** [map2 ?dst f a b] applies [f] pointwise after broadcasting [a] and [b]
+    to a common shape. *)
+let map2 ?dst (f : float -> float -> float) (a : Nd.t) (b : Nd.t) : Nd.t =
   let sa = Nd.shape a and sb = Nd.shape b in
-  if Shape.equal sa sb then
-    Nd.of_array sa (Array.init (Nd.numel a) (fun i -> f a.Nd.data.(i) b.Nd.data.(i)))
-  else begin
-    let out_shape = Shape.broadcast sa sb in
-    let out = Nd.zeros out_shape in
-    let n = Shape.numel out_shape in
-    for k = 0 to n - 1 do
-      let idx = Shape.unravel out_shape k in
-      let va = a.Nd.data.(broadcast_offset ~out_shape ~in_shape:sa idx) in
-      let vb = b.Nd.data.(broadcast_offset ~out_shape ~in_shape:sb idx) in
-      Nd.set_linear out k (f va vb)
+  let x = a.Nd.data and y = b.Nd.data in
+  if Shape.equal sa sb then begin
+    let out = Nd.dest ?dst sa in
+    let d = out.Nd.data in
+    for i = 0 to Array.length d - 1 do
+      d.(i) <- f x.(i) y.(i)
     done;
     out
   end
-
-(** [map2_into f a b ~dst] is the same-shape fast path of {!map2}
-    evaluated into [dst]. The shapes of [a] and [b] must be equal (no
-    broadcasting) and [dst]'s length must match. *)
-let map2_into (f : float -> float -> float) (a : Nd.t) (b : Nd.t) ~(dst : float array) : Nd.t =
-  let sa = Nd.shape a in
-  if not (Shape.equal sa (Nd.shape b)) then
-    invalid_arg "Ops_elementwise.map2_into: shapes differ (broadcast unsupported)";
-  let n = Nd.numel a in
-  if Array.length dst <> n then invalid_arg "Ops_elementwise.map2_into: length mismatch";
-  for i = 0 to n - 1 do
-    dst.(i) <- f a.Nd.data.(i) b.Nd.data.(i)
-  done;
-  Nd.of_array sa dst
+  else begin
+    let shape = Shape.broadcast sa sb in
+    let out = Nd.dest ?dst shape in
+    let d = out.Nd.data in
+    Shape.iter2 shape (Shape.broadcast_strides ~out:shape sa) (Shape.broadcast_strides ~out:shape sb)
+      (fun k i j -> d.(k) <- f x.(i) y.(j));
+    out
+  end
 
 let add = map2 Scalar.add
 let sub = map2 Scalar.sub
@@ -153,8 +122,13 @@ let mul_scalar c = map (Scalar.mul_const c)
 (** [clip ~lo ~hi t] clamps every element into [[lo, hi]]. *)
 let clip ~lo ~hi = map (Scalar.clip lo hi)
 
-(** [select c a b] is elementwise [if c <> 0 then a else b] with
-    broadcasting applied pairwise. *)
-let select (c : Nd.t) (a : Nd.t) (b : Nd.t) : Nd.t =
-  let ca = map2 (fun c a -> if c <> 0.0 then a else Float.nan) c a in
-  map2 (fun x b -> if Float.is_nan x then b else x) ca b
+(** [select ?dst c a b] is elementwise [if c <> 0 then a else b] after
+    broadcasting all three to a common shape. *)
+let select ?dst (c : Nd.t) (a : Nd.t) (b : Nd.t) : Nd.t =
+  let shape = Shape.broadcast (Shape.broadcast (Nd.shape c) (Nd.shape a)) (Nd.shape b) in
+  let out = Nd.dest ?dst shape in
+  let st (t : Nd.t) = Shape.broadcast_strides ~out:shape (Nd.shape t) in
+  let d = out.Nd.data and cd = c.Nd.data and ad = a.Nd.data and bd = b.Nd.data in
+  Shape.iter3 shape (st c) (st a) (st b) (fun k i j l ->
+      d.(k) <- (if cd.(i) <> 0.0 then ad.(j) else bd.(l)));
+  out

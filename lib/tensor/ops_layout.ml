@@ -2,22 +2,14 @@
     slice, concat, split, reshape. None performs arithmetic; each is a
     one-to-one (or gather/scatter) index remapping. *)
 
-(** [transpose t perm] permutes the axes: output index [i] reads input axis
-    [perm.(i)]. *)
-let transpose (t : Nd.t) (perm : int array) : Nd.t =
-  let s = Nd.shape t in
-  let out_shape = Shape.permute s perm in
-  let out = Nd.zeros out_shape in
-  let r = Shape.rank s in
-  let n = Shape.numel out_shape in
-  let src_idx = Array.make r 0 in
-  for k = 0 to n - 1 do
-    let idx = Shape.unravel out_shape k in
-    for i = 0 to r - 1 do
-      src_idx.(perm.(i)) <- idx.(i)
-    done;
-    Nd.set_linear out k (Nd.get t src_idx)
-  done;
+(** [transpose ?dst t perm] permutes the axes: output axis [i] reads
+    input axis [perm.(i)]. *)
+let transpose ?dst (t : Nd.t) (perm : int array) : Nd.t =
+  let st = Shape.strides (Nd.shape t) in
+  let out_shape = Shape.permute (Nd.shape t) perm in
+  let out = Nd.dest ?dst out_shape in
+  let x = t.Nd.data and d = out.Nd.data in
+  Shape.iter1 out_shape (Array.map (fun p -> st.(p)) perm) (fun k o -> d.(k) <- x.(o));
   out
 
 (** [transpose2d t] swaps the trailing two axes, keeping leading batch axes. *)
@@ -29,29 +21,24 @@ let transpose2d (t : Nd.t) : Nd.t =
   perm.(r - 1) <- r - 2;
   transpose t perm
 
-(** [pad t ~before ~after ~value] pads each dimension [i] with [before.(i)]
-    leading and [after.(i)] trailing cells filled with [value]. *)
-let pad (t : Nd.t) ~(before : int array) ~(after : int array) ~(value : float) : Nd.t =
+(** [pad ?dst t ~before ~after ~value] pads each dimension [i] with
+    [before.(i)] leading and [after.(i)] trailing cells filled with
+    [value]. *)
+let pad ?dst (t : Nd.t) ~(before : int array) ~(after : int array) ~(value : float) : Nd.t =
   let s = Nd.shape t in
   let r = Shape.rank s in
   if Array.length before <> r || Array.length after <> r then
     invalid_arg "Ops_layout.pad: padding rank mismatch";
-  let out_shape = Array.init r (fun i -> s.(i) + before.(i) + after.(i)) in
-  let out = Nd.full out_shape value in
-  let n = Shape.numel s in
-  let dst = Array.make r 0 in
-  for k = 0 to n - 1 do
-    let idx = Shape.unravel s k in
-    for i = 0 to r - 1 do
-      dst.(i) <- idx.(i) + before.(i)
-    done;
-    Nd.set out dst (Nd.get_linear t k)
-  done;
+  let out = Nd.dest ?dst (Array.init r (fun i -> s.(i) + before.(i) + after.(i))) in
+  let x = t.Nd.data and d = out.Nd.data in
+  Array.fill d 0 (Array.length d) value;
+  Shape.iter1 ~base:(Shape.ravel (Nd.shape out) before) s (Shape.strides (Nd.shape out))
+    (fun k o -> d.(o) <- x.(k));
   out
 
-(** [slice t ~starts ~stops] extracts the half-open box
+(** [slice ?dst t ~starts ~stops] extracts the half-open box
     [[starts.(i), stops.(i))] along every dimension. *)
-let slice (t : Nd.t) ~(starts : int array) ~(stops : int array) : Nd.t =
+let slice ?dst (t : Nd.t) ~(starts : int array) ~(stops : int array) : Nd.t =
   let s = Nd.shape t in
   let r = Shape.rank s in
   if Array.length starts <> r || Array.length stops <> r then
@@ -62,21 +49,14 @@ let slice (t : Nd.t) ~(starts : int array) ~(stops : int array) : Nd.t =
         invalid_arg "Ops_layout.slice: bounds out of range")
     starts;
   let out_shape = Array.init r (fun i -> stops.(i) - starts.(i)) in
-  let out = Nd.zeros out_shape in
-  let n = Shape.numel out_shape in
-  let src = Array.make r 0 in
-  for k = 0 to n - 1 do
-    let idx = Shape.unravel out_shape k in
-    for i = 0 to r - 1 do
-      src.(i) <- idx.(i) + starts.(i)
-    done;
-    Nd.set_linear out k (Nd.get t src)
-  done;
+  let out = Nd.dest ?dst out_shape in
+  let x = t.Nd.data and d = out.Nd.data in
+  Shape.iter1 ~base:(Shape.ravel s starts) out_shape (Shape.strides s) (fun k o -> d.(k) <- x.(o));
   out
 
-(** [concat ts ~axis] concatenates tensors along [axis]; all other
+(** [concat ?dst ts ~axis] concatenates tensors along [axis]; all other
     dimensions must agree. *)
-let concat (ts : Nd.t list) ~(axis : int) : Nd.t =
+let concat ?dst (ts : Nd.t list) ~(axis : int) : Nd.t =
   match ts with
   | [] -> invalid_arg "Ops_layout.concat: empty list"
   | first :: _ ->
@@ -95,21 +75,15 @@ let concat (ts : Nd.t list) ~(axis : int) : Nd.t =
           acc + s.(axis))
         0 ts
     in
-    let out_shape = Shape.set_axis s0 axis total in
-    let out = Nd.zeros out_shape in
-    let offset = ref 0 in
+    let out = Nd.dest ?dst (Shape.set_axis s0 axis total) in
+    let d = out.Nd.data in
+    let ost = Shape.strides (Nd.shape out) in
+    let pos = ref 0 in
     List.iter
-      (fun t ->
-        let s = Nd.shape t in
-        let n = Shape.numel s in
-        let dst = Array.make r 0 in
-        for k = 0 to n - 1 do
-          let idx = Shape.unravel s k in
-          Array.blit idx 0 dst 0 r;
-          dst.(axis) <- idx.(axis) + !offset;
-          Nd.set out dst (Nd.get_linear t k)
-        done;
-        offset := !offset + s.(axis))
+      (fun (t : Nd.t) ->
+        let x = t.Nd.data in
+        Shape.iter1 ~base:(!pos * ost.(axis)) (Nd.shape t) ost (fun k o -> d.(o) <- x.(k));
+        pos := !pos + (Nd.shape t).(axis))
       ts;
     out
 

@@ -18,62 +18,49 @@ let agg_combine = function
   | Min -> Float.min
   | Prod -> ( *. )
 
-(** [reduce agg ~axis ~keepdims t] aggregates along dimension [axis]. With
-    [keepdims] the reduced dimension is kept with size 1 (the broadcast
-    primitive is then its exact inverse shape-wise). *)
-let reduce (agg : agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
+(** [reduce ?dst agg ~axis ~keepdims t] aggregates along dimension
+    [axis]. With [keepdims] the reduced dimension is kept with size 1 (the
+    broadcast primitive is then its exact inverse shape-wise). *)
+let reduce ?dst (agg : agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
   let s = Nd.shape t in
-  let r = Shape.rank s in
-  if axis < 0 || axis >= r then invalid_arg "Ops_reduce.reduce: axis out of range";
-  let d = s.(axis) in
-  let out_shape = Shape.drop_axis s axis in
-  let out = Nd.full out_shape (agg_init agg) in
-  let combine = agg_combine agg in
-  let n_out = Shape.numel out_shape in
+  if axis < 0 || axis >= Shape.rank s then invalid_arg "Ops_reduce.reduce: axis out of range";
+  let len = s.(axis) in
+  let rows = Shape.drop_axis s axis in
+  let out = Nd.dest ?dst (if keepdims then Shape.insert_axis rows axis 1 else rows) in
   let st = Shape.strides s in
-  for k = 0 to n_out - 1 do
-    let idx_out = Shape.unravel out_shape k in
-    (* Base offset of the row being reduced. *)
-    let base = ref 0 in
-    for i = 0 to r - 1 do
-      if i < axis then base := !base + (idx_out.(i) * st.(i))
-      else if i > axis then base := !base + (idx_out.(i - 1) * st.(i))
-    done;
-    let acc = ref (agg_init agg) in
-    for j = 0 to d - 1 do
-      acc := combine !acc (Nd.get_linear t (!base + (j * st.(axis))))
-    done;
-    let v = match agg with Mean -> !acc /. float_of_int d | _ -> !acc in
-    Nd.set_linear out k v
-  done;
-  if keepdims then Nd.reshape out (Shape.insert_axis out_shape axis 1) else out
+  let step = st.(axis) in
+  let init = agg_init agg and combine = agg_combine agg in
+  let x = t.Nd.data and d = out.Nd.data in
+  Shape.iter1 rows (Shape.drop_axis st axis) (fun k base ->
+      let acc = ref init in
+      for j = 0 to len - 1 do
+        acc := combine !acc x.(base + (j * step))
+      done;
+      d.(k) <- (match agg with Mean -> !acc /. float_of_int len | _ -> !acc));
+  out
 
 let sum ?(keepdims = false) ~axis t = reduce Sum ~axis ~keepdims t
 let mean ?(keepdims = false) ~axis t = reduce Mean ~axis ~keepdims t
 let max ?(keepdims = false) ~axis t = reduce Max ~axis ~keepdims t
 let min ?(keepdims = false) ~axis t = reduce Min ~axis ~keepdims t
 
-(** [broadcast_axis t ~axis ~size] inserts dimension [axis] of size [size]
-    and replicates the input along it: the paper's broadcast primitive,
-    inverse of reduce over the same axis. *)
-let broadcast_axis (t : Nd.t) ~(axis : int) ~(size : int) : Nd.t =
+(** [broadcast_axis ?dst t ~axis ~size] inserts dimension [axis] of size
+    [size] and replicates the input along it: the paper's broadcast
+    primitive, inverse of reduce over the same axis. *)
+let broadcast_axis ?dst (t : Nd.t) ~(axis : int) ~(size : int) : Nd.t =
   let s = Nd.shape t in
   let out_shape = Shape.insert_axis s axis size in
-  let out = Nd.zeros out_shape in
-  let n = Shape.numel out_shape in
-  for k = 0 to n - 1 do
-    let idx = Shape.unravel out_shape k in
-    let src_idx = Shape.drop_axis idx axis in
-    Nd.set_linear out k (Nd.get t src_idx)
-  done;
+  let out = Nd.dest ?dst out_shape in
+  let x = t.Nd.data and d = out.Nd.data in
+  Shape.iter1 out_shape (Shape.insert_axis (Shape.strides s) axis 0) (fun k o -> d.(k) <- x.(o));
   out
 
-(** [pool2d agg t ~kernel ~stride ~padding] applies a 2-d windowed reduction
-    over the trailing two dimensions of an NCHW tensor. Padding cells
-    contribute the aggregator's neutral element (so max-pool padding is
-    [-inf], matching ONNX semantics for valid windows; windows are placed on
-    the padded canvas). *)
-let pool2d (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * int)
+(** [pool2d ?dst agg t ~kernel ~stride ~padding] applies a 2-d windowed
+    reduction over the trailing two dimensions of an NCHW tensor. Padding
+    cells contribute the aggregator's neutral element (so max-pool padding
+    is [-inf], matching ONNX semantics for valid windows; windows are
+    placed on the padded canvas). *)
+let pool2d ?dst (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * int)
     ~(padding : int * int) : Nd.t =
   let s = Nd.shape t in
   if Shape.rank s <> 4 then invalid_arg "Ops_reduce.pool2d: expected NCHW input";
@@ -82,30 +69,27 @@ let pool2d (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * int)
   let oh = ((h + (2 * ph) - kh) / sh) + 1 in
   let ow = ((w + (2 * pw) - kw) / sw) + 1 in
   if oh <= 0 || ow <= 0 then invalid_arg "Ops_reduce.pool2d: empty output";
-  let out = Nd.zeros [| n; c; oh; ow |] in
-  let combine = agg_combine agg in
-  for bi = 0 to n - 1 do
-    for ci = 0 to c - 1 do
-      for oi = 0 to oh - 1 do
-        for oj = 0 to ow - 1 do
-          let acc = ref (agg_init agg) in
-          let count = ref 0 in
-          for ki = 0 to kh - 1 do
-            for kj = 0 to kw - 1 do
-              let ii = (oi * sh) + ki - ph and jj = (oj * sw) + kj - pw in
-              if ii >= 0 && ii < h && jj >= 0 && jj < w then begin
-                acc := combine !acc (Nd.get t [| bi; ci; ii; jj |]);
-                incr count
-              end
-            done
-          done;
-          let v =
-            match agg with
-            | Mean -> if !count = 0 then 0.0 else !acc /. float_of_int (kh * kw)
-            | _ -> !acc
-          in
-          Nd.set out [| bi; ci; oi; oj |] v
-        done
+  let out = Nd.dest ?dst [| n; c; oh; ow |] in
+  let init = agg_init agg and combine = agg_combine agg in
+  let x = t.Nd.data and d = out.Nd.data in
+  for plane = 0 to (n * c) - 1 do
+    let xbase = plane * h * w and obase = plane * oh * ow in
+    for oi = 0 to oh - 1 do
+      for oj = 0 to ow - 1 do
+        let acc = ref init and count = ref 0 in
+        for ki = 0 to kh - 1 do
+          for kj = 0 to kw - 1 do
+            let ii = (oi * sh) + ki - ph and jj = (oj * sw) + kj - pw in
+            if ii >= 0 && ii < h && jj >= 0 && jj < w then begin
+              acc := combine !acc x.(xbase + (ii * w) + jj);
+              incr count
+            end
+          done
+        done;
+        d.(obase + (oi * ow) + oj) <-
+          (match agg with
+          | Mean -> if !count = 0 then 0.0 else !acc /. float_of_int (kh * kw)
+          | _ -> !acc)
       done
     done
   done;

@@ -53,6 +53,83 @@ let unravel (s : t) (k : int) : int array =
   done;
   idx
 
+(* ---------------- strided walks ---------------- *)
+
+(* The odometer under {!iter1} .. {!iter3}. Visits the innermost rows of
+   [shape] in row-major order and calls [row k] at the start of each (at
+   row-major position [k]) with [offs.(j)] set to operand [j]'s offset
+   there: its initial value plus [strides.(j).(i)] times the index on
+   every axis [i]. A scalar is one row of one element. *)
+let rows (shape : t) (strides : int array array) (offs : int array) (row : int -> unit) =
+  let r = rank shape in
+  let n = numel shape in
+  let inner = if r = 0 then 1 else shape.(r - 1) in
+  let idx = Array.make (max 0 (r - 1)) 0 in
+  let m = Array.length strides in
+  let k = ref 0 in
+  while !k < n do
+    row !k;
+    k := !k + inner;
+    let ax = ref (r - 2) in
+    while !ax >= 0 do
+      let i = !ax in
+      idx.(i) <- idx.(i) + 1;
+      if idx.(i) < shape.(i) then begin
+        for j = 0 to m - 1 do
+          offs.(j) <- offs.(j) + strides.(j).(i)
+        done;
+        ax := -1
+      end
+      else begin
+        idx.(i) <- 0;
+        for j = 0 to m - 1 do
+          offs.(j) <- offs.(j) - ((shape.(i) - 1) * strides.(j).(i))
+        done;
+        decr ax
+      end
+    done
+  done
+
+(* The length of [shape]'s innermost rows and [s]'s stride along them. *)
+let inner (shape : t) (s : int array) =
+  let r = rank shape in
+  if r = 0 then (1, 0) else (shape.(r - 1), s.(r - 1))
+
+(** [iter1 ?base shape s f] calls [f k o] for every element of [shape] in
+    row-major order, [k] being its row-major position and [o] the offset
+    [base + sum_i idx.(i) * s.(i)] (default [base] 0) of one strided
+    operand. No allocation per element. *)
+let iter1 ?(base = 0) (shape : t) (s : int array) (f : int -> int -> unit) =
+  let len, d = inner shape s in
+  let offs = [| base |] in
+  rows shape [| s |] offs (fun k ->
+      let o = offs.(0) in
+      for j = 0 to len - 1 do
+        f (k + j) (o + (j * d))
+      done)
+
+(** [iter2 shape sa sb f] is {!iter1} over two operands with offsets
+    starting at 0: [f k oa ob]. *)
+let iter2 (shape : t) (sa : int array) (sb : int array) (f : int -> int -> int -> unit) =
+  let len, da = inner shape sa and _, db = inner shape sb in
+  let offs = [| 0; 0 |] in
+  rows shape [| sa; sb |] offs (fun k ->
+      let oa = offs.(0) and ob = offs.(1) in
+      for j = 0 to len - 1 do
+        f (k + j) (oa + (j * da)) (ob + (j * db))
+      done)
+
+(** [iter3 shape sa sb sc f] is {!iter2} over three operands. *)
+let iter3 (shape : t) (sa : int array) (sb : int array) (sc : int array)
+    (f : int -> int -> int -> int -> unit) =
+  let len, da = inner shape sa and _, db = inner shape sb and _, dc = inner shape sc in
+  let offs = [| 0; 0; 0 |] in
+  rows shape [| sa; sb; sc |] offs (fun k ->
+      let oa = offs.(0) and ob = offs.(1) and oc = offs.(2) in
+      for j = 0 to len - 1 do
+        f (k + j) (oa + (j * da)) (ob + (j * db)) (oc + (j * dc))
+      done)
+
 (** [validate s] raises [Invalid_argument] if any dimension is negative. *)
 let validate (s : t) =
   Array.iter (fun d -> if d < 0 then invalid_arg "Shape.validate: negative dimension") s
@@ -75,6 +152,17 @@ let broadcast (a : t) (b : t) : t =
         (Printf.sprintf "Shape.broadcast: incompatible %s and %s" (to_string a) (to_string b))
   done;
   out
+
+(** [broadcast_strides ~out s] are the strides that read an operand of
+    shape [s], right-aligned against the broadcast shape [out], along
+    [out]'s axes: its row-major strides, and 0 on every axis it lacks or
+    stretches from size 1. *)
+let broadcast_strides ~(out : t) (s : t) : int array =
+  let ro = rank out and rs = rank s in
+  let st = strides s in
+  Array.init ro (fun i ->
+      let j = i - (ro - rs) in
+      if j < 0 || s.(j) = 1 then 0 else st.(j))
 
 (** [drop_axis s k] removes dimension [k]. *)
 let drop_axis (s : t) (k : int) : t =

@@ -35,8 +35,16 @@ let get (v : t) (idx : int array) : float =
   Nd.get_linear v.base !off
 
 (** [get_linear v k] reads the [k]-th element in the view's row-major
-    order. *)
-let get_linear (v : t) (k : int) : float = get v (Shape.unravel v.shape k)
+    order. Raises [Invalid_argument] out of bounds. *)
+let get_linear (v : t) (k : int) : float =
+  if k < 0 || k >= numel v then invalid_arg "View.get_linear: index out of bounds";
+  let off = ref v.offset and rem = ref k in
+  for i = Shape.rank v.shape - 1 downto 0 do
+    let d = v.shape.(i) in
+    off := !off + (!rem mod d * v.strides.(i));
+    rem := !rem / d
+  done;
+  Nd.get_linear v.base !off
 
 (** [transpose v perm] permutes the axes without touching storage: output
     axis [i] reads input axis [perm.(i)]. *)
@@ -72,8 +80,12 @@ let is_contiguous (v : t) : bool =
     v.strides;
   !ok
 
-(** [to_nd v] materializes the view as a dense row-major tensor. *)
-let to_nd (v : t) : Nd.t = Nd.create v.shape (fun k -> get_linear v k)
+(** [to_nd ?dst v] materializes the view as a dense row-major tensor. *)
+let to_nd ?dst (v : t) : Nd.t =
+  let out = Nd.dest ?dst v.shape in
+  let x = v.base.Nd.data and d = out.Nd.data in
+  Shape.iter1 ~base:v.offset v.shape v.strides (fun k o -> d.(k) <- x.(o));
+  out
 
 (** [reshape v shape'] reinterprets the element sequence with a new shape
     of equal count: O(1) when [v] is contiguous, otherwise the view is

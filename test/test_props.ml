@@ -10,7 +10,10 @@
    - Ir.Bitset vs a naive bool-array reference model, including the
      63/64/65-bit word-boundary widths;
    - broadcast/shape algebra and Tensor.View strided views vs the dense
-     Ops_layout reference copies.
+     Ops_layout reference copies;
+   - every strided lib/tensor kernel vs the per-element kernels of
+     Ref_tensor_ops, bit for bit, and the test-scale zoo plans on the
+     interpreter vs those kernels.
 
    All generators run under the fixed seed below so failures reproduce;
    qcheck prints the shrunk counterexample on failure, and rerunning with
@@ -944,6 +947,344 @@ let test_solver_duplicate_rounding_tie () =
       | Error f -> Alcotest.fail (Korch.Segment_solver.failure_to_string f))
     [ false; true ]
 
+(* ------------------------------------------------------------------ *)
+(* Tensor kernels vs the per-element reference.                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every strided kernel of lib/tensor against Ref_tensor_ops, bit for
+   bit with NaN payloads, both allocating and written into a destination
+   pre-filled with a marked NaN (so an element the kernel forgets, or an
+   accumulator it does not zero, shows). Shapes include size-0 and
+   size-1 axes; values include signed zeros, infinities and quiet and
+   signalling NaNs of either sign with random payloads. *)
+
+type op_case = {
+  what : string;
+  lib : ?dst:float array -> unit -> Tensor.Nd.t;
+  reference : unit -> Tensor.Nd.t;
+}
+
+let same_bits (a : Nd.t) (b : Nd.t) =
+  Shape.equal (Nd.shape a) (Nd.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.Nd.data b.Nd.data
+
+let garbage = Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL
+
+let matches_ref (c : op_case) =
+  let want = c.reference () in
+  let dst = Array.make (Nd.numel want) garbage in
+  let into = c.lib ~dst () in
+  same_bits (c.lib ()) want && same_bits into want && into.Nd.data == dst
+
+(* A NaN with the given sign, quiet bit and payload. *)
+let nan_bits ~neg ~quiet payload =
+  Int64.float_of_bits
+    (Int64.logor
+       (if neg then 0xFFF0_0000_0000_0000L else 0x7FF0_0000_0000_0000L)
+       (Int64.logor (if quiet then 0x0008_0000_0000_0000L else 0L) (Int64.of_int (1 + payload))))
+
+let special_tensor seed (shape : Shape.t) =
+  let rng = Rng.create seed in
+  Nd.create shape (fun _ ->
+      match Rng.int rng 40 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | 2 -> Float.infinity
+      | 3 -> Float.neg_infinity
+      | 4 | 5 -> nan_bits ~neg:(Rng.int rng 2 = 0) ~quiet:(Rng.int rng 4 > 0) (Rng.int rng 0xFFFF)
+      | 6 | 7 | 8 -> float_of_int (Rng.int rng 5 - 2)
+      | _ -> Rng.uniform rng ~lo:(-3.0) ~hi:3.0)
+
+let gen_values shape = QCheck2.Gen.map (fun seed -> special_tensor seed shape) (QCheck2.Gen.int_range 1 1_000_000)
+let gen_dim = QCheck2.Gen.(frequency [ (1, return 0); (3, return 1); (6, int_range 2 4) ])
+let gen_shape ~lo ~hi = QCheck2.Gen.(array_size (int_range lo hi) gen_dim)
+
+(* An operand that broadcasts to [out]: some leading axes dropped, some
+   others stretched from size 1. *)
+let gen_operand_shape (out : Shape.t) =
+  let open QCheck2.Gen in
+  let r = Array.length out in
+  let* drop = int_range 0 r in
+  let* ones = array_size (return (r - drop)) (frequency [ (1, return true); (2, return false) ]) in
+  return (Array.mapi (fun i one -> if one then 1 else out.(i + drop)) ones)
+
+let gen_perm r =
+  QCheck2.Gen.map Array.of_list (QCheck2.Gen.shuffle_l (List.init r Fun.id))
+
+let shapes l = String.concat " " (List.map Shape.to_string l)
+let ints a = Shape.to_string a
+
+let gen_map =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:0 ~hi:4 in
+  let* x = gen_values shape in
+  let* u = oneofl (Array.to_list fuzz_unaries) in
+  let f = Runtime.Prim_interp.unary_scalar u in
+  return
+    { what = Printf.sprintf "%s %s" (Primitive.to_string (Primitive.Unary u)) (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_elementwise.map ?dst f x);
+      reference = (fun () -> Ref_tensor_ops.map f x) }
+
+let gen_map2 =
+  let open QCheck2.Gen in
+  let* out = gen_shape ~lo:0 ~hi:4 in
+  let* sa = gen_operand_shape out in
+  let* sb = gen_operand_shape out in
+  let* a = gen_values sa in
+  let* b = gen_values sb in
+  let* op = oneofl (Primitive.Pow :: Array.to_list fuzz_binaries) in
+  let f = Runtime.Prim_interp.binary_scalar op in
+  return
+    { what = Printf.sprintf "%s %s" (Primitive.to_string (Primitive.Binary op)) (shapes [ sa; sb ]);
+      lib = (fun ?dst () -> Ops_elementwise.map2 ?dst f a b);
+      reference = (fun () -> Ref_tensor_ops.map2 f a b) }
+
+let gen_select =
+  let open QCheck2.Gen in
+  let* out = gen_shape ~lo:0 ~hi:3 in
+  let* sc = gen_operand_shape out in
+  let* sa = gen_operand_shape out in
+  let* sb = gen_operand_shape out in
+  let* c = gen_values sc in
+  let* a = gen_values sa in
+  let* b = gen_values sb in
+  return
+    { what = "select " ^ shapes [ sc; sa; sb ];
+      lib = (fun ?dst () -> Ops_elementwise.select ?dst c a b);
+      reference = (fun () -> Ref_tensor_ops.select c a b) }
+
+let aggs = Ops_reduce.[ Sum; Mean; Max; Min; Prod ]
+
+let gen_reduce =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:1 ~hi:4 in
+  let* x = gen_values shape in
+  let* axis = int_range 0 (Array.length shape - 1) in
+  let* agg = oneofl aggs in
+  let* keepdims = bool in
+  return
+    { what =
+        Printf.sprintf "reduce_%s axis %d%s %s" (Ops_reduce.agg_to_string agg) axis
+          (if keepdims then " keepdims" else "") (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_reduce.reduce ?dst agg ~axis ~keepdims x);
+      reference = (fun () -> Ref_tensor_ops.reduce agg ~axis ~keepdims x) }
+
+let gen_broadcast_axis =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:0 ~hi:3 in
+  let* x = gen_values shape in
+  let* axis = int_range 0 (Array.length shape) in
+  let* size = int_range 0 3 in
+  return
+    { what = Printf.sprintf "broadcast axis %d size %d %s" axis size (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_reduce.broadcast_axis ?dst x ~axis ~size);
+      reference = (fun () -> Ref_tensor_ops.broadcast_axis x ~axis ~size) }
+
+(* One spatial axis of a window: input length, kernel, stride, padding,
+   with at least one output position. *)
+let gen_window =
+  let open QCheck2.Gen in
+  let* len = int_range 1 6 in
+  let* p = int_range 0 2 in
+  let* k = int_range 1 (min 3 (len + (2 * p))) in
+  let* s = int_range 1 3 in
+  return (len, k, s, p)
+
+let gen_pool =
+  let open QCheck2.Gen in
+  let* n = int_range 0 2 in
+  let* c = int_range 1 3 in
+  let* h, kh, sh, ph = gen_window in
+  let* w, kw, sw, pw = gen_window in
+  let* x = gen_values [| n; c; h; w |] in
+  let* agg = oneofl aggs in
+  let kernel = (kh, kw) and stride = (sh, sw) and padding = (ph, pw) in
+  return
+    { what =
+        Printf.sprintf "pool_%s k%dx%d s%dx%d p%dx%d %s" (Ops_reduce.agg_to_string agg) kh kw sh
+          sw ph pw (shapes [ Nd.shape x ]);
+      lib = (fun ?dst () -> Ops_reduce.pool2d ?dst agg x ~kernel ~stride ~padding);
+      reference = (fun () -> Ref_tensor_ops.pool2d agg x ~kernel ~stride ~padding) }
+
+let gen_transpose =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:0 ~hi:4 in
+  let* x = gen_values shape in
+  let* perm = gen_perm (Array.length shape) in
+  return
+    { what = Printf.sprintf "transpose %s %s" (ints perm) (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_layout.transpose ?dst x perm);
+      reference = (fun () -> Ref_tensor_ops.transpose x perm) }
+
+let gen_pad =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:0 ~hi:3 in
+  let r = Array.length shape in
+  let* x = gen_values shape in
+  let* before = array_size (return r) (int_range 0 2) in
+  let* after = array_size (return r) (int_range 0 2) in
+  let* v = gen_values [||] in
+  let value = Nd.to_scalar v in
+  return
+    { what = Printf.sprintf "pad %s %s value %h %s" (ints before) (ints after) value (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_layout.pad ?dst x ~before ~after ~value);
+      reference = (fun () -> Ref_tensor_ops.pad x ~before ~after ~value) }
+
+(* A box [starts, stops) inside [shape], possibly empty. *)
+let gen_box (shape : Shape.t) =
+  let open QCheck2.Gen in
+  let* cuts = flatten_a (Array.map (fun d -> pair (int_range 0 d) (int_range 0 d)) shape) in
+  return (Array.map (fun (a, b) -> min a b) cuts, Array.map (fun (a, b) -> max a b) cuts)
+
+let gen_slice =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:0 ~hi:4 in
+  let* x = gen_values shape in
+  let* starts, stops = gen_box shape in
+  return
+    { what = Printf.sprintf "slice %s %s %s" (ints starts) (ints stops) (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_layout.slice ?dst x ~starts ~stops);
+      reference = (fun () -> Ref_tensor_ops.slice x ~starts ~stops) }
+
+let gen_concat =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:1 ~hi:3 in
+  let* axis = int_range 0 (Array.length shape - 1) in
+  let* sizes = list_size (int_range 1 3) (int_range 0 3) in
+  let* xs = flatten_l (List.map (fun d -> gen_values (Shape.set_axis shape axis d)) sizes) in
+  return
+    { what = Printf.sprintf "concat axis %d %s" axis (shapes (List.map Nd.shape xs));
+      lib = (fun ?dst () -> Ops_layout.concat ?dst xs ~axis);
+      reference = (fun () -> Ref_tensor_ops.concat xs ~axis) }
+
+let gen_upsample =
+  let open QCheck2.Gen in
+  let* shape = array_size (return 4) gen_dim in
+  let* x = gen_values shape in
+  let* scale = int_range 1 3 in
+  return
+    { what = Printf.sprintf "upsample %d %s" scale (shapes [ shape ]);
+      lib = (fun ?dst () -> Ops_linear.upsample_nearest2d ?dst x ~scale);
+      reference = (fun () -> Ref_tensor_ops.upsample_nearest2d x ~scale) }
+
+(* A transposed, then sliced view, read whole by [View.to_nd] or element
+   by element through [View.get_linear]. *)
+let gen_view =
+  let open QCheck2.Gen in
+  let* shape = gen_shape ~lo:1 ~hi:4 in
+  let* x = gen_values shape in
+  let* perm = gen_perm (Array.length shape) in
+  let* starts, stops = gen_box (Shape.permute shape perm) in
+  let* whole = bool in
+  let v = View.slice (View.transpose (View.of_nd x) perm) ~starts ~stops in
+  let by_element ?dst () =
+    let out = Nd.dest ?dst (View.shape v) in
+    Array.iteri (fun k _ -> out.Nd.data.(k) <- View.get_linear v k) out.Nd.data;
+    out
+  in
+  return
+    { what =
+        Printf.sprintf "%s of transpose %s slice %s %s %s"
+          (if whole then "View.to_nd" else "View.get_linear") (ints perm) (ints starts)
+          (ints stops) (shapes [ shape ]);
+      lib = (if whole then fun ?dst () -> View.to_nd ?dst v else by_element);
+      reference = (fun () -> Ref_tensor_ops.view_to_nd v) }
+
+let gen_matmul =
+  let open QCheck2.Gen in
+  let* batch = gen_shape ~lo:0 ~hi:2 in
+  let* ba = gen_operand_shape batch in
+  let* bb = gen_operand_shape batch in
+  let* m = int_range 0 3 in
+  let* k = int_range 0 3 in
+  let* n = int_range 0 3 in
+  let* a = gen_values (Array.append ba [| m; k |]) in
+  let* b = gen_values (Array.append bb [| k; n |]) in
+  return
+    { what = "matmul " ^ shapes [ Nd.shape a; Nd.shape b ];
+      lib = (fun ?dst () -> Ops_linear.batch_matmul ?dst a b);
+      reference = (fun () -> Ref_tensor_ops.batch_matmul a b) }
+
+(* Every NaN of [t] replaced by the canonical one, in place. *)
+let canonical_nans (t : Nd.t) =
+  Array.iteri (fun i x -> if Float.is_nan x then t.Nd.data.(i) <- Float.nan) t.Nd.data;
+  t
+
+(* Convolution against im2col + GEMM, with or without a bias, and
+   against the textbook loop. The textbook loop's product compiles with
+   its operands the other way round, so when both are NaNs it keeps the
+   other payload: against it, NaN payloads are not compared. *)
+let gen_conv =
+  let open QCheck2.Gen in
+  let* n = int_range 0 2 in
+  let* c = int_range 0 3 in
+  let* oc = int_range 1 3 in
+  let* h, kh, sh, ph = gen_window in
+  let* w, kw, sw, pw = gen_window in
+  let* x = gen_values [| n; c; h; w |] in
+  let* wt = gen_values [| oc; c; kh; kw |] in
+  let* bias = option (gen_values [| oc |]) in
+  let* textbook = bool in
+  let stride = (sh, sw) and padding = (ph, pw) in
+  let textbook = textbook && bias = None in
+  let conv ?dst () = Ops_linear.conv2d ?dst x wt ?bias ~stride ~padding () in
+  let lib, reference =
+    if textbook then
+      ( (fun ?dst () -> canonical_nans (conv ?dst ())),
+        fun () -> canonical_nans (Ref_tensor_ops.conv2d_direct x wt ~stride ~padding) )
+    else (conv, fun () -> Ref_tensor_ops.conv2d x wt ?bias ~stride ~padding ())
+  in
+  return
+    { what =
+        Printf.sprintf "conv s%dx%d p%dx%d%s%s %s" sh sw ph pw
+          (if bias = None then "" else " bias")
+          (if textbook then " vs textbook" else "")
+          (shapes [ Nd.shape x; Nd.shape wt ]);
+      lib;
+      reference }
+
+let prop_kernel name ?(count = 300) gen =
+  QCheck2.Test.make ~name ~count ~print:(fun c -> c.what) gen matches_ref
+
+let kernel_props =
+  [ prop_kernel "map" gen_map; prop_kernel "map2 broadcast" gen_map2;
+    prop_kernel "select" gen_select; prop_kernel "reduce" gen_reduce;
+    prop_kernel "broadcast_axis" gen_broadcast_axis; prop_kernel "pool2d" gen_pool;
+    prop_kernel "transpose" gen_transpose; prop_kernel "pad" gen_pad;
+    prop_kernel "slice" gen_slice; prop_kernel "concat" gen_concat;
+    prop_kernel "upsample" gen_upsample; prop_kernel "view" gen_view;
+    prop_kernel "batch matmul" gen_matmul; prop_kernel ~count:500 "conv2d" gen_conv ]
+
+(* Every test-scale zoo plan on the interpreter, reuse off and on, gives
+   the bits of the reference kernels evaluating its graph. *)
+let test_zoo_interp_matches_ref () =
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+      let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+      let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+      let inputs =
+        Array.to_list pg.Graph.nodes
+        |> List.filter_map (fun nd ->
+               match nd.Graph.op with
+               | Primitive.Input name -> Some (name, Nd.randn (Rng.create 29) nd.Graph.shape)
+               | _ -> None)
+      in
+      let want = Ref_tensor_ops.run pg ~inputs in
+      List.iter
+        (fun reuse ->
+          let got = Runtime.Executor.run ~backend:Runtime.Backend.Interp ~reuse pg plan ~inputs in
+          List.iteri
+            (fun i (a, b) ->
+              if not (same_bits a b) then
+                Alcotest.failf "%s (reuse %b): output %d differs from the reference"
+                  e.Models.Registry.name reuse i)
+            (List.combine got want))
+        [ false; true ])
+    Models.Registry.all
+
 let () =
   Alcotest.run "props"
     [
@@ -966,6 +1307,10 @@ let () =
       ( Printf.sprintf "identify diff (seed %#x)" qcheck_seed,
         Alcotest.test_case "test-scale zoo segments" `Quick test_identify_zoo_segments
         :: List.map to_alcotest [ prop_identify_random_graphs ] );
+      ( Printf.sprintf "tensor kernels vs reference (seed %#x)" qcheck_seed,
+        Alcotest.test_case "test-scale zoo plans on the interpreter" `Quick
+          test_zoo_interp_matches_ref
+        :: List.map to_alcotest kernel_props );
       ( Printf.sprintf "constfold diff (seed %#x)" qcheck_seed,
         [ Alcotest.test_case "test-scale zoo segments" `Quick test_constfold_zoo_segments;
           Alcotest.test_case "random graphs with constants" `Quick test_constfold_random_graphs ] );

@@ -428,7 +428,7 @@ let check_into label p args =
   Alcotest.(check bool) (label ^ ": bit-equal") true (bits_equal expected v);
   Alcotest.(check bool) (label ^ ": storage is dst") true (v.Nd.data == dst)
 
-(* [p] has no dense destination-passing path: the result is still
+(* [p] does not compute into a destination: the result is still
    correct, and [dst] is left untouched. *)
 let check_allocates label p args =
   let expected = Runtime.Prim_interp.eval_prim p args in
@@ -455,8 +455,25 @@ let test_eval_prim_dst () =
   let t = operand ~seed:7 [| 2; 3; 4 |] in
   check_into "transpose" (Primitive.Transpose [| 2; 0; 1 |]) [ t ];
   check_into "slice" (Primitive.Slice { starts = [| 0; 1; 1 |]; stops = [| 2; 3; 4 |] }) [ t ];
-  check_allocates "broadcast add" (Primitive.Binary Primitive.Add) [ x; operand ~seed:8 [| 6 |] ];
-  check_allocates "reduce" (Primitive.Reduce (Primitive.Sum, 1)) [ x ]
+  check_into "broadcast add" (Primitive.Binary Primitive.Add) [ x; operand ~seed:8 [| 6 |] ];
+  check_into "reduce" (Primitive.Reduce (Primitive.Sum, 1)) [ x ];
+  check_into "broadcast" (Primitive.Broadcast (1, 3)) [ x ];
+  check_into "reshape" (Primitive.Reshape [| 6; 3 |]) [ x ];
+  check_into "pad" (Primitive.Pad { before = [| 1; 0; 2 |]; after = [| 0; 1; 1 |]; value = -0.0 }) [ t ];
+  check_into "concat" (Primitive.Concat 1) [ t; operand ~seed:9 [| 2; 2; 4 |] ];
+  (* Matmul and conv accumulate: a NaN-filled destination must not leak
+     into the sums. *)
+  check_into "matmul" Primitive.Matmul [ x; operand ~seed:10 [| 6; 4 |] ];
+  check_into "batch matmul" Primitive.Matmul [ t; operand ~seed:11 [| 4; 5 |] ];
+  let img = operand ~seed:12 [| 1; 2; 5; 5 |] in
+  check_into "conv"
+    (Primitive.Conv { stride = (2, 1); padding = (1, 1) })
+    [ img; operand ~seed:13 [| 3; 2; 3; 3 |] ];
+  check_into "pool"
+    (Primitive.Pool { agg = Primitive.Max; kernel = (2, 2); stride = (2, 2); padding = (1, 0) })
+    [ img ];
+  check_into "upsample" (Primitive.Upsample 2) [ img ];
+  check_allocates "constant" (Primitive.Constant (Const.value [| 3; 6 |] 2.0)) []
 
 (* The executor dispatch: backend names. *)
 let test_backend_of_string () =

@@ -84,7 +84,16 @@ let test_select () =
   let c = Nd.of_array [| 3 |] [| 1.; 0.; 1. |] in
   let a = Nd.of_array [| 3 |] [| 10.; 20.; 30. |] in
   let b = Nd.of_array [| 3 |] [| 1.; 2.; 3. |] in
-  check_close "select" (Ops_elementwise.select c a b) (Nd.of_array [| 3 |] [| 10.; 2.; 30. |])
+  check_close "select" (Ops_elementwise.select c a b) (Nd.of_array [| 3 |] [| 10.; 2.; 30. |]);
+  (* A NaN taken from [a] is a value, not a request for [b]. *)
+  let v = Ops_elementwise.select (Nd.of_array [| 1 |] [| 1. |]) (Nd.of_array [| 1 |] [| Float.nan |])
+      (Nd.of_array [| 1 |] [| 5. |]) in
+  Alcotest.(check bool) "select takes a NaN" true (Float.is_nan (Nd.to_scalar v));
+  (* The three operands broadcast together. *)
+  check_close "select broadcasts"
+    (Ops_elementwise.select (Nd.of_array [| 2; 1 |] [| 0.; 1. |]) (Nd.scalar 7.)
+       (Nd.of_array [| 3 |] [| 1.; 2.; 3. |]))
+    (Nd.of_array [| 2; 3 |] [| 1.; 2.; 3.; 7.; 7.; 7. |])
 
 (* ---------------- reduce / broadcast ---------------- *)
 
@@ -191,8 +200,8 @@ let test_conv_vs_direct () =
   let x = Nd.randn r [| 2; 3; 8; 8 |] in
   let w = Nd.randn r [| 4; 3; 3; 3 |] in
   let a = Ops_linear.conv2d x w ~stride:(2, 2) ~padding:(1, 1) () in
-  let b = Ops_linear.conv2d_direct x w ~stride:(2, 2) ~padding:(1, 1) in
-  check_close ~eps:1e-10 "im2col vs direct" a b
+  let b = Ref_tensor_ops.conv2d_direct x w ~stride:(2, 2) ~padding:(1, 1) in
+  check_close ~eps:0.0 "library vs textbook loop" a b
 
 let test_conv_bias () =
   let r = rng () in
