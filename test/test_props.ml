@@ -1307,7 +1307,7 @@ let () =
       ( Printf.sprintf "identify diff (seed %#x)" qcheck_seed,
         Alcotest.test_case "test-scale zoo segments" `Quick test_identify_zoo_segments
         :: List.map to_alcotest [ prop_identify_random_graphs ] );
-      ( Printf.sprintf "tensor kernels vs reference (seed %#x)" qcheck_seed,
+      ( Printf.sprintf "tensor kernels (seed %#x)" qcheck_seed,
         Alcotest.test_case "test-scale zoo plans on the interpreter" `Quick
           test_zoo_interp_matches_ref
         :: List.map to_alcotest kernel_props );
