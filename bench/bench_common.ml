@@ -23,11 +23,8 @@ let korch_config ?(partition_max_prims = 12) ?jobs:j (spec, precision) =
     Korch.Orchestrator.spec; precision; partition_max_prims;
     jobs = (match j with Some j -> j | None -> !jobs) }
 
-(* Run Korch on an operator graph (BN folded first, as every deployment
-   stack does). *)
 let run_korch ?partition_max_prims ?jobs platform (g : Ir.Opgraph.t) :
     Korch.Orchestrator.result =
-  let g = Fission.Canonicalize.fold_batch_norms g in
   Korch.Orchestrator.run (korch_config ?partition_max_prims ?jobs platform) g
 
 (* Monotonic wall-clock seconds ([Sys.time] is CPU time, which counts all
@@ -72,7 +69,6 @@ type baseline_row = {
 }
 
 let run_baselines (spec, precision) (g : Ir.Opgraph.t) : baseline_row =
-  let g = Fission.Canonicalize.fold_batch_norms g in
   let env = Baselines.Common.make_env ~spec ~precision g in
   {
     eager_us = (Baselines.Eager.run env).Runtime.Plan.total_latency_us;

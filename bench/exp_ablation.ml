@@ -44,7 +44,6 @@ let run () =
   List.iter
     (fun (name, platform, g) ->
       let cfg = Bench_common.korch_config ~partition_max_prims:16 platform in
-      let g = Fission.Canonicalize.fold_batch_norms g in
       let full = Korch.Orchestrator.run cfg g in
       let no_red =
         Korch.Orchestrator.run { cfg with Korch.Orchestrator.allow_redundancy = false } g

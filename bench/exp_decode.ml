@@ -20,9 +20,7 @@ let run () =
     | Some e -> e
     | None -> failwith "exp_decode: decode model not registered"
   in
-  let build ~batch =
-    Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build ~batch ())
-  in
+  let build ~batch = entry.Models.Registry.build ~batch () in
   let cfg = Bench_common.korch_config Bench_common.v100_fp32 in
   let t0 = Bench_common.wall_clock () in
   let tab = Korch.Plan_table.build cfg ~model:"decode" ~build ~lo ~hi in

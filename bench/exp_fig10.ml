@@ -28,7 +28,7 @@ let run () =
       (fun a nd -> match nd.Ir.Graph.op with Ir.Primitive.Reduce _ -> a + 1 | _ -> a)
       0 g.Ir.Graph.nodes
   in
-  let pg, _ = Fission.Engine.run (Fission.Canonicalize.fold_batch_norms g) in
+  let pg = Korch.Orchestrator.fission g in
   Printf.printf
     "\nshape check: reduce primitives %d (after fission) -> %d (after transformations)\n"
     (count_reduces pg)

@@ -33,8 +33,7 @@ let run () =
     (fun batch ->
       let g = Models.Segformer.fig11_subgraph ~batch ~tokens:1024 ~channels:64 () in
       let a = strategy_a ~spec ~precision g in
-      let g' = Fission.Canonicalize.fold_batch_norms g in
-      let r = Korch.Orchestrator.run cfg g' in
+      let r = Korch.Orchestrator.run cfg g in
       let b = r.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us in
       Printf.printf "%-8d %16.1f %16.1f %11.2fx   (Korch kernels: %d)\n" batch a b (a /. b)
         (Runtime.Plan.kernel_count r.Korch.Orchestrator.plan))

@@ -148,20 +148,18 @@ let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
 let run () =
   Bench_common.section "Figure 7: operator fission adaptation study over TensorRT (Segformer, V100)";
   let spec, precision = Bench_common.v100_fp32 in
-  let g =
-    Fission.Canonicalize.fold_batch_norms (Models.Registry.segformer.Models.Registry.build ())
+  let env =
+    Baselines.Common.make_env ~spec ~precision (Models.Registry.segformer.Models.Registry.build ())
   in
-  let env = Baselines.Common.make_env ~spec ~precision g in
   let trt_plan = Baselines.Trt.run env in
   let trt = trt_plan.Runtime.Plan.total_latency_us in
-  let pg, _ = Fission.Engine.run g in
-  let fission_plan = greedy_prim_plan ~spec ~precision pg in
+  let fission_plan = greedy_prim_plan ~spec ~precision env.Baselines.Common.primgraph in
   let fission_only = fission_plan.Runtime.Plan.total_latency_us in
   Printf.printf "kernel counts: trt=%d fission+greedy=%d\n"
     (Runtime.Plan.kernel_count trt_plan) (Runtime.Plan.kernel_count fission_plan);
   let korch =
-    (Bench_common.run_korch Bench_common.v100_fp32 g).Korch.Orchestrator.plan
-      .Runtime.Plan.total_latency_us
+    (Bench_common.run_korch Bench_common.v100_fp32 env.Baselines.Common.opgraph)
+      .Korch.Orchestrator.plan.Runtime.Plan.total_latency_us
   in
   Printf.printf "%-38s %10s %9s\n" "configuration" "ms" "speedup";
   Printf.printf "%-38s %10.2f %9s\n" "TensorRT (operator graph)" (trt /. 1000.) "1.00x";

@@ -21,11 +21,9 @@ let prepared_primgraph =
 let prepared_candidates =
   lazy
     (let cfg = Korch.Orchestrator.default_config in
-     let g =
-       Fission.Canonicalize.fold_batch_norms
-         (Models.Registry.decode.Models.Registry.build ~batch:1 ())
+     let pg =
+       Korch.Orchestrator.fission (Models.Registry.decode.Models.Registry.build ~batch:1 ())
      in
-     let pg, _ = Fission.Engine.run g in
      let segs = Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims in
      let r =
        Korch.Orchestrator.solve_segment cfg ~cache:(Gpu.Profile_cache.create ()) ~seg_index:1

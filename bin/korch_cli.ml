@@ -170,11 +170,8 @@ let find_model name =
     exit 2
 
 let build_graph entry ~small ~batch =
-  let g =
-    if small then entry.Models.Registry.build_small ~batch ()
-    else entry.Models.Registry.build ~batch ()
-  in
-  Fission.Canonicalize.fold_batch_norms g
+  if small then entry.Models.Registry.build_small ~batch ()
+  else entry.Models.Registry.build ~batch ()
 
 (* The graph a verb works on: zoo model [-m MODEL] or the ONNX-JSON
    document FILE, with a source name for reports. Exits 1 when FILE does
@@ -356,7 +353,7 @@ let check_action model file gpu precision batch small window jobs rules lint_see
     if Verify.Diagnostics.has_errors report then finish ~ok:false
   in
   stage "operator graph" (Verify.opgraph_check g);
-  let pg, _ = Fission.Engine.run g in
+  let pg = Korch.Orchestrator.fission g in
   stage "fissioned graph" (Verify.graph_check pg @ Verify.Vrange.check pg);
   (* The orchestrator's own invariant checking is off here so a broken
      stage surfaces as a printed report rather than an exception. *)

@@ -17,8 +17,8 @@ let () =
       exit 1
   in
   let spec = Gpu.Spec.v100 and precision = Gpu.Precision.FP32 in
-  let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ()) in
-  let env = Baselines.Common.make_env ~spec ~precision g in
+  let env = Baselines.Common.make_env ~spec ~precision (entry.Models.Registry.build_small ()) in
+  let g = env.Baselines.Common.opgraph in
   let inputs =
     Array.to_list g.Graph.nodes
     |> List.filter_map (fun nd ->

@@ -46,6 +46,7 @@ type env = {
 }
 
 let make_env ~spec ~precision (g : Opgraph.t) : env =
+  let g = Fission.Canonicalize.fold_batch_norms g in
   let primgraph, mapping, ranges = Fission.Engine.run_detailed g in
   { opgraph = g; primgraph; mapping; ranges; spec; precision }
 

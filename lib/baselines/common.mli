@@ -26,7 +26,7 @@ type grouping = int list list
 
 (** Everything a baseline needs, precomputed once per (graph, gpu). *)
 type env = {
-  opgraph : Opgraph.t;
+  opgraph : Opgraph.t;  (** the BN-folded graph, as Korch orchestrates it *)
   primgraph : Primgraph.t;
   mapping : int array;  (** op id → output primitive id *)
   ranges : (int * int) array;  (** op id → fission primitive id range *)
@@ -34,6 +34,7 @@ type env = {
   precision : Gpu.Precision.t;
 }
 
+(** [make_env ~spec ~precision g] folds [g]'s BatchNorms, then fissions. *)
 val make_env : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Opgraph.t -> env
 
 (** Primitive members of an operator group (sources excluded). *)

@@ -775,12 +775,14 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
   let r, total_us = Obs.Clock.timed_us body in
   { r with phase_us = r.phase_us @ [ ("total", total_us) ] }
 
-(** [run cfg g] — orchestrate an operator-level computation graph: apply
-    operator fission, then {!run_primgraph}. *)
+(** [fission g] — fold BatchNorms, then apply operator fission. *)
+let fission (g : Opgraph.t) : Primgraph.t =
+  fst (Fission.Engine.run (Fission.Canonicalize.fold_batch_norms g))
+
+(** [run cfg g] — {!fission}, then {!run_primgraph}. *)
 let run (cfg : config) (g : Opgraph.t) : result =
-  let (pg, _mapping), fission_us =
-    Obs.Clock.timed_us (fun () ->
-        Obs.Span.with_ ~name:"fission" (fun () -> Fission.Engine.run g))
+  let pg, fission_us =
+    Obs.Clock.timed_us (fun () -> Obs.Span.with_ ~name:"fission" (fun () -> fission g))
   in
   if cfg.check_invariants then enforce ~what:"fissioned graph" (Verify.graph_check pg);
   let r = run_primgraph cfg pg in

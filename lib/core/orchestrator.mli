@@ -241,6 +241,10 @@ val solve_segment :
     have rewritten it) via {!Runtime.Executor.run}. *)
 val run_primgraph : config -> Primgraph.t -> result
 
-(** [run cfg g] — apply operator fission to a computation graph, then
-    {!run_primgraph}. *)
+(** [fission g] — fold [g]'s BatchNorms
+    ({!Fission.Canonicalize.fold_batch_norms}, idempotent), then apply
+    operator fission: the primitive graph {!run} orchestrates. *)
+val fission : Opgraph.t -> Primgraph.t
+
+(** [run cfg g] — {!fission}, then {!run_primgraph}. *)
 val run : config -> Opgraph.t -> result

@@ -1,7 +1,8 @@
 (** Operator-graph canonicalization passes applied before optimization —
     the standard "freeze" transformations every deployment stack performs,
     so the Korch-vs-baseline comparison measures orchestration rather than
-    who folded batch norms. *)
+    who folded batch norms. Called by [Korch.Orchestrator.fission] (so
+    [Orchestrator.run]) and [Baselines.Common.make_env]. *)
 
 open Ir
 

@@ -66,9 +66,9 @@ let prim (p : Primitive.t) (inputs : Shape.t list) : Shape.t =
   | Transpose perm -> Shape.permute (one_input inputs) perm
   | Reshape s ->
     let s_in = one_input inputs in
-    if Shape.numel s_in <> Shape.numel s then
-      fail "shape_infer: reshape %s -> %s changes element count" (Shape.to_string s_in)
-        (Shape.to_string s);
+    if Shape.numel s_in <> Shape.numel s || Array.exists (fun d -> d < 0) s then
+      fail "shape_infer: reshape %s -> %s: not a shape of %d elements" (Shape.to_string s_in)
+        (Shape.to_string s) (Shape.numel s_in);
     s
   | Pad { before; after; _ } ->
     let s = one_input inputs in

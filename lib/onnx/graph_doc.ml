@@ -24,6 +24,11 @@ let num =
 
 let ints = map Array.of_list Array.to_list (list int)
 
+(* A reshape target: shape inference refuses a negative dimension. *)
+let dims =
+  let nonneg s = if Array.for_all (fun d -> d >= 0) s then s else fail "negative dimension" in
+  map nonneg Fun.id ints
+
 let pair =
   map (function [ a; b ] -> (a, b) | _ -> fail "expected pair") (fun (a, b) -> [ a; b ]) (list int)
 
@@ -115,7 +120,7 @@ let optype : Optype.t t =
        tag1 "Transpose" "perm" ints (fun p -> Transpose p) (function
          | Transpose p -> Some p
          | _ -> None);
-       tag1 "Reshape" "shape" ints (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
+       tag1 "Reshape" "shape" dims (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
        tag3 "Pad" ("before", ints) ("after", ints) ("value", num)
          (fun (before, after, value) -> Pad { before; after; value })
          (function Pad { before; after; value } -> Some (before, after, value) | _ -> None);
@@ -195,7 +200,7 @@ let primitive : Primitive.t t =
       tag1 "Transpose" "perm" ints (fun p -> Transpose p) (function
         | Transpose p -> Some p
         | _ -> None);
-      tag1 "Reshape" "shape" ints (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
+      tag1 "Reshape" "shape" dims (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
       tag3 "Pad" ("before", ints) ("after", ints) ("value", num)
         (fun (before, after, value) -> Pad { before; after; value })
         (function Pad { before; after; value } -> Some (before, after, value) | _ -> None);

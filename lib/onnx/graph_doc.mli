@@ -10,7 +10,7 @@
     reads back bit for bit (up to NaN payloads). Node ids are positional:
     ["id"] and ["version"] are written but optional on read. Decoding
     checks that every edge points at an earlier node, every dimension is
-    at least 1 and every output is in range. *)
+    at least 1 (a reshape's at least 0) and every output is in range. *)
 
 val opgraph : Ir.Opgraph.t Codec.t
 val primgraph : Ir.Primgraph.t Codec.t

@@ -124,10 +124,10 @@ type stats = {
 (** [create ~dir ()] — open (and create) the cache directory. *)
 val create : dir:string -> unit -> t
 
-(** [key ~graph ~gpu ~precision ~batch] — hash the canonical operator
-    graph and bind the execution context. Callers canonicalize the graph
-    (e.g. {!Fission.Canonicalize.fold_batch_norms}) before keying so
-    equivalent spellings share an entry. *)
+(** [key ~graph ~gpu ~precision ~batch] — hash the operator graph and
+    bind the execution context. The daemon folds BatchNorms before keying,
+    so raw and folded spellings share an entry; the orchestrator folds
+    its input anyway ({!Korch.Orchestrator.fission}). *)
 val key : graph:Ir.Opgraph.t -> gpu:string -> precision:string -> batch:int -> key
 
 (** Entry file path for a key (exposed for tests and crash forensics). *)

@@ -92,10 +92,11 @@ exception Client_error of string
 
 let client_fail fmt = Printf.ksprintf (fun s -> raise (Client_error s)) fmt
 
-(* Resolve the request to a canonical operator graph + label. Raises
-   [Client_error] on unknown models / unparsable documents (the only
-   failures a request can legitimately be blamed for) and lets
-   [Faults.Injected] from the onnx_parse seam escape to the retry path. *)
+(* Resolve the request to a BN-folded operator graph (what the plan-cache
+   key hashes) + label. Raises [Client_error] on unknown models /
+   unparsable documents (the only failures a request can legitimately be
+   blamed for) and lets [Faults.Injected] from the onnx_parse seam escape
+   to the retry path. *)
 let resolve_workload (r : Protocol.request) : Opgraph.t * string =
   let raw, label =
     match (r.Protocol.model, r.Protocol.graph_doc) with

@@ -88,14 +88,14 @@ let dest ?dst (shape : Shape.t) : t =
     { shape; data = d }
 
 (** [reshape ?dst t shape'] reinterprets the data with a new shape of
-    equal element count (the only check [shape'] gets). O(1) data
+    equal element count and no negative dimension. O(1) data
     sharing is deliberately avoided: a copy keeps the value-semantics
     simple. *)
 let reshape ?dst (t : t) (shape' : Shape.t) : t =
-  if Shape.numel shape' <> numel t then
+  if Shape.numel shape' <> numel t || Array.exists (fun d -> d < 0) shape' then
     invalid_arg
-      (Printf.sprintf "Nd.reshape: %s -> %s changes element count"
-         (Shape.to_string t.shape) (Shape.to_string shape'));
+      (Printf.sprintf "Nd.reshape: %s -> %s: not a shape of %d elements"
+         (Shape.to_string t.shape) (Shape.to_string shape') (numel t));
   let out = dest ?dst [| numel t |] in
   Array.blit t.data 0 out.data 0 (numel t);
   { out with shape = shape' }

@@ -47,8 +47,7 @@ let intern (t : table) op args =
     raises exactly where shape inference does, except on parameters it
     checks only at run time: Pad and Slice bounds of another rank than
     the input, negative pads, and negative output dimensions, which tensor
-    allocation rejects ([Broadcast] and [Upsample] sizes). A reshape never
-    allocates, so its dimensions are not checked. *)
+    allocation rejects ([Broadcast] and [Upsample] sizes). *)
 let fold_shape (op : Primitive.t) (shapes : Shape.t list) : Shape.t option =
   let nonneg = Array.for_all (fun d -> d >= 0) in
   match Shape_infer.prim op shapes with
@@ -61,7 +60,6 @@ let fold_shape (op : Primitive.t) (shapes : Shape.t list) : Shape.t option =
       then Some out
       else None
     | Primitive.Slice { stops; _ } -> if Array.length stops = Array.length out then Some out else None
-    | Primitive.Reshape _ -> Some out
     | _ -> if nonneg out then Some out else None)
 
 (** [fold t g] folds to fixpoint, leaving every fold as an entry of [t]. *)

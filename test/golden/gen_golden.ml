@@ -9,8 +9,7 @@ let write name doc =
 
 let cfg = Korch.Orchestrator.default_config
 
-let small (e : Models.Registry.entry) ~batch =
-  Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ~batch ())
+let small (e : Models.Registry.entry) ~batch = e.Models.Registry.build_small ~batch ()
 
 (* Replays [Orchestrator.run_primgraph] at one job, segment by segment,
    and renders one JSON line per segment: the path the segment solver

@@ -33,9 +33,7 @@ let fail_case label fmt =
       Printf.printf "FAIL %-28s %s\n%!" label msg)
     fmt
 
-let graph () =
-  Fission.Canonicalize.fold_batch_norms
-    (Models.Segformer.attention_subgraph ~batch:1 ~tokens:16 ~channels:8 ())
+let graph () = Models.Segformer.attention_subgraph ~batch:1 ~tokens:16 ~channels:8 ()
 
 let inputs_of (g : Opgraph.t) =
   Array.to_list g.Graph.nodes

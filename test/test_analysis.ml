@@ -380,7 +380,7 @@ let zoo_models = [ "candy"; "yolox"; "yolov4"; "segformer"; "efficientvit"; "dec
 
 let build_zoo name =
   match Models.Registry.find name with
-  | Some e -> Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ~batch:1 ())
+  | Some e -> e.Models.Registry.build_small ~batch:1 ()
   | None -> Alcotest.failf "unknown zoo model %s" name
 
 let test_zoo_clean_pass () =

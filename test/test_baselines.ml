@@ -10,8 +10,7 @@ let rng = Rng.create 31337
 let spec = Gpu.Spec.v100
 let precision = Gpu.Precision.FP32
 
-let small_model () =
-  Fission.Canonicalize.fold_batch_norms (Models.Registry.candy.Models.Registry.build_small ())
+let small_model () = Models.Registry.candy.Models.Registry.build_small ()
 
 let env_of g = Baselines.Common.make_env ~spec ~precision g
 
@@ -130,10 +129,7 @@ let test_cost_ordering () =
      never the cheapest among the baselines. *)
   List.iter
     (fun e ->
-      let g =
-        Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ())
-      in
-      let env = env_of g in
+      let env = env_of (e.Models.Registry.build_small ()) in
       let eager = (Baselines.Eager.run env).Runtime.Plan.total_latency_us in
       let tvm = (Baselines.Greedy_tvm.run env).Runtime.Plan.total_latency_us in
       let trt = (Baselines.Trt.run env).Runtime.Plan.total_latency_us in

@@ -505,7 +505,7 @@ let inputs_of (g : Opgraph.t) seed =
 
 let test_zoo_model (e : Models.Registry.entry) () =
   skip_without_cc ();
-  let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+  let g = e.Models.Registry.build_small () in
   let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
   let inputs = inputs_of g 101 in
   let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in

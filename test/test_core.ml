@@ -296,11 +296,9 @@ let test_solver_ordering_on_zoo () =
    (0x1.402cf508ff8a5p+4 us). *)
 let test_solver_keeps_every_candidate () =
   let cfg = Korch.Orchestrator.default_config in
-  let g =
-    Fission.Canonicalize.fold_batch_norms
-      (Models.Registry.decode.Models.Registry.build_small ~batch:1 ())
+  let pg =
+    Korch.Orchestrator.fission (Models.Registry.decode.Models.Registry.build_small ~batch:1 ())
   in
-  let pg, _ = Fission.Engine.run g in
   let segs = Korch.Partition.split pg ~max_prims:cfg.Korch.Orchestrator.partition_max_prims in
   let r =
     Korch.Orchestrator.solve_segment cfg ~cache:(Gpu.Profile_cache.create ()) ~seg_index:1
@@ -480,9 +478,7 @@ let test_calibrate_record () =
 
 (* ------------------------- plan tables ------------------------- *)
 
-let decode_build ~batch =
-  Fission.Canonicalize.fold_batch_norms
-    (Models.Registry.decode.Models.Registry.build_small ~batch ())
+let decode_build ~batch = Models.Registry.decode.Models.Registry.build_small ~batch ()
 
 let decode_table =
   lazy (Korch.Plan_table.build orch_cfg ~model:"decode" ~build:decode_build ~lo:1 ~hi:8)

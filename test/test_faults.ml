@@ -88,8 +88,7 @@ let inputs_of (g : Opgraph.t) seed =
          | Optype.Input name -> Some (name, Nd.randn (Rng.create seed) nd.Graph.shape)
          | _ -> None)
 
-let build_model (e : Models.Registry.entry) =
-  Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ())
+let build_model (e : Models.Registry.entry) = e.Models.Registry.build_small ()
 
 (* Run a model under an injection policy and check the full robustness
    contract: completion, plan validity, and output correctness. *)

@@ -200,6 +200,19 @@ let test_bn_fold_no_dead_constants () =
         g.Graph.nodes)
     Models.Registry.all
 
+(* Folding a folded graph changes nothing, so the pipeline's entry points
+   may fold whatever they are given. *)
+let test_bn_fold_idempotent () =
+  let fold = Fission.Canonicalize.fold_batch_norms in
+  List.iter
+    (fun e ->
+      let once = fold (e.Models.Registry.build_small ()) in
+      Alcotest.(check bool)
+        (e.Models.Registry.name ^ " folds once")
+        true
+        (Onnx.Graph_doc.opgraph_to_string (fold once) = Onnx.Graph_doc.opgraph_to_string once))
+    Models.Registry.all
+
 (* Whole-model equivalence on the small registry variants. *)
 let test_models_equivalent () =
   List.iter
@@ -242,7 +255,8 @@ let () =
           Alcotest.test_case "opaque topk" `Quick test_opaque_topk;
           Alcotest.test_case "bn fold" `Quick test_bn_fold;
           Alcotest.test_case "bn fold leaves no dead constants" `Quick
-            test_bn_fold_no_dead_constants ] );
+            test_bn_fold_no_dead_constants;
+          Alcotest.test_case "bn fold is idempotent" `Quick test_bn_fold_idempotent ] );
       ( "models",
         [ Alcotest.test_case "small models equivalent" `Slow test_models_equivalent ] );
     ]

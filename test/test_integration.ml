@@ -19,7 +19,7 @@ let inputs_of (g : Opgraph.t) seed =
          | _ -> None)
 
 let run_model (e : Models.Registry.entry) =
-  let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+  let g = e.Models.Registry.build_small () in
   let r = Korch.Orchestrator.run cfg g in
   (g, r)
 
@@ -65,6 +65,29 @@ let test_model_stats (e : Models.Registry.entry) () =
   in
   Alcotest.(check bool) "Eq. 2 total" true
     (Float.abs (sum -. r.Korch.Orchestrator.plan.Runtime.Plan.total_latency_us) < 1e-6)
+
+(* The orchestrator and the baselines fold BatchNorms themselves: a raw
+   graph and its folded form give the same plan document, peak memory and
+   candidate space, and the same baseline prices. *)
+let test_raw_matches_folded (e : Models.Registry.entry) () =
+  let raw = e.Models.Registry.build_small () in
+  let folded = Fission.Canonicalize.fold_batch_norms raw in
+  let a = Korch.Orchestrator.run cfg raw and b = Korch.Orchestrator.run cfg folded in
+  let doc (r : Korch.Orchestrator.result) =
+    Obs.Jsonw.to_string (Korch.Report.plan_to_json r.Korch.Orchestrator.plan)
+  in
+  Alcotest.(check bool) "plan document" true (doc a = doc b);
+  Alcotest.(check int) "peak bytes" b.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes
+    a.Korch.Orchestrator.memory.Runtime.Memplan.peak_bytes;
+  Alcotest.(check bool) "candidate space" true
+    (a.Korch.Orchestrator.candidate_space = b.Korch.Orchestrator.candidate_space);
+  let prices g =
+    let env = Baselines.Common.make_env ~spec ~precision g in
+    List.map
+      (fun run -> (run env).Runtime.Plan.total_latency_us)
+      [ Baselines.Eager.run; Baselines.Greedy_tvm.run; Baselines.Trt.run; Baselines.Dp_chain.run ]
+  in
+  Alcotest.(check (list (float 0.0))) "baseline latencies" (prices folded) (prices raw)
 
 (* The A100/TF32 configuration also runs end to end. *)
 let test_a100_precision () =
@@ -176,6 +199,7 @@ let () =
       ("equivalence", model_cases test_model_equivalence);
       ("beats baselines", model_cases test_model_beats_baselines);
       ("stats", model_cases test_model_stats);
+      ("raw vs folded", model_cases test_raw_matches_folded);
       ( "configurations",
         [ Alcotest.test_case "a100 tf32" `Quick test_a100_precision;
           Alcotest.test_case "opaque model" `Quick test_opaque_model_survives;

@@ -184,6 +184,7 @@ let test_shape_infer_errors () =
   fails Primitive.Matmul [ [| 2; 3 |]; [| 4; 5 |] ];
   fails (Primitive.Reduce (Primitive.Sum, 5)) [ [| 2; 3 |] ];
   fails (Primitive.Reshape [| 7 |]) [ [| 2; 3 |] ];
+  fails (Primitive.Reshape [| -3; -2 |]) [ [| 2; 3 |] ];
   fails (Primitive.Concat 0) [];
   (* A pool whose kernel exceeds the padded input must be rejected, like
      the equivalent conv is — not yield a zero-sized spatial dim. *)

@@ -148,8 +148,7 @@ let inputs_of (g : Opgraph.t) seed =
          | Optype.Input name -> Some (name, Nd.randn (Rng.create seed) nd.Graph.shape)
          | _ -> None)
 
-let build_model (e : Models.Registry.entry) =
-  Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ())
+let build_model (e : Models.Registry.entry) = e.Models.Registry.build_small ()
 
 let orchestrate ?(faults = []) (e : Models.Registry.entry) =
   let g = build_model e in

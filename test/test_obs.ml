@@ -242,7 +242,7 @@ let small_run ?(tracing = false) name =
     | Some e -> e
     | None -> Alcotest.fail ("unknown zoo model " ^ name)
   in
-  let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
+  let g = entry.Models.Registry.build_small ~batch:1 () in
   let go () = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
   if tracing then fst (Obs.Trace.with_tracing go) else go ()
 
@@ -296,7 +296,7 @@ let test_report_json_roundtrip name () =
 (* The candidate space names the run's window, as [--window] sets it. *)
 let test_candidate_space_window () =
   let entry = Option.get (Models.Registry.find "candy") in
-  let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
+  let g = entry.Models.Registry.build_small ~batch:1 () in
   let space (cfg : Korch.Orchestrator.config) =
     let r = Korch.Orchestrator.run cfg g in
     match Onnx.Json.of_string (Korch.Report.json_string r) with
@@ -363,7 +363,7 @@ let test_tracing_does_not_change_plan () =
    budget left the same deadline keeps every segment optimal. *)
 let test_settled_budget_binds_to_greedy () =
   let entry = Option.get (Models.Registry.find "candy") in
-  let g = Fission.Canonicalize.fold_batch_norms (entry.Models.Registry.build_small ~batch:1 ()) in
+  let g = entry.Models.Registry.build_small ~batch:1 () in
   let run ~jobs total_s =
     let deadline = Some { Korch.Orchestrator.at_s = Obs.Clock.now_s () +. 1000.0; total_s } in
     Korch.Orchestrator.run { Korch.Orchestrator.default_config with jobs; deadline } g

@@ -166,6 +166,18 @@ let test_bad_shape () =
     ~doc:(valid_doc_with ~op_kind:{|{"kind":"Relu"}|} ~inputs:"[0]" ~shape:"[1,0]")
     ~needles:[ "node 1"; "dimension" ] "bad shape"
 
+(* Shape inference refuses a reshape to negative dimensions, even where
+   their product is the element count; the reader refuses it too, with
+   every stored shape valid. *)
+let test_negative_reshape () =
+  expect_format_error
+    ~doc:
+      {|{"format":"korch-onnx-json","kind":"operator","nodes":[
+         {"op":{"kind":"Input","name":"x"},"inputs":[],"shape":[2,3]},
+         {"op":{"kind":"Reshape","shape":[-3,-2]},"inputs":[0],"shape":[3,2]}],
+         "outputs":[1]}|}
+    ~needles:[ "nodes[1]"; "negative dimension" ] "negative reshape"
+
 let test_dangling_edge () =
   expect_format_error
     ~doc:(valid_doc_with ~op_kind:{|{"kind":"Relu"}|} ~inputs:"[5]" ~shape:"[1,4]")
@@ -243,6 +255,7 @@ let () =
           Alcotest.test_case "truncated JSON" `Quick test_truncated_json;
           Alcotest.test_case "unknown op" `Quick test_unknown_op;
           Alcotest.test_case "bad shape" `Quick test_bad_shape;
+          Alcotest.test_case "negative reshape" `Quick test_negative_reshape;
           Alcotest.test_case "dangling edge" `Quick test_dangling_edge;
           Alcotest.test_case "const payload" `Quick test_const_payload_roundtrip;
           Alcotest.test_case "non-finite numbers" `Quick test_non_finite_roundtrip ] );

@@ -168,7 +168,7 @@ let seg_fingerprint (r : Korch.Orchestrator.segment_result) =
    r.Korch.Orchestrator.settled_states)
 
 let check_jobs_determinism (e : Models.Registry.entry) () =
-  let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+  let g = e.Models.Registry.build_small () in
   let run jobs =
     Korch.Orchestrator.run { Korch.Orchestrator.default_config with jobs } g
   in

@@ -565,9 +565,7 @@ let test_identify_zoo_segments () =
   let max_prims = Korch.Orchestrator.default_config.Korch.Orchestrator.partition_max_prims in
   List.iter
     (fun (e : Models.Registry.entry) ->
-      let pg, _ =
-        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
-      in
+      let pg = Korch.Orchestrator.fission (e.Models.Registry.build_small ()) in
       let segs = List.map (fun s -> s.Korch.Partition.local) (Korch.Partition.split pg ~max_prims) in
       match identify_matches_reference segs with
       | None -> ()
@@ -650,9 +648,7 @@ let test_constfold_zoo_segments () =
   let folds = ref 0 in
   List.iter
     (fun (e : Models.Registry.entry) ->
-      let pg, _ =
-        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
-      in
+      let pg = Korch.Orchestrator.fission (e.Models.Registry.build_small ()) in
       List.iteri
         (fun i seg ->
           match constfold_matches_eager ~folds seg.Korch.Partition.local with
@@ -859,9 +855,7 @@ let test_solver_matches_scan_on_zoo () =
   let compared = ref 0 in
   List.iter
     (fun (e : Models.Registry.entry) ->
-      let pg, _ =
-        Fission.Engine.run (Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()))
-      in
+      let pg = Korch.Orchestrator.fission (e.Models.Registry.build_small ()) in
       let cache = Gpu.Profile_cache.create () in
       List.iteri
         (fun i seg ->
@@ -1262,7 +1256,7 @@ let kernel_props =
 let test_zoo_interp_matches_ref () =
   List.iter
     (fun (e : Models.Registry.entry) ->
-      let g = Fission.Canonicalize.fold_batch_norms (e.Models.Registry.build_small ()) in
+      let g = e.Models.Registry.build_small () in
       let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
       let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
       let inputs =

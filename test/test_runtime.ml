@@ -343,9 +343,7 @@ let bits_equal (a : Nd.t) (b : Nd.t) =
    interpreter; and [evals] counts exactly the primitives the
    interpreter evaluated. The native row needs a C compiler. *)
 let test_executor_modes () =
-  let g =
-    Fission.Canonicalize.fold_batch_norms (Models.Registry.candy.Models.Registry.build_small ())
-  in
+  let g = Models.Registry.candy.Models.Registry.build_small () in
   let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
   let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
   let inputs =

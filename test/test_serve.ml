@@ -22,10 +22,7 @@ let fresh_dir name =
 (* A fast orchestration workload shared by the cache tests. *)
 let workload =
   lazy
-    (let g =
-       Fission.Canonicalize.fold_batch_norms
-         (Models.Segformer.attention_subgraph ~batch:1 ~tokens:16 ~channels:8 ())
-     in
+    (let g = Models.Segformer.attention_subgraph ~batch:1 ~tokens:16 ~channels:8 () in
      let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
      (g, r))
 
@@ -130,9 +127,7 @@ let test_cache_version_miss () =
     (Serve.Plan_cache.lookup cache key <> None)
 
 (* Batch-range table entries: store/lookup round-trip, corrupt recovery. *)
-let decode_small_build ~batch =
-  Fission.Canonicalize.fold_batch_norms
-    (Models.Registry.decode.Models.Registry.build_small ~batch ())
+let decode_small_build ~batch = Models.Registry.decode.Models.Registry.build_small ~batch ()
 
 let small_table =
   lazy
