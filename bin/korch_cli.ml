@@ -113,7 +113,7 @@ let inject_conv =
 let inject_arg =
   let doc =
     "Inject a deterministic synthetic fault at SITE \
-     (profiler|ilp_solve|enumerate|transform|worker|onnx_parse|analysis|codegen_compile\
+     (profiler|solve|enumerate|transform|worker|onnx_parse|analysis|codegen_compile\
      |serve_accept|cache_io) \
      according to SPEC \
      ($(b,always), $(b,nth=K) for the K-th call, or $(b,p=P) for seeded probability P). \
@@ -173,10 +173,15 @@ let build_graph entry ~small ~batch =
   if small then entry.Models.Registry.build_small ~batch ()
   else entry.Models.Registry.build ~batch ()
 
+(* Print [verb: FAILED] and exit 1. Under [--json] the line goes to
+   stderr: stdout carries only documents. *)
+let file_failed ~verb ~json =
+  Printf.fprintf (if json then stderr else stdout) "%s: FAILED\n" verb;
+  exit 1
+
 (* The graph a verb works on: zoo model [-m MODEL] or the ONNX-JSON
    document FILE, with a source name for reports. Exits 1 when FILE does
-   not parse and 2 unless exactly one of the two is given. Under [--json]
-   the failure line goes to stderr: stdout carries only documents. *)
+   not parse and 2 unless exactly one of the two is given. *)
 let load_graph ~verb ~json ~small ~batch model file =
   match (model, file) with
   | Some m, None -> (build_graph (find_model m) ~small ~batch, m)
@@ -185,8 +190,7 @@ let load_graph ~verb ~json ~small ~batch model file =
     | g -> (g, Filename.basename f)
     | exception Onnx.Graph_doc.Format_error msg ->
       Printf.eprintf "%s: %s\n%!" f msg;
-      Printf.fprintf (if json then stderr else stdout) "%s: FAILED\n" verb;
-      exit 1
+      file_failed ~verb ~json
   end
   | _ ->
     Printf.eprintf "%s: specify exactly one of -m MODEL or a FILE argument\n" verb;
@@ -418,6 +422,17 @@ let run_action file model gpu precision batch small window jobs verbose inject f
   install_faults inject fault_seed;
   let backend = match backend with Some b -> b | None -> Runtime.Backend.default () in
   let g, source = load_graph ~verb:"run" ~json ~small ~batch model file in
+  (* A document can parse and still hold operator parameters shape
+     inference refuses; orchestrating it would die inside fission. Zoo
+     builds are trusted. *)
+  Option.iter
+    (fun f ->
+      let errors = Verify.Diagnostics.errors (Verify.opgraph_check g) in
+      if errors <> [] then begin
+        List.iter (fun d -> Format.eprintf "%s: %a@." f Verify.Diagnostics.pp_diag d) errors;
+        file_failed ~verb:"run" ~json
+      end)
+    file;
   let cfg = config ~spec:gpu ~precision ~window ~jobs in
   let r = with_trace trace (fun () -> Korch.Orchestrator.run cfg g) in
   (* [--assert-deterministic]: re-orchestrate at a different worker count

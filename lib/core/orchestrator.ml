@@ -24,17 +24,11 @@ open Ir
     what happened — replacing the old stringly-typed failure. *)
 module Error = struct
   type site =
-    | Transform
-    | Enumerate
-    | Solve
     | Schedule
     | Stitch
     | Verify
 
   let site_to_string = function
-    | Transform -> "transform"
-    | Enumerate -> "enumerate"
-    | Solve -> "solve"
     | Schedule -> "schedule"
     | Stitch -> "stitch"
     | Verify -> "verify"
@@ -85,13 +79,6 @@ type outcome = {
       (** transformation search failed; its starting point
           ({!Transform.Optimizer.start}), or the raw segment, was used
           instead *)
-}
-
-let ok_outcome = {
-  tier = Optimal;
-  retries = 0;
-  fallback_reason = None;
-  transform_degraded = false;
 }
 
 (** A per-request deadline, propagated from the serving layer. [at_s] is
@@ -421,11 +408,12 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       ]
   @@ fun () ->
   let fallback_reason = ref None in
-  let note site fmt =
+  (* The first ladder reason wins, labelled with the phase that failed. *)
+  let note phase fmt =
     Printf.ksprintf
       (fun detail ->
         if !fallback_reason = None then
-          fallback_reason := Some (Printf.sprintf "%s: %s" (Error.site_to_string site) detail))
+          fallback_reason := Some (Printf.sprintf "%s: %s" phase detail))
       fmt
   in
   (* Deadline pressure: fraction of the request's budget still remaining
@@ -445,7 +433,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     else Stdlib.max 1 (int_of_float (float_of_int settled_state_limit *. deadline_frac))
   in
   if past_deadline then
-    note Error.Solve "deadline exceeded before segment solve; taking the unfused floor";
+    note "solve" "deadline exceeded before segment solve; taking the unfused floor";
   (* Transformation search, degrading to its starting point then the raw
      segment. Past the deadline the search is skipped outright — CSE is
      the only (cheap, deterministic) cleanup still worth paying for. *)
@@ -473,9 +461,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     | exception ((Orchestration_failed _ | Stack_overflow | Out_of_memory) as e) -> raise e
     | exception e ->
       (match e with
-      | Faults.Injected { site; hit } ->
-        note Error.Transform "injected fault at %s (call %d)" (Faults.site_to_string site) hit
-      | e -> note Error.Transform "transformation search failed: %s" (Printexc.to_string e));
+      | Faults.Injected _ -> note "transform" "%s" (Printexc.to_string e)
+      | e -> note "transform" "transformation search failed: %s" (Printexc.to_string e));
       (* CSE + constant folding is the search's own starting point: cheap,
          deterministic, semantics-preserving — and folding matters, since
          an unfolded segment can be exponentially wider to enumerate. If
@@ -495,8 +482,8 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
           ~precision:cfg.precision ~cache transformed
       with
     | r -> r
-    | exception Faults.Injected { site; hit } ->
-      note Error.Enumerate "injected fault at %s (call %d)" (Faults.site_to_string site) hit;
+    | exception (Faults.Injected _ as e) ->
+      note "enumerate" "%s" (Printexc.to_string e);
       ([||], Kernel_identifier.empty_stats)
   in
   (* Ladder floor material: every primitive gets a singleton candidate. *)
@@ -513,7 +500,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
     end
     else begin
       let failed reason settled =
-        note Error.Solve "%s" reason;
+        note "solve" "%s" reason;
         (* Ladder: greedy fusion, then the unfused floor. *)
         match greedy_plan transformed candidates singleton with
         | Some (order, obj) -> (order, obj, Greedy, settled)
@@ -528,8 +515,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
       | Ok s -> (s.Segment_solver.order, s.Segment_solver.cost, Optimal, s.Segment_solver.settled)
       | Error (Segment_solver.Budget_exhausted k | Segment_solver.Unreachable k as f) ->
         failed (Segment_solver.failure_to_string f) k
-      | exception Faults.Injected { site; hit } ->
-        failed (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit) 0
+      | exception (Faults.Injected _ as e) -> failed (Printexc.to_string e) 0
     end
   in
   let outcome =
@@ -720,10 +706,9 @@ let run_primgraph (cfg : config) (g : Primgraph.t) : result =
           Obs.Metrics.add m_analysis_findings_warning w;
           enforce ~what:"memory plan (hazard cross-check)" report;
           Analysis_checked report
-        | exception Faults.Injected { site; hit } ->
+        | exception (Faults.Injected _ as e) ->
           Obs.Metrics.incr m_analysis_skipped;
-          Analysis_skipped
-            (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit)
+          Analysis_skipped (Printexc.to_string e)
         | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
         | exception e ->
           Obs.Metrics.incr m_analysis_skipped;

@@ -28,9 +28,6 @@ open Ir
     what happened. *)
 module Error : sig
   type site =
-    | Transform  (** transformation search on a segment *)
-    | Enumerate  (** execution-state enumeration / kernel identification *)
-    | Solve  (** the segment solver *)
     | Schedule  (** sequencing selected kernels *)
     | Stitch  (** re-assembling per-segment graphs *)
     | Verify  (** a static-analysis boundary check *)
@@ -75,10 +72,6 @@ type outcome = {
           ({!Transform.Optimizer.start}), or the raw segment, was used
           instead *)
 }
-
-(** The outcome of an untroubled segment: [Optimal], no retries, no
-    fallback. Convenient for tests. *)
-val ok_outcome : outcome
 
 (** A per-request wall-clock deadline, propagated from the serving layer
     into orchestration. [at_s] is an absolute {!Obs.Clock.now_s} instant;

@@ -12,15 +12,13 @@
     {!Gpu.Cost_model.substitute_shapes} over {!Ir.Batch_sym} affine shape
     fits.
 
-    Ranges partition [[lo, hi]]. Each range materializes the stitched
-    graph and plan at its {e anchor} (its largest probe): serving pads a
-    request batch up to a probe ({!execution_probe}), so the anchor plan
-    can execute any batch the range's probes cover. Refinement only ever
+    Ranges partition [[lo, hi]]. Each range records the stitched graph
+    and plan at its {e anchor} (its largest probe). Refinement only ever
     {e extends} a range above its anchor (both anchors are known-optimal
-    at their own batches because orchestration solved them directly), so
-    a batch in the extension pads up into the next range's first probe —
-    the table records that the extended range's plan would be cheaper at
-    the exact batch, which is evidence, not an executable.
+    at their own batches because orchestration solved them directly): the
+    table records that the extended range's plan would be cheaper at
+    those batches, which is evidence, not an executable — nothing serves
+    a batch from the table.
 
     Correctness never rests on the symbolic layer: every range's plan is
     the verbatim output of a fixed-batch [Orchestrator.run] at the
@@ -51,8 +49,7 @@ type t = {
 (* ------------------------------ probes ------------------------------ *)
 
 (** [probe_batches ~lo ~hi] — the geometric (doubling) probe ladder
-    [lo, 2lo, 4lo, ...] clipped to [hi], with [hi] always included so the
-    table's largest anchor can execute its largest batch. *)
+    [lo, 2lo, 4lo, ...] clipped to [hi], with [hi] always included. *)
 let probe_batches ~(lo : int) ~(hi : int) : int list =
   if lo < 1 then invalid_arg "Plan_table.probe_batches: lo must be >= 1";
   if hi < lo then invalid_arg "Plan_table.probe_batches: hi must be >= lo";
@@ -65,8 +62,7 @@ let probe_batches ~(lo : int) ~(hi : int) : int list =
    sizes: payload numerals that scale with the batch (Reshape targets,
    Slice/Pad index arrays, Broadcast sizes) and all shapes are excluded;
    everything structural (op kind, axes, permutations, conv geometry)
-   stays. Constants keep only their kind — their data is required to be
-   batch-invariant by [Ir.Batch_sym] anyway. *)
+   stays. Constants keep only their kind. *)
 let prim_tag : Ir.Primitive.t -> string = function
   | Ir.Primitive.Input name -> "input:" ^ name
   | Ir.Primitive.Constant _ -> "const"
@@ -279,27 +275,6 @@ let build (cfg : Orchestrator.config) ~(model : string)
 
 (* ----------------------------- lookup ------------------------------- *)
 
-let in_table (t : t) (b : int) = b >= t.lo && b <= t.hi
-
-(** [plan_for_batch t b] — the range whose [[lo, hi]] contains [b]: the
-    plan the cost model recommends for batch [b]. [None] outside
-    [[t.lo, t.hi]]. *)
-let plan_for_batch (t : t) (b : int) : range option =
-  if not (in_table t b) then None else List.find_opt (fun (r : range) -> b >= r.lo && b <= r.hi) t.ranges
-
-(** [execution_probe t b] — the smallest probe batch [>= b] anywhere in
-    the table: the batch a server pads [b] up to so a materialized
-    anchor plan can execute it. Always exists inside [[t.lo, t.hi]]
-    because [t.hi] is a probe. *)
-let execution_probe (t : t) (b : int) : int option =
-  if not (in_table t b) then None
-  else
-    List.concat_map (fun (r : range) -> r.probes) t.ranges
-    |> List.filter (fun p -> p >= b)
-    |> function
-    | [] -> None
-    | ps -> Some (List.fold_left min max_int ps)
-
 (** [range_for_probe t p] — the range holding probe [p] (every probe lies
     inside its own run's range). *)
 let range_for_probe (t : t) (p : int) : range option =
@@ -317,5 +292,3 @@ let pp ppf (t : t) =
         (String.sub r.signature 0 8)
         (if r.refined then " (refined)" else ""))
     t.ranges
-
-let summary (t : t) : string = Format.asprintf "%a" pp t

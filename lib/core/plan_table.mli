@@ -53,19 +53,8 @@ val build :
   hi:int ->
   t
 
-(** [plan_for_batch t b] — the range whose [[lo, hi]] contains [b]; the
-    cost model's recommendation for batch [b]. [None] outside the
-    table. *)
-val plan_for_batch : t -> int -> range option
-
-(** [execution_probe t b] — the smallest probe batch [>= b] in the whole
-    table: the batch a server pads [b] up to so a materialized anchor
-    plan can execute it. [None] outside the table. *)
-val execution_probe : t -> int -> int option
-
 (** [range_for_probe t p] — the range holding probe [p], if [p] is one
     of the table's probe batches. *)
 val range_for_probe : t -> int -> range option
 
 val pp : Format.formatter -> t -> unit
-val summary : t -> string

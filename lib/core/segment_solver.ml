@@ -144,7 +144,7 @@ let build_index (needs : Bitset.t array) (adds : Bitset.t array) (lat : float ar
   { group_needs; members; kept = !kept }
 
 let solve ?(disjoint = false) ~budget (g : Primgraph.t) (candidates : Candidate.t array) =
-  Faults.check Faults.Ilp_solve;
+  Faults.check Faults.Solve;
   Obs.Metrics.incr m_solves;
   (* One bitset holds both halves of a state: primitive [j] has executed
      when bit [j] is set (tracked only when [disjoint]) and is published

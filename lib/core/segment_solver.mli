@@ -66,7 +66,7 @@ val failure_to_string : failure -> string
     may not re-execute any of them: every primitive executes at most
     once.
 
-    Carries the {!Faults.site-Ilp_solve} fault-injection site: an
+    Carries the {!Faults.site-Solve} fault-injection site: an
     installed policy can make this call raise {!Faults.Injected}. The
     search runs in a [segment_solver] span with args [candidates],
     [kept] (after dropping duplicates) and [groups] (distinct input

@@ -6,7 +6,7 @@
 
 type site =
   | Profiler
-  | Ilp_solve
+  | Solve
   | Enumerate
   | Transform
   | Worker
@@ -19,7 +19,7 @@ type site =
 let all_sites =
   [
     Profiler;
-    Ilp_solve;
+    Solve;
     Enumerate;
     Transform;
     Worker;
@@ -32,7 +32,7 @@ let all_sites =
 
 let site_index = function
   | Profiler -> 0
-  | Ilp_solve -> 1
+  | Solve -> 1
   | Enumerate -> 2
   | Transform -> 3
   | Worker -> 4
@@ -46,7 +46,7 @@ let n_sites = 10
 
 let site_to_string = function
   | Profiler -> "profiler"
-  | Ilp_solve -> "ilp_solve"
+  | Solve -> "solve"
   | Enumerate -> "enumerate"
   | Transform -> "transform"
   | Worker -> "worker"
@@ -106,7 +106,7 @@ exception Injected of { site : site; hit : int }
 let () =
   Printexc.register_printer (function
     | Injected { site; hit } ->
-      Some (Printf.sprintf "Faults.Injected(%s, call %d)" (site_to_string site) hit)
+      Some (Printf.sprintf "injected fault at %s (call %d)" (site_to_string site) hit)
     | _ -> None)
 
 type state = {

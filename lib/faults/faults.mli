@@ -25,7 +25,7 @@ type site =
           candidates that pass the static backend rules are measured (a
           real tuner never measures the others), and a profile-cache hit
           measures nothing *)
-  | Ilp_solve  (** {!Korch.Segment_solver.solve} — one per-segment solve *)
+  | Solve  (** {!Korch.Segment_solver.solve} — one per-segment solve *)
   | Enumerate  (** {!Korch.Exec_state} execution-state enumeration *)
   | Transform  (** per-segment transformation search *)
   | Worker  (** a {!Parallel.Domain_pool} worker executing a task *)
@@ -61,7 +61,8 @@ val spec_to_string : spec -> string
     (1-based) or ["SITE:p=0.25"] (aliases [prob=]). *)
 val parse_rule : string -> (site * spec, string) result
 
-(** The synthetic failure. [hit] is the 1-based call number at the site. *)
+(** The synthetic failure. [hit] is the 1-based call number at the site.
+    [Printexc.to_string] renders it as [injected fault at SITE (call N)]. *)
 exception Injected of { site : site; hit : int }
 
 (** [install ?seed rules] replaces the active policy and resets every

@@ -7,14 +7,6 @@
 
 open Ir
 
-(* Mean over one axis followed by a same-axis broadcast back to the input
-   shape: the reduce/broadcast pair every normalization is built from. *)
-let mean_broadcast b x ~axis =
-  let shape = Primgraph.B.shape_of b x in
-  let d = shape.(axis) in
-  let m = Primgraph.B.add b (Primitive.Reduce (Mean, axis)) [ x ] in
-  Primgraph.B.add b (Primitive.Broadcast (axis, d)) [ m ]
-
 (* Normalize [x] over the given axes (innermost last): returns the
    primitive id of (x - mean) / sqrt (var + eps). *)
 let normalize_axes b x ~axes ~eps =

@@ -4,23 +4,16 @@
     batch: [dim(b) = coeff * b + const] with non-negative integer
     coefficients — batch-carrying axes have [coeff > 0], structural axes
     (channels, heads, kernel sizes) have [coeff = 0]. Rather than
-    re-implement shape inference symbolically (and fight the payload
-    numerals builders bake into [Reshape]/[Slice]/[Pad] targets), this
-    module {e fits} the affine forms from two concrete instantiations of
-    the same graph at different batches, then
+    re-implement shape inference symbolically, this module {e fits} the
+    affine forms from the node shapes of two concrete instantiations of
+    the same graph at different batches ({!fit_shapes}) and evaluates the
+    fitted shapes at any other batch ({!shape_at}, {!shapes_at}) — what
+    the cost model needs to re-price a kernel.
 
-    + evaluates the fitted shapes at any other batch ({!shape_at},
-      {!shapes_at}) — what the cost model needs to re-price a kernel;
-    + specializes a fitted operator graph to a concrete batch
-      ({!specialize}), rewriting the batch-dependent payloads and
-      re-running {!Shape_infer} so the result is validated, never
-      trusted.
-
-    A fit can fail ([Error]) whenever the two instantiations differ
-    non-affinely (different topology, constants whose {e data} varies
-    with batch, a dimension that scales super-linearly): callers fall
-    back to per-batch orchestration, so the symbolic layer is never
-    load-bearing for correctness. *)
+    A fit fails ([Error]) whenever the two instantiations differ
+    non-affinely (different node count, a dimension that scales
+    super-linearly): callers then re-orchestrate at that batch, so the
+    symbolic layer is never load-bearing for correctness. *)
 
 open Tensor
 
@@ -30,14 +23,6 @@ type dim = { coeff : int; const : int }
 
 (** A shape whose every dimension is affine in the batch. *)
 type shape = dim array
-
-let dim_to_string (d : dim) =
-  if d.coeff = 0 then string_of_int d.const
-  else if d.const = 0 then Printf.sprintf "%db" d.coeff
-  else Printf.sprintf "%db+%d" d.coeff d.const
-
-let shape_to_string (s : shape) =
-  "[" ^ String.concat "x" (Array.to_list (Array.map dim_to_string s)) ^ "]"
 
 let eval_dim (d : dim) (b : int) : int = (d.coeff * b) + d.const
 
@@ -97,155 +82,3 @@ let fit_shapes ~(b1 : int) (ss1 : Shape.t array) ~(b2 : int) (ss2 : Shape.t arra
       ss1;
     match !err with Some m -> Error m | None -> Ok out
   end
-
-(* ------------------------- operator graphs ------------------------- *)
-
-(* Batch-dependent payloads live in Reshape targets and Slice/Pad index
-   arrays; everything else must match exactly between the two
-   instantiations (Constant data included — a constant whose numbers vary
-   with batch cannot be specialized). *)
-type op_fit =
-  | Fixed of Optype.t
-  | Reshape_sym of shape
-  | Slice_sym of { starts : shape; stops : shape }
-  | Pad_sym of { before : shape; after : shape; value : float }
-
-type node_fit = { nf_op : op_fit; nf_inputs : int list; nf_shape : shape }
-
-type t = {
-  base_batch : int;  (** the batch the fit's first instantiation used *)
-  fit_nodes : node_fit array;
-  fit_outputs : int list;
-}
-
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let fit_int_array ~b1 (a1 : int array) ~b2 (a2 : int array) : shape option =
-  fit_shape ~b1 a1 ~b2 a2
-
-let fit_op ~b1 (o1 : Optype.t) ~b2 (o2 : Optype.t) : (op_fit, string) result =
-  match (o1, o2) with
-  | Optype.Reshape s1, Optype.Reshape s2 -> begin
-    match fit_shape ~b1 s1 ~b2 s2 with
-    | Some s -> Ok (Reshape_sym s)
-    | None -> fail "reshape target %s vs %s not affine" (Shape.to_string s1) (Shape.to_string s2)
-  end
-  | Optype.Slice { starts = st1; stops = sp1 }, Optype.Slice { starts = st2; stops = sp2 } ->
-    begin
-      match (fit_int_array ~b1 st1 ~b2 st2, fit_int_array ~b1 sp1 ~b2 sp2) with
-      | Some starts, Some stops -> Ok (Slice_sym { starts; stops })
-      | _ -> fail "slice bounds not affine"
-    end
-  | ( Optype.Pad { before = bf1; after = af1; value = v1 },
-      Optype.Pad { before = bf2; after = af2; value = v2 } )
-    when v1 = v2 -> begin
-    match (fit_int_array ~b1 bf1 ~b2 bf2, fit_int_array ~b1 af1 ~b2 af2) with
-    | Some before, Some after -> Ok (Pad_sym { before; after; value = v1 })
-    | _ -> fail "pad widths not affine"
-  end
-  | Optype.Constant c1, Optype.Constant c2 ->
-    if Const.equal c1 c2 then Ok (Fixed o1)
-    else fail "constant data varies with batch (%s vs %s)" (Const.to_string c1)
-      (Const.to_string c2)
-  | _ ->
-    if o1 = o2 then Ok (Fixed o1)
-    else fail "operators differ between batches (%s vs %s)" (Optype.to_string o1)
-      (Optype.to_string o2)
-
-(** [fit_opgraph ~b1 g1 ~b2 g2] — fit two instantiations of the same
-    builder at batches [b1] and [b2] into a batch-parametric graph. *)
-let fit_opgraph ~(b1 : int) (g1 : Opgraph.t) ~(b2 : int) (g2 : Opgraph.t) :
-    (t, string) result =
-  if b1 = b2 then invalid_arg "Batch_sym.fit_opgraph: b1 = b2";
-  if Graph.length g1 <> Graph.length g2 then
-    fail "node count differs between batches (%d vs %d)" (Graph.length g1) (Graph.length g2)
-  else if g1.Graph.outputs <> g2.Graph.outputs then fail "graph outputs differ between batches"
-  else begin
-    let n = Graph.length g1 in
-    let nodes = Array.make n { nf_op = Fixed Optype.MatMul; nf_inputs = []; nf_shape = [||] } in
-    let rec go i =
-      if i >= n then
-        Ok { base_batch = b1; fit_nodes = nodes; fit_outputs = g1.Graph.outputs }
-      else
-        let n1 = Graph.node g1 i and n2 = Graph.node g2 i in
-        if n1.Graph.inputs <> n2.Graph.inputs then fail "node %d: edges differ between batches" i
-        else
-          match fit_op ~b1 n1.Graph.op ~b2 n2.Graph.op with
-          | Error m -> fail "node %d: %s" i m
-          | Ok nf_op -> (
-            match fit_shape ~b1 n1.Graph.shape ~b2 n2.Graph.shape with
-            | None ->
-              fail "node %d: shape %s vs %s not affine" i (Shape.to_string n1.Graph.shape)
-                (Shape.to_string n2.Graph.shape)
-            | Some nf_shape ->
-              nodes.(i) <- { nf_op; nf_inputs = n1.Graph.inputs; nf_shape };
-              go (i + 1))
-    in
-    go 0
-  end
-
-(** The fitted shape of every node, for {!shapes_at}/cost-model use. *)
-let node_shapes (t : t) : shape array = Array.map (fun nf -> nf.nf_shape) t.fit_nodes
-
-(** [specialize t ~batch] — instantiate the fitted graph at a concrete
-    batch. Payloads are rewritten from their affine forms and the whole
-    graph is re-inferred through {!Shape_infer}: a node whose re-inferred
-    shape disagrees with its fitted shape turns the specialization into
-    an [Error] (the fit extrapolated wrongly), it is never served. *)
-let specialize (t : t) ~(batch : int) : (Opgraph.t, string) result =
-  if batch <= 0 then invalid_arg "Batch_sym.specialize: batch must be >= 1";
-  let n = Array.length t.fit_nodes in
-  let nodes =
-    Array.make n { Graph.id = 0; op = Optype.MatMul; inputs = []; shape = [||] }
-  in
-  let rec go i =
-    if i >= n then begin
-      let g = { Graph.nodes; outputs = t.fit_outputs } in
-      match Graph.validate g with () -> Ok g | exception Invalid_argument m -> Error m
-    end
-    else
-      let nf = t.fit_nodes.(i) in
-      let op =
-        match nf.nf_op with
-        | Fixed o -> o
-        | Reshape_sym s -> Optype.Reshape (shape_at s batch)
-        | Slice_sym { starts; stops } ->
-          Optype.Slice { starts = shape_at starts batch; stops = shape_at stops batch }
-        | Pad_sym { before; after; value } ->
-          Optype.Pad { before = shape_at before batch; after = shape_at after batch; value }
-      in
-      let expected = shape_at nf.nf_shape batch in
-      let inferred =
-        match op with
-        | Optype.Input _ -> Ok expected
-        | _ -> (
-          let in_shapes = List.map (fun j -> nodes.(j).Graph.shape) nf.nf_inputs in
-          match Shape_infer.op op in_shapes with
-          | s -> Ok s
-          | exception Invalid_argument m -> Error m)
-      in
-      match inferred with
-      | Error m -> fail "node %d: shape inference at batch %d failed: %s" i batch m
-      | Ok s ->
-        if not (Shape.equal s expected) then
-          fail "node %d: fitted shape %s disagrees with inferred %s at batch %d" i
-            (Shape.to_string expected) (Shape.to_string s) batch
-        else begin
-          nodes.(i) <- { Graph.id = i; op; inputs = nf.nf_inputs; shape = s };
-          go (i + 1)
-        end
-  in
-  go 0
-
-(** [check_affine ~b1 g1 ~b2 g2 ~probe gp] — fit at [b1]/[b2] and verify
-    the fit reproduces a third independent instantiation exactly. The
-    cheap end-to-end parametricity test callers run before trusting a
-    fit. *)
-let check_affine ~(b1 : int) (g1 : Opgraph.t) ~(b2 : int) (g2 : Opgraph.t) ~(probe : int)
-    (gp : Opgraph.t) : (t, string) result =
-  match fit_opgraph ~b1 g1 ~b2 g2 with
-  | Error _ as e -> e
-  | Ok t -> (
-    match specialize t ~batch:probe with
-    | Error m -> fail "specialization at probe batch %d failed: %s" probe m
-    | Ok g -> if g = gp then Ok t else fail "fit does not reproduce the graph at batch %d" probe)

@@ -119,23 +119,6 @@ let descendants g i : Bitset.t =
   go i;
   !seen
 
-(** [ancestors g i] is the set of nodes from which [i] is reachable
-    (excluding [i]). *)
-let ancestors g i : Bitset.t =
-  let n = length g in
-  let seen = ref (Bitset.empty n) in
-  let rec go v =
-    List.iter
-      (fun w ->
-        if not (Bitset.mem !seen w) then begin
-          seen := Bitset.add !seen w;
-          go w
-        end)
-      (preds g v)
-  in
-  go i;
-  !seen
-
 (** [is_execution_state g s] tests Definition 2: [s] is downward closed
     under the dependency relation (every predecessor of a member is a
     member). *)
@@ -167,9 +150,6 @@ let is_convex_with (sc : int list array) (s : Bitset.t) =
 (** [is_convex g s] tests Definition 1 directly: no path leaves [s] and
     re-enters it. O(|s| * |E|); used as the test oracle for Theorem 1. *)
 let is_convex g (s : Bitset.t) = is_convex_with (succs g) s
-
-(** [map_ops f g] rewrites every node operator in place-preserving order. *)
-let map_ops f g = { g with nodes = Array.map (fun nd -> { nd with op = f nd.op }) g.nodes }
 
 (** [boundary_outputs ?succs g s] lists members of [s] whose output is
     consumed outside [s] or is a graph output — the canonical "possible

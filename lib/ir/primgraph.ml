@@ -6,12 +6,6 @@ type t = Primitive.t Graph.t
 
 let pp = Graph.pp Primitive.pp
 
-(** [count_category g cat] counts nodes of the given primitive category. *)
-let count_category (g : t) (cat : Primitive.category) =
-  Array.fold_left
-    (fun acc nd -> if Primitive.category nd.Graph.op = cat then acc + 1 else acc)
-    0 g.Graph.nodes
-
 (** [non_source_nodes g] lists ids of executable (non-Input/Const) nodes. *)
 let non_source_nodes (g : t) : int list =
   Array.to_list g.Graph.nodes

@@ -85,10 +85,6 @@ let category_to_string = function
   | Source -> "source"
   | Unknown -> "opaque"
 
-(** [is_linear p] — linear transformation primitives are the
-    compute-intensive ones lowered to vendor libraries (§5.2). *)
-let is_linear p = category p = Linear
-
 let is_source p = category p = Source
 
 let unary_to_string = function

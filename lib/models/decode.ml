@@ -28,8 +28,6 @@
 
 open Ir
 
-let neg_inf_mask = -1e9
-
 (** [build ~batch ~heads ~head_dim ~past_len ~mlp_ratio ()] — one decode
     step. [past_len] is the cache length [L] {e before} this step. *)
 let build ?(batch = 1) ~heads ~head_dim ~past_len ~mlp_ratio () : Opgraph.t =

@@ -267,8 +267,7 @@ let primgraph_to_string g = Obs.Jsonw.to_string (encode primgraph g)
 let of_string c s =
   let failf fmt = Printf.ksprintf (fun m -> raise (Format_error m)) fmt in
   (try Faults.check Faults.Onnx_parse
-   with Faults.Injected { site; hit } ->
-     failf "injected fault at %s (call %d)" (Faults.site_to_string site) hit);
+   with Faults.Injected _ as e -> raise (Format_error (Printexc.to_string e)));
   match Json.of_string s with
   | exception Json.Parse_error (msg, pos) ->
     if pos >= String.length s then

@@ -1,75 +1,22 @@
 (** Fixed-size domain pool with deterministic fan-out/fan-in.
 
     A from-scratch OCaml 5 work-sharing pool (no domainslib): [jobs] worker
-    domains are spawned once at pool creation, pull thunks from a single
-    mutex/condition-protected queue, and resolve futures that the submitter
-    awaits. The design goals, in order:
+    domains are spawned once at pool creation and pull thunks from a single
+    mutex/condition-protected queue. The design goals, in order:
 
-    - {b determinism at the API}: {!map_array} returns results in input
-      order and re-raises the lowest-index exception, so callers observe
-      identical behaviour for any worker count — the property the
-      orchestrator's bit-identical-plans guarantee rests on;
-    - {b exception transparency}: a task that raises resolves its future
-      with the exception and the captured backtrace; {!await} re-raises at
-      the await site. Workers never die from task exceptions;
+    - {b determinism at the API}: {!map_result} returns results in input
+      order, so callers observe identical behaviour for any worker count —
+      the property the orchestrator's bit-identical-plans guarantee rests
+      on;
+    - {b exception transparency}: a task that raises fills its own result
+      slot with the exception and the captured backtrace. Workers never die
+      from task exceptions;
     - {b zero overhead when sequential}: [jobs <= 1] spawns no domains at
-      all — submission runs the thunk inline on the calling domain.
+      all — every task runs inline on the calling domain. *)
 
-    Each worker owns a private splitmix64 {!Tensor.Rng.t} (seeded from the
-    pool seed and the worker index, reachable via {!worker_rng}) so
-    randomized task code never contends on — or worse, shares — generator
-    state across domains. *)
-
-(* ------------------------------ futures ------------------------------ *)
-
-type 'a state =
-  | Pending
-  | Resolved of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  f_lock : Mutex.t;
-  f_done : Condition.t;
-  mutable state : 'a state;
-}
-
-let make_future () = { f_lock = Mutex.create (); f_done = Condition.create (); state = Pending }
-
-let resolve (fut : 'a future) (st : 'a state) =
-  Mutex.lock fut.f_lock;
-  fut.state <- st;
-  Condition.broadcast fut.f_done;
-  Mutex.unlock fut.f_lock
-
-(** [await fut] blocks until the task behind [fut] finishes, returning its
-    value or re-raising its exception with the original backtrace. *)
-let await (fut : 'a future) : 'a =
-  Mutex.lock fut.f_lock;
-  let rec wait () =
-    match fut.state with
-    | Pending ->
-      Condition.wait fut.f_done fut.f_lock;
-      wait ()
-    | st -> st
-  in
-  let st = wait () in
-  Mutex.unlock fut.f_lock;
-  match st with
-  | Resolved v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
-
-(* ---------------------------- worker state ---------------------------- *)
-
-type worker_ctx = { id : int; rng : Tensor.Rng.t }
-
-let ctx_key : worker_ctx option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let worker_id () = Option.map (fun c -> c.id) (Domain.DLS.get ctx_key)
-let worker_rng () = Option.map (fun c -> c.rng) (Domain.DLS.get ctx_key)
-
-(* ------------------------------- pool -------------------------------- *)
+(* Set on pool worker domains only: the [worker] fault site fires there
+   and nowhere else. *)
+let on_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 type t = {
   jobs : int;
@@ -79,13 +26,6 @@ type t = {
   mutable closed : bool;
   mutable domains : unit Domain.t list;
 }
-
-let size (pool : t) = pool.jobs
-
-(* Mix the pool seed with the worker index so workers draw from disjoint
-   splitmix64 streams (the increment constant keeps streams decorrelated
-   even for adjacent seeds). *)
-let worker_seed ~seed ~index = seed + ((index + 1) * 0x2545F4914F6CDD1D)
 
 let rec worker_loop (pool : t) =
   Mutex.lock pool.lock;
@@ -109,7 +49,7 @@ let rec worker_loop (pool : t) =
 
 let max_jobs = 128
 
-let create ?(seed = 1) ~jobs () : t =
+let create ~jobs : t =
   if jobs < 1 then invalid_arg "Domain_pool.create: jobs must be >= 1";
   let jobs = min jobs max_jobs in
   let pool =
@@ -126,8 +66,7 @@ let create ?(seed = 1) ~jobs () : t =
     pool.domains <-
       List.init jobs (fun i ->
           Domain.spawn (fun () ->
-              Domain.DLS.set ctx_key
-                (Some { id = i; rng = Tensor.Rng.create (worker_seed ~seed ~index:i) });
+              Domain.DLS.set on_worker true;
               (* Label this domain's track in exported traces, whether or
                  not tracing is on yet — registration is one mutexed list
                  append per worker lifetime. *)
@@ -145,66 +84,65 @@ let shutdown (pool : t) =
   List.iter Domain.join pool.domains;
   pool.domains <- []
 
-let submit (pool : t) (f : unit -> 'a) : 'a future =
-  let fut = make_future () in
-  let run () =
-    let st =
-      try
-        (* The [worker] fault site fires only on real pool workers — an
-           inline (sequential) execution is not a worker-domain failure,
-           which is what lets callers retry a failed task on the main
-           domain without re-injecting the same fault. *)
-        if Domain.DLS.get ctx_key <> None then Faults.check Faults.Worker;
-        Resolved (Obs.Span.with_ ~name:"pool.task" f)
-      with e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    resolve fut st
-  in
-  if pool.jobs <= 1 then run ()
-  else begin
-    Mutex.lock pool.lock;
-    if pool.closed then begin
-      Mutex.unlock pool.lock;
-      invalid_arg "Domain_pool.submit: pool is shut down"
-    end;
-    Queue.push run pool.queue;
-    Condition.signal pool.has_work;
-    Mutex.unlock pool.lock
+(* One task, captured: the [worker] fault site fires only on real pool
+   workers — an inline (sequential) execution is not a worker-domain
+   failure, which is what lets callers retry a failed task on the main
+   domain without re-injecting the same fault. *)
+let run_task (f : unit -> 'a) : ('a, exn * Printexc.raw_backtrace) result =
+  try
+    if Domain.DLS.get on_worker then Faults.check Faults.Worker;
+    Ok (Obs.Span.with_ ~name:"pool.task" f)
+  with e -> Error (e, Printexc.get_raw_backtrace ())
+
+let enqueue (pool : t) (task : unit -> unit) =
+  Mutex.lock pool.lock;
+  if pool.closed then begin
+    Mutex.unlock pool.lock;
+    invalid_arg "Domain_pool.submit: pool is shut down"
   end;
-  fut
+  Queue.push task pool.queue;
+  Condition.signal pool.has_work;
+  Mutex.unlock pool.lock
 
-let map_array (pool : t) (f : 'a -> 'b) (arr : 'a array) : 'b array =
-  if pool.jobs <= 1 || Array.length arr <= 1 then Array.map f arr
-  else begin
-    let futures = Array.map (fun x -> submit pool (fun () -> f x)) arr in
-    (* Await in index order: the lowest-index exception wins, and the
-       result array is ordered regardless of completion order. *)
-    Array.map await futures
-  end
+let submit (pool : t) (f : unit -> unit) : unit =
+  let task () = ignore (run_task f) in
+  if pool.jobs <= 1 then task () else enqueue pool task
 
-let map_list (pool : t) (f : 'a -> 'b) (l : 'a list) : 'b list =
-  Array.to_list (map_array pool f (Array.of_list l))
-
-(** [map_result pool f l] — like {!map_list} but captures each task's
-    failure in its slot instead of re-raising the first one, so a caller
-    can degrade or retry per element (the orchestrator retries failed
-    segments sequentially on the main domain). Order preserved. *)
+(** [map_result pool f l] — every task fills its own slot; the caller
+    waits until the last slot is filled. Order preserved. *)
 let map_result (pool : t) (f : 'a -> 'b) (l : 'a list) :
     ('b, exn * Printexc.raw_backtrace) result list =
-  let capture g x = try Ok (g x) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+  let capture x = try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()) in
   let arr = Array.of_list l in
-  if pool.jobs <= 1 || Array.length arr <= 1 then Array.to_list (Array.map (capture f) arr)
+  let n = Array.length arr in
+  if pool.jobs <= 1 || n <= 1 then List.map capture l
   else begin
-    let futures = Array.map (fun x -> submit pool (fun () -> f x)) arr in
-    Array.to_list (Array.map (capture await) futures)
+    let slots = Array.make n None in
+    let left = ref n and lock = Mutex.create () and all_done = Condition.create () in
+    Array.iteri
+      (fun i x ->
+        enqueue pool (fun () ->
+            let r = run_task (fun () -> f x) in
+            Mutex.lock lock;
+            slots.(i) <- Some r;
+            decr left;
+            if !left = 0 then Condition.signal all_done;
+            Mutex.unlock lock))
+      arr;
+    Mutex.lock lock;
+    while !left > 0 do
+      Condition.wait all_done lock
+    done;
+    Mutex.unlock lock;
+    Array.to_list (Array.map Option.get slots)
   end
 
-let with_pool ?seed ~jobs (f : t -> 'a) : 'a =
-  let pool = create ?seed ~jobs () in
+let with_pool ~jobs (f : t -> 'a) : 'a =
+  let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-(** [default_jobs ()] — [Domain.recommended_domain_count ()] capped at
-    [cap] (default 8): beyond a handful of segments per model there is
-    nothing left to farm out, and over-subscribing domains on small
-    machines costs more in spawn/contention than it buys. *)
-let default_jobs ?(cap = 8) () = max 1 (min cap (Domain.recommended_domain_count ()))
+(** [default_jobs ()] — [Domain.recommended_domain_count ()] capped at 8:
+    beyond a handful of segments per model there is nothing left to farm
+    out, and over-subscribing domains on small machines costs more in
+    spawn/contention than it buys. *)
+let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))

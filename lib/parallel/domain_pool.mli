@@ -1,51 +1,32 @@
 (** Fixed-size domain pool with deterministic fan-out/fan-in.
 
     A from-scratch OCaml 5 work-sharing pool (no domainslib): worker
-    domains are spawned once, pull thunks from a mutex/condition work
-    queue, and resolve futures the submitter awaits. {!map_array} preserves
-    input order and re-raises the lowest-index exception, so callers
-    observe identical behaviour for any worker count — the property the
-    orchestrator's bit-identical-plans guarantee rests on. With
-    [jobs <= 1] no domains are spawned and every task runs inline on the
-    calling domain. *)
+    domains are spawned once and pull thunks from a mutex/condition work
+    queue. {!map_result} returns one result per input, in input order,
+    so callers observe identical behaviour for any worker count — the
+    property the orchestrator's bit-identical-plans guarantee rests on.
+    With [jobs <= 1] no domains are spawned and every task runs inline on
+    the calling domain. *)
 
 type t
 
-(** A handle to the eventual result of a submitted task. *)
-type 'a future
-
-(** [create ?seed ~jobs ()] spawns [jobs] worker domains ([jobs] is capped
-    at 128; [jobs <= 1] spawns none). [seed] (default 1) derives each
-    worker's private {!Tensor.Rng.t} stream.
+(** [create ~jobs] spawns [jobs] worker domains ([jobs] is capped at 128;
+    [jobs <= 1] spawns none).
 
     Raises [Invalid_argument] when [jobs < 1]. *)
-val create : ?seed:int -> jobs:int -> unit -> t
+val create : jobs:int -> t
 
-(** Number of workers the pool was created with. *)
-val size : t -> int
-
-(** [submit pool f] enqueues [f] and returns its future. On a sequential
-    pool ([jobs <= 1]) the thunk runs inline before [submit] returns.
+(** [submit pool f] enqueues [f] and returns at once; an exception [f]
+    raises is dropped, and the worker lives on. On a sequential pool
+    ([jobs <= 1]) the thunk runs inline before [submit] returns.
 
     Raises [Invalid_argument] after {!shutdown}. *)
-val submit : t -> (unit -> 'a) -> 'a future
+val submit : t -> (unit -> unit) -> unit
 
-(** [await fut] blocks until the task finishes; returns its value or
-    re-raises its exception with the original backtrace. *)
-val await : 'a future -> 'a
-
-(** [map_array pool f arr] applies [f] to every element on the pool and
-    returns results in input order. If several tasks raise, the exception
-    of the lowest index is re-raised. *)
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** List version of {!map_array}. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_result pool f l] — like {!map_list} but each task's exception is
-    captured in its own slot (with backtrace) instead of the lowest-index
-    one being re-raised, so callers can retry or degrade per element.
-    Results stay in input order.
+(** [map_result pool f l] applies [f] to every element on the pool; each
+    task's exception is captured in its own slot (with backtrace), so
+    callers can retry or degrade per element. Results stay in input
+    order.
 
     Tasks executing on real pool workers pass the {!Faults.site-Worker}
     injection site first; inline execution (sequential pool) does not, so
@@ -57,18 +38,8 @@ val map_result :
     joins the workers. Idempotent. *)
 val shutdown : t -> unit
 
-(** [with_pool ?seed ~jobs f] — [create], run [f], always [shutdown]. *)
-val with_pool : ?seed:int -> jobs:int -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] — [create], run [f], always [shutdown]. *)
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** [worker_id ()] — index of the executing pool worker; [None] on domains
-    that are not pool workers (including the caller of a sequential pool). *)
-val worker_id : unit -> int option
-
-(** [worker_rng ()] — the executing worker's private deterministic
-    generator (seeded from the pool seed and worker index); [None] outside
-    a pool worker. *)
-val worker_rng : unit -> Tensor.Rng.t option
-
-(** [default_jobs ()] — [Domain.recommended_domain_count ()] capped at
-    [cap] (default 8). *)
-val default_jobs : ?cap:int -> unit -> int
+(** [default_jobs ()] — [Domain.recommended_domain_count ()] capped at 8. *)
+val default_jobs : unit -> int

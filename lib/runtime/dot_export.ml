@@ -1,4 +1,4 @@
-(** Graphviz DOT export of primitive graphs and orchestration plans.
+(** Graphviz DOT export of orchestration plans.
 
     [plan_to_dot] colours each primitive by the kernel(s) that execute it
     and draws kernel clusters, making redundant execution (a primitive in
@@ -29,29 +29,6 @@ let node_label (g : Primgraph.t) (id : int) =
 let palette =
   [| "#a6cee3"; "#b2df8a"; "#fb9a99"; "#fdbf6f"; "#cab2d6"; "#ffff99"; "#1f78b4";
      "#33a02c"; "#e31a1c"; "#ff7f00"; "#6a3d9a"; "#b15928" |]
-
-(** [graph_to_dot g] — plain primitive-graph rendering. *)
-let graph_to_dot (g : Primgraph.t) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph primgraph {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n";
-  Array.iter
-    (fun nd ->
-      let style =
-        if Primitive.is_source nd.Graph.op then " style=dashed"
-        else if List.mem nd.Graph.id g.Graph.outputs then " style=bold"
-        else ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\"%s];\n" nd.Graph.id (node_label g nd.Graph.id) style))
-    g.Graph.nodes;
-  Array.iter
-    (fun nd ->
-      List.iter
-        (fun p -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" p nd.Graph.id))
-        nd.Graph.inputs)
-    g.Graph.nodes;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
 
 (** [plan_to_dot g plan] — primitive graph with one cluster per kernel.
     Redundantly executed primitives appear in several clusters (as

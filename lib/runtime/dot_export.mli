@@ -1,10 +1,6 @@
-(** Graphviz DOT export of primitive graphs and orchestration plans. *)
+(** Graphviz DOT export of orchestration plans. *)
 
 open Ir
-
-(** [graph_to_dot g] — plain rendering: one box per node, dashed sources,
-    bold graph outputs. *)
-val graph_to_dot : Primgraph.t -> string
 
 (** [plan_to_dot g plan] — the primitive graph with one coloured cluster
     per kernel; published outputs drawn with thick borders. Redundantly

@@ -93,10 +93,11 @@ exception Client_error of string
 let client_fail fmt = Printf.ksprintf (fun s -> raise (Client_error s)) fmt
 
 (* Resolve the request to a BN-folded operator graph (what the plan-cache
-   key hashes) + label. Raises [Client_error] on unknown models /
-   unparsable documents (the only failures a request can legitimately be
-   blamed for) and lets [Faults.Injected] from the onnx_parse seam escape
-   to the retry path. *)
+   key hashes) + label. Raises [Client_error] on unknown models and on
+   inline documents that do not parse or fail the operator-graph check
+   (the only failures a request can legitimately be blamed for) and lets
+   [Faults.Injected] from the onnx_parse seam escape to the retry path.
+   Zoo builds are trusted and not checked. *)
 let resolve_workload (r : Protocol.request) : Opgraph.t * string =
   let raw, label =
     match (r.Protocol.model, r.Protocol.graph_doc) with
@@ -109,7 +110,11 @@ let resolve_workload (r : Protocol.request) : Opgraph.t * string =
           name ))
     | None, Some doc -> (
       match Onnx.Graph_doc.opgraph_of_string doc with
-      | g -> (g, "inline")
+      | g ->
+        let report = Verify.opgraph_check g in
+        if Verify.Diagnostics.has_errors report then
+          client_fail "invalid graph document: %s" (Verify.Diagnostics.error_summary report);
+        (g, "inline")
       | exception Onnx.Graph_doc.Format_error msg ->
         client_fail "unparsable graph document: %s" msg)
     | None, None -> client_fail "request names neither \"model\" nor \"graph\""
@@ -580,12 +585,10 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
       | exception Client_error msg ->
         Obs.Metrics.incr m_errors;
         finish hist (Protocol.error_response ~status:"error" msg)
-      | exception Faults.Injected { site; hit } ->
+      | exception (Faults.Injected _ as e) ->
         (* A fault fired before any plan could exist (e.g. onnx_parse on
            an inline document): transient by construction — retry. *)
-        finish hist
-          (Protocol.error_response ~status:"retry"
-             (Printf.sprintf "injected fault at %s (call %d)" (Faults.site_to_string site) hit))
+        finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e))
       | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) -> raise e
       | exception e ->
         finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e)))
@@ -668,7 +671,7 @@ let run (cfg : config) : unit =
   let t = create cfg in
   let listen = bind_socket cfg.socket_path in
   let pool =
-    if cfg.jobs > 1 then Some (Parallel.Domain_pool.create ~jobs:cfg.jobs ()) else None
+    if cfg.jobs > 1 then Some (Parallel.Domain_pool.create ~jobs:cfg.jobs) else None
   in
   log t "listening on %s (cache %s, %d worker(s), queue limit %d)" cfg.socket_path
     cfg.cache_dir cfg.jobs cfg.queue_limit;
@@ -715,7 +718,7 @@ let run (cfg : config) : unit =
           Obs.Metrics.set g_queue_peak (float_of_int (Atomic.get t.peak_in_flight));
           match pool with
           | None -> serve_heavy t conn j
-          | Some p -> ignore (Parallel.Domain_pool.submit p (fun () -> serve_heavy t conn j))
+          | Some p -> Parallel.Domain_pool.submit p (fun () -> serve_heavy t conn j)
         end
       | _ ->
         (* Admin verbs: inline, fast, never blocked behind the pool. *)

@@ -51,9 +51,6 @@ let set (t : t) (idx : int array) v = t.data.(Shape.ravel t.shape idx) <- v
 (** [get_linear t k] reads the [k]-th element in row-major order. *)
 let get_linear (t : t) k = t.data.(k)
 
-(** [set_linear t k v] writes the [k]-th element in row-major order. *)
-let set_linear (t : t) k v = t.data.(k) <- v
-
 (** [to_scalar t] extracts the value of a single-element tensor. *)
 let to_scalar (t : t) =
   if numel t <> 1 then invalid_arg "Nd.to_scalar: tensor has more than one element";

@@ -108,7 +108,6 @@ let square = map Scalar.square
 let reciprocal = map Scalar.reciprocal
 let tanh = map Scalar.tanh
 
-let erf_scalar = Scalar.erf
 let erf = map Scalar.erf
 let relu = map Scalar.relu
 let leaky_relu ~alpha = map (Scalar.leaky_relu alpha)

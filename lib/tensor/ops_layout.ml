@@ -1,6 +1,6 @@
 (** Layout transformation primitives (§3, third category): transpose, pad,
-    slice, concat, split, reshape. None performs arithmetic; each is a
-    one-to-one (or gather/scatter) index remapping. *)
+    slice, concat, split (reshape is {!Nd.reshape}). None performs
+    arithmetic; each is a one-to-one (or gather/scatter) index remapping. *)
 
 (** [transpose ?dst t perm] permutes the axes: output axis [i] reads
     input axis [perm.(i)]. *)
@@ -11,15 +11,6 @@ let transpose ?dst (t : Nd.t) (perm : int array) : Nd.t =
   let x = t.Nd.data and d = out.Nd.data in
   Shape.iter1 out_shape (Array.map (fun p -> st.(p)) perm) (fun k o -> d.(k) <- x.(o));
   out
-
-(** [transpose2d t] swaps the trailing two axes, keeping leading batch axes. *)
-let transpose2d (t : Nd.t) : Nd.t =
-  let r = Shape.rank (Nd.shape t) in
-  if r < 2 then invalid_arg "Ops_layout.transpose2d: rank < 2";
-  let perm = Array.init r (fun i -> i) in
-  perm.(r - 2) <- r - 1;
-  perm.(r - 1) <- r - 2;
-  transpose t perm
 
 (** [pad ?dst t ~before ~after ~value] pads each dimension [i] with
     [before.(i)] leading and [after.(i)] trailing cells filled with
@@ -106,12 +97,3 @@ let split (t : Nd.t) ~(axis : int) ~(sizes : int list) : Nd.t list =
       pos := !pos + sz)
     sizes;
   List.rev !pieces
-
-(** [reshape] re-exported from {!Nd} for symmetry with the primitive set. *)
-let reshape = Nd.reshape
-
-(** [nchw_to_nhwc t] converts layout for a rank-4 tensor. *)
-let nchw_to_nhwc (t : Nd.t) = transpose t [| 0; 2; 3; 1 |]
-
-(** [nhwc_to_nchw t] converts layout for a rank-4 tensor. *)
-let nhwc_to_nchw (t : Nd.t) = transpose t [| 0; 3; 1; 2 |]

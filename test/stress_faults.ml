@@ -76,7 +76,7 @@ let run_case ~label ?(jobs = 1) ?(post = fun (_ : Korch.Orchestrator.result) -> 
     end
 
 let orchestrated_sites =
-  [ Faults.Profiler; Faults.Ilp_solve; Faults.Enumerate; Faults.Transform ]
+  [ Faults.Profiler; Faults.Solve; Faults.Enumerate; Faults.Transform ]
 
 let () =
   (* Phase 1: deterministic matrix. *)
@@ -267,7 +267,7 @@ let () =
       [
         (Faults.Serve_accept, Faults.Always);
         (Faults.Cache_io, Faults.Always);
-        (Faults.Ilp_solve, Faults.Always);
+        (Faults.Solve, Faults.Always);
       ];
     (* cache_io:nth=1 costs exactly the first disk touch: the lookup
        misses, the store still publishes, so the next request warm-hits. *)

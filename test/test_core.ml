@@ -506,14 +506,16 @@ let test_plan_table_partition () =
        (fun (r : Korch.Plan_table.range) -> r.Korch.Plan_table.lo)
        (List.tl tab.Korch.Plan_table.ranges))
     tab.Korch.Plan_table.crossovers;
-  (* Every batch in the range resolves to a plan. *)
+  (* Every batch in the table lies in exactly one range. *)
+  let holding b =
+    List.filter
+      (fun (r : Korch.Plan_table.range) -> b >= r.Korch.Plan_table.lo && b <= r.Korch.Plan_table.hi)
+      tab.Korch.Plan_table.ranges
+  in
   for b = 1 to 8 do
-    match Korch.Plan_table.plan_for_batch tab b with
-    | Some _ -> ()
-    | None -> Alcotest.fail (Printf.sprintf "no plan for batch %d" b)
+    Alcotest.(check int) (Printf.sprintf "ranges holding batch %d" b) 1 (List.length (holding b))
   done;
-  Alcotest.(check bool) "out of range is None" true
-    (Korch.Plan_table.plan_for_batch tab 9 = None)
+  Alcotest.(check int) "no range holds batch 9" 0 (List.length (holding 9))
 
 let test_plan_table_anchor_identity () =
   (* A range's stored plan is the verbatim fixed-batch orchestration

@@ -27,7 +27,7 @@ let test_nth_fires_once () =
       Alcotest.(check int) "calls counted" 6 (Faults.calls Faults.Profiler);
       Alcotest.(check int) "one injection" 1 (Faults.injected Faults.Profiler);
       (* Other sites are untouched. *)
-      Alcotest.(check (list int)) "other site silent" [] (count_hits Faults.Ilp_solve 4))
+      Alcotest.(check (list int)) "other site silent" [] (count_hits Faults.Solve 4))
 
 let test_always_fires_every_call () =
   Faults.with_policy [ (Faults.Enumerate, Faults.Always) ] (fun () ->
@@ -61,7 +61,7 @@ let test_parse_rule () =
     | Error m -> Alcotest.failf "%s rejected: %s" s m
   in
   ok "profiler:always" (Faults.Profiler, Faults.Always);
-  ok "ilp_solve:nth=4" (Faults.Ilp_solve, Faults.Nth 4);
+  ok "solve:nth=4" (Faults.Solve, Faults.Nth 4);
   ok "worker:p=0.25" (Faults.Worker, Faults.Prob 0.25);
   ok "onnx_parse:prob=0.5" (Faults.Onnx_parse, Faults.Prob 0.5);
   List.iter
@@ -150,11 +150,11 @@ let test_inject_profiler () =
            r.Korch.Orchestrator.segments))
     (matrix_models ())
 
-let test_inject_ilp_solve () =
+let test_inject_solve () =
   List.iter
     (fun e ->
-      let label = "ilp_solve/" ^ e.Models.Registry.name in
-      let r = run_checked ~label ~faults:[ (Faults.Ilp_solve, Faults.Always) ] e in
+      let label = "solve/" ^ e.Models.Registry.name in
+      let r = run_checked ~label ~faults:[ (Faults.Solve, Faults.Always) ] e in
       (* The segment solver never ran: every non-trivial segment must land
          on the greedy or unfused tier and say why. *)
       Alcotest.(check bool) (label ^ ": degraded") true
@@ -259,7 +259,7 @@ let () =
           Alcotest.test_case "with_policy restores" `Quick test_with_policy_restores ] );
       ( "fault matrix",
         [ Alcotest.test_case "profiler" `Slow test_inject_profiler;
-          Alcotest.test_case "ilp_solve" `Slow test_inject_ilp_solve;
+          Alcotest.test_case "solve" `Slow test_inject_solve;
           Alcotest.test_case "enumerate" `Slow test_inject_enumerate;
           Alcotest.test_case "transform" `Slow test_inject_transform;
           Alcotest.test_case "worker" `Slow test_inject_worker;

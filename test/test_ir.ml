@@ -113,11 +113,9 @@ let test_boundary_and_inputs () =
   Alcotest.(check (list int)) "singleton boundary" [ f ] (Graph.boundary_outputs g (set [ f ]))
 
 let test_ancestors_descendants () =
-  let g, x, f, gg, h, k = diamond () in
+  let g, _, f, gg, h, k = diamond () in
   Alcotest.(check (list int)) "descendants of f" [ gg; h; k ]
-    (Bitset.elements (Graph.descendants g f));
-  Alcotest.(check (list int)) "ancestors of k" [ x; f; gg; h ]
-    (Bitset.elements (Graph.ancestors g k))
+    (Bitset.elements (Graph.descendants g f))
 
 let test_execution_state () =
   let g, x, f, gg, _, _ = diamond () in
@@ -220,17 +218,17 @@ let test_graph_category_count () =
   let d = Primgraph.B.add b (Primitive.Binary Primitive.Div) [ e; bc ] in
   Primgraph.B.set_outputs b [ d ];
   let g = Primgraph.B.finish b in
-  Alcotest.(check int) "elementwise" 2 (Primgraph.count_category g Primitive.Elementwise);
-  Alcotest.(check int) "reduce" 1 (Primgraph.count_category g Primitive.Reduction);
-  Alcotest.(check int) "broadcast" 1 (Primgraph.count_category g Primitive.Broadcasting);
+  Alcotest.(check bool) "elementwise, reduce, broadcast, elementwise" true
+    (List.map (fun i -> Primitive.category (Graph.op g i)) [ e; s; bc; d ]
+    = Primitive.[ Elementwise; Reduction; Broadcasting; Elementwise ]);
   Alcotest.(check (list int)) "non-source" [ e; s; bc; d ] (Primgraph.non_source_nodes g)
 
 let test_primitive_categories () =
-  Alcotest.(check bool) "matmul linear" true (Primitive.is_linear Primitive.Matmul);
+  let linear p = Primitive.category p = Primitive.Linear in
+  Alcotest.(check bool) "matmul linear" true (linear Primitive.Matmul);
   Alcotest.(check bool) "conv linear" true
-    (Primitive.is_linear (Primitive.Conv { stride = (1, 1); padding = (0, 0) }));
-  Alcotest.(check bool) "relu not linear" false
-    (Primitive.is_linear (Primitive.Unary Primitive.Relu));
+    (linear (Primitive.Conv { stride = (1, 1); padding = (0, 0) }));
+  Alcotest.(check bool) "relu not linear" false (linear (Primitive.Unary Primitive.Relu));
   Alcotest.(check int) "table1 has 5 categories" 5 (List.length Primitive.table1)
 
 let test_const_materialize () =
@@ -249,16 +247,6 @@ let test_const_materialize () =
 
 (* ---------------- batch_sym ---------------- *)
 
-(* A tiny batch-parametric builder exercising the payload rewrites:
-   a Reshape whose target carries the batch, plus fixed structure. *)
-let batch_sym_graph ~batch =
-  let b = Opgraph.B.create () in
-  let x = Opgraph.B.input b "x" [| batch; 4; 4 |] in
-  let r = Opgraph.B.add b (Optype.Reshape [| batch; 16 |]) [ x ] in
-  let y = Opgraph.B.add b Optype.Relu [ r ] in
-  Opgraph.B.set_outputs b [ y ];
-  Opgraph.B.finish b
-
 let test_batch_sym_fit_dim () =
   (match Batch_sym.fit_dim ~b1:1 ~v1:5 ~b2:3 ~v2:9 with
   | Some d ->
@@ -276,41 +264,6 @@ let test_batch_sym_fit_dim () =
   Alcotest.(check_raises) "b1 = b2 rejected"
     (Invalid_argument "Batch_sym.fit_dim: b1 = b2") (fun () ->
       ignore (Batch_sym.fit_dim ~b1:2 ~v1:1 ~b2:2 ~v2:1))
-
-let test_batch_sym_specialize () =
-  let g2 = batch_sym_graph ~batch:2 and g3 = batch_sym_graph ~batch:3 in
-  match Batch_sym.fit_opgraph ~b1:2 g2 ~b2:3 g3 with
-  | Error m -> Alcotest.fail ("fit failed: " ^ m)
-  | Ok t -> (
-    match Batch_sym.specialize t ~batch:5 with
-    | Error m -> Alcotest.fail ("specialize failed: " ^ m)
-    | Ok g5 ->
-      Alcotest.(check bool) "specialization reproduces the builder" true
-        (g5 = batch_sym_graph ~batch:5);
-      Alcotest.(check bool) "base batch reproduced too" true
-        (Batch_sym.specialize t ~batch:2 = Ok g2))
-
-let test_batch_sym_check_affine () =
-  let g ~batch = batch_sym_graph ~batch in
-  (match
-     Batch_sym.check_affine ~b1:1 (g ~batch:1) ~b2:2 (g ~batch:2) ~probe:7 (g ~batch:7)
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail ("check_affine rejected an affine builder: " ^ m));
-  (* A builder that is NOT the same graph at the probe batch. *)
-  let other =
-    let b = Opgraph.B.create () in
-    let x = Opgraph.B.input b "x" [| 7; 4; 4 |] in
-    let y = Opgraph.B.add b Optype.Relu [ x ] in
-    Opgraph.B.set_outputs b [ y ];
-    Opgraph.B.finish b
-  in
-  Alcotest.(check bool) "wrong probe graph rejected" true
-    (match
-       Batch_sym.check_affine ~b1:1 (g ~batch:1) ~b2:2 (g ~batch:2) ~probe:7 other
-     with
-    | Error _ -> true
-    | Ok _ -> false)
 
 let () =
   Alcotest.run "ir"
@@ -334,9 +287,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_shape_infer_errors;
           Alcotest.test_case "operators" `Quick test_op_shape_infer ] );
       ( "batch_sym",
-        [ Alcotest.test_case "fit_dim" `Quick test_batch_sym_fit_dim;
-          Alcotest.test_case "fit + specialize roundtrip" `Quick test_batch_sym_specialize;
-          Alcotest.test_case "check_affine" `Quick test_batch_sym_check_affine ] );
+        [ Alcotest.test_case "fit_dim" `Quick test_batch_sym_fit_dim ] );
       ( "builders",
         [ Alcotest.test_case "shape_of" `Quick test_builder_shape_of;
           Alcotest.test_case "categories" `Quick test_graph_category_count;

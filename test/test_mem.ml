@@ -231,7 +231,7 @@ let test_reuse_under_faults () =
           check_reuse_matches label g r ~inputs:(inputs_of g 303))
         model_cases)
     [
-      (Faults.Ilp_solve, Faults.Always, "ilp_solve");
+      (Faults.Solve, Faults.Always, "solve");
       (Faults.Profiler, Faults.Always, "profiler");
       (Faults.Transform, Faults.Always, "transform");
     ]

@@ -78,12 +78,12 @@ let test_counter_concurrent_exact () =
   let per_task = 1_000 and tasks = 32 in
   Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
       ignore
-        (Parallel.Domain_pool.map_array pool
+        (Parallel.Domain_pool.map_result pool
            (fun _ ->
              for _ = 1 to per_task do
                Obs.Metrics.incr c
              done)
-           (Array.init tasks Fun.id)));
+           (List.init tasks Fun.id)));
   Alcotest.(check int) "no lost updates across domains" (per_task * tasks)
     (Obs.Metrics.count c)
 
@@ -225,7 +225,7 @@ let test_pool_task_spans () =
   Obs.Trace.start ();
   let main_tid = Obs.Trace.self_tid () in
   Parallel.Domain_pool.with_pool ~jobs:3 (fun pool ->
-      ignore (Parallel.Domain_pool.map_array pool (fun i -> i * 2) (Array.init 16 Fun.id)));
+      ignore (Parallel.Domain_pool.map_result pool (fun i -> i * 2) (List.init 16 Fun.id)));
   Obs.Trace.stop ();
   let tasks =
     List.filter (fun e -> e.Obs.Trace.name = "pool.task") (Obs.Trace.events ())

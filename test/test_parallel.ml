@@ -7,19 +7,27 @@ open Ir
 
 (* ------------------------------ pool ------------------------------ *)
 
-let test_map_array_ordered () =
-  Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let input = Array.init 500 Fun.id in
-      let out = Parallel.Domain_pool.map_array pool (fun i -> i * i) input in
-      Alcotest.(check (array int)) "ordered squares" (Array.map (fun i -> i * i) input) out)
+(* [map_result] values, failing on the first captured exception. *)
+let oks l =
+  List.map
+    (function
+      | Ok v -> v
+      | Error (e, _) -> Alcotest.failf "unexpected task failure: %s" (Printexc.to_string e))
+    l
 
-let test_map_array_uneven_work () =
+let test_map_result_ordered () =
+  Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
+      let input = List.init 500 Fun.id in
+      let out = oks (Parallel.Domain_pool.map_result pool (fun i -> i * i) input) in
+      Alcotest.(check (list int)) "ordered squares" (List.map (fun i -> i * i) input) out)
+
+let test_map_result_uneven_work () =
   (* Early tasks are much slower than late ones, so completion order is
      roughly reversed — results must still come back in input order. *)
   Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let input = Array.init 64 Fun.id in
+      let input = List.init 64 Fun.id in
       let out =
-        Parallel.Domain_pool.map_array pool
+        Parallel.Domain_pool.map_result pool
           (fun i ->
             let spin = (64 - i) * 2000 in
             let acc = ref 0 in
@@ -29,71 +37,45 @@ let test_map_array_uneven_work () =
             ignore !acc;
             i)
           input
+        |> oks
       in
-      Alcotest.(check (array int)) "input order" input out)
+      Alcotest.(check (list int)) "input order" input out)
 
 let test_sequential_pool_is_inline () =
   Parallel.Domain_pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "size" 1 (Parallel.Domain_pool.size pool);
       let executed = ref false in
-      let fut = Parallel.Domain_pool.submit pool (fun () -> executed := true) in
+      Parallel.Domain_pool.submit pool (fun () -> executed := true);
       (* jobs = 1 runs the thunk inline before submit returns. *)
-      Alcotest.(check bool) "ran inline" true !executed;
-      Parallel.Domain_pool.await fut)
+      Alcotest.(check bool) "ran inline" true !executed)
 
 let test_exception_propagation () =
   Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      match
-        Parallel.Domain_pool.map_array pool
+      let out =
+        Parallel.Domain_pool.map_result pool
           (fun i -> if i = 3 || i = 7 then failwith (Printf.sprintf "boom %d" i) else i)
-          (Array.init 16 Fun.id)
-      with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure m -> Alcotest.(check string) "lowest index wins" "boom 3" m)
-
-let test_await_is_idempotent () =
-  Parallel.Domain_pool.with_pool ~jobs:2 (fun pool ->
-      let fut = Parallel.Domain_pool.submit pool (fun () -> 41 + 1) in
-      Alcotest.(check int) "first await" 42 (Parallel.Domain_pool.await fut);
-      Alcotest.(check int) "second await" 42 (Parallel.Domain_pool.await fut))
+          (List.init 16 Fun.id)
+      in
+      let show = function
+        | Ok i -> string_of_int i
+        | Error (Failure m, _) -> m
+        | Error (e, _) -> Printexc.to_string e
+      in
+      Alcotest.(check (list string)) "each failure in its own slot, in order"
+        (List.init 16 (fun i -> if i = 3 || i = 7 then Printf.sprintf "boom %d" i else string_of_int i))
+        (List.map show out))
 
 let test_submit_after_shutdown_rejected () =
-  let pool = Parallel.Domain_pool.create ~jobs:2 () in
+  let pool = Parallel.Domain_pool.create ~jobs:2 in
   Parallel.Domain_pool.shutdown pool;
   Parallel.Domain_pool.shutdown pool;
   (* idempotent *)
   match Parallel.Domain_pool.submit pool (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown must be rejected"
+  | () -> Alcotest.fail "submit after shutdown must be rejected"
   | exception Invalid_argument _ -> ()
-
-let test_worker_context () =
-  Alcotest.(check (option int)) "no worker id on the main domain" None
-    (Parallel.Domain_pool.worker_id ());
-  Parallel.Domain_pool.with_pool ~seed:7 ~jobs:4 (fun pool ->
-      let obs =
-        Parallel.Domain_pool.map_array pool
-          (fun _ ->
-            let id = Parallel.Domain_pool.worker_id () in
-            let draw = Option.map Tensor.Rng.float (Parallel.Domain_pool.worker_rng ()) in
-            (id, draw))
-          (Array.init 64 Fun.id)
-      in
-      Array.iter
-        (fun (id, draw) ->
-          (match id with
-          | Some i -> Alcotest.(check bool) "worker id in range" true (i >= 0 && i < 4)
-          | None -> Alcotest.fail "task ran without a worker context");
-          if draw = None then Alcotest.fail "worker rng missing")
-        obs;
-      (* Workers draw from disjoint splitmix64 streams: every draw across
-         all workers is distinct. *)
-      let draws = Array.to_list obs |> List.filter_map snd in
-      let sorted = List.sort_uniq compare draws in
-      Alcotest.(check int) "all rng draws distinct" (List.length draws) (List.length sorted))
 
 let test_stress_many_tasks () =
   Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let out = Parallel.Domain_pool.map_list pool (fun i -> i) (List.init 2000 Fun.id) in
+      let out = oks (Parallel.Domain_pool.map_result pool (fun i -> i) (List.init 2000 Fun.id)) in
       Alcotest.(check int) "sum" (2000 * 1999 / 2) (List.fold_left ( + ) 0 out))
 
 (* -------------------------- profile cache -------------------------- *)
@@ -143,10 +125,7 @@ let test_cache_concurrent_equals_sequential () =
   let conc = Gpu.Profile_cache.create () in
   let rounds = 4 in
   Parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      ignore
-        (Parallel.Domain_pool.map_array pool
-           (fun _ -> profile_all conc)
-           (Array.make rounds ())));
+      ignore (Parallel.Domain_pool.map_result pool (fun () -> profile_all conc) (List.init rounds ignore)));
   Alcotest.(check int) "distinct kernels match sequential"
     (Gpu.Profile_cache.distinct_kernels seq)
     (Gpu.Profile_cache.distinct_kernels conc);
@@ -200,13 +179,11 @@ let () =
   Alcotest.run "parallel"
     [
       ( "domain pool",
-        [ Alcotest.test_case "map_array ordered" `Quick test_map_array_ordered;
-          Alcotest.test_case "uneven work, ordered results" `Quick test_map_array_uneven_work;
+        [ Alcotest.test_case "map_result ordered" `Quick test_map_result_ordered;
+          Alcotest.test_case "uneven work, ordered results" `Quick test_map_result_uneven_work;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_sequential_pool_is_inline;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
-          Alcotest.test_case "await idempotent" `Quick test_await_is_idempotent;
           Alcotest.test_case "submit after shutdown" `Quick test_submit_after_shutdown_rejected;
-          Alcotest.test_case "worker id + private rng" `Quick test_worker_context;
           Alcotest.test_case "2000-task stress" `Quick test_stress_many_tasks ] );
       ( "profile cache",
         [ Alcotest.test_case "concurrent = sequential accounting" `Quick

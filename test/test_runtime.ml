@@ -70,13 +70,6 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let test_dot_graph () =
-  let g, _, _, _, _ = diamond () in
-  let dot = Runtime.Dot_export.graph_to_dot g in
-  Alcotest.(check bool) "digraph" true (contains ~needle:"digraph" dot);
-  Alcotest.(check bool) "has relu node" true (contains ~needle:"relu" dot);
-  Alcotest.(check bool) "has edges" true (contains ~needle:"->" dot)
-
 let test_dot_plan_clusters () =
   let g, plan = branchy_plan () in
   let dot = Runtime.Dot_export.plan_to_dot g plan in
@@ -97,16 +90,13 @@ let test_dot_hostile_labels () =
   let o = Primgraph.B.add_raw b (Primitive.Opaque "a\"b\\c\nd") [ x ] [| 2 |] in
   Primgraph.B.set_outputs b [ o ];
   let g = Primgraph.B.finish b in
-  let dot = Runtime.Dot_export.graph_to_dot g in
+  let plan = Runtime.Plan.make [ kernel [ o ] [ o ] ] in
+  let dot = Runtime.Dot_export.plan_to_dot g plan in
   Alcotest.(check bool) "quote escaped" true (contains ~needle:"a\\\"b" dot);
   Alcotest.(check bool) "backslash escaped" true (contains ~needle:"\\\\c" dot);
   Alcotest.(check bool) "newline escaped" true (contains ~needle:"\\nd" dot);
   Alcotest.(check bool) "no raw quote run" false (contains ~needle:"a\"b" dot);
-  Alcotest.(check bool) "no raw newline in label" false (contains ~needle:"c\nd" dot);
-  (* The plan exporter uses the same label path. *)
-  let plan = Runtime.Plan.make [ kernel [ o ] [ o ] ] in
-  let pdot = Runtime.Dot_export.plan_to_dot g plan in
-  Alcotest.(check bool) "plan labels escaped too" true (contains ~needle:"a\\\"b" pdot)
+  Alcotest.(check bool) "no raw newline in label" false (contains ~needle:"c\nd" dot)
 
 let test_dot_redundant_copies () =
   let g, f, g1, g2, k = diamond () in
@@ -498,8 +488,7 @@ let () =
         @ [ Alcotest.test_case "modes" `Quick test_executor_modes;
             Alcotest.test_case "eval_prim into dst" `Quick test_eval_prim_dst ] );
       ( "dot",
-        [ Alcotest.test_case "graph" `Quick test_dot_graph;
-          Alcotest.test_case "plan clusters" `Quick test_dot_plan_clusters;
+        [ Alcotest.test_case "plan clusters" `Quick test_dot_plan_clusters;
           Alcotest.test_case "hostile labels" `Quick test_dot_hostile_labels;
           Alcotest.test_case "redundant copies" `Quick test_dot_redundant_copies ] );
       ( "kernel cache",

@@ -600,6 +600,23 @@ let test_handle_client_errors () =
   let no_workload = handle_server t (request "optimize") in
   Alcotest.(check (option string)) "missing workload is an error" (Some "error")
     (member_str "status" no_workload);
+  (* A document that parses but holds a Transpose permutation shape
+     inference refuses is the client's fault, not a [retry] of a request
+     that can never succeed. *)
+  let bad_doc =
+    handle_server t
+      (jsonw_to_json
+         (Serve.Protocol.request_to_json
+            { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
+              graph_doc =
+                Some
+                  {|{"format":"korch-onnx-json","kind":"operator","nodes":[
+                     {"op":{"kind":"Input","name":"x"},"inputs":[],"shape":[2,3]},
+                     {"op":{"kind":"Transpose","perm":[0,5]},"inputs":[0],"shape":[3,2]}],
+                     "outputs":[1]}|} }))
+  in
+  Alcotest.(check (option string)) "invalid graph document is an error" (Some "error")
+    (member_str "status" bad_doc);
   (* A wrong-typed member is an error, never its default. *)
   List.iter
     (fun member ->
@@ -623,7 +640,7 @@ let test_handle_deadline_under_faults () =
     [
       (Faults.Serve_accept, Faults.Always);
       (Faults.Cache_io, Faults.Always);
-      (Faults.Ilp_solve, Faults.Always);
+      (Faults.Solve, Faults.Always);
     ]
     (fun () ->
       let resp =

@@ -143,10 +143,6 @@ let test_transpose_involution () =
   let back = Ops_layout.transpose t [| 1; 2; 0 |] in
   check_close "involution" back x
 
-let test_transpose2d () =
-  let x = Nd.of_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
-  check_close "2d" (Ops_layout.transpose2d x) (Nd.of_array [| 3; 2 |] [| 1.; 4.; 2.; 5.; 3.; 6. |])
-
 let test_pad_slice_inverse () =
   let x = Nd.randn (rng ()) [| 2; 3 |] in
   let p = Ops_layout.pad x ~before:[| 1; 2 |] ~after:[| 0; 1 |] ~value:7.0 in
@@ -164,10 +160,6 @@ let test_concat_split_roundtrip () =
     check_close "split a" a' a;
     check_close "split b" b' b
   | _ -> Alcotest.fail "split arity"
-
-let test_layout_conversions () =
-  let x = Nd.randn (rng ()) [| 2; 3; 4; 5 |] in
-  check_close "nchw roundtrip" (Ops_layout.nhwc_to_nchw (Ops_layout.nchw_to_nhwc x)) x
 
 (* ---------------- linear ---------------- *)
 
@@ -311,10 +303,8 @@ let () =
           Alcotest.test_case "global avg pool" `Quick test_global_avg_pool ] );
       ( "layout",
         [ Alcotest.test_case "transpose involution" `Quick test_transpose_involution;
-          Alcotest.test_case "transpose2d" `Quick test_transpose2d;
           Alcotest.test_case "pad/slice inverse" `Quick test_pad_slice_inverse;
-          Alcotest.test_case "concat/split" `Quick test_concat_split_roundtrip;
-          Alcotest.test_case "nchw/nhwc" `Quick test_layout_conversions ] );
+          Alcotest.test_case "concat/split" `Quick test_concat_split_roundtrip ] );
       ( "linear",
         [ Alcotest.test_case "matmul known" `Quick test_matmul_known;
           Alcotest.test_case "matmul identity" `Quick test_matmul_identity;
