@@ -191,6 +191,9 @@ let load_graph ~verb ~json ~small ~batch model file =
     | exception Onnx.Graph_doc.Format_error msg ->
       Printf.eprintf "%s: %s\n%!" f msg;
       file_failed ~verb ~json
+    | exception (Faults.Injected _ as e) ->
+      Printf.eprintf "%s: %s\n%!" f (Printexc.to_string e);
+      file_failed ~verb ~json
   end
   | _ ->
     Printf.eprintf "%s: specify exactly one of -m MODEL or a FILE argument\n" verb;

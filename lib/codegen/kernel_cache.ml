@@ -9,19 +9,26 @@
 
     + in-memory hit (resolved earlier this process);
     + disk hit — an existing [.so] is dlopen'd without recompiling;
-    + compile — every signature the first two rungs miss goes into one C
-      translation unit ([korch_batch_<md5>.c], the prelude once and one
-      function per kernel), built by one [cc] run into a [.so.tmp] that
-      is published under each member's [korch_<md5>.so] by hard link
-      plus rename. glibc's [dlopen] maps hard links to one file once, so
-      the batch is loaded once and each member is a [dlsym] into it.
+    + compile — the signatures the first two rungs miss are dealt
+      round-robin, in batch order, into one chunk per core
+      ({!Parallel.Domain_pool.default_jobs}, at most 8, never more chunks
+      than kernels). Each chunk is its own C translation unit
+      ([korch_batch_<md5>.c], the prelude once and one function per
+      kernel), and every chunk's [cc] starts at once. A chunk's object is
+      published under each member's [korch_<md5>.so] by hard link plus
+      rename, and its source and log are then deleted. glibc's [dlopen]
+      maps hard links to one file once, so each chunk is loaded once and
+      each member is a [dlsym] into it.
 
-    If the batch does not compile, each member is compiled alone
-    (source [korch_<md5>.c]), so a broken kernel fails only itself. A
-    [.so] that fails to load (truncated, corrupted, wrong arch) is
-    deleted and recompiled. Compile failures are memoized as [Failed]
-    so a broken kernel doesn't re-invoke the compiler every execution;
-    the native executor degrades that kernel to the interpreter.
+    If a chunk of several kernels does not compile, each of its members
+    is compiled alone (source [korch_<md5>.c]), at most one [cc] per
+    core at a time, so a broken kernel fails only itself; a one-member
+    chunk that fails is already that kernel alone. A failed compile keeps
+    its [.c] and [.log] for diagnosis. A [.so] that fails to load
+    (truncated, corrupted, wrong arch) is deleted and recompiled. Compile
+    failures are memoized as [Failed] so a broken kernel doesn't
+    re-invoke the compiler every execution; the native executor degrades
+    that kernel to the interpreter.
 
     Two processes sharing a directory take the batch's per-signature
     file locks in sorted order (so they cannot deadlock) and probe the
@@ -30,7 +37,8 @@
     Because the {!Emit.version} string participates in the signature (and
     therefore the hash), bumping the code generator invalidates every
     cached object automatically — stale [.so] files are simply never
-    addressed again.
+    addressed again. Nothing prunes the directory: every [.so] and
+    [.lock] stays.
 
     Compilation flags default to [-O3 -march=native -ffp-contract=off]:
     contraction must stay off, otherwise FMA fusion silently breaks
@@ -217,37 +225,89 @@ let publish ~(obj : string) (so : string) : unit =
   | exception Unix.Unix_error _ ->
     write_atomic ~dir:(Filename.dirname so) ~path:so (read_file obj)
 
-(* Compile [members] (each with its emitted C function) as one
-   translation unit [name.c] with one cc run, stderr captured in
-   [name.log], and publish the object under every member's [.so].
-   Returns the compiler diagnostics on failure. *)
-let compile_unit (t : t) ~(name : string) (members : (pending * string) list) :
-    (unit, string) result =
-  let c_path = Filename.concat t.dir (name ^ ".c") in
-  let log = Filename.concat t.dir (name ^ ".log") in
-  write_atomic ~dir:t.dir ~path:c_path
-    (Emit.translation_unit (List.map snd members));
-  let obj = Filename.temp_file ~temp_dir:t.dir name ".so.tmp" in
+(* [deal ~k l] — [l] dealt round-robin into [c = min k (List.length l)]
+   chunks: element [i] goes to chunk [i mod c], so chunk sizes differ by
+   at most one and each chunk keeps [l]'s order. *)
+let deal ~(k : int) (l : 'a list) : 'a list list =
+  let k = min k (List.length l) in
+  List.init k (fun c -> List.filteri (fun i _ -> i mod k = c) l)
+
+(* Run each shell command as [sh -c cmd] (what [Sys.command] runs), at
+   most [k] at a time: each wave of [k] starts at once and is waited for
+   in full. One result per command, in order. *)
+let rec run_commands ~(k : int) (cmds : string list) : (unit, string) result list =
+  let rec wait pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> Ok ()
+    | _, Unix.WEXITED rc -> Error (Printf.sprintf "cc exited with %d" rc)
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> Error (Printf.sprintf "cc killed by signal %d" n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+  in
+  match cmds with
+  | [] -> []
+  | _ ->
+    let wave = List.filteri (fun i _ -> i < k) cmds in
+    let started =
+      List.map
+        (fun cmd ->
+          match
+            Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] Unix.stdin Unix.stdout
+              Unix.stderr
+          with
+          | pid -> Ok pid
+          | exception Unix.Unix_error (e, _, _) ->
+            Error (Printf.sprintf "cannot start cc: %s" (Unix.error_message e)))
+        wave
+    in
+    let results = List.map (fun p -> Result.bind p wait) started in
+    results @ run_commands ~k (List.filteri (fun i _ -> i >= k) cmds)
+
+(* Compile each [(name, members)] unit (members with their emitted C
+   functions) as its own translation unit [name.c]: one cc run per unit,
+   at most [k] at a time, stderr captured in [name.log]. A unit that
+   compiles is published under every member's [.so], and its [.c] and
+   [.log] are deleted; one that does not keeps both for diagnosis. One
+   result per unit, in order: the compiler diagnostics on failure. *)
+let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list) list) :
+    (unit, string) result list =
+  let file name ext = Filename.concat t.dir (name ^ ext) in
+  let objs = ref [] in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove obj with Sys_error _ -> ())
+    ~finally:(fun () -> List.iter (fun obj -> try Sys.remove obj with Sys_error _ -> ()) !objs)
     (fun () ->
-      let cmd =
-        Printf.sprintf "%s %s -fPIC -shared -o %s %s -lm 2> %s" (cc ()) (cflags ())
-          (Filename.quote obj) (Filename.quote c_path) (Filename.quote log)
+      let cmds =
+        List.map
+          (fun (name, members) ->
+            write_atomic ~dir:t.dir ~path:(file name ".c")
+              (Emit.translation_unit (List.map snd members));
+            let obj = Filename.temp_file ~temp_dir:t.dir name ".so.tmp" in
+            objs := obj :: !objs;
+            ( obj,
+              Printf.sprintf "%s %s -fPIC -shared -o %s %s -lm 2> %s" (cc ()) (cflags ())
+                (Filename.quote obj)
+                (Filename.quote (file name ".c"))
+                (Filename.quote (file name ".log")) ))
+          units
       in
-      t.stats.cc_runs <- t.stats.cc_runs + 1;
-      Obs.Metrics.incr m_cc_runs;
-      match Sys.command cmd with
-      | 0 ->
-        List.iter (fun (m, _) -> publish ~obj m.so) members;
-        (try Sys.remove log with Sys_error _ -> ());
-        let n = List.length members in
-        t.stats.compiles <- t.stats.compiles + n;
-        Obs.Metrics.add m_compiles n;
-        Ok ()
-      | rc ->
-        let diag = try read_file ~limit:2000 log with Sys_error _ -> "" in
-        Error (Printf.sprintf "cc exited with %d: %s" rc (String.trim diag)))
+      let n = List.length units in
+      t.stats.cc_runs <- t.stats.cc_runs + n;
+      Obs.Metrics.add m_cc_runs n;
+      List.map2
+        (fun ((name, members), (obj, _)) -> function
+          | Ok () ->
+            List.iter (fun (m, _) -> publish ~obj m.so) members;
+            List.iter
+              (fun ext -> try Sys.remove (file name ext) with Sys_error _ -> ())
+              [ ".c"; ".log" ];
+            let n = List.length members in
+            t.stats.compiles <- t.stats.compiles + n;
+            Obs.Metrics.add m_compiles n;
+            Ok ()
+          | Error msg ->
+            let diag = try read_file ~limit:2000 (file name ".log") with Sys_error _ -> "" in
+            Error (Printf.sprintf "%s: %s" msg (String.trim diag)))
+        (List.combine units cmds)
+        (run_commands ~k (List.map snd cmds)))
 
 (* Resolve [missing] (distinct signatures absent from the table) under
    their file locks and memoize each outcome in the table. *)
@@ -290,32 +350,46 @@ let resolve_missing (t : t) (missing : pending list) : unit =
             None)
       missing
   in
+  let k = Parallel.Domain_pool.default_jobs () in
   let load m =
     memo m
       (match load_so ~symbol:m.symbol m.so with
       | Ok c -> Ok c
       | Error msg -> Error (Printf.sprintf "freshly compiled object unloadable: %s" msg))
   in
-  let alone ((m, _) as member) =
-    match compile_unit t ~name:("korch_" ^ Emit.hash m.req.signature) [ member ] with
-    | Ok () -> load m
-    | Error msg -> memo m (Error msg)
+  let chunks = deal ~k to_compile in
+  let chunk_name chunk =
+    "korch_batch_" ^ Emit.hash (String.concat "|" (List.map (fun (m, _) -> m.symbol) chunk))
   in
-  match to_compile with
-  | [] -> ()
-  | [ member ] -> alone member
-  | batch -> (
-    let name =
-      "korch_batch_" ^ Emit.hash (String.concat "|" (List.map (fun (m, _) -> m.symbol) batch))
-    in
-    match compile_unit t ~name batch with
-    | Ok () -> List.iter (fun (m, _) -> load m) batch
-    | Error _ -> List.iter alone batch)
+  (* A failed chunk of several kernels hands its members on to be
+     compiled alone; a failed one-member chunk was that kernel alone. *)
+  let retry =
+    List.concat
+      (List.map2
+         (fun chunk -> function
+           | Ok () ->
+             List.iter (fun (m, _) -> load m) chunk;
+             []
+           | Error msg -> (
+             match chunk with
+             | [ (m, _) ] ->
+               memo m (Error msg);
+               []
+             | _ -> chunk))
+         chunks
+         (compile_units t ~k (List.map (fun c -> (chunk_name c, c)) chunks)))
+  in
+  List.iter2
+    (fun (m, _) -> function Ok () -> load m | Error msg -> memo m (Error msg))
+    retry
+    (compile_units t ~k
+       (List.map (fun ((m, _) as member) -> ("korch_" ^ Emit.hash m.req.signature, [ member ]))
+          retry))
 
 (** [resolve t reqs] — one result per request, in order: the loaded
     kernel, or why it has none. Every distinct signature missing from
-    memory is probed on disk and the rest compiled together (see the
-    header); [source ~symbol] is called only for signatures that
+    memory is probed on disk and the rest compiled in concurrent chunks
+    (see the header); [source ~symbol] is called only for signatures that
     compile, so cache hits skip emission. *)
 let resolve (t : t) (reqs : request list) : (compiled, string) result list =
   Mutex.lock t.mutex;

@@ -4,8 +4,9 @@
     reached from {!Runtime.Executor.run}, once per run before the plan
     walk, on a plan already checked with {!Runtime.Plan.check}. The
     plan's kernels are resolved to shared objects via {!Emit} +
-    {!Kernel_cache} in one batch (one [cc] run for every kernel missing
-    from memory and disk) and invoked directly on the tensors' flat
+    {!Kernel_cache} in one batch (the kernels missing from memory and
+    disk compile in one concurrent [cc] run per core, each over its own
+    round-robin chunk of them) and invoked directly on the tensors' flat
     storage; the walker publishes exactly their declared outputs.
 
     Degradation ladder (per kernel, never per run):
@@ -197,7 +198,8 @@ let native_kernel (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(signature : stri
    [codegen_compile] fault check. A faulted kernel is not looked up; the
    fault becomes its reason and is not memoized, so a later run without
    the fault policy recovers. The rest resolve through the kernel cache
-   in one batch, so the plan's missing kernels compile in one cc run. *)
+   in one batch, so the plan's missing kernels compile together, one
+   concurrent cc run per core. *)
 let resolve (g : Primgraph.t) (plan : Runtime.Plan.t) :
     (Runtime.Backend.native_kernel, string) result list =
   let prepared =

@@ -22,7 +22,8 @@ val primgraph_to_string : Ir.Primgraph.t -> string
 exception Format_error of string
 
 (** Parse a document; carries the {!Faults.site-Onnx_parse} injection
-    site. Raises {!Format_error}. *)
+    site. Raises {!Format_error}, or [Faults.Injected] when that site
+    fires (a transient fault, not a malformed document). *)
 val opgraph_of_string : string -> Ir.Opgraph.t
 
 val primgraph_of_string : string -> Ir.Primgraph.t

@@ -1,5 +1,5 @@
 (** Layout transformation primitives (§3, third category): transpose, pad,
-    slice, concat, split (reshape is {!Nd.reshape}). None performs
+    slice, concat (reshape is {!Nd.reshape}). None performs
     arithmetic; each is a one-to-one (or gather/scatter) index remapping. *)
 
 (** [transpose ?dst t perm] permutes the axes: output axis [i] reads
@@ -77,23 +77,3 @@ let concat ?dst (ts : Nd.t list) ~(axis : int) : Nd.t =
         pos := !pos + (Nd.shape t).(axis))
       ts;
     out
-
-(** [split t ~axis ~sizes] is the inverse of {!concat}: cuts [t] along
-    [axis] into pieces of the given sizes (which must sum to the axis
-    length). *)
-let split (t : Nd.t) ~(axis : int) ~(sizes : int list) : Nd.t list =
-  let s = Nd.shape t in
-  let total = List.fold_left ( + ) 0 sizes in
-  if total <> s.(axis) then invalid_arg "Ops_layout.split: sizes do not sum to axis length";
-  let r = Shape.rank s in
-  let starts = Array.make r 0 and stops = Array.copy s in
-  let pieces = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun sz ->
-      starts.(axis) <- !pos;
-      stops.(axis) <- !pos + sz;
-      pieces := slice t ~starts:(Array.copy starts) ~stops:(Array.copy stops) :: !pieces;
-      pos := !pos + sz)
-    sizes;
-  List.rev !pieces

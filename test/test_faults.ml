@@ -212,19 +212,14 @@ let test_inject_worker () =
         (seg_outcomes r))
     (matrix_models ())
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_inject_onnx_parse () =
   let e = Models.Registry.candy in
   let doc = Onnx.Graph_doc.opgraph_to_string (build_model e) in
   Faults.with_policy [ (Faults.Onnx_parse, Faults.Always) ] (fun () ->
       match Onnx.Graph_doc.opgraph_of_string doc with
-      | _ -> Alcotest.fail "expected Format_error from injected parse fault"
-      | exception Onnx.Graph_doc.Format_error m ->
-        Alcotest.(check bool) "names the injection" true (contains ~needle:"injected fault" m));
+      | _ -> Alcotest.fail "expected Faults.Injected from injected parse fault"
+      | exception Faults.Injected { site; hit = _ } ->
+        Alcotest.(check string) "names the site" "onnx_parse" (Faults.site_to_string site));
   (* Without the policy the same document parses. *)
   match Onnx.Graph_doc.opgraph_of_string doc with
   | _ -> ()

@@ -131,6 +131,17 @@ let trivial ?(body = "ins[0][0] + 1.0") signature =
           symbol body);
   }
 
+(* A kernel whose source does not compile; [emissions] counts how often
+   it is emitted. *)
+let garbage emissions signature =
+  {
+    KC.signature;
+    source =
+      (fun ~symbol:_ ->
+        incr emissions;
+        "this is not a C program");
+  }
+
 let run_trivial k =
   let outs = [| [| 0.0 |] |] in
   KC.call k ~ins:[| [| 2.0 |] |] ~outs;
@@ -154,8 +165,35 @@ let batch3 =
 let check_batch3 label ks =
   Alcotest.(check (list (float 0.0))) label [ 3.0; 4.0; -1.0 ] (List.map run_trivial ks)
 
-let tmp_files dir =
-  List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir))
+let files_with suffix dir =
+  List.filter (fun f -> Filename.check_suffix f suffix) (Array.to_list (Sys.readdir dir))
+
+let tmp_files = files_with ".tmp"
+
+(* How many chunks [resolve] deals [n] compiles into on this host. *)
+let chunk_count n = min n (Parallel.Domain_pool.default_jobs ())
+
+(* Round-robin dealing puts every member in exactly one chunk, makes
+   [min n k] chunks whose sizes differ by at most one, and keeps plan
+   order within each chunk. *)
+let test_deal () =
+  List.iter
+    (fun (n, k) ->
+      let label = Printf.sprintf "n=%d k=%d" n k in
+      let chunks = KC.deal ~k (List.init n Fun.id) in
+      Alcotest.(check int) (label ^ ": chunk count") (min n k) (List.length chunks);
+      Alcotest.(check (list int)) (label ^ ": each member once") (List.init n Fun.id)
+        (List.sort compare (List.concat chunks));
+      let sizes = List.map List.length chunks in
+      Alcotest.(check bool) (label ^ ": sizes differ by at most 1") true
+        (n = 0 || List.fold_left max 0 sizes - List.fold_left min n sizes <= 1);
+      List.iter
+        (fun c ->
+          Alcotest.(check (list int)) (label ^ ": plan order") (List.sort compare c) c)
+        chunks)
+    [ (0, 2); (1, 1); (5, 1); (2, 2); (7, 2); (3, 3); (10, 3); (2, 3); (20, 8); (5, 8) ];
+  Alcotest.(check (list (list string))) "round robin" [ [ "a"; "c"; "e" ]; [ "b"; "d" ] ]
+    (KC.deal ~k:2 [ "a"; "b"; "c"; "d"; "e" ])
 
 let test_cache_compile_then_hits () =
   if not (KC.available ()) then Alcotest.skip ();
@@ -177,17 +215,17 @@ let test_cache_compile_then_hits () =
   Alcotest.(check int) "disk hit" 1 (KC.stats c2).KC.disk_hits;
   Alcotest.(check int) "disk hit does not compile" 0 (KC.stats c2).KC.compiles
 
-(* A batch compiles with one cc run and publishes every member, so a
-   fresh instance over the same directory (a new process) loads all of
-   them from disk; a repeated signature is a memory hit, not a second
-   member; nothing half-published is left behind. *)
+(* A batch compiles with one cc run per chunk and publishes every
+   member, so a fresh instance over the same directory (a new process)
+   loads all of them from disk; a repeated signature is a memory hit,
+   not a second member; nothing half-published is left behind. *)
 let test_cache_batch () =
   if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
   let c1 = KC.create ~dir () in
   let ks = resolve_ok c1 (batch3 @ [ List.hd batch3 ]) in
   check_batch3 "batch computes" (List.filteri (fun i _ -> i < 3) ks);
-  Alcotest.(check int) "one cc run" 1 (KC.stats c1).KC.cc_runs;
+  Alcotest.(check int) "one cc run per chunk" (chunk_count 3) (KC.stats c1).KC.cc_runs;
   Alcotest.(check int) "three kernels compiled" 3 (KC.stats c1).KC.compiles;
   Alcotest.(check int) "repeat is a memory hit" 1 (KC.stats c1).KC.mem_hits;
   Alcotest.(check (list string)) "no .tmp left" [] (tmp_files dir);
@@ -196,23 +234,34 @@ let test_cache_batch () =
   Alcotest.(check int) "three disk hits" 3 (KC.stats c2).KC.disk_hits;
   Alcotest.(check int) "no cc run" 0 (KC.stats c2).KC.cc_runs
 
-(* A batch that does not compile falls back to one cc run per member:
-   the good kernels load and only the broken one is memoized as failed. *)
+(* After a batch compiles, the cache keeps only objects and locks: no
+   translation unit and no compiler log. *)
+let test_cache_batch_leaves_no_sources () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let dir = scratch_cache_dir () in
+  check_batch3 "batch computes" (resolve_ok (KC.create ~dir ()) batch3);
+  Alcotest.(check (list string)) "no .c left" [] (files_with ".c" dir);
+  Alcotest.(check (list string)) "no .log left" [] (files_with ".log" dir)
+
+(* A chunk that does not compile falls back to one cc run per member, so
+   the good kernels load and only the broken one is memoized as failed;
+   a failed one-member chunk is not compiled again. *)
 let test_cache_batch_isolates_failure () =
   if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
   let c = KC.create ~dir () in
   let emissions = ref 0 in
-  let bad =
-    {
-      KC.signature = "unit-v1|garbage";
-      source =
-        (fun ~symbol:_ ->
-          incr emissions;
-          "this is not a C program");
-    }
-  in
+  let bad = garbage emissions "unit-v1|garbage" in
   let good1 = trivial "unit-v1|good1" and good2 = trivial ~body:"ins[0][0] * 2.0" "unit-v1|good2" in
+  (* Every chunk runs once; the members of a failed chunk of several run
+     once more each. *)
+  let cc_runs =
+    let chunks = KC.deal ~k:(chunk_count 3) [ good1; bad; good2 ] in
+    List.length chunks
+    + List.fold_left
+        (fun acc c -> if List.length c > 1 && List.memq bad c then acc + List.length c else acc)
+        0 chunks
+  in
   let resolve () =
     match KC.resolve c [ good1; bad; good2 ] with
     | [ Ok k1; Error _; Ok k2 ] -> (k1, k2)
@@ -221,13 +270,30 @@ let test_cache_batch_isolates_failure () =
   let k1, k2 = resolve () in
   Alcotest.(check (list (float 0.0))) "good kernels compute" [ 3.0; 4.0 ]
     [ run_trivial k1; run_trivial k2 ];
-  Alcotest.(check int) "batch, then each member alone" 4 (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "chunks, then each member of a failed chunk alone" cc_runs
+    (KC.stats c).KC.cc_runs;
   Alcotest.(check int) "two compiled" 2 (KC.stats c).KC.compiles;
   Alcotest.(check int) "one failure" 1 (KC.stats c).KC.failures;
   let _ = resolve () in
   Alcotest.(check int) "failure memoized: emitted once" 1 !emissions;
-  Alcotest.(check int) "no further cc run" 4 (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "no further cc run" cc_runs (KC.stats c).KC.cc_runs;
   Alcotest.(check int) "failure counted once" 1 (KC.stats c).KC.failures
+
+(* One kernel per chunk, the first of them garbage: its chunk is that
+   kernel alone, so it is compiled exactly once and memoized. *)
+let test_cache_one_member_chunk_fails_once () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let c = KC.create ~dir:(scratch_cache_dir ()) () in
+  let emissions = ref 0 in
+  let k = Parallel.Domain_pool.default_jobs () in
+  let goods = List.init (k - 1) (fun i -> trivial (Printf.sprintf "unit-v1|single%d" i)) in
+  (match KC.resolve c (garbage emissions "unit-v1|garbage-alone" :: goods) with
+  | Error _ :: rest when List.for_all Result.is_ok rest -> ()
+  | _ -> Alcotest.fail "expected only the garbage kernel to fail");
+  Alcotest.(check int) "one cc run per chunk, none repeated" k (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "emitted once" 1 !emissions;
+  Alcotest.(check int) "one failure" 1 (KC.stats c).KC.failures;
+  Alcotest.(check int) "the rest compiled" (k - 1) (KC.stats c).KC.compiles
 
 (* A corrupted member is recompiled alone; its batch-mates stay disk
    hits. The batch is copied to a second directory first: glibc returns
@@ -300,15 +366,7 @@ let test_cache_failure_memoized () =
   let dir = scratch_cache_dir () in
   let c = KC.create ~dir () in
   let emissions = ref 0 in
-  let bad =
-    {
-      KC.signature = "unit-v1|bad";
-      source =
-        (fun ~symbol:_ ->
-          incr emissions;
-          "this is not a C program");
-    }
-  in
+  let bad = garbage emissions "unit-v1|bad" in
   (match KC.resolve c [ bad ] with
   | [ Error _ ] -> ()
   | _ -> Alcotest.fail "garbage source compiled?");
@@ -498,6 +556,11 @@ let () =
           Alcotest.test_case "failure memoized" `Quick test_cache_failure_memoized;
           Alcotest.test_case "batch of three" `Quick test_cache_batch;
           Alcotest.test_case "batch isolates a failure" `Quick test_cache_batch_isolates_failure;
+          Alcotest.test_case "chunking deals round robin" `Quick test_deal;
+          Alcotest.test_case "good batch leaves no sources" `Quick
+            test_cache_batch_leaves_no_sources;
+          Alcotest.test_case "one-member chunk compiled once" `Quick
+            test_cache_one_member_chunk_fails_once;
           Alcotest.test_case "corrupt member recompiled alone" `Quick
             test_cache_corrupt_member_alone;
           Alcotest.test_case "backend parsing" `Quick test_backend_of_string ] );

@@ -634,6 +634,25 @@ let test_handle_client_errors () =
       {|"small":true,"deadline_ms":"5"|};
     ]
 
+(* An injected onnx_parse fault on an inline document is transient: the
+   request is answered [retry], not blamed on the client. *)
+let test_handle_injected_parse_fault_retries () =
+  let t = make_server "parse-fault" in
+  let req =
+    jsonw_to_json
+      (Serve.Protocol.request_to_json
+         { Serve.Protocol.default_request with Serve.Protocol.verb = "optimize";
+           graph_doc =
+             Some
+               (Onnx.Graph_doc.opgraph_to_string
+                  (Models.Segformer.attention_subgraph ~batch:1 ~tokens:8 ~channels:8 ())) })
+  in
+  let resp =
+    Faults.with_policy [ (Faults.Onnx_parse, Faults.Always) ] (fun () -> handle_server t req)
+  in
+  Alcotest.(check (option string)) "injected parse fault is retry" (Some "retry")
+    (member_str "status" resp)
+
 let test_handle_deadline_under_faults () =
   let t = make_server "deadline" in
   Faults.with_policy ~seed:1
@@ -950,6 +969,8 @@ let () =
           Alcotest.test_case "table verb" `Quick test_handle_table;
           Alcotest.test_case "table client errors" `Quick test_handle_table_client_errors;
           Alcotest.test_case "client errors" `Quick test_handle_client_errors;
+          Alcotest.test_case "injected parse fault is retried" `Quick
+            test_handle_injected_parse_fault_retries;
           Alcotest.test_case "deadline under faults" `Quick test_handle_deadline_under_faults;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
           Alcotest.test_case "remembered graph hash equals a fresh key" `Quick
