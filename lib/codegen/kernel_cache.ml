@@ -242,6 +242,8 @@ let rec run_commands ~(k : int) (cmds : string list) : (unit, string) result lis
     | _, Unix.WEXITED rc -> Error (Printf.sprintf "cc exited with %d" rc)
     | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> Error (Printf.sprintf "cc killed by signal %d" n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "cannot wait for cc: %s" (Unix.error_message e))
   in
   match cmds with
   | [] -> []
@@ -304,8 +306,16 @@ let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list)
             Obs.Metrics.add m_compiles n;
             Ok ()
           | Error msg ->
-            let diag = try read_file ~limit:2000 (file name ".log") with Sys_error _ -> "" in
-            Error (Printf.sprintf "%s: %s" msg (String.trim diag)))
+            let log = file name ".log" in
+            if Sys.file_exists log then
+              let diag = try read_file ~limit:2000 log with Sys_error _ -> "" in
+              Error (Printf.sprintf "%s: %s" msg (String.trim diag))
+            else begin
+              (* sh never ran, so no log: write why, so that a kept
+                 source always has its log. *)
+              (try write_atomic ~dir:t.dir ~path:log msg with Sys_error _ -> ());
+              Error msg
+            end)
         (List.combine units cmds)
         (run_commands ~k (List.map snd cmds)))
 

@@ -244,39 +244,33 @@ let test_cache_batch_leaves_no_sources () =
   Alcotest.(check (list string)) "no .log left" [] (files_with ".log" dir)
 
 (* A chunk that does not compile falls back to one cc run per member, so
-   the good kernels load and only the broken one is memoized as failed;
-   a failed one-member chunk is not compiled again. *)
+   the good kernels load and only the broken one is memoized as failed.
+   With k = default_jobs () chunks and k + 1 kernels, the garbage one at
+   index 0 always shares chunk 0 with the good one at index k: k chunk
+   runs, then that chunk's two members alone. *)
 let test_cache_batch_isolates_failure () =
   if not (KC.available ()) then Alcotest.skip ();
   let dir = scratch_cache_dir () in
   let c = KC.create ~dir () in
   let emissions = ref 0 in
-  let bad = garbage emissions "unit-v1|garbage" in
-  let good1 = trivial "unit-v1|good1" and good2 = trivial ~body:"ins[0][0] * 2.0" "unit-v1|good2" in
-  (* Every chunk runs once; the members of a failed chunk of several run
-     once more each. *)
-  let cc_runs =
-    let chunks = KC.deal ~k:(chunk_count 3) [ good1; bad; good2 ] in
-    List.length chunks
-    + List.fold_left
-        (fun acc c -> if List.length c > 1 && List.memq bad c then acc + List.length c else acc)
-        0 chunks
-  in
+  let k = Parallel.Domain_pool.default_jobs () in
+  let goods = List.init k (fun i -> trivial (Printf.sprintf "unit-v1|shared%d" i)) in
+  let reqs = garbage emissions "unit-v1|garbage" :: goods in
+  Alcotest.(check int) "garbage shares chunk 0" 2 (List.length (List.hd (KC.deal ~k reqs)));
   let resolve () =
-    match KC.resolve c [ good1; bad; good2 ] with
-    | [ Ok k1; Error _; Ok k2 ] -> (k1, k2)
-    | _ -> Alcotest.fail "expected the two good kernels to load and the garbage one to fail"
+    match KC.resolve c reqs with
+    | Error _ :: rest -> List.map (function Ok g -> g | Error m -> Alcotest.fail m) rest
+    | _ -> Alcotest.fail "expected the good kernels to load and the garbage one to fail"
   in
-  let k1, k2 = resolve () in
-  Alcotest.(check (list (float 0.0))) "good kernels compute" [ 3.0; 4.0 ]
-    [ run_trivial k1; run_trivial k2 ];
-  Alcotest.(check int) "chunks, then each member of a failed chunk alone" cc_runs
+  Alcotest.(check (list (float 0.0))) "good kernels compute" (List.init k (fun _ -> 3.0))
+    (List.map run_trivial (resolve ()));
+  Alcotest.(check int) "chunks, then each member of the failed chunk alone" (k + 2)
     (KC.stats c).KC.cc_runs;
-  Alcotest.(check int) "two compiled" 2 (KC.stats c).KC.compiles;
+  Alcotest.(check int) "the good ones compiled" k (KC.stats c).KC.compiles;
   Alcotest.(check int) "one failure" 1 (KC.stats c).KC.failures;
   let _ = resolve () in
   Alcotest.(check int) "failure memoized: emitted once" 1 !emissions;
-  Alcotest.(check int) "no further cc run" cc_runs (KC.stats c).KC.cc_runs;
+  Alcotest.(check int) "no further cc run" (k + 2) (KC.stats c).KC.cc_runs;
   Alcotest.(check int) "failure counted once" 1 (KC.stats c).KC.failures
 
 (* One kernel per chunk, the first of them garbage: its chunk is that
