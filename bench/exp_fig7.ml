@@ -1,6 +1,6 @@
 (* Figure 7: adaptation study of operator fission over TensorRT (§6.3).
 
-   Instead of Korch's ILP orchestration, the post-fission primitive graph
+   Instead of Korch's exact segment solver, the post-fission primitive graph
    is handed to a TensorRT-style greedy orchestrator (pointwise chains
    fuse, linear primitives absorb a few layout/elementwise companions,
    everything else runs alone). The speedup over TensorRT on the operator
@@ -14,7 +14,7 @@ open Ir
    a reduction absorbs its injective producers and then keeps absorbing a
    short injective tail, a linear primitive takes a small epilogue, and
    groups are capped at the generated-kernel size limit. Greedy and
-   rule-based — no ILP, no redundancy. *)
+   rule-based — no optimal search, no redundancy. *)
 let greedy_prim_plan ~spec ~precision (g : Primgraph.t) : Runtime.Plan.t =
   let max_tvm_prims = Gpu.Profiler.max_tvm_prims in
   let succs = Graph.succs g in
@@ -166,6 +166,6 @@ let run () =
   Printf.printf "%-38s %10.2f %8.2fx\n" "fission + TensorRT-style orchestration"
     (fission_only /. 1000.)
     (Bench_common.speedup trt fission_only);
-  Printf.printf "%-38s %10.2f %8.2fx\n" "fission + ILP orchestration (Korch)" (korch /. 1000.)
+  Printf.printf "%-38s %10.2f %8.2fx\n" "fission + exact segment solver (Korch)" (korch /. 1000.)
     (Bench_common.speedup trt korch);
   Printf.printf "shape check: fission alone already beats TensorRT (paper: 1.24x)\n"

@@ -3,27 +3,28 @@
     Model weights and transformation-introduced constants (e.g. the
     all-ones vector that turns ReduceSum into a MatMul, §3/Figure 2) are
     described symbolically so cost-model-only pipelines never allocate
-    paper-scale tensors; the executor materializes them on demand.
+    paper-scale tensors.
 
-    Constant folding inside the transformation search leaves its results
-    as [Folded] references into a table owned by that search; they are
-    evaluated once, for the graph the search returns, and every graph
-    outside it carries [Data] instead. *)
+    A folded constant — a folded BatchNorm's conv weights, a fold of the
+    transformation search — is an [Apply] expression over the constants
+    it reads. Shape inference and the cost model see only its shape;
+    {!Runtime.Prim_interp.materialize} evaluates it, once, when a kernel
+    first reads it. *)
 
 open Tensor
 
-type fill =
+type fill = Primitive.fill =
   | Zeros
   | Ones
   | Value of float  (** constant fill *)
   | Randn of int  (** deterministic standard-normal data from a seed *)
   | Randn_scaled of int * float  (** seeded normal data times a factor *)
   | Data of Nd.t  (** explicit payload *)
-  | Folded of int
-      (** entry [i] of one constant-folding table ({!Transform.Constfold}),
-          not yet evaluated; never seen outside the search *)
+  | Apply of Primitive.t * t list
+      (** a computing primitive applied to argument constants, which may
+          be folds themselves *)
 
-type t = { shape : Shape.t; fill : fill }
+and t = Primitive.const = { shape : Shape.t; fill : fill }
 
 val zeros : Shape.t -> t
 val ones : Shape.t -> t
@@ -35,15 +36,13 @@ val randn_scaled : Shape.t -> int -> float -> t
 
 val of_nd : Nd.t -> t
 
-(** Produce the concrete tensor (deterministic for seeded fills). Raises
-    [Invalid_argument] on a [Folded] constant: only its table can
-    evaluate it. *)
-val materialize : t -> Nd.t
+(** [apply shape op args] — the fold of [op] over [args], of [shape]. *)
+val apply : Shape.t -> Primitive.t -> t list -> t
 
-(** Structural equality; [Data] payloads compare elementwise, [Folded]
-    ones by table entry. *)
+(** Structural equality; [Data] payloads compare elementwise, [Apply]
+    folds by expression, never by value. *)
 val equal : t -> t -> bool
 
-(** [Data] and [Folded] both print as [data]: a search sees the same
-    spelling before and after evaluation. *)
+(** [Data] and [Apply] both print as [data]: a search sees the same
+    spelling before and after a fold. *)
 val to_string : t -> string

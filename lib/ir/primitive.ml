@@ -39,7 +39,7 @@ type agg = Ops_reduce.agg = Sum | Mean | Max | Min | Prod
 
 type t =
   | Input of string  (** named graph input (activations or weights fed at run time) *)
-  | Constant of Const.t  (** embedded constant (weights, ones vectors, ...) *)
+  | Constant of const  (** embedded constant (weights, ones vectors, ...) *)
   | Unary of unary
   | Binary of binary
   | Reduce of agg * int  (** aggregate along an axis, dropping it *)
@@ -56,6 +56,19 @@ type t =
       (** NCHW convolution, weight OIHW as second input *)
   | Upsample of int  (** nearest-neighbour spatial upsampling (linear) *)
   | Opaque of string  (** unsupported operator kept opaque (e.g. TopK), §3 *)
+
+(** A constant and a primitive refer to each other: a folded constant is
+    a primitive applied to constants. {!Const} documents these types. *)
+and const = { shape : Shape.t; fill : fill }
+
+and fill =
+  | Zeros
+  | Ones
+  | Value of float
+  | Randn of int
+  | Randn_scaled of int * float
+  | Data of Nd.t
+  | Apply of t * const list
 
 (** The four categories of §3, plus sources and opaque nodes. *)
 type category =
@@ -102,9 +115,23 @@ let binary_to_string = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div"
   | Max -> "max" | Min -> "min" | Pow -> "pow"
 
+(* A payload, computed or folded, prints as [data]: a search sees the
+   same spelling before and after a fold. *)
+let const_to_string (c : const) =
+  let fill =
+    match c.fill with
+    | Zeros -> "zeros"
+    | Ones -> "ones"
+    | Value v -> Printf.sprintf "%g" v
+    | Randn s -> Printf.sprintf "randn#%d" s
+    | Randn_scaled (s, f) -> Printf.sprintf "randn#%d*%g" s f
+    | Data _ | Apply _ -> "data"
+  in
+  Printf.sprintf "const%s(%s)" (Shape.to_string c.shape) fill
+
 let to_string : t -> string = function
   | Input name -> Printf.sprintf "input(%s)" name
-  | Constant c -> Const.to_string c
+  | Constant c -> const_to_string c
   | Unary u -> unary_to_string u
   | Binary b -> binary_to_string b
   | Reduce (agg, ax) -> Printf.sprintf "reduce_%s(axis=%d)" (Ops_reduce.agg_to_string agg) ax

@@ -54,6 +54,13 @@ let enum cases =
 
 let json = custom ~encode:Json.to_jsonw ~decode:Fun.id
 
+let fix f =
+  let self = ref None in
+  let get () = Option.get !self in
+  let c = { enc = (fun v -> (get ()).enc v); dec = (fun j -> (get ()).dec j) } in
+  self := Some (f c);
+  c
+
 (* ------------------------------ objects ------------------------------ *)
 
 type ('o, 'f) obj = {

@@ -31,6 +31,10 @@ val enum : (string * 'a) list -> 'a t
 (** Any JSON value, kept as parsed; encodes value-exactly. *)
 val json : Json.t t
 
+(** [fix f] — the codec [c = f c] of a recursive document; [f] may
+    store [c] in the codecs it builds but not run it. *)
+val fix : ('a t -> 'a t) -> 'a t
+
 (** A leaf codec over an existing writer and reader. *)
 val custom : encode:('a -> Obs.Jsonw.t) -> decode:(Json.t -> 'a) -> 'a t
 

@@ -58,9 +58,18 @@ let nd =
   |> field "data" (map Array.of_list Array.to_list (list num)) (fun t -> t.Nd.data)
   |> finish
 
-let const =
+(* A constant and a primitive are one recursive document: a fold is a
+   computing primitive applied to constants, of the shape it infers. *)
+let const_of primitive const =
   let open Const in
-  obj (fun shape fill -> match fill with Data t -> of_nd t | fill -> { shape; fill })
+  let fold shape op args =
+    if Primitive.is_source op then fail "a fold of a source primitive";
+    let s = Shape_infer.prim op (List.map (fun a -> a.shape) args) in
+    if Shape.equal s shape then { shape; fill = Apply (op, args) }
+    else fail (Printf.sprintf "fold of shape %s, declared %s" (Shape.to_string s) (Shape.to_string shape))
+  in
+  obj (fun shape fill ->
+      match fill with Data t -> of_nd t | Apply (op, args) -> fold shape op args | fill -> { shape; fill })
   |> field "shape" ints (fun c -> c.shape)
   |> kind "fill"
        (nullary [ ("zeros", Zeros); ("ones", Ones) ]
@@ -71,9 +80,89 @@ let const =
              (fun (s, k) -> Randn_scaled (s, k))
              (function Randn_scaled (s, k) -> Some (s, k) | _ -> None);
            tag1 "data" "tensor" nd (fun t -> Data t) (function Data t -> Some t | _ -> None);
+           tag2 "apply" ("op", primitive) ("args", list const)
+             (fun (p, args) -> Apply (p, args))
+             (function Apply (p, args) -> Some (p, args) | _ -> None);
          ])
        (fun c -> c.fill)
   |> finish
+
+let agg =
+  Primitive.(enum [ ("sum", Sum); ("mean", Mean); ("max", Max); ("min", Min); ("prod", Prod) ])
+
+let unary : Primitive.unary t =
+  let open Primitive in
+  let scalar t inj proj = tag1 t "c" num inj proj in
+  tagged
+    ([
+       tag1 "leaky_relu" "alpha" num (fun a -> LeakyRelu a) (function
+         | LeakyRelu a -> Some a
+         | _ -> None);
+       scalar "add_const" (fun c -> AddConst c) (function AddConst c -> Some c | _ -> None);
+       scalar "mul_const" (fun c -> MulConst c) (function MulConst c -> Some c | _ -> None);
+       scalar "pow_const" (fun c -> PowConst c) (function PowConst c -> Some c | _ -> None);
+       tag2 "clip" ("lo", num) ("hi", num) (fun (lo, hi) -> Clip (lo, hi)) (function
+         | Clip (lo, hi) -> Some (lo, hi)
+         | _ -> None);
+     ]
+    @ nullary
+        [ ("exp", Exp); ("log", Log); ("sqrt", Sqrt); ("rsqrt", Rsqrt); ("neg", Neg); ("abs", Abs);
+          ("square", Square); ("recip", Reciprocal); ("relu", Relu); ("sigmoid", Sigmoid);
+          ("silu", Silu); ("mish", Mish); ("tanh", Tanh); ("erf", Erf); ("gelu", Gelu) ])
+
+let binary =
+  Primitive.(
+    enum
+      [ ("add", Add); ("sub", Sub); ("mul", Mul); ("div", Div); ("max", Max); ("min", Min);
+        ("pow", Pow) ])
+
+let primitive_of const : Primitive.t t =
+  let open Primitive in
+  tagged
+    [
+      tag1 "Input" "name" string (fun n -> Input n) (function Input n -> Some n | _ -> None);
+      tag1 "Constant" "const" const (fun c -> Constant c) (function
+        | Constant c -> Some c
+        | _ -> None);
+      tag1 "Unary" "fn" unary (fun u -> Unary u) (function Unary u -> Some u | _ -> None);
+      tag1 "Binary" "fn" binary (fun b -> Binary b) (function Binary b -> Some b | _ -> None);
+      tag2 "Reduce" ("agg", agg) ("axis", int) (fun (a, x) -> Reduce (a, x)) (function
+        | Reduce (a, x) -> Some (a, x)
+        | _ -> None);
+      tag2 "Broadcast" ("axis", int) ("size", int) (fun (a, s) -> Broadcast (a, s)) (function
+        | Broadcast (a, s) -> Some (a, s)
+        | _ -> None);
+      case "Pool"
+        (obj (fun agg kernel stride padding -> (agg, kernel, stride, padding))
+        |> field "agg" agg (fun (a, _, _, _) -> a)
+        |> field "kernel" pair (fun (_, k, _, _) -> k)
+        |> field "stride" pair (fun (_, _, s, _) -> s)
+        |> field "padding" pair (fun (_, _, _, p) -> p))
+        (fun (agg, kernel, stride, padding) -> Pool { agg; kernel; stride; padding })
+        (function
+          | Pool { agg; kernel; stride; padding } -> Some (agg, kernel, stride, padding)
+          | _ -> None);
+      tag1 "Transpose" "perm" ints (fun p -> Transpose p) (function
+        | Transpose p -> Some p
+        | _ -> None);
+      tag1 "Reshape" "shape" dims (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
+      tag3 "Pad" ("before", ints) ("after", ints) ("value", num)
+        (fun (before, after, value) -> Pad { before; after; value })
+        (function Pad { before; after; value } -> Some (before, after, value) | _ -> None);
+      tag2 "Slice" ("starts", ints) ("stops", ints)
+        (fun (starts, stops) -> Slice { starts; stops })
+        (function Slice { starts; stops } -> Some (starts, stops) | _ -> None);
+      tag1 "Concat" "axis" int (fun a -> Concat a) (function Concat a -> Some a | _ -> None);
+      tag0 "MatMul" Matmul;
+      tag2 "Conv" ("stride", pair) ("padding", pair)
+        (fun (stride, padding) -> Conv { stride; padding })
+        (function Conv { stride; padding } -> Some (stride, padding) | _ -> None);
+      tag1 "Upsample" "scale" int (fun s -> Upsample s) (function Upsample s -> Some s | _ -> None);
+      tag1 "Opaque" "name" string (fun n -> Opaque n) (function Opaque n -> Some n | _ -> None);
+    ]
+
+let const = fix (fun const -> const_of (primitive_of const) const)
+let primitive = primitive_of const
 
 let optype : Optype.t t =
   let open Optype in
@@ -141,80 +230,6 @@ let optype : Optype.t t =
           ("Gelu", Gelu); ("Erf", Erf); ("Exp", Exp); ("Log", Log); ("Sqrt", Sqrt); ("Neg", Neg);
           ("Square", Square); ("Add", Add); ("Sub", Sub); ("Mul", Mul); ("Div", Div); ("Pow", Pow);
           ("GlobalAvgPool", GlobalAvgPool); ("MatMul", MatMul) ])
-
-let agg =
-  Primitive.(enum [ ("sum", Sum); ("mean", Mean); ("max", Max); ("min", Min); ("prod", Prod) ])
-
-let unary : Primitive.unary t =
-  let open Primitive in
-  let scalar t inj proj = tag1 t "c" num inj proj in
-  tagged
-    ([
-       tag1 "leaky_relu" "alpha" num (fun a -> LeakyRelu a) (function
-         | LeakyRelu a -> Some a
-         | _ -> None);
-       scalar "add_const" (fun c -> AddConst c) (function AddConst c -> Some c | _ -> None);
-       scalar "mul_const" (fun c -> MulConst c) (function MulConst c -> Some c | _ -> None);
-       scalar "pow_const" (fun c -> PowConst c) (function PowConst c -> Some c | _ -> None);
-       tag2 "clip" ("lo", num) ("hi", num) (fun (lo, hi) -> Clip (lo, hi)) (function
-         | Clip (lo, hi) -> Some (lo, hi)
-         | _ -> None);
-     ]
-    @ nullary
-        [ ("exp", Exp); ("log", Log); ("sqrt", Sqrt); ("rsqrt", Rsqrt); ("neg", Neg); ("abs", Abs);
-          ("square", Square); ("recip", Reciprocal); ("relu", Relu); ("sigmoid", Sigmoid);
-          ("silu", Silu); ("mish", Mish); ("tanh", Tanh); ("erf", Erf); ("gelu", Gelu) ])
-
-let binary =
-  Primitive.(
-    enum
-      [ ("add", Add); ("sub", Sub); ("mul", Mul); ("div", Div); ("max", Max); ("min", Min);
-        ("pow", Pow) ])
-
-let primitive : Primitive.t t =
-  let open Primitive in
-  tagged
-    [
-      tag1 "Input" "name" string (fun n -> Input n) (function Input n -> Some n | _ -> None);
-      tag1 "Constant" "const" const (fun c -> Constant c) (function
-        | Constant c -> Some c
-        | _ -> None);
-      tag1 "Unary" "fn" unary (fun u -> Unary u) (function Unary u -> Some u | _ -> None);
-      tag1 "Binary" "fn" binary (fun b -> Binary b) (function Binary b -> Some b | _ -> None);
-      tag2 "Reduce" ("agg", agg) ("axis", int) (fun (a, x) -> Reduce (a, x)) (function
-        | Reduce (a, x) -> Some (a, x)
-        | _ -> None);
-      tag2 "Broadcast" ("axis", int) ("size", int) (fun (a, s) -> Broadcast (a, s)) (function
-        | Broadcast (a, s) -> Some (a, s)
-        | _ -> None);
-      case "Pool"
-        (obj (fun agg kernel stride padding -> (agg, kernel, stride, padding))
-        |> field "agg" agg (fun (a, _, _, _) -> a)
-        |> field "kernel" pair (fun (_, k, _, _) -> k)
-        |> field "stride" pair (fun (_, _, s, _) -> s)
-        |> field "padding" pair (fun (_, _, _, p) -> p))
-        (fun (agg, kernel, stride, padding) -> Pool { agg; kernel; stride; padding })
-        (function
-          | Pool { agg; kernel; stride; padding } -> Some (agg, kernel, stride, padding)
-          | _ -> None);
-      tag1 "Transpose" "perm" ints (fun p -> Transpose p) (function
-        | Transpose p -> Some p
-        | _ -> None);
-      tag1 "Reshape" "shape" dims (fun s -> Reshape s) (function Reshape s -> Some s | _ -> None);
-      tag3 "Pad" ("before", ints) ("after", ints) ("value", num)
-        (fun (before, after, value) -> Pad { before; after; value })
-        (function Pad { before; after; value } -> Some (before, after, value) | _ -> None);
-      tag2 "Slice" ("starts", ints) ("stops", ints)
-        (fun (starts, stops) -> Slice { starts; stops })
-        (function Slice { starts; stops } -> Some (starts, stops) | _ -> None);
-      tag1 "Concat" "axis" int (fun a -> Concat a) (function Concat a -> Some a | _ -> None);
-      tag0 "MatMul" Matmul;
-      tag2 "Conv" ("stride", pair) ("padding", pair)
-        (fun (stride, padding) -> Conv { stride; padding })
-        (function Conv { stride; padding } -> Some (stride, padding) | _ -> None);
-      tag1 "Upsample" "scale" int (fun s -> Upsample s) (function Upsample s -> Some s | _ -> None);
-      tag1 "Opaque" "name" string (fun n -> Opaque n) (function Opaque n -> Some n | _ -> None);
-    ]
 
 (* Nodes are numbered by position: "id", like the envelope's "version",
    is written for readers and optional on read, its value unused. *)

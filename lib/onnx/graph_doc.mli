@@ -10,7 +10,13 @@
     reads back bit for bit (up to NaN payloads). Node ids are positional:
     ["id"] and ["version"] are written but optional on read. Decoding
     checks that every edge points at an earlier node, every dimension is
-    at least 1 (a reshape's at least 0) and every output is in range. *)
+    at least 1 (a reshape's at least 0) and every output is in range.
+
+    A constant is [{"shape": .., "fill": ..}] plus its fill's members; a
+    fold prints as its expression,
+    [{"fill": "apply", "op": <primitive>, "args": [<constant>, ..]}], so
+    a folded graph's document is about as long as the raw one's. A fold
+    must apply a computing primitive and declare the shape it infers. *)
 
 val opgraph : Ir.Opgraph.t Codec.t
 val primgraph : Ir.Primgraph.t Codec.t

@@ -31,7 +31,7 @@ let eval_op (op : Optype.t) (args : Nd.t list) : Nd.t =
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "op arity" in
   match op with
   | Optype.Input name -> raise (Unsupported ("unbound input " ^ name))
-  | Constant c -> Const.materialize c
+  | Constant c -> Prim_interp.materialize c
   | Relu -> Ops_elementwise.relu (one ())
   | LeakyRelu a -> Ops_elementwise.leaky_relu ~alpha:a (one ())
   | Sigmoid -> Ops_elementwise.sigmoid (one ())

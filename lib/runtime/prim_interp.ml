@@ -48,18 +48,32 @@ let binary_scalar : Primitive.binary -> float -> float -> float =
   | Min -> S.minimum
   | Pow -> S.pow
 
+(* The evaluated folds, keyed by the constant's identity: an entry lives
+   as long as its constant. One mutex serializes lookups and evaluations
+   across domains; a fold's arguments are evaluated before it is taken. *)
+module Folds = Ephemeron.K1.Make (struct
+  type t = Const.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let folds = Folds.create 64
+let folds_lock = Mutex.create ()
+let m_folds_evaluated = Obs.Metrics.counter "const.folds_evaluated"
+
 (** [eval_prim ?dst p args] applies primitive [p] to concrete input
     tensors. Every primitive that computes a fresh tensor — all but
     [Input], [Constant] and [Opaque] — writes it into [dst] when given
     (its length must be the result's element count), which becomes its
-    storage; a constant is materialized as always. Both ways produce the
-    same floats; [v.Nd.data == dst] tells which one was taken. *)
-let eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
+    storage; a constant is {!materialize}d as always. Both ways produce
+    the same floats; [v.Nd.data == dst] tells which one was taken. *)
+let rec eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
   let one () = match args with [ x ] -> x | _ -> invalid_arg "prim arity" in
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
   match p with
   | Primitive.Input name -> raise (Unsupported ("unbound input " ^ name))
-  | Constant c -> Const.materialize c
+  | Constant c -> materialize c
   | Unary u -> Ops_elementwise.map ?dst (unary_scalar u) (one ())
   | Binary b ->
     let x, y = two () in
@@ -82,6 +96,35 @@ let eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
   | Upsample scale -> Ops_linear.upsample_nearest2d ?dst (one ()) ~scale
   | Opaque name -> raise (Unsupported ("opaque primitive " ^ name))
 
+(** [materialize c] — the concrete tensor of [c]: the one evaluator of
+    constants. A fold ([Apply]) is evaluated at most once while [c] is
+    alive, counted in [const.folds_evaluated]; later calls return the
+    same tensor, which nobody may write. Seeded fills are regenerated on
+    every call. *)
+and materialize (c : Const.t) : Nd.t =
+  match c.Const.fill with
+  | Const.Zeros -> Nd.zeros c.Const.shape
+  | Ones -> Nd.ones c.Const.shape
+  | Value v -> Nd.full c.Const.shape v
+  | Randn seed -> Nd.randn (Rng.create seed) c.Const.shape
+  | Randn_scaled (seed, scale) ->
+    let rng = Rng.create seed in
+    Nd.create c.Const.shape (fun _ -> scale *. Rng.normal rng)
+  | Data nd -> nd
+  | Apply (p, args) -> (
+    match Mutex.protect folds_lock (fun () -> Folds.find_opt folds c) with
+    | Some v -> v
+    | None ->
+      let vs = List.map materialize args in
+      Mutex.protect folds_lock (fun () ->
+          match Folds.find_opt folds c with
+          | Some v -> v
+          | None ->
+            let v = eval_prim p vs in
+            Folds.replace folds c v;
+            Obs.Metrics.incr m_folds_evaluated;
+            v))
+
 type env = (int, Nd.t) Hashtbl.t
 
 (** [bind_sources g ~inputs] initializes an environment with named graph
@@ -102,7 +145,7 @@ let bind_sources (g : Primgraph.t) ~(inputs : (string * Nd.t) list) : env =
           Hashtbl.replace env nd.Graph.id v
         | None -> invalid_arg ("prim_interp: missing input " ^ name)
       end
-      | Primitive.Constant c -> Hashtbl.replace env nd.Graph.id (Const.materialize c)
+      | Primitive.Constant c -> Hashtbl.replace env nd.Graph.id (materialize c)
       | _ -> ())
     g.Graph.nodes;
   env

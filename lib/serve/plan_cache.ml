@@ -195,11 +195,15 @@ let write_durable ~dir ~path (contents : string) : unit =
      solver. A /2 entry's plan came from the node-limited BLP, labelled
      final although up to 5.5% above the per-segment optimum, so it must
      never be served as final again.
+   - korch-plan-cache/4 — same layout; a folded constant is stored as
+     its expression (an "apply" fill), which a /3 reader cannot decode:
+     it would count the entry corrupt and delete it, where a version
+     miss leaves it alone.
    An entry whose schema is a well-formed string other than the current
    one is a {e version miss}: the file is left in place (a newer or
    older daemon sharing the directory still owns it) and the lookup
    degrades to a miss, counted separately from corruption. *)
-let schema = "korch-plan-cache/3"
+let schema = "korch-plan-cache/4"
 
 let doc_codec : doc Onnx.Codec.t =
   let key =

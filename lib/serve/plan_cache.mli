@@ -5,7 +5,7 @@
     operator-graph hash x GPU x precision x batch. A restarted daemon
     (clean or [kill -9]) warm-hits every model it ever orchestrated.
 
-    One entry is one JSON file (schema [korch-plan-cache/3]) carrying a
+    One entry is one JSON file (schema [korch-plan-cache/4]) carrying a
     ["kind"]: [plan_<md5>.json] fixed-batch entries embed the stitched
     primitive graph, the executable plan and the full korch-report/1
     document; [table_<md5>.json] batch-range entries embed a
@@ -98,7 +98,7 @@ type table_key = {
   t_hi : int;
 }
 
-(** The two kinds of entry the one [korch-plan-cache/3] envelope
+(** The two kinds of entry the one [korch-plan-cache/4] envelope
     carries. *)
 type doc = Plan of entry | Table of table_key * Korch.Plan_table.t
 

@@ -64,27 +64,22 @@ module Pq = Map.Make (struct
   let compare = compare
 end)
 
-(* CSE, then constant folding into [t]: what the search does to every
-   graph it sees. *)
-let clean t g = Constfold.fold t (Cse.run ~folds:t g)
+(* CSE, then constant folding: what the search does to every graph it
+   sees. *)
+let clean g = Constfold.fold (Cse.run g)
 
-(** [start g] — the search's starting point, folds materialized. *)
-let start (g : Primgraph.t) : Primgraph.t =
-  let t = Constfold.create () in
-  Constfold.resolve t (clean t g)
+(** [start g] — the search's starting point. *)
+let start = clean
 
 (** [optimize ~spec ~precision g] — search for a cheaper equivalent
     primitive graph. Returns the best graph found (possibly [g] itself).
-    CSE and constant folding run on every candidate; the folds are
-    materialized only in the graph returned. *)
+    CSE and constant folding run on every candidate. *)
 let optimize ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Primgraph.t) :
     Primgraph.t =
   (* A transformation search can blow up on an adversarial graph; the
      injection site lets tests force that and exercise the orchestrator's
      fallback to {!start}. *)
   Faults.check Faults.Transform;
-  let folds = Constfold.create () in
-  let clean = clean folds in
   let g0 = clean g in
   let seen = Hashtbl.create 64 in
   Hashtbl.replace seen (graph_fingerprint g0) ();
@@ -117,4 +112,4 @@ let optimize ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Primgraph.
           (try rule g with Invalid_argument _ -> []))
       all_rules
   done;
-  Constfold.resolve folds (fst !best)
+  fst !best

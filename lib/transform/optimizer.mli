@@ -28,12 +28,10 @@ val cost_proxy : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> 
 val graph_fingerprint : Primgraph.t -> string
 
 (** [start g] — where the search starts: [g] after CSE and constant
-    folding, its folds materialized. The orchestrator falls back to it
-    when the search fails. *)
+    folding. The orchestrator falls back to it when the search fails. *)
 val start : Primgraph.t -> Primgraph.t
 
 (** [optimize ~spec ~precision g] — search for a cheaper equivalent graph
     for [spec] at [precision]; returns the best found (possibly {!start}
-    [g]). Folds made during the search stay unevaluated; only the
-    returned graph's are materialized. *)
+    [g]). Folds stay unevaluated expressions ({!Constfold}). *)
 val optimize : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> Primgraph.t

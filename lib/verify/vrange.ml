@@ -210,24 +210,6 @@ let sqrt_v x =
 
 let sigmoid b = 1.0 /. (1.0 +. Float.exp (-.b))
 
-let of_const (c : Const.t) : v =
-  let point x =
-    {
-      lo = x;
-      hi = x;
-      nonzero = x <> 0.0 && not (Float.is_nan x);
-      finite = Float.is_finite x;
-      nonnan = not (Float.is_nan x);
-    }
-  in
-  match c.Const.fill with
-  | Const.Zeros -> point 0.0
-  | Const.Ones -> point 1.0
-  | Const.Value x -> point x
-  | Const.Randn _ | Const.Randn_scaled _ | Const.Folded _ -> input_fact
-  | Const.Data nd ->
-    Array.fold_left (fun acc x -> join acc (point x)) bottom nd.Nd.data
-
 (* ------------------------------------------------------------------ *)
 (* Transfer functions                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -320,10 +302,30 @@ let dot_v ~(k : int) ?(pad = false) (x : v) (y : v) : v =
   let p = if pad then join p (mk 0.0 0.0) else p in
   sum_of k { p with nonzero = false }
 
-let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
-  let nd = Graph.node g i in
-  let shape_of_input j = (Graph.node g (List.nth nd.Graph.inputs j)).Graph.shape in
-  match (nd.Graph.op, inputs) with
+let rec of_const (c : Const.t) : v =
+  let point x =
+    {
+      lo = x;
+      hi = x;
+      nonzero = x <> 0.0 && not (Float.is_nan x);
+      finite = Float.is_finite x;
+      nonnan = not (Float.is_nan x);
+    }
+  in
+  match c.Const.fill with
+  | Const.Zeros -> point 0.0
+  | Const.Ones -> point 1.0
+  | Const.Value x -> point x
+  | Const.Randn _ | Const.Randn_scaled _ -> input_fact
+  | Const.Apply (op, args) ->
+    prim_v op (List.map (fun (a : Const.t) -> a.Const.shape) args) (List.map of_const args)
+  | Const.Data nd ->
+    Array.fold_left (fun acc x -> join acc (point x)) bottom nd.Nd.data
+
+(* The fact of [op] applied to inputs of these shapes and facts. *)
+and prim_v (op : Primitive.t) (shapes : Shape.t list) (inputs : v list) : v =
+  let shape_of_input j = List.nth shapes j in
+  match (op, inputs) with
   | Primitive.Input _, _ -> input_fact
   | Primitive.Constant c, _ -> of_const c
   | Primitive.Unary u, [ x ] -> unary_v u x
@@ -358,6 +360,10 @@ let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
     (* Arity mismatch: structurally broken graphs are Graph_check's
        business; stay sound here. *)
     top
+
+let transfer (g : Primgraph.t) (i : int) (inputs : v list) : v =
+  let nd = Graph.node g i in
+  prim_v nd.Graph.op (List.map (fun j -> (Graph.node g j).Graph.shape) nd.Graph.inputs) inputs
 
 (* ------------------------------------------------------------------ *)
 (* Solving and findings                                                *)

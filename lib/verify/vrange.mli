@@ -30,7 +30,9 @@ val input_fact : v
 val is_empty : v -> bool
 val fact_to_string : v -> string
 
-(** Exact abstraction of a constant ([Data] payloads are scanned). *)
+(** Abstraction of a constant: exact for a fill or a [Data] payload
+    (scanned); a fold's fact is the transfer of its primitive over its
+    arguments' facts. *)
 val of_const : Const.t -> v
 
 (** float64 [exp] overflows to [+inf] at and above this argument. *)

@@ -3,9 +3,10 @@
 
    Every fold materializes its constant inputs, evaluates the primitive
    and stores the result as a [Const.Data] payload, in every graph it is
-   given. The library folder decides the same folds by shape and
-   evaluates them only for the graph it returns, so both must produce the
-   same graphs node for node, payload bits included. *)
+   given. The library folder decides the same folds by shape and leaves
+   each an unevaluated [Const.Apply], so both must produce the same
+   graphs node for node, each fold evaluating to the eager payload's
+   bits. *)
 
 open Ir
 open Tensor
@@ -36,7 +37,7 @@ let run ?(max_elems = default_max_elems) (g : Primgraph.t) : Primgraph.t =
             && List.for_all Option.is_some const_inputs
             && Shape.numel nd.Graph.shape <= max_elems
           then begin
-            let args = List.map (fun c -> Const.materialize (Option.get c)) const_inputs in
+            let args = List.map (fun c -> Runtime.Prim_interp.materialize (Option.get c)) const_inputs in
             match Runtime.Prim_interp.eval_prim op args with
             | v ->
               let c = Edit.add e (Primitive.Constant (Const.of_nd v)) [] in

@@ -44,7 +44,8 @@ let graph_docs () =
   let consts =
     Const.
       [ zeros s; ones s; value s 0.25; randn s 7; randn_scaled s 11 0.125;
-        of_nd (Tensor.Nd.of_array s [| 1.5; -2.25; 0.0; 1e-7 |]) ]
+        of_nd (Tensor.Nd.of_array s [| 1.5; -2.25; 0.0; 1e-7 |]);
+        apply s (Primitive.Binary Add) [ randn s 7; apply s (Primitive.Unary Neg) [ ones s ] ] ]
   in
   let graph input constant ops =
     let b = Graph.Builder.create () in

@@ -253,7 +253,7 @@ let eval_prim (p : Primitive.t) (args : Nd.t list) : Nd.t =
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
   match p with
   | Primitive.Input _ | Opaque _ -> invalid_arg "Ref_tensor_ops.eval_prim: not evaluable"
-  | Constant c -> Const.materialize c
+  | Constant c -> Runtime.Prim_interp.materialize c
   | Unary u -> map (Runtime.Prim_interp.unary_scalar u) (one ())
   | Binary b ->
     let x, y = two () in

@@ -236,6 +236,117 @@ let test_models_equivalent () =
         expected got)
     Models.Registry.all
 
+(* ---------------- lazy BatchNorm folds vs the eager folder ---------------- *)
+
+let bits (t : Nd.t) = Array.map Int64.bits_of_float t.Nd.data
+
+(* The first node where the lazy fold differs from the eager one: its op,
+   inputs or shape, or a constant whose value differs in any bit. *)
+let fold_diff (lazy_ : Opgraph.t) (eager : Opgraph.t) : string option =
+  let same_op (x : Optype.t) (y : Optype.t) =
+    match (x, y) with
+    | Optype.Constant c, Optype.Constant d ->
+      let p = Runtime.Prim_interp.materialize c and q = Runtime.Prim_interp.materialize d in
+      Shape.equal c.Const.shape d.Const.shape && Shape.equal p.Nd.shape q.Nd.shape && bits p = bits q
+    | Optype.Constant _, _ | _, Optype.Constant _ -> false
+    | _ -> x = y
+  in
+  let node_diff i =
+    let x = Graph.node lazy_ i and y = Graph.node eager i in
+    if same_op x.Graph.op y.Graph.op && x.Graph.inputs = y.Graph.inputs
+       && Shape.equal x.Graph.shape y.Graph.shape
+    then None
+    else
+      Some (Printf.sprintf "node %d: %s vs %s" i (Optype.to_string x.Graph.op) (Optype.to_string y.Graph.op))
+  in
+  if Graph.length lazy_ <> Graph.length eager then
+    Some (Printf.sprintf "%d nodes vs %d" (Graph.length lazy_) (Graph.length eager))
+  else
+    match List.find_map node_diff (List.init (Graph.length lazy_) Fun.id) with
+    | Some _ as d -> d
+    | None -> if lazy_.Graph.outputs = eager.Graph.outputs then None else Some "outputs differ"
+
+let check_folds_match_eager name (g : Opgraph.t) =
+  let lazy_ = Fission.Canonicalize.fold_batch_norms g in
+  let folds =
+    Array.fold_left
+      (fun n nd -> match nd.Graph.op with Optype.Constant { Const.fill = Const.Apply _; _ } -> n + 1 | _ -> n)
+      0 lazy_.Graph.nodes
+  in
+  (match fold_diff lazy_ (Eager_bn_fold.run g) with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" name m);
+  folds
+
+(* Two Conv+BN pairs whose parameters hold signed zeros, infinities and a
+   negative variance (a NaN factor), one with eps = 0 so that a zero
+   variance divides by a signed zero. *)
+let special_bn_graph () =
+  let b = Opgraph.B.create () in
+  let data shape values = Opgraph.B.const b (Const.of_nd (Nd.of_array shape values)) in
+  let x = Opgraph.B.input b "x" [| 1; 2; 3; 3 |] in
+  let vec v = data [| 4 |] v in
+  let inf = Float.infinity and ninf = Float.neg_infinity in
+  let conv ~bias x =
+    let w = data [| 4; 2; 1; 1 |] [| 1.5; -0.0; 0.0; -2.0; inf; 1.0; 3.0; -1e-300 |] in
+    let inputs = if bias then [ x; w; vec [| -0.0; 1.0; ninf; 0.0 |] ] else [ x; w ] in
+    Opgraph.B.add b (Optype.Conv { stride = (1, 1); padding = (0, 0); bias }) inputs
+  in
+  let bn eps c =
+    Opgraph.B.add b (Optype.BatchNormInference eps)
+      [ c; vec [| -0.0; inf; 1.0; ninf |]; vec [| 0.0; -0.0; 2.0; inf |];
+        vec [| inf; 0.0; -0.0; 1.0 |]; vec [| -1.0; 0.0; inf; -0.0 |] ]
+  in
+  let y = bn 1e-5 (conv ~bias:true x) in
+  let z = bn 0.0 (conv ~bias:false x) in
+  Opgraph.B.set_outputs b [ y; z ];
+  Opgraph.B.finish b
+
+let test_bn_folds_match_eager () =
+  Alcotest.(check int) "special values: both pairs folded" 4
+    (check_folds_match_eager "special values" (special_bn_graph ()));
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      ignore (check_folds_match_eager e.Models.Registry.name (e.Models.Registry.build_small ())))
+    Models.Registry.all;
+  let yolox = Option.get (Models.Registry.find "yolox") in
+  Alcotest.(check bool) "paper-scale yolox folds" true
+    (check_folds_match_eager "paper-scale yolox" (yolox.Models.Registry.build ()) > 0)
+
+(* The orchestrated plan of the lazily folded graph runs, on both
+   backends, to the bits the interpreter gives on the plan of the eagerly
+   folded graph. *)
+let test_bn_folds_execute_as_eager () =
+  let cfg = Korch.Orchestrator.default_config in
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let name = e.Models.Registry.name in
+      let raw = e.Models.Registry.build_small () in
+      let lazy_ = Korch.Orchestrator.run cfg raw in
+      let eager = Korch.Orchestrator.run cfg (Eager_bn_fold.run raw) in
+      let plan_doc (r : Korch.Orchestrator.result) =
+        Obs.Jsonw.to_string (Korch.Report.plan_to_json r.Korch.Orchestrator.plan)
+      in
+      Alcotest.(check bool) (name ^ ": same plan") true (plan_doc lazy_ = plan_doc eager);
+      let inputs =
+        Array.to_list raw.Graph.nodes
+        |> List.filter_map (fun nd ->
+               match nd.Graph.op with
+               | Optype.Input n -> Some (n, Nd.randn (Rng.create 11) nd.Graph.shape)
+               | _ -> None)
+      in
+      let exec backend (r : Korch.Orchestrator.result) =
+        List.map bits
+          (Runtime.Executor.run ~backend r.Korch.Orchestrator.graph r.Korch.Orchestrator.plan ~inputs)
+      in
+      let want = exec Runtime.Backend.Interp eager in
+      List.iter
+        (fun (label, backend) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s output bits" name label) true
+            (exec backend lazy_ = want))
+        [ ("interp", Runtime.Backend.Interp); ("native", Runtime.Backend.Native) ])
+    Models.Registry.all
+
 let () =
   Alcotest.run "fission"
     [
@@ -256,7 +367,11 @@ let () =
           Alcotest.test_case "bn fold" `Quick test_bn_fold;
           Alcotest.test_case "bn fold leaves no dead constants" `Quick
             test_bn_fold_no_dead_constants;
-          Alcotest.test_case "bn fold is idempotent" `Quick test_bn_fold_idempotent ] );
+          Alcotest.test_case "bn fold is idempotent" `Quick test_bn_fold_idempotent;
+          Alcotest.test_case "bn folds evaluate to the eager payloads" `Quick
+            test_bn_folds_match_eager;
+          Alcotest.test_case "bn folds execute as the eager ones" `Slow
+            test_bn_folds_execute_as_eager ] );
       ( "models",
         [ Alcotest.test_case "small models equivalent" `Slow test_models_equivalent ] );
     ]

@@ -234,14 +234,14 @@ let test_primitive_categories () =
 let test_const_materialize () =
   let open Tensor in
   Alcotest.(check bool) "ones" true
-    (Nd.equal (Const.materialize (Const.ones [| 2; 2 |])) (Nd.ones [| 2; 2 |]));
+    (Nd.equal (Runtime.Prim_interp.materialize (Const.ones [| 2; 2 |])) (Nd.ones [| 2; 2 |]));
   Alcotest.(check bool) "value" true
-    (Nd.equal (Const.materialize (Const.value [| 2 |] 3.5)) (Nd.full [| 2 |] 3.5));
+    (Nd.equal (Runtime.Prim_interp.materialize (Const.value [| 2 |] 3.5)) (Nd.full [| 2 |] 3.5));
   (* Deterministic across materializations *)
-  let a = Const.materialize (Const.randn [| 8 |] 7) in
-  let b = Const.materialize (Const.randn [| 8 |] 7) in
+  let a = Runtime.Prim_interp.materialize (Const.randn [| 8 |] 7) in
+  let b = Runtime.Prim_interp.materialize (Const.randn [| 8 |] 7) in
   Alcotest.(check bool) "randn deterministic" true (Nd.equal a b);
-  let c = Const.materialize (Const.randn_scaled [| 8 |] 7 0.5) in
+  let c = Runtime.Prim_interp.materialize (Const.randn_scaled [| 8 |] 7 0.5) in
   Alcotest.(check bool) "scaled = 0.5 * unscaled" true
     (Nd.equal c (Tensor.Ops_elementwise.mul_scalar 0.5 a))
 

@@ -204,8 +204,30 @@ let test_const_payload_roundtrip () =
   let g' = Onnx.Graph_doc.primgraph_of_string (Onnx.Graph_doc.primgraph_to_string g) in
   match Graph.op g' 0 with
   | Primitive.Constant c' ->
-    Alcotest.(check bool) "payload" true (Nd.equal (Const.materialize c) (Const.materialize c'))
+    Alcotest.(check bool) "payload" true (Nd.equal (Runtime.Prim_interp.materialize c) (Runtime.Prim_interp.materialize c'))
   | _ -> Alcotest.fail "lost constant"
+
+(* A fold reads back as its expression; one whose declared shape is not
+   the shape its primitive infers, or that applies a source, is refused
+   at load. *)
+let test_fold_documents () =
+  let fold op shape =
+    Printf.sprintf
+      {|{"kind":"Constant","const":{"shape":%s,"fill":"apply","op":%s,"args":[{"shape":[2,2],"fill":"randn","seed":3}]}}|}
+      shape op
+  in
+  let transpose = {|{"kind":"Transpose","perm":[1,0]}|} in
+  let doc = valid_doc_with ~op_kind:(fold transpose "[2,2]") ~inputs:"[]" ~shape:"[2,2]" in
+  (match Onnx.Graph_doc.opgraph_of_string doc with
+  | g -> (
+    match Graph.op g 1 with
+    | Optype.Constant { Const.fill = Const.Apply (Primitive.Transpose _, [ _ ]); _ } -> ()
+    | _ -> Alcotest.fail "fold not read back")
+  | exception Onnx.Graph_doc.Format_error m -> Alcotest.failf "valid fold refused: %s" m);
+  expect_format_error ~needles:[ "fold of shape [2x2], declared [4x1]" ] "fold shape"
+    ~doc:(valid_doc_with ~op_kind:(fold transpose "[4,1]") ~inputs:"[]" ~shape:"[4,1]");
+  expect_format_error ~needles:[ "source" ] "fold of a source"
+    ~doc:(valid_doc_with ~op_kind:(fold {|{"kind":"Input","name":"x"}|} "[2,2]") ~inputs:"[]" ~shape:"[2,2]")
 
 (* JSON has no infinities or NaN: the document writes them as strings and
    reads them back bit for bit, in an attribute and in a constant fill. *)
@@ -258,5 +280,6 @@ let () =
           Alcotest.test_case "negative reshape" `Quick test_negative_reshape;
           Alcotest.test_case "dangling edge" `Quick test_dangling_edge;
           Alcotest.test_case "const payload" `Quick test_const_payload_roundtrip;
+          Alcotest.test_case "fold documents" `Quick test_fold_documents;
           Alcotest.test_case "non-finite numbers" `Quick test_non_finite_roundtrip ] );
     ]

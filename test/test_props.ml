@@ -584,27 +584,23 @@ let prop_identify_random_graphs =
 (* ------------------------------------------------------------------ *)
 
 (* The first difference between two graphs: a node's op, inputs or
-   shape, a constant payload's bits, or the outputs. An unresolved fold
-   on either side is a difference. *)
+   shape, a constant payload's bits, or the outputs. A fold ([Apply])
+   compares by the bits it evaluates to. *)
 let graph_diff (a : Primgraph.t) (b : Primgraph.t) : string option =
   let bits (t : Nd.t) = Array.map Int64.bits_of_float t.Nd.data in
+  let payload = function
+    | Primitive.Constant ({ Const.fill = Const.Data _ | Const.Apply _; _ } as c) ->
+      Some (Runtime.Prim_interp.materialize c)
+    | _ -> None
+  in
   let same_op (x : Primitive.t) (y : Primitive.t) =
-    match (x, y) with
-    | Primitive.Constant { Const.fill = Const.Data p; _ }, Primitive.Constant { Const.fill = Const.Data q; _ }
-      ->
-      Shape.equal p.Nd.shape q.Nd.shape && bits p = bits q
-    | Primitive.Constant { Const.fill = Const.Data _ | Const.Folded _; _ }, _
-    | _, Primitive.Constant { Const.fill = Const.Data _ | Const.Folded _; _ } ->
-      false
-    | _ -> x = y
+    match (payload x, payload y) with
+    | Some p, Some q -> Shape.equal p.Nd.shape q.Nd.shape && bits p = bits q
+    | None, None -> x = y
+    | _ -> false
   in
   let show (nd : Primitive.t Graph.node) =
-    let op =
-      match nd.Graph.op with
-      | Primitive.Constant { Const.fill = Const.Folded j; _ } -> Printf.sprintf "unresolved fold #%d" j
-      | op -> Primitive.to_string op
-    in
-    Printf.sprintf "%s%s (%s)" op (Shape.to_string nd.Graph.shape)
+    Printf.sprintf "%s%s (%s)" (Primitive.to_string nd.Graph.op) (Shape.to_string nd.Graph.shape)
       (String.concat "," (List.map string_of_int nd.Graph.inputs))
   in
   let node_diff i =
@@ -627,7 +623,7 @@ let folded_payloads (g : Primgraph.t) =
       match nd.Graph.op with Primitive.Constant { Const.fill = Const.Data _; _ } -> n + 1 | _ -> n)
     0 g.Graph.nodes
 
-(* [Constfold.run] and [Optimizer.optimize] against the eager folder and
+(* [Constfold.fold] and [Optimizer.optimize] against the eager folder and
    the search built on it; adds the payloads the eager side folded to
    [folds]. *)
 let constfold_matches_eager ~folds (g : Primgraph.t) : string option =
@@ -636,7 +632,7 @@ let constfold_matches_eager ~folds (g : Primgraph.t) : string option =
     folds := !folds + folded_payloads want - folded_payloads g;
     Option.map (Printf.sprintf "%s: %s" what) (graph_diff got want)
   in
-  match check "Constfold.run" (Transform.Constfold.run g) (Eager_constfold.run g) with
+  match check "Constfold.fold" (Transform.Constfold.fold g) (Eager_constfold.run g) with
   | Some _ as d -> d
   | None ->
     check "Optimizer.optimize"

@@ -525,6 +525,66 @@ let test_backend_of_string () =
     (Runtime.Backend.of_string " Interp " = Some Runtime.Backend.Interp);
   Alcotest.(check bool) "unknown" true (Runtime.Backend.of_string "cuda" = None)
 
+(* ---------------- folded constants ---------------- *)
+
+let m_folds_evaluated = Obs.Metrics.counter "const.folds_evaluated"
+
+(* The distinct folds (by identity) a graph's constants hold, nested
+   arguments included. *)
+let folds_of (g : Primgraph.t) =
+  let rec walk acc (c : Const.t) =
+    match c.Const.fill with
+    | Const.Apply (_, args) ->
+      let acc = if List.memq c acc then acc else c :: acc in
+      List.fold_left walk acc args
+    | _ -> acc
+  in
+  Array.fold_left
+    (fun acc nd -> match nd.Graph.op with Primitive.Constant c -> walk acc c | _ -> acc)
+    [] g.Graph.nodes
+
+(* A conv + BatchNorm orchestrates to a conv over folded weights and
+   bias. The first run evaluates each fold once; the second reads the
+   memo, evaluates nothing and gives the same bits. *)
+let test_folds_evaluated_once () =
+  let ctx = Models.Blocks.create () in
+  let x = Opgraph.B.input ctx.Models.Blocks.b "input" [| 1; 3; 8; 8 |] in
+  let y = Models.Blocks.conv_bn_act ctx x ~out_c:4 ~k:3 ~stride:1 ~padding:1 ~act:`Relu in
+  Opgraph.B.set_outputs ctx.Models.Blocks.b [ y ];
+  let r = Korch.Orchestrator.run Korch.Orchestrator.default_config (Opgraph.B.finish ctx.Models.Blocks.b) in
+  let g = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+  let folds = List.length (folds_of g) in
+  Alcotest.(check bool) (Printf.sprintf "the plan's graph holds folds (%d)" folds) true (folds > 0);
+  let inputs = [ ("input", Nd.randn (Rng.create 5) [| 1; 3; 8; 8 |]) ] in
+  let run () =
+    let before = Obs.Metrics.count m_folds_evaluated in
+    let out = Runtime.Executor.run ~backend:Runtime.Backend.Interp g plan ~inputs in
+    (out, Obs.Metrics.count m_folds_evaluated - before)
+  in
+  let first, n1 = run () in
+  let second, n2 = run () in
+  Alcotest.(check int) "first run evaluates every fold once" folds n1;
+  Alcotest.(check int) "second run evaluates none" 0 n2;
+  Alcotest.(check bool) "same output" true (List.for_all2 Nd.equal first second)
+
+(* Four domains evaluating one fresh fold at once: identical bits, no
+   exception, and one evaluation. *)
+let test_fold_evaluated_concurrently () =
+  let s = [| 256; 256 |] in
+  let c =
+    Const.apply s (Primitive.Binary Primitive.Mul)
+      [ Const.randn s 1; Const.apply s (Primitive.Unary Primitive.Exp) [ Const.randn s 2 ] ]
+  in
+  let before = Obs.Metrics.count m_folds_evaluated in
+  let results =
+    List.map Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> Runtime.Prim_interp.materialize c)))
+  in
+  let bits (t : Nd.t) = Array.map Int64.bits_of_float t.Nd.data in
+  let first = bits (List.hd results) in
+  List.iter (fun t -> Alcotest.(check bool) "identical bits" true (bits t = first)) results;
+  Alcotest.(check int) "each fold evaluated once" 2 (Obs.Metrics.count m_folds_evaluated - before)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -558,4 +618,7 @@ let () =
           Alcotest.test_case "corrupt member recompiled alone" `Quick
             test_cache_corrupt_member_alone;
           Alcotest.test_case "backend parsing" `Quick test_backend_of_string ] );
+      ( "folded constants",
+        [ Alcotest.test_case "each fold evaluated once" `Quick test_folds_evaluated_once;
+          Alcotest.test_case "four domains, one fold" `Quick test_fold_evaluated_concurrently ] );
     ]

@@ -64,6 +64,17 @@ let test_cache_key_sensitivity () =
   Alcotest.(check bool) "batch changes the key" true (k 1 "fp32" <> k 2 "fp32");
   Alcotest.(check bool) "precision changes the key" true (k 1 "fp32" <> k 1 "fp16")
 
+(* Keying reads a fold's expression, never its value: folding and keying
+   paper-scale yolov4 evaluates no fold. *)
+let test_cache_key_evaluates_no_fold () =
+  let folds_evaluated = Obs.Metrics.counter "const.folds_evaluated" in
+  let e = Option.get (Models.Registry.find "yolov4") in
+  let raw = e.Models.Registry.build () in
+  let before = Obs.Metrics.count folds_evaluated in
+  let g = Fission.Canonicalize.fold_batch_norms raw in
+  ignore (Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1);
+  Alcotest.(check int) "folds evaluated" 0 (Obs.Metrics.count folds_evaluated - before)
+
 let test_cache_corrupt_recovery () =
   let g, r = Lazy.force workload in
   let cache = Serve.Plan_cache.create ~dir:(fresh_dir "corrupt") () in
@@ -74,7 +85,7 @@ let test_cache_corrupt_recovery () =
   let path = Serve.Plan_cache.entry_path cache key in
   (* Simulate a torn write that somehow made it to the entry path. *)
   let oc = open_out_bin path in
-  output_string oc "{\"schema\":\"korch-plan-cache/3\", \"trunc";
+  output_string oc "{\"schema\":\"korch-plan-cache/4\", \"trunc";
   close_out oc;
   Alcotest.(check bool) "corrupt entry reads as a miss" true
     (Serve.Plan_cache.lookup cache key = None);
@@ -153,7 +164,7 @@ let test_cache_table_roundtrip () =
   (* A torn table file is deleted and served as a miss. *)
   let path = Serve.Plan_cache.table_path cache key in
   let oc = open_out_bin path in
-  output_string oc {|{"schema":"korch-plan-cache/3","kind":"table","trunc|};
+  output_string oc {|{"schema":"korch-plan-cache/4","kind":"table","trunc|};
   close_out oc;
   Alcotest.(check bool) "corrupt table reads as a miss" true
     (Serve.Plan_cache.lookup_table cache key = None);
@@ -166,29 +177,34 @@ let test_cache_table_roundtrip () =
 
 (* A complete entry written under korch-plan-cache/2 holds a plan from the
    node-limited BLP, once labelled final although it may sit above the
-   per-segment optimum. It is a kept version miss, never served. *)
+   per-segment optimum; a /3 reader cannot decode a fold's "apply" fill.
+   Each is a kept version miss, never served. *)
 let test_cache_v2_entry_is_version_miss () =
   let g, r = Lazy.force workload in
-  let cache = Serve.Plan_cache.create ~dir:(fresh_dir "v2") () in
-  let key = Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1 in
-  Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
-    ~graph:r.Korch.Orchestrator.graph ~plan:r.Korch.Orchestrator.plan
-    ~report:(report_string r);
-  let path = Serve.Plan_cache.entry_path cache key in
-  let doc = In_channel.with_open_bin path In_channel.input_all in
-  let current = {|"schema":"korch-plan-cache/3"|} in
-  Alcotest.(check string) "entry opens with the current schema" current
-    (String.sub doc 1 (String.length current));
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc
-        ({|{"schema":"korch-plan-cache/2"|}
-        ^ String.sub doc (1 + String.length current) (String.length doc - 1 - String.length current)));
-  let fresh = Serve.Plan_cache.create ~dir:(Filename.dirname path) () in
-  Alcotest.(check bool) "a /2 entry reads as a miss" true (Serve.Plan_cache.lookup fresh key = None);
-  Alcotest.(check bool) "the /2 entry is kept" true (Sys.file_exists path);
-  let s = Serve.Plan_cache.stats fresh in
-  Alcotest.(check int) "version miss counted" 1 s.Serve.Plan_cache.version_misses;
-  Alcotest.(check int) "not counted as corruption" 0 s.Serve.Plan_cache.corrupt
+  List.iter
+    (fun old ->
+      let cache = Serve.Plan_cache.create ~dir:(fresh_dir ("v" ^ old)) () in
+      let key = Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1 in
+      Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
+        ~graph:r.Korch.Orchestrator.graph ~plan:r.Korch.Orchestrator.plan
+        ~report:(report_string r);
+      let path = Serve.Plan_cache.entry_path cache key in
+      let doc = In_channel.with_open_bin path In_channel.input_all in
+      let current = {|"schema":"korch-plan-cache/4"|} in
+      Alcotest.(check string) "entry opens with the current schema" current
+        (String.sub doc 1 (String.length current));
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            ({|{"schema":"korch-plan-cache/|} ^ old ^ {|"|}
+            ^ String.sub doc (1 + String.length current) (String.length doc - 1 - String.length current)));
+      let fresh = Serve.Plan_cache.create ~dir:(Filename.dirname path) () in
+      Alcotest.(check bool) ("a /" ^ old ^ " entry reads as a miss") true
+        (Serve.Plan_cache.lookup fresh key = None);
+      Alcotest.(check bool) ("the /" ^ old ^ " entry is kept") true (Sys.file_exists path);
+      let s = Serve.Plan_cache.stats fresh in
+      Alcotest.(check int) "version miss counted" 1 s.Serve.Plan_cache.version_misses;
+      Alcotest.(check int) "not counted as corruption" 0 s.Serve.Plan_cache.corrupt)
+    [ "2"; "3" ]
 
 let test_cache_final_never_downgraded () =
   let g, r = Lazy.force workload in
@@ -279,7 +295,7 @@ let test_cache_memo_rechecks_changed_bytes () =
   let stats () = Serve.Plan_cache.stats cache in
   (* Garbage over a memoized entry: deleted and counted corrupt. *)
   memoized_hit cache key store;
-  write_file path "{\"schema\":\"korch-plan-cache/3\", \"trunc";
+  write_file path "{\"schema\":\"korch-plan-cache/4\", \"trunc";
   Alcotest.(check bool) "garbage is a miss" true (Serve.Plan_cache.lookup cache key = None);
   Alcotest.(check bool) "garbage deleted" false (Sys.file_exists path);
   Alcotest.(check int) "garbage counted corrupt" 1 (stats ()).Serve.Plan_cache.corrupt;
@@ -931,6 +947,8 @@ let () =
         [
           Alcotest.test_case "store/lookup roundtrip" `Quick test_cache_roundtrip;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
+          Alcotest.test_case "keying paper-scale yolov4 evaluates no fold" `Quick
+            test_cache_key_evaluates_no_fold;
           Alcotest.test_case "corrupt entry recovery" `Quick test_cache_corrupt_recovery;
           Alcotest.test_case "foreign schema version is a kept miss" `Quick
             test_cache_version_miss;

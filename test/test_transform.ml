@@ -278,7 +278,7 @@ let test_constfold () =
   let out = Primgraph.B.add b (Primitive.Binary Primitive.Mul) [ x; s ] in
   Primgraph.B.set_outputs b [ out ];
   let g = Primgraph.B.finish b in
-  let g' = Transform.Constfold.run g in
+  let g' = Transform.Constfold.fold g in
   Alcotest.(check bool) "semantics preserved" true (equivalent g g');
   let adds =
     Array.fold_left
@@ -319,7 +319,7 @@ let test_fold_shape_matches_eval () =
   in
   List.iter
     (fun (op, shapes) ->
-      let args = List.mapi (fun i s -> Const.materialize (Const.randn s (i + 1))) shapes in
+      let args = List.mapi (fun i s -> Runtime.Prim_interp.materialize (Const.randn s (i + 1))) shapes in
       let evaluated =
         match Runtime.Prim_interp.eval_prim op args with
         | v -> Some (Nd.shape v)
@@ -378,65 +378,79 @@ let test_optimizer_idempotent_on_plain_graph () =
   let g' = Transform.Optimizer.optimize ~spec:Gpu.Spec.v100 ~precision:Gpu.Precision.FP32 g in
   Alcotest.(check int) "unchanged" (Graph.length g) (Graph.length g')
 
-(* ---------------- folds materialized once ---------------- *)
+(* ---------------- folds evaluated only where CSE compares ---------------- *)
 
-let unresolved_folds (g : Primgraph.t) =
+let m_folds_evaluated = Obs.Metrics.counter "const.folds_evaluated"
+
+(* The folds of [g] too large for CSE to compare by value. *)
+let large_folds (g : Primgraph.t) =
   Array.fold_left
-    (fun n nd ->
+    (fun acc nd ->
       match nd.Graph.op with
-      | Primitive.Constant { Const.fill = Const.Folded _; _ } -> n + 1
-      | _ -> n)
-    0 g.Graph.nodes
+      | Primitive.Constant ({ Const.fill = Const.Apply _; shape } as c)
+        when Shape.numel shape > Transform.Constfold.max_elems && not (List.memq c acc) ->
+        c :: acc
+      | _ -> acc)
+    [] g.Graph.nodes
 
-(* Distinct payloads of [g] that [input] does not hold: its folds. *)
-let folded_payloads ~(input : Primgraph.t) (g : Primgraph.t) =
-  let payloads (g : Primgraph.t) =
-    Array.fold_left
-      (fun acc nd ->
-        match nd.Graph.op with
-        | Primitive.Constant { Const.fill = Const.Data t; _ } when not (List.memq t acc) -> t :: acc
-        | _ -> acc)
-      [] g.Graph.nodes
-  in
-  let given = payloads input in
-  List.length (List.filter (fun t -> not (List.memq t given)) (payloads g))
-
-let m_materialized = Obs.Metrics.counter "constfold.materialized"
-
-(* Every paper-scale orchestration, searched and through the transform
-   fallback, leaves no fold unresolved; and the search materializes the
-   folds of the graph it returns, not every fold it tries. *)
-let test_folds_materialized_once () =
+(* Orchestration evaluates a fold only where CSE compares it by value: a
+   fold above [Constfold.max_elems] elements — a paper-scale BatchNorm
+   fold — reaches the stitched graph unevaluated, searched and through
+   the transform fallback, and so do segformer's search folds. Evaluating one now counts it (a fold is
+   counted once, when first evaluated), so it had not been; the three
+   smallest of each model are checked, which keeps the test's memory
+   small. *)
+let test_orchestration_evaluates_no_uncompared_fold () =
   let cfg = Korch.Orchestrator.default_config in
   let orchestrate (e : Models.Registry.entry) = Korch.Orchestrator.run cfg (e.Models.Registry.build ()) in
+  let checked = ref 0 in
   List.iter
     (fun (policy, rules) ->
       List.iter
         (fun (e : Models.Registry.entry) ->
-          let before = Obs.Metrics.count m_materialized in
+          let before = Obs.Metrics.count m_folds_evaluated in
           let r = Faults.with_policy rules (fun () -> orchestrate e) in
-          let materialized = Obs.Metrics.count m_materialized - before in
+          let evaluated = Obs.Metrics.count m_folds_evaluated - before in
           let where = Printf.sprintf "%s (%s)" e.Models.Registry.name policy in
-          Alcotest.(check int) (where ^ ": no unresolved fold in the stitched graph") 0
-            (unresolved_folds r.Korch.Orchestrator.graph);
-          let folds =
-            List.fold_left
-              (fun n (s : Korch.Orchestrator.segment_result) ->
-                let t = s.Korch.Orchestrator.transformed in
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s segment %d: transform fallback" where s.Korch.Orchestrator.seg_index)
-                  (rules <> []) s.Korch.Orchestrator.outcome.Korch.Orchestrator.transform_degraded;
-                Alcotest.(check int)
-                  (Printf.sprintf "%s segment %d: no unresolved fold" where s.Korch.Orchestrator.seg_index)
-                  0 (unresolved_folds t);
-                n + folded_payloads ~input:s.Korch.Orchestrator.seg.Korch.Partition.local t)
-              0 r.Korch.Orchestrator.segments
+          (* Segformer's folds come from the search alone, and none shares
+             a shape with another payload. *)
+          if e.Models.Registry.name = "segformer" && rules = [] then begin
+            let folds =
+              Array.fold_left
+                (fun n nd ->
+                  match nd.Graph.op with
+                  | Primitive.Constant { Const.fill = Const.Apply _; _ } -> n + 1
+                  | _ -> n)
+                0 r.Korch.Orchestrator.graph.Graph.nodes
+            in
+            Alcotest.(check bool) (Printf.sprintf "segformer folds (%d)" folds) true (folds > 0);
+            Alcotest.(check int) "segformer folds evaluated" 0 evaluated
+          end;
+          List.iter
+            (fun (s : Korch.Orchestrator.segment_result) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s segment %d: transform fallback" where s.Korch.Orchestrator.seg_index)
+                (rules <> []) s.Korch.Orchestrator.outcome.Korch.Orchestrator.transform_degraded)
+            r.Korch.Orchestrator.segments;
+          let by_size =
+            List.sort
+              (fun (a : Const.t) (b : Const.t) -> compare (Shape.numel a.Const.shape) (Shape.numel b.Const.shape))
+              (large_folds r.Korch.Orchestrator.graph)
           in
-          Alcotest.(check int) (where ^ ": folds materialized = folds returned") folds materialized;
-          if e.Models.Registry.name = "segformer" && rules = [] then
-            Alcotest.(check bool) (Printf.sprintf "segformer folds (%d)" folds) true (folds > 0))
+          List.iteri
+            (fun i c ->
+              if i < 3 then begin
+                let before = Obs.Metrics.count m_folds_evaluated in
+                ignore (Runtime.Prim_interp.materialize c);
+                incr checked;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %s not evaluated by orchestration" where (Const.to_string c))
+                  true (Obs.Metrics.count m_folds_evaluated > before)
+              end)
+            by_size)
         Models.Registry.all)
-    [ ("searched", []); ("transform fallback", [ (Faults.Transform, Faults.Always) ]) ]
+    [ ("searched", []); ("transform fallback", [ (Faults.Transform, Faults.Always) ]) ];
+  Alcotest.(check bool) (Printf.sprintf "large folds checked (%d)" !checked) true (!checked > 0)
 
 (* qcheck: rules preserve semantics on random shapes *)
 let prop_merge_preserves =
@@ -495,7 +509,8 @@ let () =
       ( "optimizer",
         [ Alcotest.test_case "preserves and improves" `Quick test_optimizer_preserves_and_improves;
           Alcotest.test_case "idempotent" `Quick test_optimizer_idempotent_on_plain_graph;
-          Alcotest.test_case "folds materialized once" `Quick test_folds_materialized_once ] );
+          Alcotest.test_case "orchestration evaluates no fold that CSE did not compare" `Quick
+            test_orchestration_evaluates_no_uncompared_fold ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_merge_preserves; prop_reduce_matmul_preserves ] );
     ]
