@@ -39,8 +39,9 @@ let version = "korch-cg/2"
     and its C function. *)
 let hash (signature : string) : string = Digest.to_hex (Digest.string signature)
 
-(** [symbol signature] — the exported name of the kernel's C function. *)
-let symbol (signature : string) : string = "korch_kernel_" ^ hash signature
+(** [symbol h] — the exported name of the C function of the kernel whose
+    signature hashes to [h]. *)
+let symbol (h : string) : string = "korch_kernel_" ^ h
 
 (* ------------------------------------------------------------------ *)
 (* Kernel layout: canonical member order, externals, outputs           *)
@@ -155,12 +156,8 @@ let op_key (p : Primitive.t) : string =
     Printf.sprintf "pad(%s|%s|%h)" (arr before) (arr after) value
   | p -> Primitive.to_string p
 
-(** Canonical structural key of a kernel: codegen version, each member's
-    op/shape/renumbered inputs (externals numbered by first use, with
-    shape), and the output list in order. Two kernels with equal
-    signatures compile to byte-identical C. *)
-let signature (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
-  let lay = layout g k in
+(* {!signature} of the kernel [lay] lays out. *)
+let signature_of_layout (g : Primgraph.t) (lay : layout) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf version;
   Array.iter
@@ -184,6 +181,13 @@ let signature (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
     (fun o -> Buffer.add_string buf (Printf.sprintf "@%d," (Hashtbl.find lay.local_of o)))
     lay.out_ids;
   Buffer.contents buf
+
+(** Canonical structural key of a kernel: codegen version, each member's
+    op/shape/renumbered inputs (externals numbered by first use, with
+    shape), and the output list in order. Two kernels with equal
+    signatures compile to byte-identical C. *)
+let signature (g : Primgraph.t) (k : Runtime.Plan.kernel) : string =
+  signature_of_layout g (layout g k)
 
 (* ------------------------------------------------------------------ *)
 (* C emission helpers                                                  *)

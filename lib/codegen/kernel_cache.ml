@@ -1,11 +1,11 @@
 (** Signature-keyed cache of compiled kernel shared objects.
 
-    Each kernel's canonical {!Emit.signature} hashes ({!Emit.hash}) to a
-    shared object [korch_<md5>.so] in the cache directory, exporting the
-    kernel as [korch_kernel_<md5>] ({!Emit.symbol}), plus an in-memory
-    table of loaded handles. {!resolve} takes a whole batch (the native
-    backend passes one plan) and resolves each distinct signature by the
-    first rung that applies:
+    Each kernel is requested by the hash ({!Emit.hash}) of its canonical
+    {!Emit.signature}, which names a shared object [korch_<md5>.so] in
+    the cache directory, exporting the kernel as [korch_kernel_<md5>]
+    ({!Emit.symbol}), plus an in-memory table of loaded handles. {!resolve}
+    takes a whole batch (the native backend passes one plan) and resolves
+    each distinct signature by the first rung that applies:
 
     + in-memory hit (resolved earlier this process);
     + disk hit — an existing [.so] is dlopen'd without recompiling;
@@ -76,7 +76,9 @@ type t = {
   stats : stats;
 }
 
-type request = { signature : string; source : symbol:string -> string }
+(* A kernel to resolve: its signature's {!Emit.hash}, and its C function
+   under a given symbol, emitted only if it must compile. *)
+type request = { hash : string; source : symbol:string -> string }
 
 let m_compiles = Obs.Metrics.counter "codegen.compiles"
 let m_cc_runs = Obs.Metrics.counter "codegen.cc_runs"
@@ -153,8 +155,8 @@ let default () : t =
 
 let stats (t : t) = t.stats
 
-let so_path (t : t) ~(signature : string) : string =
-  Filename.concat t.dir (Printf.sprintf "korch_%s.so" (Emit.hash signature))
+let so_path (t : t) ~(hash : string) : string =
+  Filename.concat t.dir (Printf.sprintf "korch_%s.so" hash)
 
 (* Atomic publish: write to a unique temp file in the same directory,
    then rename over the target (rename within a filesystem is atomic, so
@@ -323,11 +325,11 @@ let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list)
    their file locks and memoize each outcome in the table. *)
 let resolve_missing (t : t) (missing : pending list) : unit =
   let memo (m : pending) = function
-    | Ok c -> Hashtbl.replace t.table m.req.signature (Loaded c)
+    | Ok c -> Hashtbl.replace t.table m.req.hash (Loaded c)
     | Error msg ->
       t.stats.failures <- t.stats.failures + 1;
       Obs.Metrics.incr m_failures;
-      Hashtbl.replace t.table m.req.signature (Failed msg)
+      Hashtbl.replace t.table m.req.hash (Failed msg)
   in
   with_file_locks (List.map (fun m -> m.so ^ ".lock") missing) @@ fun () ->
   (* The disk probe runs under the locks: if another process is
@@ -393,7 +395,7 @@ let resolve_missing (t : t) (missing : pending list) : unit =
     (fun (m, _) -> function Ok () -> load m | Error msg -> memo m (Error msg))
     retry
     (compile_units t ~k
-       (List.map (fun ((m, _) as member) -> ("korch_" ^ Emit.hash m.req.signature, [ member ]))
+       (List.map (fun ((m, _) as member) -> ("korch_" ^ m.req.hash, [ member ]))
           retry))
 
 (** [resolve t reqs] — one result per request, in order: the loaded
@@ -410,11 +412,10 @@ let resolve (t : t) (reqs : request list) : (compiled, string) result list =
       let missing =
         List.filter_map
           (fun (r : request) ->
-            if Hashtbl.mem t.table r.signature || Hashtbl.mem fresh r.signature then None
+            if Hashtbl.mem t.table r.hash || Hashtbl.mem fresh r.hash then None
             else begin
-              Hashtbl.replace fresh r.signature ();
-              Some
-                { req = r; symbol = Emit.symbol r.signature; so = so_path t ~signature:r.signature }
+              Hashtbl.replace fresh r.hash ();
+              Some { req = r; symbol = Emit.symbol r.hash; so = so_path t ~hash:r.hash }
             end)
           reqs
       in
@@ -423,11 +424,11 @@ let resolve (t : t) (reqs : request list) : (compiled, string) result list =
          memory hit; every later one is. *)
       List.map
         (fun (r : request) ->
-          match Hashtbl.find_opt t.table r.signature with
+          match Hashtbl.find_opt t.table r.hash with
           | None -> Error "no C compiler available"
           | Some (Failed msg) -> Error msg
           | Some (Loaded c) ->
-            if Hashtbl.mem fresh r.signature then Hashtbl.remove fresh r.signature
+            if Hashtbl.mem fresh r.hash then Hashtbl.remove fresh r.hash
             else begin
               t.stats.mem_hits <- t.stats.mem_hits + 1;
               Obs.Metrics.incr m_mem_hits

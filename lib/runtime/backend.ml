@@ -60,7 +60,7 @@ type native_kernel = {
   call : Nd.t array -> Nd.t array * float;
 }
 
-type native_impl = Primgraph.t -> Plan.t -> (native_kernel, string) result list
+type native_impl = Primgraph.t -> Plan.t -> unit -> (native_kernel, string) result list
 
 let impl : native_impl option ref = ref None
 

@@ -55,11 +55,15 @@ type native_kernel = {
   call : Nd.t array -> Nd.t array * float;
 }
 
-(** The hook the native backend registers: resolve every kernel of a
-    plan that passed {!Plan.check} to compiled code, or give the reason
-    it runs on the interpreter instead — one result per kernel, in plan
-    order. {!Executor.run} calls it once per run, before the walk. *)
-type native_impl = Primgraph.t -> Plan.t -> (native_kernel, string) result list
+(** The hook the native backend registers, in two stages. [impl g plan]
+    signs every kernel of a plan that passed {!Plan.check}; {!Executor.run}
+    calls it once per plan and keeps the result. Each call of the
+    returned function resolves every kernel to compiled code, or gives
+    the reason it runs on the interpreter instead — one result per
+    kernel, in plan order. {!Executor.run} calls it once per run, before
+    the walk, so faults, the kernel cache and verification verdicts are
+    consulted on every run. *)
+type native_impl = Primgraph.t -> Plan.t -> unit -> (native_kernel, string) result list
 
 (** Called by the codegen library's initializer; last registration wins. *)
 val register_native : native_impl -> unit

@@ -1,10 +1,14 @@
 (** The executable generator / plan executor (§5.3).
 
-    {!run} is the one walk over a plan. After one {!Plan.check} — §4.2's
+    {!run} is the one walk over a plan. Each (graph, plan) pair is
+    checked and signed once, on its first run: {!Plan.check} — §4.2's
     dependency constraints (Eq. 4) guarantee each kernel only reads
-    published tensors and publishes only its declared outputs — every
-    kernel either runs as a native kernel or through the interpreter's
-    member loop; backends and reuse modes differ only there.
+    published tensors and publishes only its declared outputs — each
+    kernel's member order, and, for the native backend, each kernel's
+    signature. Faults, the kernel cache and verification verdicts are
+    still consulted on every run. Every kernel either runs as a native
+    kernel or through the interpreter's member loop; backends and reuse
+    modes differ only there.
 
     With [~reuse:true], the member loop carries an arena that follows the
     {!Memplan} death schedule: tensors are released as soon as their last
@@ -167,17 +171,81 @@ let warn_native_missing () =
 let validate (g : Primgraph.t) (plan : Plan.t) : (unit, string) result =
   match Plan.check g plan with [] -> Ok () | e :: _ -> Error (Plan.error_to_string e)
 
+(* What {!run} keeps of a (graph, plan) pair between runs. *)
+type prepared = {
+  checked : (int list array, string) result;
+      (** each kernel's members in topological order, or the plan's first
+          {!Plan.check} error *)
+  mutable native : (unit -> (Backend.native_kernel, string) result list) option;
+      (** the native backend's signed plan, from the pair's first native run *)
+}
+
+(* The prepared pairs, keyed by the identity of both: an entry lives as
+   long as its graph and its plan. One mutex guards the table and the
+   [native] fields across domains; preparing runs outside it, and a
+   domain that loses the race to store an entry uses the winner's. *)
+module Prepared =
+  Ephemeron.K2.Make
+    (struct
+      type t = Primgraph.t
+
+      let equal = ( == )
+      let hash = Hashtbl.hash
+    end)
+    (struct
+      type t = Plan.t
+
+      let equal = ( == )
+      let hash = Hashtbl.hash
+    end)
+
+let prepared = Prepared.create 16
+let prepared_lock = Mutex.create ()
+let m_plans_prepared = Obs.Metrics.counter "executor.plans_prepared"
+
+let prepare (g : Primgraph.t) (plan : Plan.t) : prepared =
+  match Mutex.protect prepared_lock (fun () -> Prepared.find_opt prepared (g, plan)) with
+  | Some p -> p
+  | None ->
+    let p =
+      {
+        checked = Result.map (fun () -> Plan.member_orders g plan) (validate g plan);
+        native = None;
+      }
+    in
+    Mutex.protect prepared_lock (fun () ->
+        match Prepared.find_opt prepared (g, plan) with
+        | Some p -> p
+        | None ->
+          Prepared.replace prepared (g, plan) p;
+          Obs.Metrics.incr m_plans_prepared;
+          p)
+
+let native_plan (impl : Backend.native_impl) g plan (p : prepared) =
+  match Mutex.protect prepared_lock (fun () -> p.native) with
+  | Some resolve -> resolve
+  | None ->
+    let resolve = impl g plan in
+    Mutex.protect prepared_lock (fun () ->
+        match p.native with
+        | Some resolve -> resolve
+        | None ->
+          p.native <- Some resolve;
+          resolve)
+
 (* The arena recycles OCaml-side buffers, so [~reuse:true] runs every
    kernel on the interpreter whatever backend is requested — which also
    makes reuse-vs-native comparisons a genuine cross-backend differential
    test. *)
 let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : Primgraph.t)
     (plan : Plan.t) ~(inputs : (string * Nd.t) list) : Nd.t list =
-  (match validate g plan with Ok () -> () | Error m -> raise (Invalid_plan m));
+  let p = prepare g plan in
+  let orders = match p.checked with Ok orders -> orders | Error m -> raise (Invalid_plan m) in
   let backend = match backend with Some b -> b | None -> Backend.default () in
   let native =
     match (backend, Backend.native_impl ()) with
-    | Backend.Native, Some resolve when not reuse -> Some (Array.of_list (resolve g plan))
+    | Backend.Native, Some impl when not reuse ->
+      Some (Array.of_list (native_plan impl g plan p ()))
     | Backend.Native, None when not reuse ->
       warn_native_missing ();
       None
@@ -192,16 +260,10 @@ let run ?(backend : Backend.t option) ?(reuse = false) ?stats ?exec_stats (g : P
       let mp = Memplan.analyze g plan in
       Some { mp; st; bufs = Hashtbl.create 64; pool = Hashtbl.create 16; ki = 0; step = 0 }
   in
-  (* One topological sort per run, and none if every kernel runs natively
-     or the arena supplies the member orders. *)
-  let topo = lazy (Graph.topo_order g) in
   let interpret ki k =
     es.Backend.interp_kernels <- es.Backend.interp_kernels + 1;
     st.evals <- st.evals + List.length k.Plan.prims;
-    let order =
-      match arena with Some a -> a.mp.Memplan.order.(ki) | None -> Lazy.force topo
-    in
-    member_loop ?arena g ~order global k
+    member_loop ?arena g ~order:orders.(ki) global k
   in
   List.iteri
     (fun ki (k : Plan.kernel) ->

@@ -4,7 +4,7 @@
     tensor substrate. Each kernel recomputes its internal primitives from
     externally published tensors only and publishes exactly its declared
     outputs — the contract §4.2's dependency constraints (Eq. 4)
-    guarantee and {!Plan.check} re-establishes before every run. *)
+    guarantee and {!Plan.check} re-establishes on a plan's first run. *)
 
 open Ir
 open Tensor
@@ -32,11 +32,20 @@ val fresh_stats : unit -> run_stats
     [?backend] selects the execution backend (default
     {!Backend.default}, i.e. [KORCH_BACKEND] or the interpreter). With
     {!Backend.Native} and a linked native implementation, the whole plan
-    is resolved to compiled code once, before the walk, and each kernel
-    falls back to the interpreter on its own if it cannot be;
+    is resolved to compiled code once per run, before the walk, and each
+    kernel falls back to the interpreter on its own if it cannot be;
     [?exec_stats] receives the per-kernel accounting. [~reuse:true]
     runs every kernel on the interpreter — arena reuse is an
     interpreter-side feature.
+
+    Each (graph, plan) pair, told apart by physical identity, is checked
+    and signed once per plan: its first run keeps the {!Plan.check}
+    verdict, each kernel's member order and, on its first native run,
+    the native backend's kernel signatures, for as long as both the
+    graph and the plan are alive; the metric [executor.plans_prepared]
+    counts these preparations. Faults, the kernel cache and verification
+    verdicts are consulted per run. Concurrent runs from several domains
+    are safe.
 
     With [~reuse:true] the executor follows the {!Memplan} death
     schedule: tensors are released at their last use, every computing
@@ -50,7 +59,8 @@ val fresh_stats : unit -> run_stats
     mode.
 
     Raises {!Invalid_plan} with the first {!Plan.check} error before
-    computing anything if the plan is structurally invalid. *)
+    computing anything if the plan is structurally invalid, on every
+    call. *)
 val run :
   ?backend:Backend.t ->
   ?reuse:bool ->

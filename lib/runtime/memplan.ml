@@ -60,7 +60,6 @@ type stats = {
 }
 
 type t = {
-  order : int list array;  (** per kernel: member prims in execution order *)
   publish_step : int array;  (** per kernel: the step its outputs are published *)
   instances : instance array;  (** all planned instances, in birth order *)
   deaths : key list array;  (** [deaths.(s)]: instances to release after step [s]; length [steps + 1], the last bucket holding graph outputs *)
@@ -78,16 +77,11 @@ let string_of_key = function
 
 let analyze ?(bytes_per_element = 8) (g : Primgraph.t) (plan : Plan.t) : t =
   let n = Graph.length g in
-  let topo = Graph.topo_order g in
   let kernels = Array.of_list plan.Plan.kernels in
   let nk = Array.length kernels in
   let members = Array.map (fun k -> Bitset.of_list n k.Plan.prims) kernels in
   let outset = Array.map (fun k -> Bitset.of_list n k.Plan.outputs) kernels in
-  let order =
-    Array.map
-      (fun ms -> List.filter (fun id -> Bitset.mem ms id) topo)
-      members
-  in
+  let order = Plan.member_orders g plan in
   (* Step numbering: member evaluations in executor order, then one publish
      step closing each kernel. *)
   let eval_step : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -233,7 +227,6 @@ let analyze ?(bytes_per_element = 8) (g : Primgraph.t) (plan : Plan.t) : t =
     else 1.0 -. (float_of_int peak_bytes /. float_of_int no_reuse_bytes)
   in
   {
-    order;
     publish_step;
     instances = insts;
     deaths;

@@ -37,7 +37,6 @@ type stats = {
 }
 
 type t = {
-  order : int list array;  (** per kernel: member prims in execution order *)
   publish_step : int array;  (** per kernel: the step its outputs are published *)
   instances : instance array;  (** all planned instances, in birth order *)
   deaths : key list array;  (** [deaths.(s)]: keys to release after step [s]; length [steps + 1], the end sentinel bucket holding graph outputs *)

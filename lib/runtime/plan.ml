@@ -118,3 +118,12 @@ let check (g : Ir.Primgraph.t) (p : t) : error list =
         err (Output o) "graph output %d is not published by any kernel" o)
     g.Graph.outputs;
   List.rev !errors
+
+(* Each kernel's members, each once, sorted by their position in [g]'s
+   topological order: the order both the executor and the memory
+   planner evaluate them in. *)
+let member_orders (g : Ir.Primgraph.t) (p : t) : int list array =
+  let pos = Array.make (Ir.Graph.length g) 0 in
+  List.iteri (fun i id -> pos.(id) <- i) (Ir.Graph.topo_order g);
+  Array.of_list
+    (List.map (fun k -> List.sort_uniq (fun a b -> compare pos.(a) pos.(b)) k.prims) p.kernels)

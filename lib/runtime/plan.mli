@@ -58,3 +58,8 @@ val error_to_string : error -> string
     Returns every error, in kernel order with graph-output errors last;
     [[]] means valid. Never raises. *)
 val check : Ir.Primgraph.t -> t -> error list
+
+(** [member_orders g p] — for each kernel of [p], its members, each
+    once, in the order {!Ir.Graph.topo_order} lists them. Every member
+    id must be in range. *)
+val member_orders : Ir.Primgraph.t -> t -> int list array

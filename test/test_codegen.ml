@@ -504,10 +504,21 @@ let inputs_of (g : Opgraph.t) seed =
          | Optype.Input name -> Some (name, Nd.randn (Rng.create seed) nd.Graph.shape)
          | _ -> None)
 
+(* Each test-scale zoo model and its orchestration, built once. *)
+let orchestrated =
+  let memo = Hashtbl.create 8 in
+  fun (e : Models.Registry.entry) ->
+    match Hashtbl.find_opt memo e.Models.Registry.name with
+    | Some gr -> gr
+    | None ->
+      let g = e.Models.Registry.build_small () in
+      let gr = (g, Korch.Orchestrator.run Korch.Orchestrator.default_config g) in
+      Hashtbl.replace memo e.Models.Registry.name gr;
+      gr
+
 let test_zoo_model (e : Models.Registry.entry) () =
   skip_without_cc ();
-  let g = e.Models.Registry.build_small () in
-  let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+  let g, r = orchestrated e in
   let inputs = inputs_of g 101 in
   let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
   let expected = Runtime.Executor.run ~backend:Runtime.Backend.Interp pg plan ~inputs in
@@ -529,10 +540,60 @@ let test_zoo_model (e : Models.Registry.entry) () =
         Alcotest.failf "zoo output differs: %s" (first_bit_mismatch e' a))
     expected got
 
+(* Every emitted kernel writes the whole of each output, so the native
+   backend leaves its output buffers unfilled: every kernel of the six
+   test-scale zoo plans gives the same bits into outputs pre-filled with
+   NaN as into outputs pre-filled with zeros. *)
+let test_outputs_need_no_fill () =
+  skip_without_cc ();
+  List.iter
+    (fun (e : Models.Registry.entry) ->
+      let _, r = orchestrated e in
+      let g = r.Korch.Orchestrator.graph in
+      let layouts =
+        List.map (Codegen.Emit.layout g) r.Korch.Orchestrator.plan.Runtime.Plan.kernels
+      in
+      let compiled =
+        Codegen.Kernel_cache.resolve (Codegen.Kernel_cache.default ())
+          (List.map2
+             (fun k lay ->
+               {
+                 Codegen.Kernel_cache.hash =
+                   Codegen.Emit.hash (Codegen.Emit.signature_of_layout g lay);
+                 source = (fun ~symbol -> Codegen.Emit.source g k ~symbol);
+               })
+             r.Korch.Orchestrator.plan.Runtime.Plan.kernels layouts)
+      in
+      List.iteri
+        (fun ki (lay, c) ->
+          let label = Printf.sprintf "%s kernel %d" e.Models.Registry.name ki in
+          let c = match c with Ok c -> c | Error m -> Alcotest.failf "%s: %s" label m in
+          let numel id = Shape.numel (Graph.shape g id) in
+          let rng = Rng.create (ki + 1) in
+          let ins =
+            Array.map
+              (fun id -> Array.init (numel id) (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0))
+              lay.Codegen.Emit.ext_ids
+          in
+          let run fill =
+            let outs = Array.map (fun id -> Array.make (numel id) fill) lay.Codegen.Emit.out_ids in
+            Codegen.Kernel_cache.call c ~ins ~outs;
+            outs
+          in
+          let flat o = Nd.of_array [| Array.length o |] o in
+          Array.iter2
+            (fun a b ->
+              if not (bits_equal (flat a) (flat b)) then
+                Alcotest.failf "%s: %s" label (first_bit_mismatch (flat a) (flat b)))
+            (run Float.nan) (run 0.0))
+        (List.combine layouts compiled))
+    Models.Registry.all
+
 let model_cases =
   List.map
     (fun e -> Alcotest.test_case e.Models.Registry.name `Slow (test_zoo_model e))
     Models.Registry.all
+  @ [ Alcotest.test_case "outputs need no zero fill" `Slow test_outputs_need_no_fill ]
 
 (* ------------------------------------------------------------------ *)
 

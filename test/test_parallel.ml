@@ -1,7 +1,8 @@
 (* Tests for the from-scratch domain pool (lib/parallel), the sharded
-   profile cache under concurrent use, and the orchestrator's determinism
-   guarantee: with any `jobs` the stitched plan is structurally identical
-   to the sequential `jobs = 1` run. *)
+   profile cache under concurrent use, the orchestrator's determinism
+   guarantee (with any `jobs` the stitched plan is structurally identical
+   to the sequential `jobs = 1` run), and concurrent native runs of one
+   plan. *)
 
 open Ir
 
@@ -175,6 +176,40 @@ let check_jobs_determinism (e : Models.Registry.entry) () =
         Alcotest.failf "Plan_check failed: %s" (Verify.Diagnostics.error_summary report))
     [ seq; par ]
 
+(* ------------------------ concurrent runs ------------------------ *)
+
+(* Four domains run one fresh (graph, plan) natively at once, so they
+   race to prepare it, sign it and resolve its kernels: every output is
+   bit-identical to the interpreter's, and no domain raises. *)
+let test_concurrent_native_runs () =
+  let g = Models.Registry.candy.Models.Registry.build_small () in
+  let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+  let pg = r.Korch.Orchestrator.graph and plan = r.Korch.Orchestrator.plan in
+  let inputs =
+    Array.to_list g.Graph.nodes
+    |> List.filter_map (fun nd ->
+           match nd.Graph.op with
+           | Optype.Input name -> Some (name, Tensor.Nd.randn (Tensor.Rng.create 31) nd.Graph.shape)
+           | _ -> None)
+  in
+  let reference = Runtime.Prim_interp.run pg ~inputs in
+  let bits (t : Tensor.Nd.t) = Array.map Int64.bits_of_float t.Tensor.Nd.data in
+  List.iteri
+    (fun d result ->
+      match result with
+      | Error e -> Alcotest.failf "domain %d raised %s" d e
+      | Ok outs ->
+        List.iteri
+          (fun i (a, b) ->
+            if bits a <> bits b then Alcotest.failf "domain %d: output %d differs" d i)
+          (List.combine reference outs))
+    (List.map Domain.join
+       (List.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                match Runtime.Executor.run ~backend:Runtime.Backend.Native pg plan ~inputs with
+                | outs -> Ok outs
+                | exception e -> Error (Printexc.to_string e)))))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -198,4 +233,6 @@ let () =
              budget now counts settled states. *)
           Alcotest.test_case "yolov4: jobs=4 = jobs=1" `Quick
             (check_jobs_determinism Models.Registry.yolov4) ] );
+      ( "concurrent runs",
+        [ Alcotest.test_case "four domains, one native plan" `Quick test_concurrent_native_runs ] );
     ]

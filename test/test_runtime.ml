@@ -124,7 +124,7 @@ let scratch_cache_dir () =
    symbol name the cache gives it. *)
 let trivial ?(body = "ins[0][0] + 1.0") signature =
   {
-    KC.signature;
+    KC.hash = Codegen.Emit.hash signature;
     source =
       (fun ~symbol ->
         Printf.sprintf "void %s(const double **ins, double **outs) { outs[0][0] = %s; }\n"
@@ -135,7 +135,7 @@ let trivial ?(body = "ins[0][0] + 1.0") signature =
    it is emitted. *)
 let garbage emissions signature =
   {
-    KC.signature;
+    KC.hash = Codegen.Emit.hash signature;
     source =
       (fun ~symbol:_ ->
         incr emissions;
@@ -301,8 +301,8 @@ let test_cache_corrupt_member_alone () =
   let c = KC.create ~dir:(scratch_cache_dir ()) () in
   List.iteri
     (fun i (r : KC.request) ->
-      let src = KC.so_path c1 ~signature:r.KC.signature in
-      let oc = open_out_bin (KC.so_path c ~signature:r.KC.signature) in
+      let src = KC.so_path c1 ~hash:r.KC.hash in
+      let oc = open_out_bin (KC.so_path c ~hash:r.KC.hash) in
       output_string oc
         (if i = 1 then "not an ELF object"
          else In_channel.with_open_bin src In_channel.input_all);
@@ -347,7 +347,7 @@ let test_cache_corrupt_entry_recompiles () =
      mapping for an already-loaded pathname, which would mask the
      corruption).  This is what a fresh process sees after a truncated
      write or disk corruption. *)
-  let oc = open_out_bin (KC.so_path c ~signature) in
+  let oc = open_out_bin (KC.so_path c ~hash:(Codegen.Emit.hash signature)) in
   output_string oc "not an ELF object";
   close_out oc;
   let k = resolve1 c (trivial signature) in
@@ -585,6 +585,128 @@ let test_fold_evaluated_concurrently () =
   List.iter (fun t -> Alcotest.(check bool) "identical bits" true (bits t = first)) results;
   Alcotest.(check int) "each fold evaluated once" 2 (Obs.Metrics.count m_folds_evaluated - before)
 
+(* ---------------- prepared plans ---------------- *)
+
+let m_plans_prepared = Obs.Metrics.counter "executor.plans_prepared"
+
+let prepared_since before = Obs.Metrics.count m_plans_prepared - before
+
+(* A test-scale decode plan, orchestrated afresh: a (graph, plan) pair no
+   run has prepared yet. *)
+let fresh_decode () =
+  let g = Models.Registry.decode.Models.Registry.build_small () in
+  let r = Korch.Orchestrator.run Korch.Orchestrator.default_config g in
+  let inputs =
+    Array.to_list g.Graph.nodes
+    |> List.filter_map (fun nd ->
+           match nd.Graph.op with
+           | Optype.Input name -> Some (name, Nd.randn (Rng.create 23) nd.Graph.shape)
+           | _ -> None)
+  in
+  (r.Korch.Orchestrator.graph, r.Korch.Orchestrator.plan, inputs)
+
+let check_bits label expected got =
+  List.iteri
+    (fun i (a, b) -> if not (bits_equal a b) then Alcotest.failf "%s: output %d differs" label i)
+    (List.combine expected got)
+
+(* A repeated run of one (graph, plan) prepares it once; a structurally
+   equal but physically distinct plan is another pair and prepares
+   again. *)
+let test_prepared_once () =
+  let g, f, g1, g2, k = diamond () in
+  let kernels = [ kernel [ f; g1 ] [ g1 ]; kernel [ f; g2 ] [ g2 ]; kernel [ k ] [ k ] ] in
+  let plan = Runtime.Plan.make kernels in
+  let inputs = [ ("x", Nd.randn (Rng.create 5) [| 4 |]) ] in
+  let before = Obs.Metrics.count m_plans_prepared in
+  let first = Runtime.Executor.run ~backend:Runtime.Backend.Interp g plan ~inputs in
+  let second = Runtime.Executor.run ~backend:Runtime.Backend.Interp g plan ~inputs in
+  Alcotest.(check int) "a repeated run prepares once" 1 (prepared_since before);
+  check_bits "second run" first second;
+  let twin = Runtime.Plan.make kernels in
+  Alcotest.(check bool) "twin: equal, not the same plan" true (twin = plan && twin != plan);
+  check_bits "twin" first (Runtime.Executor.run ~backend:Runtime.Backend.Interp g twin ~inputs);
+  Alcotest.(check int) "a distinct equal plan prepares again" 2 (prepared_since before)
+
+(* A memoized Plan.check error is raised again on every run, on both
+   backends. *)
+let test_malformed_raises_every_run () =
+  List.iter
+    (fun (r : Malformed_plans.row) ->
+      let run backend =
+        match
+          Runtime.Executor.run ~backend r.Malformed_plans.graph r.Malformed_plans.plan
+            ~inputs:(Malformed_plans.inputs_for r.Malformed_plans.graph)
+        with
+        | _ -> Alcotest.failf "%s: Executor.run accepted the plan" r.Malformed_plans.name
+        | exception Runtime.Executor.Invalid_plan m -> m
+      in
+      let first = run Runtime.Backend.Interp in
+      List.iter
+        (fun backend ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: raised again (%s)" r.Malformed_plans.name
+               (Runtime.Backend.to_string backend))
+            first (run backend))
+        [ Runtime.Backend.Interp; Runtime.Backend.Native; Runtime.Backend.Native ])
+    (List.filter
+       (fun (r : Malformed_plans.row) -> r.Malformed_plans.group = "executor")
+       (Lazy.force Malformed_plans.rows))
+
+(* The first and second run of one pair give the same bits on both
+   backends. *)
+let test_prepared_runs_agree () =
+  let g, plan, inputs = fresh_decode () in
+  let run backend = Runtime.Executor.run ~backend g plan ~inputs in
+  let reference = run Runtime.Backend.Interp in
+  check_bits "interp, second run" reference (run Runtime.Backend.Interp);
+  check_bits "native, first run" reference (run Runtime.Backend.Native);
+  check_bits "native, second run" reference (run Runtime.Backend.Native)
+
+(* Preparing a plan keeps nothing a run must decide afresh: on one pair,
+   an injected codegen_compile fault sends every kernel to the
+   interpreter for that run only, a newly installed kernel cache is
+   compiled into, and dropped verdicts are taken again. *)
+let test_prepared_per_run_semantics () =
+  if not (KC.available ()) then Alcotest.skip ();
+  let g, plan, inputs = fresh_decode () in
+  let nk = Runtime.Plan.kernel_count plan in
+  let before = Obs.Metrics.count m_plans_prepared in
+  let reference = Runtime.Executor.run ~backend:Runtime.Backend.Interp g plan ~inputs in
+  let run ?(faults = []) label =
+    let es = Runtime.Backend.fresh_exec_stats () in
+    let outs =
+      Faults.with_policy faults (fun () ->
+          Runtime.Executor.run ~backend:Runtime.Backend.Native ~exec_stats:es g plan ~inputs)
+    in
+    check_bits label reference outs;
+    es
+  in
+  let all_native label =
+    Alcotest.(check (pair int int)) (label ^ ": every kernel native") (nk, 0)
+      (let es = run label in
+       (es.Runtime.Backend.native_kernels, List.length es.Runtime.Backend.fallbacks))
+  in
+  all_native "clean";
+  let es = run ~faults:[ (Faults.Codegen_compile, Faults.Always) ] "faulted" in
+  Alcotest.(check (pair int int)) "faulted: every kernel falls back" (0, nk)
+    (es.Runtime.Backend.native_kernels, List.length es.Runtime.Backend.fallbacks);
+  all_native "clean again";
+  let kc = KC.create ~dir:(scratch_cache_dir ()) () in
+  let saved = !KC.default_instance in
+  KC.default_instance := Some kc;
+  Fun.protect
+    ~finally:(fun () -> KC.default_instance := saved)
+    (fun () ->
+      all_native "fresh cache";
+      Alcotest.(check bool) "the fresh cache compiled" true ((KC.stats kc).KC.cc_runs > 0));
+  let passed = Obs.Metrics.counter "codegen.verify.passed" in
+  let verified = Obs.Metrics.count passed in
+  Codegen.Native.reset_verdicts ();
+  all_native "verdicts reset";
+  Alcotest.(check bool) "verification ran again" true (Obs.Metrics.count passed > verified);
+  Alcotest.(check int) "the pair was prepared once" 1 (prepared_since before)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -618,6 +740,13 @@ let () =
           Alcotest.test_case "corrupt member recompiled alone" `Quick
             test_cache_corrupt_member_alone;
           Alcotest.test_case "backend parsing" `Quick test_backend_of_string ] );
+      ( "prepared plans",
+        [ Alcotest.test_case "prepared once per pair" `Quick test_prepared_once;
+          Alcotest.test_case "malformed plan raises every run" `Quick
+            test_malformed_raises_every_run;
+          Alcotest.test_case "first and second run agree" `Quick test_prepared_runs_agree;
+          Alcotest.test_case "faults and verdicts per run" `Quick
+            test_prepared_per_run_semantics ] );
       ( "folded constants",
         [ Alcotest.test_case "each fold evaluated once" `Quick test_folds_evaluated_once;
           Alcotest.test_case "four domains, one fold" `Quick test_fold_evaluated_concurrently ] );
