@@ -15,10 +15,10 @@
       than kernels). Each chunk is its own C translation unit
       ([korch_batch_<md5>.c], the prelude once and one function per
       kernel), and every chunk's [cc] starts at once. A chunk's object is
-      published under each member's [korch_<md5>.so] by hard link plus
-      rename, and its source and log are then deleted. glibc's [dlopen]
-      maps hard links to one file once, so each chunk is loaded once and
-      each member is a [dlsym] into it.
+      hard-linked under each member's [korch_<md5>.so], and its source
+      and log are then deleted. glibc's [dlopen] maps hard links to one
+      file once, so each chunk is loaded once and each member is a
+      [dlsym] into it.
 
     If a chunk of several kernels does not compile, each of its members
     is compiled alone (source [korch_<md5>.c]), at most one [cc] per
@@ -30,9 +30,12 @@
     re-invoke the compiler every execution; the native executor degrades
     that kernel to the interpreter.
 
-    Two processes sharing a directory take the batch's per-signature
-    file locks in sorted order (so they cannot deadlock) and probe the
-    disk again under them: the loser turns its compile into disk hits.
+    Files follow the one crash-safe discipline of {!Store}. Two
+    processes or domains sharing a directory take the batch's
+    per-signature locks ({!Store.with_locks}) and probe the disk again
+    under them: the loser turns its compile into disk hits. A chunk's
+    object is published by {!Store.publish_links}, and each {!resolve}
+    that compiled syncs the directory once.
 
     Because the {!Emit.version} string participates in the signature (and
     therefore the hash), bumping the code generator invalidates every
@@ -52,11 +55,9 @@ external dl_close : nativeint -> unit = "korch_cg_dlclose"
 external dl_call : nativeint -> float array array -> float array array -> unit
   = "korch_cg_call"
 
-type compiled = {
-  fn : nativeint;  (** resolved [korch_kernel_<md5>] symbol *)
-  handle : nativeint;  (** dlopen handle (kept for the process lifetime) *)
-  so_path : string;
-}
+(* A loaded kernel: its [korch_kernel_<md5>] symbol. Its object stays
+   open for the process lifetime. *)
+type compiled = { fn : nativeint }
 
 type entry = Loaded of compiled | Failed of string
 
@@ -87,26 +88,12 @@ let m_mem_hits = Obs.Metrics.counter "codegen.cache.mem_hits"
 let m_corrupt = Obs.Metrics.counter "codegen.cache.corrupt_recompiles"
 let m_failures = Obs.Metrics.counter "codegen.compile_failures"
 
-let fresh_stats () =
-  {
-    compiles = 0;
-    cc_runs = 0;
-    disk_hits = 0;
-    mem_hits = 0;
-    corrupt_recompiles = 0;
-    failures = 0;
-  }
-
-let env_dir_var = "KORCH_KERNEL_CACHE"
-let env_cc_var = "KORCH_CC"
-let env_cflags_var = "KORCH_CFLAGS"
-
 let default_cflags = "-O3 -march=native -ffp-contract=off"
 
-let cc () = match Sys.getenv_opt env_cc_var with Some c when c <> "" -> c | _ -> "cc"
+let cc () = match Sys.getenv_opt "KORCH_CC" with Some c when c <> "" -> c | _ -> "cc"
 
 let cflags () =
-  match Sys.getenv_opt env_cflags_var with Some f when f <> "" -> f | _ -> default_cflags
+  match Sys.getenv_opt "KORCH_CFLAGS" with Some f when f <> "" -> f | _ -> default_cflags
 
 (* Probed once: is a C compiler callable at all? Without one the native
    backend degrades to the interpreter wholesale (CI runs the native
@@ -118,23 +105,20 @@ let cc_available : bool Lazy.t =
 
 let available () = Lazy.force cc_available
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let create ?dir () : t =
   let dir =
     match dir with
     | Some d -> d
     | None -> (
-      match Sys.getenv_opt env_dir_var with
+      match Sys.getenv_opt "KORCH_KERNEL_CACHE" with
       | Some d when d <> "" -> d
       | _ -> Filename.concat (Filename.get_temp_dir_name ()) "korch-kernels")
   in
-  mkdir_p dir;
-  { dir; table = Hashtbl.create 64; stats = fresh_stats (); mutex = Mutex.create () }
+  Store.mkdir_p dir;
+  let stats =
+    { compiles = 0; cc_runs = 0; disk_hits = 0; mem_hits = 0; corrupt_recompiles = 0; failures = 0 }
+  in
+  { dir; table = Hashtbl.create 64; stats; mutex = Mutex.create () }
 
 (* Process-default cache instance (the executor path). Tests build their
    own instances over scratch directories. *)
@@ -142,10 +126,7 @@ let default_instance : t option ref = ref None
 let default_mutex = Mutex.create ()
 
 let default () : t =
-  Mutex.lock default_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock default_mutex)
-    (fun () ->
+  Mutex.protect default_mutex (fun () ->
       match !default_instance with
       | Some t -> t
       | None ->
@@ -158,74 +139,20 @@ let stats (t : t) = t.stats
 let so_path (t : t) ~(hash : string) : string =
   Filename.concat t.dir (Printf.sprintf "korch_%s.so" hash)
 
-(* Atomic publish: write to a unique temp file in the same directory,
-   then rename over the target (rename within a filesystem is atomic, so
-   concurrent processes never observe a half-written source). *)
-let write_atomic ~dir ~path (contents : string) : unit =
-  let tmp = Filename.temp_file ~temp_dir:dir "korch" ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
-
-(* Cross-process exclusion around one signature's compile. Renames keep
-   every publish atomic, but without a lock two daemons sharing a cache
-   directory would both run cc for the same signature (wasted work, and
-   interleaved [.tmp]/[.log] churn). A per-signature [.lock] file with an
-   advisory [Unix.lockf] write lock serializes them; the loser re-checks
-   the [.so] after acquiring and turns its compile into a disk hit. Lock
-   files are left in place — unlinking them is racy (a third process may
-   lock the unlinked inode while a fourth creates a fresh one). *)
-let with_file_lock (lock_path : string) (f : unit -> 'a) : 'a =
-  match Unix.openfile lock_path [ Unix.O_CREAT; Unix.O_RDWR; Unix.O_CLOEXEC ] 0o644 with
-  | exception Unix.Unix_error _ -> f () (* degraded: in-process mutex only *)
-  | fd ->
-    let locked = match Unix.lockf fd Unix.F_LOCK 0 with () -> true | exception _ -> false in
-    Fun.protect
-      ~finally:(fun () ->
-        (if locked then try Unix.lockf fd Unix.F_ULOCK 0 with _ -> ());
-        Unix.close fd)
-      f
-
-(* Every lock of a batch, taken in sorted order so two processes whose
-   batches overlap cannot deadlock. *)
-let with_file_locks (lock_paths : string list) (f : unit -> 'a) : 'a =
-  List.fold_right
-    (fun p k () -> with_file_lock p k)
-    (List.sort_uniq String.compare lock_paths)
-    f ()
-
 let load_so ~(symbol : string) (so_path : string) : (compiled, string) result =
   match dl_open so_path with
   | handle -> begin
     match dl_sym handle symbol with
-    | fn -> Ok { fn; handle; so_path }
+    | fn -> Ok { fn }
     | exception Failure msg ->
       dl_close handle;
       Error (Printf.sprintf "dlsym: %s" msg)
   end
   | exception Failure msg -> Error (Printf.sprintf "dlopen: %s" msg)
 
-let read_file ?(limit = max_int) (path : string) : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (min (in_channel_length ic) limit))
-
 (* A signature [resolve] must load from disk or compile: its symbol and
    its [.so]. *)
 type pending = { req : request; symbol : string; so : string }
-
-(* Publish [obj] under [so]: hard-link it to a staging name, then
-   rename over the target (a copy where the filesystem has no hard
-   links). *)
-let publish ~(obj : string) (so : string) : unit =
-  let staged = so ^ ".tmp" in
-  (try Sys.remove staged with Sys_error _ -> ());
-  match Unix.link obj staged with
-  | () -> Sys.rename staged so
-  | exception Unix.Unix_error _ ->
-    write_atomic ~dir:(Filename.dirname so) ~path:so (read_file obj)
 
 (* [deal ~k l] — [l] dealt round-robin into [c = min k (List.length l)]
    chunks: element [i] goes to chunk [i mod c], so chunk sizes differ by
@@ -282,8 +209,7 @@ let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list)
       let cmds =
         List.map
           (fun (name, members) ->
-            write_atomic ~dir:t.dir ~path:(file name ".c")
-              (Emit.translation_unit (List.map snd members));
+            Store.publish (file name ".c") (Emit.translation_unit (List.map snd members));
             let obj = Filename.temp_file ~temp_dir:t.dir name ".so.tmp" in
             objs := obj :: !objs;
             ( obj,
@@ -299,7 +225,7 @@ let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list)
       List.map2
         (fun ((name, members), (obj, _)) -> function
           | Ok () ->
-            List.iter (fun (m, _) -> publish ~obj m.so) members;
+            Store.publish_links ~src:obj (List.map (fun (m, _) -> m.so) members);
             List.iter
               (fun ext -> try Sys.remove (file name ext) with Sys_error _ -> ())
               [ ".c"; ".log" ];
@@ -310,12 +236,12 @@ let compile_units (t : t) ~(k : int) (units : (string * (pending * string) list)
           | Error msg ->
             let log = file name ".log" in
             if Sys.file_exists log then
-              let diag = try read_file ~limit:2000 log with Sys_error _ -> "" in
+              let diag = try Store.read ~limit:2000 log with Sys_error _ -> "" in
               Error (Printf.sprintf "%s: %s" msg (String.trim diag))
             else begin
               (* sh never ran, so no log: write why, so that a kept
                  source always has its log. *)
-              (try write_atomic ~dir:t.dir ~path:log msg with Sys_error _ -> ());
+              (try Store.publish log msg with Sys_error _ | Unix.Unix_error _ -> ());
               Error msg
             end)
         (List.combine units cmds)
@@ -331,9 +257,9 @@ let resolve_missing (t : t) (missing : pending list) : unit =
       Obs.Metrics.incr m_failures;
       Hashtbl.replace t.table m.req.hash (Failed msg)
   in
-  with_file_locks (List.map (fun m -> m.so ^ ".lock") missing) @@ fun () ->
-  (* The disk probe runs under the locks: if another process is
-     mid-compile we block until its rename lands and take the disk hit. *)
+  Store.with_locks (List.map (fun m -> m.so) missing) @@ fun () ->
+  (* The disk probe runs under the locks: if another process or domain
+     is mid-compile we block until its rename lands and take the disk hit. *)
   let on_disk m =
     Sys.file_exists m.so
     &&
@@ -396,7 +322,9 @@ let resolve_missing (t : t) (missing : pending list) : unit =
     retry
     (compile_units t ~k
        (List.map (fun ((m, _) as member) -> ("korch_" ^ m.req.hash, [ member ]))
-          retry))
+          retry));
+  (* One directory sync makes every object this call published durable. *)
+  if to_compile <> [] then Store.sync_dir t.dir
 
 (** [resolve t reqs] — one result per request, in order: the loaded
     kernel, or why it has none. Every distinct signature missing from
@@ -404,10 +332,7 @@ let resolve_missing (t : t) (missing : pending list) : unit =
     (see the header); [source ~symbol] is called only for signatures that
     compile, so cache hits skip emission. *)
 let resolve (t : t) (reqs : request list) : (compiled, string) result list =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let fresh = Hashtbl.create 16 in
       let missing =
         List.filter_map

@@ -221,6 +221,8 @@ let prepare (g : Primgraph.t) (plan : Plan.t) : prepared =
           Obs.Metrics.incr m_plans_prepared;
           p)
 
+let check g plan = Result.map ignore (prepare g plan).checked
+
 let native_plan (impl : Backend.native_impl) g plan (p : prepared) =
   match Mutex.protect prepared_lock (fun () -> p.native) with
   | Some resolve -> resolve

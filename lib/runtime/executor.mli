@@ -74,6 +74,10 @@ val run :
 (** [validate g plan] — {!Plan.check}, reduced to its first error. *)
 val validate : Primgraph.t -> Plan.t -> (unit, string) result
 
+(** [check g plan] — {!validate} once per pair: its verdict is kept in
+    the pair's prepared record, which {!run} shares. *)
+val check : Primgraph.t -> Plan.t -> (unit, string) result
+
 (** [eval_kernel g ~order global k] — {!run}'s interpreter member loop
     with reuse off, for one kernel of a plan that passed {!Plan.check}:
     recompute [k]'s members in [order] (a topological order of [g];

@@ -1,5 +1,4 @@
-(** Durable content-addressed plan cache (see the interface for the
-    contract and the atomicity discipline). *)
+(** Durable content-addressed plan cache (see the interface). *)
 
 (* A bounded, mutex-protected LRU map (see the interface). *)
 module Memo = struct
@@ -74,50 +73,48 @@ type stats = {
   validations : int;
 }
 
+(* What a cache remembers at an entry path: the bytes last read there and
+   the checked entry they decode to, or the entry it last stored there,
+   without its report (only the caller's graph and plan are kept alive
+   until the first lookup checks them). *)
+type remembered = Checked of string * doc | Stored of doc
+
+(* A per-cache count, mirrored into the process-wide census next to the
+   other serving metrics. *)
+type counter = { name : string; n : int Atomic.t; census : Obs.Metrics.counter }
+
 type t = {
   dir : string;
-  c_hits : int Atomic.t;
-  c_misses : int Atomic.t;
-  c_stores : int Atomic.t;
-  c_corrupt : int Atomic.t;
-  c_version_misses : int Atomic.t;
-  c_io_faults : int Atomic.t;
-  c_validations : int Atomic.t;
-  checked : (string, string * doc) Memo.t;
-      (** per entry path: the bytes last read there, and the entry they
-          decoded to and that passed the check *)
+  c_hits : counter;
+  c_misses : counter;
+  c_stores : counter;
+  c_corrupt : counter;
+  c_version_misses : counter;
+  c_io_faults : counter;
+  c_validations : counter;
+  checked : (string, remembered) Memo.t;  (** per entry path, for up to 64 paths *)
 }
 
-(* Process-wide census, next to the other serving metrics. *)
-let m_hits = Obs.Metrics.counter "serve.plan_cache.hits"
-let m_misses = Obs.Metrics.counter "serve.plan_cache.misses"
-let m_stores = Obs.Metrics.counter "serve.plan_cache.stores"
-let m_corrupt = Obs.Metrics.counter "serve.plan_cache.corrupt"
-let m_version_miss = Obs.Metrics.counter "serve.plan_cache.version_miss"
-let m_io_faults = Obs.Metrics.counter "serve.plan_cache.io_faults"
-let m_validations = Obs.Metrics.counter "serve.plan_cache.validations"
+let counter ?census name =
+  let census = "serve.plan_cache." ^ Option.value census ~default:name in
+  { name; n = Atomic.make 0; census = Obs.Metrics.counter census }
 
-(* Entry files whose checked bytes are remembered, per cache. *)
-let checked_capacity = 64
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
+let bump c =
+  Atomic.incr c.n;
+  Obs.Metrics.incr c.census
 
 let create ~dir () : t =
-  mkdir_p dir;
+  Store.mkdir_p dir;
   {
     dir;
-    c_hits = Atomic.make 0;
-    c_misses = Atomic.make 0;
-    c_stores = Atomic.make 0;
-    c_corrupt = Atomic.make 0;
-    c_version_misses = Atomic.make 0;
-    c_io_faults = Atomic.make 0;
-    c_validations = Atomic.make 0;
-    checked = Memo.create checked_capacity;
+    c_hits = counter "hits";
+    c_misses = counter "misses";
+    c_stores = counter "stores";
+    c_corrupt = counter "corrupt";
+    c_version_misses = counter ~census:"version_miss" "version_misses";
+    c_io_faults = counter "io_faults";
+    c_validations = counter "validations";
+    checked = Memo.create 64;
   }
 
 let graph_hash (graph : Ir.Opgraph.t) =
@@ -140,50 +137,6 @@ let entry_path (t : t) (k : key) : string =
 let table_path (t : t) (k : table_key) : string =
   file t ~prefix:"table"
     (Printf.sprintf "table:%s:%s:%s:%d-%d" k.t_graph_hash k.t_gpu k.t_precision k.t_lo k.t_hi)
-
-(* Same advisory-lock shape as [Codegen.Kernel_cache]: a per-entry .lock
-   file serializes concurrent daemons' publishes; lock files are never
-   unlinked (removal races a third process locking the dead inode). *)
-let with_file_lock (lock_path : string) (f : unit -> 'a) : 'a =
-  match Unix.openfile lock_path [ Unix.O_CREAT; Unix.O_RDWR; Unix.O_CLOEXEC ] 0o644 with
-  | exception Unix.Unix_error _ -> f ()
-  | fd ->
-    let locked = match Unix.lockf fd Unix.F_LOCK 0 with () -> true | exception _ -> false in
-    Fun.protect
-      ~finally:(fun () ->
-        (if locked then try Unix.lockf fd Unix.F_ULOCK 0 with _ -> ());
-        Unix.close fd)
-      f
-
-(* Durable atomic publish: temp file in the same directory, fsync the
-   data, rename over the target, fsync the directory so the rename itself
-   survives a crash. A kill -9 at any point leaves either the old entry
-   or the new one — never a torn file. *)
-let write_durable ~dir ~path (contents : string) : unit =
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".tmp_%d_%d_%s" (Unix.getpid ()) (Hashtbl.hash contents)
-         (Filename.basename path))
-  in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
-  (try
-     let rec write off =
-       if off < String.length contents then
-         write (off + Unix.write_substring fd contents off (String.length contents - off))
-     in
-     write 0;
-     Unix.fsync fd;
-     Unix.close fd
-   with e ->
-     (try Unix.close fd with _ -> ());
-     (try Sys.remove tmp with _ -> ());
-     raise e);
-  Sys.rename tmp path;
-  match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-    (try Unix.fsync dfd with _ -> ());
-    (try Unix.close dfd with _ -> ())
 
 (* Schema history:
    - korch-plan-cache/1 — fixed-batch plan entries only.
@@ -254,56 +207,60 @@ let doc_codec : doc Onnx.Codec.t =
    corruption. *)
 let version_codec = Onnx.Codec.(finish (obj Fun.id |> field "schema" string Fun.id))
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Outcome of reading one entry file: a good entry, a recognizably
    foreign schema version (left on disk, served as a miss), or garbage
    (deleted, served as a miss). *)
 type parsed = Parsed of doc | Version_miss | Corrupt
 
-(* A decoded entry must also execute: every plan it carries passes the
-   same {!Runtime.Plan.check} every executor run applies, against the
-   graph stored with it. *)
-let executable = function
-  | Plan e -> Runtime.Executor.validate e.graph e.plan = Ok ()
-  | Table (_, tab) ->
-    List.for_all
-      (fun (r : Korch.Plan_table.range) ->
-        Runtime.Executor.validate r.Korch.Plan_table.graph r.Korch.Plan_table.plan = Ok ())
-      tab.Korch.Plan_table.ranges
+(* An entry must also execute: every plan it carries passes the check
+   its first run makes ({!Runtime.Executor.check}), against the graph
+   stored with it; the run reuses the verdict. Counted in
+   [validations]. *)
+let executable (t : t) (d : doc) : bool =
+  bump t.c_validations;
+  let pairs =
+    match d with
+    | Plan e -> [ (e.graph, e.plan) ]
+    | Table (_, tab) ->
+      List.map (fun (r : Korch.Plan_table.range) -> Korch.Plan_table.(r.graph, r.plan)) tab.ranges
+  in
+  try List.for_all (fun (g, p) -> Runtime.Executor.check g p = Ok ()) pairs with _ -> false
 
-let parse (s : string) : parsed =
-  match
+(* What the bytes [s] hold, unchecked. *)
+let decode (s : string) : parsed =
+  try
     let j = Onnx.Json.of_string s in
     match Onnx.Codec.decode version_codec j with
     | Ok v when v <> schema -> Version_miss
-    | _ -> (
-      match Onnx.Codec.decode doc_codec j with
-      | Ok d when executable d -> Parsed d
-      | _ -> Corrupt)
-  with
-  | outcome -> outcome
-  | exception _ -> Corrupt
+    | _ -> ( match Onnx.Codec.decode doc_codec j with Ok d -> Parsed d | Error _ -> Corrupt)
+  with _ -> Corrupt
 
-let bump local global =
-  Atomic.incr local;
-  Obs.Metrics.incr global
+let without_report = function Plan e -> Plan { e with report = None } | d -> d
 
-(* [parse] is a pure function of the bytes, so bytes equal to those last
-   checked at [path] decode to the same entry and pass the same check:
-   reuse it. Anything else is parsed and checked in full. *)
+(* Decoding and checking are pure functions of the bytes, so bytes equal
+   to those last checked at [path] give the same entry: reuse it. Other
+   bytes are decoded and checked in full; if they hold the entry this
+   cache stored there, but for the report that only the file keeps, the
+   caller's own graph and plan are checked and served instead. *)
 let parse_at (t : t) (path : string) (s : string) : parsed =
   match Memo.find t.checked path with
-  | Some (s', d) when String.equal s s' -> Parsed d
-  | _ ->
-    bump t.c_validations m_validations;
-    let p = parse s in
+  | Some (Checked (s', d)) when String.equal s s' -> Parsed d
+  | remembered ->
+    let p =
+      match decode s with
+      | Parsed d ->
+        let d =
+          match (remembered, d) with
+          | Some (Stored (Plan st)), Plan e when without_report d = Plan st ->
+            Plan { st with report = e.report }
+          | Some (Stored st), _ when st = d -> st
+          | _ -> d
+        in
+        if executable t d then Parsed d else Corrupt
+      | p -> p
+    in
     (match p with
-    | Parsed d -> Memo.replace t.checked path (s, d)
+    | Parsed d -> Memo.replace t.checked path (Checked (s, d))
     | Version_miss | Corrupt -> Memo.remove t.checked path);
     p
 
@@ -311,61 +268,57 @@ let parse_at (t : t) (path : string) (s : string) : parsed =
    out of a decoded entry and checks it is filed under the caller's key;
    anything else at that path is corrupt. *)
 let lookup_doc (t : t) (path : string) (select : doc -> 'a option) : 'a option =
-  let corrupt () =
-    (* Corrupt-entry recovery: delete and miss; a later store republishes
-       a good entry. *)
-    (try Sys.remove path with Sys_error _ -> ());
+  (* A miss forgets the entry remembered at [path]; [why] counts it. *)
+  let miss why =
     Memo.remove t.checked path;
-    bump t.c_corrupt m_corrupt;
-    bump t.c_misses m_misses;
+    List.iter bump why;
     None
   in
+  (* Corrupt-entry recovery: delete and miss; a later store republishes
+     a good entry. *)
+  let corrupt () =
+    (try Sys.remove path with Sys_error _ -> ());
+    miss [ t.c_corrupt; t.c_misses ]
+  in
   match Faults.check Faults.Cache_io with
-  | exception Faults.Injected _ ->
-    Memo.remove t.checked path;
-    bump t.c_io_faults m_io_faults;
-    None
-  | () when not (Sys.file_exists path) ->
-    Memo.remove t.checked path;
-    bump t.c_misses m_misses;
-    None
+  | exception Faults.Injected _ -> miss [ t.c_io_faults ]
+  | () when not (Sys.file_exists path) -> miss [ t.c_misses ]
   | () -> (
-    match read_file path with
-    | exception _ ->
-      Memo.remove t.checked path;
-      bump t.c_io_faults m_io_faults;
-      None
-    | s -> (
-      match parse_at t path s with
-      | Version_miss ->
-        (* Foreign schema version: leave the file alone (another daemon
-           generation owns it) and degrade to a miss. *)
-        bump t.c_version_misses m_version_miss;
-        bump t.c_misses m_misses;
-        None
-      | Corrupt -> corrupt ()
-      | Parsed d -> (
-        match select d with
-        | Some x ->
-          bump t.c_hits m_hits;
-          Some x
-        | None -> corrupt ())))
+    match parse_at t path (Store.read path) with
+    | exception _ -> miss [ t.c_io_faults ]
+    | Version_miss ->
+      (* Foreign schema version: leave the file alone (another daemon
+         generation owns it) and degrade to a miss. *)
+      miss [ t.c_version_misses; t.c_misses ]
+    | Corrupt -> corrupt ()
+    | Parsed d -> (
+      match select d with
+      | Some x ->
+        bump t.c_hits;
+        Some x
+      | None -> corrupt ()))
 
 (* The one store path for both kinds: render and publish [doc ()] unless
-   [pinned ()], asked under the entry's lock, says to keep the file. *)
+   [pinned ()], asked under the entry's lock, says to keep the file. A
+   published entry is remembered, so its first hit serves the caller's
+   own graph and plan. *)
 let store_doc (t : t) (path : string) ~(pinned : unit -> bool) (doc : unit -> doc) : unit =
   match Faults.check Faults.Cache_io with
-  | exception Faults.Injected _ -> bump t.c_io_faults m_io_faults
+  | exception Faults.Injected _ -> bump t.c_io_faults
   | () -> (
     match
-      with_file_lock (path ^ ".lock") @@ fun () ->
-      if not (pinned ()) then begin
-        write_durable ~dir:t.dir ~path (Obs.Jsonw.to_string (Onnx.Codec.encode doc_codec (doc ())));
-        bump t.c_stores m_stores
+      Store.with_lock path @@ fun () ->
+      if pinned () then None
+      else begin
+        let d = doc () in
+        Store.publish path (Obs.Jsonw.to_string (Onnx.Codec.encode doc_codec d));
+        bump t.c_stores;
+        Some d
       end
     with
-    | () -> ()
-    | exception _ -> bump t.c_io_faults m_io_faults)
+    | None -> ()
+    | Some d -> Memo.replace t.checked path (Stored (without_report d))
+    | exception _ -> bump t.c_io_faults)
 
 let lookup (t : t) (k : key) : entry option =
   lookup_doc t (entry_path t k) (function Plan e when e.key = k -> Some e | _ -> None)
@@ -384,7 +337,7 @@ let store (t : t) (k : key) ~(status : status) ~(graph : Ir.Primgraph.t)
     status = Incumbent
     && Sys.file_exists path
     &&
-    match parse_at t path (read_file path) with
+    match parse_at t path (Store.read path) with
     | Parsed (Plan { status = Final; key; _ }) -> key = k
     | _ | (exception _) -> false
   in
@@ -399,29 +352,22 @@ let store_table (t : t) (k : table_key) (table : Korch.Plan_table.t) : unit =
 
 let stats (t : t) : stats =
   {
-    hits = Atomic.get t.c_hits;
-    misses = Atomic.get t.c_misses;
-    stores = Atomic.get t.c_stores;
-    corrupt = Atomic.get t.c_corrupt;
-    version_misses = Atomic.get t.c_version_misses;
-    io_faults = Atomic.get t.c_io_faults;
-    validations = Atomic.get t.c_validations;
+    hits = Atomic.get t.c_hits.n;
+    misses = Atomic.get t.c_misses.n;
+    stores = Atomic.get t.c_stores.n;
+    corrupt = Atomic.get t.c_corrupt.n;
+    version_misses = Atomic.get t.c_version_misses.n;
+    io_faults = Atomic.get t.c_io_faults.n;
+    validations = Atomic.get t.c_validations.n;
   }
 
 let hit_rate (t : t) : float =
-  let h = Atomic.get t.c_hits and m = Atomic.get t.c_misses in
+  let h = Atomic.get t.c_hits.n and m = Atomic.get t.c_misses.n in
   if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
 
 let stats_to_json (t : t) : Obs.Jsonw.t =
-  let s = stats t in
+  let count c = (c.name, Obs.Jsonw.Int (Atomic.get c.n)) in
   Obs.Jsonw.Obj
-    [
-      ("hits", Obs.Jsonw.Int s.hits);
-      ("misses", Obs.Jsonw.Int s.misses);
-      ("stores", Obs.Jsonw.Int s.stores);
-      ("corrupt", Obs.Jsonw.Int s.corrupt);
-      ("version_misses", Obs.Jsonw.Int s.version_misses);
-      ("io_faults", Obs.Jsonw.Int s.io_faults);
-      ("validations", Obs.Jsonw.Int s.validations);
-      ("hit_rate", Obs.Jsonw.Float (hit_rate t));
-    ]
+    (List.map count
+       [ t.c_hits; t.c_misses; t.c_stores; t.c_corrupt; t.c_version_misses; t.c_io_faults; t.c_validations ]
+    @ [ ("hit_rate", Obs.Jsonw.Float (hit_rate t)) ])

@@ -13,30 +13,27 @@
     batch-range) key. An entry whose schema string is well-formed but
     not the current version — e.g. a v1 file in a shared directory — is
     a {e version miss}: left on disk, served as a miss, counted in
-    [version_misses], never an error. Durability discipline, proven in
-    {!Codegen.Kernel_cache}:
-
-    + {e atomic publish} — write a unique temp file in the cache
-      directory, [fsync] it, [Sys.rename] over the target, [fsync] the
-      directory: readers (and crash recovery) see the old entry or the
-      new one, never a torn one;
-    + {e cross-process exclusion} — a per-entry [.lock] file with an
-      advisory [Unix.lockf] write lock serializes concurrent daemons;
-    + {e corrupt-entry recovery} — an entry that fails to parse or
-      validate ({!Runtime.Plan.check} against its own graph) is
-      deleted and reported as a miss, never an error.
+    [version_misses], never an error. Entry files follow the one
+    crash-safe discipline of {!Store} (atomic, durable publish; a lock
+    per entry that excludes other processes and other domains; lock-free
+    reads). An entry that fails to parse or validate
+    ({!Runtime.Executor.check} against its own graph) is deleted and
+    reported as a miss, never an error.
 
     Every lookup reads the entry file, but a given file content is
     parsed and checked once per [t]: each [t] remembers, for up to 64
     entry paths, the bytes it last read there and the entry they
     decoded to. A lookup whose bytes equal the remembered ones reuses
     that entry; this is exact, since parsing and checking are pure
-    functions of the bytes. Any other content — a rewritten, truncated
-    or foreign-version file — is parsed and checked in full, and only
-    content that passes is remembered. The key check (the entry is
-    filed under the caller's key) runs on every hit. A hit returns the
-    remembered entry itself, shared between hits: callers must not
-    mutate it.
+    functions of the bytes. Any other content is parsed and checked in
+    full, and only content that passes is remembered. A store
+    remembers the entry it built from the caller's graph and plan: the
+    next lookup that decodes an equal entry checks and serves the
+    caller's graph and plan, with the decoded report, so that the
+    executor prepares one plan for the miss and its hits. The key check
+    (the entry is filed under the caller's key) runs on every hit. A
+    hit returns the remembered entry itself, shared between hits:
+    callers must not mutate it.
 
     Every disk touch passes the {!Faults.site-Cache_io} injection seam:
     an injected fault turns a lookup into a miss and skips a publish —

@@ -598,21 +598,12 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
 
 (* ----------------------------- socket loop ---------------------------- *)
 
-(* Publish the metrics snapshot (atomic rename), so the file is current
-   even if the daemon is killed -9 a moment later. *)
+(* Publish the metrics snapshot, so the file is current and whole even
+   if the daemon is killed -9 a moment later. *)
 let publish_metrics t =
-  match t.cfg.metrics_out with
-  | None -> ()
-  | Some path -> (
-    try
-      let dir = Filename.dirname path in
-      let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-      let oc = open_out_bin tmp in
-      output_string oc (Obs.Jsonw.to_string (stats_response t));
-      close_out oc;
-      Sys.rename tmp path;
-      ignore dir
-    with _ -> ())
+  Option.iter
+    (fun path -> try Store.publish path (Obs.Jsonw.to_string (stats_response t)) with _ -> ())
+    t.cfg.metrics_out
 
 (* Bind the listening socket, recovering a stale path: if something is
    bound there, probe-connect it. A refused/ENOENT probe means the

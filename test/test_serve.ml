@@ -254,6 +254,32 @@ let test_cache_io_fault_seam () =
   Alcotest.(check bool) "io faults counted" true
     ((Serve.Plan_cache.stats cache).Serve.Plan_cache.io_faults >= 2)
 
+(* A store remembers the entry it was given; a cache with no memory of
+   it decodes the file to a structurally equal graph and plan. *)
+let test_cache_store_seeds_memo () =
+  let g, r = Lazy.force workload in
+  let dir = fresh_dir "seed" in
+  let key = Serve.Plan_cache.key ~graph:g ~gpu:"V100" ~precision:"fp32" ~batch:1 in
+  let cache = Serve.Plan_cache.create ~dir () in
+  Serve.Plan_cache.store cache key ~status:Serve.Plan_cache.Final
+    ~graph:r.Korch.Orchestrator.graph ~plan:r.Korch.Orchestrator.plan
+    ~report:(report_string r);
+  let hit c = match Serve.Plan_cache.lookup c key with Some e -> e | None -> Alcotest.fail "miss" in
+  let seeded = hit cache in
+  Alcotest.(check bool) "the first hit serves the stored graph" true
+    (seeded.Serve.Plan_cache.graph == r.Korch.Orchestrator.graph);
+  Alcotest.(check bool) "the first hit serves the stored plan" true
+    (seeded.Serve.Plan_cache.plan == r.Korch.Orchestrator.plan);
+  let decoded = hit (Serve.Plan_cache.create ~dir ()) in
+  Alcotest.(check bool) "a fresh cache decodes another graph" true
+    (decoded.Serve.Plan_cache.graph != seeded.Serve.Plan_cache.graph);
+  Alcotest.(check bool) "decoded graph = seeded graph" true
+    (decoded.Serve.Plan_cache.graph = seeded.Serve.Plan_cache.graph);
+  Alcotest.(check bool) "decoded plan = seeded plan" true
+    (decoded.Serve.Plan_cache.plan = seeded.Serve.Plan_cache.plan);
+  Alcotest.(check bool) "decoded report = seeded report" true
+    (decoded.Serve.Plan_cache.report = seeded.Serve.Plan_cache.report)
+
 (* A repeat lookup of unchanged entry bytes reuses the entry checked the
    first time; any other content at the path gets the full check. *)
 
@@ -526,6 +552,20 @@ let test_handle_ladder () =
   let ran = handle_server t (request ~model:"candy" "run") in
   Alcotest.(check (option string)) "run succeeds" (Some "ok") (member_str "status" ran);
   Alcotest.(check bool) "run returns outputs" true (Onnx.Json.member "outputs" ran <> None)
+
+(* A new key's miss and its first hit run one plan object: the executor
+   prepares it once. *)
+let test_handle_miss_then_hit_prepares_once () =
+  let prepared = Obs.Metrics.counter "executor.plans_prepared" in
+  let t = make_server "prepare-once" in
+  let before = Obs.Metrics.count prepared in
+  let miss = handle_server t (request ~model:"decode" "run") in
+  Alcotest.(check (option string)) "first run misses" (Some "miss") (member_str "cache" miss);
+  let hit = handle_server t (request ~model:"decode" "run") in
+  Alcotest.(check (option string)) "second run hits" (Some "hit") (member_str "cache" hit);
+  Alcotest.(check int) "prepared once" 1 (Obs.Metrics.count prepared - before);
+  Alcotest.(check bool) "same outputs" true
+    (Onnx.Json.member "outputs" miss = Onnx.Json.member "outputs" hit)
 
 (* An entry whose first kernel executes the graph's Input node parses
    but fails Runtime.Plan.check: the lookup must count it corrupt and
@@ -966,6 +1006,7 @@ let () =
             test_cache_memo_rejects_malformed;
           Alcotest.test_case "shared entry not mutated by runs" `Quick
             test_cache_memo_entry_not_mutated;
+          Alcotest.test_case "a store seeds the memo" `Quick test_cache_store_seeds_memo;
         ] );
       ( "protocol",
         [
@@ -1000,6 +1041,8 @@ let () =
             test_handle_non_finite_graph_hits;
           Alcotest.test_case "folded inf and NaN weights keyed apart" `Quick
             test_folded_non_finite_keys;
+          Alcotest.test_case "a miss and its first hit prepare once" `Quick
+            test_handle_miss_then_hit_prepares_once;
         ] );
       ( "daemon",
         [ Alcotest.test_case "kill -9, restart, warm hit" `Quick test_daemon_kill9_warm_restart ] );
