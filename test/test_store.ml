@@ -1,4 +1,4 @@
-(* Tests for lib/store: the lock excludes domains as well as processes,
+(* Tests for lib/store: the lock excludes processes and domains,
    locks on different paths are independent, batches cannot deadlock,
    concurrent publishes leave one whole file and no temp file, and
    hard-link publishes carry the source's bytes. *)
@@ -23,6 +23,26 @@ let spin () =
   for _ = 1 to 200 do
     Domain.cpu_relax ()
   done
+
+(* A path locked by another process is taken only once that process
+   lets go: the holder writes a marker just before it releases. *)
+let test_lock_excludes_processes () =
+  let dir = fresh_dir "procs" in
+  let path = Filename.concat dir "entry" and marker = Filename.concat dir "released" in
+  let ready_r, ready_w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+    Store.with_lock path (fun () ->
+        ignore (Unix.write_substring ready_w "x" 0 1);
+        Unix.sleepf 0.2;
+        Store.publish marker "");
+    Unix._exit 0
+  | child ->
+    ignore (Unix.read ready_r (Bytes.create 1) 0 1);
+    let after_release = Store.with_lock path (fun () -> Sys.file_exists marker) in
+    ignore (Unix.waitpid [] child);
+    List.iter Unix.close [ ready_r; ready_w ];
+    Alcotest.(check bool) "taken after the other process released it" true after_release
 
 (* Two domains under one path's lock never hold it at once. *)
 let test_lock_excludes_domains () =
@@ -120,6 +140,7 @@ let () =
     [
       ( "lock",
         [
+          Alcotest.test_case "another process holds the lock" `Quick test_lock_excludes_processes;
           Alcotest.test_case "two domains never hold one lock" `Quick test_lock_excludes_domains;
           Alcotest.test_case "locks on other paths are free" `Quick test_lock_per_path;
           Alcotest.test_case "batches in opposite orders finish" `Quick test_batches_sorted;
