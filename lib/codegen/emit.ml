@@ -5,10 +5,10 @@
     by the digest of its {!signature}; {!translation_unit} puts the
     shared prelude once in front of any number of them. Inputs are the
     kernel's distinct external tensors in first-use order; outputs
-    follow the kernel's declared output list. Internal temporaries are
-    packed into one malloc'd arena with exact-size slot reuse along the
-    member evaluation order — the same lifetime discipline the
-    interpreter's arena uses.
+    follow the kernel's declared output list. Internal temporaries live
+    in one malloc'd arena: their lifetimes along the member evaluation
+    order are packed into slots by {!Runtime.Memplan.pack}, the packer
+    that plans the executor's memory, and the slots lie back to back.
 
     Bit-identity with {!Runtime.Prim_interp} is a hard requirement (the
     differential gate and the fuzzer both rely on it), so every loop
@@ -33,7 +33,7 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported_kernel s)) fm
 (* Bump when emitted code changes in any way: the version participates in
    the cache signature, so stale .so entries are never reused across
    generator revisions. *)
-let version = "korch-cg/2"
+let version = "korch-cg/3"
 
 (** [hash signature] — the hex digest that names a kernel's cache entry
     and its C function. *)
@@ -327,15 +327,6 @@ let prelude : string =
 (* Per-primitive emission                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Effective per-output-dimension strides of an input broadcast
-   right-aligned against [out_shape] (0 for missing or size-1 dims). *)
-let broadcast_strides ~(out_shape : Shape.t) ~(in_shape : Shape.t) : int array =
-  let ro = Array.length out_shape and ri = Array.length in_shape in
-  let st = Shape.strides in_shape in
-  Array.init ro (fun d ->
-      let di = d - (ro - ri) in
-      if di < 0 then 0 else if in_shape.(di) = 1 then 0 else st.(di))
-
 let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
     ~(name_of : int -> string) : unit =
   let nd = Graph.node g id in
@@ -367,8 +358,8 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
         n_out na nb dst (binary_expr b "x" "y")
     else begin
       let so = Shape.strides out_shape in
-      let ea = broadcast_strides ~out_shape ~in_shape:sa in
-      let eb = broadcast_strides ~out_shape ~in_shape:sb in
+      let ea = Shape.broadcast_strides ~out:out_shape sa in
+      let eb = Shape.broadcast_strides ~out:out_shape sb in
       with_loops buf out_shape (fun names ->
           bpf buf "    double x = %s[%s];\n" na (off_expr names ea);
           bpf buf "    double y = %s[%s];\n" nb (off_expr names eb);
@@ -502,8 +493,8 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
     else begin
       let batch = Array.sub out_shape 0 (Array.length out_shape - 2) in
       let batch_a = Array.sub sa 0 (ra - 2) and batch_b = Array.sub sb 0 (rb - 2) in
-      let ea = broadcast_strides ~out_shape:batch ~in_shape:batch_a in
-      let eb = broadcast_strides ~out_shape:batch ~in_shape:batch_b in
+      let ea = Shape.broadcast_strides ~out:batch batch_a in
+      let eb = Shape.broadcast_strides ~out:batch batch_b in
       let eo = Shape.strides batch in
       let ea = Array.map (fun s -> s * (m * kk)) ea in
       let eb = Array.map (fun s -> s * (sb.(rb - 2) * nn)) eb in
@@ -571,13 +562,12 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
 (* Whole-kernel source                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** [source g k ~symbol] — kernel [k] as one C function named [symbol],
-    without the prelude ({!translation_unit} adds it). Raises
-    {!Unsupported_kernel} when the kernel cannot be compiled (opaque or
-    source members, malformed structure); the native executor falls back
-    to the interpreter for that kernel. *)
-let source (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(symbol : string) : string =
-  let lay = layout g k in
+(** [source g lay ~symbol] — the kernel [lay] lays out, as one C
+    function named [symbol], without the prelude ({!translation_unit}
+    adds it). Raises {!Unsupported_kernel} when a member cannot be
+    translated (malformed arity or layout); the native executor falls
+    back to the interpreter for that kernel. *)
+let source (g : Primgraph.t) (lay : layout) ~(symbol : string) : string =
   let numel id = Shape.numel (Graph.node g id).Graph.shape in
   (* First output position of each output member (duplicates are copied
      at the end). *)
@@ -585,67 +575,40 @@ let source (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(symbol : string) : stri
   Array.iteri
     (fun i id -> if not (Hashtbl.mem out_pos id) then Hashtbl.replace out_pos id i)
     lay.out_ids;
-  (* Arena planning: exact-size slot reuse along the evaluation order —
-     a temp's slot is recycled once its last reader has run. *)
+  (* Arena: each temporary lives from its step to its last reader's step
+     in the evaluation order; {!Runtime.Memplan.pack} packs those spans
+     into slots, laid out back to back by their final capacities. *)
   let order = Array.of_list lay.order in
-  let steps = Array.length order in
-  let step_of = Hashtbl.create 16 in
-  Array.iteri (fun s id -> Hashtbl.replace step_of id s) order;
-  let last_use = Hashtbl.create 16 in
-  Array.iteri (fun s id -> Hashtbl.replace last_use id s) order;
-  Array.iter
-    (fun id ->
+  let step_of = Hashtbl.create 16 and last_use = Hashtbl.create 16 in
+  Array.iteri
+    (fun s id ->
+      Hashtbl.replace step_of id s;
+      Hashtbl.replace last_use id s;
       List.iter
-        (fun src ->
-          if Hashtbl.mem lay.local_of src then
-            Hashtbl.replace last_use src
-              (max
-                 (try Hashtbl.find last_use src with Not_found -> 0)
-                 (Hashtbl.find step_of id)))
+        (fun src -> if Hashtbl.mem last_use src then Hashtbl.replace last_use src s)
         (Graph.inputs g id))
     order;
-  let free : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let total = ref 0 in
-  let offset_of = Hashtbl.create 16 in
-  let released = Hashtbl.create 16 in
-  for s = 0 to steps - 1 do
-    let id = order.(s) in
-    if not (Hashtbl.mem out_pos id) then begin
-      let sz = numel id in
-      let off =
-        match Hashtbl.find_opt free sz with
-        | Some ({ contents = o :: rest } as r) ->
-          r := rest;
-          o
-        | _ ->
-          let o = !total in
-          total := !total + sz;
-          o
-      in
-      Hashtbl.replace offset_of id off
-    end;
-    (* Release member temps whose last reader was this step. *)
-    List.iter
-      (fun m ->
-        if
-          Hashtbl.mem offset_of m
-          && (not (Hashtbl.mem released m))
-          && Hashtbl.find last_use m = s
-        then begin
-          Hashtbl.replace released m ();
-          let sz = numel m in
-          match Hashtbl.find_opt free sz with
-          | Some r -> r := Hashtbl.find offset_of m :: !r
-          | None -> Hashtbl.replace free sz (ref [ Hashtbl.find offset_of m ])
-        end)
-      (id :: Graph.inputs g id)
+  let temps = List.filter (fun id -> not (Hashtbl.mem out_pos id)) lay.order in
+  let slot, capacity =
+    Runtime.Memplan.pack
+      (Array.of_list
+         (List.map
+            (fun id -> (Hashtbl.find step_of id, Hashtbl.find last_use id, numel id))
+            temps))
+  in
+  let base = Array.make (Array.length capacity) 0 in
+  for s = 1 to Array.length capacity - 1 do
+    base.(s) <- base.(s - 1) + capacity.(s - 1)
   done;
+  let total = Array.fold_left ( + ) 0 capacity in
+  let offset_of = Hashtbl.create 16 in
+  List.iteri (fun j id -> Hashtbl.replace offset_of id base.(slot.(j))) temps;
   (* Emission. *)
   let buf = Buffer.create 8192 in
   bpf buf "\nvoid %s(const double **ins, double **outs)\n{\n" symbol;
   Array.iteri (fun i _ -> bpf buf "  const double *e%d = ins[%d];\n" i i) lay.ext_ids;
-  if !total > 0 then begin
-    bpf buf "  double *arena = (double *)malloc(%d * sizeof(double));\n" !total;
+  if total > 0 then begin
+    bpf buf "  double *arena = (double *)malloc(%d * sizeof(double));\n" total;
     bpf buf "  if (!arena) return;\n"
   end;
   let name_of id =
@@ -668,7 +631,7 @@ let source (g : Primgraph.t) (k : Runtime.Plan.kernel) ~(symbol : string) : stri
       if first <> i then
         bpf buf "  memcpy(outs[%d], outs[%d], %d * sizeof(double));\n" i first (numel id))
     lay.out_ids;
-  if !total > 0 then bpf buf "  free(arena);\n";
+  if total > 0 then bpf buf "  free(arena);\n";
   bpf buf "}\n";
   Buffer.contents buf
 

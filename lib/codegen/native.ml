@@ -69,9 +69,8 @@ let ulp_tolerance = 1
    its compiled code. *)
 type signed = {
   kernel : Runtime.Plan.kernel;
+  layout : Emit.layout;  (** its member order, and its inputs and outputs in ABI order *)
   request : Kernel_cache.request;  (** its signature's hash, and its C source *)
-  ext_ids : int array;  (** external inputs, in ABI order *)
-  out_ids : int array;  (** outputs, in ABI order *)
 }
 
 (* The interpreter's kernel step on concrete external values — the
@@ -79,9 +78,9 @@ type signed = {
    the fallback would compute in its place. *)
 let interp_kernel (g : Primgraph.t) (s : signed) ~(ext_vals : Nd.t array) : Nd.t array =
   let env : Runtime.Prim_interp.env = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace env id ext_vals.(i)) s.ext_ids;
-  Runtime.Executor.eval_kernel g ~order:(Emit.layout g s.kernel).Emit.order env s.kernel;
-  Array.map (Hashtbl.find env) s.out_ids
+  Array.iteri (fun i id -> Hashtbl.replace env id ext_vals.(i)) s.layout.Emit.ext_ids;
+  Runtime.Executor.eval_kernel g ~order:s.layout.Emit.order env s.kernel;
+  Array.map (Hashtbl.find env) s.layout.Emit.out_ids
 
 (* Invoke the compiled kernel: flat-array views in ABI order. The output
    buffers are left unfilled, since every emitted kernel writes the
@@ -93,7 +92,7 @@ let call_native (g : Primgraph.t) (s : signed) (c : Kernel_cache.compiled)
       (fun id ->
         let shape = Graph.shape g id in
         Nd.of_array shape (Array.create_float (Shape.numel shape)))
-      s.out_ids
+      s.layout.Emit.out_ids
   in
   Kernel_cache.call c
     ~ins:(Array.map (fun v -> v.Nd.data) ext_vals)
@@ -125,7 +124,7 @@ let gen_inputs (g : Primgraph.t) (s : signed) : Nd.t array =
   let rng = Rng.create (seed lor 1) in
   Array.map
     (fun id -> Nd.create (Graph.shape g id) (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0))
-    s.ext_ids
+    s.layout.Emit.ext_ids
 
 let compare_outputs (expected : Nd.t array) (got : Nd.t array) : (unit, string) result =
   let bad = ref None in
@@ -200,8 +199,8 @@ let native_kernel (g : Primgraph.t) (s : signed) (compiled : Kernel_cache.compil
   | Ok () ->
     Ok
       {
-        Runtime.Backend.ext_ids = s.ext_ids;
-        out_ids = s.out_ids;
+        Runtime.Backend.ext_ids = s.layout.Emit.ext_ids;
+        out_ids = s.layout.Emit.out_ids;
         call =
           (fun ext_vals ->
             let t0 = Obs.Clock.now_us () in
@@ -212,17 +211,16 @@ let native_kernel (g : Primgraph.t) (s : signed) (compiled : Kernel_cache.compil
 let sign (g : Primgraph.t) (k : Runtime.Plan.kernel) : (signed, string) result =
   match Emit.layout g k with
   | exception Emit.Unsupported_kernel msg -> Error (Printf.sprintf "unsupported: %s" msg)
-  | lay ->
+  | layout ->
     Ok
       {
         kernel = k;
+        layout;
         request =
           {
-            Kernel_cache.hash = Emit.hash (Emit.signature_of_layout g lay);
-            source = (fun ~symbol -> Emit.source g k ~symbol);
+            Kernel_cache.hash = Emit.hash (Emit.signature_of_layout g layout);
+            source = (fun ~symbol -> Emit.source g layout ~symbol);
           };
-        ext_ids = lay.Emit.ext_ids;
-        out_ids = lay.Emit.out_ids;
       }
 
 (* [resolve g plan] signs every kernel of [plan] once; each call of the

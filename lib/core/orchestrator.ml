@@ -77,7 +77,7 @@ type outcome = {
       (** first failure that pushed the segment down the ladder *)
   transform_degraded : bool;
       (** transformation search failed; its starting point
-          ({!Transform.Optimizer.start}), or the raw segment, was used
+          ({!Transform.Optimizer.clean}), or the raw segment, was used
           instead *)
 }
 
@@ -467,7 +467,7 @@ let solve_segment (cfg : config) ~(cache : Gpu.Profile_cache.t) ?(seg_index = 0)
          deterministic, semantics-preserving — and folding matters, since
          an unfolded segment can be exponentially wider to enumerate. If
          even that fails the raw segment is used untouched. *)
-      (match Transform.Optimizer.start seg.Partition.local with
+      (match Transform.Optimizer.clean seg.Partition.local with
       | t -> (t, true)
       | exception _ -> (seg.Partition.local, true))
   in

@@ -69,7 +69,7 @@ type outcome = {
       (** first failure that pushed the segment down the ladder *)
   transform_degraded : bool;
       (** transformation search failed; its starting point
-          ({!Transform.Optimizer.start}), or the raw segment, was used
+          ({!Transform.Optimizer.clean}), or the raw segment, was used
           instead *)
 }
 

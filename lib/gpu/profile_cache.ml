@@ -35,13 +35,10 @@ let h_tuning =
     ~bounds:[| 1.0; 10.0; 60.0; 120.0; 600.0; 3600.0; 43200.0 |]
     "profile_cache.tuning_s"
 
-let default_shards = 64
-
-let create ?(shards = default_shards) () : t =
-  let shards = max 1 shards in
+let create () : t =
   {
     shards =
-      Array.init shards (fun _ ->
+      Array.init 64 (fun _ ->
           { table = Hashtbl.create 64; lock = Mutex.create (); tuning_time_s = 0.0; hits = 0; misses = 0 });
   }
 

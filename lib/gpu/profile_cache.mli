@@ -11,9 +11,9 @@ open Ir
 
 type t
 
-(** [create ?shards ()] — an empty cache striped over [shards] (default
-    64, clamped to at least 1) independently locked hash tables. *)
-val create : ?shards:int -> unit -> t
+(** [create ()] — an empty cache striped over 64 independently locked
+    hash tables. *)
+val create : unit -> t
 
 (** {!Profiler.profile} with this table as its memo: a statically rejected
     candidate is neither signed nor looked up (and adds no entry); a miss

@@ -43,7 +43,10 @@ type buf = { data : float array; mutable refs : int }
 
 (* Arena state for one [~reuse:true] run: live buffers by instance key,
    free arrays by exact length, and the cursor into the memplan's step
-   stream. Caller-owned source arrays never enter either table. *)
+   stream. Caller-owned source arrays never enter either table. The pools
+   stay exact-length rather than following {!Memplan.pack}'s slots: an
+   {!Nd.t}'s storage length must equal its element count, so a tensor
+   cannot live in a larger slot. *)
 type arena = {
   mp : Memplan.t;
   st : run_stats;

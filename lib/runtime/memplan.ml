@@ -5,11 +5,13 @@
     until the GC collects it. This module computes, purely from the plan's
     kernel order, how long each tensor instance is actually needed — a
     classic last-use (liveness) analysis — and then assigns instances to a
-    small set of reusable arena slots by greedy best-fit on byte size, the
-    same discipline a device-side arena allocator would use. The resulting
-    {!stats} (peak bytes, no-reuse bytes, reuse ratio, slot count) are the
-    memory-cost signal reported next to plan latency, and the step-indexed
-    {!deaths} schedule drives {!Executor.run}'s [~reuse:true] mode.
+    small set of reusable arena slots by greedy best-fit on byte size
+    ({!pack}), the same discipline a device-side arena allocator would
+    use; the C emitter packs each kernel's temporaries with it too. The
+    resulting {!stats} (peak bytes, no-reuse bytes, reuse ratio, slot
+    count) are the memory-cost signal reported next to plan latency, and
+    the step-indexed {!deaths} schedule drives {!Executor.run}'s
+    [~reuse:true] mode.
 
     Two kinds of tensor instance exist, mirroring the executor's two
     environments:
@@ -70,6 +72,52 @@ type t = {
 let string_of_key = function
   | Published p -> Printf.sprintf "pub:%d" p
   | Internal (ki, p) -> Printf.sprintf "k%d:%d" ki p
+
+(* ------------------------------------------------------------------ *)
+(* Greedy best-fit slot assignment                                     *)
+(* ------------------------------------------------------------------ *)
+
+let pack (spans : (int * int * int) array) : int array * int array =
+  let capacity = ref [||] in
+  let tenant_death = ref [||] in
+  let nslots = ref 0 in
+  let push cap dth =
+    let s = !nslots in
+    if s = Array.length !capacity then begin
+      let grow a fill = Array.append a (Array.make (max 4 (Array.length a)) fill) in
+      capacity := grow !capacity 0;
+      tenant_death := grow !tenant_death (-1)
+    end;
+    !capacity.(s) <- cap;
+    !tenant_death.(s) <- dth;
+    incr nslots;
+    s
+  in
+  let assign (birth, death, size) =
+    (* A slot is free iff its last tenant died strictly before this birth. *)
+    let best_fit = ref (-1) in
+    let largest_free = ref (-1) in
+    for s = 0 to !nslots - 1 do
+      if !tenant_death.(s) < birth then begin
+        let c = !capacity.(s) in
+        if c >= size && (!best_fit < 0 || c < !capacity.(!best_fit)) then best_fit := s;
+        if !largest_free < 0 || c > !capacity.(!largest_free) then largest_free := s
+      end
+    done;
+    let s =
+      if !best_fit >= 0 then !best_fit
+      else if !largest_free >= 0 then begin
+        (* Grow the biggest free slot rather than opening a new one. *)
+        !capacity.(!largest_free) <- size;
+        !largest_free
+      end
+      else push size death
+    in
+    !tenant_death.(s) <- death;
+    s
+  in
+  let slots = Array.map assign spans in
+  (slots, Array.sub !capacity 0 !nslots)
 
 (* ------------------------------------------------------------------ *)
 (* Lifetime analysis                                                   *)
@@ -152,49 +200,8 @@ let analyze ?(bytes_per_element = 8) (g : Primgraph.t) (plan : Plan.t) : t =
     List.sort (fun a b -> compare (a.birth, a.key) (b.birth, b.key)) insts
     |> Array.of_list
   in
-  (* ---------------------------------------------------------------- *)
-  (* Greedy best-fit slot assignment in birth order.                   *)
-  (* ---------------------------------------------------------------- *)
-  let capacity = ref [||] in
-  let tenant_death = ref [||] in
-  let nslots = ref 0 in
-  let push cap dth =
-    let s = !nslots in
-    if s = Array.length !capacity then begin
-      let grow a fill = Array.append a (Array.make (max 4 (Array.length a)) fill) in
-      capacity := grow !capacity 0;
-      tenant_death := grow !tenant_death (-1)
-    end;
-    !capacity.(s) <- cap;
-    !tenant_death.(s) <- dth;
-    incr nslots;
-    s
-  in
-  let assign inst =
-    (* A slot is free iff its last tenant died strictly before this birth. *)
-    let best_fit = ref (-1) in
-    let largest_free = ref (-1) in
-    for s = 0 to !nslots - 1 do
-      if !tenant_death.(s) < inst.birth then begin
-        let c = !capacity.(s) in
-        if c >= inst.bytes && (!best_fit < 0 || c < !capacity.(!best_fit)) then best_fit := s;
-        if !largest_free < 0 || c > !capacity.(!largest_free) then largest_free := s
-      end
-    done;
-    let s =
-      if !best_fit >= 0 then !best_fit
-      else if !largest_free >= 0 then begin
-        (* Grow the biggest free slot rather than opening a new one. *)
-        !capacity.(!largest_free) <- inst.bytes;
-        !largest_free
-      end
-      else push inst.bytes inst.death
-    in
-    !tenant_death.(s) <- inst.death;
-    { inst with slot = s }
-  in
-  let insts = Array.map assign insts in
-  let slot_bytes = Array.sub !capacity 0 !nslots in
+  let slots, slot_bytes = pack (Array.map (fun i -> (i.birth, i.death, i.bytes)) insts) in
+  let insts = Array.mapi (fun j i -> { i with slot = slots.(j) }) insts in
   (* ---------------------------------------------------------------- *)
   (* Stats                                                             *)
   (* ---------------------------------------------------------------- *)
@@ -235,7 +242,7 @@ let analyze ?(bytes_per_element = 8) (g : Primgraph.t) (plan : Plan.t) : t =
       {
         instances = Array.length insts;
         steps;
-        slots = !nslots;
+        slots = Array.length slot_bytes;
         no_reuse_bytes;
         peak_bytes;
         live_peak_bytes;

@@ -46,6 +46,15 @@ type t = {
 
 val string_of_key : key -> string
 
+(** [pack spans] — greedy best-fit slot assignment. [spans] are
+    [(birth, death, size)] triples in birth order; a slot is free for a
+    span iff its last tenant died strictly before the span's birth. Each
+    span takes the smallest free slot that fits it, else grows the
+    largest free slot to its size, else opens a new slot. Returns each
+    span's slot and each slot's final capacity (at least the size of
+    every span it held). *)
+val pack : (int * int * int) array -> int array * int array
+
 (** [analyze ?bytes_per_element g plan] plans memory for executing [plan]
     over [g]. [bytes_per_element] (default 8, the interpreter's float
     width) scales element counts into bytes — pass the target precision's

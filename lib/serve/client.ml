@@ -29,8 +29,7 @@ let retryable_status (resp : Onnx.Json.t) : string option =
   | Some (Onnx.Json.Str (("overloaded" | "retry") as s)) -> Some s
   | _ -> None
 
-let request ?(policy = Retry.default) ?(salt = 0) ~(socket : string) (j : Obs.Jsonw.t) :
-    Onnx.Json.t =
+let request ?(policy = Retry.default) ~(socket : string) (j : Obs.Jsonw.t) : Onnx.Json.t =
   let attempt () =
     let resp = request_once ~socket j in
     match retryable_status resp with
@@ -47,7 +46,7 @@ let request ?(policy = Retry.default) ?(salt = 0) ~(socket : string) (j : Obs.Js
       true
     | _ -> false
   in
-  match Retry.with_retries ~policy ~salt ~retryable attempt with
+  match Retry.with_retries ~policy ~retryable attempt with
   | resp -> resp
   | exception Soft_retry s ->
     raise (Request_failed (Printf.sprintf "gave up after %d attempts (last: %s)" policy.Retry.attempts s))

@@ -11,11 +11,9 @@
 (** Raised when every attempt failed (carries the last failure). *)
 exception Request_failed of string
 
-(** [request ?policy ?salt ~socket j] — send [j], return the parsed
-    response. Retries per [policy] (default {!Retry.default});
-    [salt] differentiates concurrent clients' jitter streams. *)
-val request :
-  ?policy:Retry.policy -> ?salt:int -> socket:string -> Obs.Jsonw.t -> Onnx.Json.t
+(** [request ?policy ~socket j] — send [j], return the parsed
+    response. Retries per [policy] (default {!Retry.default}). *)
+val request : ?policy:Retry.policy -> socket:string -> Obs.Jsonw.t -> Onnx.Json.t
 
 (** [request_once ~socket j] — a single attempt, no retry. Raises
     [Unix.Unix_error] / {!Protocol.Frame_error} on transport failure. *)

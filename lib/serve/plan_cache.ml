@@ -73,12 +73,6 @@ type stats = {
   validations : int;
 }
 
-(* What a cache remembers at an entry path: the bytes last read there and
-   the checked entry they decode to, or the entry it last stored there,
-   without its report (only the caller's graph and plan are kept alive
-   until the first lookup checks them). *)
-type remembered = Checked of string * doc | Stored of doc
-
 (* A per-cache count, mirrored into the process-wide census next to the
    other serving metrics. *)
 type counter = { name : string; n : int Atomic.t; census : Obs.Metrics.counter }
@@ -92,7 +86,9 @@ type t = {
   c_version_misses : counter;
   c_io_faults : counter;
   c_validations : counter;
-  checked : (string, remembered) Memo.t;  (** per entry path, for up to 64 paths *)
+  checked : (string, string * doc) Memo.t;
+      (** per entry path, for up to 64 paths: bytes read or written there
+          and the checked entry they hold *)
 }
 
 let counter ?census name =
@@ -235,32 +231,18 @@ let decode (s : string) : parsed =
     | _ -> ( match Onnx.Codec.decode doc_codec j with Ok d -> Parsed d | Error _ -> Corrupt)
   with _ -> Corrupt
 
-let without_report = function Plan e -> Plan { e with report = None } | d -> d
-
 (* Decoding and checking are pure functions of the bytes, so bytes equal
    to those last checked at [path] give the same entry: reuse it. Other
-   bytes are decoded and checked in full; if they hold the entry this
-   cache stored there, but for the report that only the file keeps, the
-   caller's own graph and plan are checked and served instead. *)
+   bytes are decoded and checked in full. *)
 let parse_at (t : t) (path : string) (s : string) : parsed =
   match Memo.find t.checked path with
-  | Some (Checked (s', d)) when String.equal s s' -> Parsed d
-  | remembered ->
+  | Some (s', d) when String.equal s s' -> Parsed d
+  | _ ->
     let p =
-      match decode s with
-      | Parsed d ->
-        let d =
-          match (remembered, d) with
-          | Some (Stored (Plan st)), Plan e when without_report d = Plan st ->
-            Plan { st with report = e.report }
-          | Some (Stored st), _ when st = d -> st
-          | _ -> d
-        in
-        if executable t d then Parsed d else Corrupt
-      | p -> p
+      match decode s with Parsed d when not (executable t d) -> Corrupt | p -> p
     in
     (match p with
-    | Parsed d -> Memo.replace t.checked path (Checked (s, d))
+    | Parsed d -> Memo.replace t.checked path (s, d)
     | Version_miss | Corrupt -> Memo.remove t.checked path);
     p
 
@@ -300,8 +282,9 @@ let lookup_doc (t : t) (path : string) (select : doc -> 'a option) : 'a option =
 
 (* The one store path for both kinds: render and publish [doc ()] unless
    [pinned ()], asked under the entry's lock, says to keep the file. A
-   published entry is remembered, so its first hit serves the caller's
-   own graph and plan. *)
+   published entry is checked and remembered with the bytes written, so
+   its hits serve the caller's own graph and plan, which the check has
+   already prepared for the executor. *)
 let store_doc (t : t) (path : string) ~(pinned : unit -> bool) (doc : unit -> doc) : unit =
   match Faults.check Faults.Cache_io with
   | exception Faults.Injected _ -> bump t.c_io_faults
@@ -311,13 +294,15 @@ let store_doc (t : t) (path : string) ~(pinned : unit -> bool) (doc : unit -> do
       if pinned () then None
       else begin
         let d = doc () in
-        Store.publish path (Obs.Jsonw.to_string (Onnx.Codec.encode doc_codec d));
+        let s = Obs.Jsonw.to_string (Onnx.Codec.encode doc_codec d) in
+        Store.publish path s;
         bump t.c_stores;
-        Some d
+        Some (s, d)
       end
     with
     | None -> ()
-    | Some d -> Memo.replace t.checked path (Stored (without_report d))
+    | Some (s, d) ->
+      if executable t d then Memo.replace t.checked path (s, d) else Memo.remove t.checked path
     | exception _ -> bump t.c_io_faults)
 
 let lookup (t : t) (k : key) : entry option =

@@ -22,18 +22,17 @@
 
     Every lookup reads the entry file, but a given file content is
     parsed and checked once per [t]: each [t] remembers, for up to 64
-    entry paths, the bytes it last read there and the entry they
-    decoded to. A lookup whose bytes equal the remembered ones reuses
-    that entry; this is exact, since parsing and checking are pure
-    functions of the bytes. Any other content is parsed and checked in
-    full, and only content that passes is remembered. A store
-    remembers the entry it built from the caller's graph and plan: the
-    next lookup that decodes an equal entry checks and serves the
-    caller's graph and plan, with the decoded report, so that the
-    executor prepares one plan for the miss and its hits. The key check
-    (the entry is filed under the caller's key) runs on every hit. A
-    hit returns the remembered entry itself, shared between hits:
-    callers must not mutate it.
+    entry paths, the bytes it last read or wrote there and the checked
+    entry they hold. A lookup whose bytes equal the remembered ones
+    reuses that entry; this is exact, since parsing and checking are
+    pure functions of the bytes. Any other content is parsed and checked
+    in full, and only content that passes is remembered. A store checks
+    the entry it built from the caller's graph, plan and report, and
+    remembers it with the bytes it wrote, so hits on those bytes serve
+    the caller's own graph and plan: the executor prepares one plan for
+    the miss and its hits. The key check (the entry is filed under the
+    caller's key) runs on every hit. A hit returns the remembered entry
+    itself, shared between hits: callers must not mutate it.
 
     Every disk touch passes the {!Faults.site-Cache_io} injection seam:
     an injected fault turns a lookup into a miss and skips a publish —
@@ -114,8 +113,8 @@ type stats = {
           version; each also counts as a miss *)
   io_faults : int;  (** injected or real I/O failures absorbed *)
   validations : int;
-      (** entry contents parsed and checked in full; a repeat hit on an
-          unchanged file adds none *)
+      (** entries checked in full, on a store or on reading new content;
+          a repeat hit on an unchanged file adds none *)
 }
 
 (** [create ~dir ()] — open (and create) the cache directory. *)

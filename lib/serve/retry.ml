@@ -33,14 +33,12 @@ let fatal = function
   | Stack_overflow | Out_of_memory | Assert_failure _ -> true
   | _ -> false
 
-let with_retries ?(policy = default) ?(salt = 0) ?(retryable = fun e -> not (fatal e))
-    ?(on_retry = fun ~attempt:_ ~delay_s:_ _ -> ()) (f : unit -> 'a) : 'a =
+let with_retries ?(policy = default) ?(retryable = fun e -> not (fatal e)) (f : unit -> 'a) : 'a =
   let rec go attempt =
     match f () with
     | v -> v
     | exception e when attempt < policy.attempts && retryable e ->
-      let d = delay_s policy ~salt ~attempt in
-      on_retry ~attempt ~delay_s:d e;
+      let d = delay_s policy ~salt:0 ~attempt in
       if d > 0.0 then Unix.sleepf d;
       go (attempt + 1)
   in

@@ -27,15 +27,9 @@ val default : policy
     independent retry loops sharing one seed. *)
 val delay_s : policy -> salt:int -> attempt:int -> float
 
-(** [with_retries ?policy ?salt ?retryable ?on_retry f] — run [f],
-    retrying on exceptions [retryable e] (default: every exception except
+(** [with_retries ?policy ?retryable f] — run [f], retrying on
+    exceptions [retryable e] (default: every exception except
     [Stack_overflow] / [Out_of_memory] / [Assert_failure]) with
-    {!delay_s} sleeps between attempts. The final attempt's exception
-    propagates. [on_retry] observes each retry (for logs/metrics). *)
-val with_retries :
-  ?policy:policy ->
-  ?salt:int ->
-  ?retryable:(exn -> bool) ->
-  ?on_retry:(attempt:int -> delay_s:float -> exn -> unit) ->
-  (unit -> 'a) ->
-  'a
+    {!delay_s} sleeps (salt 0) between attempts. The final attempt's
+    exception propagates. *)
+val with_retries : ?policy:policy -> ?retryable:(exn -> bool) -> (unit -> 'a) -> 'a

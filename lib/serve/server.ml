@@ -460,13 +460,13 @@ let percentile_obj (snap : Obs.Metrics.snapshot) (name : string) : Obs.Jsonw.t =
 
 let stats_response t : Obs.Jsonw.t =
   let snap = Obs.Metrics.snapshot () in
-  let counter name = match List.assoc_opt name snap.Obs.Metrics.counters with Some v -> v | None -> 0 in
+  let count m = Obs.Jsonw.Int (Obs.Metrics.count m) in
   Obs.Jsonw.Obj
     [
       ("status", Obs.Jsonw.Str "ok");
       ("uptime_s", Obs.Jsonw.Float (Obs.Clock.now_s () -. t.start_s));
       ("draining", Obs.Jsonw.Bool (Atomic.get t.draining));
-      ("requests", Obs.Jsonw.Int (counter "serve.requests.total"));
+      ("requests", count m_requests);
       ( "latency_us",
         Obs.Jsonw.Obj
           [
@@ -481,19 +481,19 @@ let stats_response t : Obs.Jsonw.t =
             ("depth", Obs.Jsonw.Int (Atomic.get t.in_flight));
             ("peak", Obs.Jsonw.Int (Atomic.get t.peak_in_flight));
             ("limit", Obs.Jsonw.Int t.cfg.queue_limit);
-            ("overloaded", Obs.Jsonw.Int (counter "serve.overloaded"));
+            ("overloaded", count m_overloaded);
           ] );
       ("cache", Plan_cache.stats_to_json t.cache);
       ( "tiers",
         Obs.Jsonw.Obj
           [
-            ("cached", Obs.Jsonw.Int (counter "serve.tier.cached"));
-            ("orchestrated", Obs.Jsonw.Int (counter "serve.tier.orchestrated"));
-            ("floor", Obs.Jsonw.Int (counter "serve.tier.floor"));
-            ("degraded", Obs.Jsonw.Int (counter "serve.degraded"));
+            ("cached", count m_tier_cached);
+            ("orchestrated", count m_tier_orchestrated);
+            ("floor", count m_tier_floor);
+            ("degraded", count m_degraded);
           ] );
-      ("admission_degraded", Obs.Jsonw.Int (counter "serve.admission_degraded"));
-      ("errors", Obs.Jsonw.Int (counter "serve.errors"));
+      ("admission_degraded", count m_admission_degraded);
+      ("errors", count m_errors);
       ("metrics", Obs.Metrics.snapshot_to_json snap);
     ]
 

@@ -64,12 +64,9 @@ module Pq = Map.Make (struct
   let compare = compare
 end)
 
-(* CSE, then constant folding: what the search does to every graph it
-   sees. *)
+(* CSE, then constant folding: the search's starting point, and what it
+   does to every graph it sees. *)
 let clean g = Constfold.fold (Cse.run g)
-
-(** [start g] — the search's starting point. *)
-let start = clean
 
 (** [optimize ~spec ~precision g] — search for a cheaper equivalent
     primitive graph. Returns the best graph found (possibly [g] itself).
@@ -78,7 +75,7 @@ let optimize ~(spec : Gpu.Spec.t) ~(precision : Gpu.Precision.t) (g : Primgraph.
     Primgraph.t =
   (* A transformation search can blow up on an adversarial graph; the
      injection site lets tests force that and exercise the orchestrator's
-     fallback to {!start}. *)
+     fallback to {!clean}. *)
   Faults.check Faults.Transform;
   let g0 = clean g in
   let seen = Hashtbl.create 64 in

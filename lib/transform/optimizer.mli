@@ -27,11 +27,12 @@ val cost_proxy : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> 
     frontier. *)
 val graph_fingerprint : Primgraph.t -> string
 
-(** [start g] — where the search starts: [g] after CSE and constant
-    folding. The orchestrator falls back to it when the search fails. *)
-val start : Primgraph.t -> Primgraph.t
+(** [clean g] — [g] after CSE and constant folding: where the search
+    starts, and what it does to every candidate. The orchestrator falls
+    back to it when the search fails. *)
+val clean : Primgraph.t -> Primgraph.t
 
 (** [optimize ~spec ~precision g] — search for a cheaper equivalent graph
-    for [spec] at [precision]; returns the best found (possibly {!start}
+    for [spec] at [precision]; returns the best found (possibly {!clean}
     [g]). Folds stay unevaluated expressions ({!Constfold}). *)
 val optimize : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Primgraph.t -> Primgraph.t

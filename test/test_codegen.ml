@@ -339,6 +339,27 @@ let test_fused_softmax_like () =
     ~inputs:[ mixed_input "x" [| 4; 6 |]; rand_input ~seed:23 "w" [| 6; 6 |] ]
     (fused_graph ())
 
+(* A temporary born after a larger one has died reuses its slot: the
+   [4] exp takes the dead [4;8] exp's storage, so the arena is 32 + 4
+   doubles, not the 32 + 4 + 4 an exact-size allocator asks for. *)
+let test_smaller_temp_reuses_larger_slot () =
+  let b = Primgraph.B.create () in
+  let x = Primgraph.B.input b "x" [| 4; 8 |] in
+  let e = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ x ] in
+  let r = Primgraph.B.add b (Primitive.Reduce (Ops_reduce.Sum, 1)) [ e ] in
+  let e2 = Primgraph.B.add b (Primitive.Unary Primitive.Exp) [ r ] in
+  let o = Primgraph.B.add b (Primitive.Unary Primitive.Neg) [ e2 ] in
+  Primgraph.B.set_outputs b [ o ];
+  let g = Primgraph.B.finish b in
+  let k = List.hd (whole_graph_plan g).Runtime.Plan.kernels in
+  let src = Codegen.Emit.source g (Codegen.Emit.layout g k) ~symbol:"k" in
+  let arena = "double *arena = (double *)malloc(36 * sizeof(double));" in
+  Alcotest.(check bool) "arena of 36 doubles" true
+    (List.exists
+       (fun line -> String.equal (String.trim line) arena)
+       (String.split_on_char '\n' src));
+  check_both ~inputs:[ mixed_input "x" [| 4; 8 |] ] g
+
 let test_multi_output_kernel () =
   let b = Primgraph.B.create () in
   let x = Primgraph.B.input b "x" [| 3; 4 |] in
@@ -433,8 +454,9 @@ let test_signature_deterministic () =
   let k = List.hd plan.Runtime.Plan.kernels in
   Alcotest.(check string)
     "signature stable" (Codegen.Emit.signature g k) (Codegen.Emit.signature g k);
-  Alcotest.(check string) "source stable" (Codegen.Emit.source g k ~symbol:"k")
-    (Codegen.Emit.source g k ~symbol:"k")
+  Alcotest.(check string) "source stable"
+    (Codegen.Emit.source g (Codegen.Emit.layout g k) ~symbol:"k")
+    (Codegen.Emit.source g (Codegen.Emit.layout g k) ~symbol:"k")
 
 let test_signature_distinguishes_outputs () =
   let b = Primgraph.B.create () in
@@ -555,14 +577,14 @@ let test_outputs_need_no_fill () =
       in
       let compiled =
         Codegen.Kernel_cache.resolve (Codegen.Kernel_cache.default ())
-          (List.map2
-             (fun k lay ->
+          (List.map
+             (fun lay ->
                {
                  Codegen.Kernel_cache.hash =
                    Codegen.Emit.hash (Codegen.Emit.signature_of_layout g lay);
-                 source = (fun ~symbol -> Codegen.Emit.source g k ~symbol);
+                 source = (fun ~symbol -> Codegen.Emit.source g lay ~symbol);
                })
-             r.Korch.Orchestrator.plan.Runtime.Plan.kernels layouts)
+             layouts)
       in
       List.iteri
         (fun ki (lay, c) ->
@@ -636,6 +658,8 @@ let () =
       ( "fusion",
         [
           Alcotest.test_case "softmax-like chain" `Quick test_fused_softmax_like;
+          Alcotest.test_case "smaller temp reuses a larger slot" `Quick
+            test_smaller_temp_reuses_larger_slot;
           Alcotest.test_case "multi-output kernel" `Quick test_multi_output_kernel;
           Alcotest.test_case "multi-kernel plan" `Quick test_multi_kernel_plan;
           Alcotest.test_case "redundant prims" `Quick test_redundant_prims;

@@ -62,6 +62,20 @@ let check_invariants label (mp : Runtime.Memplan.t) =
               ib.Runtime.Memplan.birth ib.Runtime.Memplan.death ia.Runtime.Memplan.slot)
         insts)
     insts;
+  let slots, capacities =
+    Runtime.Memplan.pack
+      (Array.map
+         (fun (i : Runtime.Memplan.instance) ->
+           (i.Runtime.Memplan.birth, i.Runtime.Memplan.death, i.Runtime.Memplan.bytes))
+         insts)
+  in
+  Alcotest.(check (array int))
+    (label ^ ": instance slots are pack's")
+    slots
+    (Array.map (fun (i : Runtime.Memplan.instance) -> i.Runtime.Memplan.slot) insts);
+  Alcotest.(check (array int))
+    (label ^ ": slot capacities are pack's")
+    capacities mp.Runtime.Memplan.slot_bytes;
   let s = Runtime.Memplan.stats mp in
   Alcotest.(check int)
     (label ^ ": peak is the arena footprint")
@@ -72,6 +86,38 @@ let check_invariants label (mp : Runtime.Memplan.t) =
     true
     (s.Runtime.Memplan.peak_bytes <= s.Runtime.Memplan.no_reuse_bytes
     && s.Runtime.Memplan.live_peak_bytes <= s.Runtime.Memplan.peak_bytes)
+
+(* [pack] on seeded random span arrays in birth order: spans sharing a
+   slot never overlap under the strict rule (the earlier death precedes
+   the later birth), and every slot holds each of its spans. *)
+let test_pack_random_spans () =
+  let rng = Random.State.make [| 42 |] in
+  for case = 1 to 500 do
+    let n = Random.State.int rng 40 in
+    let birth = ref 0 in
+    let spans =
+      Array.init n (fun _ ->
+          birth := !birth + Random.State.int rng 3;
+          (!birth, !birth + Random.State.int rng 12, 1 + Random.State.int rng 100))
+    in
+    let slots, capacities = Runtime.Memplan.pack spans in
+    Alcotest.(check int) "one slot per span" n (Array.length slots);
+    Array.iteri
+      (fun a (ba, da, size) ->
+        let s = slots.(a) in
+        if s < 0 || s >= Array.length capacities then
+          Alcotest.failf "case %d: span %d has no slot (%d)" case a s;
+        if capacities.(s) < size then
+          Alcotest.failf "case %d: span %d (%d) overflows slot %d (%d)" case a size s
+            capacities.(s);
+        for b = a + 1 to n - 1 do
+          let bb, db, _ = spans.(b) in
+          if slots.(b) = s && not (da < bb || db < ba) then
+            Alcotest.failf "case %d: spans %d [%d,%d] and %d [%d,%d] share slot %d" case a ba
+              da b bb db s
+        done)
+      spans
+  done
 
 let test_diamond_lifetimes () =
   let g, f, g1, g2, k = diamond () in
@@ -240,7 +286,8 @@ let () =
   Alcotest.run "mem"
     [
       ( "planner",
-        [ Alcotest.test_case "diamond lifetimes" `Quick test_diamond_lifetimes;
+        [ Alcotest.test_case "pack on random spans" `Quick test_pack_random_spans;
+          Alcotest.test_case "diamond lifetimes" `Quick test_diamond_lifetimes;
           Alcotest.test_case "redundant internals" `Quick test_redundant_plan_internals;
           Alcotest.test_case "element width scaling" `Quick test_bytes_per_element_scales ] );
       ( "zoo",

@@ -752,7 +752,17 @@ let test_stats_shape () =
       [ "cache"; "hit_rate" ];
       [ "cache"; "validations" ];
       [ "tiers"; "cached" ];
-    ]
+    ];
+  (* Each member reads its counter: a renamed metric cannot read 0. *)
+  List.iter
+    (fun (path, name) ->
+      let n = Obs.Metrics.count (Obs.Metrics.counter name) in
+      Alcotest.(check bool) (name ^ " counted the request") true (n >= 1);
+      Alcotest.(check (option (float 0.0)))
+        (String.concat "." path ^ " = " ^ name)
+        (Some (float_of_int n))
+        (match mem path stats with Some (Onnx.Json.Num v) -> Some v | _ -> None))
+    [ ([ "requests" ], "serve.requests.total"); ([ "tiers"; "orchestrated" ], "serve.tier.orchestrated") ]
 
 (* The server remembers each named zoo request's graph hash; it must be the
    hash a fresh build gives. Each request's fresh key gets its own entry
