@@ -37,9 +37,6 @@ type env = {
 (** [make_env ~spec ~precision g] folds [g]'s BatchNorms, then fissions. *)
 val make_env : spec:Gpu.Spec.t -> precision:Gpu.Precision.t -> Opgraph.t -> env
 
-(** Primitive members of an operator group (sources excluded). *)
-val group_members : env -> int list -> Bitset.t
-
 (** Latency and kernel description of executing the group as one kernel. *)
 val cost_group : env -> int list -> Runtime.Plan.kernel
 

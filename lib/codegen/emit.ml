@@ -308,7 +308,7 @@ let prelude : string =
       "static double (*volatile k_pow)(double, double) = pow;";
       "";
       "/* Abramowitz & Stegun 7.1.26, bit-identical to the interpreter's";
-      "   Ops_elementwise.Scalar.erf (constants carry the exact OCaml";
+      "   Ops_elementwise.erf (constants carry the exact OCaml";
       "   literal bits). */";
       "static double k_erf(double x)";
       "{";

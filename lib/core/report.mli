@@ -1,21 +1,15 @@
 (** Human-readable orchestration reports. *)
 
-(** [pp_result ppf r] prints node/state/candidate counts, selected kernel
-    count, redundancy, estimated latency, simulated tuning time and the
-    static memory plan (tensors, slots, peak vs. no-reuse bytes, reuse
-    ratio), followed by the degradation-ladder summary: segments per
-    tier and any degraded or enumeration-truncated segments. *)
-val pp_result : Format.formatter -> Orchestrator.result -> unit
-
-(** [pp_segments ppf r] prints the per-segment outcome table: index,
-    ladder tier, selected kernel count, worker retries and notes
-    (fallback reason, transform degradation, state truncation). *)
-val pp_segments : Format.formatter -> Orchestrator.result -> unit
-
-(** [summary r] is [pp_result] rendered to a string. *)
+(** [summary r] — node/state/candidate counts, selected kernel count,
+    redundancy, estimated latency, simulated tuning time and the static
+    memory plan (tensors, slots, peak vs. no-reuse bytes, reuse ratio),
+    followed by the degradation-ladder summary: segments per tier and any
+    degraded or enumeration-truncated segments. *)
 val summary : Orchestrator.result -> string
 
-(** [segment_table r] is [pp_segments] rendered to a string. *)
+(** [segment_table r] — the per-segment outcome table: index, ladder
+    tier, selected kernel count, worker retries and notes (fallback
+    reason, transform degradation, state truncation). *)
 val segment_table : Orchestrator.result -> string
 
 (** [execution_to_json ~backend stats] — the optional ["execution"] block

@@ -42,11 +42,7 @@ type site =
       (** {!Serve.Plan_cache} touching disk (one lookup or one publish);
           injection turns a lookup into a miss and skips a publish *)
 
-(** All sites, in declaration order. *)
-val all_sites : site list
-
 val site_to_string : site -> string
-val site_of_string : string -> site option
 
 (** When a site's calls fail. All variants are deterministic given the
     policy seed: [Prob p] hashes (seed, site, call-number) into [0,1). *)

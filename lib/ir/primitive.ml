@@ -8,33 +8,19 @@
 
 open Tensor
 
-(** Unary elementwise functions. *)
-type unary =
-  | Exp
-  | Log
-  | Sqrt
-  | Rsqrt
-  | Neg
-  | Abs
-  | Square
-  | Reciprocal
-  | Relu
+(** Elementwise functions and reduction aggregators, shared with
+    {!Tensor.Ops_elementwise} and {!Tensor.Ops_reduce}, whose kernels take
+    them as data. *)
+type unary = Ops_elementwise.unary =
+  | Exp | Log | Sqrt | Rsqrt | Neg | Abs | Square | Reciprocal | Relu
   | LeakyRelu of float
-  | Sigmoid
-  | Silu
-  | Mish
-  | Tanh
-  | Erf
-  | Gelu
+  | Sigmoid | Silu | Mish | Tanh | Erf | Gelu
   | AddConst of float
   | MulConst of float
   | PowConst of float
   | Clip of float * float
 
-(** Binary elementwise functions (with broadcasting). *)
-type binary = Add | Sub | Mul | Div | Max | Min | Pow
-
-(** Reduction aggregators, shared with {!Tensor.Ops_reduce.agg}. *)
+type binary = Ops_elementwise.binary = Add | Sub | Mul | Div | Max | Min | Pow
 type agg = Ops_reduce.agg = Sum | Mean | Max | Min | Prod
 
 type t =

@@ -22,9 +22,6 @@ val to_string : t -> string
     case-insensitively. *)
 val of_string : string -> t option
 
-(** The environment variable consulted by {!default} ([KORCH_BACKEND]). *)
-val env_var : string
-
 (** The process-wide default backend: [KORCH_BACKEND] if set and valid
     (read once, so the choice cannot flip mid-process), else {!Interp}.
     An invalid value warns once on stderr and falls back to {!Interp}. *)

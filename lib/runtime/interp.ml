@@ -11,75 +11,75 @@ open Tensor
 exception Unsupported of string
 
 let softmax ~axis (x : Nd.t) : Nd.t =
-  let e = Ops_elementwise.exp x in
-  let s = Ops_reduce.sum ~keepdims:true ~axis e in
-  Ops_elementwise.div e s
+  let e = Ops_elementwise.unary Exp x in
+  Ops_elementwise.binary Div e (Ops_reduce.reduce Sum ~axis ~keepdims:true e)
 
 let normalize_axes ~axes ~eps (x : Nd.t) : Nd.t =
   let mean_all t =
-    List.fold_left (fun acc ax -> Ops_reduce.mean ~keepdims:true ~axis:ax acc) t axes
+    List.fold_left (fun acc axis -> Ops_reduce.reduce Mean ~axis ~keepdims:true acc) t axes
   in
-  let mu = mean_all x in
-  let centered = Ops_elementwise.sub x mu in
-  let var = mean_all (Ops_elementwise.square centered) in
-  let std = Ops_elementwise.sqrt (Ops_elementwise.add_scalar eps var) in
-  Ops_elementwise.div centered std
+  let centered = Ops_elementwise.binary Sub x (mean_all x) in
+  let var = mean_all (Ops_elementwise.unary Square centered) in
+  Ops_elementwise.(binary Div centered (unary Sqrt (unary (AddConst eps) var)))
 
 (** [eval_op op args] applies operator [op] to concrete input tensors. *)
 let eval_op (op : Optype.t) (args : Nd.t list) : Nd.t =
   let one () = match args with [ x ] -> x | _ -> invalid_arg "op arity" in
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "op arity" in
+  let unary u = Ops_elementwise.unary u (one ()) in
+  let binary b = let x, y = two () in Ops_elementwise.binary b x y in
+  let reduce agg ~axis ~keepdims = Ops_reduce.reduce agg ~axis ~keepdims (one ()) in
   match op with
   | Optype.Input name -> raise (Unsupported ("unbound input " ^ name))
   | Constant c -> Prim_interp.materialize c
-  | Relu -> Ops_elementwise.relu (one ())
-  | LeakyRelu a -> Ops_elementwise.leaky_relu ~alpha:a (one ())
-  | Sigmoid -> Ops_elementwise.sigmoid (one ())
-  | Silu -> Ops_elementwise.silu (one ())
-  | Mish -> Ops_elementwise.mish (one ())
-  | Tanh -> Ops_elementwise.tanh (one ())
-  | Gelu -> Ops_elementwise.gelu (one ())
-  | Erf -> Ops_elementwise.erf (one ())
-  | Exp -> Ops_elementwise.exp (one ())
-  | Log -> Ops_elementwise.log (one ())
-  | Sqrt -> Ops_elementwise.sqrt (one ())
-  | Neg -> Ops_elementwise.neg (one ())
-  | Square -> Ops_elementwise.square (one ())
-  | Add -> let x, y = two () in Ops_elementwise.add x y
-  | Sub -> let x, y = two () in Ops_elementwise.sub x y
-  | Mul -> let x, y = two () in Ops_elementwise.mul x y
-  | Div -> let x, y = two () in Ops_elementwise.div x y
-  | Pow -> let x, y = two () in Ops_elementwise.pow x y
+  | Relu -> unary Relu
+  | LeakyRelu a -> unary (LeakyRelu a)
+  | Sigmoid -> unary Sigmoid
+  | Silu -> unary Silu
+  | Mish -> unary Mish
+  | Tanh -> unary Tanh
+  | Gelu -> unary Gelu
+  | Erf -> unary Erf
+  | Exp -> unary Exp
+  | Log -> unary Log
+  | Sqrt -> unary Sqrt
+  | Neg -> unary Neg
+  | Square -> unary Square
+  | Add -> binary Add
+  | Sub -> binary Sub
+  | Mul -> binary Mul
+  | Div -> binary Div
+  | Pow -> binary Pow
   | Softmax axis -> softmax ~axis (one ())
   | InstanceNorm eps -> normalize_axes ~axes:[ 2; 3 ] ~eps (one ())
   | LayerNorm eps -> begin
+    let open Ops_elementwise in
     match args with
     | [ x ] -> normalize_axes ~axes:[ Shape.rank (Nd.shape x) - 1 ] ~eps x
     | [ x; scale ] ->
       let n = normalize_axes ~axes:[ Shape.rank (Nd.shape x) - 1 ] ~eps x in
-      Ops_elementwise.mul n scale
+      binary Mul n scale
     | [ x; scale; bias ] ->
       let n = normalize_axes ~axes:[ Shape.rank (Nd.shape x) - 1 ] ~eps x in
-      Ops_elementwise.add (Ops_elementwise.mul n scale) bias
+      binary Add (binary Mul n scale) bias
     | _ -> invalid_arg "layer norm arity"
   end
   | BatchNormInference eps -> begin
+    let open Ops_elementwise in
     match args with
     | [ x; scale; bias; mean; var ] ->
       let c = (Nd.shape x).(1) in
       let chan t = Nd.reshape t [| 1; c; 1; 1 |] in
-      let centered = Ops_elementwise.sub x (chan mean) in
-      let std = Ops_elementwise.sqrt (Ops_elementwise.add_scalar eps (chan var)) in
-      Ops_elementwise.add
-        (Ops_elementwise.mul (Ops_elementwise.div centered std) (chan scale))
-        (chan bias)
+      let centered = binary Sub x (chan mean) in
+      let std = unary Sqrt (unary (AddConst eps) (chan var)) in
+      binary Add (binary Mul (binary Div centered std) (chan scale)) (chan bias)
     | _ -> invalid_arg "batch norm arity"
   end
-  | ReduceSum { axis; keepdims } -> Ops_reduce.sum ~keepdims ~axis (one ())
-  | ReduceMean { axis; keepdims } -> Ops_reduce.mean ~keepdims ~axis (one ())
-  | ReduceMax { axis; keepdims } -> Ops_reduce.max ~keepdims ~axis (one ())
-  | MaxPool { kernel; stride; padding } -> Ops_reduce.maxpool2d (one ()) ~kernel ~stride ~padding
-  | AvgPool { kernel; stride; padding } -> Ops_reduce.avgpool2d (one ()) ~kernel ~stride ~padding
+  | ReduceSum { axis; keepdims } -> reduce Sum ~axis ~keepdims
+  | ReduceMean { axis; keepdims } -> reduce Mean ~axis ~keepdims
+  | ReduceMax { axis; keepdims } -> reduce Max ~axis ~keepdims
+  | MaxPool { kernel; stride; padding } -> Ops_reduce.pool2d Max (one ()) ~kernel ~stride ~padding
+  | AvgPool { kernel; stride; padding } -> Ops_reduce.pool2d Mean (one ()) ~kernel ~stride ~padding
   | GlobalAvgPool -> Ops_reduce.global_avg_pool2d (one ())
   | Transpose perm -> Ops_layout.transpose (one ()) perm
   | Reshape s -> Nd.reshape (one ()) s

@@ -3,50 +3,13 @@
     Executes every primitive against the {!Tensor} substrate. Used (a) as
     the semantic oracle for fission/transformation equivalence tests and
     (b) by the {!Executor} to run individual kernels of an orchestration
-    plan. *)
+    plan. Each elementwise, reduce and pool primitive hands its op to the
+    tensor kernel as data, which inlines the op into its loop. *)
 
 open Ir
 open Tensor
 
 exception Unsupported of string
-
-(* The scalar function a unary primitive applies: the exact
-   {!Ops_elementwise.Scalar} closures behind [Ops_elementwise.exp] and the
-   rest. *)
-let unary_scalar : Primitive.unary -> float -> float =
-  let module S = Ops_elementwise.Scalar in
-  function
-  | Exp -> S.exp
-  | Log -> S.log
-  | Sqrt -> S.sqrt
-  | Rsqrt -> fun x -> S.reciprocal (S.sqrt x)
-  | Neg -> S.neg
-  | Abs -> S.abs
-  | Square -> S.square
-  | Reciprocal -> S.reciprocal
-  | Relu -> S.relu
-  | LeakyRelu a -> S.leaky_relu a
-  | Sigmoid -> S.sigmoid
-  | Silu -> S.silu
-  | Mish -> S.mish
-  | Tanh -> S.tanh
-  | Erf -> S.erf
-  | Gelu -> S.gelu
-  | AddConst c -> S.add_const c
-  | MulConst c -> S.mul_const c
-  | PowConst c -> S.pow_const c
-  | Clip (lo, hi) -> S.clip lo hi
-
-let binary_scalar : Primitive.binary -> float -> float -> float =
-  let module S = Ops_elementwise.Scalar in
-  function
-  | Add -> S.add
-  | Sub -> S.sub
-  | Mul -> S.mul
-  | Div -> S.div
-  | Max -> S.maximum
-  | Min -> S.minimum
-  | Pow -> S.pow
 
 (* The evaluated folds, keyed by the constant's identity: an entry lives
    as long as its constant. One mutex serializes lookups and evaluations
@@ -74,10 +37,10 @@ let rec eval_prim ?dst (p : Primitive.t) (args : Nd.t list) : Nd.t =
   match p with
   | Primitive.Input name -> raise (Unsupported ("unbound input " ^ name))
   | Constant c -> materialize c
-  | Unary u -> Ops_elementwise.map ?dst (unary_scalar u) (one ())
+  | Unary u -> Ops_elementwise.unary ?dst u (one ())
   | Binary b ->
     let x, y = two () in
-    Ops_elementwise.map2 ?dst (binary_scalar b) x y
+    Ops_elementwise.binary ?dst b x y
   | Reduce (agg, axis) -> Ops_reduce.reduce ?dst agg ~axis ~keepdims:false (one ())
   | Broadcast (axis, size) -> Ops_reduce.broadcast_axis ?dst (one ()) ~axis ~size
   | Pool { agg; kernel; stride; padding } ->

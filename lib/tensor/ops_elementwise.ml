@@ -4,81 +4,118 @@
     categories (§3): the output element at position [x] depends only on the
     input elements at position [x] (after broadcasting).
 
-    Every operation is defined by a named scalar function in {!Scalar} and
-    lifted with {!map} / {!map2}, each one loop that writes into [?dst]
-    (see {!Nd.dest}) or into fresh storage, so the executor's
-    buffer-recycling mode is bit-identical to the allocating path by
-    construction. *)
+    Each scalar op is a constructor of {!unary} or {!binary}, spelled once
+    in {!eval_unary} / {!eval_binary}. The kernels {!val-unary} and
+    {!val-binary} take the op as data: the spelling is inlined into their
+    one loop, which writes into [?dst] (see {!Nd.dest}) or into fresh
+    storage and boxes no float, so the executor's buffer-recycling mode is
+    bit-identical to the allocating path by construction. *)
 
-(** The scalar kernels. Single source of truth shared by the allocating
-    and the destination-passing evaluation paths. *)
-module Scalar = struct
-  let neg x = -.x
-  let exp = Stdlib.exp
-  let log = Stdlib.log
-  let sqrt = Stdlib.sqrt
-  let abs = Float.abs
-  let square x = x *. x
-  let reciprocal x = 1.0 /. x
-  let tanh = Stdlib.tanh
+(** Unary elementwise functions. *)
+type unary =
+  | Exp
+  | Log
+  | Sqrt
+  | Rsqrt
+  | Neg
+  | Abs
+  | Square
+  | Reciprocal
+  | Relu
+  | LeakyRelu of float
+  | Sigmoid
+  | Silu
+  | Mish
+  | Tanh
+  | Erf
+  | Gelu
+  | AddConst of float
+  | MulConst of float
+  | PowConst of float
+  | Clip of float * float
 
-  (** Approximates the Gauss error function with the Abramowitz & Stegun
-      7.1.26 polynomial (max abs error 1.5e-7), which is ample for checking
-      functional equivalence of GELU decompositions. *)
-  let erf (x : float) : float =
-    let sign = if x < 0.0 then -1.0 else 1.0 in
-    let x = Float.abs x in
-    let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-    let a1 = 0.254829592 and a2 = -0.284496736 and a3 = 1.421413741 in
-    let a4 = -1.453152027 and a5 = 1.061405429 in
-    let poly = ((((a5 *. t) +. a4) *. t +. a3) *. t +. a2) *. t +. a1 in
-    sign *. (1.0 -. (poly *. t *. Stdlib.exp (-.x *. x)))
+(** Binary elementwise functions (with broadcasting). *)
+type binary = Add | Sub | Mul | Div | Max | Min | Pow
 
-  let relu x = Float.max 0.0 x
-  let leaky_relu alpha x = if x >= 0.0 then x else alpha *. x
-  let sigmoid x = 1.0 /. (1.0 +. Stdlib.exp (-.x))
+(** Approximates the Gauss error function with the Abramowitz & Stegun
+    7.1.26 polynomial (max abs error 1.5e-7), which is ample for checking
+    functional equivalence of GELU decompositions. *)
+let[@inline] erf (x : float) : float =
+  let sign = if x < 0.0 then -1.0 else 1.0 in
+  let x = Float.abs x in
+  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
+  let a1 = 0.254829592 and a2 = -0.284496736 and a3 = 1.421413741 in
+  let a4 = -1.453152027 and a5 = 1.061405429 in
+  let poly = ((((a5 *. t) +. a4) *. t +. a3) *. t +. a2) *. t +. a1 in
+  sign *. (1.0 -. (poly *. t *. Stdlib.exp (-.x *. x)))
 
-  (** SiLU / swish: [x * sigmoid x]. *)
-  let silu x = x /. (1.0 +. Stdlib.exp (-.x))
+(* [Float.min hi (Float.max lo x)] with the inner [max] resolved to a
+   choice of [x] or [lo]: binding the [max] itself would box [x]. *)
+let[@inline] clip lo hi x =
+  let take_x =
+    if x > lo || ((not (Float.sign_bit x)) && Float.sign_bit lo) then not (Float.is_nan lo)
+    else Float.is_nan x
+  in
+  if take_x then Float.min hi x else Float.min hi lo
 
-  (** Mish activation used by YOLOv4: [x * tanh (softplus x)]. *)
-  let mish x = x *. Stdlib.tanh (Stdlib.log (1.0 +. Stdlib.exp x))
+(** [eval_unary u x] — the value of [u] at [x]. Inlined into every loop
+    that calls it, so the per-element [match] boxes nothing. *)
+let[@inline] eval_unary (u : unary) (x : float) : float =
+  match u with
+  | Exp -> Stdlib.exp x
+  | Log -> Stdlib.log x
+  | Sqrt -> Stdlib.sqrt x
+  | Rsqrt -> 1.0 /. Stdlib.sqrt x
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Square -> x *. x
+  | Reciprocal -> 1.0 /. x
+  | Relu -> Float.max 0.0 x
+  | LeakyRelu alpha -> if x >= 0.0 then x else alpha *. x
+  | Sigmoid -> 1.0 /. (1.0 +. Stdlib.exp (-.x))
+  (* SiLU / swish: [x * sigmoid x]. *)
+  | Silu -> x /. (1.0 +. Stdlib.exp (-.x))
+  (* Mish, used by YOLOv4: [x * tanh (softplus x)]. *)
+  | Mish -> x *. Stdlib.tanh (Stdlib.log (1.0 +. Stdlib.exp x))
+  | Tanh -> Stdlib.tanh x
+  | Erf -> erf x
+  (* Exact GELU via erf. *)
+  | Gelu -> 0.5 *. x *. (1.0 +. erf (x /. Stdlib.sqrt 2.0))
+  | AddConst c -> x +. c
+  | MulConst c -> x *. c
+  | PowConst c -> x ** c
+  | Clip (lo, hi) -> clip lo hi x
 
-  (** Exact GELU via erf. *)
-  let gelu x = 0.5 *. x *. (1.0 +. erf (x /. Stdlib.sqrt 2.0))
+(** [eval_binary b x y] — the value of [b] at [(x, y)], inlined likewise. *)
+let[@inline] eval_binary (b : binary) (x : float) (y : float) : float =
+  match b with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Max -> Float.max x y
+  | Min -> Float.min x y
+  | Pow -> x ** y
 
-  let add_const c x = x +. c
-  let mul_const c x = x *. c
-  let pow_const c x = x ** c
-  let clip lo hi x = Float.min hi (Float.max lo x)
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let pow = ( ** )
-  let maximum = Float.max
-  let minimum = Float.min
-end
-
-(** [map ?dst f t] applies [f] to every element. *)
-let map ?dst (f : float -> float) (t : Nd.t) : Nd.t =
+(** [unary ?dst u t] applies [u] to every element. *)
+let unary ?dst (u : unary) (t : Nd.t) : Nd.t =
   let out = Nd.dest ?dst (Nd.shape t) in
   let x = t.Nd.data and d = out.Nd.data in
   for i = 0 to Array.length d - 1 do
-    d.(i) <- f x.(i)
+    d.(i) <- eval_unary u x.(i)
   done;
   out
 
-(** [map2 ?dst f a b] applies [f] pointwise after broadcasting [a] and [b]
-    to a common shape. *)
-let map2 ?dst (f : float -> float -> float) (a : Nd.t) (b : Nd.t) : Nd.t =
+(** [binary ?dst op a b] applies [op] pointwise after broadcasting [a] and
+    [b] to a common shape. *)
+let binary ?dst (op : binary) (a : Nd.t) (b : Nd.t) : Nd.t =
   let sa = Nd.shape a and sb = Nd.shape b in
   let x = a.Nd.data and y = b.Nd.data in
   if Shape.equal sa sb then begin
     let out = Nd.dest ?dst sa in
     let d = out.Nd.data in
     for i = 0 to Array.length d - 1 do
-      d.(i) <- f x.(i) y.(i)
+      d.(i) <- eval_binary op x.(i) y.(i)
     done;
     out
   end
@@ -87,39 +124,9 @@ let map2 ?dst (f : float -> float -> float) (a : Nd.t) (b : Nd.t) : Nd.t =
     let out = Nd.dest ?dst shape in
     let d = out.Nd.data in
     Shape.iter2 shape (Shape.broadcast_strides ~out:shape sa) (Shape.broadcast_strides ~out:shape sb)
-      (fun k i j -> d.(k) <- f x.(i) y.(j));
+      (fun k i j -> d.(k) <- eval_binary op x.(i) y.(j));
     out
   end
-
-let add = map2 Scalar.add
-let sub = map2 Scalar.sub
-let mul = map2 Scalar.mul
-let div = map2 Scalar.div
-let pow = map2 Scalar.pow
-let maximum = map2 Scalar.maximum
-let minimum = map2 Scalar.minimum
-
-let neg = map Scalar.neg
-let exp = map Scalar.exp
-let log = map Scalar.log
-let sqrt = map Scalar.sqrt
-let abs = map Scalar.abs
-let square = map Scalar.square
-let reciprocal = map Scalar.reciprocal
-let tanh = map Scalar.tanh
-
-let erf = map Scalar.erf
-let relu = map Scalar.relu
-let leaky_relu ~alpha = map (Scalar.leaky_relu alpha)
-let sigmoid = map Scalar.sigmoid
-let silu = map Scalar.silu
-let mish = map Scalar.mish
-let gelu = map Scalar.gelu
-let add_scalar c = map (Scalar.add_const c)
-let mul_scalar c = map (Scalar.mul_const c)
-
-(** [clip ~lo ~hi t] clamps every element into [[lo, hi]]. *)
-let clip ~lo ~hi = map (Scalar.clip lo hi)
 
 (** [select ?dst c a b] is elementwise [if c <> 0 then a else b] after
     broadcasting all three to a common shape. *)

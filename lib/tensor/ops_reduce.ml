@@ -1,5 +1,9 @@
 (** Reduce and broadcast primitives (§3, second category), plus the pooling
-    operators that lower to windowed reductions. *)
+    operators that lower to windowed reductions.
+
+    {!reduce} and {!pool2d} take the aggregator as data: {!accumulate},
+    its one spelling, is inlined into their one loop, so no float is boxed
+    per element. *)
 
 type agg = Sum | Mean | Max | Min | Prod
 
@@ -12,11 +16,13 @@ let agg_init = function
   | Min -> Float.infinity
   | Prod -> 1.0
 
-let agg_combine = function
-  | Sum | Mean -> ( +. )
-  | Max -> Float.max
-  | Min -> Float.min
-  | Prod -> ( *. )
+(** [accumulate agg acc v] folds [v] into the running [acc]. *)
+let[@inline] accumulate (agg : agg) (acc : float) (v : float) : float =
+  match agg with
+  | Sum | Mean -> acc +. v
+  | Max -> Float.max acc v
+  | Min -> Float.min acc v
+  | Prod -> acc *. v
 
 (** [reduce ?dst agg ~axis ~keepdims t] aggregates along dimension
     [axis]. With [keepdims] the reduced dimension is kept with size 1 (the
@@ -29,20 +35,15 @@ let reduce ?dst (agg : agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
   let out = Nd.dest ?dst (if keepdims then Shape.insert_axis rows axis 1 else rows) in
   let st = Shape.strides s in
   let step = st.(axis) in
-  let init = agg_init agg and combine = agg_combine agg in
+  let init = agg_init agg in
   let x = t.Nd.data and d = out.Nd.data in
   Shape.iter1 rows (Shape.drop_axis st axis) (fun k base ->
       let acc = ref init in
       for j = 0 to len - 1 do
-        acc := combine !acc x.(base + (j * step))
+        acc := accumulate agg !acc x.(base + (j * step))
       done;
       d.(k) <- (match agg with Mean -> !acc /. float_of_int len | _ -> !acc));
   out
-
-let sum ?(keepdims = false) ~axis t = reduce Sum ~axis ~keepdims t
-let mean ?(keepdims = false) ~axis t = reduce Mean ~axis ~keepdims t
-let max ?(keepdims = false) ~axis t = reduce Max ~axis ~keepdims t
-let min ?(keepdims = false) ~axis t = reduce Min ~axis ~keepdims t
 
 (** [broadcast_axis ?dst t ~axis ~size] inserts dimension [axis] of size
     [size] and replicates the input along it: the paper's broadcast
@@ -70,7 +71,7 @@ let pool2d ?dst (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * in
   let ow = ((w + (2 * pw) - kw) / sw) + 1 in
   if oh <= 0 || ow <= 0 then invalid_arg "Ops_reduce.pool2d: empty output";
   let out = Nd.dest ?dst [| n; c; oh; ow |] in
-  let init = agg_init agg and combine = agg_combine agg in
+  let init = agg_init agg in
   let x = t.Nd.data and d = out.Nd.data in
   for plane = 0 to (n * c) - 1 do
     let xbase = plane * h * w and obase = plane * oh * ow in
@@ -81,7 +82,7 @@ let pool2d ?dst (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * in
           for kj = 0 to kw - 1 do
             let ii = (oi * sh) + ki - ph and jj = (oj * sw) + kj - pw in
             if ii >= 0 && ii < h && jj >= 0 && jj < w then begin
-              acc := combine !acc x.(xbase + (ii * w) + jj);
+              acc := accumulate agg !acc x.(xbase + (ii * w) + jj);
               incr count
             end
           done
@@ -95,13 +96,9 @@ let pool2d ?dst (agg : agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * in
   done;
   out
 
-let maxpool2d = pool2d Max
-let avgpool2d = pool2d Mean
-
 (** [global_avg_pool2d t] averages over the spatial dimensions of an NCHW
     tensor, producing [N x C x 1 x 1]. *)
 let global_avg_pool2d (t : Nd.t) : Nd.t =
   let s = Nd.shape t in
   if Shape.rank s <> 4 then invalid_arg "Ops_reduce.global_avg_pool2d: expected NCHW";
-  let m = mean ~keepdims:true ~axis:3 t in
-  mean ~keepdims:true ~axis:2 m
+  reduce Mean ~axis:2 ~keepdims:true (reduce Mean ~axis:3 ~keepdims:true t)

@@ -27,7 +27,7 @@ let value rng kind (s : Shape.t) : Nd.t =
   let v = Nd.randn rng s in
   match kind with
   | Any -> v
-  | Positive -> Ops_elementwise.add_scalar 0.5 (Ops_elementwise.abs v)
+  | Positive -> Ops_elementwise.(unary (AddConst 0.5) (unary Abs v))
 
 let dim rng = 2 + Rng.int rng 3 (* 2..4 *)
 

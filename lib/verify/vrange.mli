@@ -28,15 +28,11 @@ val top : v
 val input_fact : v
 
 val is_empty : v -> bool
-val fact_to_string : v -> string
 
 (** Abstraction of a constant: exact for a fill or a [Data] payload
     (scanned); a fold's fact is the transfer of its primitive over its
     arguments' facts. *)
 val of_const : Const.t -> v
-
-(** float64 [exp] overflows to [+inf] at and above this argument. *)
-val exp_overflow : float
 
 (** [mk ?nonzero ?nonnan lo hi] — an interval fact with finiteness
     derived from the bounds. Exposed, with the per-class combinators

@@ -6,11 +6,81 @@
    nothing here shares index arithmetic with the library's strided walk.
    Convolution is im2col + GEMM, the lowering the interpreter used before
    its direct loop, and [conv2d_direct] is the textbook nested loop with
-   the GEMM's zero guard. The library must give the same float bits,
-   NaN payloads included. *)
+   the GEMM's zero guard. Every scalar op and aggregator is spelled here
+   again, not borrowed from the library, so a wrong library scalar fails
+   against it. The library must give the same float bits, NaN payloads
+   included. *)
 
 open Ir
 open Tensor
+
+(* ---------------- scalar ops ---------------- *)
+
+(* OCaml's [Float.max]/[Float.min]: a NaN operand wins, and -0.0 orders
+   below +0.0. *)
+let fmax x y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+let fmin x y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+(* Abramowitz & Stegun 7.1.26. *)
+let erf x =
+  let t = 1.0 /. (1.0 +. (0.3275911 *. Float.abs x)) in
+  let poly =
+    ((((((((1.061405429 *. t) +. -1.453152027) *. t) +. 1.421413741) *. t) +. -0.284496736) *. t)
+    +. 0.254829592)
+  in
+  (if x < 0.0 then -1.0 else 1.0) *. (1.0 -. (poly *. t *. exp (-.Float.abs x *. Float.abs x)))
+
+let unary (u : Primitive.unary) (x : float) : float =
+  match u with
+  | Exp -> exp x
+  | Log -> log x
+  | Sqrt -> sqrt x
+  | Rsqrt -> 1.0 /. sqrt x
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Square -> x *. x
+  | Reciprocal -> 1.0 /. x
+  | Relu -> fmax 0.0 x
+  | LeakyRelu a -> if x >= 0.0 then x else a *. x
+  | Sigmoid -> 1.0 /. (1.0 +. exp (-.x))
+  | Silu -> x /. (1.0 +. exp (-.x))
+  | Mish -> x *. tanh (log (1.0 +. exp x))
+  | Tanh -> tanh x
+  | Erf -> erf x
+  | Gelu -> 0.5 *. x *. (1.0 +. erf (x /. sqrt 2.0))
+  | AddConst c -> x +. c
+  | MulConst c -> x *. c
+  | PowConst c -> Float.pow x c
+  | Clip (lo, hi) -> fmin hi (fmax lo x)
+
+let binary (b : Primitive.binary) (x : float) (y : float) : float =
+  match b with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Max -> fmax x y
+  | Min -> fmin x y
+  | Pow -> Float.pow x y
+
+let agg_init : Primitive.agg -> float = function
+  | Sum | Mean -> 0.0
+  | Max -> neg_infinity
+  | Min -> infinity
+  | Prod -> 1.0
+
+let agg_combine : Primitive.agg -> float -> float -> float = function
+  | Sum | Mean -> ( +. )
+  | Max -> fmax
+  | Min -> fmin
+  | Prod -> ( *. )
 
 (* ---------------- elementwise ---------------- *)
 
@@ -48,12 +118,12 @@ let select (c : Nd.t) (a : Nd.t) (b : Nd.t) : Nd.t =
 
 (* ---------------- reduce / broadcast / pool ---------------- *)
 
-let reduce (agg : Ops_reduce.agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
+let reduce (agg : Primitive.agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
   let s = Nd.shape t in
   let r = Shape.rank s in
   let d = s.(axis) in
   let out_shape = Shape.drop_axis s axis in
-  let combine = Ops_reduce.agg_combine agg in
+  let combine = agg_combine agg in
   let st = Shape.strides s in
   let out =
     Nd.create out_shape (fun k ->
@@ -63,11 +133,11 @@ let reduce (agg : Ops_reduce.agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : 
           if i < axis then base := !base + (idx_out.(i) * st.(i))
           else if i > axis then base := !base + (idx_out.(i - 1) * st.(i))
         done;
-        let acc = ref (Ops_reduce.agg_init agg) in
+        let acc = ref (agg_init agg) in
         for j = 0 to d - 1 do
           acc := combine !acc (Nd.get_linear t (!base + (j * st.(axis))))
         done;
-        match agg with Ops_reduce.Mean -> !acc /. float_of_int d | _ -> !acc)
+        match agg with Mean -> !acc /. float_of_int d | _ -> !acc)
   in
   if keepdims then Nd.reshape out (Shape.insert_axis out_shape axis 1) else out
 
@@ -75,7 +145,7 @@ let broadcast_axis (t : Nd.t) ~(axis : int) ~(size : int) : Nd.t =
   let out_shape = Shape.insert_axis (Nd.shape t) axis size in
   Nd.create out_shape (fun k -> Nd.get t (Shape.drop_axis (Shape.unravel out_shape k) axis))
 
-let pool2d (agg : Ops_reduce.agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * int)
+let pool2d (agg : Primitive.agg) (t : Nd.t) ~(kernel : int * int) ~(stride : int * int)
     ~(padding : int * int) : Nd.t =
   let s = Nd.shape t in
   let h = s.(2) and w = s.(3) in
@@ -83,10 +153,10 @@ let pool2d (agg : Ops_reduce.agg) (t : Nd.t) ~(kernel : int * int) ~(stride : in
   let oh = ((h + (2 * ph) - kh) / sh) + 1 in
   let ow = ((w + (2 * pw) - kw) / sw) + 1 in
   let out_shape = [| s.(0); s.(1); oh; ow |] in
-  let combine = Ops_reduce.agg_combine agg in
+  let combine = agg_combine agg in
   Nd.create out_shape (fun k ->
       let idx = Shape.unravel out_shape k in
-      let acc = ref (Ops_reduce.agg_init agg) and count = ref 0 in
+      let acc = ref (agg_init agg) and count = ref 0 in
       for ki = 0 to kh - 1 do
         for kj = 0 to kw - 1 do
           let ii = (idx.(2) * sh) + ki - ph and jj = (idx.(3) * sw) + kj - pw in
@@ -97,7 +167,7 @@ let pool2d (agg : Ops_reduce.agg) (t : Nd.t) ~(kernel : int * int) ~(stride : in
         done
       done;
       match agg with
-      | Ops_reduce.Mean -> if !count = 0 then 0.0 else !acc /. float_of_int (kh * kw)
+      | Mean -> if !count = 0 then 0.0 else !acc /. float_of_int (kh * kw)
       | _ -> !acc)
 
 (* ---------------- layout ---------------- *)
@@ -246,18 +316,17 @@ let conv2d_direct (t : Nd.t) (weight : Nd.t) ~(stride : int * int) ~(padding : i
 
 (* ---------------- primitive graphs ---------------- *)
 
-(* [Prim_interp.eval_prim] over the kernels above, with the library's
-   scalar functions. *)
+(* [Prim_interp.eval_prim] over the kernels and scalar ops above. *)
 let eval_prim (p : Primitive.t) (args : Nd.t list) : Nd.t =
   let one () = match args with [ x ] -> x | _ -> invalid_arg "prim arity" in
   let two () = match args with [ x; y ] -> (x, y) | _ -> invalid_arg "prim arity" in
   match p with
   | Primitive.Input _ | Opaque _ -> invalid_arg "Ref_tensor_ops.eval_prim: not evaluable"
   | Constant c -> Runtime.Prim_interp.materialize c
-  | Unary u -> map (Runtime.Prim_interp.unary_scalar u) (one ())
+  | Unary u -> map (unary u) (one ())
   | Binary b ->
     let x, y = two () in
-    map2 (Runtime.Prim_interp.binary_scalar b) x y
+    map2 (binary b) x y
   | Reduce (agg, axis) -> reduce agg ~axis ~keepdims:false (one ())
   | Broadcast (axis, size) -> broadcast_axis (one ()) ~axis ~size
   | Pool { agg; kernel; stride; padding } -> pool2d agg (one ()) ~kernel ~stride ~padding

@@ -61,7 +61,7 @@ let test_softmax_sums_to_one () =
   let pg, _ = Fission.Engine.run g in
   match Runtime.Prim_interp.run pg ~inputs:[ ("x", Nd.randn rng [| 4; 8 |]) ] with
   | [ out ] ->
-    let sums = Ops_reduce.sum ~axis:1 out in
+    let sums = Ops_reduce.reduce Sum ~axis:1 ~keepdims:false out in
     Alcotest.(check bool) "rows sum to 1" true
       (Nd.allclose ~rtol:1e-9 ~atol:1e-9 sums (Nd.ones [| 4 |]))
   | _ -> Alcotest.fail "arity"
@@ -83,10 +83,10 @@ let test_instance_norm_statistics () =
   let pg, _ = Fission.Engine.run g in
   match Runtime.Prim_interp.run pg ~inputs:[ ("x", Nd.randn rng [| 1; 2; 8; 8 |]) ] with
   | [ out ] ->
-    let mean = Ops_reduce.mean ~axis:2 (Ops_reduce.mean ~axis:2 out) in
+    let mean = Ops_reduce.reduce Mean ~axis:2 ~keepdims:false (Ops_reduce.reduce Mean ~axis:2 ~keepdims:false out) in
     Alcotest.(check bool) "zero mean" true
       (Nd.allclose ~rtol:0. ~atol:1e-7 mean (Nd.zeros [| 1; 2 |]));
-    let var = Ops_reduce.mean ~axis:2 (Ops_reduce.mean ~axis:2 (Ops_elementwise.square out)) in
+    let var = Ops_reduce.reduce Mean ~axis:2 ~keepdims:false (Ops_reduce.reduce Mean ~axis:2 ~keepdims:false (Ops_elementwise.unary Square out)) in
     Alcotest.(check bool) "unit variance" true
       (Nd.allclose ~rtol:1e-4 ~atol:1e-4 var (Nd.ones [| 1; 2 |]))
   | _ -> Alcotest.fail "arity"

@@ -243,7 +243,7 @@ let test_const_materialize () =
   Alcotest.(check bool) "randn deterministic" true (Nd.equal a b);
   let c = Runtime.Prim_interp.materialize (Const.randn_scaled [| 8 |] 7 0.5) in
   Alcotest.(check bool) "scaled = 0.5 * unscaled" true
-    (Nd.equal c (Tensor.Ops_elementwise.mul_scalar 0.5 a))
+    (Nd.equal c (Tensor.Ops_elementwise.unary (MulConst 0.5) a))
 
 (* ---------------- batch_sym ---------------- *)
 

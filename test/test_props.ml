@@ -1011,11 +1011,10 @@ let gen_map =
   let* shape = gen_shape ~lo:0 ~hi:4 in
   let* x = gen_values shape in
   let* u = oneofl (Array.to_list fuzz_unaries) in
-  let f = Runtime.Prim_interp.unary_scalar u in
   return
     { what = Printf.sprintf "%s %s" (Primitive.to_string (Primitive.Unary u)) (shapes [ shape ]);
-      lib = (fun ?dst () -> Ops_elementwise.map ?dst f x);
-      reference = (fun () -> Ref_tensor_ops.map f x) }
+      lib = (fun ?dst () -> Ops_elementwise.unary ?dst u x);
+      reference = (fun () -> Ref_tensor_ops.(map (unary u)) x) }
 
 let gen_map2 =
   let open QCheck2.Gen in
@@ -1025,11 +1024,10 @@ let gen_map2 =
   let* a = gen_values sa in
   let* b = gen_values sb in
   let* op = oneofl (Primitive.Pow :: Array.to_list fuzz_binaries) in
-  let f = Runtime.Prim_interp.binary_scalar op in
   return
     { what = Printf.sprintf "%s %s" (Primitive.to_string (Primitive.Binary op)) (shapes [ sa; sb ]);
-      lib = (fun ?dst () -> Ops_elementwise.map2 ?dst f a b);
-      reference = (fun () -> Ref_tensor_ops.map2 f a b) }
+      lib = (fun ?dst () -> Ops_elementwise.binary ?dst op a b);
+      reference = (fun () -> Ref_tensor_ops.(map2 (binary op)) a b) }
 
 let gen_select =
   let open QCheck2.Gen in

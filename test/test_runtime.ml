@@ -515,6 +515,67 @@ let test_eval_prim_dst () =
   check_into "upsample" (Primitive.Upsample 2) [ img ];
   check_allocates "constant" (Primitive.Constant (Const.value [| 3; 6 |] 2.0)) []
 
+(* The elementwise, reduce and pool kernels box no float per element:
+   their scalar op is inlined into the loop, never called through a
+   closure. Every input and output here is over 256 words, so it lives in
+   the major heap and only per-element boxing would show in
+   [Gc.minor_words]. *)
+let test_eval_prim_allocates_nothing () =
+  let x = operand ~seed:14 [| 64; 256 |] and y = operand ~seed:15 [| 64; 256 |] in
+  let row = operand ~seed:16 [| 256 |] in
+  let cube = operand ~seed:17 [| 64; 16; 16 |] in
+  let img = operand ~seed:18 [| 1; 16; 32; 32 |] in
+  let cases =
+    List.map
+      (fun u -> (Primitive.Unary u, [ x ]))
+      Primitive.
+        [
+          Exp; Log; Sqrt; Rsqrt; Neg; Abs; Square; Reciprocal; Relu; LeakyRelu 0.1; Sigmoid;
+          Silu; Mish; Tanh; Erf; Gelu; AddConst 0.5; MulConst (-1.3); PowConst 3.7;
+          Clip (-0.5, 0.5);
+        ]
+    @ List.concat_map
+        (fun b -> [ (Primitive.Binary b, [ x; y ]); (Primitive.Binary b, [ x; row ]) ])
+        Primitive.[ Add; Sub; Mul; Div; Max; Min; Pow ]
+    @ List.map
+        (fun agg -> (Primitive.Reduce (agg, 1), [ cube ]))
+        Primitive.[ Sum; Mean; Max; Min; Prod ]
+    @ List.map
+        (fun agg ->
+          (Primitive.Pool { agg; kernel = (3, 3); stride = (1, 1); padding = (1, 1) }, [ img ]))
+        Primitive.[ Max; Mean ]
+  in
+  let words_per_element p args ~into =
+    let elems = List.fold_left (fun n t -> max n (Nd.numel t)) 0 args in
+    let dst = Array.make (Nd.numel (Runtime.Prim_interp.eval_prim p args)) 0.0 in
+    let eval () =
+      ignore
+        (if into then Runtime.Prim_interp.eval_prim ~dst p args
+         else Runtime.Prim_interp.eval_prim p args)
+    in
+    eval ();
+    let w0 = Gc.minor_words () in
+    eval ();
+    (Gc.minor_words () -. w0) /. float_of_int elems
+  in
+  let offenders =
+    List.concat_map
+      (fun (p, args) ->
+        List.filter_map
+          (fun into ->
+            let w = words_per_element p args ~into in
+            if w < 0.01 then None
+            else
+              Some
+                (Printf.sprintf "%s %s%s: %.3f words/element" (Primitive.to_string p)
+                   (String.concat " " (List.map (fun t -> Shape.to_string (Nd.shape t)) args))
+                   (if into then " into dst" else "")
+                   w))
+          [ false; true ])
+      cases
+  in
+  if offenders <> [] then Alcotest.failf "allocates per element:\n%s" (String.concat "\n" offenders)
+
 (* The executor dispatch: backend names. *)
 let test_backend_of_string () =
   Alcotest.(check bool) "native" true
@@ -720,7 +781,9 @@ let () =
            points, Executor.run on both backends among them. *)
         @ Malformed_plans.cases "executor"
         @ [ Alcotest.test_case "modes" `Quick test_executor_modes;
-            Alcotest.test_case "eval_prim into dst" `Quick test_eval_prim_dst ] );
+            Alcotest.test_case "eval_prim into dst" `Quick test_eval_prim_dst;
+            Alcotest.test_case "eval_prim allocates nothing per element" `Quick
+              test_eval_prim_allocates_nothing ] );
       ( "dot",
         [ Alcotest.test_case "plan clusters" `Quick test_dot_plan_clusters;
           Alcotest.test_case "hostile labels" `Quick test_dot_hostile_labels;

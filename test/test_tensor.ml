@@ -49,21 +49,21 @@ let test_axis_edits () =
 let test_broadcast_add () =
   let a = Nd.of_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
   let b = Nd.of_array [| 3 |] [| 10.; 20.; 30. |] in
-  let c = Ops_elementwise.add a b in
+  let c = Ops_elementwise.binary Add a b in
   check_close "row broadcast" c (Nd.of_array [| 2; 3 |] [| 11.; 22.; 33.; 14.; 25.; 36. |]);
   let col = Nd.of_array [| 2; 1 |] [| 100.; 200. |] in
-  let d = Ops_elementwise.add a col in
+  let d = Ops_elementwise.binary Add a col in
   check_close "col broadcast" d (Nd.of_array [| 2; 3 |] [| 101.; 102.; 103.; 204.; 205.; 206. |])
 
 let test_scalar_broadcast () =
   let a = Nd.of_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
   let s = Nd.scalar 10.0 in
-  check_close "scalar" (Ops_elementwise.mul a s) (Nd.of_array [| 2; 2 |] [| 10.; 20.; 30.; 40. |])
+  check_close "scalar" (Ops_elementwise.binary Mul a s) (Nd.of_array [| 2; 2 |] [| 10.; 20.; 30.; 40. |])
 
 let test_erf () =
   (* Reference values from tables: erf(0)=0, erf(1)≈0.8427, erf(-1)≈-0.8427 *)
   let x = Nd.of_array [| 3 |] [| 0.0; 1.0; -1.0 |] in
-  let y = Ops_elementwise.erf x in
+  let y = Ops_elementwise.unary Erf x in
   Alcotest.(check bool) "erf values" true
     (Float.abs (Nd.get_linear y 0) < 1e-7
     && Float.abs (Nd.get_linear y 1 -. 0.8427008) < 1e-5
@@ -71,13 +71,13 @@ let test_erf () =
 
 let test_activations () =
   let x = Nd.of_array [| 4 |] [| -2.0; -0.5; 0.5; 2.0 |] in
-  let relu = Ops_elementwise.relu x in
+  let relu = Ops_elementwise.unary Relu x in
   check_close "relu" relu (Nd.of_array [| 4 |] [| 0.; 0.; 0.5; 2.0 |]);
-  let lrelu = Ops_elementwise.leaky_relu ~alpha:0.1 x in
+  let lrelu = Ops_elementwise.unary (LeakyRelu 0.1) x in
   check_close "leaky" lrelu (Nd.of_array [| 4 |] [| -0.2; -0.05; 0.5; 2.0 |]);
   (* silu(x) = x*sigmoid(x) *)
-  let silu = Ops_elementwise.silu x in
-  let expected = Ops_elementwise.mul x (Ops_elementwise.sigmoid x) in
+  let silu = Ops_elementwise.unary Silu x in
+  let expected = Ops_elementwise.binary Mul x (Ops_elementwise.unary Sigmoid x) in
   check_close ~eps:1e-12 "silu" silu expected
 
 let test_select () =
@@ -99,16 +99,16 @@ let test_select () =
 
 let test_reduce_sum () =
   let x = Nd.of_array [| 2; 3 |] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
-  check_close "axis 1" (Ops_reduce.sum ~axis:1 x) (Nd.of_array [| 2 |] [| 6.; 15. |]);
-  check_close "axis 0" (Ops_reduce.sum ~axis:0 x) (Nd.of_array [| 3 |] [| 5.; 7.; 9. |]);
-  check_close "keepdims" (Ops_reduce.sum ~keepdims:true ~axis:1 x)
+  check_close "axis 1" (Ops_reduce.reduce Sum ~axis:1 ~keepdims:false x) (Nd.of_array [| 2 |] [| 6.; 15. |]);
+  check_close "axis 0" (Ops_reduce.reduce Sum ~axis:0 ~keepdims:false x) (Nd.of_array [| 3 |] [| 5.; 7.; 9. |]);
+  check_close "keepdims" (Ops_reduce.reduce Sum ~axis:1 ~keepdims:true x)
     (Nd.of_array [| 2; 1 |] [| 6.; 15. |])
 
 let test_reduce_variants () =
   let x = Nd.of_array [| 2; 2 |] [| 1.; 5.; -3.; 2. |] in
-  check_close "max" (Ops_reduce.max ~axis:1 x) (Nd.of_array [| 2 |] [| 5.; 2. |]);
-  check_close "min" (Ops_reduce.min ~axis:1 x) (Nd.of_array [| 2 |] [| 1.; -3. |]);
-  check_close "mean" (Ops_reduce.mean ~axis:1 x) (Nd.of_array [| 2 |] [| 3.; -0.5 |])
+  check_close "max" (Ops_reduce.reduce Max ~axis:1 ~keepdims:false x) (Nd.of_array [| 2 |] [| 5.; 2. |]);
+  check_close "min" (Ops_reduce.reduce Min ~axis:1 ~keepdims:false x) (Nd.of_array [| 2 |] [| 1.; -3. |]);
+  check_close "mean" (Ops_reduce.reduce Mean ~axis:1 ~keepdims:false x) (Nd.of_array [| 2 |] [| 3.; -0.5 |])
 
 let test_broadcast_axis_inverse () =
   (* reduce(broadcast(x)) / size = x for Sum; broadcast then indexing *)
@@ -120,12 +120,12 @@ let test_broadcast_axis_inverse () =
 
 let test_maxpool () =
   let x = Nd.of_array [| 1; 1; 4; 4 |] (Array.init 16 float_of_int) in
-  let y = Ops_reduce.maxpool2d x ~kernel:(2, 2) ~stride:(2, 2) ~padding:(0, 0) in
+  let y = Ops_reduce.pool2d Max x ~kernel:(2, 2) ~stride:(2, 2) ~padding:(0, 0) in
   check_close "maxpool" y (Nd.of_array [| 1; 1; 2; 2 |] [| 5.; 7.; 13.; 15. |])
 
 let test_avgpool_padding () =
   let x = Nd.ones [| 1; 1; 2; 2 |] in
-  let y = Ops_reduce.avgpool2d x ~kernel:(2, 2) ~stride:(1, 1) ~padding:(1, 1) in
+  let y = Ops_reduce.pool2d Mean x ~kernel:(2, 2) ~stride:(1, 1) ~padding:(1, 1) in
   Alcotest.(check (array int)) "shape" [| 1; 1; 3; 3 |] (Nd.shape y);
   (* corner window covers 1 valid cell of 4 -> 0.25 *)
   Alcotest.(check (float 1e-9)) "corner" 0.25 (Nd.get y [| 0; 0; 0; 0 |])
@@ -199,7 +199,7 @@ let test_conv_bias () =
   let bias = Nd.of_array [| 3 |] [| 1.; 2.; 3. |] in
   let with_bias = Ops_linear.conv2d x w ~bias ~stride:(1, 1) ~padding:(0, 0) () in
   let without = Ops_linear.conv2d x w ~stride:(1, 1) ~padding:(0, 0) () in
-  let diff = Ops_elementwise.sub with_bias without in
+  let diff = Ops_elementwise.binary Sub with_bias without in
   Alcotest.(check (float 1e-12)) "bias channel 2" 3.0 (Nd.get diff [| 0; 2; 1; 1 |])
 
 let test_upsample () =
@@ -246,7 +246,7 @@ let prop_reduce_sum_total =
         let total = Array.fold_left ( +. ) 0.0 x.Nd.data in
         let reduced = ref x in
         for _ = 1 to Shape.rank s do
-          reduced := Ops_reduce.sum ~axis:0 !reduced
+          reduced := Ops_reduce.reduce Sum ~axis:0 ~keepdims:false !reduced
         done;
         Float.abs (Nd.to_scalar !reduced -. total) <= 1e-6 *. (1.0 +. Float.abs total)
       end)
@@ -266,8 +266,8 @@ let prop_matmul_linear =
       let r = Rng.create 3 in
       let a1 = Nd.randn r [| m; k |] and a2 = Nd.randn r [| m; k |] in
       let b = Nd.randn r [| k; n |] in
-      let lhs = Ops_linear.matmul (Ops_elementwise.add a1 a2) b in
-      let rhs = Ops_elementwise.add (Ops_linear.matmul a1 b) (Ops_linear.matmul a2 b) in
+      let lhs = Ops_linear.matmul (Ops_elementwise.binary Add a1 a2) b in
+      let rhs = Ops_elementwise.binary Add (Ops_linear.matmul a1 b) (Ops_linear.matmul a2 b) in
       Nd.allclose ~rtol:1e-9 ~atol:1e-9 lhs rhs)
 
 let qcheck_cases =
