@@ -11,33 +11,17 @@
 
 open Cmdliner
 
-let spec_conv =
-  let parse s =
-    match Gpu.Spec.by_name s with
-    | Some spec -> Ok spec
-    | None -> Error (`Msg (Printf.sprintf "unknown GPU %S (p100|v100|a100|h100)" s))
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Gpu.Spec.name)
-
-let precision_conv =
-  let parse s =
-    match Gpu.Precision.of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown precision %S (fp32|tf32|fp16)" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Gpu.Precision.to_string p))
-
 let model_arg =
   let doc = "Model from the zoo (see `korch list')." in
   Arg.(required & opt (some string) None & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
 
 let gpu_arg =
   let doc = "Target GPU model." in
-  Arg.(value & opt spec_conv Gpu.Spec.v100 & info [ "gpu" ] ~docv:"GPU" ~doc)
+  Arg.(value & opt Cli.spec_conv Gpu.Spec.v100 & info [ "gpu" ] ~docv:"GPU" ~doc)
 
 let precision_arg =
   let doc = "Numeric precision." in
-  Arg.(value & opt precision_conv Gpu.Precision.FP32 & info [ "precision" ] ~docv:"PREC" ~doc)
+  Arg.(value & opt Cli.precision_conv Gpu.Precision.FP32 & info [ "precision" ] ~docv:"PREC" ~doc)
 
 let batch_arg =
   let doc = "Batch size." in
@@ -101,15 +85,6 @@ let report_meta ~source ~gpu ~precision ~batch ~jobs extra =
   ]
   @ extra
 
-let inject_conv =
-  let parse s =
-    match Faults.parse_rule s with Ok r -> Ok r | Error m -> Error (`Msg m)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf (site, spec) ->
-        Format.fprintf ppf "%s:%s" (Faults.site_to_string site) (Faults.spec_to_string spec) )
-
 let inject_arg =
   let doc =
     "Inject a deterministic synthetic fault at SITE \
@@ -124,7 +99,7 @@ let inject_arg =
      $(b,codegen_compile) fires in the native backend's kernel compiler: the affected \
      kernel degrades to the interpreter, never the run."
   in
-  Arg.(value & opt_all inject_conv [] & info [ "inject" ] ~docv:"SITE:SPEC" ~doc)
+  Arg.(value & opt_all Cli.inject_conv [] & info [ "inject" ] ~docv:"SITE:SPEC" ~doc)
 
 let backend_conv =
   let parse s =

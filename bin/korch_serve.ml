@@ -12,31 +12,6 @@
 
 open Cmdliner
 
-let spec_conv =
-  let parse s =
-    match Gpu.Spec.by_name s with
-    | Some spec -> Ok spec
-    | None -> Error (`Msg (Printf.sprintf "unknown GPU %S (p100|v100|a100|h100)" s))
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf s.Gpu.Spec.name)
-
-let precision_conv =
-  let parse s =
-    match Gpu.Precision.of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown precision %S (fp32|tf32|fp16)" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Gpu.Precision.to_string p))
-
-let inject_conv =
-  let parse s =
-    match Faults.parse_rule s with Ok r -> Ok r | Error m -> Error (`Msg m)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf (site, spec) ->
-        Format.fprintf ppf "%s:%s" (Faults.site_to_string site) (Faults.spec_to_string spec) )
-
 let socket_arg =
   let doc = "Unix-domain socket path the daemon listens on." in
   Arg.(
@@ -83,16 +58,16 @@ let daemon_cmd =
             "Max in-flight optimize/run requests; beyond this the daemon answers \
              {status: overloaded} immediately (clients back off and retry).")
   in
-  let gpu = Arg.(value & opt spec_conv Gpu.Spec.v100 & info [ "gpu" ] ~docv:"GPU" ~doc:"Default target GPU (requests may override).") in
+  let gpu = Arg.(value & opt Cli.spec_conv Gpu.Spec.v100 & info [ "gpu" ] ~docv:"GPU" ~doc:"Default target GPU (requests may override).") in
   let precision =
     Arg.(
       value
-      & opt precision_conv Gpu.Precision.FP32
+      & opt Cli.precision_conv Gpu.Precision.FP32
       & info [ "precision" ] ~docv:"PREC" ~doc:"Default precision (requests may override).")
   in
   let inject =
     Arg.(
-      value & opt_all inject_conv []
+      value & opt_all Cli.inject_conv []
       & info [ "inject" ] ~docv:"SITE:SPEC"
           ~doc:
             "Install a deterministic fault-injection policy in the daemon (same grammar as \

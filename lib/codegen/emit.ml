@@ -33,7 +33,7 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported_kernel s)) fm
 (* Bump when emitted code changes in any way: the version participates in
    the cache signature, so stale .so entries are never reused across
    generator revisions. *)
-let version = "korch-cg/3"
+let version = "korch-cg/4"
 
 (** [hash signature] — the hex digest that names a kernel's cache entry
     and its C function. *)
@@ -204,9 +204,9 @@ let flit (f : float) : string =
   else if Float.is_integer f && Float.abs f <= 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%h" f
 
-(* Linear-offset expression: sum of index variables times literal strides
-   (zero-stride terms dropped). *)
-let off_expr (names : string list) (strides : int array) : string =
+(* Linear-offset expression: [base] (default 0) plus index variables
+   times literal strides (zero terms dropped). *)
+let off_expr ?(base = 0) (names : string list) (strides : int array) : string =
   let parts = ref [] in
   List.iteri
     (fun i name ->
@@ -215,7 +215,10 @@ let off_expr (names : string list) (strides : int array) : string =
           (if strides.(i) = 1 then name else Printf.sprintf "%s*%d" name strides.(i))
           :: !parts)
     names;
-  match List.rev !parts with [] -> "0" | ps -> String.concat " + " ps
+  let parts = List.rev !parts in
+  match if base = 0 then parts else string_of_int base :: parts with
+  | [] -> "0"
+  | ps -> String.concat " + " ps
 
 (* Nested loops over [shape]; [body] receives the index variable names.
    The whole construct is wrapped in its own block so names can repeat
@@ -232,6 +235,15 @@ let with_loops buf (shape : Shape.t) (body : string list -> unit) : unit =
     bpf buf "  }\n"
   done;
   bpf buf "  }\n"
+
+(* The loop nest copying the elements [src]'s view maps onto the
+   positions [dst]'s view maps them to (both views have one shape). *)
+let emit_copy buf ~dst:((dn : string), (dv : View.t)) ~src:((sn : string), (sv : View.t)) =
+  with_loops buf sv.View.shape (fun names ->
+      bpf buf "    %s[%s] = %s[%s];\n" dn
+        (off_expr ~base:dv.View.offset names dv.View.strides)
+        sn
+        (off_expr ~base:sv.View.offset names sv.View.strides))
 
 let unary_expr (u : Primitive.unary) (x : string) : string =
   let sqrt2 = flit (Stdlib.sqrt 2.0) in
@@ -370,10 +382,7 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
     let st = Shape.strides sx in
     let d = sx.(axis) in
     let so = Shape.strides out_shape in
-    (* Out dim i maps to input dim (i < axis ? i : i+1). *)
-    let base_strides =
-      Array.init (Array.length out_shape) (fun i -> if i < axis then st.(i) else st.(i + 1))
-    in
+    let base_strides = Shape.drop_axis st axis in
     with_loops buf out_shape (fun names ->
         bpf buf "    double acc = %s;\n" (agg_init_lit agg);
         bpf buf "    const double *row = %s + %s;\n" src (off_expr names base_strides);
@@ -384,18 +393,10 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
           match agg with Ops_reduce.Mean -> Printf.sprintf "acc / (double)%d" d | _ -> "acc"
         in
         bpf buf "    %s[%s] = %s;\n" dst (off_expr names so) final)
-  | Primitive.Broadcast (axis, _size) ->
+  | Primitive.Broadcast (axis, size) ->
     let src, sx = one () in
-    let stx = Shape.strides sx in
-    let so = Shape.strides out_shape in
-    (* Out dim i reads input dim (i < axis ? i : i-1); the inserted axis
-       contributes stride 0. *)
-    let es =
-      Array.init (Array.length out_shape) (fun i ->
-          if i = axis then 0 else if i < axis then stx.(i) else stx.(i - 1))
-    in
-    with_loops buf out_shape (fun names ->
-        bpf buf "    %s[%s] = %s[%s];\n" dst (off_expr names so) src (off_expr names es))
+    emit_copy buf ~dst:(dst, View.dense out_shape)
+      ~src:(src, View.broadcast_axis (View.dense sx) ~axis ~size)
   | Primitive.Pool { agg; kernel = kh, kw; stride = sh, sw; padding = ph, pw } ->
     let src, sx = one () in
     let h = sx.(2) and w = sx.(3) in
@@ -428,44 +429,22 @@ let emit_node buf (g : Primgraph.t) (id : int) ~(dst : string)
         bpf buf "    %s[%s] = %s;\n" dst (off_expr names so) final)
   | Primitive.Transpose perm ->
     let src, sx = one () in
-    let stx = Shape.strides sx in
-    let so = Shape.strides out_shape in
-    let es = Array.init (Array.length perm) (fun i -> stx.(perm.(i))) in
-    with_loops buf out_shape (fun names ->
-        bpf buf "    %s[%s] = %s[%s];\n" dst (off_expr names so) src (off_expr names es))
+    emit_copy buf ~dst:(dst, View.dense out_shape) ~src:(src, View.transpose (View.dense sx) perm)
   | Primitive.Reshape _ ->
     let src, _ = one () in
     bpf buf "  memcpy(%s, %s, %d * sizeof(double));\n" dst src n_out
-  | Primitive.Pad { before; after = _; value } ->
+  | Primitive.Pad { before; after; value } ->
     let src, sx = one () in
-    let so = Shape.strides out_shape in
-    let sts = Shape.strides sx in
-    let base =
-      Array.to_list before |> List.mapi (fun i b -> b * so.(i)) |> List.fold_left ( + ) 0
-    in
+    let _, v = View.pad sx ~before ~after in
     bpf buf "  for (long i = 0; i < %d; ++i) %s[i] = %s;\n" n_out dst (flit value);
-    with_loops buf sx (fun names ->
-        bpf buf "    %s[%d + %s] = %s[%s];\n" dst base (off_expr names so) src
-          (off_expr names sts))
-  | Primitive.Slice { starts; stops = _ } ->
+    emit_copy buf ~dst:(dst, v) ~src:(src, View.dense sx)
+  | Primitive.Slice { starts; stops } ->
     let src, sx = one () in
-    let so = Shape.strides out_shape in
-    let sts = Shape.strides sx in
-    let base = Array.to_list starts |> List.mapi (fun i s -> s * sts.(i)) |> List.fold_left ( + ) 0 in
-    with_loops buf out_shape (fun names ->
-        bpf buf "    %s[%s] = %s[%d + %s];\n" dst (off_expr names so) src base
-          (off_expr names sts))
+    emit_copy buf ~dst:(dst, View.dense out_shape)
+      ~src:(src, View.slice (View.dense sx) ~starts ~stops)
   | Primitive.Concat axis ->
-    let so = Shape.strides out_shape in
-    let offset = ref 0 in
-    List.iter
-      (fun (src, sx) ->
-        with_loops buf sx (fun names ->
-            let base = !offset * so.(axis) in
-            bpf buf "    %s[%d + %s] = %s[%s];\n" dst base (off_expr names so) src
-              (off_expr names (Shape.strides sx)));
-        offset := !offset + sx.(axis))
-      args
+    let _, views = View.concat (List.map snd args) ~axis in
+    List.iter2 (fun (src, sx) v -> emit_copy buf ~dst:(dst, v) ~src:(src, View.dense sx)) args views
   | Primitive.Matmul ->
     let (na, sa), (nb, sb) = two () in
     let ra = Array.length sa and rb = Array.length sb in

@@ -184,13 +184,3 @@ let snapshot_to_json (s : snapshot) : Jsonw.t =
     ]
 
 let to_json () : Jsonw.t = snapshot_to_json (snapshot ())
-
-let reset () =
-  locked (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.c_v 0) counters;
-      Hashtbl.iter (fun _ g -> Atomic.set g.g_v 0.0) gauges;
-      Hashtbl.iter
-        (fun _ h ->
-          Array.iter (fun b -> Atomic.set b 0) h.buckets;
-          Atomic.set h.h_sum 0.0)
-        histograms)

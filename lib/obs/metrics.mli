@@ -66,7 +66,3 @@ val percentile : histogram_snapshot -> float -> float
 
 (** [to_json ()] = [snapshot_to_json (snapshot ())]. *)
 val to_json : unit -> Jsonw.t
-
-(** Zero every value; registrations (and handles) stay valid. Tests call
-    this between runs so cumulative process-wide counts do not leak. *)
-val reset : unit -> unit

@@ -522,6 +522,19 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
       | "table" -> h_table
       | _ -> h_admin
     in
+    (* [guarded f ok] answers [ok (f ())]. A client error answers "error"
+       (counted in serve.errors) and a fatal runtime error escapes;
+       anything else (an injected fault, a solver blow-up mid-sweep, a
+       backend failure mid-execution) is transient and answers "retry". *)
+    let guarded f ok =
+      match f () with
+      | v -> ok v
+      | exception Client_error msg ->
+        Obs.Metrics.incr m_errors;
+        finish hist (Protocol.error_response ~status:"error" msg)
+      | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) -> raise e
+      | exception e -> finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e))
+    in
     match req.Protocol.verb with
     | "health" -> finish hist (health_response t)
     | "stats" -> finish hist (stats_response t)
@@ -534,23 +547,14 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
              ("status", Obs.Jsonw.Str "draining");
              ("in_flight", Obs.Jsonw.Int (Atomic.get t.in_flight));
            ])
-    | "table" -> (
-      match table_for t req with
-      | resp ->
-        log t "table %s lo=%d hi=%d"
-          (match req.Protocol.model with Some m -> m | None -> "<inline>")
-          (Option.value req.Protocol.batch_lo ~default:1)
-          (Option.value req.Protocol.batch_hi ~default:0);
-        finish hist resp
-      | exception Client_error msg ->
-        Obs.Metrics.incr m_errors;
-        finish hist (Protocol.error_response ~status:"error" msg)
-      | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) -> raise e
-      | exception e ->
-        (* The sweep died mid-probe (injected fault, solver blow-up):
-           nothing was stored, the request is retryable. *)
-        finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e)))
-    | "optimize" | "run" -> (
+    | "table" ->
+      guarded (fun () -> table_for t req) (fun resp ->
+          log t "table %s lo=%d hi=%d"
+            (match req.Protocol.model with Some m -> m | None -> "<inline>")
+            (Option.value req.Protocol.batch_lo ~default:1)
+            (Option.value req.Protocol.batch_hi ~default:0);
+          finish hist resp)
+    | "optimize" | "run" ->
       (* Admission seam: an injected serve_accept fault degrades the
          admission path (recorded in the response) — the request is still
          served, the daemon never dies. *)
@@ -561,37 +565,16 @@ let handle t (j : Onnx.Json.t) : Obs.Jsonw.t =
           Obs.Metrics.incr m_admission_degraded;
           "degraded"
       in
-      match plan_for t req with
-      | sp ->
-        log t "%s %s tier=%s cache=%s kernels=%d" req.Protocol.verb
-          (match req.Protocol.model with Some m -> m | None -> "<inline>")
-          sp.sp_tier sp.sp_cache
-          (Runtime.Plan.kernel_count sp.sp_plan);
-        if req.Protocol.verb = "optimize" then finish hist (plan_response sp ~admission)
-        else (
-          match execute_plan req sp with
-          | outputs ->
-            finish hist
-              (plan_response sp ~admission ~extra:[ ("outputs", Obs.Jsonw.List outputs) ])
-          | exception Client_error msg ->
-            Obs.Metrics.incr m_errors;
-            finish hist (Protocol.error_response ~status:"error" msg)
-          | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) -> raise e
-          | exception e ->
-            (* The plan exists but execution failed (e.g. an injected
-               fault deep in a backend): report it as retryable rather
-               than fatal. *)
-            finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e)))
-      | exception Client_error msg ->
-        Obs.Metrics.incr m_errors;
-        finish hist (Protocol.error_response ~status:"error" msg)
-      | exception (Faults.Injected _ as e) ->
-        (* A fault fired before any plan could exist (e.g. onnx_parse on
-           an inline document): transient by construction — retry. *)
-        finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e))
-      | exception ((Out_of_memory | Stack_overflow | Assert_failure _) as e) -> raise e
-      | exception e ->
-        finish hist (Protocol.error_response ~status:"retry" (Printexc.to_string e)))
+      guarded (fun () -> plan_for t req) (fun sp ->
+          log t "%s %s tier=%s cache=%s kernels=%d" req.Protocol.verb
+            (match req.Protocol.model with Some m -> m | None -> "<inline>")
+            sp.sp_tier sp.sp_cache
+            (Runtime.Plan.kernel_count sp.sp_plan);
+          if req.Protocol.verb = "optimize" then finish hist (plan_response sp ~admission)
+          else
+            guarded (fun () -> execute_plan req sp) (fun outputs ->
+                finish hist
+                  (plan_response sp ~admission ~extra:[ ("outputs", Obs.Jsonw.List outputs) ])))
     | verb ->
       Obs.Metrics.incr m_errors;
       finish hist (Protocol.error_response ~status:"error" ("unknown verb " ^ verb)))

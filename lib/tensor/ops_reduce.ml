@@ -49,12 +49,7 @@ let reduce ?dst (agg : agg) ~(axis : int) ~(keepdims : bool) (t : Nd.t) : Nd.t =
     [size] and replicates the input along it: the paper's broadcast
     primitive, inverse of reduce over the same axis. *)
 let broadcast_axis ?dst (t : Nd.t) ~(axis : int) ~(size : int) : Nd.t =
-  let s = Nd.shape t in
-  let out_shape = Shape.insert_axis s axis size in
-  let out = Nd.dest ?dst out_shape in
-  let x = t.Nd.data and d = out.Nd.data in
-  Shape.iter1 out_shape (Shape.insert_axis (Shape.strides s) axis 0) (fun k o -> d.(k) <- x.(o));
-  out
+  View.gather ?dst (View.broadcast_axis (View.dense (Nd.shape t)) ~axis ~size) t
 
 (** [pool2d ?dst agg t ~kernel ~stride ~padding] applies a 2-d windowed
     reduction over the trailing two dimensions of an NCHW tensor. Padding

@@ -18,8 +18,6 @@ let equal (a : t) (b : t) = a = b
 let to_string (s : t) =
   "[" ^ String.concat "x" (Array.to_list (Array.map string_of_int s)) ^ "]"
 
-let pp ppf s = Format.pp_print_string ppf (to_string s)
-
 (** [strides s] are the row-major strides of a contiguous tensor of shape
     [s]: the last dimension has stride 1. *)
 let strides (s : t) : int array =

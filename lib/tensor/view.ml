@@ -1,60 +1,31 @@
-(** Strided views over {!Nd} tensors.
+(** Layout maps: the index algebra of the layout primitives.
 
-    A view is a shape, a stride vector and an offset into another tensor's
-    storage: transpose, slice and (contiguity-preserving) reshape become
-    O(1) index remappings instead of dense copies — the same zero-copy
-    layout algebra GPU kernels use to absorb layout primitives into their
-    addressing math. {!to_nd} materializes a view back into a dense
-    row-major tensor; the property tests check every view operation against
-    the corresponding {!Ops_layout} dense copy. *)
+    A view is a shape, a stride vector and an offset, and holds no storage:
+    element [idx] of the view sits at [offset + sum_i idx.(i) * strides.(i)]
+    of whatever flat buffer it is applied to. Transpose, slice and
+    broadcast are source maps (where a dense output reads its input); pad
+    and concat are destination maps (where a dense input lands in the
+    output). This module is the one place these maps are spelled: the
+    interpreter ({!Ops_layout}, {!Ops_reduce.broadcast_axis}) walks them
+    with {!gather} and {!scatter}, and the C emitter prints the same
+    views as loop nests. *)
 
 type t = {
-  base : Nd.t;  (** underlying storage (never copied) *)
   shape : Shape.t;
-  strides : int array;  (** per-axis element strides into [base] *)
+  strides : int array;  (** per-axis element strides into the buffer *)
   offset : int;  (** linear offset of element [0, ..., 0] *)
 }
 
-(** [of_nd t] — the identity view: row-major strides, offset 0. *)
-let of_nd (t : Nd.t) : t =
-  { base = t; shape = Nd.shape t; strides = Shape.strides (Nd.shape t); offset = 0 }
+(** [dense s] — the identity map of a row-major tensor of shape [s]. *)
+let dense (s : Shape.t) : t = { shape = s; strides = Shape.strides s; offset = 0 }
 
-let shape (v : t) = v.shape
-let numel (v : t) = Shape.numel v.shape
-
-(** [get v idx] reads the element at multi-index [idx] through the view's
-    stride arithmetic. Raises [Invalid_argument] out of bounds. *)
-let get (v : t) (idx : int array) : float =
-  let r = Shape.rank v.shape in
-  if Array.length idx <> r then invalid_arg "View.get: index rank mismatch";
-  let off = ref v.offset in
-  for i = 0 to r - 1 do
-    if idx.(i) < 0 || idx.(i) >= v.shape.(i) then invalid_arg "View.get: index out of bounds";
-    off := !off + (idx.(i) * v.strides.(i))
-  done;
-  Nd.get_linear v.base !off
-
-(** [get_linear v k] reads the [k]-th element in the view's row-major
-    order. Raises [Invalid_argument] out of bounds. *)
-let get_linear (v : t) (k : int) : float =
-  if k < 0 || k >= numel v then invalid_arg "View.get_linear: index out of bounds";
-  let off = ref v.offset and rem = ref k in
-  for i = Shape.rank v.shape - 1 downto 0 do
-    let d = v.shape.(i) in
-    off := !off + (!rem mod d * v.strides.(i));
-    rem := !rem / d
-  done;
-  Nd.get_linear v.base !off
-
-(** [transpose v perm] permutes the axes without touching storage: output
-    axis [i] reads input axis [perm.(i)]. *)
+(** [transpose v perm] permutes the axes: output axis [i] reads axis
+    [perm.(i)] of [v]. *)
 let transpose (v : t) (perm : int array) : t =
-  let shape = Shape.permute v.shape perm in
-  let strides = Array.map (fun p -> v.strides.(p)) perm in
-  { v with shape; strides }
+  { v with shape = Shape.permute v.shape perm; strides = Array.map (fun p -> v.strides.(p)) perm }
 
 (** [slice v ~starts ~stops] restricts every axis [i] to the half-open
-    range [[starts.(i), stops.(i))] — an offset shift, no copy. *)
+    range [[starts.(i), stops.(i))]: an offset shift. *)
 let slice (v : t) ~(starts : int array) ~(stops : int array) : t =
   let r = Shape.rank v.shape in
   if Array.length starts <> r || Array.length stops <> r then
@@ -67,34 +38,57 @@ let slice (v : t) ~(starts : int array) ~(stops : int array) : t =
   let offset =
     Array.fold_left ( + ) v.offset (Array.mapi (fun i st -> st * v.strides.(i)) starts)
   in
-  let shape = Array.init r (fun i -> stops.(i) - starts.(i)) in
-  { v with shape; offset }
+  { v with shape = Array.init r (fun i -> stops.(i) - starts.(i)); offset }
 
-(** [is_contiguous v] — the view enumerates its elements in the same order
-    a dense row-major tensor of its shape would (so reshape is free). *)
-let is_contiguous (v : t) : bool =
-  let expected = Shape.strides v.shape in
-  let ok = ref true in
-  Array.iteri
-    (fun i st -> if v.shape.(i) > 1 && st <> expected.(i) then ok := false)
-    v.strides;
-  !ok
+(** [broadcast_axis v ~axis ~size] inserts axis [axis] of size [size]
+    with stride 0, so every position along it reads the same element. *)
+let broadcast_axis (v : t) ~(axis : int) ~(size : int) : t =
+  { v with shape = Shape.insert_axis v.shape axis size; strides = Shape.insert_axis v.strides axis 0 }
 
-(** [to_nd ?dst v] materializes the view as a dense row-major tensor. *)
-let to_nd ?dst (v : t) : Nd.t =
+(** [pad s ~before ~after] is the shape of [s] padded with [before.(i)]
+    leading and [after.(i)] trailing cells on every axis [i], and the view
+    of that output where the input lands. *)
+let pad (s : Shape.t) ~(before : int array) ~(after : int array) : Shape.t * t =
+  let r = Shape.rank s in
+  if Array.length before <> r || Array.length after <> r then
+    invalid_arg "View.pad: padding rank mismatch";
+  let out = Array.init r (fun i -> s.(i) + before.(i) + after.(i)) in
+  (out, slice (dense out) ~starts:before ~stops:(Array.mapi (fun i b -> b + s.(i)) before))
+
+(** [concat shapes ~axis] is the shape of [shapes] joined along [axis]
+    (every other dimension must agree), and each part's view of it. *)
+let concat (shapes : Shape.t list) ~(axis : int) : Shape.t * t list =
+  match shapes with
+  | [] -> invalid_arg "View.concat: empty list"
+  | s0 :: _ ->
+    let r = Shape.rank s0 in
+    if axis < 0 || axis >= r then invalid_arg "View.concat: axis out of range";
+    let total =
+      List.fold_left
+        (fun acc s ->
+          if Shape.rank s <> r then invalid_arg "View.concat: rank mismatch";
+          Array.iteri
+            (fun i d ->
+              if i <> axis && d <> s0.(i) then invalid_arg "View.concat: shape mismatch off-axis")
+            s;
+          acc + s.(axis))
+        0 shapes
+    in
+    let out = Shape.set_axis s0 axis total in
+    let st = Shape.strides out in
+    let part pos s = (pos + s.(axis), { shape = s; strides = st; offset = pos * st.(axis) }) in
+    (out, snd (List.fold_left_map part 0 shapes))
+
+(** [gather ?dst v x] is the dense tensor of shape [v.shape] whose
+    element [k] (row-major) is what [v] maps it to in [x]'s storage. *)
+let gather ?dst (v : t) (x : Nd.t) : Nd.t =
   let out = Nd.dest ?dst v.shape in
-  let x = v.base.Nd.data and d = out.Nd.data in
-  Shape.iter1 ~base:v.offset v.shape v.strides (fun k o -> d.(k) <- x.(o));
+  let src = x.Nd.data and d = out.Nd.data in
+  Shape.iter1 ~base:v.offset v.shape v.strides (fun k o -> d.(k) <- src.(o));
   out
 
-(** [reshape v shape'] reinterprets the element sequence with a new shape
-    of equal count: O(1) when [v] is contiguous, otherwise the view is
-    materialized first. *)
-let reshape (v : t) (shape' : Shape.t) : t =
-  if Shape.numel shape' <> numel v then
-    invalid_arg
-      (Printf.sprintf "View.reshape: %s -> %s changes element count"
-         (Shape.to_string v.shape) (Shape.to_string shape'));
-  if is_contiguous v then
-    { v with shape = shape'; strides = Shape.strides shape' }
-  else of_nd (Nd.reshape (to_nd v) shape')
+(** [scatter v x ~into] writes the dense tensor [x] of shape [v.shape]
+    to the positions [v] maps its elements to in [into]'s storage. *)
+let scatter (v : t) (x : Nd.t) ~(into : Nd.t) : unit =
+  let src = x.Nd.data and d = into.Nd.data in
+  Shape.iter1 ~base:v.offset v.shape v.strides (fun k o -> d.(o) <- src.(k))

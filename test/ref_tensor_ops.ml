@@ -217,11 +217,6 @@ let upsample_nearest2d (t : Nd.t) ~(scale : int) : Nd.t =
       let idx = Shape.unravel out_shape k in
       Nd.get t [| idx.(0); idx.(1); idx.(2) / scale; idx.(3) / scale |])
 
-(* ---------------- views ---------------- *)
-
-let view_get_linear (v : View.t) k = View.get v (Shape.unravel (View.shape v) k)
-let view_to_nd (v : View.t) = Nd.create (View.shape v) (view_get_linear v)
-
 (* ---------------- linear ---------------- *)
 
 (* [m x k] by [k x n], skipping zero left operands. *)

@@ -158,86 +158,6 @@ let prop_broadcast_scalar_identity =
     ~print:print_shapes broadcast_pair (fun (_, a, _) ->
       Shape.equal (Shape.broadcast a [||]) a && Shape.equal (Shape.broadcast [||] a) a)
 
-(* Random small tensor plus a permutation of its axes. *)
-let tensor_and_perm =
-  let open QCheck2.Gen in
-  let* shape = array_size (int_range 1 4) (int_range 1 5) in
-  let rank = Array.length shape in
-  let* seed = int_range 1 1_000_000 in
-  let* perm =
-    (* Fisher-Yates from a list of generated swaps. *)
-    let* swaps = list_size (return rank) (int_range 0 (rank - 1)) in
-    let p = Array.init rank Fun.id in
-    List.iteri
-      (fun i j ->
-        let t = p.(i) in
-        p.(i) <- p.(j);
-        p.(j) <- t)
-      swaps;
-    return p
-  in
-  return (Nd.rand (Rng.create seed) shape, perm)
-
-let print_tensor_perm (t, perm) =
-  Printf.sprintf "shape=%s perm=[%s]" (Shape.to_string (Nd.shape t))
-    (String.concat ";" (Array.to_list (Array.map string_of_int perm)))
-
-let prop_view_transpose =
-  QCheck2.Test.make ~name:"View.transpose get matches the dense Ops_layout.transpose"
-    ~count:300 ~print:print_tensor_perm tensor_and_perm (fun (t, perm) ->
-      let dense = Ops_layout.transpose t perm in
-      let v = View.transpose (View.of_nd t) perm in
-      Shape.equal (View.shape v) (Nd.shape dense)
-      && Nd.equal (View.to_nd v) dense
-      (* pointwise, through the stride arithmetic rather than to_nd *)
-      && List.for_all
-           (fun k ->
-             let idx = Shape.unravel (Nd.shape dense) k in
-             View.get v idx = Nd.get dense idx)
-           (List.init (Nd.numel dense) Fun.id))
-
-let prop_view_transpose_reshape =
-  QCheck2.Test.make
-    ~name:"View.reshape after transpose matches transpose-then-reshape dense copies"
-    ~count:300 ~print:print_tensor_perm tensor_and_perm (fun (t, perm) ->
-      let n = Nd.numel t in
-      let flat = [| n |] in
-      let v = View.reshape (View.transpose (View.of_nd t) perm) flat in
-      let dense = Nd.reshape (Ops_layout.transpose t perm) flat in
-      Nd.equal (View.to_nd v) dense
-      (* contiguous reshape of an untransposed view is Nd.reshape *)
-      && Nd.equal (View.to_nd (View.reshape (View.of_nd t) flat)) (Nd.reshape t flat))
-
-let tensor_and_box =
-  let open QCheck2.Gen in
-  let* shape = array_size (int_range 1 4) (int_range 1 5) in
-  let* seed = int_range 1 1_000_000 in
-  let* cuts =
-    array_size
-      (return (Array.length shape))
-      (pair (float_range 0.0 1.0) (float_range 0.0 1.0))
-  in
-  let starts = Array.mapi (fun i (a, _) -> int_of_float (a *. float_of_int shape.(i))) cuts in
-  let stops =
-    Array.mapi
-      (fun i (_, b) ->
-        let lo = starts.(i) in
-        lo + max 0 (int_of_float (b *. float_of_int (shape.(i) - lo))))
-      cuts
-  in
-  return (Nd.rand (Rng.create seed) shape, starts, stops)
-
-let print_tensor_box (t, starts, stops) =
-  Printf.sprintf "shape=%s starts=%s stops=%s" (Shape.to_string (Nd.shape t))
-    (Shape.to_string starts) (Shape.to_string stops)
-
-let prop_view_slice =
-  QCheck2.Test.make ~name:"View.slice get matches the dense Ops_layout.slice" ~count:300
-    ~print:print_tensor_box tensor_and_box (fun (t, starts, stops) ->
-      let dense = Ops_layout.slice t ~starts ~stops in
-      let v = View.slice (View.of_nd t) ~starts ~stops in
-      Nd.equal (View.to_nd v) dense)
-
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzer: native C backend vs the interpreter.           *)
 (* ------------------------------------------------------------------ *)
@@ -273,6 +193,12 @@ let fuzz_binaries =
     Primitive.Add; Primitive.Sub; Primitive.Mul; Primitive.Max; Primitive.Min;
     Primitive.Div;
   |]
+
+(* A non-empty interval [[start, stop)] of [[0, d)] derived from [sel]
+   (every fuzz-graph dimension is at least 1). *)
+let fuzz_interval sel d =
+  let start = sel mod d in
+  (start, start + 1 + (sel / d mod (d - start)))
 
 (* Build the graph from the step list. Tracks computed (non-source) node
    ids and which of them are consumed, so sinks become graph outputs.
@@ -345,22 +271,32 @@ let build_fuzz_graph ?(consts = false) (steps : (int * int * int) list) : Primgr
         end
         else emit (Primitive.Unary Primitive.Sigmoid) [ n1 ]
       | 7 ->
-        (* concat of a node with itself: duplicate input edges exercise
-           ext/member dedup in the emitter *)
-        if r1 >= 1 then emit (Primitive.Concat (bsel mod r1)) [ n1; n1 ]
-        else emit (Primitive.Unary Primitive.Abs) [ n1 ]
-      | 8 ->
-        if r1 >= 1 && Array.for_all (fun d -> d >= 2) s1 then
+        (* concat of a node with a bsel-sized slice of itself along the
+           axis: parts of different sizes, and for even bsel the node
+           twice, whose duplicate input edges exercise ext/member dedup
+           in the emitter *)
+        if r1 >= 1 then begin
+          let axis = bsel mod r1 in
+          let start, stop = fuzz_interval bsel s1.(axis) in
           emit
             (Primitive.Slice
-               { starts = Array.map (fun _ -> 1) s1; stops = Array.copy s1 })
-            [ n1 ]
+               { starts = Shape.set_axis (Array.make r1 0) axis start;
+                 stops = Shape.set_axis s1 axis stop })
+            [ n1 ];
+          let part = List.hd !nodes in
+          emit (Primitive.Concat axis) (if bsel mod 2 = 0 then [ n1; part; n1 ] else [ part; n1 ])
+        end
+        else emit (Primitive.Unary Primitive.Abs) [ n1 ]
+      | 8 ->
+        if r1 >= 1 then begin
+          let box = Array.mapi (fun i d -> fuzz_interval (bsel + i) d) s1 in
+          emit (Primitive.Slice { starts = Array.map fst box; stops = Array.map snd box }) [ n1 ]
+        end
         else emit (Primitive.Unary Primitive.Square) [ n1 ]
       | _ ->
-        emit
-          (Primitive.Pad
-             { before = Array.make r1 1; after = Array.make r1 0; value = 0.5 })
-          [ n1 ])
+        let before = Array.init r1 (fun i -> (bsel + i) mod 3) in
+        let after = Array.init r1 (fun i -> (bsel / 3 + (2 * i)) mod 3) in
+        emit (Primitive.Pad { before; after; value = 0.5 }) [ n1 ])
     steps;
   (* Outputs: every computed node nobody consumed (ensures the plan must
      publish real results), or the last node when everything is consumed. *)
@@ -1157,28 +1093,21 @@ let gen_upsample =
       lib = (fun ?dst () -> Ops_linear.upsample_nearest2d ?dst x ~scale);
       reference = (fun () -> Ref_tensor_ops.upsample_nearest2d x ~scale) }
 
-(* A transposed, then sliced view, read whole by [View.to_nd] or element
-   by element through [View.get_linear]. *)
+(* A transposed, then sliced map gathered in one walk, against the
+   reference slice of the reference transpose. *)
 let gen_view =
   let open QCheck2.Gen in
   let* shape = gen_shape ~lo:1 ~hi:4 in
   let* x = gen_values shape in
   let* perm = gen_perm (Array.length shape) in
   let* starts, stops = gen_box (Shape.permute shape perm) in
-  let* whole = bool in
-  let v = View.slice (View.transpose (View.of_nd x) perm) ~starts ~stops in
-  let by_element ?dst () =
-    let out = Nd.dest ?dst (View.shape v) in
-    Array.iteri (fun k _ -> out.Nd.data.(k) <- View.get_linear v k) out.Nd.data;
-    out
-  in
+  let v = View.slice (View.transpose (View.dense shape) perm) ~starts ~stops in
   return
     { what =
-        Printf.sprintf "%s of transpose %s slice %s %s %s"
-          (if whole then "View.to_nd" else "View.get_linear") (ints perm) (ints starts)
+        Printf.sprintf "View.gather of transpose %s slice %s %s %s" (ints perm) (ints starts)
           (ints stops) (shapes [ shape ]);
-      lib = (if whole then fun ?dst () -> View.to_nd ?dst v else by_element);
-      reference = (fun () -> Ref_tensor_ops.view_to_nd v) }
+      lib = (fun ?dst () -> View.gather ?dst v x);
+      reference = (fun () -> Ref_tensor_ops.(slice (transpose x perm) ~starts ~stops)) }
 
 let gen_matmul =
   let open QCheck2.Gen in
@@ -1280,8 +1209,7 @@ let () =
         List.map to_alcotest [ prop_bitset_model; prop_bitset_persistence; prop_bitset_list_model ] );
       ( Printf.sprintf "shape & views (seed %#x)" qcheck_seed,
         List.map to_alcotest
-          [ prop_broadcast_commutative; prop_broadcast_scalar_identity; prop_view_transpose;
-            prop_view_transpose_reshape; prop_view_slice ] );
+          [ prop_broadcast_commutative; prop_broadcast_scalar_identity ] );
       ( Printf.sprintf "segment oracle (seed %#x)" qcheck_seed,
         [ Alcotest.test_case "redundancy allowed" `Quick (test_segment_solver_oracle ~disjoint:false);
           Alcotest.test_case "disjoint ablation" `Quick (test_segment_solver_oracle ~disjoint:true) ] );
